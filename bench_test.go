@@ -279,28 +279,15 @@ func benchBatch(b *testing.B, n int) *tensor.Tensor {
 	return yolite.BatchToTensor(test[:n])
 }
 
-// BenchmarkPredictBatch runs eight screens through the native batch path:
-// one backbone forward decodes all items. Compare against
-// BenchmarkPredictBatchPerItem — the pre-fix caller pattern, which re-forwards
-// the whole stacked tensor once per item and so does 8x the conv work.
+// BenchmarkPredictBatch runs eight screens through the seam in one call: one
+// backbone forward decodes all items.
 func BenchmarkPredictBatch(b *testing.B) {
 	m := sharedEnv(b).Float()
 	x := benchBatch(b, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.PredictBatch(x, yolite.DefaultConfThresh)
-	}
-}
-
-// BenchmarkPredictBatchPerItem is the quadratic baseline: the per-item
-// PredictTensor loop over the same eight-screen tensor.
-func BenchmarkPredictBatchPerItem(b *testing.B) {
-	m := sharedEnv(b).Float()
-	x := benchBatch(b, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for n := 0; n < 8; n++ {
-			m.PredictTensor(x, n, yolite.DefaultConfThresh)
+		if _, err := m.PredictBatchCtx(context.Background(), x, yolite.DefaultConfThresh); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -311,7 +298,9 @@ func BenchmarkPredictBatchInt8(b *testing.B) {
 	x := benchBatch(b, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.PredictBatch(x, yolite.DefaultConfThresh)
+		if _, err := m.PredictBatchCtx(context.Background(), x, yolite.DefaultConfThresh); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -368,7 +357,7 @@ func BenchmarkServeConcurrent(b *testing.B) {
 		device := int(clientID.Add(1)-1) % serveClients
 		mine := screens[device*screensPerDevice : (device+1)*screensPerDevice]
 		for i := 0; pb.Next(); i++ {
-			batcher.PredictTensor(mine[i%len(mine)], 0, yolite.DefaultConfThresh)
+			batcher.PredictTensorCtx(context.Background(), mine[i%len(mine)], 0, yolite.DefaultConfThresh)
 		}
 	})
 	b.StopTimer()
@@ -380,7 +369,7 @@ func BenchmarkServeConcurrent(b *testing.B) {
 }
 
 // BenchmarkServeUnbatchedBaseline is the same fleet workload served the way
-// the pre-serving-layer code did: serveClients independent PredictTensor
+// the pre-serving-layer code did: serveClients independent single-screen
 // loops, every request paying a full single-item forward with freshly
 // allocated activations — no scheduler, no shared cache, no pool.
 func BenchmarkServeUnbatchedBaseline(b *testing.B) {
@@ -449,18 +438,13 @@ type latencyReplicaBackend struct{ forward time.Duration }
 
 func (l *latencyReplicaBackend) Name() string { return "latency-replica" }
 
-func (l *latencyReplicaBackend) PredictTensor(_ *tensor.Tensor, _ int, conf float64) []metrics.Detection {
-	time.Sleep(l.forward)
-	return []metrics.Detection{{Score: conf}}
-}
-
-func (l *latencyReplicaBackend) PredictBatch(x *tensor.Tensor, conf float64) [][]metrics.Detection {
+func (l *latencyReplicaBackend) PredictBatchCtx(_ context.Context, x *tensor.Tensor, conf float64) ([][]metrics.Detection, error) {
 	time.Sleep(l.forward)
 	out := make([][]metrics.Detection, x.Shape[0])
 	for i := range out {
 		out[i] = []metrics.Detection{{Score: conf}}
 	}
-	return out
+	return out, nil
 }
 
 // BenchmarkSchedulerReplicas drives the layered serving stack (admission ->
@@ -471,7 +455,7 @@ func (l *latencyReplicaBackend) PredictBatch(x *tensor.Tensor, conf float64) [][
 func BenchmarkSchedulerReplicas(b *testing.B) {
 	for _, replicas := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("replicas=%d", replicas), func(b *testing.B) {
-			backends := make([]detect.Predictor, replicas)
+			backends := make([]detect.Detector, replicas)
 			for i := range backends {
 				backends[i] = &latencyReplicaBackend{forward: 2 * time.Millisecond}
 			}

@@ -110,10 +110,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	backends := make([]detect.Predictor, len(reps))
-	for i, r := range reps {
-		backends[i] = r
-	}
 
 	// Admission table, same shape as darpa-sim's fleet mode: tenant0 is the
 	// interactive tier, every other named tenant the audit tier; tenants
@@ -134,7 +130,7 @@ func main() {
 		Timings:       rec,
 		Tenants:       table,
 		MaxQueueDepth: *shedDepth,
-	}, backends...)
+	}, reps...)
 
 	api := httpd.New(httpd.Config{
 		Backend:       batcher,

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/auigen"
@@ -41,7 +42,10 @@ func main() {
 
 	// 3. Detection. The same call DARPA's runtime makes on every stable
 	//    screenshot.
-	dets := detect.PredictCanvas(model, sample.Input, yolite.DefaultConfThresh)
+	dets, err := detect.PredictCanvasCtx(context.Background(), model, sample.Input, yolite.DefaultConfThresh)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("detected:")
 	if len(dets) == 0 {
 		fmt.Println("  nothing (try training longer or using pretrained weights)")

@@ -130,8 +130,7 @@ func ConfidenceObjective(p yolite.Predictor, probeThresh float64) Objective {
 		if len(at.Sample.Boxes) == 0 {
 			return 0
 		}
-		x := yolite.CanvasToTensor(at.Sample.Input)
-		dets := p.PredictTensor(x, 0, probeThresh)
+		dets := yolite.PredictInput(p, at.Sample.Input, probeThresh)
 		total := 0.0
 		for _, b := range at.Sample.Boxes {
 			best := 0.0
@@ -276,9 +275,7 @@ func Samples(screens []*auigen.Attacked) []*dataset.Sample {
 func Recall(p yolite.Predictor, screens []*auigen.Attacked, iouThresh float64) *metrics.Evaluation {
 	eval := metrics.NewEvaluation()
 	for _, at := range screens {
-		x := yolite.CanvasToTensor(at.Sample.Input)
-		preds := p.PredictTensor(x, 0, yolite.DefaultConfThresh)
-		eval.AddSample(preds, at.Sample.Boxes, iouThresh)
+		eval.AddSample(yolite.PredictInput(p, at.Sample.Input, yolite.DefaultConfThresh), at.Sample.Boxes, iouThresh)
 	}
 	return eval
 }

@@ -17,26 +17,21 @@ const DefaultAuditBatch = 8
 // regulator workload of the paper's Section VII discussion. Where the live
 // service (Service.analyze) handles one debounce-stable screen at a time,
 // an audit holds a whole catalogue of screens up front: they are stacked
-// into [batchSize, 3, H, W] chunks and run through the detector's batch
-// seam (detect.PredictBatch), amortising one backbone forward across every
-// screen of a chunk. Detections come back per screen, scaled to that
-// canvas's own coordinate system like detect.PredictCanvas.
-//
-// Any detect.Predictor works: backends and middleware with a native batch
-// path (yolite, the int8 port, the caching/NMS/timing decorators) get the
-// whole chunk in one call, everything else falls back to a per-item loop.
-func AuditScreens(p detect.Predictor, shots []*render.Canvas, confThresh float64, batchSize int) [][]metrics.Detection {
+// into [batchSize, 3, H, W] chunks and run through the detector seam, one
+// call — for the conv backends one backbone forward — per chunk. Detections
+// come back per screen, scaled to that canvas's own coordinate system like
+// detect.PredictCanvasCtx.
+func AuditScreens(p detect.Detector, shots []*render.Canvas, confThresh float64, batchSize int) [][]metrics.Detection {
 	out, _ := AuditScreensCtx(context.Background(), p, shots, confThresh, batchSize)
 	return out
 }
 
 // AuditScreensCtx is AuditScreens with cooperative cancellation: the context
-// is checked between chunks and threaded into each chunk's forward, so a
-// cancelled audit stops within roughly one conv layer instead of finishing
-// the catalogue. On cancel it returns ctx.Err() along with the screens fully
-// audited so far — partial results are exactly what a deadline-bounded audit
-// wants to keep. A Background context is exactly AuditScreens.
-func AuditScreensCtx(ctx context.Context, p detect.Predictor, shots []*render.Canvas, confThresh float64, batchSize int) ([][]metrics.Detection, error) {
+// is threaded into each chunk's call, so a cancelled audit stops within
+// roughly one conv layer instead of finishing the catalogue. On cancel it
+// returns ctx.Err() along with the screens fully audited so far — partial
+// results are exactly what a deadline-bounded audit wants to keep.
+func AuditScreensCtx(ctx context.Context, p detect.Detector, shots []*render.Canvas, confThresh float64, batchSize int) ([][]metrics.Detection, error) {
 	if batchSize <= 0 {
 		batchSize = DefaultAuditBatch
 	}
@@ -44,7 +39,7 @@ func AuditScreensCtx(ctx context.Context, p detect.Predictor, shots []*render.Ca
 	for start := 0; start < len(shots); start += batchSize {
 		chunk := shots[start:min(start+batchSize, len(shots))]
 		x := yolite.CanvasesToTensor(chunk)
-		res, err := detect.PredictBatchCtx(ctx, p, x, confThresh)
+		res, err := detect.Guarded(ctx, p, x, confThresh, nil)
 		if err != nil {
 			return out, err
 		}

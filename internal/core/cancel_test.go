@@ -15,7 +15,7 @@ import (
 	"repro/internal/uikit"
 )
 
-// ctxDetector is a ctx-aware fake: when block is set, the ctx path parks on
+// ctxDetector is a single-screen fake: when block is set, the call parks on
 // ctx.Done() (signalling entered first) until the cycle is cancelled — the
 // shape of a slow forward overtaken by events, deadlines or Stop. An optional
 // hook runs re-entrantly inside the forward, standing in for anything that
@@ -31,10 +31,6 @@ type ctxDetector struct {
 
 func (d *ctxDetector) Name() string { return "ctx-fake" }
 
-func (d *ctxDetector) PredictTensor(_ *tensor.Tensor, _ int, _ float64) []metrics.Detection {
-	return d.snapshot()
-}
-
 func (d *ctxDetector) snapshot() []metrics.Detection {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -43,7 +39,22 @@ func (d *ctxDetector) snapshot() []metrics.Detection {
 	return out
 }
 
-func (d *ctxDetector) PredictTensorCtx(ctx context.Context, _ *tensor.Tensor, _ int, _ float64) ([]metrics.Detection, error) {
+func (d *ctxDetector) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, _ float64) ([][]metrics.Detection, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err // the seam's contract: a dead context starts no work
+	}
+	out := make([][]metrics.Detection, x.Shape[0])
+	for i := range out {
+		dets, err := d.predict(ctx)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = dets
+	}
+	return out, nil
+}
+
+func (d *ctxDetector) predict(ctx context.Context) ([]metrics.Detection, error) {
 	d.mu.Lock()
 	d.calls++
 	hook := d.hook
@@ -75,7 +86,6 @@ func (d *ctxDetector) ctxCalls() int {
 }
 
 var _ detect.Detector = (*ctxDetector)(nil)
-var _ detect.ContextPredictor = (*ctxDetector)(nil)
 
 // TestStopCancelsInflightAnalysis: Stop while a forward is executing must
 // cancel it cooperatively, wait for the cycle to unwind, and leave no

@@ -23,24 +23,13 @@ import (
 
 // chaosStub is a fast healthy backend for chaos runs: real inference would
 // dominate the -race run without exercising any more of the resilience
-// plumbing. It answers a fixed, valid detection on every seam.
+// plumbing. It answers a fixed, valid detection for every item.
 type chaosStub struct{ name string }
 
 func (s *chaosStub) Name() string { return s.name }
 
 func (s *chaosStub) dets() []metrics.Detection {
 	return []metrics.Detection{{Class: dataset.ClassUPO, B: geom.BoxF{X: 10, Y: 20, W: 16, H: 8}, Score: 0.9}}
-}
-
-func (s *chaosStub) PredictTensor(_ *tensor.Tensor, _ int, _ float64) []metrics.Detection {
-	return s.dets()
-}
-
-func (s *chaosStub) PredictTensorCtx(ctx context.Context, _ *tensor.Tensor, _ int, _ float64) ([]metrics.Detection, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.dets(), nil
 }
 
 func (s *chaosStub) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, _ float64) ([][]metrics.Detection, error) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -22,11 +23,16 @@ type fakeDetector struct {
 	calls int
 }
 
-func (f *fakeDetector) PredictTensor(_ *tensor.Tensor, _ int, _ float64) []metrics.Detection {
-	f.calls++
-	out := make([]metrics.Detection, len(f.dets))
-	copy(out, f.dets)
-	return out
+func (f *fakeDetector) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, _ float64) ([][]metrics.Detection, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	out := make([][]metrics.Detection, x.Shape[0])
+	for i := range out {
+		f.calls++
+		out[i] = append([]metrics.Detection{}, f.dets...)
+	}
+	return out, nil
 }
 
 func (f *fakeDetector) Name() string { return "fake" }

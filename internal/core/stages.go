@@ -139,18 +139,13 @@ func (s *Service) preprocess(c CaptureResult) PreprocessResult {
 // infer runs the detector backend on the prepared tensor under the cycle's
 // context: a supersession or deadline expiry aborts the forward within
 // roughly one conv layer and surfaces as ctx.Err(). The stage is also the
-// service's panic boundary — a detector that panics on one bad screen
-// surfaces as an inference error (degrading that cycle) instead of
+// service's panic boundary (detect.Guarded) — a detector that panics on one
+// bad screen surfaces as an inference error (degrading that cycle) instead of
 // unwinding the clock goroutine and killing every device the simulation
 // runs.
-func (s *Service) infer(ctx context.Context, p PreprocessResult) (res InferResult, err error) {
+func (s *Service) infer(ctx context.Context, p PreprocessResult) (InferResult, error) {
 	defer s.stageStart(StageInfer)()
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = InferResult{}, &detect.PanicError{Value: r}
-		}
-	}()
-	dets, err := detect.Predict(ctx, s.detector, p.X, 0, s.cfg.confThresh())
+	dets, err := detect.Only(detect.Guarded(ctx, s.detector, p.X, s.cfg.confThresh(), nil))
 	if err != nil {
 		return InferResult{}, err
 	}

@@ -21,15 +21,11 @@ type tenantProbe struct {
 
 func (p *tenantProbe) Name() string { return "tenant-probe" }
 
-func (p *tenantProbe) PredictTensor(_ *tensor.Tensor, _ int, _ float64) []metrics.Detection {
-	return nil
-}
-
-func (p *tenantProbe) PredictTensorCtx(ctx context.Context, _ *tensor.Tensor, _ int, _ float64) ([]metrics.Detection, error) {
+func (p *tenantProbe) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, _ float64) ([][]metrics.Detection, error) {
 	p.mu.Lock()
 	p.seen = append(p.seen, serve.TenantFrom(ctx))
 	p.mu.Unlock()
-	return nil, nil
+	return make([][]metrics.Detection, x.Shape[0]), nil
 }
 
 // TestConfigTenantTagsAnalysisContext: Config.Tenant/TenantPriority must

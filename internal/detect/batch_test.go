@@ -26,60 +26,53 @@ func randomBatch(n int, seed int64) *tensor.Tensor {
 	return x
 }
 
-// batchStub is a natively batch-capable stub that records the batch sizes it
-// was handed.
-type batchStub struct {
-	stubDetector
-	batchSizes []int
+// itemOf copies batch item n out of x as a one-item tensor.
+func itemOf(x *tensor.Tensor, n int) *tensor.Tensor {
+	per := len(x.Data) / x.Shape[0]
+	item := tensor.New(append([]int{1}, x.Shape[1:]...)...)
+	copy(item.Data, x.Data[n*per:(n+1)*per])
+	return item
 }
 
-func (s *batchStub) PredictBatch(x *tensor.Tensor, confThresh float64) [][]metrics.Detection {
-	s.batchSizes = append(s.batchSizes, x.Shape[0])
-	out := make([][]metrics.Detection, x.Shape[0])
-	for i := range out {
-		out[i] = s.PredictTensor(x, i, confThresh)
-	}
-	return out
-}
-
-// TestPredictBatchEquivalence is the tentpole's correctness contract: the
-// native batch paths of the float and int8 backends must return exactly what
-// a per-item PredictTensor loop returns, for every item — and the ctx-aware
-// seam on an uncancellable context must return exactly the same bits again.
+// TestPredictBatchEquivalence is the batch seam's correctness contract: for
+// the float and int8 backends one call over a 4-item batch must return
+// exactly what four single-screen calls return, item for item — and a
+// cancellable context that never fires must return exactly the same bits as
+// Background.
 func TestPredictBatchEquivalence(t *testing.T) {
 	m := yolite.NewModel(3)
 	qm := quant.Port(m, nil)
 	x := randomBatch(4, 42)
 	for _, tc := range []struct {
 		name string
-		p    Predictor
+		p    Detector
 	}{
 		{"yolite", m},
 		{"yolite-int8", qm},
 	} {
-		batched := PredictBatch(tc.p, x, 0.3)
+		batched := batch(t, tc.p, x, 0.3)
 		if len(batched) != 4 {
-			t.Fatalf("%s: PredictBatch returned %d items, want 4", tc.name, len(batched))
+			t.Fatalf("%s: PredictBatchCtx returned %d items, want 4", tc.name, len(batched))
 		}
-		ctxBatched, err := PredictBatchCtx(context.Background(), tc.p, x, 0.3)
+		ctxBatched, err := tc.p.PredictBatchCtx(cancellableCtx(t), x, 0.3)
 		if err != nil {
-			t.Fatalf("%s: PredictBatchCtx(Background) err = %v", tc.name, err)
+			t.Fatalf("%s: PredictBatchCtx(cancellable) err = %v", tc.name, err)
 		}
 		if !reflect.DeepEqual(ctxBatched, batched) {
-			t.Errorf("%s: ctx batch path diverged from legacy batch path", tc.name)
+			t.Errorf("%s: cancellable batch path diverged from Background", tc.name)
 		}
 		total := 0
 		for n := 0; n < 4; n++ {
-			loop := tc.p.PredictTensor(x, n, 0.3)
+			loop := one(t, tc.p, itemOf(x, n), 0.3)
 			if !reflect.DeepEqual(batched[n], loop) {
 				t.Errorf("%s item %d: batch %v != per-item %v", tc.name, n, batched[n], loop)
 			}
-			ctxLoop, err := Predict(context.Background(), tc.p, x, n, 0.3)
+			picked, err := Predict(context.Background(), tc.p, x, n, 0.3)
 			if err != nil {
 				t.Fatalf("%s item %d: Predict(Background) err = %v", tc.name, n, err)
 			}
-			if !reflect.DeepEqual(ctxLoop, loop) {
-				t.Errorf("%s item %d: ctx path %v != legacy %v", tc.name, n, ctxLoop, loop)
+			if !reflect.DeepEqual(picked, loop) {
+				t.Errorf("%s item %d: Predict shim %v != per-item %v", tc.name, n, picked, loop)
 			}
 			total += len(loop)
 		}
@@ -101,7 +94,7 @@ func TestPooledPredictEquivalence(t *testing.T) {
 	x := randomBatch(4, 42)
 	for _, tc := range []struct {
 		name          string
-		plain, pooled Predictor
+		plain, pooled Detector
 	}{
 		{"yolite", m, pm},
 		{"yolite-int8", qm, pqm},
@@ -109,14 +102,14 @@ func TestPooledPredictEquivalence(t *testing.T) {
 		total := 0
 		for round := 0; round < 2; round++ { // round 2 runs on recycled buffers
 			for n := 0; n < 4; n++ {
-				want := tc.plain.PredictTensor(x, n, 0.3)
-				got := tc.pooled.PredictTensor(x, n, 0.3)
+				want := one(t, tc.plain, itemOf(x, n), 0.3)
+				got := one(t, tc.pooled, itemOf(x, n), 0.3)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s item %d round %d: pooled %v != plain %v", tc.name, n, round, got, want)
 				}
 				total += len(want)
 			}
-			if !reflect.DeepEqual(PredictBatch(tc.pooled, x, 0.3), PredictBatch(tc.plain, x, 0.3)) {
+			if !reflect.DeepEqual(batch(t, tc.pooled, x, 0.3), batch(t, tc.plain, x, 0.3)) {
 				t.Errorf("%s round %d: pooled batch output diverged", tc.name, round)
 			}
 		}
@@ -135,9 +128,9 @@ func TestQuantHonoursDisableRefine(t *testing.T) {
 	m := yolite.NewModel(3)
 	qm := quant.Port(m, nil)
 	x := randomBatch(1, 7)
-	with := qm.PredictTensor(x, 0, 0.3)
+	with := one(t, qm, x, 0.3)
 	qm.DisableRefine = true
-	without := qm.PredictTensor(x, 0, 0.3)
+	without := one(t, qm, x, 0.3)
 	if reflect.DeepEqual(with, without) {
 		t.Fatal("DisableRefine had no effect on the int8 backend's detections")
 	}
@@ -147,32 +140,13 @@ func TestQuantHonoursDisableRefine(t *testing.T) {
 	}
 }
 
-func TestPredictBatchFallbackLoopsPerItem(t *testing.T) {
-	s := &stubDetector{dets: []metrics.Detection{det(10, 10, 8, 8, 0.9)}}
-	out := PredictBatch(s, randomBatch(3, 1), 0.45)
-	if len(out) != 3 || s.calls != 3 {
-		t.Fatalf("fallback: %d items, %d inner calls (want 3/3)", len(out), s.calls)
-	}
-	if PredictBatch(s, nil, 0.45) != nil {
-		t.Fatal("nil tensor should produce nil result")
-	}
-}
-
-func TestNamedPreservesBatchPath(t *testing.T) {
-	s := &batchStub{}
-	Named("renamed", s).(BatchPredictor).PredictBatch(randomBatch(2, 1), 0.45)
-	if len(s.batchSizes) != 1 || s.batchSizes[0] != 2 {
-		t.Fatalf("named wrapper severed the batch path: inner saw %v", s.batchSizes)
-	}
-}
-
 func TestFloorAndNMSBatch(t *testing.T) {
-	s := &batchStub{stubDetector: stubDetector{dets: []metrics.Detection{
+	s := &stubDetector{dets: []metrics.Detection{
 		det(10, 10, 8, 8, 0.9),
 		det(11, 10, 8, 8, 0.7), // near-duplicate, NMS fodder
-	}}}
+	}}
 	d := WithNMS(WithConfidenceFloor(s, 0.8), 0.5)
-	out := PredictBatch(d, randomBatch(2, 1), 0.45)
+	out := batch(t, d, randomBatch(2, 1), 0.45)
 	if s.lastThresh != 0.8 {
 		t.Fatalf("floor not applied on the batch path: thresh %v", s.lastThresh)
 	}
@@ -191,20 +165,21 @@ func TestFloorAndNMSBatch(t *testing.T) {
 // duplicates) before reaching the backend, and every item still gets its
 // result.
 func TestCacheBatchCompactsMisses(t *testing.T) {
-	s := &batchStub{stubDetector: stubDetector{dets: []metrics.Detection{det(10, 10, 8, 8, 0.9)}}}
+	s := &stubDetector{dets: []metrics.Detection{det(10, 10, 8, 8, 0.9)}}
 	c := WithResultCache(s, 8)
 
-	// Warm the cache with item 1's content via the single-item path.
+	// Warm the cache with item 1's content as a batch of one.
 	x := randomBatch(4, 9)
 	per := len(x.Data) / 4
-	c.PredictTensor(x, 1, 0.45)
+	one(t, c, itemOf(x, 1), 0.45)
+	s.batchSizes = nil
 	if c.Misses() != 1 {
 		t.Fatalf("warmup misses = %d", c.Misses())
 	}
 	// Make item 3 a duplicate of item 0.
 	copy(x.Data[3*per:4*per], x.Data[0:per])
 
-	out := c.PredictBatch(x, 0.45)
+	out := batch(t, c, x, 0.45)
 	if len(out) != 4 {
 		t.Fatalf("got %d items", len(out))
 	}
@@ -224,7 +199,7 @@ func TestCacheBatchCompactsMisses(t *testing.T) {
 
 	// Everything is memoised now: a repeat batch is all hits, no inner call.
 	calls := s.calls
-	c.PredictBatch(x, 0.45)
+	batch(t, c, x, 0.45)
 	if s.calls != calls {
 		t.Fatalf("fully cached batch still ran the backend")
 	}
@@ -233,9 +208,9 @@ func TestCacheBatchCompactsMisses(t *testing.T) {
 	}
 
 	// Returned slices must be copies: mutating one item must not leak.
-	out2 := c.PredictBatch(x, 0.45)
+	out2 := batch(t, c, x, 0.45)
 	out2[0][0].B.X = 999
-	if c.PredictBatch(x, 0.45)[0][0].B.X == 999 {
+	if batch(t, c, x, 0.45)[0][0].B.X == 999 {
 		t.Fatal("cache batch path returned a shared slice")
 	}
 }
@@ -245,8 +220,8 @@ func TestCacheBatchCompactsMisses(t *testing.T) {
 func TestWithTimingNilRecorder(t *testing.T) {
 	s := &stubDetector{}
 	d := WithTiming(s, nil, "infer")
-	d.PredictTensor(randomBatch(1, 1), 0, 0.45)
-	d.PredictBatch(randomBatch(2, 1), 0.45)
+	one(t, d, randomBatch(1, 1), 0.45)
+	batch(t, d, randomBatch(2, 1), 0.45)
 	if s.calls != 3 {
 		t.Fatalf("inner calls = %d, want 3", s.calls)
 	}
@@ -255,7 +230,7 @@ func TestWithTimingNilRecorder(t *testing.T) {
 func TestWithTimingRecordsBatchItemCount(t *testing.T) {
 	rec := &perfmodel.Timings{}
 	d := WithTiming(&stubDetector{}, rec, "")
-	d.PredictBatch(randomBatch(3, 1), 0.45)
+	batch(t, d, randomBatch(3, 1), 0.45)
 	if got := rec.Stage("infer").Count; got != 3 {
 		t.Fatalf("batch of 3 recorded Count=%d, want 3", got)
 	}
@@ -276,7 +251,7 @@ func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 	}
 }
 
-// TestConcurrentPredictSharedModel drives PredictTensor and PredictBatch on
+// TestConcurrentPredictSharedModel drives single-screen and batch calls on
 // one shared model from many goroutines under -race, proving inference is
 // read-only: Conv2D.lastIn and Model.lastF8 are only written under
 // train=true, which is what makes the parallel batch workers sound.
@@ -290,15 +265,19 @@ func TestConcurrentPredictSharedModel(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 2; i++ {
+				var err error
 				switch g % 4 {
 				case 0:
-					m.PredictTensor(x, i, 0.4)
+					_, err = m.PredictBatchCtx(context.Background(), itemOf(x, i), 0.4)
 				case 1:
-					m.PredictBatch(x, 0.4)
+					_, err = m.PredictBatchCtx(context.Background(), x, 0.4)
 				case 2:
-					qm.PredictTensor(x, i, 0.4)
+					_, err = qm.PredictBatchCtx(context.Background(), itemOf(x, i), 0.4)
 				default:
-					qm.PredictBatch(x, 0.4)
+					_, err = qm.PredictBatchCtx(context.Background(), x, 0.4)
+				}
+				if err != nil {
+					t.Error(err)
 				}
 			}
 		}(g)

@@ -25,72 +25,22 @@ func init() {
 	Register("frauddroid", buildFraudDroid)
 }
 
-// Compile-time checks that every backend satisfies the seam.
+// Compile-time checks that every backend and every wrapper satisfies the
+// seam.
 var (
 	_ Detector = (*yolite.Model)(nil)
 	_ Detector = (*quant.Model)(nil)
 	_ Detector = (*rcnn.Model)(nil)
 	_ Detector = (*frauddroid.ViewAdapter)(nil)
-)
 
-// Backends with a native batch path (the RCNN baselines reconstruct a canvas
-// per item, so they go through the PredictBatch fallback loop instead).
-var (
-	_ BatchPredictor = (*yolite.Model)(nil)
-	_ BatchPredictor = (*quant.Model)(nil)
-	_ BatchPredictor = (*frauddroid.ViewAdapter)(nil)
-)
-
-// Backends with a native cancellation path. RCNN checkpoints between
-// proposal crops; the others between conv layers and output planes.
-var (
-	_ ContextPredictor = (*yolite.Model)(nil)
-	_ ContextPredictor = (*quant.Model)(nil)
-	_ ContextPredictor = (*rcnn.Model)(nil)
-	_ ContextPredictor = (*frauddroid.ViewAdapter)(nil)
-
-	_ ContextBatchPredictor = (*yolite.Model)(nil)
-	_ ContextBatchPredictor = (*quant.Model)(nil)
-	_ ContextBatchPredictor = (*frauddroid.ViewAdapter)(nil)
-)
-
-// The middleware stack preserves both ctx seams end-to-end.
-var (
-	_ ContextPredictor      = named{}
-	_ ContextPredictor      = floorDetector{}
-	_ ContextPredictor      = nmsDetector{}
-	_ ContextPredictor      = (*Timed)(nil)
-	_ ContextPredictor      = (*Cache)(nil)
-	_ ContextBatchPredictor = named{}
-	_ ContextBatchPredictor = floorDetector{}
-	_ ContextBatchPredictor = nmsDetector{}
-	_ ContextBatchPredictor = (*Timed)(nil)
-	_ ContextBatchPredictor = (*Cache)(nil)
-)
-
-// The resilience layer preserves every seam too, so recovery, retry and
-// fallback drop in anywhere a backend fits.
-var (
-	_ Detector              = (*Recovered)(nil)
-	_ Detector              = (*Retrier)(nil)
-	_ Detector              = (*FallbackChain)(nil)
-	_ BatchPredictor        = (*Recovered)(nil)
-	_ BatchPredictor        = (*Retrier)(nil)
-	_ BatchPredictor        = (*FallbackChain)(nil)
-	_ ContextPredictor      = (*Recovered)(nil)
-	_ ContextPredictor      = (*Retrier)(nil)
-	_ ContextPredictor      = (*FallbackChain)(nil)
-	_ ContextBatchPredictor = (*Recovered)(nil)
-	_ ContextBatchPredictor = (*Retrier)(nil)
-	_ ContextBatchPredictor = (*FallbackChain)(nil)
-)
-
-// The majority-vote ensemble is a full citizen of the seam as well.
-var (
-	_ Detector              = (*Ensemble)(nil)
-	_ BatchPredictor        = (*Ensemble)(nil)
-	_ ContextPredictor      = (*Ensemble)(nil)
-	_ ContextBatchPredictor = (*Ensemble)(nil)
+	_ Detector = floorDetector{}
+	_ Detector = nmsDetector{}
+	_ Detector = (*Timed)(nil)
+	_ Detector = (*Cache)(nil)
+	_ Detector = (*Recovered)(nil)
+	_ Detector = (*Retrier)(nil)
+	_ Detector = (*FallbackChain)(nil)
+	_ Detector = (*Ensemble)(nil)
 )
 
 // weightsPath maps a registry name to its weight file ("yolite-masked" →

@@ -3,7 +3,6 @@ package detect
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
 	"hash/maphash"
 	"math"
 	"math/bits"
@@ -165,6 +164,20 @@ func (c *Cache) PublishStats(rec *perfmodel.Timings) {
 // cacheSeed is fixed so keys are stable within a process run.
 var cacheSeed = maphash.MakeSeed()
 
+// itemSpan locates batch item n's pixels in x.Data, refusing a tensor whose
+// shape claims pixels its data does not hold.
+func itemSpan(x *tensor.Tensor, n int) (lo, hi int, ok bool) {
+	if x == nil || len(x.Shape) == 0 {
+		return 0, 0, false
+	}
+	per := 1
+	for _, d := range x.Shape[1:] {
+		per *= d
+	}
+	lo, hi = n*per, (n+1)*per
+	return lo, hi, lo >= 0 && hi <= len(x.Data)
+}
+
 // cacheKey hashes batch item n's pixels plus the threshold. Pixel bits are
 // packed into a 4KB stack buffer and flushed to maphash a chunk at a time:
 // the historical one-Write-per-float-pair loop spent ~23k hash calls on a
@@ -173,15 +186,8 @@ var cacheSeed = maphash.MakeSeed()
 // Keys are process-internal (the seed is fresh each run), so the chunked
 // byte stream owes the old one nothing.
 func cacheKey(x *tensor.Tensor, n int, confThresh float64) (uint64, bool) {
-	if x == nil || len(x.Shape) == 0 {
-		return 0, false
-	}
-	per := 1
-	for _, d := range x.Shape[1:] {
-		per *= d
-	}
-	lo, hi := n*per, (n+1)*per
-	if lo < 0 || hi > len(x.Data) {
+	lo, hi, ok := itemSpan(x, n)
+	if !ok {
 		return 0, false
 	}
 	var h maphash.Hash
@@ -250,150 +256,107 @@ func (c *Cache) store(key uint64, dets []metrics.Detection) {
 	s.entries[key] = append([]metrics.Detection(nil), dets...)
 }
 
-// PredictTensor answers from the cache when the screen content is unchanged
-// and delegates (then memoises) otherwise. Returned slices are fresh copies:
-// the pipeline scales detection boxes in place.
-func (c *Cache) PredictTensor(x *tensor.Tensor, n int, confThresh float64) []metrics.Detection {
-	key, ok := cacheKey(x, n, confThresh)
-	if !ok {
-		return c.inner.PredictTensor(x, n, confThresh)
-	}
-	if dets, hit := c.lookup(key); hit {
-		return dets
-	}
-	dets := c.inner.PredictTensor(x, n, confThresh)
-	c.store(key, dets)
-	return dets
+// cacheMiss is one unique screen the memo could not answer: the batch item
+// that carries it and the key its result will be stored under.
+type cacheMiss struct {
+	item int
+	key  uint64
 }
 
-// PredictTensorCtx is the ctx-aware lookup: an already-dead context is
-// rejected before even hashing the pixels, a hit is answered immediately
-// (hits cost microseconds — not worth a cancellation point), and a miss runs
-// the inner detector with the context. A cancelled inner call propagates its
-// error and stores nothing, so aborted partial results never poison the
-// memo.
-func (c *Cache) PredictTensorCtx(ctx context.Context, x *tensor.Tensor, n int, confThresh float64) ([]metrics.Detection, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	key, ok := cacheKey(x, n, confThresh)
-	if !ok {
-		return Predict(ctx, c.inner, x, n, confThresh)
-	}
-	if dets, hit := c.lookup(key); hit {
-		return dets, nil
-	}
-	dets, err := Predict(ctx, c.inner, x, n, confThresh)
-	if err != nil {
-		return nil, err
-	}
-	c.store(key, dets)
-	return dets, nil
-}
-
-// PredictBatch answers hit items from the memo and forwards only the
-// compacted miss sub-batch to the inner detector, so an audit batch pays
-// inference only for content the cache has not seen. Duplicate screens
-// within one batch are forwarded once and fanned back out. Hits() counts
-// items answered from the memo; Misses() counts the rest (an in-batch
-// duplicate is a miss, though only its first occurrence reaches the
-// backend).
-func (c *Cache) PredictBatch(x *tensor.Tensor, confThresh float64) [][]metrics.Detection {
-	out, _ := c.predictBatch(context.Background(), x, confThresh)
-	return out
-}
-
-// PredictBatchCtx is the ctx-aware batch path: hits are answered from the
-// memo as usual, and only the compacted miss sub-batch carries the context
-// into the inner detector. A cancelled inner call propagates its error and
-// stores nothing (misses already counted stay counted — the lookup did
-// happen).
+// PredictBatchCtx answers hit items from the memo and forwards only the
+// compacted miss sub-batch, under ctx, to the inner detector — so an unchanged
+// screen skips inference entirely and an audit batch pays only for content
+// the cache has not seen. Duplicate screens within one batch are forwarded
+// once and fanned back out. Returned slices are fresh copies: the pipeline
+// scales detection boxes in place.
+//
+// Hits() counts items answered from the memo; Misses() counts the rest (an
+// in-batch duplicate is a miss, though only its first occurrence reaches the
+// backend), so Hits()+Misses() is the number of items looked up. An
+// already-dead context is rejected before even hashing the pixels; a hit is
+// answered immediately (hits cost microseconds — not worth a cancellation
+// point). A failed inner call propagates its error and stores nothing, so
+// aborted partial results never poison the memo (misses already counted stay
+// counted — the lookup did happen). The bookkeeping is allocated on the first
+// miss, so a batch of hits — the fleet's steady state is one-screen hits —
+// pays for the result slices and nothing else.
 func (c *Cache) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return c.predictBatch(ctx, x, confThresh)
-}
-
-// predictBatch is the shared batch flow behind PredictBatch (Background
-// context, error impossible) and PredictBatchCtx.
-func (c *Cache) predictBatch(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
-	if x == nil || len(x.Shape) == 0 {
+	n := batchLen(x)
+	if n == 0 {
 		return nil, nil
 	}
-	n := x.Shape[0]
-	keys := make([]uint64, n)
-	for i := range keys {
-		key, ok := cacheKey(x, i, confThresh)
-		if !ok {
-			// Malformed batch: bypass the cache entirely.
-			return PredictBatchCtx(ctx, c.inner, x, confThresh)
-		}
-		keys[i] = key
+	lo, hi, ok := itemSpan(x, n-1)
+	if !ok {
+		// Malformed batch (the shape claims more pixels than the data
+		// holds): bypass the cache entirely.
+		return c.inner.PredictBatchCtx(ctx, x, confThresh)
 	}
 	out := make([][]metrics.Detection, n)
-	answered := make([]bool, n)
-	var missItems []int        // first item index per unique missing key
-	missAt := map[uint64]int{} // key -> index into the miss sub-batch
-	for i := 0; i < n; i++ {
-		if _, dup := missAt[keys[i]]; dup {
-			// In-batch duplicate of a known miss: count it without another
-			// lookup, mirroring the historical single-lock accounting.
-			c.shardFor(keys[i]).addMiss()
-			continue
+	var misses []cacheMiss // sub-batch row j carries item misses[j].item
+	var dups [][2]int      // {item, sub-batch row} of in-batch repeats of a miss
+scan:
+	for i := range out {
+		key, _ := cacheKey(x, i, confThresh)
+		for j, m := range misses {
+			if m.key == key {
+				// In-batch duplicate of a known miss: count it without
+				// another lookup.
+				c.shardFor(key).addMiss()
+				dups = append(dups, [2]int{i, j})
+				continue scan
+			}
 		}
-		if dets, hit := c.lookup(keys[i]); hit {
+		if dets, hit := c.lookup(key); hit {
 			out[i] = dets
-			answered[i] = true
 			continue
 		}
-		missAt[keys[i]] = len(missItems)
-		missItems = append(missItems, i)
+		misses = append(misses, cacheMiss{item: i, key: key})
 	}
-	if len(missItems) == 0 {
+	if len(misses) == 0 {
 		return out, nil
 	}
 	sub := x
-	if len(missItems) != n {
-		per := 1
-		for _, d := range x.Shape[1:] {
-			per *= d
-		}
-		sub = tensor.New(append([]int{len(missItems)}, x.Shape[1:]...)...)
-		for j, i := range missItems {
-			copy(sub.Data[j*per:(j+1)*per], x.Data[i*per:(i+1)*per])
+	if len(misses) != n {
+		per := hi - lo
+		sub = tensor.New(append([]int{len(misses)}, x.Shape[1:]...)...)
+		for j, m := range misses {
+			copy(sub.Data[j*per:(j+1)*per], x.Data[m.item*per:(m.item+1)*per])
 		}
 	}
-	res, err := PredictBatchCtx(ctx, c.inner, sub, confThresh)
+	res, err := c.inner.PredictBatchCtx(ctx, sub, confThresh)
 	if err != nil {
 		return nil, err
 	}
-	// A misbehaving backend can return a result slice that does not match
-	// the compacted miss sub-batch (nil on an unreported failure, or a
-	// short/long slice). Blindly mapping res[j] back to item i would panic
-	// on a short slice — or worse, silently misalign results against items,
-	// memoising screen A's detections under screen B's key. Refuse instead:
-	// the mapping invariant (res[j] belongs to missItems[j]) is the whole
-	// correctness of miss compaction.
-	if len(res) != len(missItems) {
-		return nil, fmt.Errorf("detect: cache: inner batch returned %d results for %d miss items", len(res), len(missItems))
+	// The mapping invariant (res[j] belongs to misses[j]) is the whole
+	// correctness of miss compaction: a misbehaving backend's nil, short or
+	// long answer must be refused, not mapped back — that would panic, or
+	// memoise screen A's detections under screen B's key.
+	if len(res) != len(misses) {
+		return nil, misaligned(len(res), len(misses), "miss items")
 	}
-	for j, i := range missItems {
-		c.store(keys[i], res[j])
+	for j, m := range misses {
+		c.store(m.key, res[j])
+		out[m.item] = res[j]
 	}
-	for i := 0; i < n; i++ {
-		if answered[i] {
-			continue
-		}
-		j := missAt[keys[i]]
-		if missItems[j] == i {
-			out[i] = res[j]
-		} else {
-			// In-batch duplicate: hand out a copy, like a cache hit would.
-			out[i] = append([]metrics.Detection(nil), res[j]...)
-		}
+	for _, d := range dups {
+		// Hand a duplicate a copy, like a cache hit would.
+		out[d[0]] = append([]metrics.Detection(nil), res[d[1]]...)
 	}
 	return out, nil
+}
+
+// PredictTensor is a shim kept for cmd/darpa-bench, which prices hits and
+// misses through this name: PredictBatchCtx with no deadline, item n of the
+// answer (nil when the call failed). Nothing else calls it.
+func (c *Cache) PredictTensor(x *tensor.Tensor, n int, confThresh float64) []metrics.Detection {
+	out, _ := c.PredictBatchCtx(context.Background(), x, confThresh)
+	if n < 0 || n >= len(out) {
+		return nil
+	}
+	return out[n]
 }
 
 func (s *cacheShard) addMiss() {

@@ -24,10 +24,14 @@ type contentStub struct {
 
 func (s *contentStub) Name() string { return "content-stub" }
 
-func (s *contentStub) PredictTensor(x *tensor.Tensor, n int, confThresh float64) []metrics.Detection {
-	s.calls.Add(1)
+func (s *contentStub) PredictBatchCtx(_ context.Context, x *tensor.Tensor, _ float64) ([][]metrics.Detection, error) {
 	per := len(x.Data) / x.Shape[0]
-	return []metrics.Detection{det(float64(x.Data[n*per]), 0, 8, 8, 0.9)}
+	out := make([][]metrics.Detection, x.Shape[0])
+	for n := range out {
+		s.calls.Add(1)
+		out[n] = []metrics.Detection{det(float64(x.Data[n*per]), 0, 8, 8, 0.9)}
+	}
+	return out, nil
 }
 
 // screen builds a 1-item tensor whose first pixel carries id, the value the
@@ -207,7 +211,11 @@ func TestShardedCacheConcurrentStress(t *testing.T) {
 					for j, id := range ids {
 						copy(x.Data[j*per:(j+1)*per], pool[id].Data)
 					}
-					out := c.PredictBatch(x, 0.45)
+					out, err := c.PredictBatchCtx(context.Background(), x, 0.45)
+					if err != nil {
+						t.Error(err)
+						return
+					}
 					lookups.Add(3)
 					for j, id := range ids {
 						if len(out[j]) != 1 || out[j][0].B.X != float64(id) {
@@ -290,16 +298,19 @@ func BenchmarkShardedCacheParallelHits(b *testing.B) {
 	}
 }
 
-// misalignedBatchStub answers per-item calls honestly (first pixel echoed
-// back, like contentStub) but lets its batch seam return a result slice of
-// any length — nil, short, or long — to model an inner backend that violates
-// the one-result-per-item contract.
+// misalignedBatchStub answers a single screen honestly (first pixel echoed
+// back, like contentStub) but answers a batch of several with a result slice
+// of any length — nil, short, or long — to model an inner backend that
+// violates the one-result-per-item contract.
 type misalignedBatchStub struct {
 	contentStub
 	batchLen int // -1: nil slice; otherwise a slice of this length
 }
 
-func (s *misalignedBatchStub) PredictBatchCtx(_ context.Context, x *tensor.Tensor, _ float64) ([][]metrics.Detection, error) {
+func (s *misalignedBatchStub) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf float64) ([][]metrics.Detection, error) {
+	if x.Shape[0] == 1 {
+		return s.contentStub.PredictBatchCtx(ctx, x, conf)
+	}
 	s.calls.Add(1)
 	if s.batchLen < 0 {
 		return nil, nil
@@ -349,7 +360,7 @@ func TestCacheRejectsMisalignedInnerBatch(t *testing.T) {
 			// neighbour's id from the cache).
 			hitsBefore := c.Hits()
 			for i := 0; i < 3; i++ {
-				dets, err := c.PredictTensorCtx(context.Background(), screen(10+i), 0, 0.45)
+				dets, err := Only(c.PredictBatchCtx(context.Background(), screen(10+i), 0.45))
 				if err != nil {
 					t.Fatalf("honest call %d failed: %v", i, err)
 				}

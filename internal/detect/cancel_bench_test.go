@@ -19,20 +19,9 @@ func benchCancelModel() (*yolite.Model, *tensor.Tensor) {
 	return m, x
 }
 
-// BenchmarkPredictLegacyBaseline is the pre-refactor path: plain
-// PredictTensor with no context anywhere. The happy-path overhead claims in
-// BENCH_cancel.json are measured against this.
-func BenchmarkPredictLegacyBaseline(b *testing.B) {
-	m, x := benchCancelModel()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PredictTensor(x, 0, 0.3)
-	}
-}
-
-// BenchmarkPredictCtxBackground drives the ctx seam with Background: the
-// Done()==nil fast path must route to the legacy code, so this should be
-// indistinguishable from the baseline.
+// BenchmarkPredictCtxBackground drives the seam with Background: the Done
+// channel is nil, so every checkpoint is one nil check. It is the baseline
+// the cancellation overhead is measured against.
 func BenchmarkPredictCtxBackground(b *testing.B) {
 	m, x := benchCancelModel()
 	b.ResetTimer()
@@ -43,10 +32,10 @@ func BenchmarkPredictCtxBackground(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictCtxCancellable drives the checkpointed forward: a real
-// Done channel that never fires, so every between-layer and between-plane
-// checkpoint executes. The gap to the baseline is the entire cost of
-// cancellation support on the happy path.
+// BenchmarkPredictCtxCancellable drives the same forward with a real Done
+// channel that never fires, so every between-layer and between-block
+// checkpoint polls it. The gap to BenchmarkPredictCtxBackground is the entire
+// cost of cancellation support on the happy path.
 func BenchmarkPredictCtxCancellable(b *testing.B) {
 	m, x := benchCancelModel()
 	ctx, cancel := context.WithCancel(context.Background())

@@ -14,29 +14,18 @@ import (
 	"repro/internal/yolite"
 )
 
-// errCtxStub is a ctx-aware stub whose ctx paths fail with err (when set);
-// the legacy paths always succeed. It stands in for a backend whose forward
-// was aborted mid-flight.
-type errCtxStub struct {
+// errStub is a stub whose calls fail with err when it is set. It stands in
+// for a backend whose forward was aborted mid-flight.
+type errStub struct {
 	stubDetector
-	err      error
-	ctxCalls int
+	err error
 }
 
-func (s *errCtxStub) PredictTensorCtx(ctx context.Context, x *tensor.Tensor, n int, confThresh float64) ([]metrics.Detection, error) {
-	s.ctxCalls++
+func (s *errStub) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	return s.PredictTensor(x, n, confThresh), nil
-}
-
-func (s *errCtxStub) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
-	s.ctxCalls++
-	if s.err != nil {
-		return nil, s.err
-	}
-	return PredictBatch(&s.stubDetector, x, confThresh), nil
+	return s.stubDetector.PredictBatchCtx(ctx, x, confThresh)
 }
 
 // cancellableCtx returns a context whose Done channel is non-nil but which is
@@ -66,10 +55,11 @@ func TestPredictCtxPrechecksDeadContext(t *testing.T) {
 	}
 }
 
-// TestPredictCtxCancellableEquivalence pins the cancellable forward paths
-// bit-identical to the legacy ones: a context that *can* be cancelled (so the
-// checkpointed forwardCancel code runs) but never is must not change a single
-// output bit for either tensor backend, pooled, single and batched.
+// TestPredictCtxCancellableEquivalence pins the checkpoints free of
+// arithmetic: a context that *can* be cancelled (so every between-layer and
+// between-block checkpoint polls a real Done channel) but never is must not
+// change a single output bit against Background for either tensor backend,
+// pooled, single and batched.
 func TestPredictCtxCancellableEquivalence(t *testing.T) {
 	plain := yolite.NewModel(3)
 	qplain := quant.Port(plain, nil)
@@ -80,7 +70,7 @@ func TestPredictCtxCancellableEquivalence(t *testing.T) {
 	ctx := cancellableCtx(t)
 	for _, tc := range []struct {
 		name          string
-		legacy, under Predictor
+		legacy, under Detector
 	}{
 		{"yolite", plain, m},
 		{"yolite-int8", qplain, qm},
@@ -88,8 +78,8 @@ func TestPredictCtxCancellableEquivalence(t *testing.T) {
 		total := 0
 		for round := 0; round < 2; round++ { // round 2 runs on recycled buffers
 			for n := 0; n < 4; n++ {
-				want := tc.legacy.PredictTensor(x, n, 0.3)
-				got, err := Predict(ctx, tc.under, x, n, 0.3)
+				want := one(t, tc.legacy, itemOf(x, n), 0.3)
+				got, err := Only(tc.under.PredictBatchCtx(ctx, itemOf(x, n), 0.3))
 				if err != nil {
 					t.Fatalf("%s item %d: err = %v", tc.name, n, err)
 				}
@@ -98,11 +88,11 @@ func TestPredictCtxCancellableEquivalence(t *testing.T) {
 				}
 				total += len(want)
 			}
-			gotB, err := PredictBatchCtx(ctx, tc.under, x, 0.3)
+			gotB, err := tc.under.PredictBatchCtx(ctx, x, 0.3)
 			if err != nil {
 				t.Fatalf("%s: batch err = %v", tc.name, err)
 			}
-			if !reflect.DeepEqual(gotB, PredictBatch(tc.legacy, x, 0.3)) {
+			if !reflect.DeepEqual(gotB, batch(t, tc.legacy, x, 0.3)) {
 				t.Errorf("%s round %d: cancellable batch path diverged", tc.name, round)
 			}
 		}
@@ -125,7 +115,7 @@ func TestPredictCtxCancelMidForward(t *testing.T) {
 	x := randomBatch(1, 7)
 	for _, tc := range []struct {
 		name          string
-		legacy, under Predictor
+		legacy, under Detector
 	}{
 		{"yolite", ref, m},
 		{"yolite-int8", qref, qm},
@@ -134,12 +124,15 @@ func TestPredictCtxCancelMidForward(t *testing.T) {
 		for attempt := 0; attempt < 50 && aborted == 0; attempt++ {
 			ctx, cancel := context.WithCancel(context.Background())
 			timer := time.AfterFunc(time.Duration(attempt+1)*100*time.Microsecond, cancel)
-			_, err := Predict(ctx, tc.under, x, 0, 0.3)
+			out, err := tc.under.PredictBatchCtx(ctx, x, 0.3)
 			timer.Stop()
 			cancel()
 			if err != nil {
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("%s: aborted forward returned %v, want Canceled", tc.name, err)
+				}
+				if out != nil {
+					t.Fatalf("%s: aborted forward returned results %v", tc.name, out)
 				}
 				aborted++
 			}
@@ -148,29 +141,25 @@ func TestPredictCtxCancelMidForward(t *testing.T) {
 			t.Errorf("%s: no attempt aborted mid-forward", tc.name)
 		}
 		// Pool integrity after aborts: clean forward still bit-identical.
-		got, err := Predict(context.Background(), tc.under, x, 0, 0.3)
-		if err != nil {
-			t.Fatalf("%s: post-abort forward err = %v", tc.name, err)
-		}
-		if want := tc.legacy.PredictTensor(x, 0, 0.3); !reflect.DeepEqual(got, want) {
+		got := one(t, tc.under, x, 0.3)
+		if want := one(t, tc.legacy, x, 0.3); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: post-abort forward diverged — aborted cycles corrupted the pool", tc.name)
 		}
 	}
 }
 
-// TestMiddlewareCtxPath: the confidence floor and NMS must keep working on
-// the ctx-aware path, including across the fallback bracketing for inners
-// that are not ctx-aware themselves.
+// TestMiddlewareCtxPath: the confidence floor and NMS must keep working
+// under a cancellable context, for one screen and for a batch.
 func TestMiddlewareCtxPath(t *testing.T) {
-	s := &batchStub{stubDetector: stubDetector{dets: []metrics.Detection{
+	s := &stubDetector{dets: []metrics.Detection{
 		det(10, 10, 8, 8, 0.9),
 		det(11, 10, 8, 8, 0.7), // near-duplicate, NMS fodder
-	}}}
+	}}
 	d := WithNMS(WithConfidenceFloor(s, 0.8), 0.5)
 	ctx := cancellableCtx(t)
-	dets, err := Predict(ctx, d, randomBatch(1, 1), 0, 0.45)
+	dets, err := Only(d.PredictBatchCtx(ctx, randomBatch(1, 1), 0.45))
 	if err != nil {
-		t.Fatalf("Predict err = %v", err)
+		t.Fatalf("single-screen err = %v", err)
 	}
 	if s.lastThresh != 0.8 {
 		t.Fatalf("floor not applied on the ctx path: thresh %v", s.lastThresh)
@@ -178,11 +167,11 @@ func TestMiddlewareCtxPath(t *testing.T) {
 	if len(dets) != 1 {
 		t.Fatalf("NMS on the ctx path kept %d detections, want 1", len(dets))
 	}
-	out, err := PredictBatchCtx(ctx, d, randomBatch(2, 1), 0.45)
+	out, err := d.PredictBatchCtx(ctx, randomBatch(2, 1), 0.45)
 	if err != nil {
 		t.Fatalf("PredictBatchCtx err = %v", err)
 	}
-	if len(s.batchSizes) != 1 || s.batchSizes[0] != 2 {
+	if len(s.batchSizes) != 2 || s.batchSizes[1] != 2 {
 		t.Fatalf("ctx middleware broke the native batch hand-off: %v", s.batchSizes)
 	}
 	for i, dets := range out {
@@ -196,10 +185,10 @@ func TestMiddlewareCtxPath(t *testing.T) {
 // "-aborted" stage so the main latency distribution stays clean.
 func TestTimedCtxRecordsAborted(t *testing.T) {
 	rec := &perfmodel.Timings{}
-	s := &errCtxStub{err: context.Canceled}
+	s := &errStub{err: context.Canceled}
 	d := WithTiming(s, rec, "infer")
 	ctx := cancellableCtx(t)
-	if _, err := d.PredictTensorCtx(ctx, randomBatch(1, 1), 0, 0.45); !errors.Is(err, context.Canceled) {
+	if _, err := d.PredictBatchCtx(ctx, randomBatch(1, 1), 0.45); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
 	if _, err := d.PredictBatchCtx(ctx, randomBatch(2, 1), 0.45); !errors.Is(err, context.Canceled) {
@@ -214,7 +203,7 @@ func TestTimedCtxRecordsAborted(t *testing.T) {
 	}
 	// Successful ctx calls record under the main stage.
 	s.err = nil
-	if _, err := d.PredictTensorCtx(ctx, randomBatch(1, 1), 0, 0.45); err != nil {
+	if _, err := d.PredictBatchCtx(ctx, randomBatch(1, 1), 0.45); err != nil {
 		t.Fatalf("success err = %v", err)
 	}
 	if got := rec.Snapshot()["infer"].Count; got != 1 {
@@ -226,11 +215,12 @@ func TestTimedCtxRecordsAborted(t *testing.T) {
 // memoise the error — the next caller gets a real inference, and a later
 // success is cached normally.
 func TestCacheCtxErrorNotStored(t *testing.T) {
-	s := &errCtxStub{stubDetector: stubDetector{dets: []metrics.Detection{det(10, 10, 8, 8, 0.9)}}, err: context.Canceled}
+	s := &errStub{stubDetector: stubDetector{dets: []metrics.Detection{det(10, 10, 8, 8, 0.9)}}, err: context.Canceled}
 	c := WithResultCache(s, 8)
 	ctx := cancellableCtx(t)
 	x := randomBatch(2, 3)
-	if _, err := c.PredictTensorCtx(ctx, x, 0, 0.45); !errors.Is(err, context.Canceled) {
+	x0 := itemOf(x, 0)
+	if _, err := c.PredictBatchCtx(ctx, x0, 0.45); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
 	}
 	if _, err := c.PredictBatchCtx(ctx, x, 0.45); !errors.Is(err, context.Canceled) {
@@ -241,14 +231,14 @@ func TestCacheCtxErrorNotStored(t *testing.T) {
 	}
 	// Once the backend succeeds, the same keys memoise as usual.
 	s.err = nil
-	if _, err := c.PredictTensorCtx(ctx, x, 0, 0.45); err != nil {
+	if _, err := c.PredictBatchCtx(ctx, x0, 0.45); err != nil {
 		t.Fatalf("success err = %v", err)
 	}
 	if c.Len() != 1 {
 		t.Fatalf("Len after success = %d, want 1", c.Len())
 	}
 	hits := c.Hits()
-	if _, err := c.PredictTensorCtx(ctx, x, 0, 0.45); err != nil {
+	if _, err := c.PredictBatchCtx(ctx, x0, 0.45); err != nil {
 		t.Fatalf("hit err = %v", err)
 	}
 	if c.Hits() != hits+1 {

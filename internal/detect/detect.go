@@ -14,90 +14,144 @@ package detect
 
 import (
 	"context"
+	"errors"
+	"fmt"
 
+	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/render"
 	"repro/internal/tensor"
 	"repro/internal/yolite"
 )
 
-// Predictor is the minimal inference surface: a prepared input tensor in,
-// detections (model-input coordinates) out. It matches yolite.Predictor so
-// existing evaluation code keeps working with any backend.
-type Predictor interface {
-	PredictTensor(x *tensor.Tensor, n int, confThresh float64) []metrics.Detection
-}
-
-// Detector is a Predictor with an identity, so registries, tables and logs
-// can refer to backends uniformly.
+// Detector is the detector seam: an identity, so registries, tables and logs
+// can refer to backends uniformly, and one inference method.
+//
+// PredictBatchCtx takes one [N, 3, H, W] tensor of prepared screens and
+// returns one detection slice per item, in item order, in model-input
+// coordinates; a single screen is a batch of one. Every backend and every
+// wrapper implements it under the same contract:
+//
+//   - a context that is already dead returns ctx.Err() before any inner work;
+//   - a cancel or deadline during the call returns an error and a nil result
+//     promptly (the conv backends abort within roughly one layer) and leaves
+//     any activation pool whole;
+//   - a context that can be cancelled but never is computes exactly what
+//     context.Background() computes — cancellation support costs checkpoints,
+//     never different arithmetic;
+//   - on success len(result) == N, and item i's detections do not depend on
+//     the other items in the batch (frauddroid is the one exception: only
+//     slot 0 carries the live screen).
 type Detector interface {
-	Predictor
 	Name() string
+	PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error)
 }
 
-// named adapts an anonymous Predictor into a Detector.
-type named struct {
-	Predictor
-	name string
+// ErrMisaligned marks an answer that breaks the seam's result-per-item
+// postcondition. Mapping such an answer back onto the batch would index-panic
+// on a short slice or, worse, hand one screen another screen's boxes.
+var ErrMisaligned = errors.New("detect: backend answer misaligned with batch")
+
+func misaligned(got, want int, what string) error {
+	return fmt.Errorf("%w: %d results for %d %s", ErrMisaligned, got, want, what)
 }
 
-func (n named) Name() string { return n.name }
-
-// PredictBatch keeps the batch seam intact through the rename: the wrapped
-// Predictor's native batch path is used when it has one.
-func (n named) PredictBatch(x *tensor.Tensor, confThresh float64) [][]metrics.Detection {
-	return PredictBatch(n.Predictor, x, confThresh)
-}
-
-// PredictTensorCtx keeps the ctx seam intact through the rename.
-func (n named) PredictTensorCtx(ctx context.Context, x *tensor.Tensor, nItem int, confThresh float64) ([]metrics.Detection, error) {
-	return Predict(ctx, n.Predictor, x, nItem, confThresh)
-}
-
-// PredictBatchCtx keeps the batched ctx seam intact through the rename.
-func (n named) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
-	return PredictBatchCtx(ctx, n.Predictor, x, confThresh)
-}
-
-// Named attaches a name to a Predictor, turning it into a Detector.
-func Named(name string, p Predictor) Detector {
-	if d, ok := p.(Detector); ok && d.Name() == name {
-		return d
+// batchLen is the item count of a batch tensor; a nil or shapeless tensor
+// holds none.
+func batchLen(x *tensor.Tensor) int {
+	if x == nil || len(x.Shape) == 0 {
+		return 0
 	}
-	return named{Predictor: p, name: name}
+	return x.Shape[0]
 }
 
-// PredictCanvas runs a detector on a screenshot canvas of any resolution and
-// returns detections scaled back to the canvas's coordinate system — the
-// backend-agnostic version of yolite.(*Model).Predict.
-func PredictCanvas(p Predictor, c *render.Canvas, confThresh float64) []metrics.Detection {
-	x := yolite.CanvasToTensor(c)
-	dets := p.PredictTensor(x, 0, confThresh)
-	scaleToCanvas(dets, c)
-	return dets
-}
-
-// PredictCanvasCtx is PredictCanvas with a per-request context: tenant
-// identity and cancellation ride ctx into the backend (the serving layers
-// read both), and detections come back scaled to the canvas's coordinate
-// system. It is the one-call path a network front end needs: pixels in,
-// screen-coordinate detections out, admission errors surfaced.
-func PredictCanvasCtx(ctx context.Context, p Predictor, c *render.Canvas, confThresh float64) ([]metrics.Detection, error) {
-	x := yolite.CanvasToTensor(c)
-	dets, err := Predict(ctx, p, x, 0, confThresh)
+// Only unwraps the answer to a batch of one — the single-screen callers'
+// idiom is Only(d.PredictBatchCtx(ctx, x, conf)): the screen's detections, or
+// an error when the call failed or the backend answered with anything but
+// exactly one result.
+func Only(out [][]metrics.Detection, err error) ([]metrics.Detection, error) {
 	if err != nil {
 		return nil, err
 	}
-	scaleToCanvas(dets, c)
-	return dets, nil
+	if len(out) != 1 {
+		return nil, misaligned(len(out), 1, "item")
+	}
+	return out[0], nil
 }
 
-// scaleToCanvas maps model-input detections back onto canvas coordinates in
-// place.
-func scaleToCanvas(dets []metrics.Detection, c *render.Canvas) {
+// Predict is a shim kept for cmd/darpa-bench, which prices the seam through
+// this name: run the batch, return item n. An n outside the batch, or an
+// answer that does not cover the batch, is an error. Nothing else calls it.
+func Predict(ctx context.Context, p Detector, x *tensor.Tensor, n int, confThresh float64) ([]metrics.Detection, error) {
+	out, err := p.PredictBatchCtx(ctx, x, confThresh)
+	if err != nil {
+		return nil, err
+	}
+	want := batchLen(x)
+	if len(out) != want {
+		return nil, misaligned(len(out), want, "items")
+	}
+	if n < 0 || n >= want {
+		return nil, fmt.Errorf("detect: item %d is outside a batch of %d", n, want)
+	}
+	return out[n], nil
+}
+
+// PredictBatchCtx is a shim kept for cmd/darpa-bench: the seam method as a
+// free function. Nothing else calls it.
+func PredictBatchCtx(ctx context.Context, p Detector, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
+	return p.PredictBatchCtx(ctx, x, confThresh)
+}
+
+// PredictCanvas is a shim kept for cmd/darpa-bench: PredictCanvasCtx with no
+// deadline and the error dropped. Nothing else calls it.
+func PredictCanvas(p Detector, c *render.Canvas, confThresh float64) []metrics.Detection {
+	dets, _ := PredictCanvasCtx(context.Background(), p, c, confThresh)
+	return dets
+}
+
+// PredictCanvasCtx runs a detector on a screenshot canvas of any resolution
+// under a per-request context: tenant identity and cancellation ride ctx into
+// the backend (the serving layers read both), and detections come back scaled
+// to the canvas's coordinate system. It is the one-call path a network front
+// end needs: pixels in, screen-coordinate detections out, admission errors
+// surfaced.
+func PredictCanvasCtx(ctx context.Context, p Detector, c *render.Canvas, confThresh float64) ([]metrics.Detection, error) {
+	dets, err := Only(p.PredictBatchCtx(ctx, yolite.CanvasToTensor(c), confThresh))
+	if err != nil {
+		return nil, err
+	}
 	sx := float64(c.W) / float64(yolite.InputW)
 	sy := float64(c.H) / float64(yolite.InputH)
 	for i := range dets {
 		dets[i].B = dets[i].B.Scale(sx, sy)
 	}
+	return dets, nil
+}
+
+// DefaultEvalBatch is the batch size EvaluateBatch uses when given a
+// non-positive one.
+const DefaultEvalBatch = 8
+
+// EvaluateBatch is the batched counterpart of yolite.Evaluate: it stacks
+// samples into [batchSize, 3, H, W] tensors and runs each chunk through the
+// seam, so dataset-scale evaluations pay one backbone forward per chunk
+// instead of one per image. Detections are identical to the per-item loop;
+// only the amortisation changes. A failed chunk scores as no detections.
+func EvaluateBatch(p Detector, samples []*dataset.Sample, iouThresh float64, batchSize int) *metrics.Evaluation {
+	if batchSize <= 0 {
+		batchSize = DefaultEvalBatch
+	}
+	eval := metrics.NewEvaluation()
+	for start := 0; start < len(samples); start += batchSize {
+		chunk := samples[start:min(start+batchSize, len(samples))]
+		out, err := p.PredictBatchCtx(context.Background(), yolite.BatchToTensor(chunk), yolite.DefaultConfThresh)
+		if err != nil || len(out) != len(chunk) {
+			out = make([][]metrics.Detection, len(chunk))
+		}
+		for i, dets := range out {
+			eval.AddSample(dets, chunk[i].Boxes, iouThresh)
+		}
+	}
+	return eval
 }

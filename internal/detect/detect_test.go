@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,20 +15,53 @@ import (
 	"repro/internal/yolite"
 )
 
-// stubDetector records calls and returns a fixed detection set.
+// stubDetector returns a fixed detection set for every item, recording how
+// many items it answered (calls), in which batch sizes, and at what threshold.
+// A nil tensor counts as one screen.
 type stubDetector struct {
 	dets       []metrics.Detection
 	calls      int
+	batchSizes []int
 	lastThresh float64
 }
 
 func (s *stubDetector) Name() string { return "stub" }
 
-func (s *stubDetector) PredictTensor(_ *tensor.Tensor, _ int, confThresh float64) []metrics.Detection {
-	s.calls++
+func (s *stubDetector) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	n := 1
+	if x != nil {
+		n = x.Shape[0]
+	}
+	s.batchSizes = append(s.batchSizes, n)
 	s.lastThresh = confThresh
-	out := make([]metrics.Detection, len(s.dets))
-	copy(out, s.dets)
+	out := make([][]metrics.Detection, n)
+	for i := range out {
+		s.calls++
+		out[i] = append([]metrics.Detection{}, s.dets...)
+	}
+	return out, nil
+}
+
+// one runs a single screen through the seam with no deadline.
+func one(t testing.TB, d Detector, x *tensor.Tensor, confThresh float64) []metrics.Detection {
+	t.Helper()
+	dets, err := Only(d.PredictBatchCtx(context.Background(), x, confThresh))
+	if err != nil {
+		t.Fatalf("%s: %v", d.Name(), err)
+	}
+	return dets
+}
+
+// batch runs a batch through the seam with no deadline.
+func batch(t testing.TB, d Detector, x *tensor.Tensor, confThresh float64) [][]metrics.Detection {
+	t.Helper()
+	out, err := d.PredictBatchCtx(context.Background(), x, confThresh)
+	if err != nil {
+		t.Fatalf("%s: %v", d.Name(), err)
+	}
 	return out
 }
 
@@ -41,17 +75,6 @@ func inputTensor() *tensor.Tensor {
 		x.Data[i] = float32(i%255) / 255
 	}
 	return x
-}
-
-func TestNamedWrapsAnonymousPredictor(t *testing.T) {
-	s := &stubDetector{}
-	if got := Named("other", s).Name(); got != "other" {
-		t.Fatalf("Named: got %q, want other", got)
-	}
-	// A Detector already carrying the requested name is returned unwrapped.
-	if d := Named("stub", s); d != Detector(s) {
-		t.Fatalf("Named should not re-wrap a detector that already has the name")
-	}
 }
 
 func TestRegistryBuildAndNames(t *testing.T) {
@@ -122,11 +145,11 @@ func TestWithConfidenceFloor(t *testing.T) {
 	if d.Name() != "stub" {
 		t.Fatalf("floor should preserve the inner name, got %q", d.Name())
 	}
-	d.PredictTensor(inputTensor(), 0, 0.45)
+	one(t, d, inputTensor(), 0.45)
 	if s.lastThresh != 0.8 {
 		t.Fatalf("threshold below the floor should be raised to it, got %v", s.lastThresh)
 	}
-	d.PredictTensor(inputTensor(), 0, 0.9)
+	one(t, d, inputTensor(), 0.9)
 	if s.lastThresh != 0.9 {
 		t.Fatalf("threshold above the floor should pass through, got %v", s.lastThresh)
 	}
@@ -142,7 +165,7 @@ func TestWithNMSSuppressesDuplicates(t *testing.T) {
 	if d.Name() != "stub" {
 		t.Fatalf("nms should preserve the inner name, got %q", d.Name())
 	}
-	got := d.PredictTensor(inputTensor(), 0, 0.4)
+	got := one(t, d, inputTensor(), 0.4)
 	if len(got) != 2 {
 		t.Fatalf("NMS kept %d detections, want 2: %v", len(got), got)
 	}
@@ -214,9 +237,14 @@ func TestResultCacheBadBatchIndexBypasses(t *testing.T) {
 	s := &stubDetector{}
 	c := WithResultCache(s, 4)
 	x := inputTensor()
-	c.PredictTensor(x, 5, 0.45) // out of range: must delegate, not cache
-	if s.calls != 1 || c.Len() != 0 {
-		t.Fatalf("out-of-range item: calls=%d len=%d", s.calls, c.Len())
+	x.Shape[0] = 2 // claims an item its data does not hold: must delegate, not cache
+	batch(t, c, x, 0.45)
+	if len(s.batchSizes) != 1 || c.Len() != 0 || c.Hits()+c.Misses() != 0 {
+		t.Fatalf("malformed batch: inner calls=%v len=%d lookups=%d", s.batchSizes, c.Len(), c.Hits()+c.Misses())
+	}
+	// An item index outside a well-formed batch is the shim's to refuse.
+	if dets := c.PredictTensor(inputTensor(), 5, 0.45); dets != nil {
+		t.Fatalf("out-of-range item answered: %v", dets)
 	}
 }
 
@@ -227,8 +255,8 @@ func TestWithTimingRecords(t *testing.T) {
 	if d.Name() != "stub" {
 		t.Fatalf("timing should preserve the inner name, got %q", d.Name())
 	}
-	d.PredictTensor(inputTensor(), 0, 0.45)
-	d.PredictTensor(inputTensor(), 0, 0.45)
+	one(t, d, inputTensor(), 0.45)
+	one(t, d, inputTensor(), 0.45)
 	if got := rec.Stage("infer").Count; got != 2 {
 		t.Fatalf("recorded %d observations, want 2", got)
 	}
@@ -242,8 +270,8 @@ func TestMiddlewareComposes(t *testing.T) {
 		t.Fatalf("composed stack should still report the backend name, got %q", d.Name())
 	}
 	x := inputTensor()
-	d.PredictTensor(x, 0, 0.45)
-	d.PredictTensor(x, 0, 0.45)
+	one(t, d, x, 0.45)
+	one(t, d, x, 0.45)
 	if s.calls != 1 {
 		t.Fatalf("cache inside the stack should absorb the repeat, inner calls = %d", s.calls)
 	}

@@ -18,10 +18,8 @@ package detect
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/metrics"
 	"repro/internal/perfmodel"
@@ -63,27 +61,6 @@ func (o VoteOptions) iou() float64 {
 	return o.IoU
 }
 
-func (o VoteOptions) breakAfter() int {
-	if o.BreakAfter <= 0 {
-		return 5
-	}
-	return o.BreakAfter
-}
-
-func (o VoteOptions) cooldown() int {
-	if o.Cooldown <= 0 {
-		return 32
-	}
-	return o.Cooldown
-}
-
-func (o VoteOptions) validate() func([]metrics.Detection) bool {
-	if o.Validate == nil {
-		return ValidDetections
-	}
-	return o.Validate
-}
-
 // quorum resolves the required supporter count for a call that responders
 // backends answered.
 func (o VoteOptions) quorum(responders int) int {
@@ -115,15 +92,13 @@ type VoteStats struct {
 	Backends []BackendHealth
 }
 
-// Ensemble runs every healthy backend and majority-votes the detections.
-// Safe for concurrent use.
+// Ensemble runs every healthy backend and majority-votes the detections,
+// each backend behind its circuit breaker (see breakers). Safe for concurrent
+// use.
 type Ensemble struct {
-	backends []Detector
-	opts     VoteOptions
-
-	mu     sync.Mutex
-	health []health
-	stats  VoteStats
+	breakers
+	opts  VoteOptions
+	stats VoteStats // guarded by breakers.mu
 }
 
 // WithMajorityVote builds the vote over the given backends. It panics when
@@ -133,9 +108,8 @@ func WithMajorityVote(opts VoteOptions, backends ...Detector) *Ensemble {
 		panic("detect: WithMajorityVote requires at least one backend")
 	}
 	return &Ensemble{
-		backends: backends,
+		breakers: newBreakers(backends, opts.BreakAfter, opts.Cooldown, opts.Validate, opts.Timings),
 		opts:     opts,
-		health:   make([]health, len(backends)),
 	}
 }
 
@@ -153,112 +127,14 @@ func (e *Ensemble) Stats() VoteStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := e.stats
-	st.Backends = make([]BackendHealth, len(e.backends))
-	for i, h := range e.health {
-		st.Backends[i] = BackendHealth{
-			Name:        e.backends[i].Name(),
-			Uses:        h.uses,
-			Successes:   h.succ,
-			Failures:    h.fail,
-			Consecutive: h.consec,
-			Open:        h.open,
-			Tripped:     h.tripped,
-		}
-	}
+	st.Backends = e.snapshot()
 	return st
 }
 
-// admit mirrors FallbackChain.admit: an open breaker counts the call toward
-// its cooldown and admits a half-open probe once the cooldown is spent.
-func (e *Ensemble) admit(i int) bool {
+func (e *Ensemble) note(fn func(*VoteStats)) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	h := &e.health[i]
-	if !h.open {
-		return true
-	}
-	if h.cooldown > 0 {
-		h.cooldown--
-		return false
-	}
-	return true
-}
-
-// noteOutcome drives backend i's breaker state machine.
-func (e *Ensemble) noteOutcome(i int, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	h := &e.health[i]
-	h.uses++
-	if ok {
-		h.succ++
-		h.consec = 0
-		h.open = false
-		return
-	}
-	h.fail++
-	h.consec++
-	if h.open {
-		h.cooldown = e.opts.cooldown()
-		return
-	}
-	if h.consec >= e.opts.breakAfter() {
-		h.open = true
-		h.cooldown = e.opts.cooldown()
-		h.tripped++
-		e.opts.Timings.AddItems("detect-breaker-open", 1)
-	}
-}
-
-func (e *Ensemble) noteCall() {
-	e.mu.Lock()
-	e.stats.Calls++
+	fn(&e.stats)
 	e.mu.Unlock()
-}
-
-func (e *Ensemble) noteVotes(emitted, outvoted int) {
-	e.mu.Lock()
-	e.stats.Emitted += emitted
-	e.stats.Outvoted += outvoted
-	e.mu.Unlock()
-	if outvoted > 0 {
-		e.opts.Timings.AddItems("detect-vote-outvoted", outvoted)
-	}
-}
-
-func (e *Ensemble) noteAllFailed() {
-	e.mu.Lock()
-	e.stats.AllFailed++
-	e.mu.Unlock()
-}
-
-// try runs one recovered, validated attempt on backend i. The mutex is not
-// held here: inference runs lock-free, outcomes are recorded after.
-func (e *Ensemble) try(ctx context.Context, i int, x *tensor.Tensor, n int, conf float64) (dets []metrics.Detection, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			dets, err = nil, &PanicError{Value: p}
-		}
-	}()
-	dets, err = Predict(ctx, e.backends[i], x, n, conf)
-	if err == nil && !e.opts.validate()(dets) {
-		return nil, ErrCorruptResult
-	}
-	return dets, err
-}
-
-// tryBatch is try for the batch seam.
-func (e *Ensemble) tryBatch(ctx context.Context, i int, x *tensor.Tensor, conf float64) (out [][]metrics.Detection, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			out, err = nil, &PanicError{Value: p}
-		}
-	}()
-	out, err = PredictBatchCtx(ctx, e.backends[i], x, conf)
-	if err == nil && !validBatch(out, e.opts.validate()) {
-		return nil, ErrCorruptResult
-	}
-	return out, err
 }
 
 // ballot is one backend's detection in a vote.
@@ -331,108 +207,49 @@ func (e *Ensemble) vote(lists map[int][]metrics.Detection) ([]metrics.Detection,
 	return out, outvoted
 }
 
-// PredictTensorCtx fans the call out to every admitted backend, tallies the
-// vote, and returns the agreed detections. A backend's error, panic or
-// corrupt result removes its ballot and is charged to its health;
-// cancellation propagates immediately, charged to nobody.
-func (e *Ensemble) PredictTensorCtx(ctx context.Context, x *tensor.Tensor, n int, conf float64) ([]metrics.Detection, error) {
-	e.noteCall()
-	lists := make(map[int][]metrics.Detection)
-	var lastErr error
-	for i := range e.backends {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if !e.admit(i) {
-			continue
-		}
-		dets, err := e.try(ctx, i, x, n, conf)
-		if err != nil {
-			if isCtxError(err) && ctx.Err() != nil {
-				return nil, err
-			}
-			e.noteOutcome(i, false)
-			lastErr = err
-			continue
-		}
-		e.noteOutcome(i, true)
-		lists[i] = dets
-	}
-	if len(lists) == 0 {
-		e.noteAllFailed()
-		if lastErr == nil {
-			return nil, fmt.Errorf("%w (all %d circuit-broken)", ErrAllBackendsFailed, len(e.backends))
-		}
-		return nil, fmt.Errorf("%w: last: %v", ErrAllBackendsFailed, lastErr)
-	}
-	out, outvoted := e.vote(lists)
-	e.noteVotes(len(out), outvoted)
-	return out, nil
-}
-
-// PredictBatchCtx runs each backend over the whole batch once and votes per
-// item. A backend that fails the batch loses its ballot on every item.
+// PredictBatchCtx runs each admitted backend over the whole batch once and
+// votes per item, returning the agreed detections. A backend's error, panic,
+// misaligned or corrupt answer removes its ballot from every item and is
+// charged to its health; cancellation propagates immediately, charged to
+// nobody.
 func (e *Ensemble) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf float64) ([][]metrics.Detection, error) {
-	e.noteCall()
-	batches := make(map[int][][]metrics.Detection)
+	e.note(func(s *VoteStats) { s.Calls++ })
+	answers := make(map[int][][]metrics.Detection)
 	var lastErr error
-	items := 0
 	for i := range e.backends {
-		if err := ctx.Err(); err != nil {
+		out, ran, err := e.try(ctx, i, x, conf)
+		switch {
+		case !ran && err != nil:
 			return nil, err
-		}
-		if !e.admit(i) {
-			continue
-		}
-		out, err := e.tryBatch(ctx, i, x, conf)
-		if err != nil {
-			if isCtxError(err) && ctx.Err() != nil {
-				return nil, err
-			}
-			e.noteOutcome(i, false)
+		case !ran:
+		case err != nil:
 			lastErr = err
-			continue
-		}
-		e.noteOutcome(i, true)
-		batches[i] = out
-		if len(out) > items {
-			items = len(out)
+		default:
+			answers[i] = out
 		}
 	}
-	if len(batches) == 0 {
-		e.noteAllFailed()
-		if lastErr == nil {
-			return nil, fmt.Errorf("%w (all %d circuit-broken)", ErrAllBackendsFailed, len(e.backends))
-		}
-		return nil, fmt.Errorf("%w: last: %v", ErrAllBackendsFailed, lastErr)
+	if len(answers) == 0 {
+		e.note(func(s *VoteStats) { s.AllFailed++ })
+		return nil, e.allFailed(lastErr)
 	}
-	result := make([][]metrics.Detection, items)
-	totalEmitted, totalOutvoted := 0, 0
-	for item := 0; item < items; item++ {
-		lists := make(map[int][]metrics.Detection)
-		for backend, out := range batches {
-			if item < len(out) {
-				lists[backend] = out[item]
-			}
+	result := make([][]metrics.Detection, batchLen(x))
+	emitted, outvoted := 0, 0
+	for item := range result {
+		lists := make(map[int][]metrics.Detection, len(answers))
+		for backend, out := range answers {
+			lists[backend] = out[item]
 		}
-		dets, outvoted := e.vote(lists)
+		dets, lost := e.vote(lists)
 		result[item] = dets
-		totalEmitted += len(dets)
-		totalOutvoted += outvoted
+		emitted += len(dets)
+		outvoted += lost
 	}
-	e.noteVotes(totalEmitted, totalOutvoted)
+	e.note(func(s *VoteStats) {
+		s.Emitted += emitted
+		s.Outvoted += outvoted
+	})
+	if outvoted > 0 {
+		e.rec.AddItems("detect-vote-outvoted", outvoted)
+	}
 	return result, nil
-}
-
-// PredictTensor serves the legacy seam; when no backend can serve, it
-// returns no detections (the seam has no error channel).
-func (e *Ensemble) PredictTensor(x *tensor.Tensor, n int, conf float64) []metrics.Detection {
-	dets, _ := e.PredictTensorCtx(context.Background(), x, n, conf)
-	return dets
-}
-
-// PredictBatch mirrors PredictTensor for the legacy batch seam.
-func (e *Ensemble) PredictBatch(x *tensor.Tensor, conf float64) [][]metrics.Detection {
-	out, _ := e.PredictBatchCtx(context.Background(), x, conf)
-	return out
 }

@@ -27,7 +27,7 @@ func goodBackend(name string) *flakyBackend {
 
 func TestVoteOutvotesLiar(t *testing.T) {
 	e := WithMajorityVote(VoteOptions{}, goodBackend("a"), goodBackend("b"), newLiar())
-	dets, err := e.PredictTensorCtx(context.Background(), resTensor(1), 0, 0.5)
+	dets, err := Predict(context.Background(), e, resTensor(1), 0, 0.5)
 	if err != nil {
 		t.Fatalf("vote failed: %v", err)
 	}
@@ -50,7 +50,7 @@ func TestVoteRejectsCorruptBackend(t *testing.T) {
 	// is discarded before the vote and the failure is charged to its health.
 	corrupt := &flakyBackend{name: "corrupt", failures: 1 << 30, corrupt: true}
 	e := WithMajorityVote(VoteOptions{}, goodBackend("a"), goodBackend("b"), corrupt)
-	dets, err := e.PredictTensorCtx(context.Background(), resTensor(1), 0, 0.5)
+	dets, err := Predict(context.Background(), e, resTensor(1), 0, 0.5)
 	if err != nil {
 		t.Fatalf("vote failed: %v", err)
 	}
@@ -68,7 +68,7 @@ func TestVoteTrippedBreakerDropsBackendWithoutDeadlock(t *testing.T) {
 	e := WithMajorityVote(VoteOptions{BreakAfter: 2, Cooldown: 3}, goodBackend("a"), down)
 	x := resTensor(1)
 	for i := 0; i < 4; i++ {
-		dets, err := e.PredictTensorCtx(context.Background(), x, 0, 0.5)
+		dets, err := Predict(context.Background(), e, x, 0, 0.5)
 		if err != nil {
 			t.Fatalf("call %d failed: %v", i, err)
 		}
@@ -85,7 +85,7 @@ func TestVoteTrippedBreakerDropsBackendWithoutDeadlock(t *testing.T) {
 	usesWhenOpen := st.Backends[1].Uses
 	// Cooldown=3: three calls sit out, the fourth admits a half-open probe.
 	for i := 0; i < 4; i++ {
-		if _, err := e.PredictTensorCtx(context.Background(), x, 0, 0.5); err != nil {
+		if _, err := Predict(context.Background(), e, x, 0, 0.5); err != nil {
 			t.Fatalf("cooldown call %d failed: %v", i, err)
 		}
 	}
@@ -103,7 +103,7 @@ func TestVoteAllFailed(t *testing.T) {
 	e := WithMajorityVote(VoteOptions{},
 		&flakyBackend{name: "a", failures: 1 << 30, err: errors.New("down")},
 		&flakyBackend{name: "b", failures: 1 << 30, err: errors.New("down")})
-	if _, err := e.PredictTensorCtx(context.Background(), resTensor(1), 0, 0.5); !errors.Is(err, ErrAllBackendsFailed) {
+	if _, err := Predict(context.Background(), e, resTensor(1), 0, 0.5); !errors.Is(err, ErrAllBackendsFailed) {
 		t.Fatalf("err = %v, want ErrAllBackendsFailed", err)
 	}
 	if e.Stats().AllFailed != 1 {
@@ -116,7 +116,7 @@ func TestVoteCancellationChargedToNobody(t *testing.T) {
 	e := WithMajorityVote(VoteOptions{}, good, goodBackend("b"))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.PredictTensorCtx(ctx, resTensor(1), 0, 0.5); !errors.Is(err, context.Canceled) {
+	if _, err := Predict(ctx, e, resTensor(1), 0, 0.5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	for _, b := range e.Stats().Backends {
@@ -149,10 +149,10 @@ type syncBackend struct {
 	flakyBackend
 }
 
-func (s *syncBackend) PredictTensorCtx(ctx context.Context, x *tensor.Tensor, n int, conf float64) ([]metrics.Detection, error) {
+func (s *syncBackend) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf float64) ([][]metrics.Detection, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.flakyBackend.PredictTensorCtx(ctx, x, n, conf)
+	return s.flakyBackend.PredictBatchCtx(ctx, x, conf)
 }
 
 // TestVoteConcurrent hammers one ensemble from many goroutines — run under
@@ -171,7 +171,7 @@ func TestVoteConcurrent(t *testing.T) {
 			defer wg.Done()
 			x := resTensor(1)
 			for i := 0; i < 25; i++ {
-				dets, err := e.PredictTensorCtx(context.Background(), x, 0, 0.5)
+				dets, err := Predict(context.Background(), e, x, 0, 0.5)
 				if err != nil {
 					t.Errorf("concurrent vote failed: %v", err)
 					return

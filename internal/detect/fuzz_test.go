@@ -105,13 +105,9 @@ type arbitraryLenBackend struct{ resLen int }
 
 func (a *arbitraryLenBackend) Name() string { return "arbitrary-len" }
 
-func (a *arbitraryLenBackend) PredictTensor(_ *tensor.Tensor, _ int, _ float64) []metrics.Detection {
-	return nil
-}
-
-func (a *arbitraryLenBackend) PredictBatch(_ *tensor.Tensor, _ float64) [][]metrics.Detection {
+func (a *arbitraryLenBackend) PredictBatchCtx(context.Context, *tensor.Tensor, float64) ([][]metrics.Detection, error) {
 	if a.resLen < 0 {
-		return nil
+		return nil, nil
 	}
-	return make([][]metrics.Detection, a.resLen)
+	return make([][]metrics.Detection, a.resLen), nil
 }

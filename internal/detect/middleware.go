@@ -33,23 +33,12 @@ func WithConfidenceFloor(d Detector, floor float64) Detector {
 
 func (f floorDetector) Name() string { return f.inner.Name() }
 
-func (f floorDetector) PredictTensor(x *tensor.Tensor, n int, confThresh float64) []metrics.Detection {
-	return f.inner.PredictTensor(x, n, math.Max(confThresh, f.floor))
-}
-
-// PredictBatch applies the floor once and forwards the whole batch.
-func (f floorDetector) PredictBatch(x *tensor.Tensor, confThresh float64) [][]metrics.Detection {
-	return PredictBatch(f.inner, x, math.Max(confThresh, f.floor))
-}
-
-// PredictTensorCtx applies the floor and forwards the context.
-func (f floorDetector) PredictTensorCtx(ctx context.Context, x *tensor.Tensor, n int, confThresh float64) ([]metrics.Detection, error) {
-	return Predict(ctx, f.inner, x, n, math.Max(confThresh, f.floor))
-}
-
 // PredictBatchCtx applies the floor once and forwards context and batch.
 func (f floorDetector) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
-	return PredictBatchCtx(ctx, f.inner, x, math.Max(confThresh, f.floor))
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return f.inner.PredictBatchCtx(ctx, x, math.Max(confThresh, f.floor))
 }
 
 // nmsDetector applies class-aware non-maximum suppression to the inner
@@ -66,33 +55,14 @@ func WithNMS(d Detector, iou float64) Detector {
 
 func (m nmsDetector) Name() string { return m.inner.Name() }
 
-func (m nmsDetector) PredictTensor(x *tensor.Tensor, n int, confThresh float64) []metrics.Detection {
-	return metrics.NMS(m.inner.PredictTensor(x, n, confThresh), m.iou)
-}
-
-// PredictBatch suppresses duplicates within each item independently:
-// detections never compete across screens.
-func (m nmsDetector) PredictBatch(x *tensor.Tensor, confThresh float64) [][]metrics.Detection {
-	out := PredictBatch(m.inner, x, confThresh)
-	for i := range out {
-		out[i] = metrics.NMS(out[i], m.iou)
-	}
-	return out
-}
-
-// PredictTensorCtx suppresses duplicates on the ctx-aware path; a cancelled
-// inner call propagates its error with nothing to suppress.
-func (m nmsDetector) PredictTensorCtx(ctx context.Context, x *tensor.Tensor, n int, confThresh float64) ([]metrics.Detection, error) {
-	dets, err := Predict(ctx, m.inner, x, n, confThresh)
-	if err != nil {
+// PredictBatchCtx suppresses duplicates within each item independently —
+// detections never compete across screens. A failed inner call propagates
+// its error with nothing to suppress.
+func (m nmsDetector) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return metrics.NMS(dets, m.iou), nil
-}
-
-// PredictBatchCtx mirrors PredictBatch on the ctx-aware path.
-func (m nmsDetector) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
-	out, err := PredictBatchCtx(ctx, m.inner, x, confThresh)
+	out, err := m.inner.PredictBatchCtx(ctx, x, confThresh)
 	if err != nil {
 		return nil, err
 	}
@@ -110,10 +80,9 @@ type Timed struct {
 	rec   *perfmodel.Timings
 }
 
-// WithTiming wraps d so each PredictTensor call is timed into rec under
-// stage (empty means "infer"). A nil rec disables recording without
-// disabling the wrapper, so callers can thread an optional recorder through
-// unconditionally.
+// WithTiming wraps d so each call is timed into rec under stage (empty means
+// "infer"). A nil rec disables recording without disabling the wrapper, so
+// callers can thread an optional recorder through unconditionally.
 func WithTiming(d Detector, rec *perfmodel.Timings, stage string) *Timed {
 	if stage == "" {
 		stage = "infer"
@@ -124,43 +93,17 @@ func WithTiming(d Detector, rec *perfmodel.Timings, stage string) *Timed {
 // Name reports the inner backend's name.
 func (t *Timed) Name() string { return t.inner.Name() }
 
-// PredictTensor delegates, recording the call's latency.
-func (t *Timed) PredictTensor(x *tensor.Tensor, n int, confThresh float64) []metrics.Detection {
-	start := time.Now()
-	dets := t.inner.PredictTensor(x, n, confThresh)
-	t.rec.Observe(t.stage, time.Since(start))
-	return dets
-}
-
-// PredictBatch delegates the whole batch, recording its wall-clock latency
-// together with the item count, so the stage's Count tracks screens
-// processed and Mean() stays an amortised per-item figure.
-func (t *Timed) PredictBatch(x *tensor.Tensor, confThresh float64) [][]metrics.Detection {
-	start := time.Now()
-	out := PredictBatch(t.inner, x, confThresh)
-	t.rec.ObserveBatch(t.stage, time.Since(start), len(out))
-	return out
-}
-
-// PredictTensorCtx delegates with the context, recording completed calls
-// under the stage label and aborted ones under "<stage>-aborted", so
-// cancelled partials never skew the inference latency distribution.
-func (t *Timed) PredictTensorCtx(ctx context.Context, x *tensor.Tensor, n int, confThresh float64) ([]metrics.Detection, error) {
-	start := time.Now()
-	dets, err := Predict(ctx, t.inner, x, n, confThresh)
-	if err != nil {
-		t.rec.Observe(t.stage+"-aborted", time.Since(start))
+// PredictBatchCtx delegates, recording a completed call's wall-clock latency
+// together with its item count — so the stage's Count tracks screens
+// processed and Mean() stays an amortised per-item figure — and a failed or
+// aborted one under "<stage>-aborted", so cancelled partials never skew the
+// inference latency distribution.
+func (t *Timed) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	t.rec.Observe(t.stage, time.Since(start))
-	return dets, nil
-}
-
-// PredictBatchCtx mirrors PredictBatch's amortised accounting on the
-// ctx-aware path, with aborted batches recorded like PredictTensorCtx.
-func (t *Timed) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
 	start := time.Now()
-	out, err := PredictBatchCtx(ctx, t.inner, x, confThresh)
+	out, err := t.inner.PredictBatchCtx(ctx, x, confThresh)
 	if err != nil {
 		t.rec.Observe(t.stage+"-aborted", time.Since(start))
 		return nil, err

@@ -61,14 +61,14 @@ type threshStub struct{ dets []metrics.Detection }
 
 func (s *threshStub) Name() string { return "thresh-stub" }
 
-func (s *threshStub) PredictTensor(_ *tensor.Tensor, _ int, confThresh float64) []metrics.Detection {
+func (s *threshStub) PredictBatchCtx(_ context.Context, _ *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
 	var out []metrics.Detection
 	for _, d := range s.dets {
 		if d.Score >= confThresh {
 			out = append(out, d)
 		}
 	}
-	return out
+	return [][]metrics.Detection{out}, nil
 }
 
 // TestConfidenceFloorMonotone pins two properties of the floor middleware
@@ -84,8 +84,8 @@ func TestConfidenceFloorMonotone(t *testing.T) {
 			lo, hi = hi, lo
 		}
 		s := &threshStub{dets: dets}
-		atLo := WithConfidenceFloor(s, lo).PredictTensor(nil, 0, 0)
-		atHi := WithConfidenceFloor(s, hi).PredictTensor(nil, 0, 0)
+		atLo := one(t, WithConfidenceFloor(s, lo), nil, 0)
+		atHi := one(t, WithConfidenceFloor(s, hi), nil, 0)
 		if len(atHi) > len(atLo) {
 			t.Fatalf("trial %d: floor %.3f kept %d, floor %.3f kept %d",
 				trial, hi, len(atHi), lo, len(atLo))

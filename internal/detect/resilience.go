@@ -66,16 +66,6 @@ func ValidDetections(dets []metrics.Detection) bool {
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// validBatch applies valid to every item of a batch result.
-func validBatch(out [][]metrics.Detection, valid func([]metrics.Detection) bool) bool {
-	for _, dets := range out {
-		if !valid(dets) {
-			return false
-		}
-	}
-	return true
-}
-
 // isCtxError reports whether err is a cancellation or deadline expiry —
 // caller-initiated conditions that resilience must propagate, never retry
 // or fall back on (the caller has left; more compute helps nobody).
@@ -83,58 +73,71 @@ func isCtxError(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
+// Guarded is the seam's one checked call, the only place a backend's answer
+// is held to the contract: a dead context is refused before the backend is
+// reached, a panic becomes *PanicError, an answer without
+// exactly one result per batch item becomes ErrMisaligned, and — when valid is
+// non-nil — an item it rejects becomes ErrCorruptResult. A healthy answer is
+// handed through untouched. Every resilience wrapper, the serving layer's
+// workers and the pipeline's infer stage make their inner calls through it.
+func Guarded(ctx context.Context, d Detector, x *tensor.Tensor, conf float64, valid func([]metrics.Detection) bool) (out [][]metrics.Detection, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			out, err = nil, &PanicError{Value: p}
+		}
+	}()
+	out, err = d.PredictBatchCtx(ctx, x, conf)
+	if err != nil {
+		return nil, err
+	}
+	if want := batchLen(x); len(out) != want {
+		return nil, misaligned(len(out), want, "items")
+	}
+	if valid != nil {
+		for _, dets := range out {
+			if !valid(dets) {
+				return nil, ErrCorruptResult
+			}
+		}
+	}
+	return out, nil
+}
+
+// orValid resolves a wrapper's Validate option: nil means ValidDetections.
+func orValid(v func([]metrics.Detection) bool) func([]metrics.Detection) bool {
+	if v == nil {
+		return ValidDetections
+	}
+	return v
+}
+
+// orDefault resolves a count option: non-positive means def.
+func orDefault(v, def int) int {
+	if v <= 0 {
+		return def
+	}
+	return v
+}
+
 // ---------------------------------------------------------------------------
 // Recovery
 
-// Recovered converts inner-backend panics to *PanicError at every seam.
+// Recovered converts inner-backend panics to *PanicError.
 type Recovered struct{ inner Detector }
 
-// WithRecovery wraps d so a panicking call returns an error (ctx seams) or
-// an empty result (legacy seams, which have no error channel) instead of
+// WithRecovery wraps d so a panicking call returns an error instead of
 // unwinding the caller. Healthy calls pass through untouched.
 func WithRecovery(d Detector) *Recovered { return &Recovered{inner: d} }
 
 // Name reports the inner backend's name.
 func (r *Recovered) Name() string { return r.inner.Name() }
 
-// PredictTensorCtx delegates, converting a panic to *PanicError.
-func (r *Recovered) PredictTensorCtx(ctx context.Context, x *tensor.Tensor, n int, conf float64) (dets []metrics.Detection, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			dets, err = nil, &PanicError{Value: p}
-		}
-	}()
-	return Predict(ctx, r.inner, x, n, conf)
-}
-
-// PredictBatchCtx delegates the batch, converting a panic to *PanicError.
-func (r *Recovered) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf float64) (out [][]metrics.Detection, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			out, err = nil, &PanicError{Value: p}
-		}
-	}()
-	return PredictBatchCtx(ctx, r.inner, x, conf)
-}
-
-// PredictTensor delegates on the legacy seam; a panic yields no detections.
-func (r *Recovered) PredictTensor(x *tensor.Tensor, n int, conf float64) (dets []metrics.Detection) {
-	defer func() {
-		if p := recover(); p != nil {
-			dets = nil
-		}
-	}()
-	return r.inner.PredictTensor(x, n, conf)
-}
-
-// PredictBatch delegates on the legacy batch seam; a panic yields nil.
-func (r *Recovered) PredictBatch(x *tensor.Tensor, conf float64) (out [][]metrics.Detection) {
-	defer func() {
-		if p := recover(); p != nil {
-			out = nil
-		}
-	}()
-	return PredictBatch(r.inner, x, conf)
+// PredictBatchCtx delegates through Guarded without result validation.
+func (r *Recovered) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf float64) ([][]metrics.Detection, error) {
+	return Guarded(ctx, r.inner, x, conf, nil)
 }
 
 // ---------------------------------------------------------------------------
@@ -160,13 +163,6 @@ type RetryOptions struct {
 	Timings *perfmodel.Timings
 }
 
-func (o RetryOptions) maxAttempts() int {
-	if o.MaxAttempts <= 0 {
-		return 3
-	}
-	return o.MaxAttempts
-}
-
 func (o RetryOptions) baseDelay() time.Duration {
 	if o.BaseDelay <= 0 {
 		return time.Millisecond
@@ -179,13 +175,6 @@ func (o RetryOptions) maxDelay() time.Duration {
 		return 50 * time.Millisecond
 	}
 	return o.MaxDelay
-}
-
-func (o RetryOptions) validate() func([]metrics.Detection) bool {
-	if o.Validate == nil {
-		return ValidDetections
-	}
-	return o.Validate
 }
 
 // RetryStats snapshots a Retrier's activity.
@@ -245,10 +234,6 @@ func (r *Retrier) backoff(ctx context.Context, attempt int) error {
 	jitter := time.Duration(r.rng.Int63n(int64(d)/2 + 1))
 	r.mu.Unlock()
 	d = d/2 + jitter
-	if ctx == nil || ctx.Done() == nil {
-		time.Sleep(d)
-		return nil
-	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -259,107 +244,35 @@ func (r *Retrier) backoff(ctx context.Context, attempt int) error {
 	}
 }
 
-func (r *Retrier) noteCall() {
+// note folds one event into the stats under the lock.
+func (r *Retrier) note(f func(*RetryStats)) {
 	r.mu.Lock()
-	r.stats.Calls++
+	f(&r.stats)
 	r.mu.Unlock()
 }
 
-func (r *Retrier) noteRetry() {
-	r.mu.Lock()
-	r.stats.Retries++
-	r.mu.Unlock()
-	r.opts.Timings.AddItems("detect-retry", 1)
-}
-
-func (r *Retrier) noteRecovered() {
-	r.mu.Lock()
-	r.stats.Recovered++
-	r.mu.Unlock()
-}
-
-func (r *Retrier) noteFailure() {
-	r.mu.Lock()
-	r.stats.Failures++
-	r.mu.Unlock()
-	r.opts.Timings.AddItems("detect-retry-failed", 1)
-}
-
-// attempt runs one recovered, validated inference attempt.
-func (r *Retrier) attempt(ctx context.Context, x *tensor.Tensor, n int, conf float64) (dets []metrics.Detection, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			dets, err = nil, &PanicError{Value: p}
-		}
-	}()
-	dets, err = Predict(ctx, r.inner, x, n, conf)
-	if err == nil && !r.opts.validate()(dets) {
-		return nil, ErrCorruptResult
-	}
-	return dets, err
-}
-
-// attemptBatch is attempt for the batch seam, validating every item.
-func (r *Retrier) attemptBatch(ctx context.Context, x *tensor.Tensor, conf float64) (out [][]metrics.Detection, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			out, err = nil, &PanicError{Value: p}
-		}
-	}()
-	out, err = PredictBatchCtx(ctx, r.inner, x, conf)
-	if err == nil && !validBatch(out, r.opts.validate()) {
-		return nil, ErrCorruptResult
-	}
-	return out, err
-}
-
-// PredictTensorCtx runs the retry loop: up to MaxAttempts recovered,
-// validated attempts separated by jittered exponential backoff. A first-try
+// PredictBatchCtx runs the retry loop: up to MaxAttempts guarded, validated
+// attempts separated by jittered exponential backoff. One forward serves
+// every item, so the batch fails and retries as a unit (per-item containment
+// is the serving layer's poison isolation, not the retrier's). A first-try
 // success is returned untouched (the bit-equality half of the contract); a
 // cancellation or deadline expiry propagates immediately.
-func (r *Retrier) PredictTensorCtx(ctx context.Context, x *tensor.Tensor, n int, conf float64) ([]metrics.Detection, error) {
-	r.noteCall()
-	var lastErr error
-	for attempt := 0; attempt < r.opts.maxAttempts(); attempt++ {
-		if attempt > 0 {
-			if err := r.backoff(ctx, attempt); err != nil {
-				return nil, err
-			}
-			r.noteRetry()
-		}
-		dets, err := r.attempt(ctx, x, n, conf)
-		if err == nil {
-			if attempt > 0 {
-				r.noteRecovered()
-			}
-			return dets, nil
-		}
-		if isCtxError(err) || ctx.Err() != nil {
-			return nil, err
-		}
-		lastErr = err
-	}
-	r.noteFailure()
-	return nil, lastErr
-}
-
-// PredictBatchCtx retries the whole batch: one forward serves every item, so
-// the batch fails and retries as a unit. Per-item containment is the
-// serving layer's job (Batcher poison isolation), not the retrier's.
 func (r *Retrier) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf float64) ([][]metrics.Detection, error) {
-	r.noteCall()
+	r.note(func(s *RetryStats) { s.Calls++ })
+	attempts, valid := orDefault(r.opts.MaxAttempts, 3), orValid(r.opts.Validate)
 	var lastErr error
-	for attempt := 0; attempt < r.opts.maxAttempts(); attempt++ {
+	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			if err := r.backoff(ctx, attempt); err != nil {
 				return nil, err
 			}
-			r.noteRetry()
+			r.note(func(s *RetryStats) { s.Retries++ })
+			r.opts.Timings.AddItems("detect-retry", 1)
 		}
-		out, err := r.attemptBatch(ctx, x, conf)
+		out, err := Guarded(ctx, r.inner, x, conf, valid)
 		if err == nil {
 			if attempt > 0 {
-				r.noteRecovered()
+				r.note(func(s *RetryStats) { s.Recovered++ })
 			}
 			return out, nil
 		}
@@ -368,21 +281,9 @@ func (r *Retrier) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf fl
 		}
 		lastErr = err
 	}
-	r.noteFailure()
+	r.note(func(s *RetryStats) { s.Failures++ })
+	r.opts.Timings.AddItems("detect-retry-failed", 1)
 	return nil, lastErr
-}
-
-// PredictTensor serves the legacy seam through the retry loop; an exhausted
-// call returns no detections (the seam has no error channel).
-func (r *Retrier) PredictTensor(x *tensor.Tensor, n int, conf float64) []metrics.Detection {
-	dets, _ := r.PredictTensorCtx(context.Background(), x, n, conf)
-	return dets
-}
-
-// PredictBatch mirrors PredictTensor for the legacy batch seam.
-func (r *Retrier) PredictBatch(x *tensor.Tensor, conf float64) [][]metrics.Detection {
-	out, _ := r.PredictBatchCtx(context.Background(), x, conf)
-	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -405,27 +306,6 @@ type FallbackOptions struct {
 	// Timings, when non-nil, counts fallback serves under "detect-fallback"
 	// and breaker trips under "detect-breaker-open".
 	Timings *perfmodel.Timings
-}
-
-func (o FallbackOptions) breakAfter() int {
-	if o.BreakAfter <= 0 {
-		return 5
-	}
-	return o.BreakAfter
-}
-
-func (o FallbackOptions) cooldown() int {
-	if o.Cooldown <= 0 {
-		return 32
-	}
-	return o.Cooldown
-}
-
-func (o FallbackOptions) validate() func([]metrics.Detection) bool {
-	if o.Validate == nil {
-		return ValidDetections
-	}
-	return o.Validate
 }
 
 // BackendHealth snapshots one chain member's health tracking.
@@ -467,46 +347,43 @@ type health struct {
 	tripped  int
 }
 
-// FallbackChain tries backends in order until one serves the call. Each
-// backend's failures are tracked; BreakAfter consecutive failures open its
-// circuit breaker, removing it from rotation for Cooldown calls, after which
-// a single probe is allowed through (half-open) — a success closes the
-// breaker, another failure re-opens it for a fresh cooldown. Panics and
-// invalid results count as failures. Safe for concurrent use.
-type FallbackChain struct {
-	backends []Detector
-	opts     FallbackOptions
+// breakers is the circuit-breaker ledger FallbackChain and Ensemble share:
+// one health record per backend, the guarded attempt that feeds it, and the
+// lock both owners also keep their call counters under. BreakAfter
+// consecutive failures open a backend's breaker, removing it from rotation
+// for Cooldown calls, after which a single probe is allowed through
+// (half-open) — a success closes the breaker, another failure re-opens it for
+// a fresh cooldown. Panics and invalid results count as failures. The mutex
+// is never held across an inference call, so one slow or deadlocked backend
+// cannot wedge the accounting.
+type breakers struct {
+	backends             []Detector
+	breakAfter, cooldown int
+	valid                func([]metrics.Detection) bool
+	rec                  *perfmodel.Timings
 
 	mu     sync.Mutex
 	health []health
-	stats  FallbackStats
 }
 
-// WithFallback chains backends primary-first. It panics when given no
-// backends (a chain that can serve nothing is a programming error).
-func WithFallback(opts FallbackOptions, backends ...Detector) *FallbackChain {
-	if len(backends) == 0 {
-		panic("detect: WithFallback requires at least one backend")
-	}
-	return &FallbackChain{
-		backends: backends,
-		opts:     opts,
-		health:   make([]health, len(backends)),
+func newBreakers(backends []Detector, breakAfter, cooldown int, valid func([]metrics.Detection) bool, rec *perfmodel.Timings) breakers {
+	return breakers{
+		backends:   backends,
+		breakAfter: orDefault(breakAfter, 5),
+		cooldown:   orDefault(cooldown, 32),
+		valid:      orValid(valid),
+		rec:        rec,
+		health:     make([]health, len(backends)),
 	}
 }
 
-// Name reports the primary backend's name.
-func (f *FallbackChain) Name() string { return f.backends[0].Name() }
-
-// Stats returns a snapshot of chain activity and per-backend health.
-func (f *FallbackChain) Stats() FallbackStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	st := f.stats
-	st.Backends = make([]BackendHealth, len(f.backends))
-	for i, h := range f.health {
-		st.Backends[i] = BackendHealth{
-			Name:        f.backends[i].Name(),
+// snapshot reports every member's health, in constructor order. The caller
+// holds mu.
+func (b *breakers) snapshot() []BackendHealth {
+	out := make([]BackendHealth, len(b.backends))
+	for i, h := range b.health {
+		out[i] = BackendHealth{
+			Name:        b.backends[i].Name(),
 			Uses:        h.uses,
 			Successes:   h.succ,
 			Failures:    h.fail,
@@ -515,17 +392,17 @@ func (f *FallbackChain) Stats() FallbackStats {
 			Tripped:     h.tripped,
 		}
 	}
-	return st
+	return out
 }
 
 // admit decides whether backend i may serve this call. An open breaker
 // counts the call against its cooldown and, once the cooldown is spent,
 // admits a half-open probe (the breaker stays open until that probe
 // succeeds).
-func (f *FallbackChain) admit(i int) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	h := &f.health[i]
+func (b *breakers) admit(i int) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	h := &b.health[i]
 	if !h.open {
 		return true
 	}
@@ -538,10 +415,10 @@ func (f *FallbackChain) admit(i int) bool {
 
 // noteOutcome records one attempt's result on backend i, driving the
 // breaker state machine.
-func (f *FallbackChain) noteOutcome(i int, ok bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	h := &f.health[i]
+func (b *breakers) noteOutcome(i int, ok bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	h := &b.health[i]
 	h.uses++
 	if ok {
 		h.succ++
@@ -553,141 +430,103 @@ func (f *FallbackChain) noteOutcome(i int, ok bool) {
 	h.consec++
 	if h.open {
 		// Failed half-open probe: re-arm the cooldown.
-		h.cooldown = f.opts.cooldown()
+		h.cooldown = b.cooldown
 		return
 	}
-	if h.consec >= f.opts.breakAfter() {
+	if h.consec >= b.breakAfter {
 		h.open = true
-		h.cooldown = f.opts.cooldown()
+		h.cooldown = b.cooldown
 		h.tripped++
-		f.opts.Timings.AddItems("detect-breaker-open", 1)
+		b.rec.AddItems("detect-breaker-open", 1)
 	}
 }
 
-func (f *FallbackChain) noteCall() {
-	f.mu.Lock()
-	f.stats.Calls++
-	f.mu.Unlock()
-}
-
-func (f *FallbackChain) noteServed(i int) {
-	if i == 0 {
-		return
+// try runs one breaker-gated, guarded, validated attempt on backend i. ran
+// is false when the attempt did not count: the breaker kept the backend out
+// (err nil), or the caller's context ended before or during the call (err is
+// the context's error, to be propagated at once) — a cancellation is charged
+// to nobody's health, the caller left and the backend did nothing wrong.
+func (b *breakers) try(ctx context.Context, i int, x *tensor.Tensor, conf float64) (out [][]metrics.Detection, ran bool, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
 	}
-	f.mu.Lock()
-	f.stats.FellBack++
-	f.mu.Unlock()
-	f.opts.Timings.AddItems("detect-fallback", 1)
-}
-
-func (f *FallbackChain) noteAllFailed() {
-	f.mu.Lock()
-	f.stats.Failures++
-	f.mu.Unlock()
-}
-
-// try runs one recovered, validated attempt on backend i.
-func (f *FallbackChain) try(ctx context.Context, i int, x *tensor.Tensor, n int, conf float64) (dets []metrics.Detection, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			dets, err = nil, &PanicError{Value: p}
-		}
-	}()
-	dets, err = Predict(ctx, f.backends[i], x, n, conf)
-	if err == nil && !f.opts.validate()(dets) {
-		return nil, ErrCorruptResult
+	if !b.admit(i) {
+		return nil, false, nil
 	}
-	return dets, err
+	out, err = Guarded(ctx, b.backends[i], x, conf, b.valid)
+	if err != nil && isCtxError(err) && ctx.Err() != nil {
+		return nil, false, err
+	}
+	b.noteOutcome(i, err == nil)
+	return out, true, err
 }
 
-// tryBatch is try for the batch seam.
-func (f *FallbackChain) tryBatch(ctx context.Context, i int, x *tensor.Tensor, conf float64) (out [][]metrics.Detection, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			out, err = nil, &PanicError{Value: p}
-		}
-	}()
-	out, err = PredictBatchCtx(ctx, f.backends[i], x, conf)
-	if err == nil && !validBatch(out, f.opts.validate()) {
-		return nil, ErrCorruptResult
-	}
-	return out, err
-}
-
-// PredictTensorCtx walks the chain: the first admitted backend that returns
-// a valid result serves the call. Failures advance to the next backend;
-// cancellations propagate immediately without being charged to anyone's
-// health (the caller left — the backend did nothing wrong).
-func (f *FallbackChain) PredictTensorCtx(ctx context.Context, x *tensor.Tensor, n int, conf float64) ([]metrics.Detection, error) {
-	f.noteCall()
-	var lastErr error
-	for i := range f.backends {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if !f.admit(i) {
-			continue
-		}
-		dets, err := f.try(ctx, i, x, n, conf)
-		if err == nil {
-			f.noteOutcome(i, true)
-			f.noteServed(i)
-			return dets, nil
-		}
-		if isCtxError(err) && ctx.Err() != nil {
-			return nil, err
-		}
-		f.noteOutcome(i, false)
-		lastErr = err
-	}
-	f.noteAllFailed()
+// allFailed is the error of a call no backend could serve.
+func (b *breakers) allFailed(lastErr error) error {
 	if lastErr == nil {
 		// Every breaker was open and in cooldown; nothing even ran.
-		return nil, fmt.Errorf("%w (all %d circuit-broken)", ErrAllBackendsFailed, len(f.backends))
+		return fmt.Errorf("%w (all %d circuit-broken)", ErrAllBackendsFailed, len(b.backends))
 	}
-	return nil, fmt.Errorf("%w: last: %v", ErrAllBackendsFailed, lastErr)
+	return fmt.Errorf("%w: last: %v", ErrAllBackendsFailed, lastErr)
 }
 
-// PredictBatchCtx mirrors PredictTensorCtx on the batch seam: whole-batch
-// attempts per backend, walking the chain on failure.
+// FallbackChain tries backends in order until one serves the call, each
+// behind its circuit breaker (see breakers). Safe for concurrent use.
+type FallbackChain struct {
+	breakers
+	stats FallbackStats // guarded by breakers.mu
+}
+
+// WithFallback chains backends primary-first. It panics when given no
+// backends (a chain that can serve nothing is a programming error).
+func WithFallback(opts FallbackOptions, backends ...Detector) *FallbackChain {
+	if len(backends) == 0 {
+		panic("detect: WithFallback requires at least one backend")
+	}
+	return &FallbackChain{breakers: newBreakers(backends, opts.BreakAfter, opts.Cooldown, opts.Validate, opts.Timings)}
+}
+
+// Name reports the primary backend's name.
+func (f *FallbackChain) Name() string { return f.backends[0].Name() }
+
+// Stats returns a snapshot of chain activity and per-backend health.
+func (f *FallbackChain) Stats() FallbackStats {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	st := f.stats
+	st.Backends = f.snapshot()
+	return st
+}
+
+func (f *FallbackChain) note(fn func(*FallbackStats)) {
+	f.mu.Lock()
+	fn(&f.stats)
+	f.mu.Unlock()
+}
+
+// PredictBatchCtx walks the chain with whole-batch attempts: the first
+// admitted backend that returns a valid result serves the call, failures
+// advance to the next backend, and cancellations propagate immediately.
 func (f *FallbackChain) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf float64) ([][]metrics.Detection, error) {
-	f.noteCall()
+	f.note(func(s *FallbackStats) { s.Calls++ })
 	var lastErr error
 	for i := range f.backends {
-		if err := ctx.Err(); err != nil {
+		out, ran, err := f.try(ctx, i, x, conf)
+		switch {
+		case !ran && err != nil:
 			return nil, err
-		}
-		if !f.admit(i) {
+		case !ran:
+			continue
+		case err != nil:
+			lastErr = err
 			continue
 		}
-		out, err := f.tryBatch(ctx, i, x, conf)
-		if err == nil {
-			f.noteOutcome(i, true)
-			f.noteServed(i)
-			return out, nil
+		if i > 0 {
+			f.note(func(s *FallbackStats) { s.FellBack++ })
+			f.rec.AddItems("detect-fallback", 1)
 		}
-		if isCtxError(err) && ctx.Err() != nil {
-			return nil, err
-		}
-		f.noteOutcome(i, false)
-		lastErr = err
+		return out, nil
 	}
-	f.noteAllFailed()
-	if lastErr == nil {
-		return nil, fmt.Errorf("%w (all %d circuit-broken)", ErrAllBackendsFailed, len(f.backends))
-	}
-	return nil, fmt.Errorf("%w: last: %v", ErrAllBackendsFailed, lastErr)
-}
-
-// PredictTensor serves the legacy seam through the chain; when nothing can
-// serve, it returns no detections.
-func (f *FallbackChain) PredictTensor(x *tensor.Tensor, n int, conf float64) []metrics.Detection {
-	dets, _ := f.PredictTensorCtx(context.Background(), x, n, conf)
-	return dets
-}
-
-// PredictBatch mirrors PredictTensor for the legacy batch seam.
-func (f *FallbackChain) PredictBatch(x *tensor.Tensor, conf float64) [][]metrics.Detection {
-	out, _ := f.PredictBatchCtx(context.Background(), x, conf)
-	return out
+	f.note(func(s *FallbackStats) { s.Failures++ })
+	return nil, f.allFailed(lastErr)
 }

@@ -12,9 +12,7 @@ import (
 )
 
 // flakyBackend fails (error, panic, or corrupt result) for its first
-// failures calls on the ctx seams, then serves dets. The legacy seam panics
-// if reached — resilience wrappers must route everything through the ctx
-// path.
+// failures calls, then serves dets for every item.
 type flakyBackend struct {
 	name     string
 	dets     []metrics.Detection
@@ -31,10 +29,6 @@ func (f *flakyBackend) Name() string {
 	return f.name
 }
 
-func (f *flakyBackend) PredictTensor(_ *tensor.Tensor, _ int, _ float64) []metrics.Detection {
-	panic("legacy seam should not be reached")
-}
-
 func (f *flakyBackend) serve() ([]metrics.Detection, error) {
 	f.calls++
 	if f.calls <= f.failures {
@@ -48,13 +42,6 @@ func (f *flakyBackend) serve() ([]metrics.Detection, error) {
 		}
 	}
 	return append([]metrics.Detection(nil), f.dets...), nil
-}
-
-func (f *flakyBackend) PredictTensorCtx(ctx context.Context, _ *tensor.Tensor, _ int, _ float64) ([]metrics.Detection, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return f.serve()
 }
 
 func (f *flakyBackend) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, _ float64) ([][]metrics.Detection, error) {
@@ -125,7 +112,7 @@ func TestWithRecoveryConvertsPanics(t *testing.T) {
 	r := WithRecovery(b)
 	x := resTensor(1)
 
-	_, err := r.PredictTensorCtx(context.Background(), x, 0, 0.5)
+	_, err := Predict(context.Background(), r, x, 0, 0.5)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("error = %v, want *PanicError", err)
@@ -134,7 +121,7 @@ func TestWithRecoveryConvertsPanics(t *testing.T) {
 		t.Fatalf("recovered value = %v", pe.Value)
 	}
 	// The backend has now used up its failure; the pass-through is intact.
-	dets, err := r.PredictTensorCtx(context.Background(), x, 0, 0.5)
+	dets, err := Predict(context.Background(), r, x, 0, 0.5)
 	if err != nil || !sameDets(dets, healthyDets()) {
 		t.Fatalf("healthy pass-through: dets=%v err=%v", dets, err)
 	}
@@ -148,9 +135,9 @@ func TestRetryTransparentOnSuccess(t *testing.T) {
 	r := WithRetry(b, RetryOptions{})
 	x := resTensor(1)
 
-	dets, err := r.PredictTensorCtx(context.Background(), x, 0, 0.5)
+	dets, err := Predict(context.Background(), r, x, 0, 0.5)
 	if err != nil {
-		t.Fatalf("PredictTensorCtx: %v", err)
+		t.Fatalf("Predict: %v", err)
 	}
 	if !sameDets(dets, healthyDets()) {
 		t.Fatalf("retry altered a successful result: %v", dets)
@@ -168,7 +155,7 @@ func TestRetryRecoversAfterFailures(t *testing.T) {
 	rec := &perfmodel.Timings{}
 	b := &flakyBackend{dets: healthyDets(), failures: 2, err: errors.New("transient")}
 	r := WithRetry(b, RetryOptions{MaxAttempts: 3, BaseDelay: 1, MaxDelay: 1, Timings: rec})
-	dets, err := r.PredictTensorCtx(context.Background(), resTensor(1), 0, 0.5)
+	dets, err := Predict(context.Background(), r, resTensor(1), 0, 0.5)
 	if err != nil {
 		t.Fatalf("retry should have recovered: %v", err)
 	}
@@ -187,7 +174,7 @@ func TestRetryRecoversAfterFailures(t *testing.T) {
 func TestRetryRecoversPanics(t *testing.T) {
 	b := &flakyBackend{dets: healthyDets(), failures: 1} // panic once
 	r := WithRetry(b, RetryOptions{BaseDelay: 1, MaxDelay: 1})
-	dets, err := r.PredictTensorCtx(context.Background(), resTensor(1), 0, 0.5)
+	dets, err := Predict(context.Background(), r, resTensor(1), 0, 0.5)
 	if err != nil || !sameDets(dets, healthyDets()) {
 		t.Fatalf("dets=%v err=%v", dets, err)
 	}
@@ -197,7 +184,7 @@ func TestRetryExhaustsAndReportsLastError(t *testing.T) {
 	boom := errors.New("boom")
 	b := &flakyBackend{dets: healthyDets(), failures: 100, err: boom}
 	r := WithRetry(b, RetryOptions{MaxAttempts: 3, BaseDelay: 1, MaxDelay: 1})
-	_, err := r.PredictTensorCtx(context.Background(), resTensor(1), 0, 0.5)
+	_, err := Predict(context.Background(), r, resTensor(1), 0, 0.5)
 	if !errors.Is(err, boom) {
 		t.Fatalf("error = %v, want boom", err)
 	}
@@ -212,7 +199,7 @@ func TestRetryExhaustsAndReportsLastError(t *testing.T) {
 func TestRetryRejectsCorruptResults(t *testing.T) {
 	b := &flakyBackend{dets: healthyDets(), failures: 100, corrupt: true}
 	r := WithRetry(b, RetryOptions{MaxAttempts: 2, BaseDelay: 1, MaxDelay: 1})
-	_, err := r.PredictTensorCtx(context.Background(), resTensor(1), 0, 0.5)
+	_, err := Predict(context.Background(), r, resTensor(1), 0, 0.5)
 	if !errors.Is(err, ErrCorruptResult) {
 		t.Fatalf("error = %v, want ErrCorruptResult", err)
 	}
@@ -223,7 +210,7 @@ func TestRetryNeverRetriesCancellation(t *testing.T) {
 	r := WithRetry(b, RetryOptions{MaxAttempts: 5, BaseDelay: 1, MaxDelay: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := r.PredictTensorCtx(ctx, resTensor(1), 0, 0.5)
+	_, err := Predict(ctx, r, resTensor(1), 0, 0.5)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want Canceled", err)
 	}
@@ -235,7 +222,7 @@ func TestRetryNeverRetriesCancellation(t *testing.T) {
 	// retried.
 	b2 := &flakyBackend{dets: healthyDets(), failures: 100, err: context.Canceled}
 	r2 := WithRetry(b2, RetryOptions{MaxAttempts: 5, BaseDelay: 1, MaxDelay: 1})
-	_, err = r2.PredictTensorCtx(context.Background(), resTensor(1), 0, 0.5)
+	_, err = Predict(context.Background(), r2, resTensor(1), 0, 0.5)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want Canceled", err)
 	}
@@ -266,7 +253,7 @@ func TestFallbackPrimaryOnlyWhenHealthy(t *testing.T) {
 	secondary := &flakyBackend{name: "secondary", dets: []metrics.Detection{det(0, 0, 1, 1, 0.1)}}
 	f := WithFallback(FallbackOptions{}, primary, secondary)
 
-	dets, err := f.PredictTensorCtx(context.Background(), resTensor(1), 0, 0.5)
+	dets, err := Predict(context.Background(), f, resTensor(1), 0, 0.5)
 	if err != nil || !sameDets(dets, healthyDets()) {
 		t.Fatalf("dets=%v err=%v", dets, err)
 	}
@@ -287,7 +274,7 @@ func TestFallbackServesFromSecondary(t *testing.T) {
 	secondary := &flakyBackend{name: "secondary", dets: healthyDets()}
 	f := WithFallback(FallbackOptions{Timings: rec}, primary, secondary)
 
-	dets, err := f.PredictTensorCtx(context.Background(), resTensor(1), 0, 0.5)
+	dets, err := Predict(context.Background(), f, resTensor(1), 0, 0.5)
 	if err != nil || !sameDets(dets, healthyDets()) {
 		t.Fatalf("dets=%v err=%v", dets, err)
 	}
@@ -308,7 +295,7 @@ func TestFallbackAllBackendsFailed(t *testing.T) {
 	secondary := &flakyBackend{name: "secondary", failures: 100} // panics
 	f := WithFallback(FallbackOptions{}, primary, secondary)
 
-	_, err := f.PredictTensorCtx(context.Background(), resTensor(1), 0, 0.5)
+	_, err := Predict(context.Background(), f, resTensor(1), 0, 0.5)
 	if !errors.Is(err, ErrAllBackendsFailed) {
 		t.Fatalf("error = %v, want ErrAllBackendsFailed", err)
 	}
@@ -325,7 +312,7 @@ func TestBreakerOpensCoolsAndCloses(t *testing.T) {
 	x := resTensor(1)
 	call := func() {
 		t.Helper()
-		if _, err := f.PredictTensorCtx(context.Background(), x, 0, 0.5); err != nil {
+		if _, err := Predict(context.Background(), f, x, 0, 0.5); err != nil {
 			t.Fatalf("chain call failed: %v", err)
 		}
 	}
@@ -377,7 +364,7 @@ func TestBreakerFailedProbeReArmsCooldown(t *testing.T) {
 
 	// Call 1 opens the breaker; calls 2-3 cool down; call 4 probes and fails.
 	for i := 0; i < 4; i++ {
-		if _, err := f.PredictTensorCtx(context.Background(), x, 0, 0.5); err != nil {
+		if _, err := Predict(context.Background(), f, x, 0, 0.5); err != nil {
 			t.Fatalf("call %d: %v", i+1, err)
 		}
 	}
@@ -390,7 +377,7 @@ func TestBreakerFailedProbeReArmsCooldown(t *testing.T) {
 	}
 	// The failed probe re-armed the cooldown: the next 2 calls sit out again.
 	for i := 0; i < 2; i++ {
-		f.PredictTensorCtx(context.Background(), x, 0, 0.5)
+		Predict(context.Background(), f, x, 0, 0.5)
 	}
 	if primary.calls != 2 {
 		t.Fatalf("primary ran during the re-armed cooldown")
@@ -401,8 +388,8 @@ func TestFallbackAllCircuitBroken(t *testing.T) {
 	primary := &flakyBackend{name: "primary", failures: 100, err: errors.New("down")}
 	f := WithFallback(FallbackOptions{BreakAfter: 1, Cooldown: 10}, primary)
 	x := resTensor(1)
-	f.PredictTensorCtx(context.Background(), x, 0, 0.5) // opens the breaker
-	_, err := f.PredictTensorCtx(context.Background(), x, 0, 0.5)
+	Predict(context.Background(), f, x, 0, 0.5) // opens the breaker
+	_, err := Predict(context.Background(), f, x, 0, 0.5)
 	if !errors.Is(err, ErrAllBackendsFailed) {
 		t.Fatalf("error = %v", err)
 	}
@@ -416,7 +403,7 @@ func TestFallbackPropagatesCancellation(t *testing.T) {
 	f := WithFallback(FallbackOptions{}, primary)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := f.PredictTensorCtx(ctx, resTensor(1), 0, 0.5)
+	_, err := Predict(ctx, f, resTensor(1), 0, 0.5)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v", err)
 	}

@@ -52,22 +52,20 @@ func recallPoint(e *metrics.Evaluation) RecallPoint {
 // composed screen before predicting — the hook that lets metadata-reading
 // backends (frauddroid, and ensembles containing it) see the view hierarchy
 // the pixels came from.
-func evalScreens(p detect.Predictor, screens []*auigen.Attacked, iouThresh float64, observe func(*uikit.Screen)) *metrics.Evaluation {
+func evalScreens(p detect.Detector, screens []*auigen.Attacked, iouThresh float64, observe func(*uikit.Screen)) *metrics.Evaluation {
 	eval := metrics.NewEvaluation()
 	for _, at := range screens {
 		if observe != nil {
 			observe(at.Screen)
 		}
-		x := yolite.CanvasToTensor(at.Sample.Input)
-		preds := p.PredictTensor(x, 0, yolite.DefaultConfThresh)
-		eval.AddSample(preds, at.Sample.Boxes, iouThresh)
+		eval.AddSample(yolite.PredictInput(p, at.Sample.Input, yolite.DefaultConfThresh), at.Sample.Boxes, iouThresh)
 	}
 	return eval
 }
 
 // RecallUnderAttack scores one backend on matched clean and attacked screen
 // sets at the given IoU threshold.
-func RecallUnderAttack(name string, p detect.Predictor, clean, attacked []*auigen.Attacked, iouThresh float64, observe func(*uikit.Screen)) AttackRow {
+func RecallUnderAttack(name string, p detect.Detector, clean, attacked []*auigen.Attacked, iouThresh float64, observe func(*uikit.Screen)) AttackRow {
 	return AttackRow{
 		Backend:  name,
 		Clean:    recallPoint(evalScreens(p, clean, iouThresh, observe)),

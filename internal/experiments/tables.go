@@ -136,8 +136,8 @@ func (e *Env) Table5() *Table {
 	return t
 }
 
-// measureLatency times PredictTensor per image in milliseconds over a small
-// subset.
+// measureLatency times one detector call per image in milliseconds over a
+// small subset.
 func measureLatency(m yolite.Predictor, samples []*dataset.Sample) float64 {
 	n := len(samples)
 	if n > 20 {
@@ -148,8 +148,7 @@ func measureLatency(m yolite.Predictor, samples []*dataset.Sample) float64 {
 	}
 	start := time.Now()
 	for _, s := range samples[:n] {
-		x := yolite.CanvasToTensor(s.Input)
-		m.PredictTensor(x, 0, yolite.DefaultConfThresh)
+		yolite.PredictInput(m, s.Input, yolite.DefaultConfThresh)
 	}
 	return float64(time.Since(start).Milliseconds()) / float64(n)
 }

@@ -11,10 +11,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// Detector injects a plan's faults at the detector seam. It implements every
-// surface the seam offers (plain, batch, and both ctx variants), so it drops
-// in anywhere a backend fits — typically innermost, under the resilience
-// middleware it exists to exercise:
+// Detector injects a plan's faults at the detector seam. It is a
+// detect.Detector, so it drops in anywhere a backend fits — typically
+// innermost, under the resilience middleware it exists to exercise:
 //
 //	chaos := faults.Wrap(model, plan)
 //	d := detect.WithFallback(opts, detect.WithRetry(chaos, retryOpts), heuristic)
@@ -27,13 +26,7 @@ type Detector struct {
 	stage string
 }
 
-// The injector preserves every seam of the backend it wraps.
-var (
-	_ detect.Detector              = (*Detector)(nil)
-	_ detect.BatchPredictor        = (*Detector)(nil)
-	_ detect.ContextPredictor      = (*Detector)(nil)
-	_ detect.ContextBatchPredictor = (*Detector)(nil)
-)
+var _ detect.Detector = (*Detector)(nil)
 
 // Wrap injects plan's faults around d, using d's name as the plan stage.
 func Wrap(d detect.Detector, plan *Plan) *Detector {
@@ -51,14 +44,10 @@ func WrapStage(d detect.Detector, plan *Plan, stage string) *Detector {
 // as itself in tables and logs.
 func (f *Detector) Name() string { return f.inner.Name() }
 
-// sleep waits out an injected latency spike, honouring a cancellable
-// context the way a genuinely slow backend under the ctx seam would.
+// sleep waits out an injected latency spike, honouring the context the way a
+// genuinely slow backend would.
 func sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
-		return nil
-	}
-	if ctx == nil || ctx.Done() == nil {
-		time.Sleep(d)
 		return nil
 	}
 	t := time.NewTimer(d)
@@ -90,108 +79,31 @@ func CorruptDetections(dets []metrics.Detection) []metrics.Detection {
 	return out
 }
 
-// PredictTensorCtx decides one injection and applies it: Error returns the
-// fault's error, Panic panics, Latency delays then delegates, Corrupt
-// delegates then damages the result. No fault means a transparent delegate.
-func (f *Detector) PredictTensorCtx(ctx context.Context, x *tensor.Tensor, n int, conf float64) ([]metrics.Detection, error) {
-	fault, ok := f.plan.Decide(f.stage)
-	if !ok {
-		return detect.Predict(ctx, f.inner, x, n, conf)
-	}
-	switch fault.Kind {
-	case Error:
-		return nil, fault.Err
-	case Panic:
-		panic("faults: injected panic at stage " + f.stage)
-	case Latency:
-		if err := sleep(ctx, fault.Latency); err != nil {
-			return nil, err
-		}
-		return detect.Predict(ctx, f.inner, x, n, conf)
-	case Corrupt:
-		dets, err := detect.Predict(ctx, f.inner, x, n, conf)
-		if err != nil {
-			return nil, err
-		}
-		return CorruptDetections(dets), nil
-	}
-	return detect.Predict(ctx, f.inner, x, n, conf)
-}
-
-// PredictBatchCtx is the batched counterpart: one decision covers the whole
-// batch (one forward serves it), and a Corrupt fault damages item 0 — the
-// partial-batch damage the Batcher's poison isolation must contain.
+// PredictBatchCtx decides one injection per call — a batch is one call of the
+// stage, as one forward serves it — and applies it: Error returns the fault's
+// error, Panic panics, Latency delays then delegates, Corrupt delegates then
+// damages item 0 (the partial-batch damage the serving layer's poison
+// isolation must contain). No fault means a transparent delegate.
 func (f *Detector) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf float64) ([][]metrics.Detection, error) {
-	fault, ok := f.plan.Decide(f.stage)
-	if !ok {
-		return detect.PredictBatchCtx(ctx, f.inner, x, conf)
+	if err := ctx.Err(); err != nil {
+		return nil, err // a caller that already left consumes no decision
 	}
-	switch fault.Kind {
-	case Error:
-		return nil, fault.Err
-	case Panic:
-		panic("faults: injected panic at stage " + f.stage)
-	case Latency:
-		if err := sleep(ctx, fault.Latency); err != nil {
-			return nil, err
+	fault, ok := f.plan.Decide(f.stage)
+	if ok {
+		switch fault.Kind {
+		case Error:
+			return nil, fault.Err
+		case Panic:
+			panic("faults: injected panic at stage " + f.stage)
+		case Latency:
+			if err := sleep(ctx, fault.Latency); err != nil {
+				return nil, err
+			}
 		}
-		return detect.PredictBatchCtx(ctx, f.inner, x, conf)
-	case Corrupt:
-		out, err := detect.PredictBatchCtx(ctx, f.inner, x, conf)
-		if err != nil || len(out) == 0 {
-			return out, err
-		}
+	}
+	out, err := f.inner.PredictBatchCtx(ctx, x, conf)
+	if ok && fault.Kind == Corrupt && err == nil && len(out) > 0 {
 		out[0] = CorruptDetections(out[0])
-		return out, nil
 	}
-	return detect.PredictBatchCtx(ctx, f.inner, x, conf)
-}
-
-// PredictTensor is the legacy seam, which has no error channel: an Error
-// fault degrades to an empty result (the silent failure mode a legacy caller
-// would actually observe), a Panic fault still panics, and Latency/Corrupt
-// behave as on the ctx path. Resilient stacks call the ctx seam and never
-// hit the degraded branch.
-func (f *Detector) PredictTensor(x *tensor.Tensor, n int, conf float64) []metrics.Detection {
-	fault, ok := f.plan.Decide(f.stage)
-	if !ok {
-		return f.inner.PredictTensor(x, n, conf)
-	}
-	switch fault.Kind {
-	case Error:
-		return nil
-	case Panic:
-		panic("faults: injected panic at stage " + f.stage)
-	case Latency:
-		time.Sleep(fault.Latency)
-		return f.inner.PredictTensor(x, n, conf)
-	case Corrupt:
-		return CorruptDetections(f.inner.PredictTensor(x, n, conf))
-	}
-	return f.inner.PredictTensor(x, n, conf)
-}
-
-// PredictBatch mirrors PredictTensor for the legacy batch seam: an Error
-// fault returns nil (no per-item results at all), everything else as above.
-func (f *Detector) PredictBatch(x *tensor.Tensor, conf float64) [][]metrics.Detection {
-	fault, ok := f.plan.Decide(f.stage)
-	if !ok {
-		return detect.PredictBatch(f.inner, x, conf)
-	}
-	switch fault.Kind {
-	case Error:
-		return nil
-	case Panic:
-		panic("faults: injected panic at stage " + f.stage)
-	case Latency:
-		time.Sleep(fault.Latency)
-		return detect.PredictBatch(f.inner, x, conf)
-	case Corrupt:
-		out := detect.PredictBatch(f.inner, x, conf)
-		if len(out) > 0 {
-			out[0] = CorruptDetections(out[0])
-		}
-		return out
-	}
-	return detect.PredictBatch(f.inner, x, conf)
+	return out, err
 }

@@ -33,8 +33,7 @@ type Kind int
 
 const (
 	// Error makes the faulted call return an error (ErrInjected unless the
-	// rule carries its own). On seams without an error channel the wrapper
-	// degrades the call instead — see Detector.PredictTensor.
+	// rule carries its own).
 	Error Kind = iota
 	// Latency delays the call by the rule's Latency before running it
 	// normally: a slow success, not a failure.

@@ -15,8 +15,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// stubBackend is a healthy detector answering a fixed detection set on every
-// seam, so the injector's behaviour is the only variable under test.
+// stubBackend is a healthy detector answering a fixed detection set for every
+// item, so the injector's behaviour is the only variable under test.
 type stubBackend struct {
 	dets  []metrics.Detection
 	calls int
@@ -24,18 +24,16 @@ type stubBackend struct {
 
 func (s *stubBackend) Name() string { return "stub" }
 
-func (s *stubBackend) PredictTensor(_ *tensor.Tensor, _ int, _ float64) []metrics.Detection {
-	s.calls++
-	return append([]metrics.Detection(nil), s.dets...)
-}
-
-func (s *stubBackend) PredictBatch(x *tensor.Tensor, _ float64) [][]metrics.Detection {
+func (s *stubBackend) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, _ float64) ([][]metrics.Detection, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	s.calls++
 	out := make([][]metrics.Detection, x.Shape[0])
 	for i := range out {
 		out[i] = append([]metrics.Detection(nil), s.dets...)
 	}
-	return out
+	return out, nil
 }
 
 func stubDets() []metrics.Detection {
@@ -217,9 +215,9 @@ func TestWrapperTransparentWithoutFaults(t *testing.T) {
 	d := Wrap(inner, NewPlan(1)) // no rules: never fires
 	x := smallTensor(2)
 
-	got, err := d.PredictTensorCtx(context.Background(), x, 0, 0.5)
+	got, err := detect.Predict(context.Background(), d, x, 0, 0.5)
 	if err != nil {
-		t.Fatalf("PredictTensorCtx: %v", err)
+		t.Fatalf("Predict: %v", err)
 	}
 	want := stubDets()
 	if len(got) != len(want) {
@@ -233,8 +231,8 @@ func TestWrapperTransparentWithoutFaults(t *testing.T) {
 	if d.Name() != "stub" {
 		t.Fatalf("Name = %q, want stub", d.Name())
 	}
-	if out := d.PredictBatch(x, 0.5); len(out) != 2 {
-		t.Fatalf("PredictBatch: %d items, want 2", len(out))
+	if out, err := d.PredictBatchCtx(context.Background(), x, 0.5); err != nil || len(out) != 2 {
+		t.Fatalf("PredictBatchCtx: %d items, err %v, want 2", len(out), err)
 	}
 }
 
@@ -243,21 +241,14 @@ func TestWrapperErrorFault(t *testing.T) {
 	d := WrapStage(inner, NewPlan(1, Rule{Kind: Error, Rate: 1}), "backend")
 	x := smallTensor(1)
 
-	if _, err := d.PredictTensorCtx(context.Background(), x, 0, 0.5); !errors.Is(err, ErrInjected) {
-		t.Fatalf("ctx seam error = %v, want ErrInjected", err)
+	if _, err := detect.Predict(context.Background(), d, x, 0, 0.5); !errors.Is(err, ErrInjected) {
+		t.Fatalf("single-screen error = %v, want ErrInjected", err)
 	}
-	if _, err := d.PredictBatchCtx(context.Background(), x, 0.5); !errors.Is(err, ErrInjected) {
-		t.Fatalf("ctx batch seam error = %v, want ErrInjected", err)
+	if out, err := d.PredictBatchCtx(context.Background(), smallTensor(2), 0.5); !errors.Is(err, ErrInjected) || out != nil {
+		t.Fatalf("batch: out = %v, error = %v, want nil and ErrInjected", out, err)
 	}
 	if inner.calls != 0 {
 		t.Fatalf("inner ran %d times under an error fault", inner.calls)
-	}
-	// Legacy seams have no error channel: the fault degrades to nil.
-	if dets := d.PredictTensor(x, 0, 0.5); dets != nil {
-		t.Fatalf("legacy seam returned %v under an error fault", dets)
-	}
-	if out := d.PredictBatch(x, 0.5); out != nil {
-		t.Fatalf("legacy batch seam returned %v under an error fault", out)
 	}
 }
 
@@ -273,7 +264,7 @@ func TestWrapperPanicFault(t *testing.T) {
 			t.Fatalf("panic value %v", r)
 		}
 	}()
-	d.PredictTensorCtx(context.Background(), smallTensor(1), 0, 0.5)
+	detect.Predict(context.Background(), d, smallTensor(1), 0, 0.5)
 }
 
 func TestWrapperLatencyFault(t *testing.T) {
@@ -282,7 +273,7 @@ func TestWrapperLatencyFault(t *testing.T) {
 	d := WrapStage(inner, NewPlan(1, Rule{Kind: Latency, Rate: 1, Latency: spike}), "backend")
 
 	start := time.Now()
-	dets, err := d.PredictTensorCtx(context.Background(), smallTensor(1), 0, 0.5)
+	dets, err := detect.Predict(context.Background(), d, smallTensor(1), 0, 0.5)
 	if err != nil || len(dets) != 2 {
 		t.Fatalf("latency fault should still succeed: dets=%v err=%v", dets, err)
 	}
@@ -295,7 +286,7 @@ func TestWrapperLatencyFault(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	before := inner.calls
-	if _, err := d.PredictTensorCtx(ctx, smallTensor(1), 0, 0.5); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := detect.Predict(ctx, d, smallTensor(1), 0, 0.5); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("cancelled spike error = %v", err)
 	}
 	if inner.calls != before {
@@ -307,7 +298,7 @@ func TestWrapperCorruptFault(t *testing.T) {
 	inner := &stubBackend{dets: stubDets()}
 	d := WrapStage(inner, NewPlan(1, Rule{Kind: Corrupt, Rate: 1}), "backend")
 
-	dets, err := d.PredictTensorCtx(context.Background(), smallTensor(1), 0, 0.5)
+	dets, err := detect.Predict(context.Background(), d, smallTensor(1), 0, 0.5)
 	if err != nil {
 		t.Fatalf("corrupt fault should not error: %v", err)
 	}

@@ -226,7 +226,7 @@ type runner struct {
 	lib     *library
 	devices []device
 
-	backend   detect.Predictor // the shared Batcher
+	backend   *serve.Batcher // shared by every device
 	tenantCtx []context.Context
 	submit    chan job
 	wg        sync.WaitGroup
@@ -337,7 +337,7 @@ func shapeName(s string) string {
 // memoised), a tenant admission table, and the batcher over it all.
 func buildStack(cfg Config, models []detect.Detector) (*serve.Batcher, []*detect.Cache) {
 	var caches []*detect.Cache
-	backends := make([]detect.Predictor, 0, len(models))
+	backends := make([]detect.Detector, 0, len(models))
 	for _, model := range models {
 		switch m := model.(type) {
 		case *yolite.Model:
@@ -345,7 +345,7 @@ func buildStack(cfg Config, models []detect.Detector) (*serve.Batcher, []*detect
 		case *quant.Model:
 			m.SetPool(tensor.NewPool())
 		}
-		var inner detect.Predictor = model
+		var inner detect.Detector = model
 		if cfg.Plan != nil {
 			inner = faults.WrapStage(model, cfg.Plan, "backend")
 		} else {
@@ -382,7 +382,7 @@ func buildStack(cfg Config, models []detect.Detector) (*serve.Batcher, []*detect
 func (r *runner) worker() {
 	defer r.wg.Done()
 	for j := range r.submit {
-		dets, err := detect.Predict(j.ctx, r.backend, j.x, 0, r.cfg.ConfThresh)
+		dets, err := detect.Only(r.backend.PredictBatchCtx(j.ctx, j.x, r.cfg.ConfThresh))
 		j.an.done <- jobResult{dets: dets, err: err}
 	}
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -12,15 +13,21 @@ import (
 	"repro/internal/tensor"
 )
 
-// stubDetector flags every screen as a UPO — deterministic, instant, and
-// batch-free, so the tests exercise the event loop and serving plumbing
+// stubDetector flags every screen as a UPO — deterministic and instant, so the tests exercise the event loop and serving plumbing
 // rather than the model.
 type stubDetector struct{}
 
 func (stubDetector) Name() string { return "stub" }
 
-func (stubDetector) PredictTensor(x *tensor.Tensor, n int, confThresh float64) []metrics.Detection {
-	return []metrics.Detection{{Class: dataset.ClassUPO, Score: 0.99}}
+func (stubDetector) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, _ float64) ([][]metrics.Detection, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	out := make([][]metrics.Detection, x.Shape[0])
+	for i := range out {
+		out[i] = []metrics.Detection{{Class: dataset.ClassUPO, Score: 0.99}}
+	}
+	return out, nil
 }
 
 // smallConfig is a fleet sized for a unit test: enough devices and virtual

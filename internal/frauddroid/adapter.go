@@ -28,52 +28,28 @@ type ViewAdapter struct {
 // Name identifies the backend in registries and result tables.
 func (a *ViewAdapter) Name() string { return "frauddroid" }
 
-// PredictTensor runs the id/placement heuristics on the current view dump.
+// PredictBatchCtx runs the id/placement heuristics on the current view dump.
 // Flagged UPO rectangles become detections with confidence 1 (the heuristic
 // is binary); when x carries a model-input shape the boxes are scaled from
 // screen to input coordinates, otherwise they are returned as-is.
 //
 // Batch contract: the adapter observes exactly one live screen, which by
-// convention occupies batch slot 0 — the slot PredictCanvas and the service
-// pipeline use. Any other index belongs to a dataset item whose pixels the
-// adapter cannot relate to the view hierarchy, so it reports no detections
-// there. (It used to return the live screen's boxes for every index, which
-// poisoned every item of a batched evaluation with the same detections.)
-func (a *ViewAdapter) PredictTensor(x *tensor.Tensor, n int, _ float64) []metrics.Detection {
-	if n > 0 {
-		return nil
+// convention occupies batch slot 0 — the slot the service pipeline uses. Any
+// other slot belongs to a dataset item whose pixels the adapter cannot relate
+// to the view hierarchy, so it reports no detections there. (It used to
+// return the live screen's boxes for every index, which poisoned every item
+// of a batched evaluation with the same detections.) The heuristic is too
+// cheap to checkpoint; only an already-dead context is honoured.
+func (a *ViewAdapter) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, _ float64) ([][]metrics.Detection, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return a.detectLive(x)
-}
-
-// PredictBatch implements the detect.BatchPredictor seam: the heuristics run
-// once — the view hierarchy does not change across a stacked batch — and
-// only item 0, the live screen's slot, carries the result.
-func (a *ViewAdapter) PredictBatch(x *tensor.Tensor, _ float64) [][]metrics.Detection {
-	if x == nil || len(x.Shape) == 0 {
-		return nil
+	if x == nil || len(x.Shape) == 0 || x.Shape[0] <= 0 {
+		return nil, nil
 	}
 	out := make([][]metrics.Detection, x.Shape[0])
 	out[0] = a.detectLive(x)
-	return out
-}
-
-// PredictTensorCtx implements the ctx-aware detector seam. The heuristic is
-// cheap enough that no mid-run checkpoint is worth having; the method only
-// honours an already-cancelled context and otherwise defers to PredictTensor.
-func (a *ViewAdapter) PredictTensorCtx(ctx context.Context, x *tensor.Tensor, n int, conf float64) ([]metrics.Detection, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return a.PredictTensor(x, n, conf), nil
-}
-
-// PredictBatchCtx mirrors PredictTensorCtx for the batch seam.
-func (a *ViewAdapter) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf float64) ([][]metrics.Detection, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return a.PredictBatch(x, conf), nil
+	return out, nil
 }
 
 // detectLive runs the heuristics on the current screen and scales the

@@ -1,19 +1,32 @@
 package frauddroid
 
 import (
+	"context"
 	"testing"
+
+	"repro/internal/metrics"
 
 	"repro/internal/tensor"
 	"repro/internal/uikit"
 )
 
+// batch runs the adapter's seam with no deadline.
+func batch(t *testing.T, a *ViewAdapter, x *tensor.Tensor) [][]metrics.Detection {
+	t.Helper()
+	out, err := a.PredictBatchCtx(context.Background(), x, 0.5)
+	if err != nil {
+		t.Fatalf("PredictBatchCtx: %v", err)
+	}
+	return out
+}
+
 func TestAdapterNilScreenReturnsNothing(t *testing.T) {
 	a := &ViewAdapter{}
-	if dets := a.PredictTensor(tensor.New(1, 3, 160, 96), 0, 0.5); dets != nil {
+	if dets := batch(t, a, tensor.New(1, 3, 160, 96))[0]; dets != nil {
 		t.Fatalf("no screen provider should yield nil, got %v", dets)
 	}
 	a.Screen = func() *uikit.Screen { return nil }
-	if dets := a.PredictTensor(tensor.New(1, 3, 160, 96), 0, 0.5); dets != nil {
+	if dets := batch(t, a, tensor.New(1, 3, 160, 96))[0]; dets != nil {
 		t.Fatalf("nil screen should yield nil, got %v", dets)
 	}
 }
@@ -26,22 +39,16 @@ func TestAdapterBatchContract(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		s, _ := screenWithAUI(t, false, seed)
 		a := &ViewAdapter{Screen: func() *uikit.Screen { return s }}
-		x := tensor.New(3, 3, 160, 96)
-		live := a.PredictTensor(x, 0, 0.5)
+		live := batch(t, a, tensor.New(1, 3, 160, 96))[0]
 		if len(live) == 0 {
 			continue
 		}
-		for n := 1; n < 3; n++ {
-			if dets := a.PredictTensor(x, n, 0.5); dets != nil {
-				t.Fatalf("item %d returned the live screen's detections: %v", n, dets)
-			}
-		}
-		out := a.PredictBatch(x, 0.5)
+		out := batch(t, a, tensor.New(3, 3, 160, 96))
 		if len(out) != 3 {
-			t.Fatalf("PredictBatch returned %d items, want 3", len(out))
+			t.Fatalf("PredictBatchCtx returned %d items, want 3", len(out))
 		}
 		if len(out[0]) != len(live) {
-			t.Fatalf("batch slot 0 has %d detections, single-item path %d", len(out[0]), len(live))
+			t.Fatalf("batch slot 0 has %d detections, batch-of-one %d", len(out[0]), len(live))
 		}
 		if out[1] != nil || out[2] != nil {
 			t.Fatalf("non-live batch slots must be empty: %v / %v", out[1], out[2])
@@ -57,7 +64,7 @@ func TestAdapterScalesToModelInput(t *testing.T) {
 		s, _ := screenWithAUI(t, false, seed)
 		a := &ViewAdapter{Screen: func() *uikit.Screen { return s }}
 		x := tensor.New(1, 3, 160, 96) // model-input shape: 4x downscale of 384x640
-		dets := a.PredictTensor(x, 0, 0.5)
+		dets := batch(t, a, x)[0]
 		if len(dets) == 0 {
 			continue
 		}
@@ -72,7 +79,7 @@ func TestAdapterScalesToModelInput(t *testing.T) {
 		}
 		// Without shape information the same boxes come back unscaled
 		// (screen coordinates), so they are 4x larger.
-		raw := a.PredictTensor(nil, 0, 0.5)
+		raw := a.detectLive(nil)
 		if len(raw) != len(dets) {
 			t.Fatalf("nil tensor changed detection count: %d vs %d", len(raw), len(dets))
 		}

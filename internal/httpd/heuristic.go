@@ -24,11 +24,7 @@ import (
 // time the admission layer takes to say no.
 type PixelHeuristic struct{}
 
-// The heuristic drops into the ordinary detector seams.
-var (
-	_ detect.Detector         = PixelHeuristic{}
-	_ detect.ContextPredictor = PixelHeuristic{}
-)
+var _ detect.Detector = PixelHeuristic{}
 
 // Name implements detect.Detector.
 func (PixelHeuristic) Name() string { return "pixel-heuristic" }
@@ -36,12 +32,29 @@ func (PixelHeuristic) Name() string { return "pixel-heuristic" }
 // heurCell is the analysis grid pitch in pixels.
 const heurCell = 8
 
-// PredictTensor scans batch item n. Detections are in x's own coordinate
-// system, like any backend.
-func (PixelHeuristic) PredictTensor(x *tensor.Tensor, n int, _ float64) []metrics.Detection {
-	if x == nil || len(x.Shape) != 4 || n < 0 || n >= x.Shape[0] {
-		return nil
+// PredictBatchCtx scans each item on its own, checking the context between
+// items; one scan is too short to checkpoint. A tensor that is not
+// [N, 3, H, W] holds no screens to scan.
+func (PixelHeuristic) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, _ float64) ([][]metrics.Detection, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
+	if x == nil || len(x.Shape) != 4 {
+		return nil, nil
+	}
+	out := make([][]metrics.Detection, x.Shape[0])
+	for n := range out {
+		if n > 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		out[n] = scanItem(x, n)
+	}
+	return out, nil
+}
+
+// scanItem scans batch item n. Detections are in x's own coordinate system,
+// like any backend.
+func scanItem(x *tensor.Tensor, n int) []metrics.Detection {
 	h, w := x.Shape[2], x.Shape[3]
 	gh, gw := h/heurCell, w/heurCell
 	if gh < 3 || gw < 3 {
@@ -191,13 +204,4 @@ func (PixelHeuristic) PredictTensor(x *tensor.Tensor, n int, _ float64) []metric
 		}
 	}
 	return dets
-}
-
-// PredictTensorCtx honours an already-dead context; the scan itself is too
-// short to checkpoint.
-func (p PixelHeuristic) PredictTensorCtx(ctx context.Context, x *tensor.Tensor, n int, conf float64) ([]metrics.Detection, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return p.PredictTensor(x, n, conf), nil
 }

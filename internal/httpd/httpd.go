@@ -15,7 +15,7 @@
 //
 // The handler chain is deliberately thin: tenant identity comes off the
 // request headers onto serve.WithTenant, the screen rides
-// detect.PredictCanvasCtx into whatever Predictor the server fronts
+// detect.PredictCanvasCtx into whatever detect.Detector the server fronts
 // (typically a serve.Batcher: admission → scheduler → replica pool), and the
 // admission layer's verdicts come back as typed errors this package
 // translates into HTTP semantics. Degrade-don't-fail extends to the wire: a
@@ -69,7 +69,7 @@ type Config struct {
 	// Backend answers detection requests; typically a *serve.Batcher so
 	// admission, scheduling and the replica pool sit behind every call.
 	// Required.
-	Backend detect.Predictor
+	Backend detect.Detector
 	// Stats, when non-nil, supplies the serving-layer snapshot (admission
 	// ledger, per-replica health) for /v1/stats and the SSE stats frames.
 	// Wire it to Batcher.Stats.
@@ -144,7 +144,7 @@ type Server struct {
 	cfg      Config
 	mux      *http.ServeMux
 	bcast    *broadcaster
-	degraded detect.Predictor // WithFallback chain over cfg.Degraded; nil when unset
+	degraded detect.Detector // WithFallback chain over cfg.Degraded; nil when unset
 
 	draining atomic.Bool
 

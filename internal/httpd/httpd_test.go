@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/detect"
 	"repro/internal/geom"
 	"repro/internal/metrics"
 	"repro/internal/perfmodel"
@@ -44,12 +45,7 @@ type wireStub struct {
 
 func (s *wireStub) Name() string { return "wire-stub" }
 
-func (s *wireStub) PredictTensor(x *tensor.Tensor, n int, conf float64) []metrics.Detection {
-	dets, _ := s.PredictTensorCtx(context.Background(), x, n, conf)
-	return dets
-}
-
-func (s *wireStub) PredictTensorCtx(ctx context.Context, x *tensor.Tensor, n int, conf float64) ([]metrics.Detection, error) {
+func (s *wireStub) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf float64) ([][]metrics.Detection, error) {
 	s.mu.Lock()
 	s.conf = conf
 	s.calls++
@@ -67,7 +63,7 @@ func (s *wireStub) PredictTensorCtx(ctx context.Context, x *tensor.Tensor, n int
 	if s.err != nil {
 		return nil, s.err
 	}
-	return s.dets, nil
+	return [][]metrics.Detection{s.dets}, nil
 }
 
 func (s *wireStub) lastConf() float64 {
@@ -582,7 +578,7 @@ func TestPixelHeuristicFindsPlantedPattern(t *testing.T) {
 	upo := geom.Rect{X: 40, Y: 80, W: 8, H: 8}
 	c.Fill(upo, render.DarkGray)
 
-	dets, err := PixelHeuristic{}.PredictTensorCtx(context.Background(), canvasTensor(c), 0, 0.45)
+	dets, err := detect.Only(PixelHeuristic{}.PredictBatchCtx(context.Background(), canvasTensor(c), 0.45))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,14 +602,14 @@ func TestPixelHeuristicFindsPlantedPattern(t *testing.T) {
 	// A blank screen yields nothing.
 	blank := render.NewCanvas(96, 160)
 	blank.Fill(blank.Bounds(), render.White)
-	if dets := (PixelHeuristic{}).PredictTensor(canvasTensor(blank), 0, 0.45); len(dets) != 0 {
-		t.Fatalf("blank screen produced %+v", dets)
+	if dets, err := detect.Only(PixelHeuristic{}.PredictBatchCtx(context.Background(), canvasTensor(blank), 0.45)); err != nil || len(dets) != 0 {
+		t.Fatalf("blank screen produced %+v, err %v", dets, err)
 	}
 
 	// A dead context is honoured.
 	ctx, stop := context.WithCancel(context.Background())
 	stop()
-	if _, err := (PixelHeuristic{}).PredictTensorCtx(ctx, canvasTensor(c), 0, 0.45); err == nil {
+	if _, err := (PixelHeuristic{}).PredictBatchCtx(ctx, canvasTensor(c), 0.45); err == nil {
 		t.Fatal("cancelled context not honoured")
 	}
 }

@@ -12,7 +12,6 @@ package quant
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"repro/internal/dataset"
@@ -86,48 +85,9 @@ func (q *qconv) quantiseWeights() {
 	}
 }
 
-// forward runs the quantised convolution: activations are quantised to int8
-// with the calibrated scale, multiplied in int8 and accumulated in int32.
-// Like tensor.Conv2D.Forward, the disjoint (batch item, output channel)
-// planes are spread over the shared worker pool when the work justifies it,
-// so batched device inference scales with GOMAXPROCS. A non-nil p supplies
-// the output buffer and the int8 scratch, making the steady-state forward
-// allocation-free. A non-nil done adds a cooperative cancellation point
-// between output planes; once it closes the returned buffer is partially
-// written and the caller must discard it.
-func (q *qconv) forward(x *tensor.Tensor, p *tensor.Pool, done <-chan struct{}) *tensor.Tensor {
-	N, C, H, W := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	if C != q.inC {
-		panic(fmt.Sprintf("quant: conv expects %d channels, got %d", q.inC, C))
-	}
-	oh, ow := q.outSize(H, W)
-	// Quantise the input activations (float32 round — see quantI8).
-	var qx []int8
-	if p != nil {
-		scratch := getI8(len(x.Data))
-		defer putI8(scratch)
-		qx = *scratch
-	} else {
-		qx = make([]int8, len(x.Data))
-	}
-	quantI8(qx, x.Data, q.inScale)
-	y := p.Get(N, q.outC, oh, ow) // nil pool: falls back to tensor.New
-	tasks := N * q.outC
-	if tensor.ParallelWorthwhile(tasks * oh * ow * q.inC * q.k * q.k) {
-		tensor.ParallelForCancel(done, tasks, func(t int) { q.forwardPlane(qx, x.Shape, y, t/q.outC, t%q.outC) })
-		return y
-	}
-	for t := 0; t < tasks; t++ {
-		if tensor.Aborted(done) {
-			return y
-		}
-		q.forwardPlane(qx, x.Shape, y, t/q.outC, t%q.outC)
-	}
-	return y
-}
-
-// forwardPlane fills output plane (n, oc) from the quantised activations.
-// Planes write disjoint slices of y, so they are safe to run concurrently.
+// forwardPlane fills output plane (n, oc) from the quantised activations with
+// the direct nested loop — the reference the int8 GEMM path is pinned against
+// (int8gemm_test.go); inference never calls it.
 func (q *qconv) forwardPlane(qx []int8, inShape []int, y *tensor.Tensor, n, oc int) {
 	C, H, W := inShape[1], inShape[2], inShape[3]
 	oh, ow := y.Shape[2], y.Shape[3]
@@ -299,38 +259,27 @@ func (qm *Model) calibrate(m *yolite.Model, calib []*dataset.Sample) {
 	}
 }
 
-// Forward runs the quantised network, returning both raw head maps. The
-// input is quantised to int8 once and the activations stay int8 across the
-// entire backbone (see int8gemm.go); only the head outputs come back as
-// float32, drawn from the Pool when one is installed — those are pooled
-// buffers owned by the caller. The int8 intermediates recycle through the
-// bucketed int8 scratch pool, so the steady-state forward is allocation
-// free.
+// Forward runs the quantised network with no deadline, returning both raw
+// head maps: pooled float32 buffers owned by the caller.
 func (qm *Model) Forward(x *tensor.Tensor) (upo, ago *tensor.Tensor) {
-	upo, ago, _ = qm.forwardInt8(nil, x)
+	upo, ago, _ = qm.forwardInt8(context.Background(), x)
 	return upo, ago
 }
 
-// forwardCancel mirrors Forward with a cooperative cancellation checkpoint
-// between layers (and, via the done channel, between column-block tasks
-// inside each layer). It returns ctx.Err() as soon as the cancel is
-// observed, parking any partially written activations back in their pools.
-// Only called with a cancellable context — the Background path stays on
-// Forward.
-func (qm *Model) forwardCancel(ctx context.Context, x *tensor.Tensor) (upo, ago *tensor.Tensor, err error) {
-	return qm.forwardInt8(ctx, x)
-}
-
-// forwardInt8 is the end-to-end int8 pipeline shared by Forward (nil ctx)
-// and forwardCancel. Layer outputs at each step carry the scale the next
-// layer expects (see link), so no float activations exist between the input
-// quantisation and the head dequantisation.
+// forwardInt8 is the end-to-end int8 pipeline. The input is quantised to
+// int8 once and the activations stay int8 across the entire backbone (see
+// int8gemm.go): layer outputs at each step carry the scale the next layer
+// expects (see link), so no float activations exist between the input
+// quantisation and the head dequantisation. The int8 intermediates recycle
+// through the bucketed int8 scratch pool and the head maps come from the
+// Pool, so the steady-state forward is allocation free. ctx is a cooperative
+// cancellation checkpoint between layers (and, via its Done channel, between
+// column-block tasks inside each layer): once the cancel is observed the
+// partially written activations go back to their pools and ctx.Err() is
+// returned.
 func (qm *Model) forwardInt8(ctx context.Context, x *tensor.Tensor) (upo, ago *tensor.Tensor, err error) {
 	p := qm.Pool
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
+	done := ctx.Done()
 	N, _, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	cur := getI8(len(x.Data))
 	quantI8(*cur, x.Data, qm.blocks[0].inScale)
@@ -340,14 +289,14 @@ func (qm *Model) forwardInt8(ctx context.Context, x *tensor.Tensor) (upo, ago *t
 		b.forwardI8(*cur, N, h, w, *nxt, done)
 		putI8(cur)
 		cur, h, w = nxt, oh, ow
-		if err := ctxErr(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			putI8(cur)
 			return nil, nil, err
 		}
 	}
 	// cur is the stride-8 trunk, int8 at the scale both consumers expect.
 	upo = qm.upoHead.forwardI8Float(*cur, N, h, w, p, done)
-	if err := ctxErr(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		putI8(cur)
 		p.Put(upo)
 		return nil, nil, err
@@ -359,7 +308,7 @@ func (qm *Model) forwardInt8(ctx context.Context, x *tensor.Tensor) (upo, ago *t
 		putI8(cur) // for the first deep block this releases the trunk,
 		// whose second consumer (the UPO head) has already run
 		cur, h, w = nxt, oh, ow
-		if err := ctxErr(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			putI8(cur)
 			p.Put(upo)
 			return nil, nil, err
@@ -367,7 +316,7 @@ func (qm *Model) forwardInt8(ctx context.Context, x *tensor.Tensor) (upo, ago *t
 	}
 	ago = qm.agoHead.forwardI8Float(*cur, N, h, w, p, done)
 	putI8(cur)
-	if err := ctxErr(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		p.Put(upo)
 		p.Put(ago)
 		return nil, nil, err
@@ -375,105 +324,40 @@ func (qm *Model) forwardInt8(ctx context.Context, x *tensor.Tensor) (upo, ago *t
 	return upo, ago, nil
 }
 
-// ctxErr is ctx.Err() tolerating the nil ctx the uncancellable Forward path
-// passes.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
-}
-
-// PredictTensor implements yolite.Predictor with int8 inference. Like the
-// float model, the forward pass covers the whole tensor while only item n is
-// decoded; batch workloads should use PredictBatch instead of a per-item
-// loop.
-func (qm *Model) PredictTensor(x *tensor.Tensor, n int, confThresh float64) []metrics.Detection {
-	upo, ago := qm.Forward(x)
-	dets := qm.decodeItem(x, upo, ago, n, confThresh)
-	qm.Pool.Put(upo)
-	qm.Pool.Put(ago)
-	return dets
-}
-
-// PredictBatch runs one int8 forward over the whole [N, 3, H, W] batch and
-// decodes every item, identical to a per-item PredictTensor loop at 1/N the
-// forward cost.
-func (qm *Model) PredictBatch(x *tensor.Tensor, confThresh float64) [][]metrics.Detection {
-	upo, ago := qm.Forward(x)
-	out := make([][]metrics.Detection, x.Shape[0])
-	for n := range out {
-		out[n] = qm.decodeItem(x, upo, ago, n, confThresh)
-	}
-	qm.Pool.Put(upo)
-	qm.Pool.Put(ago)
-	return out
-}
-
-// PredictTensorCtx is PredictTensor with cooperative cancellation: a
-// cancelled or expired ctx aborts the int8 forward within roughly one conv
-// layer and returns ctx.Err(). A context that can never be cancelled
-// (Background, TODO) takes the exact PredictTensor path, keeping results
-// bit-identical to the legacy API.
-func (qm *Model) PredictTensorCtx(ctx context.Context, x *tensor.Tensor, n int, confThresh float64) ([]metrics.Detection, error) {
-	if ctx.Done() == nil {
-		return qm.PredictTensor(x, n, confThresh), nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	upo, ago, err := qm.forwardCancel(ctx, x)
-	if err != nil {
-		return nil, err
-	}
-	dets := qm.decodeItem(x, upo, ago, n, confThresh)
-	qm.Pool.Put(upo)
-	qm.Pool.Put(ago)
-	return dets, nil
-}
-
-// PredictBatchCtx is PredictBatch with cooperative cancellation, with an
-// extra checkpoint between per-item decodes. The Background path is exactly
-// PredictBatch.
+// PredictBatchCtx is the detector seam with int8 inference: one forward over
+// the whole [N, 3, H, W] batch, every item decoded exactly as the float model
+// decodes it. The contract is yolite.Model.PredictBatchCtx's: a dead ctx
+// returns ctx.Err() before any work, a cancel aborts within roughly one conv
+// layer (or between per-item decodes) with a nil result, and a context that
+// never fires computes exactly what Background does.
 func (qm *Model) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
-	if ctx.Done() == nil {
-		return qm.PredictBatch(x, confThresh), nil
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	upo, ago, err := qm.forwardCancel(ctx, x)
+	upo, ago, err := qm.forwardInt8(ctx, x)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		qm.Pool.Put(upo)
+		qm.Pool.Put(ago)
+	}()
 	out := make([][]metrics.Detection, x.Shape[0])
 	for n := range out {
 		if err := ctx.Err(); err != nil {
-			qm.Pool.Put(upo)
-			qm.Pool.Put(ago)
 			return nil, err
 		}
-		out[n] = qm.decodeItem(x, upo, ago, n, confThresh)
+		out[n] = yolite.DecodeItem(x, upo, ago, n, confThresh, !qm.DisableRefine, qm.Pool)
 	}
-	qm.Pool.Put(upo)
-	qm.Pool.Put(ago)
 	return out, nil
 }
 
-// decodeItem turns the raw head maps for batch item n into final detections.
-func (qm *Model) decodeItem(x, upo, ago *tensor.Tensor, n int, confThresh float64) []metrics.Detection {
-	dets := yolite.DecodeHead(upo, n, yolite.UPOHeadSpec, confThresh)
-	dets = append(dets, yolite.DecodeHead(ago, n, yolite.AGOHeadSpec, confThresh)...)
-	if !qm.DisableRefine {
-		if qm.Pool != nil {
-			scratch := qm.Pool.Get(x.Shape[2] * x.Shape[3])
-			dets = yolite.RefineDetections(dets, yolite.LumaPlaneInto(x, n, scratch.Data), yolite.InputW, yolite.InputH)
-			qm.Pool.Put(scratch)
-		} else {
-			dets = yolite.RefineDetections(dets, yolite.LumaPlane(x, n), yolite.InputW, yolite.InputH)
-		}
-	}
-	return metrics.NMS(dets, 0.2)
+// PredictTensor is a shim kept for cmd/darpa-bench, which times the int8
+// model through this name: PredictBatchCtx with no deadline, item n of the
+// answer. Nothing else calls it.
+func (qm *Model) PredictTensor(x *tensor.Tensor, n int, confThresh float64) []metrics.Detection {
+	out, _ := qm.PredictBatchCtx(context.Background(), x, confThresh)
+	return out[n]
 }
 
 var _ yolite.Predictor = (*Model)(nil)

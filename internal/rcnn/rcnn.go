@@ -179,31 +179,22 @@ func lumaOf(c *render.Canvas) []float32 {
 	return out
 }
 
-// Predict runs the two-stage pipeline on a model-input-sized canvas.
+// Predict runs the two-stage pipeline on a model-input-sized canvas with no
+// deadline.
 func (m *Model) Predict(c *render.Canvas, confThresh float64) []metrics.Detection {
 	dets, _ := m.predict(context.Background(), c, confThresh)
 	return dets
 }
 
-// PredictCtx is Predict with a cooperative cancellation checkpoint between
-// proposal crops — the natural granularity of a two-stage detector, where
-// each proposal costs a full (small) backbone forward. On cancel it returns
-// ctx.Err() and no detections.
-func (m *Model) PredictCtx(ctx context.Context, c *render.Canvas, confThresh float64) ([]metrics.Detection, error) {
-	return m.predict(ctx, c, confThresh)
-}
-
-// predict is the shared two-stage pipeline. A context that can never be
-// cancelled skips the per-proposal Err checks via the done==nil fast path in
-// aborted, so the Background path stays bit-identical and checkpoint free.
+// predict is the two-stage pipeline with a cooperative cancellation
+// checkpoint between proposal crops — the natural granularity of a two-stage
+// detector, where each proposal costs a full (small) backbone forward. On
+// cancel it returns ctx.Err() and no detections.
 func (m *Model) predict(ctx context.Context, c *render.Canvas, confThresh float64) ([]metrics.Detection, error) {
-	cancellable := ctx.Done() != nil
 	var dets []metrics.Detection
 	for _, r := range Propose(c) {
-		if cancellable {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		cls, box := m.forward(crop(c, r), false)
 		probs := softmax(cls.Data)
@@ -232,18 +223,24 @@ func (m *Model) predict(ctx context.Context, c *render.Canvas, confThresh float6
 	return metrics.NMS(dets, 0.2), nil
 }
 
-// PredictTensor implements yolite.Predictor. The two-stage pipeline needs
-// pixels, not tensors, so it reconstructs the canvas (n must index a single-
-// image tensor produced by yolite.CanvasToTensor).
-func (m *Model) PredictTensor(x *tensor.Tensor, n int, confThresh float64) []metrics.Detection {
-	return m.Predict(tensorItemToCanvas(x, n), confThresh)
-}
-
-// PredictTensorCtx is PredictTensor with cooperative cancellation between
-// proposal crops; see PredictCtx. The Background path is exactly
-// PredictTensor.
-func (m *Model) PredictTensorCtx(ctx context.Context, x *tensor.Tensor, n int, confThresh float64) ([]metrics.Detection, error) {
-	return m.predict(ctx, tensorItemToCanvas(x, n), confThresh)
+// PredictBatchCtx is the detector seam. The two-stage pipeline needs pixels,
+// not tensors, so each item of x (a yolite.CanvasToTensor-style batch) is
+// reconstructed as a canvas and run on its own — there is no shared forward
+// to amortise — with the context checked between items and, inside each,
+// between proposal crops.
+func (m *Model) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
+	out := make([][]metrics.Detection, x.Shape[0])
+	for n := range out {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		dets, err := m.predict(ctx, tensorItemToCanvas(x, n), confThresh)
+		if err != nil {
+			return nil, err
+		}
+		out[n] = dets
+	}
+	return out, nil
 }
 
 // tensorItemToCanvas reconstructs batch item n of a yolite.CanvasToTensor

@@ -157,10 +157,9 @@ func TestTrainingImprovesDetection(t *testing.T) {
 func TestPredictTensorRoundTrip(t *testing.T) {
 	samples := auigen.BuildAUISamples(6, 2, auigen.DatasetConfig{})
 	m := New(Variants[0], 1)
-	x := yolite.CanvasToTensor(samples[0].Input)
-	// Contract: PredictTensor on the tensor equals Predict on the canvas.
+	// Contract: the seam on the canvas's tensor equals Predict on the canvas.
 	a := m.Predict(samples[0].Input, 0.5)
-	b := m.PredictTensor(x, 0, 0.5)
+	b := yolite.PredictInput(m, samples[0].Input, 0.5)
 	if len(a) != len(b) {
 		t.Fatalf("canvas/tensor predictions differ: %d vs %d", len(a), len(b))
 	}

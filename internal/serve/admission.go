@@ -106,8 +106,7 @@ var (
 	// any tenant's retry may succeed once the queues drain.
 	ErrOverloaded = errors.New("serve: scheduler overloaded, request shed")
 	// ErrClosed rejects a request that arrived after Close. The Batcher
-	// facade converts it into a direct unbatched call for legacy callers;
-	// it is exported so layered deployments can detect shutdown explicitly.
+	// facade converts it into a direct unbatched call; it is exported so layered deployments can detect shutdown explicitly.
 	ErrClosed = errors.New("serve: batcher closed")
 )
 

@@ -26,19 +26,18 @@ type degradedStub struct{ calls atomic.Int64 }
 
 func (d *degradedStub) Name() string { return "degraded" }
 
-func (d *degradedStub) PredictTensor(_ *tensor.Tensor, _ int, conf float64) []metrics.Detection {
+func (d *degradedStub) PredictBatchCtx(_ context.Context, _ *tensor.Tensor, conf float64) ([][]metrics.Detection, error) {
 	d.calls.Add(1)
-	return []metrics.Detection{{Class: dataset.ClassAGO, B: geom.BoxF{X: -1, W: 1, H: 1}, Score: conf}}
+	return [][]metrics.Detection{{{Class: dataset.ClassAGO, B: geom.BoxF{X: -1, W: 1, H: 1}, Score: conf}}}, nil
 }
 
-// panicBackend fails every forward by panicking — the one failure mode any
-// Predictor can exhibit — so replica health accounting sees fully-failed
-// groups without needing a ctx-aware stub.
+// panicBackend fails every forward by panicking, so replica health
+// accounting sees fully-failed groups.
 type panicBackend struct{ calls atomic.Int64 }
 
 func (p *panicBackend) Name() string { return "panicky" }
 
-func (p *panicBackend) PredictTensor(_ *tensor.Tensor, _ int, _ float64) []metrics.Detection {
+func (p *panicBackend) PredictBatchCtx(context.Context, *tensor.Tensor, float64) ([][]metrics.Detection, error) {
 	p.calls.Add(1)
 	panic("replica down")
 }
@@ -199,7 +198,7 @@ func TestRateLimitRejects(t *testing.T) {
 	if !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("over-budget err = %v, want ErrRateLimited", err)
 	}
-	if dets, err := b.PredictTensor(screen(3), 0, 0.45), error(nil); err != nil || dets[0].B.X != 3 {
+	if dets, err := predict(b, screen(3), 0.45), error(nil); err != nil || dets[0].B.X != 3 {
 		t.Fatalf("unlimited default tenant blocked: %v %v", dets, err)
 	}
 }
@@ -220,14 +219,14 @@ func TestSheddingDegraded(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b.PredictTensor(screen(i), 0, 0.45)
+			predict(b, screen(i), 0.45)
 		}()
 	}
 	submit(0) // taken by the worker, which parks behind the gate
 	waitFor(t, func() bool { s.mu.Lock(); defer s.mu.Unlock(); return s.calls == 1 })
 	submit(1) // admitted at depth 0, now waiting in the queue
 	waitFor(t, func() bool { return b.sched.depth() == 1 })
-	dets, err := b.PredictTensor(screen(7), 0, 0.45), error(nil)
+	dets, err := predict(b, screen(7), 0.45), error(nil)
 	if err != nil || len(dets) != 1 || dets[0].B.X != -1 {
 		t.Fatalf("shed request: dets=%v err=%v, want the degraded marker", dets, err)
 	}
@@ -246,10 +245,10 @@ func TestSheddingDegraded(t *testing.T) {
 	s2 := &stubBackend{gate: make(chan struct{})}
 	b2 := NewReplicated(Options{MaxBatch: 1, MaxDelay: time.Millisecond, MaxQueueDepth: 1}, s2)
 	wg.Add(1)
-	go func() { defer wg.Done(); b2.PredictTensor(screen(0), 0, 0.45) }()
+	go func() { defer wg.Done(); predict(b2, screen(0), 0.45) }()
 	waitFor(t, func() bool { s2.mu.Lock(); defer s2.mu.Unlock(); return s2.calls == 1 })
 	wg.Add(1)
-	go func() { defer wg.Done(); b2.PredictTensor(screen(1), 0, 0.45) }()
+	go func() { defer wg.Done(); predict(b2, screen(1), 0.45) }()
 	waitFor(t, func() bool { return b2.sched.depth() == 1 })
 	if _, err := b2.PredictTensorCtx(context.Background(), screen(9), 0, 0.45); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("bare shed err = %v, want ErrOverloaded", err)
@@ -336,7 +335,7 @@ func TestCloseRaceNoSilentDrop(t *testing.T) {
 		wg.Wait()
 		// The scheduler is stopped; a fresh submission must degrade to a
 		// deterministic direct call, and the internal verdict is ErrClosed.
-		if _, err := b.submit(context.Background(), screen(1), 0, 0.45); !errors.Is(err, ErrClosed) {
+		if _, err := b.submit(context.Background(), screen(1), 0.45); !errors.Is(err, ErrClosed) {
 			t.Fatalf("post-Close submit err = %v, want ErrClosed", err)
 		}
 		b.Close() // idempotent
@@ -354,7 +353,7 @@ func TestReplicaPoolDistributes(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
-		go func(i int) { defer wg.Done(); b.PredictTensor(screen(i), 0, 0.45) }(i)
+		go func(i int) { defer wg.Done(); predict(b, screen(i), 0.45) }(i)
 	}
 	waitFor(t, func() bool {
 		r0.mu.Lock()
@@ -408,7 +407,7 @@ func TestReplicaBenching(t *testing.T) {
 	defer b.Close()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		b.PredictTensor(screen(1), 0, 0.45) // errors from the bad replica are fine
+		predict(b, screen(1), 0.45) // errors from the bad replica are fine
 		benched := false
 		for _, r := range b.Stats().Replicas {
 			if r.BenchTrips >= 1 {
@@ -461,18 +460,11 @@ type flakyBackend struct {
 	n atomic.Int64
 }
 
-func (f *flakyBackend) PredictTensor(x *tensor.Tensor, n int, conf float64) []metrics.Detection {
+func (f *flakyBackend) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf float64) ([][]metrics.Detection, error) {
 	if f.n.Add(1)%3 == 0 {
 		panic("flaky")
 	}
-	return f.stubBackend.PredictTensor(x, n, conf)
-}
-
-func (f *flakyBackend) PredictBatch(x *tensor.Tensor, conf float64) [][]metrics.Detection {
-	if f.n.Add(1)%3 == 0 {
-		panic("flaky")
-	}
-	return f.stubBackend.PredictBatch(x, conf)
+	return f.stubBackend.PredictBatchCtx(ctx, x, conf)
 }
 
 // TestReplicatedChaosCancelStress is the zero-dropped/zero-hung contract

@@ -48,7 +48,7 @@ type ReplicaStats struct {
 // replica is one pooled model instance plus its health state.
 type replica struct {
 	id      int
-	backend detect.Predictor
+	backend detect.Detector
 	pool    *tensor.Pool
 
 	benchAfter int           // consecutive failed groups before benching; <=0 disables
@@ -63,8 +63,8 @@ type replica struct {
 // backend exposes the poolable seam, the replica installs a private
 // tensor.Pool so its recycled activations never mix with another replica's.
 // Single-replica pools leave the backend's pooling exactly as the caller
-// configured it — the legacy NewBatcher path must stay bit-identical.
-func newReplica(id int, backend detect.Predictor, benchAfter int, benchFor time.Duration, multi bool) *replica {
+// configured it.
+func newReplica(id int, backend detect.Detector, benchAfter int, benchFor time.Duration, multi bool) *replica {
 	r := &replica{
 		id:         id,
 		backend:    backend,

@@ -9,10 +9,9 @@
 //	replicas   (replica.go)    N independently-pooled model instances with
 //	                           per-replica health accounting and benching
 //
-// — fronted by the Batcher facade in this file, which preserves the original
-// single-replica PredictTensor/PredictTensorCtx contract bit-identically. The
-// batch seam it drives is detect.PredictBatch, so any backend — float, int8,
-// cached, decorated — sits behind it unchanged.
+// — fronted by the Batcher facade in this file. It is a detect.Detector over
+// detect.Detectors, so any backend — float, int8, cached, decorated — sits
+// behind it unchanged, and its answers are bit-identical to the backend's.
 package serve
 
 import (
@@ -61,11 +60,11 @@ type Options struct {
 	// TenantDefaults. Nil means every tenant gets TenantDefaults.
 	Tenants map[TenantID]TenantConfig
 	// TenantDefaults is the policy for tenants not in Tenants. The zero
-	// value is unlimited rate at live priority — exactly the legacy
-	// behaviour, so existing callers admit everything unchanged.
+	// value is unlimited rate at live priority, so callers that configure
+	// nothing admit everything.
 	TenantDefaults TenantConfig
 	// MaxQueueDepth sheds requests once the scheduler's queues hold this
-	// many; 0 disables shedding (legacy behaviour).
+	// many; 0 disables shedding.
 	MaxQueueDepth int
 	// Degraded optionally answers shed requests with a cheap fallback
 	// (typically the frauddroid heuristic) through the detect.WithFallback
@@ -82,21 +81,19 @@ type Options struct {
 	ReplicaBenchFor time.Duration
 }
 
-// request is one in-flight Predict call: batch item n of tensor x, answered
-// on resp. ctx is never nil — the legacy entry points enqueue Background.
+// request is one in-flight screen: the one-item tensor x, answered on resp.
 type request struct {
 	ctx  context.Context
 	x    *tensor.Tensor
-	n    int
 	conf float64
 	resp chan response
 }
 
-// response answers one request: detections on success, the request
+// response answers one request: its one-item result on success, the request
 // context's error when it was cancelled or expired before the forward ran.
 type response struct {
-	dets []metrics.Detection
-	err  error
+	out [][]metrics.Detection
+	err error
 }
 
 // Stats is a point-in-time snapshot across all three layers.
@@ -121,22 +118,22 @@ type Stats struct {
 }
 
 // Batcher is the serving facade: admission in front, priority scheduler in
-// the middle, replica pool at the back. It implements detect.Detector and
-// detect.BatchPredictor, so it drops into any seam a backend fits — including
-// under the middleware decorators, though the natural stack is Batcher on the
-// outside of the shared cache:
+// the middle, replica pool at the back. It implements detect.Detector, so it
+// drops in anywhere a backend fits — including under the middleware
+// decorators, though the natural stack is Batcher on the outside of the
+// shared cache:
 //
 //	shared := serve.NewBatcher(detect.WithResultCache(model, 256), serve.Options{})
 //
-// Safe for concurrent use. After Close, Predict degrades to direct
-// unbatched calls on the first replica's backend rather than failing.
+// Safe for concurrent use. After Close, calls degrade to direct unbatched
+// calls on the first replica's backend rather than failing.
 type Batcher struct {
-	inner    detect.Predictor // first replica's backend: direct path + post-Close
+	inner    detect.Detector // first replica's backend: direct path + post-Close
 	rec      *perfmodel.Timings
 	adm      *admission
 	sched    *scheduler
 	reps     []*replica
-	degraded detect.Predictor // fallback chain answering shed requests; may be nil
+	degraded detect.Detector // fallback chain answering shed requests; may be nil
 	multi    bool
 
 	mu       sync.RWMutex // guards closed vs. sends on the scheduler queues
@@ -149,19 +146,13 @@ type Batcher struct {
 	stats   Stats
 }
 
-// The facade drops into every seam a backend fits.
-var (
-	_ detect.Detector              = (*Batcher)(nil)
-	_ detect.BatchPredictor        = (*Batcher)(nil)
-	_ detect.ContextPredictor      = (*Batcher)(nil)
-	_ detect.ContextBatchPredictor = (*Batcher)(nil)
-)
+var _ detect.Detector = (*Batcher)(nil)
 
-// NewBatcher starts the serving layers over a single backend — the legacy
-// constructor, exactly NewReplicated with a pool of one. Callers own the
-// returned Batcher and should Close it to stop the worker; requests in
-// flight at Close are still answered.
-func NewBatcher(inner detect.Predictor, opts Options) *Batcher {
+// NewBatcher starts the serving layers over a single backend: exactly
+// NewReplicated with a pool of one. Callers own the returned Batcher and
+// should Close it to stop the worker; requests in flight at Close are still
+// answered.
+func NewBatcher(inner detect.Detector, opts Options) *Batcher {
 	return NewReplicated(opts, inner)
 }
 
@@ -170,7 +161,7 @@ func NewBatcher(inner detect.Predictor, opts Options) *Batcher {
 // instance (see detect.BuildReplicas); with more than one replica, backends
 // exposing a SetPool seam get a private tensor.Pool each so recycled
 // activations never cross replicas. Panics when called with no replicas.
-func NewReplicated(opts Options, replicas ...detect.Predictor) *Batcher {
+func NewReplicated(opts Options, replicas ...detect.Detector) *Batcher {
 	if len(replicas) == 0 {
 		panic("serve: NewReplicated requires at least one replica")
 	}
@@ -217,12 +208,7 @@ func NewReplicated(opts Options, replicas ...detect.Predictor) *Batcher {
 
 // Name reports the first replica's name, so a batched detector still shows
 // up as itself in tables and logs.
-func (b *Batcher) Name() string {
-	if d, ok := b.inner.(detect.Detector); ok {
-		return d.Name()
-	}
-	return "batched"
-}
+func (b *Batcher) Name() string { return b.inner.Name() }
 
 // Stats returns a snapshot across the layers.
 func (b *Batcher) Stats() Stats {
@@ -240,9 +226,9 @@ func (b *Batcher) Stats() Stats {
 }
 
 // Close stops accepting new batched work, waits for every worker to drain
-// its queued requests, and stops the worker goroutines. Predict remains safe
-// to call afterwards — it falls through to direct inner calls. Close is
-// idempotent. The closed flag flips under the write lock while every
+// its queued requests, and stops the worker goroutines. PredictBatchCtx
+// remains safe to call afterwards — it falls through to direct inner calls.
+// Close is idempotent. The closed flag flips under the write lock while every
 // submission holds the read lock across its admission decision and enqueue,
 // so a request observes either an open Batcher (and is drained before Close
 // returns) or ErrClosed — never a closed queue mid-send.
@@ -264,43 +250,58 @@ func (b *Batcher) Close() {
 	close(b.done)
 }
 
-// PredictTensor submits one screen to the serving layers and blocks for its
-// result. The output is exactly what inner.PredictTensor would return: the
-// scheduler copies the item into a coalesced batch and the backends'
-// arithmetic is per-item independent (the invariant TestPredictBatchEquivalence
-// pins down).
-func (b *Batcher) PredictTensor(x *tensor.Tensor, n int, confThresh float64) []metrics.Detection {
-	dets, _ := b.PredictTensorCtx(context.Background(), x, n, confThresh)
-	return dets
-}
-
-// PredictTensorCtx submits one screen with a per-request context. An
-// already-dead context is rejected before touching the layers; a context that
-// dies while the request is queued makes the caller return ctx.Err()
+// PredictBatchCtx is the detector seam over the serving layers. A one-item
+// tensor is a request: it passes admission, waits in its priority queue,
+// rides a coalesced forward with whatever else arrived, and comes back as
+// exactly what the backend alone would have returned for it (the backends'
+// arithmetic is per-item independent — the seam-conformance tests pin that).
+// A tensor of several items is already a batch: there is nothing to coalesce,
+// and routing it through the queue would only add latency, so it goes
+// straight to the first replica's backend. After Close both degrade to that
+// direct call.
+//
+// An already-dead context is rejected before touching the layers; a context
+// that dies while the request is queued makes the caller return ctx.Err()
 // immediately (the scheduler prunes the abandoned request at batch formation
 // and never spends forward compute on it); a context that dies during the
 // forward still returns ctx.Err() promptly — the batch the request rode in
 // completes for its other members and the orphaned result is dropped into
 // the buffered response channel, so no worker ever blocks on a caller that
 // left. Tenant identity attached via WithTenant selects the rate bucket and
-// priority queue; a bare Background context is exactly the legacy
-// PredictTensor. After Close the call degrades to a direct inner call.
-func (b *Batcher) PredictTensorCtx(ctx context.Context, x *tensor.Tensor, n int, confThresh float64) ([]metrics.Detection, error) {
+// priority queue.
+func (b *Batcher) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	dets, err := b.submit(ctx, x, n, confThresh)
-	if errors.Is(err, ErrClosed) {
-		return detect.Predict(ctx, b.inner, x, n, confThresh)
+	if x == nil || len(x.Shape) == 0 || x.Shape[0] != 1 {
+		return b.inner.PredictBatchCtx(ctx, x, confThresh)
 	}
-	return dets, err
+	out, err := b.submit(ctx, x, confThresh)
+	if errors.Is(err, ErrClosed) {
+		return b.inner.PredictBatchCtx(ctx, x, confThresh)
+	}
+	return out, err
+}
+
+// PredictTensorCtx is a shim kept for cmd/darpa-bench, which prices the
+// serving stack through this name: PredictBatchCtx, item n of the answer.
+// Nothing else calls it.
+func (b *Batcher) PredictTensorCtx(ctx context.Context, x *tensor.Tensor, n int, confThresh float64) ([]metrics.Detection, error) {
+	out, err := b.PredictBatchCtx(ctx, x, confThresh)
+	if err != nil {
+		return nil, err
+	}
+	if n < 0 || n >= len(out) {
+		return nil, fmt.Errorf("serve: item %d is outside a batch of %d", n, len(out))
+	}
+	return out[n], nil
 }
 
 // submit runs one request through admission and, if admitted, the scheduler.
 // The read lock spans the admission decision and the enqueue, making the
 // decision atomic with respect to Close: ErrClosed is deterministic, an
 // admitted request is always drained.
-func (b *Batcher) submit(ctx context.Context, x *tensor.Tensor, n int, confThresh float64) ([]metrics.Detection, error) {
+func (b *Batcher) submit(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
 	b.mu.RLock()
 	if b.closed {
 		b.mu.RUnlock()
@@ -320,25 +321,18 @@ func (b *Batcher) submit(ctx context.Context, x *tensor.Tensor, n int, confThres
 			// Degrade, don't fail: the fallback chain (heuristic detector
 			// behind a circuit breaker) answers in microseconds with a
 			// lower-fidelity result the decorator can still act on.
-			return detect.Predict(ctx, b.degraded, x, n, confThresh)
+			return b.degraded.PredictBatchCtx(ctx, x, confThresh)
 		}
 		return nil, ErrOverloaded
 	}
 	resp := make(chan response, 1)
-	req := request{ctx: ctx, x: x, n: n, conf: confThresh, resp: resp}
-	q := b.sched.queues[prio]
+	req := request{ctx: ctx, x: x, conf: confThresh, resp: resp}
 	// Send under the read lock: Close cannot close the queues while any
 	// sender holds it, and the buffered channel plus the draining workers
-	// keep the critical section short. A cancellable caller stops waiting
-	// for queue space the moment its context dies.
-	if ctx.Done() == nil {
-		q <- req
-		b.mu.RUnlock()
-		r := <-resp
-		return r.dets, r.err
-	}
+	// keep the critical section short. The caller stops waiting — for queue
+	// space, then for its answer — the moment its context dies.
 	select {
-	case q <- req:
+	case b.sched.queues[prio] <- req:
 		b.mu.RUnlock()
 	case <-ctx.Done():
 		b.mu.RUnlock()
@@ -346,23 +340,10 @@ func (b *Batcher) submit(ctx context.Context, x *tensor.Tensor, n int, confThres
 	}
 	select {
 	case r := <-resp:
-		return r.dets, r.err
+		return r.out, r.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-}
-
-// PredictBatch forwards an already-batched tensor directly: it is a batch,
-// there is nothing to coalesce, and routing it through the queue would only
-// add latency.
-func (b *Batcher) PredictBatch(x *tensor.Tensor, confThresh float64) [][]metrics.Detection {
-	return detect.PredictBatch(b.inner, x, confThresh)
-}
-
-// PredictBatchCtx forwards an already-batched tensor directly with its
-// context; like PredictBatch there is nothing to coalesce.
-func (b *Batcher) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
-	return detect.PredictBatchCtx(ctx, b.inner, x, confThresh)
 }
 
 // worker is one replica's serving loop: sit out any bench cooldown, claim
@@ -403,8 +384,7 @@ func (b *Batcher) noteCollected(size, depth int) {
 // (or are about to), so spending forward compute on them is pure waste; each
 // is answered with its ctx.Err() into its buffered channel. Survivors are
 // split by groupRequests — one threshold, one shape per forward — and each
-// group runs as one PredictBatch. Single-request groups skip the copy and
-// run directly.
+// group runs as one forward.
 func (b *Batcher) flush(rep *replica, batch []request) {
 	live := batch[:0]
 	pruned := 0
@@ -425,79 +405,60 @@ func (b *Batcher) flush(rep *replica, batch []request) {
 }
 
 // runGroup executes one homogeneous group as a single forward on rep and
-// fans the results back out to their requesters. Failure containment is the
-// scheduler's poison-item isolation: a grouped forward that panics, errors,
-// or returns a misaligned result slice is re-run item by item, so the one
-// poison item fails alone — with its own error — while the rest of the
-// batch still returns real results. Historically an inner panic here killed
-// the dispatcher goroutine, leaving every queued and future caller blocked
-// forever; recovery at this seam is what keeps one bad screen from taking
-// down the whole fleet's serving stack.
+// fans the results back out to their requesters: each gets its own one-item
+// window of the group's answer. A group of one skips the copy and runs its
+// request's own tensor under its own context; a coalesced forward serves
+// several callers and so runs under none of theirs. Every backend call goes
+// through detect.Guarded, so the worker survives any backend, and failure
+// containment is the scheduler's poison-item isolation: a grouped forward
+// that panics, errors, or returns a misaligned answer is re-run item by item,
+// so the one poison item fails alone — with its own error — while the rest of
+// the batch still returns real results. Historically an inner panic here
+// killed the dispatcher goroutine, leaving every queued and future caller
+// blocked forever.
 func (b *Batcher) runGroup(rep *replica, group []request) {
 	start := time.Now()
 	if len(group) == 1 {
-		r := group[0]
-		dets, err := b.predictOne(rep, r)
-		failed := b.answer(r, dets, err)
+		failed := b.runOne(rep, group[0])
 		b.noteBatch(rep, time.Since(start), 1, failed, false)
 		return
 	}
-	item := group[0].x.Shape[1:]
-	per := 1
-	for _, d := range item {
-		per *= d
-	}
-	sub := tensor.New(append([]int{len(group)}, item...)...)
+	sub := tensor.New(append([]int{len(group)}, group[0].x.Shape[1:]...)...)
+	per := len(sub.Data) / len(group)
 	for j, r := range group {
-		copy(sub.Data[j*per:(j+1)*per], r.x.Data[r.n*per:(r.n+1)*per])
+		copy(sub.Data[j*per:(j+1)*per], r.x.Data)
 	}
-	res, err := b.predictGroup(rep, sub, group[0].conf)
-	if err != nil || len(res) != len(group) {
+	res, err := detect.Guarded(context.Background(), rep.backend, sub, group[0].conf, nil)
+	if err != nil {
 		// Poison isolation: one member spoiled the shared forward (or the
 		// backend misaligned the result mapping). Re-run each request on its
 		// own so the failure lands only on the item that caused it.
 		b.notePoisoned()
 		failed := 0
 		for _, r := range group {
-			dets, ierr := b.predictOne(rep, r)
-			failed += b.answer(r, dets, ierr)
+			failed += b.runOne(rep, r)
 		}
 		b.noteBatch(rep, time.Since(start), len(group), failed, true)
 		return
 	}
 	for j, r := range group {
-		r.resp <- response{dets: res[j]}
+		r.resp <- response{out: res[j : j+1 : j+1]}
 	}
 	b.noteBatch(rep, time.Since(start), len(group), 0, false)
 }
 
-// predictOne runs one request directly on rep's backend, converting a panic
-// to an error so the worker survives any backend.
-func (b *Batcher) predictOne(rep *replica, r request) (dets []metrics.Detection, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			dets, err = nil, &detect.PanicError{Value: p}
-		}
-	}()
-	return detect.Predict(r.ctx, rep.backend, r.x, r.n, r.conf)
-}
-
-// predictGroup runs one coalesced forward on rep's backend, converting a
-// panic to an error.
-func (b *Batcher) predictGroup(rep *replica, sub *tensor.Tensor, conf float64) (res [][]metrics.Detection, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, &detect.PanicError{Value: p}
-		}
-	}()
-	return detect.PredictBatchCtx(context.Background(), rep.backend, sub, conf)
+// runOne runs one request's own tensor on rep under the request's own
+// context and answers it.
+func (b *Batcher) runOne(rep *replica, r request) int {
+	out, err := detect.Guarded(r.ctx, rep.backend, r.x, r.conf, nil)
+	return b.answer(r, out, err)
 }
 
 // answer delivers one request's outcome, counting real failures (not
 // cancellations, which Stats.Cancelled and the caller's own ctx already
 // account for). It reports 1 for a counted failure so runGroup can fold the
 // tally into the replica's health ledger.
-func (b *Batcher) answer(r request, dets []metrics.Detection, err error) int {
+func (b *Batcher) answer(r request, out [][]metrics.Detection, err error) int {
 	failed := 0
 	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 		failed = 1
@@ -506,7 +467,7 @@ func (b *Batcher) answer(r request, dets []metrics.Detection, err error) int {
 		b.statsMu.Unlock()
 		b.rec.AddItems("serve-failed", 1)
 	}
-	r.resp <- response{dets: dets, err: err}
+	r.resp <- response{out: out, err: err}
 	return failed
 }
 

@@ -69,7 +69,7 @@ func TestBatcherPrunesCancelledQueued(t *testing.T) {
 	wg.Add(1)
 	go func() { // occupies the scheduler behind the gate
 		defer wg.Done()
-		b.PredictTensor(screen(0), 0, 0.45)
+		predict(b, screen(0), 0.45)
 	}()
 	waitFor(t, func() bool { s.mu.Lock(); defer s.mu.Unlock(); return s.calls == 1 })
 

@@ -52,18 +52,23 @@ func (s *stubBackend) answer(x *tensor.Tensor, n int, conf float64) []metrics.De
 	}}
 }
 
-func (s *stubBackend) PredictTensor(x *tensor.Tensor, n int, conf float64) []metrics.Detection {
-	s.note(1, conf)
-	return s.answer(x, n, conf)
-}
-
-func (s *stubBackend) PredictBatch(x *tensor.Tensor, conf float64) [][]metrics.Detection {
+func (s *stubBackend) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf float64) ([][]metrics.Detection, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	s.note(x.Shape[0], conf)
 	out := make([][]metrics.Detection, x.Shape[0])
 	for i := range out {
 		out[i] = s.answer(x, i, conf)
 	}
-	return out
+	return out, ctx.Err()
+}
+
+// predict submits one screen with no deadline, dropping the error like the
+// callers these tests model.
+func predict(b *Batcher, x *tensor.Tensor, conf float64) []metrics.Detection {
+	dets, _ := b.PredictTensorCtx(context.Background(), x, 0, conf)
+	return dets
 }
 
 func (s *stubBackend) sizes() []int {
@@ -94,7 +99,7 @@ func TestBatcherCoalescesToFullBatch(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = b.PredictTensor(screen(i), 0, 0.45)
+			results[i] = predict(b, screen(i), 0.45)
 		}(i)
 	}
 	wg.Wait()
@@ -119,7 +124,7 @@ func TestBatcherFlushesOnMaxDelay(t *testing.T) {
 	b := NewBatcher(s, Options{MaxBatch: 8, MaxDelay: 5 * time.Millisecond})
 	defer b.Close()
 	start := time.Now()
-	dets := b.PredictTensor(screen(7), 0, 0.45)
+	dets := predict(b, screen(7), 0.45)
 	if wait := time.Since(start); wait > time.Second {
 		t.Fatalf("lone request waited %v", wait)
 	}
@@ -145,7 +150,7 @@ func TestBatcherGroupsByThreshold(t *testing.T) {
 		wg.Add(1)
 		go func(i int, conf float64) {
 			defer wg.Done()
-			results[i] = b.PredictTensor(screen(i), 0, conf)
+			results[i] = predict(b, screen(i), conf)
 		}(i, conf)
 	}
 	wg.Wait()
@@ -172,7 +177,7 @@ func TestBatcherCloseDrainsPending(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = b.PredictTensor(screen(i), 0, 0.45)
+			results[i] = predict(b, screen(i), 0.45)
 		}(i)
 	}
 	time.Sleep(20 * time.Millisecond) // let requests queue behind the gate
@@ -186,7 +191,7 @@ func TestBatcherCloseDrainsPending(t *testing.T) {
 	}
 	// After Close the Batcher still serves, directly.
 	calls := func() int { s.mu.Lock(); defer s.mu.Unlock(); return s.calls }()
-	if dets := b.PredictTensor(screen(9), 0, 0.45); dets[0].B.X != 9 {
+	if dets := predict(b, screen(9), 0.45); dets[0].B.X != 9 {
 		t.Fatalf("post-Close predict = %v", dets)
 	}
 	if got := func() int { s.mu.Lock(); defer s.mu.Unlock(); return s.calls }(); got != calls+1 {
@@ -200,17 +205,17 @@ func TestBatcherCloseDrainsPending(t *testing.T) {
 func TestBatcherTimings(t *testing.T) {
 	rec := &perfmodel.Timings{}
 	b := NewBatcher(&stubBackend{}, Options{MaxBatch: 2, MaxDelay: time.Millisecond, Timings: rec})
-	defer b.Close()
-	b.PredictTensor(screen(1), 0, 0.45)
-	b.PredictTensor(screen(2), 0, 0.45)
+	predict(b, screen(1), 0.45)
+	predict(b, screen(2), 0.45)
+	b.Close() // a worker records its batch after answering it; Close waits for that
 	if got := rec.Stage("serve-batch").Count; got != 2 {
 		t.Fatalf("serve-batch count = %d, want 2", got)
 	}
 }
 
 // TestBatcherEquivalenceRealModel is the serving layer's correctness
-// contract: batched answers must be bit-identical to direct per-item
-// PredictTensor on the same model.
+// contract: batched answers must be bit-identical to direct single-screen
+// calls on the same model.
 func TestBatcherEquivalenceRealModel(t *testing.T) {
 	m := yolite.NewModel(3)
 	m.Pool = tensor.NewPool() // the production stack batches a pooled model
@@ -239,7 +244,7 @@ func TestBatcherEquivalenceRealModel(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				got[i] = b.PredictTensor(xs[i], 0, 0.3)
+				got[i] = predict(b, xs[i], 0.3)
 			}(i)
 		}
 		wg.Wait()
@@ -301,7 +306,7 @@ func TestBatcherConcurrentStress(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				id := rng.Intn(screens)
 				conf := []float64{0.3, 0.45}[rng.Intn(2)]
-				dets := b.PredictTensor(pool[id], 0, conf)
+				dets := predict(b, pool[id], conf)
 				if len(dets) != 1 || dets[0].B.X != float64(id) || dets[0].Score != conf {
 					t.Errorf("screen %d conf %v: %v", id, conf, dets)
 					return
@@ -326,8 +331,8 @@ func TestBatcherDirectBatchBypassesQueue(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		x.Data[i*per] = float32(i)
 	}
-	out := b.PredictBatch(x, 0.45)
-	if len(out) != 3 {
+	out, err := b.PredictBatchCtx(context.Background(), x, 0.45)
+	if err != nil || len(out) != 3 {
 		t.Fatalf("got %d items", len(out))
 	}
 	for i, dets := range out {

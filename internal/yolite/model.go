@@ -62,9 +62,9 @@ type Model struct {
 	DisableRefine bool
 
 	// Pool, when set, recycles activation buffers across inference calls:
-	// Forward(train=false) draws every intermediate from it and Predict*
-	// return the head maps once decoded, cutting steady-state allocations
-	// per inference to near zero. Training ignores it — the backward pass
+	// Forward(train=false) draws every intermediate from it and
+	// PredictBatchCtx returns the head maps once decoded, cutting
+	// steady-state allocations per inference to near zero. Training ignores it — the backward pass
 	// holds references to forward activations, so they must stay fresh.
 	// Safe to share across goroutines serving one model.
 	Pool *tensor.Pool
@@ -178,14 +178,14 @@ func (m *Model) fusedBlocks() []*tensor.FusedConvBNAct {
 }
 
 // Forward runs the backbone and both heads. x is [N, 3, InputH, InputW];
-// the returned maps are [N, 5, GH, GW] for each head. Inference always takes
-// the fused one-pass-per-block path (pooled when a Pool is installed, fresh
-// buffers otherwise — identical arithmetic either way); training keeps the
-// layer-by-layer form the backward pass needs, and drops any stale fused
-// snapshot since the step about to happen will change the weights.
+// the returned maps are [N, 5, GH, GW] for each head. Inference runs the one
+// fused forward (infer); training keeps the layer-by-layer form the backward
+// pass needs, and drops any stale fused snapshot since the step about to
+// happen will change the weights.
 func (m *Model) Forward(x *tensor.Tensor, train bool) (upo, ago *tensor.Tensor) {
 	if !train {
-		return m.forwardPooled(x)
+		upo, ago, _ = m.infer(x, nil)
+		return upo, ago
 	}
 	m.invalidateFused()
 	f8 := m.B3b.Forward(m.B3.Forward(m.B2.Forward(m.B1.Forward(x, train), train), train), train)
@@ -196,99 +196,44 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) (upo, ago *tensor.Tensor) 
 	return upo, ago
 }
 
-// forwardPooled is the inference forward: each backbone block is one fused
+// infer is the inference forward: each backbone block is one fused
 // conv+BN+activation pass, and every intermediate returns to the pool the
 // moment its consumers are done (with a nil pool the Get/Put calls degrade
-// to plain allocation). The returned head maps are pooled buffers owned by
-// the caller; Predict* release them after decoding.
-func (m *Model) forwardPooled(x *tensor.Tensor) (upo, ago *tensor.Tensor) {
+// to plain allocation). done is a cooperative cancellation channel, polled
+// after every block and, inside each conv, between column blocks (see
+// tensor.ParallelForCancel), so a cancel aborts within roughly one conv
+// layer; nil never aborts. On abort ok is false and every activation —
+// partially written, which pooled buffers are allowed to be — is back in the
+// pool. Otherwise the returned head maps are pooled buffers owned by the
+// caller.
+func (m *Model) infer(x *tensor.Tensor, done <-chan struct{}) (upo, ago *tensor.Tensor, ok bool) {
 	p := m.Pool
-	fb := m.fusedBlocks()
-	h1 := fb[0].ForwardPooled(x, p)
-	h2 := fb[1].ForwardPooled(h1, p)
-	p.Put(h1)
-	h3 := fb[2].ForwardPooled(h2, p)
-	p.Put(h2)
-	f8 := fb[3].ForwardPooled(h3, p)
-	p.Put(h3)
-	upo = m.UPOHead.ForwardPooled(f8, p)
-	h4 := fb[4].ForwardPooled(f8, p)
-	p.Put(f8) // both consumers (UPO head, B4) are done
-	h5 := fb[5].ForwardPooled(h4, p)
-	p.Put(h4)
-	ago = m.AGOHead.ForwardPooled(h5, p)
-	p.Put(h5)
-	return upo, ago
-}
-
-// forwardCancel is the inference forward with a cooperative cancellation
-// checkpoint after every backbone block (and, inside each conv, between
-// output planes — see tensor.ParallelForCancel), so a cancelled context
-// aborts within roughly one conv layer instead of paying for the full
-// backbone. It returns ctx.Err() as soon as the cancel is observed; the
-// partially computed activations go back to the pool (their contents are
-// garbage, which pooled buffers are allowed to be). Only called with a
-// cancellable context — the Background path stays on Forward, checkpoint
-// free.
-func (m *Model) forwardCancel(ctx context.Context, x *tensor.Tensor) (upo, ago *tensor.Tensor, err error) {
-	p := m.Pool
-	done := ctx.Done()
-	fb := m.fusedBlocks()
-	step := func(b *tensor.FusedConvBNAct, in *tensor.Tensor) (*tensor.Tensor, bool) {
-		h := b.ForwardCancel(in, p, done)
-		if in != x {
-			p.Put(in)
+	h := x
+	for i, b := range m.fusedBlocks() {
+		if i == 4 {
+			// h is the stride-8 trunk: the fine head reads it before B4
+			// consumes (and releases) it.
+			upo = m.UPOHead.ForwardCancel(h, p, done)
 		}
-		if ctx.Err() != nil {
-			if h != x {
-				p.Put(h)
-			}
-			return nil, false
+		next := b.ForwardCancel(h, p, done)
+		if h != x {
+			p.Put(h)
 		}
-		return h, true
+		h = next
+		if tensor.Aborted(done) {
+			p.Put(h)
+			p.Put(upo)
+			return nil, nil, false
+		}
 	}
-	h, ok := step(fb[0], x)
-	if !ok {
-		return nil, nil, ctx.Err()
-	}
-	if h, ok = step(fb[1], h); !ok {
-		return nil, nil, ctx.Err()
-	}
-	if h, ok = step(fb[2], h); !ok {
-		return nil, nil, ctx.Err()
-	}
-	f8, ok := step(fb[3], h)
-	if !ok {
-		return nil, nil, ctx.Err()
-	}
-	upo = m.UPOHead.ForwardCancel(f8, p, done)
-	if ctx.Err() != nil {
-		p.Put(f8)
-		p.Put(upo)
-		return nil, nil, ctx.Err()
-	}
-	h4 := fb[4].ForwardCancel(f8, p, done)
-	p.Put(f8) // both consumers (UPO head, B4) are done
-	if ctx.Err() != nil {
-		p.Put(h4)
-		p.Put(upo)
-		return nil, nil, ctx.Err()
-	}
-	h5 := fb[5].ForwardCancel(h4, p, done)
-	p.Put(h4)
-	if ctx.Err() != nil {
-		p.Put(h5)
-		p.Put(upo)
-		return nil, nil, ctx.Err()
-	}
-	ago = m.AGOHead.ForwardCancel(h5, p, done)
-	p.Put(h5)
-	if ctx.Err() != nil {
+	ago = m.AGOHead.ForwardCancel(h, p, done)
+	p.Put(h)
+	if tensor.Aborted(done) {
 		p.Put(upo)
 		p.Put(ago)
-		return nil, nil, ctx.Err()
+		return nil, nil, false
 	}
-	return upo, ago, nil
+	return upo, ago, true
 }
 
 // Backward propagates head gradients through the shared backbone.
@@ -404,95 +349,55 @@ func DecodeHead(out *tensor.Tensor, n int, spec HeadSpec, confThresh float64) []
 	return dets
 }
 
-// PredictTensor runs inference on a prepared input tensor and returns
-// NMS-filtered detections for batch item n, in input-resolution coordinates.
-// The forward pass covers the whole tensor even though only item n is
-// decoded, so looping this over an N-item batch costs N full-batch forwards;
-// batch workloads should call PredictBatch (or detect.PredictBatch), which
-// forwards once and decodes every item.
-func (m *Model) PredictTensor(x *tensor.Tensor, n int, confThresh float64) []metrics.Detection {
-	upo, ago := m.Forward(x, false)
-	dets := m.decodeItem(x, upo, ago, n, confThresh)
-	m.Pool.Put(upo)
-	m.Pool.Put(ago)
-	return dets
-}
-
-// PredictTensorCtx is PredictTensor with cooperative cancellation: a
-// cancelled or expired ctx aborts the forward within roughly one conv layer
-// and returns ctx.Err(). A context that can never be cancelled (Background,
-// TODO) takes the exact PredictTensor path, so uncancellable callers pay one
-// nil check and results stay bit-identical to the legacy API.
-func (m *Model) PredictTensorCtx(ctx context.Context, x *tensor.Tensor, n int, confThresh float64) ([]metrics.Detection, error) {
-	if ctx.Done() == nil {
-		return m.PredictTensor(x, n, confThresh), nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	upo, ago, err := m.forwardCancel(ctx, x)
-	if err != nil {
-		return nil, err
-	}
-	dets := m.decodeItem(x, upo, ago, n, confThresh)
-	m.Pool.Put(upo)
-	m.Pool.Put(ago)
-	return dets, nil
-}
-
-// PredictBatchCtx is PredictBatch with cooperative cancellation, with an
-// extra checkpoint between per-item decodes. See PredictTensorCtx for the
-// contract; the Background path is exactly PredictBatch.
+// PredictBatchCtx is the detector seam: one forward over the whole
+// [N, 3, H, W] batch, every item decoded to NMS-filtered detections in
+// input-resolution coordinates (a single screen is a batch of one). A dead
+// ctx returns ctx.Err() before any work; a cancel during the forward aborts
+// it within roughly one conv layer, and one between per-item decodes stops
+// there — either way the result is nil and the pool is whole. A context that
+// never fires computes exactly what Background does.
 func (m *Model) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
-	if ctx.Done() == nil {
-		return m.PredictBatch(x, confThresh), nil
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	upo, ago, err := m.forwardCancel(ctx, x)
-	if err != nil {
-		return nil, err
+	upo, ago, ok := m.infer(x, ctx.Done())
+	if !ok {
+		return nil, ctx.Err()
 	}
+	defer func() {
+		m.Pool.Put(upo)
+		m.Pool.Put(ago)
+	}()
 	out := make([][]metrics.Detection, x.Shape[0])
 	for n := range out {
 		if err := ctx.Err(); err != nil {
-			m.Pool.Put(upo)
-			m.Pool.Put(ago)
 			return nil, err
 		}
-		out[n] = m.decodeItem(x, upo, ago, n, confThresh)
+		out[n] = DecodeItem(x, upo, ago, n, confThresh, !m.DisableRefine, m.Pool)
 	}
-	m.Pool.Put(upo)
-	m.Pool.Put(ago)
 	return out, nil
 }
 
-// PredictBatch runs one forward over the whole [N, 3, H, W] batch and
-// decodes every item — the linear-cost path that store-audit style
-// workloads use to amortise the backbone across screens. Results are
-// identical to calling PredictTensor once per item.
-func (m *Model) PredictBatch(x *tensor.Tensor, confThresh float64) [][]metrics.Detection {
-	upo, ago := m.Forward(x, false)
-	out := make([][]metrics.Detection, x.Shape[0])
-	for n := range out {
-		out[n] = m.decodeItem(x, upo, ago, n, confThresh)
-	}
-	m.Pool.Put(upo)
-	m.Pool.Put(ago)
-	return out
+// PredictTensor is a shim kept for cmd/darpa-bench, which times the model
+// through this name: PredictBatchCtx with no deadline, item n of the answer.
+// Nothing else calls it.
+func (m *Model) PredictTensor(x *tensor.Tensor, n int, confThresh float64) []metrics.Detection {
+	out, _ := m.PredictBatchCtx(context.Background(), x, confThresh)
+	return out[n]
 }
 
-// decodeItem turns the raw head maps for batch item n into final
-// detections: decode both heads, optionally edge-snap, suppress duplicates.
-func (m *Model) decodeItem(x, upo, ago *tensor.Tensor, n int, confThresh float64) []metrics.Detection {
+// DecodeItem turns the raw head maps for batch item n into final
+// detections: decode both heads, optionally edge-snap against x's luma
+// (scratch drawn from pool when one is given), suppress duplicates. The float
+// model and the int8 port share it.
+func DecodeItem(x, upo, ago *tensor.Tensor, n int, confThresh float64, refine bool, pool *tensor.Pool) []metrics.Detection {
 	dets := DecodeHead(upo, n, UPOHeadSpec, confThresh)
 	dets = append(dets, DecodeHead(ago, n, AGOHeadSpec, confThresh)...)
-	if !m.DisableRefine {
-		if m.Pool != nil {
-			scratch := m.Pool.Get(x.Shape[2] * x.Shape[3])
+	if refine {
+		if pool != nil {
+			scratch := pool.Get(x.Shape[2] * x.Shape[3])
 			dets = RefineDetections(dets, LumaPlaneInto(x, n, scratch.Data), InputW, InputH)
-			m.Pool.Put(scratch)
+			pool.Put(scratch)
 		} else {
 			dets = RefineDetections(dets, LumaPlane(x, n), InputW, InputH)
 		}
@@ -503,11 +408,22 @@ func (m *Model) decodeItem(x, upo, ago *tensor.Tensor, n int, confThresh float64
 	return metrics.NMS(dets, 0.2)
 }
 
+// PredictInput runs any backend on one screenshot canvas (resampled to the
+// model input) with no deadline and returns its detections in
+// input-resolution coordinates — the evaluation loops' single call. A failed
+// call reads as no detections, which is how an evaluation should score it.
+func PredictInput(p Predictor, c *render.Canvas, confThresh float64) []metrics.Detection {
+	out, err := p.PredictBatchCtx(context.Background(), CanvasToTensor(c), confThresh)
+	if err != nil || len(out) != 1 {
+		return nil
+	}
+	return out[0]
+}
+
 // Predict runs inference on a screenshot canvas (any resolution) and returns
 // detections scaled back to the canvas's coordinate system.
 func (m *Model) Predict(c *render.Canvas, confThresh float64) []metrics.Detection {
-	x := CanvasToTensor(c)
-	dets := m.PredictTensor(x, 0, confThresh)
+	dets := PredictInput(m, c, confThresh)
 	sx := float64(c.W) / float64(InputW)
 	sy := float64(c.H) / float64(InputH)
 	for i := range dets {

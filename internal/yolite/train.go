@@ -1,6 +1,7 @@
 package yolite
 
 import (
+	"context"
 	"math"
 	"math/rand"
 
@@ -280,10 +281,11 @@ func TrainInto(m *Model, samples []*dataset.Sample, cfg TrainConfig) {
 	}
 }
 
-// Predictor is any detector backend that can be evaluated: the float model,
-// the int8 port, or the RCNN baselines.
+// Predictor is any detector backend that can be evaluated — the float model,
+// the int8 port, the RCNN baselines, or a decorated stack over them: the one
+// inference method of the detector seam (detect.Detector adds a name).
 type Predictor interface {
-	PredictTensor(x *tensor.Tensor, n int, confThresh float64) []metrics.Detection
+	PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error)
 }
 
 // Evaluate runs a detector over samples and returns per-class counts at the
@@ -291,9 +293,7 @@ type Predictor interface {
 func Evaluate(m Predictor, samples []*dataset.Sample, iouThresh float64) *metrics.Evaluation {
 	eval := metrics.NewEvaluation()
 	for _, s := range samples {
-		x := CanvasToTensor(s.Input)
-		preds := m.PredictTensor(x, 0, DefaultConfThresh)
-		eval.AddSample(preds, s.Boxes, iouThresh)
+		eval.AddSample(PredictInput(m, s.Input, DefaultConfThresh), s.Boxes, iouThresh)
 	}
 	return eval
 }
