@@ -64,6 +64,11 @@ const (
 	DefaultMaxBodyBytes  = 8 << 20
 )
 
+// maxScreenPixels is the largest width x height a screen's PNG header may
+// declare (a 4096x4096 display; 64 MiB once decoded). A few hundred bytes
+// can declare 30000x30000, so a larger claim is refused unread.
+const maxScreenPixels = 1 << 24
+
 // Config wires the server to the serving stack.
 type Config struct {
 	// Backend answers detection requests; typically a *serve.Batcher so
@@ -356,10 +361,20 @@ func (s *Server) readScreen(r *http.Request) (*render.Canvas, float64, error) {
 	if int64(len(pngBytes)) > s.cfg.maxBody() {
 		return nil, 0, fmt.Errorf("screen exceeds %d bytes", s.cfg.maxBody())
 	}
+	// The header is read on its own first: png.Decode allocates whatever
+	// size IHDR declares before it has seen a single pixel.
+	hdr, err := png.DecodeConfig(bytes.NewReader(pngBytes))
+	if err != nil {
+		return nil, 0, fmt.Errorf("decoding PNG: %w", err)
+	}
+	if int64(hdr.Width)*int64(hdr.Height) > maxScreenPixels {
+		return nil, 0, fmt.Errorf("screen %dx%d exceeds %d pixels", hdr.Width, hdr.Height, maxScreenPixels)
+	}
 	img, err := png.Decode(bytes.NewReader(pngBytes))
 	if err != nil {
 		return nil, 0, fmt.Errorf("decoding PNG: %w", err)
 	}
+	// img is decoded for this call alone, so the canvas may adopt its pixels.
 	return render.FromImage(img), conf, nil
 }
 

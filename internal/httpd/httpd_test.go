@@ -82,7 +82,7 @@ func testDets() []metrics.Detection {
 
 // screenPNG renders a 96x160 screen (model-input size, so wire coordinates
 // equal model coordinates) and returns its PNG bytes.
-func screenPNG(t *testing.T) []byte {
+func screenPNG(t testing.TB) []byte {
 	t.Helper()
 	c := render.NewCanvas(96, 160)
 	c.Fill(c.Bounds(), render.White)

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"image"
 	"image/color"
+	"image/draw"
 
 	"repro/internal/geom"
 )
@@ -408,28 +409,24 @@ func (c *Canvas) Resize(w, h int) *Canvas {
 // 2x2 block. For even-aligned UI geometry this is a lossless-feeling
 // reduction: edges stay crisp and full contrast, unlike general bilinear
 // resampling. The dataset pipeline uses it for its exact 2:1
-// screen-to-model-input ratio.
+// screen-to-model-input ratio. A canvas one pixel wide or high has no 2x2
+// block; Resize averages the pairs it does have, with the same rounding.
 func (c *Canvas) Downsample2x() *Canvas {
 	w, h := c.W/2, c.H/2
-	if w < 1 {
-		w = 1
-	}
-	if h < 1 {
-		h = 1
+	if w < 1 || h < 1 {
+		return c.Resize(max(w, 1), max(h, 1))
 	}
 	out := NewCanvas(w, h)
 	for y := 0; y < h; y++ {
+		top := c.Pix[4*c.W*(2*y):][:8*w]
+		bot := c.Pix[4*c.W*(2*y+1):][:8*w]
+		dst := out.Pix[4*w*y:][:4*w]
 		for x := 0; x < w; x++ {
-			i00 := 4 * ((2*y)*c.W + 2*x)
-			i01 := i00 + 4
-			i10 := i00 + 4*c.W
-			i11 := i10 + 4
-			o := 4 * (y*w + x)
-			for ch := 0; ch < 4; ch++ {
-				sum := uint32(c.Pix[i00+ch]) + uint32(c.Pix[i01+ch]) +
-					uint32(c.Pix[i10+ch]) + uint32(c.Pix[i11+ch])
-				out.Pix[o+ch] = uint8((sum + 2) / 4)
-			}
+			t, b, d := top[8*x:8*x+8], bot[8*x:8*x+8], dst[4*x:4*x+4]
+			d[0] = uint8((uint32(t[0]) + uint32(t[4]) + uint32(b[0]) + uint32(b[4]) + 2) / 4)
+			d[1] = uint8((uint32(t[1]) + uint32(t[5]) + uint32(b[1]) + uint32(b[5]) + 2) / 4)
+			d[2] = uint8((uint32(t[2]) + uint32(t[6]) + uint32(b[2]) + uint32(b[6]) + 2) / 4)
+			d[3] = uint8((uint32(t[3]) + uint32(t[7]) + uint32(b[3]) + uint32(b[7]) + 2) / 4)
 		}
 	}
 	return out
@@ -457,26 +454,58 @@ func (c *Canvas) Image() *image.NRGBA {
 	return img
 }
 
-// FromImage builds a canvas from any image.Image.
+// FromImage builds a canvas from a decoded image, un-premultiplying where
+// the source stores premultiplied alpha. The two 8-bit layouts image/png
+// returns for screenshots are taken bytewise: *image.NRGBA is already the
+// canvas layout, and so is an opaque *image.RGBA. When such an image's rows
+// are contiguous the canvas adopts img's Pix instead of copying it — the
+// caller hands the image over and must not touch it afterwards (httpd, the
+// only production caller, decodes it for this call alone). Rows of a wider
+// stride (a SubImage) are copied one by one. Every other image type is
+// converted by draw.Draw, except that a paletted image is looked up in its
+// converted palette: draw.Draw hands colours over premultiplied, which
+// would round a translucent non-premultiplied entry (PLTE + tRNS) that
+// converts exactly on its own.
 func FromImage(img image.Image) *Canvas {
 	b := img.Bounds()
-	c := NewCanvas(b.Dx(), b.Dy())
-	for y := 0; y < b.Dy(); y++ {
-		for x := 0; x < b.Dx(); x++ {
-			r, g, bb, a := img.At(b.Min.X+x, b.Min.Y+y).RGBA()
-			c.Set(x, y, Color{uint8(r >> 8), uint8(g >> 8), uint8(bb >> 8), uint8(a >> 8)})
+	w, h := b.Dx(), b.Dy()
+	switch m := img.(type) {
+	case *image.NRGBA:
+		return fromPix(m.Pix, m.Stride, w, h)
+	case *image.RGBA:
+		if m.Opaque() {
+			return fromPix(m.Pix, m.Stride, w, h)
 		}
+	case *image.Paletted:
+		lut := make([]Color, len(m.Palette))
+		for i, e := range m.Palette {
+			lut[i] = Color(color.NRGBAModel.Convert(e).(color.NRGBA))
+		}
+		c := NewCanvas(w, h)
+		for y := 0; y < h; y++ {
+			for x, i := range m.Pix[m.Stride*y:][:w] {
+				c.Set(x, y, lut[i])
+			}
+		}
+		return c
 	}
+	c := NewCanvas(w, h)
+	dst := &image.NRGBA{Pix: c.Pix, Stride: 4 * w, Rect: image.Rect(0, 0, w, h)}
+	draw.Draw(dst, dst.Rect, img, b.Min, draw.Src)
 	return c
 }
 
-var _ color.Color = rgbaAdapter{} // compile-time shape check for the adapter below
-
-// rgbaAdapter lets a render.Color satisfy image/color.Color where needed.
-type rgbaAdapter struct{ c Color }
-
-func (a rgbaAdapter) RGBA() (r, g, b, al uint32) {
-	return color.NRGBA{R: a.c.R, G: a.c.G, B: a.c.B, A: a.c.A}.RGBA()
+// fromPix wraps pixels already in canvas layout: adopted when the rows are
+// contiguous, copied row by row when stride is wider than a row.
+func fromPix(pix []uint8, stride, w, h int) *Canvas {
+	if stride == 4*w && w > 0 && h > 0 {
+		return &Canvas{W: w, H: h, Pix: pix[:4*w*h]}
+	}
+	c := NewCanvas(w, h)
+	for y := 0; y < h; y++ {
+		copy(c.Pix[4*w*y:4*w*(y+1)], pix[stride*y:])
+	}
+	return c
 }
 
 func lerp8(a, b uint8, t float64) uint8 {
