@@ -344,11 +344,9 @@ func BenchmarkServeConcurrent(b *testing.B) {
 		b.Skip("needs GOMAXPROCS > 1 for concurrent batching")
 	}
 	m := sharedEnv(b).Float()
-	m.Pool = tensor.NewPool()
-	defer func() { m.Pool = nil }()
 	screens := benchScreens(b, serveClients*screensPerDevice)
 	cached := detect.WithResultCache(m, 64)
-	batcher := serve.NewBatcher(cached, serve.Options{MaxBatch: serveClients})
+	batcher := serve.NewReplicated(serve.Options{MaxBatch: serveClients}, cached)
 	defer batcher.Close()
 	var clientID atomic.Int64
 	b.SetParallelism((serveClients + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0))
@@ -400,8 +398,6 @@ func BenchmarkServeUnbatchedBaseline(b *testing.B) {
 // Predict-level benchmarks above.)
 func BenchmarkPredictPooled(b *testing.B) {
 	m := sharedEnv(b).Float()
-	m.Pool = tensor.NewPool()
-	defer func() { m.Pool = nil }()
 	screens := benchScreens(b, 1)
 	upo, ago := m.Forward(screens[0], false) // warm the pool
 	m.Pool.Put(upo)
@@ -416,9 +412,12 @@ func BenchmarkPredictPooled(b *testing.B) {
 }
 
 // BenchmarkPredictUnpooled is the allocation baseline: the same forward
-// with every intermediate tensor allocated fresh.
+// with every intermediate tensor allocated fresh (the pool detect.Build
+// installed is taken away for the duration).
 func BenchmarkPredictUnpooled(b *testing.B) {
 	m := sharedEnv(b).Float()
+	defer func(p *tensor.Pool) { m.Pool = p }(m.Pool)
+	m.Pool = nil
 	screens := benchScreens(b, 1)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -69,9 +69,9 @@ func TestChaosFleetSurvives(t *testing.T) {
 		faults.Rule{Stage: "backend", Kind: faults.Latency, Rate: 0.1, Latency: 200 * time.Microsecond},
 		faults.Rule{Stage: "fallback", Kind: faults.Error, Rate: 0.2},
 	)
-	shared := serve.NewBatcher(
-		faults.WrapStage(&chaosStub{name: "primary"}, plan, "backend"),
+	shared := serve.NewReplicated(
 		serve.Options{MaxBatch: devices},
+		faults.WrapStage(&chaosStub{name: "primary"}, plan, "backend"),
 	)
 
 	stats := make([]Stats, devices)

@@ -66,17 +66,14 @@ func WithResultCache(d Detector, capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
-	return WithShardedResultCache(d, capacity, capacity/minShardCapacity)
+	return newCache(d, capacity, capacity/minShardCapacity)
 }
 
-// WithShardedResultCache is WithResultCache with an explicit shard count,
-// for callers that know their concurrency (the serving layer sizes shards to
-// its worker count). The count is rounded down to a power of two and clamped
-// to [1, min(capacity, maxCacheShards)].
-func WithShardedResultCache(d Detector, capacity, shards int) *Cache {
-	if capacity <= 0 {
-		capacity = DefaultCacheCapacity
-	}
+// newCache builds a cache of a positive capacity split into shards lock
+// domains, the count rounded down to a power of two and clamped to
+// [1, min(capacity, maxCacheShards)]. Production derives the count from the
+// capacity (WithResultCache); the shard-sweep benchmark sets it directly.
+func newCache(d Detector, capacity, shards int) *Cache {
 	if shards > maxCacheShards {
 		shards = maxCacheShards
 	}

@@ -59,13 +59,13 @@ func TestCacheShardCountAdapts(t *testing.T) {
 		}
 	}
 	// Explicit shard counts: rounded down to a power of two, clamped.
-	if got := WithShardedResultCache(&contentStub{}, 64, 7).ShardCount(); got != 4 {
+	if got := newCache(&contentStub{}, 64, 7).ShardCount(); got != 4 {
 		t.Errorf("explicit 7 shards rounded to %d, want 4", got)
 	}
-	if got := WithShardedResultCache(&contentStub{}, 4, 99).ShardCount(); got != 4 {
+	if got := newCache(&contentStub{}, 4, 99).ShardCount(); got != 4 {
 		t.Errorf("shards must clamp to capacity: got %d", got)
 	}
-	if got := WithShardedResultCache(&contentStub{}, 64, 0).ShardCount(); got != 1 {
+	if got := newCache(&contentStub{}, 64, 0).ShardCount(); got != 1 {
 		t.Errorf("zero shards must clamp to 1: got %d", got)
 	}
 }
@@ -281,7 +281,7 @@ func BenchmarkCacheKey(b *testing.B) {
 func BenchmarkShardedCacheParallelHits(b *testing.B) {
 	for _, shards := range []int{1, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			c := WithShardedResultCache(&contentStub{}, 256, shards)
+			c := newCache(&contentStub{}, 256, shards)
 			pool := make([]*tensor.Tensor, 32)
 			for id := range pool {
 				pool[id] = screen(id)

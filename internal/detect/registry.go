@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/dataset"
+	"repro/internal/tensor"
 	"repro/internal/uikit"
 )
 
@@ -98,6 +99,13 @@ func Build(name string, ctx BuildContext) (Detector, error) {
 	// the first request a fresh replica serves does not pay the fold.
 	if f, ok := d.(interface{ Fuse() }); ok {
 		f.Fuse()
+	}
+	// Backends that recycle activations (the float and int8 models) get a
+	// private pool with the instance: every Build is one replica, so pooled
+	// buffers never cross model instances, and a served model never runs the
+	// allocating forward because nobody downstream remembered to install one.
+	if p, ok := d.(interface{ SetPool(*tensor.Pool) }); ok {
+		p.SetPool(tensor.NewPool())
 	}
 	return d, nil
 }

@@ -30,7 +30,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/perfmodel"
-	"repro/internal/quant"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/tensor"
@@ -332,19 +331,14 @@ func shapeName(s string) string {
 }
 
 // buildStack assembles the shared serving stack exactly as the retired
-// thread-per-device fleet did: per-replica activation pools, per-replica
-// result caches (dropped under chaos so an injected corruption is never
-// memoised), a tenant admission table, and the batcher over it all.
+// thread-per-device fleet did: per-replica result caches (dropped under chaos
+// so an injected corruption is never memoised), a tenant admission table, and
+// the batcher over it all. Each model arrives with its own activation pool
+// (detect.Build provisions it).
 func buildStack(cfg Config, models []detect.Detector) (*serve.Batcher, []*detect.Cache) {
 	var caches []*detect.Cache
 	backends := make([]detect.Detector, 0, len(models))
 	for _, model := range models {
-		switch m := model.(type) {
-		case *yolite.Model:
-			m.SetPool(tensor.NewPool())
-		case *quant.Model:
-			m.SetPool(tensor.NewPool())
-		}
 		var inner detect.Detector = model
 		if cfg.Plan != nil {
 			inner = faults.WrapStage(model, cfg.Plan, "backend")

@@ -34,48 +34,6 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-// ForwardPooled runs the stack inference-only, drawing every intermediate
-// activation from p and returning each to the pool as soon as the next
-// layer has consumed it. Only the returned tensor is still live; the caller
-// owns it and should Put it back when done. The input x is never pooled.
-func (s *Sequential) ForwardPooled(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
-	cur := x
-	for _, l := range s.Layers {
-		y := tensor.InferPooled(l, cur, p)
-		if cur != x {
-			p.Put(cur)
-		}
-		cur = y
-	}
-	return cur
-}
-
-// ForwardCancel is ForwardPooled with a cooperative cancellation point
-// after every layer: once done closes, no further layer runs, intermediates
-// already drawn from the pool are returned to it, and the call yields nil
-// for the caller to discard (Pool.Put(nil) is a no-op, so unconditional
-// cleanup stays simple). Cancel-aware layers (the convolutions) additionally
-// poll done between output planes, so an abort lands within roughly one conv
-// layer of the cancel. The input x is never pooled. A nil done is exactly
-// ForwardPooled.
-func (s *Sequential) ForwardCancel(x *tensor.Tensor, p *tensor.Pool, done <-chan struct{}) *tensor.Tensor {
-	cur := x
-	for _, l := range s.Layers {
-		if tensor.Aborted(done) {
-			if cur != x {
-				p.Put(cur)
-			}
-			return nil
-		}
-		y := tensor.InferCancel(l, cur, p, done)
-		if cur != x {
-			p.Put(cur)
-		}
-		cur = y
-	}
-	return cur
-}
-
 // Backward runs the stack in reverse.
 func (s *Sequential) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
@@ -116,20 +74,6 @@ func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	for i := range out.Data {
 		out.Data[i] = y.Data[i] + x.Data[i]
 	}
-	return out
-}
-
-// ForwardPooled computes body(x) + x inference-only with pooled buffers.
-func (r *Residual) ForwardPooled(x *tensor.Tensor, p *tensor.Pool) *tensor.Tensor {
-	y := tensor.InferPooled(r.Body, x, p)
-	if !y.SameShape(x) {
-		panic(fmt.Sprintf("nn: residual body changed shape %v -> %v", x.Shape, y.Shape))
-	}
-	out := p.Get(y.Shape...)
-	for i := range out.Data {
-		out.Data[i] = y.Data[i] + x.Data[i]
-	}
-	p.Put(y)
 	return out
 }
 

@@ -10,6 +10,49 @@ import (
 	"repro/internal/yolite"
 )
 
+// forwardPlane fills output plane (n, oc) from the quantised activations with
+// the direct nested loop — the oracle the int8 GEMM path is pinned against.
+// int32 accumulation is exact, so the two must agree bit for bit.
+func (q *qconv) forwardPlane(qx []int8, inShape []int, y *tensor.Tensor, n, oc int) {
+	C, H, W := inShape[1], inShape[2], inShape[3]
+	oh, ow := y.Shape[2], y.Shape[3]
+	deq := q.wScale[oc] * q.inScale
+	bias := q.b[oc]
+	outBase := ((n*q.outC + oc) * oh) * ow
+	for oy := 0; oy < oh; oy++ {
+		ihBase := oy*q.stride - q.pad
+		outRow := outBase + oy*ow
+		for ox := 0; ox < ow; ox++ {
+			iwBase := ox*q.stride - q.pad
+			var acc int32
+			for ic := 0; ic < q.inC; ic++ {
+				wBase := ((oc*q.inC + ic) * q.k) * q.k
+				inBase := ((n*C + ic) * H) * W
+				for kh := 0; kh < q.k; kh++ {
+					ih := ihBase + kh
+					if ih < 0 || ih >= H {
+						continue
+					}
+					inRow := inBase + ih*W
+					wRow := wBase + kh*q.k
+					for kw := 0; kw < q.k; kw++ {
+						iw := iwBase + kw
+						if iw < 0 || iw >= W {
+							continue
+						}
+						acc += int32(q.qw[wRow+kw]) * int32(qx[inRow+iw])
+					}
+				}
+			}
+			v := float32(acc)*deq + bias
+			if q.relu && v < 0 {
+				v *= 0.1
+			}
+			y.Data[outRow+ox] = v
+		}
+	}
+}
+
 // randQConv builds a qconv with random folded weights and calibration
 // scales, quantised the production way.
 func randQConv(rng *rand.Rand, inC, outC, k, stride, pad int, relu bool) *qconv {

@@ -28,15 +28,6 @@ type foldedConv struct {
 	b                         []float32
 }
 
-// FoldConvBN combines a convolution and its batch norm into a single
-// convolution: w' = w * gamma/std, b' = beta + (b - mean) * gamma/std. The
-// implementation lives in tensor.FoldConvBN so the float fused-inference
-// blocks (tensor.FuseConvBNAct) and this int8 port fold through the same
-// arithmetic.
-func FoldConvBN(conv *tensor.Conv2D, bn *tensor.BatchNorm2D) (w []float32, b []float32) {
-	return tensor.FoldConvBN(conv, bn)
-}
-
 // qconv is an int8-quantised convolution layer.
 type qconv struct {
 	foldedConv
@@ -85,49 +76,6 @@ func (q *qconv) quantiseWeights() {
 	}
 }
 
-// forwardPlane fills output plane (n, oc) from the quantised activations with
-// the direct nested loop — the reference the int8 GEMM path is pinned against
-// (int8gemm_test.go); inference never calls it.
-func (q *qconv) forwardPlane(qx []int8, inShape []int, y *tensor.Tensor, n, oc int) {
-	C, H, W := inShape[1], inShape[2], inShape[3]
-	oh, ow := y.Shape[2], y.Shape[3]
-	deq := q.wScale[oc] * q.inScale
-	bias := q.b[oc]
-	outBase := ((n*q.outC + oc) * oh) * ow
-	for oy := 0; oy < oh; oy++ {
-		ihBase := oy*q.stride - q.pad
-		outRow := outBase + oy*ow
-		for ox := 0; ox < ow; ox++ {
-			iwBase := ox*q.stride - q.pad
-			var acc int32
-			for ic := 0; ic < q.inC; ic++ {
-				wBase := ((oc*q.inC + ic) * q.k) * q.k
-				inBase := ((n*C + ic) * H) * W
-				for kh := 0; kh < q.k; kh++ {
-					ih := ihBase + kh
-					if ih < 0 || ih >= H {
-						continue
-					}
-					inRow := inBase + ih*W
-					wRow := wBase + kh*q.k
-					for kw := 0; kw < q.k; kw++ {
-						iw := iwBase + kw
-						if iw < 0 || iw >= W {
-							continue
-						}
-						acc += int32(q.qw[wRow+kw]) * int32(qx[inRow+iw])
-					}
-				}
-			}
-			v := float32(acc)*deq + bias
-			if q.relu && v < 0 {
-				v *= 0.1
-			}
-			y.Data[outRow+ox] = v
-		}
-	}
-}
-
 // Model is the ported, int8 detector — the artefact DARPA embeds in the
 // on-device app.
 type Model struct {
@@ -154,7 +102,7 @@ func newQConvFromBlock(seq *nn.Sequential) *qconv {
 	q := &qconv{foldedConv: foldedConv{
 		inC: conv.InC, outC: conv.OutC, k: conv.K, stride: conv.Stride, pad: conv.Pad,
 	}, relu: true}
-	q.w, q.b = FoldConvBN(conv, bn)
+	q.w, q.b = tensor.FoldConvBN(conv, bn)
 	q.quantiseWeights()
 	return q
 }
@@ -365,8 +313,9 @@ var _ yolite.Predictor = (*Model)(nil)
 // Name identifies the backend in registries and result tables.
 func (qm *Model) Name() string { return "yolite-int8" }
 
-// SetPool mirrors yolite.Model.SetPool: the replica-pool seam for installing
-// a private activation pool. Must not be called while a forward is in flight.
+// SetPool mirrors yolite.Model.SetPool: the seam detect.Build installs a
+// private activation pool through. Must not be called while a forward is in
+// flight.
 func (qm *Model) SetPool(p *tensor.Pool) { qm.Pool = p }
 
 // WeightBytes reports the size of the quantised weights in bytes, the

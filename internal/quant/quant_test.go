@@ -42,7 +42,7 @@ func TestFoldConvBNMatchesFloatPath(t *testing.T) {
 	}
 	want := bn.Forward(conv.Forward(x, false), false)
 
-	w, b := FoldConvBN(conv, bn)
+	w, b := tensor.FoldConvBN(conv, bn)
 	folded := tensor.NewConv2D(rng, 3, 4, 3, 2, 1)
 	copy(folded.W.Data, w)
 	copy(folded.B.Data, b)

@@ -153,23 +153,22 @@ type admission struct {
 	mu       sync.Mutex
 	tenants  map[TenantID]*tenantState
 	configs  map[TenantID]TenantConfig
-	def      TenantConfig
 	maxDepth int
 	now      func() time.Time
 	stats    AdmissionStats
 }
 
-// newAdmission builds the layer. configs may be nil (every tenant gets def);
-// maxDepth <= 0 disables shedding; now is injectable for deterministic
-// refill tests and defaults to time.Now.
-func newAdmission(configs map[TenantID]TenantConfig, def TenantConfig, maxDepth int, now func() time.Time) *admission {
+// newAdmission builds the layer. A tenant absent from configs (nil is fine)
+// gets the zero TenantConfig: unlimited rate at the priority its requests
+// carry. maxDepth <= 0 disables shedding; now is injectable for
+// deterministic refill tests and defaults to time.Now.
+func newAdmission(configs map[TenantID]TenantConfig, maxDepth int, now func() time.Time) *admission {
 	if now == nil {
 		now = time.Now
 	}
 	return &admission{
 		tenants:  make(map[TenantID]*tenantState),
 		configs:  configs,
-		def:      def,
 		maxDepth: maxDepth,
 		now:      now,
 	}
@@ -192,10 +191,7 @@ func (a *admission) state(id TenantID) *tenantState {
 	if s, ok := a.tenants[id]; ok {
 		return s
 	}
-	cfg, ok := a.configs[id]
-	if !ok {
-		cfg = a.def
-	}
+	cfg := a.configs[id]
 	s := &tenantState{cfg: cfg, tokens: burst(cfg), last: a.now()}
 	a.tenants[id] = s
 	return s

@@ -2,10 +2,13 @@ package serve
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/detect"
 	"repro/internal/tensor"
+	"repro/internal/yolite"
 )
 
 // Regression tests for latent serving-layer bugs surfaced while wiring the
@@ -21,7 +24,7 @@ func TestShedRefundsTenantToken(t *testing.T) {
 	now := time.Unix(0, 0)
 	adm := newAdmission(
 		map[TenantID]TenantConfig{"t": {Rate: 1, Burst: 2}},
-		TenantConfig{}, 4,
+		4,
 		func() time.Time { return now },
 	)
 	info := TenantInfo{ID: "t"}
@@ -105,5 +108,46 @@ func TestCloseWakesBenchedReplica(t *testing.T) {
 	b.Close()
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("Close took %v with a benched replica; want prompt wake (BenchFor=%v)", elapsed, benchFor)
+	}
+}
+
+// TestSingleReplicaServesPooled: the one-replica stack darpa-serve boots by
+// default used to predict with Model.Pool == nil — only multi-replica pools
+// were handed a tensor.Pool, and nothing else gave a registry-built model
+// one — so every request allocated the network's full activation footprint.
+// The model must arrive pooled from detect.BuildReplicas, and once warm,
+// further predicts through the serving stack must allocate no new buffers.
+func TestSingleReplicaServesPooled(t *testing.T) {
+	reps, err := detect.BuildReplicas("yolite", detect.BuildContext{WeightsDir: "../../weights"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := reps[0].(*yolite.Model).Pool
+	if pool == nil {
+		t.Fatal("a single built replica has no activation pool: the served forward allocates every activation")
+	}
+	b := NewReplicated(Options{MaxDelay: 100 * time.Microsecond}, reps...)
+	defer b.Close()
+	rng := rand.New(rand.NewSource(5))
+	x := tensor.New(1, 3, yolite.InputH, yolite.InputW)
+	for i := range x.Data {
+		x.Data[i] = rng.Float32()
+	}
+	serve := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := b.PredictTensorCtx(context.Background(), x, 0, yolite.DefaultConfThresh); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	serve(4) // warm-up: the pool fills its size classes
+	gets0, news0 := pool.Stats()
+	serve(16)
+	gets1, news1 := pool.Stats()
+	if gets1 == gets0 {
+		t.Fatal("served predicts never touched the replica's pool")
+	}
+	if news1 != news0 {
+		t.Fatalf("warm pool allocated %d fresh buffers over 16 predicts, want 0", news1-news0)
 	}
 }

@@ -9,27 +9,16 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dataset"
-	"repro/internal/geom"
+	"repro/internal/detect"
 	"repro/internal/metrics"
 	"repro/internal/tensor"
+	"repro/internal/yolite"
 )
 
 // Tests for the layered serving stack: admission (token buckets, shedding,
 // the accounting invariant), scheduler (grouping, priority fairness), and
 // the replica pool (distribution, private pools, benching), plus the
 // Close-vs-submit determinism the facade guarantees.
-
-// degradedStub is the shed-path fallback: instantly answers with a marker
-// detection no real backend produces.
-type degradedStub struct{ calls atomic.Int64 }
-
-func (d *degradedStub) Name() string { return "degraded" }
-
-func (d *degradedStub) PredictBatchCtx(_ context.Context, _ *tensor.Tensor, conf float64) ([][]metrics.Detection, error) {
-	d.calls.Add(1)
-	return [][]metrics.Detection{{{Class: dataset.ClassAGO, B: geom.BoxF{X: -1, W: 1, H: 1}, Score: conf}}}, nil
-}
 
 // panicBackend fails every forward by panicking, so replica health
 // accounting sees fully-failed groups.
@@ -41,14 +30,6 @@ func (p *panicBackend) PredictBatchCtx(context.Context, *tensor.Tensor, float64)
 	p.calls.Add(1)
 	panic("replica down")
 }
-
-// poolStub records the pool the replica layer installs.
-type poolStub struct {
-	stubBackend
-	pool *tensor.Pool
-}
-
-func (p *poolStub) SetPool(pl *tensor.Pool) { p.pool = pl }
 
 // TestGroupRequests: the extracted batch-formation policy, exercised as a
 // pure function — threshold splits, shape splits, order preservation.
@@ -86,7 +67,7 @@ func TestTokenBucketRefill(t *testing.T) {
 	now := time.Unix(0, 0)
 	adm := newAdmission(
 		map[TenantID]TenantConfig{"t": {Rate: 10, Burst: 2}},
-		TenantConfig{}, 0,
+		0,
 		func() time.Time { return now },
 	)
 	info := TenantInfo{ID: "t"}
@@ -203,17 +184,12 @@ func TestRateLimitRejects(t *testing.T) {
 	}
 }
 
-// TestSheddingDegraded: once the queues hold MaxQueueDepth requests, new
-// arrivals are shed and answered by the Degraded fallback chain in
-// microseconds — degrade, don't fail — and counted as Shed, not Admitted.
-func TestSheddingDegraded(t *testing.T) {
+// TestSheddingOverloaded: once the queues hold MaxQueueDepth requests, new
+// arrivals are shed in microseconds with ErrOverloaded — the caller (httpd)
+// owns the degraded answer — and counted as Shed, not Admitted.
+func TestSheddingOverloaded(t *testing.T) {
 	s := &stubBackend{gate: make(chan struct{})}
-	deg := &degradedStub{}
-	b := NewReplicated(Options{
-		MaxBatch: 1, MaxDelay: time.Millisecond,
-		MaxQueueDepth: 1,
-		Degraded:      deg,
-	}, s)
+	b := NewReplicated(Options{MaxBatch: 1, MaxDelay: time.Millisecond, MaxQueueDepth: 1}, s)
 	var wg sync.WaitGroup
 	submit := func(i int) {
 		wg.Add(1)
@@ -226,12 +202,8 @@ func TestSheddingDegraded(t *testing.T) {
 	waitFor(t, func() bool { s.mu.Lock(); defer s.mu.Unlock(); return s.calls == 1 })
 	submit(1) // admitted at depth 0, now waiting in the queue
 	waitFor(t, func() bool { return b.sched.depth() == 1 })
-	dets, err := predict(b, screen(7), 0.45), error(nil)
-	if err != nil || len(dets) != 1 || dets[0].B.X != -1 {
-		t.Fatalf("shed request: dets=%v err=%v, want the degraded marker", dets, err)
-	}
-	if deg.calls.Load() != 1 {
-		t.Fatal("degraded fallback not consulted")
+	if _, err := b.PredictTensorCtx(context.Background(), screen(9), 0, 0.45); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("shed err = %v, want ErrOverloaded", err)
 	}
 	close(s.gate)
 	wg.Wait()
@@ -241,21 +213,6 @@ func TestSheddingDegraded(t *testing.T) {
 		t.Fatalf("ledger = offered %d admitted %d shed %d rejected %d, want 3/2/1/0",
 			st.Offered, st.Admitted, st.Shed, st.Rejected)
 	}
-	// Without a Degraded backend the shed surfaces as ErrOverloaded.
-	s2 := &stubBackend{gate: make(chan struct{})}
-	b2 := NewReplicated(Options{MaxBatch: 1, MaxDelay: time.Millisecond, MaxQueueDepth: 1}, s2)
-	wg.Add(1)
-	go func() { defer wg.Done(); predict(b2, screen(0), 0.45) }()
-	waitFor(t, func() bool { s2.mu.Lock(); defer s2.mu.Unlock(); return s2.calls == 1 })
-	wg.Add(1)
-	go func() { defer wg.Done(); predict(b2, screen(1), 0.45) }()
-	waitFor(t, func() bool { return b2.sched.depth() == 1 })
-	if _, err := b2.PredictTensorCtx(context.Background(), screen(9), 0, 0.45); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("bare shed err = %v, want ErrOverloaded", err)
-	}
-	close(s2.gate)
-	wg.Wait()
-	b2.Close()
 }
 
 // TestSchedulerNoStarvation: a batch-priority request must complete while a
@@ -373,23 +330,26 @@ func TestReplicaPoolDistributes(t *testing.T) {
 	}
 }
 
-// TestReplicaPrivatePools: a multi-replica pool installs a distinct
-// tensor.Pool per poolable backend; the single-replica legacy constructor
-// leaves the backend's pooling untouched (bit-identical path).
+// TestReplicaPrivatePools: every replica detect.BuildReplicas provisions
+// arrives with its own activation pool, so recycled buffers never cross
+// model instances however many replicas the serving layer is given.
 func TestReplicaPrivatePools(t *testing.T) {
-	p0, p1 := &poolStub{}, &poolStub{}
-	b := NewReplicated(Options{}, p0, p1)
-	b.Close()
-	if p0.pool == nil || p1.pool == nil {
-		t.Fatal("multi-replica pool left a backend without a private pool")
+	const n = 3
+	reps, err := detect.BuildReplicas("yolite", detect.BuildContext{WeightsDir: "../../weights"}, n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p0.pool == p1.pool {
-		t.Fatal("replicas share one activation pool")
-	}
-	solo := &poolStub{}
-	NewBatcher(solo, Options{}).Close()
-	if solo.pool != nil {
-		t.Fatal("single-replica constructor must not touch the backend's pooling")
+	NewReplicated(Options{}, reps...).Close()
+	seen := map[*tensor.Pool]bool{}
+	for i, r := range reps {
+		p := r.(*yolite.Model).Pool
+		if p == nil {
+			t.Fatalf("replica %d has no activation pool", i)
+		}
+		if seen[p] {
+			t.Fatalf("replica %d shares its activation pool with another replica", i)
+		}
+		seen[p] = true
 	}
 }
 
@@ -437,10 +397,10 @@ func TestReplicaBenching(t *testing.T) {
 // TestBenchingDisabledSingleReplica: one replica must never bench itself —
 // with no peer to absorb the load, benching would stall all traffic.
 func TestBenchingDisabledSingleReplica(t *testing.T) {
-	b := NewBatcher(&panicBackend{}, Options{
+	b := NewReplicated(Options{
 		MaxBatch: 1, MaxDelay: 100 * time.Microsecond,
 		ReplicaBenchAfter: 1, ReplicaBenchFor: time.Hour,
-	})
+	}, &panicBackend{})
 	defer b.Close()
 	for i := 0; i < 4; i++ {
 		if _, err := b.PredictTensorCtx(context.Background(), screen(i), 0, 0.45); err == nil {
@@ -472,11 +432,9 @@ func (f *flakyBackend) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, co
 // cancellation, concurrent Close at the end. Every call must return (result
 // or error), the admission ledger must balance, and Close must drain.
 func TestReplicatedChaosCancelStress(t *testing.T) {
-	deg := &degradedStub{}
 	b := NewReplicated(Options{
 		MaxBatch: 4, MaxDelay: 200 * time.Microsecond,
 		MaxQueueDepth: 16,
-		Degraded:      deg,
 	}, &flakyBackend{}, &flakyBackend{})
 	const (
 		workers = 8

@@ -103,7 +103,7 @@ func runPoisonedGroup(t *testing.T, b *Batcher, devices int) ([][]metrics.Detect
 // forever — the Close at the end would hang too.
 func testPoisonIsolation(t *testing.T, mode string, wantPoisonErr bool) {
 	backend := &poisonBackend{mode: mode}
-	b := NewBatcher(backend, Options{MaxBatch: 4, MaxDelay: 100 * time.Millisecond})
+	b := NewReplicated(Options{MaxBatch: 4, MaxDelay: 100 * time.Millisecond}, backend)
 	defer b.Close()
 
 	dets, errs := runPoisonedGroup(t, b, 4)
@@ -152,7 +152,7 @@ func TestPoisonShortSliceIsolated(t *testing.T) { testPoisonIsolation(t, "short"
 // killing the dispatcher.
 func TestPoisonPanicSingleRequest(t *testing.T) {
 	backend := &poisonBackend{mode: "panic"}
-	b := NewBatcher(backend, Options{MaxBatch: 4, MaxDelay: time.Millisecond})
+	b := NewReplicated(Options{MaxBatch: 4, MaxDelay: time.Millisecond}, backend)
 	defer b.Close()
 
 	_, err := b.PredictTensorCtx(context.Background(), screenTensor(poisonPixel), 0, 0.5)

@@ -5,17 +5,16 @@ import (
 	"time"
 
 	"repro/internal/detect"
-	"repro/internal/tensor"
 )
 
 // This file is the replica-pool layer: N independently-owned model instances,
-// each driven by its own worker goroutine and — when the backend supports it
-// — its own tensor.Pool, so recycled activations never cross replicas. Each
-// replica keeps its own health ledger; a replica whose forwards fail
-// consecutively is benched for a cooldown, the pool-level analogue of the
-// per-backend circuit breakers in detect.WithFallback: the breaker decides
-// whether a *backend* is trusted at all, benching decides whether one *copy*
-// of a trusted backend deserves traffic right now.
+// each driven by its own worker goroutine (and each arriving with its own
+// tensor.Pool from detect.Build, so recycled activations never cross
+// replicas). Each replica keeps its own health ledger; a replica whose
+// forwards fail consecutively is benched for a cooldown, the pool-level
+// analogue of the per-backend circuit breakers in detect.WithFallback: the
+// breaker decides whether a *backend* is trusted at all, benching decides
+// whether one *copy* of a trusted backend deserves traffic right now.
 
 // Defaults for the replica-health knobs left zero in Options.
 const (
@@ -25,12 +24,6 @@ const (
 	// DefaultBenchFor is how long a benched replica sits out.
 	DefaultBenchFor = 50 * time.Millisecond
 )
-
-// poolable is the seam through which the pool hands a replica its private
-// activation pool; yolite.Model and quant.Model implement it.
-type poolable interface {
-	SetPool(*tensor.Pool)
-}
 
 // ReplicaStats is one replica's health and utilisation ledger.
 type ReplicaStats struct {
@@ -45,11 +38,10 @@ type ReplicaStats struct {
 	BenchTrips  int           // times this replica has been benched
 }
 
-// replica is one pooled model instance plus its health state.
+// replica is one model instance plus its health state.
 type replica struct {
 	id      int
 	backend detect.Detector
-	pool    *tensor.Pool
 
 	benchAfter int           // consecutive failed groups before benching; <=0 disables
 	benchFor   time.Duration // cooldown length
@@ -59,12 +51,8 @@ type replica struct {
 	benchedUntil time.Time
 }
 
-// newReplica wires one backend into the pool. When multi is true and the
-// backend exposes the poolable seam, the replica installs a private
-// tensor.Pool so its recycled activations never mix with another replica's.
-// Single-replica pools leave the backend's pooling exactly as the caller
-// configured it.
-func newReplica(id int, backend detect.Detector, benchAfter int, benchFor time.Duration, multi bool) *replica {
+// newReplica wires one backend into the pool.
+func newReplica(id int, backend detect.Detector, benchAfter int, benchFor time.Duration) *replica {
 	r := &replica{
 		id:         id,
 		backend:    backend,
@@ -72,12 +60,6 @@ func newReplica(id int, backend detect.Detector, benchAfter int, benchFor time.D
 		benchFor:   benchFor,
 	}
 	r.stats.ID = id
-	if multi {
-		if p, ok := backend.(poolable); ok {
-			r.pool = tensor.NewPool()
-			p.SetPool(r.pool)
-		}
-	}
 	return r
 }
 

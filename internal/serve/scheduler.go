@@ -124,46 +124,23 @@ func (s *scheduler) collect(first request) []request {
 		if hi == nil && lo == nil {
 			break
 		}
-		switch {
-		case hi == nil:
-			select {
-			case r, ok := <-lo:
-				if !ok {
-					lo = nil
-					continue
-				}
-				batch = append(batch, r)
-			case <-timer.C:
-				return batch
+		// A closed, drained queue is nil, and a nil channel is never ready,
+		// so one select serves whichever queues remain.
+		select {
+		case r, ok := <-hi:
+			if !ok {
+				hi = nil
+				continue
 			}
-		case lo == nil:
-			select {
-			case r, ok := <-hi:
-				if !ok {
-					hi = nil
-					continue
-				}
-				batch = append(batch, r)
-			case <-timer.C:
-				return batch
+			batch = append(batch, r)
+		case r, ok := <-lo:
+			if !ok {
+				lo = nil
+				continue
 			}
-		default:
-			select {
-			case r, ok := <-hi:
-				if !ok {
-					hi = nil
-					continue
-				}
-				batch = append(batch, r)
-			case r, ok := <-lo:
-				if !ok {
-					lo = nil
-					continue
-				}
-				batch = append(batch, r)
-			case <-timer.C:
-				return batch
-			}
+			batch = append(batch, r)
+		case <-timer.C:
+			return batch
 		}
 	}
 	return batch

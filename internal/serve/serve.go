@@ -43,9 +43,6 @@ type Options struct {
 	// batching; under light load every batch degenerates to size 1 and the
 	// only cost is one timer.
 	MaxDelay time.Duration
-	// QueueSize is each priority queue's buffer (default 4 x MaxBatch x
-	// replica count).
-	QueueSize int
 	// Timings optionally receives per-layer statistics: "serve-batch"
 	// tracks per-item amortised forward latency, "serve-queued" counts
 	// requests found waiting after a collection (queue pressure),
@@ -56,21 +53,13 @@ type Options struct {
 
 	// Tenants is the admission table: per-tenant rate limits and priority.
 	// A tenant present here gets its configured priority regardless of what
-	// its requests' contexts claim. Tenants absent from the table get
-	// TenantDefaults. Nil means every tenant gets TenantDefaults.
+	// its requests' contexts claim. Tenants absent from the table (all of
+	// them when it is nil) are unlimited, at the priority their requests
+	// carry, so callers that configure nothing admit everything.
 	Tenants map[TenantID]TenantConfig
-	// TenantDefaults is the policy for tenants not in Tenants. The zero
-	// value is unlimited rate at live priority, so callers that configure
-	// nothing admit everything.
-	TenantDefaults TenantConfig
 	// MaxQueueDepth sheds requests once the scheduler's queues hold this
-	// many; 0 disables shedding.
+	// many, answering them ErrOverloaded; 0 disables shedding.
 	MaxQueueDepth int
-	// Degraded optionally answers shed requests with a cheap fallback
-	// (typically the frauddroid heuristic) through the detect.WithFallback
-	// machinery instead of an ErrOverloaded error — the paper's
-	// degrade-don't-fail stance applied to overload.
-	Degraded detect.Detector
 
 	// ReplicaBenchAfter benches a replica after this many consecutive
 	// fully-failed groups; 0 means DefaultBenchAfter, negative disables.
@@ -123,18 +112,17 @@ type Stats struct {
 // decorators, though the natural stack is Batcher on the outside of the
 // shared cache:
 //
-//	shared := serve.NewBatcher(detect.WithResultCache(model, 256), serve.Options{})
+//	shared := serve.NewReplicated(serve.Options{}, detect.WithResultCache(model, 256))
 //
 // Safe for concurrent use. After Close, calls degrade to direct unbatched
 // calls on the first replica's backend rather than failing.
 type Batcher struct {
-	inner    detect.Detector // first replica's backend: direct path + post-Close
-	rec      *perfmodel.Timings
-	adm      *admission
-	sched    *scheduler
-	reps     []*replica
-	degraded detect.Detector // fallback chain answering shed requests; may be nil
-	multi    bool
+	inner detect.Detector // first replica's backend: direct path + post-Close
+	rec   *perfmodel.Timings
+	adm   *admission
+	sched *scheduler
+	reps  []*replica
+	multi bool // more than one replica: per-replica item counts are recorded
 
 	mu       sync.RWMutex // guards closed vs. sends on the scheduler queues
 	closed   bool
@@ -148,19 +136,13 @@ type Batcher struct {
 
 var _ detect.Detector = (*Batcher)(nil)
 
-// NewBatcher starts the serving layers over a single backend: exactly
-// NewReplicated with a pool of one. Callers own the returned Batcher and
-// should Close it to stop the worker; requests in flight at Close are still
-// answered.
-func NewBatcher(inner detect.Detector, opts Options) *Batcher {
-	return NewReplicated(opts, inner)
-}
-
 // NewReplicated starts the serving layers over a pool of replicas, one
 // worker goroutine per replica. Each replica should be an independent model
-// instance (see detect.BuildReplicas); with more than one replica, backends
-// exposing a SetPool seam get a private tensor.Pool each so recycled
-// activations never cross replicas. Panics when called with no replicas.
+// instance from detect.BuildReplicas, which is also where each gets its
+// private tensor.Pool, so recycled activations never cross replicas. Each
+// priority queue buffers 4 x MaxBatch x replicas requests. Callers own the
+// returned Batcher and should Close it to stop the workers; requests in
+// flight at Close are still answered. Panics when called with no replicas.
 func NewReplicated(opts Options, replicas ...detect.Detector) *Batcher {
 	if len(replicas) == 0 {
 		panic("serve: NewReplicated requires at least one replica")
@@ -170,9 +152,6 @@ func NewReplicated(opts Options, replicas ...detect.Detector) *Batcher {
 	}
 	if opts.MaxDelay <= 0 {
 		opts.MaxDelay = DefaultMaxDelay
-	}
-	if opts.QueueSize <= 0 {
-		opts.QueueSize = 4 * opts.MaxBatch * len(replicas)
 	}
 	benchAfter := opts.ReplicaBenchAfter
 	switch {
@@ -188,17 +167,14 @@ func NewReplicated(opts Options, replicas ...detect.Detector) *Batcher {
 	b := &Batcher{
 		inner:    replicas[0],
 		rec:      opts.Timings,
-		adm:      newAdmission(opts.Tenants, opts.TenantDefaults, opts.MaxQueueDepth, nil),
-		sched:    newScheduler(opts.MaxBatch, opts.MaxDelay, opts.QueueSize),
+		adm:      newAdmission(opts.Tenants, opts.MaxQueueDepth, nil),
+		sched:    newScheduler(opts.MaxBatch, opts.MaxDelay, 4*opts.MaxBatch*len(replicas)),
 		multi:    len(replicas) > 1,
 		stopping: make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	if opts.Degraded != nil {
-		b.degraded = detect.WithFallback(detect.FallbackOptions{Timings: opts.Timings}, opts.Degraded)
-	}
 	for i, backend := range replicas {
-		rep := newReplica(i, backend, benchAfter, benchFor, b.multi)
+		rep := newReplica(i, backend, benchAfter, benchFor)
 		b.reps = append(b.reps, rep)
 		b.wg.Add(1)
 		go b.worker(rep)
@@ -317,12 +293,6 @@ func (b *Batcher) submit(ctx context.Context, x *tensor.Tensor, confThresh float
 	case shed:
 		b.mu.RUnlock()
 		b.rec.AddItems("serve-shed", 1)
-		if b.degraded != nil {
-			// Degrade, don't fail: the fallback chain (heuristic detector
-			// behind a circuit breaker) answers in microseconds with a
-			// lower-fidelity result the decorator can still act on.
-			return b.degraded.PredictBatchCtx(ctx, x, confThresh)
-		}
 		return nil, ErrOverloaded
 	}
 	resp := make(chan response, 1)

@@ -19,9 +19,9 @@ func TestBatcherOptionDefaults(t *testing.T) {
 		opts Options
 	}{
 		{"zero", Options{}},
-		{"negative", Options{MaxBatch: -3, MaxDelay: -time.Second, QueueSize: -7}},
+		{"negative", Options{MaxBatch: -3, MaxDelay: -time.Second}},
 	} {
-		b := NewBatcher(&stubBackend{}, tc.opts)
+		b := NewReplicated(tc.opts, &stubBackend{})
 		if b.sched.maxBatch != DefaultMaxBatch {
 			t.Errorf("%s: maxBatch = %d, want %d", tc.name, b.sched.maxBatch, DefaultMaxBatch)
 		}
@@ -41,7 +41,7 @@ func TestBatcherOptionDefaults(t *testing.T) {
 // answered with its ctx error before touching the queue or the backend.
 func TestBatcherRejectsDeadContext(t *testing.T) {
 	s := &stubBackend{}
-	b := NewBatcher(s, Options{})
+	b := NewReplicated(Options{}, s)
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -64,7 +64,7 @@ func TestBatcherRejectsDeadContext(t *testing.T) {
 func TestBatcherPrunesCancelledQueued(t *testing.T) {
 	s := &stubBackend{gate: make(chan struct{})}
 	rec := &perfmodel.Timings{}
-	b := NewBatcher(s, Options{MaxBatch: 1, MaxDelay: time.Millisecond, Timings: rec})
+	b := NewReplicated(Options{MaxBatch: 1, MaxDelay: time.Millisecond, Timings: rec}, s)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // occupies the scheduler behind the gate
@@ -117,7 +117,7 @@ func TestBatcherPrunesCancelledQueued(t *testing.T) {
 // an unanswered waiter would hang this test.
 func TestBatcherCloseWithCancelledWaiters(t *testing.T) {
 	s := &stubBackend{gate: make(chan struct{})}
-	b := NewBatcher(s, Options{MaxBatch: 2, MaxDelay: time.Millisecond})
+	b := NewReplicated(Options{MaxBatch: 2, MaxDelay: time.Millisecond}, s)
 	ctx, cancel := context.WithCancel(context.Background())
 	const n = 6
 	var wg sync.WaitGroup
@@ -150,7 +150,7 @@ func TestBatcherCloseWithCancelledWaiters(t *testing.T) {
 // context and matches the legacy direct path.
 func TestBatcherDirectBatchCtx(t *testing.T) {
 	s := &stubBackend{}
-	b := NewBatcher(s, Options{})
+	b := NewReplicated(Options{}, s)
 	defer b.Close()
 	x := screen(3)
 	out, err := b.PredictBatchCtx(context.Background(), x, 0.45)

@@ -91,7 +91,7 @@ func screen(id int) *tensor.Tensor {
 // requests must ride one forward, not four.
 func TestBatcherCoalescesToFullBatch(t *testing.T) {
 	s := &stubBackend{}
-	b := NewBatcher(s, Options{MaxBatch: 4, MaxDelay: time.Second})
+	b := NewReplicated(Options{MaxBatch: 4, MaxDelay: time.Second}, s)
 	defer b.Close()
 	var wg sync.WaitGroup
 	results := make([][]metrics.Detection, 4)
@@ -121,7 +121,7 @@ func TestBatcherCoalescesToFullBatch(t *testing.T) {
 // that never fills.
 func TestBatcherFlushesOnMaxDelay(t *testing.T) {
 	s := &stubBackend{}
-	b := NewBatcher(s, Options{MaxBatch: 8, MaxDelay: 5 * time.Millisecond})
+	b := NewReplicated(Options{MaxBatch: 8, MaxDelay: 5 * time.Millisecond}, s)
 	defer b.Close()
 	start := time.Now()
 	dets := predict(b, screen(7), 0.45)
@@ -141,7 +141,7 @@ func TestBatcherFlushesOnMaxDelay(t *testing.T) {
 // single threshold.
 func TestBatcherGroupsByThreshold(t *testing.T) {
 	s := &stubBackend{}
-	b := NewBatcher(s, Options{MaxBatch: 4, MaxDelay: time.Second})
+	b := NewReplicated(Options{MaxBatch: 4, MaxDelay: time.Second}, s)
 	defer b.Close()
 	confs := []float64{0.3, 0.5, 0.3, 0.5}
 	var wg sync.WaitGroup
@@ -170,7 +170,7 @@ func TestBatcherGroupsByThreshold(t *testing.T) {
 // unbatched inference instead of failing.
 func TestBatcherCloseDrainsPending(t *testing.T) {
 	s := &stubBackend{gate: make(chan struct{})}
-	b := NewBatcher(s, Options{MaxBatch: 2, MaxDelay: time.Millisecond})
+	b := NewReplicated(Options{MaxBatch: 2, MaxDelay: time.Millisecond}, s)
 	var wg sync.WaitGroup
 	results := make([][]metrics.Detection, 6)
 	for i := 0; i < 6; i++ {
@@ -204,7 +204,7 @@ func TestBatcherCloseDrainsPending(t *testing.T) {
 // recorder under the serve-batch stage.
 func TestBatcherTimings(t *testing.T) {
 	rec := &perfmodel.Timings{}
-	b := NewBatcher(&stubBackend{}, Options{MaxBatch: 2, MaxDelay: time.Millisecond, Timings: rec})
+	b := NewReplicated(Options{MaxBatch: 2, MaxDelay: time.Millisecond, Timings: rec}, &stubBackend{})
 	predict(b, screen(1), 0.45)
 	predict(b, screen(2), 0.45)
 	b.Close() // a worker records its batch after answering it; Close waits for that
@@ -219,7 +219,7 @@ func TestBatcherTimings(t *testing.T) {
 func TestBatcherEquivalenceRealModel(t *testing.T) {
 	m := yolite.NewModel(3)
 	m.Pool = tensor.NewPool() // the production stack batches a pooled model
-	b := NewBatcher(m, Options{MaxBatch: 4, MaxDelay: 10 * time.Millisecond})
+	b := NewReplicated(Options{MaxBatch: 4, MaxDelay: 10 * time.Millisecond}, m)
 	defer b.Close()
 	const screens = 4
 	want := make([][]metrics.Detection, screens)
@@ -286,7 +286,7 @@ func TestBatcherEquivalenceRealModel(t *testing.T) {
 // full serving stack.
 func TestBatcherConcurrentStress(t *testing.T) {
 	s := &stubBackend{}
-	b := NewBatcher(detect.WithResultCache(s, 64), Options{MaxBatch: 4, MaxDelay: 500 * time.Microsecond})
+	b := NewReplicated(Options{MaxBatch: 4, MaxDelay: 500 * time.Microsecond}, detect.WithResultCache(s, 64))
 	defer b.Close()
 	const (
 		workers = 8
@@ -324,7 +324,7 @@ func TestBatcherConcurrentStress(t *testing.T) {
 // straight through.
 func TestBatcherDirectBatchBypassesQueue(t *testing.T) {
 	s := &stubBackend{}
-	b := NewBatcher(s, Options{})
+	b := NewReplicated(Options{}, s)
 	defer b.Close()
 	x := tensor.New(3, 3, yolite.InputH, yolite.InputW)
 	per := len(x.Data) / 3

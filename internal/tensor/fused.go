@@ -9,8 +9,7 @@ import (
 // a single convolution: w' = w * gamma/std, b' = beta + (b - mean) *
 // gamma/std. This is the paper's "replace the internal redundant
 // calculations in the model with constants" step; the int8 port
-// (quant.FoldConvBN) and the float fused inference blocks both fold through
-// it.
+// (internal/quant) and the float fused inference blocks both fold through it.
 func FoldConvBN(conv *Conv2D, bn *BatchNorm2D) (w []float32, b []float32) {
 	per := conv.InC * conv.K * conv.K
 	w = make([]float32, conv.OutC*per)
@@ -40,11 +39,6 @@ type FusedConvBNAct struct {
 	Slope                     float32   // leaky-ReLU negative slope
 }
 
-var (
-	_ PooledLayer = (*FusedConvBNAct)(nil)
-	_ CancelLayer = (*FusedConvBNAct)(nil)
-)
-
 // FuseConvBNAct folds conv and bn into a single fused block with act's
 // slope applied in the epilogue.
 func FuseConvBNAct(conv *Conv2D, bn *BatchNorm2D, act *LeakyReLU) *FusedConvBNAct {
@@ -62,14 +56,15 @@ func (f *FusedConvBNAct) OutSize(h, w int) (int, int) {
 	return oh, ow
 }
 
-// ForwardPooled runs the fused block into a pooled buffer.
+// ForwardPooled is ForwardCancel with no cancellation.
 func (f *FusedConvBNAct) ForwardPooled(x *Tensor, p *Pool) *Tensor {
 	return f.ForwardCancel(x, p, nil)
 }
 
-// ForwardCancel is ForwardPooled with the standard cooperative cancellation
-// contract: once done closes the returned buffer is partially written and
-// the caller must discard it.
+// ForwardCancel runs the fused block under the inference contract of
+// Conv2D.ForwardCancel: output and scratch from p (nil allocates), and once
+// done closes the returned buffer is partially written and the caller must
+// discard it.
 func (f *FusedConvBNAct) ForwardCancel(x *Tensor, p *Pool, done <-chan struct{}) *Tensor {
 	N, C, H, W := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	if C != f.InC {
@@ -78,27 +73,6 @@ func (f *FusedConvBNAct) ForwardCancel(x *Tensor, p *Pool, done <-chan struct{})
 	OH, OW := f.OutSize(H, W)
 	y := p.Get(N, f.OutC, OH, OW)
 	spec := convSpec{inC: f.InC, outC: f.OutC, kk: f.K, stride: f.Stride, pad: f.Pad}
-	kdim := f.InC * f.K * f.K
-	if f.OutC*OH*OW*kdim >= gemmMinWork {
-		convGemmInto(x, y, spec, f.W, f.B, true, f.Slope, p, done)
-		return y
-	}
-	// Small-shape fallback: direct loop over output planes, activation
-	// applied per plane — still one pass over the output.
-	for n := 0; n < N; n++ {
-		for oc := 0; oc < f.OutC; oc++ {
-			if Aborted(done) {
-				return y
-			}
-			directConvPlane(x, y, spec, f.W, f.B[oc], n, oc)
-			base := ((n*f.OutC + oc) * OH) * OW
-			row := y.Data[base : base+OH*OW]
-			for i, v := range row {
-				if v < 0 {
-					row[i] = f.Slope * v
-				}
-			}
-		}
-	}
+	convGemmInto(x, y, spec, f.W, f.B, true, f.Slope, p, done)
 	return y
 }

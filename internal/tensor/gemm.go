@@ -3,23 +3,20 @@ package tensor
 // Cache-blocked SGEMM specialised for im2col convolution: C = A*B + bias,
 // where A is the weight matrix [M x K] (M = output channels, K = InC*k*k),
 // B is an im2col panel [K x nc] for one block of output pixels, and C is the
-// corresponding slice of the output feature map. The kernel is register
-// tiled 4x4 with a single accumulator per output element and k strictly
-// ascending, so every C element is the sum bias + w0*x0 + w1*x1 + ... in
-// exactly the order the direct convolution loop computes it — the GEMM path
-// is bit-identical to the fallback, not merely close (padding taps
-// contribute w*0, which cannot change a float sum).
+// corresponding slice of the output feature map. This is the only float
+// convolution kernel: every shape, down to the 3x5 AGO head grid, lowers
+// through it (a 1x1/s1/p0 convolution skips im2col altogether — the panel is
+// the input). The kernel is register tiled 4x4 with a single accumulator per
+// output element and k strictly ascending, so every C element is the sum
+// bias + w0*x0 + w1*x1 + ... in exactly the order a direct nested loop
+// computes it — bit-identical to the direct-loop oracle in gemm_test.go, not
+// merely close (padding taps contribute w*0, which cannot change a float
+// sum).
 //
 // Work is split into (batch item, column block) tasks dispatched through
 // ParallelForCancel, preserving the between-block cancellation checkpoints
 // the context-aware request path relies on: one task is a few hundred
 // microseconds, far inside the one-conv-layer abort budget.
-
-// gemmMinWork is the MAC-count floor below which convolutions stay on the
-// direct nested loop: for tiny feature maps (the 3x5 AGO head grid) the
-// im2col round trip costs more than it saves. The direct loop also remains
-// the bit-exactness reference the property tests compare against.
-const gemmMinWork = 1 << 12
 
 // convSpec is the geometry a lowered convolution shares between the float
 // and fused entry points.

@@ -1,10 +1,56 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 )
+
+// directConvPlane fills output plane (n, oc) with the direct nested loop —
+// the oracle the GEMM lowering is pinned against, bit for bit. It is
+// test-only because it never wins (BenchmarkConvKernels). The arithmetic
+// order within a plane is fixed: bias first, then taps in (ic, kh, kw)
+// order, out-of-bounds taps skipped.
+func directConvPlane(x, y *Tensor, spec convSpec, w []float32, bias float32, n, oc int) {
+	C, H, W := x.Shape[1], x.Shape[2], x.Shape[3]
+	OH, OW := y.Shape[2], y.Shape[3]
+	kk := spec.kk
+	plane := H * W
+	wPer := kk * kk
+	wPlane0 := oc * spec.inC * wPer
+	inPlane0 := n * C * plane
+	outBase := ((n*spec.outC + oc) * OH) * OW
+	for oh := 0; oh < OH; oh++ {
+		ihBase := oh*spec.stride - spec.pad
+		outRow := outBase + oh*OW
+		for ow := 0; ow < OW; ow++ {
+			iwBase := ow*spec.stride - spec.pad
+			sum := bias
+			wBase, inBase := wPlane0, inPlane0
+			for ic := 0; ic < spec.inC; ic++ {
+				for kh := 0; kh < kk; kh++ {
+					ih := ihBase + kh
+					if ih < 0 || ih >= H {
+						continue
+					}
+					inRow := inBase + ih*W
+					wRow := wBase + kh*kk
+					for kw := 0; kw < kk; kw++ {
+						iw := iwBase + kw
+						if iw < 0 || iw >= W {
+							continue
+						}
+						sum += w[wRow+kw] * x.Data[inRow+iw]
+					}
+				}
+				wBase += wPer
+				inBase += plane
+			}
+			y.Data[outRow+ow] = sum
+		}
+	}
+}
 
 // directConvRef computes the convolution with the plain nested loop for every
 // output plane — the reference the GEMM path must match bit-for-bit.
@@ -13,12 +59,17 @@ func directConvRef(x *Tensor, spec convSpec, w, bias []float32) *Tensor {
 	OH := (H+2*spec.pad-spec.kk)/spec.stride + 1
 	OW := (W+2*spec.pad-spec.kk)/spec.stride + 1
 	y := New(N, spec.outC, OH, OW)
-	for n := 0; n < N; n++ {
+	directConvInto(x, y, spec, w, bias)
+	return y
+}
+
+// directConvInto runs the oracle over every output plane of y, serially.
+func directConvInto(x, y *Tensor, spec convSpec, w, bias []float32) {
+	for n := 0; n < x.Shape[0]; n++ {
 		for oc := 0; oc < spec.outC; oc++ {
 			directConvPlane(x, y, spec, w, bias[oc], n, oc)
 		}
 	}
-	return y
 }
 
 // randomConv builds a random input and weight set for a given geometry.
@@ -39,15 +90,39 @@ func randomConv(rng *rand.Rand, n, c, h, w, outC, kk, stride, pad int) (*Tensor,
 	return x, spec, wt, bias
 }
 
+// convShape is one convolution geometry: input [n, c, h, w], outC kernels of
+// kk x kk at the given stride and padding.
+type convShape struct{ n, c, h, w, outC, kk, stride, pad int }
+
+// productionConvShapes are the convolutions the shipped models run, at N=1:
+// the eight yolite layers on the 96x160 input (down to the 2 400-MAC AGO
+// head) and the three rcnn backbone layers on a 24x24 proposal crop.
+var productionConvShapes = []struct {
+	name string
+	convShape
+}{
+	{"yolite_b1", convShape{1, 3, 160, 96, 10, 3, 2, 1}},
+	{"yolite_b2", convShape{1, 10, 80, 48, 16, 3, 2, 1}},
+	{"yolite_b3", convShape{1, 16, 40, 24, 24, 3, 2, 1}},
+	{"yolite_b3b", convShape{1, 24, 20, 12, 24, 3, 1, 1}},
+	{"yolite_b4", convShape{1, 24, 20, 12, 32, 3, 2, 1}},
+	{"yolite_b5", convShape{1, 32, 10, 6, 32, 3, 2, 1}},
+	{"yolite_upo_head", convShape{1, 24, 20, 12, 5, 1, 1, 0}},
+	{"yolite_ago_head", convShape{1, 32, 5, 3, 5, 1, 1, 0}},
+	{"rcnn_c1", convShape{1, 3, 24, 24, 8, 3, 1, 1}},
+	{"rcnn_c2", convShape{1, 8, 12, 12, 16, 3, 1, 1}},
+	{"rcnn_c3", convShape{1, 16, 6, 6, 16, 3, 1, 1}},
+}
+
 // TestConvGemmMatchesDirect pins the core bit-exactness claim: the im2col +
 // blocked GEMM path produces exactly the float32 bits of the direct nested
-// loop across randomized geometry, including 1x1 kernels, stride > 1,
-// padding >= k/2, and spatial sizes smaller than the kernel.
+// loop across every production shape (N=1 and N=8) and randomized geometry,
+// including 1x1 kernels, stride > 1, padding >= k/2, and spatial sizes
+// smaller than the kernel.
 func TestConvGemmMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	p := NewPool()
-	type shape struct{ n, c, h, w, outC, kk, stride, pad int }
-	cases := []shape{
+	cases := []convShape{
 		{1, 3, 8, 8, 4, 3, 1, 1},
 		{2, 3, 160, 96, 10, 3, 2, 1}, // yolite B1 geometry
 		{1, 16, 40, 24, 24, 3, 2, 1}, // mid-backbone geometry
@@ -59,9 +134,16 @@ func TestConvGemmMatchesDirect(t *testing.T) {
 		{2, 8, 12, 12, 8, 1, 1, 0},   // 1x1 fast path with batch
 		{1, 6, 7, 11, 5, 3, 2, 0},    // no padding, non-square
 	}
+	for _, ps := range productionConvShapes {
+		for _, n := range []int{1, 8} {
+			s := ps.convShape
+			s.n = n
+			cases = append(cases, s)
+		}
+	}
 	for i := 0; i < 12; i++ { // and a dozen fully random geometries
 		kk := 1 + rng.Intn(3)*2 // 1, 3, 5
-		cases = append(cases, shape{
+		cases = append(cases, convShape{
 			n: 1 + rng.Intn(3), c: 1 + rng.Intn(8),
 			h: 1 + rng.Intn(20), w: 1 + rng.Intn(20),
 			outC: 1 + rng.Intn(12), kk: kk,
@@ -157,36 +239,58 @@ func TestIm2colPanelBlocks(t *testing.T) {
 }
 
 // TestFusedConvBNActMatchesUnfused checks the folded one-pass block against
-// running conv, batch norm, and leaky-ReLU separately.
+// running conv, batch norm, and leaky-ReLU separately. The last two shapes
+// are tiny (under 4 096 MACs), where per-task overheads would show: one on
+// the 1x1 no-im2col path (the AGO head grid) and one through im2col.
 func TestFusedConvBNActMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	conv := NewConv2D(rng, 5, 8, 3, 2, 1)
-	for i := range conv.W.Data {
-		conv.W.Data[i] = rng.Float32()*2 - 1
-	}
-	for i := range conv.B.Data {
-		conv.B.Data[i] = rng.Float32() - 0.5
-	}
-	bn := NewBatchNorm2D(8)
-	for oc := 0; oc < 8; oc++ {
-		bn.Gamma.Data[oc] = 0.5 + rng.Float32()
-		bn.Beta.Data[oc] = rng.Float32() - 0.5
-		bn.RunMean[oc] = rng.Float32() - 0.5
-		bn.RunVar[oc] = 0.1 + rng.Float32()
-	}
-	act := NewLeakyReLU()
-	x := New(2, 5, 12, 10)
-	for i := range x.Data {
-		x.Data[i] = rng.Float32()*2 - 1
-	}
-	want := act.Forward(bn.Forward(conv.Forward(x, false), false), false)
-	fused := FuseConvBNAct(conv, bn, act)
-	p := NewPool()
-	got := fused.ForwardPooled(x, p)
-	for i := range want.Data {
-		d := got.Data[i] - want.Data[i]
-		if d < -1e-4 || d > 1e-4 {
-			t.Fatalf("element %d: fused %v unfused %v", i, got.Data[i], want.Data[i])
+	for _, s := range []convShape{
+		{2, 5, 12, 10, 8, 3, 2, 1},
+		{1, 32, 5, 3, 5, 1, 1, 0}, // 2 400 MACs
+		{1, 4, 5, 5, 3, 3, 1, 1},  // 2 700 MACs
+	} {
+		conv := NewConv2D(rng, s.c, s.outC, s.kk, s.stride, s.pad)
+		for i := range conv.W.Data {
+			conv.W.Data[i] = rng.Float32()*2 - 1
+		}
+		for i := range conv.B.Data {
+			conv.B.Data[i] = rng.Float32() - 0.5
+		}
+		bn := NewBatchNorm2D(s.outC)
+		for oc := 0; oc < s.outC; oc++ {
+			bn.Gamma.Data[oc] = 0.5 + rng.Float32()
+			bn.Beta.Data[oc] = rng.Float32() - 0.5
+			bn.RunMean[oc] = rng.Float32() - 0.5
+			bn.RunVar[oc] = 0.1 + rng.Float32()
+		}
+		act := NewLeakyReLU()
+		x := New(s.n, s.c, s.h, s.w)
+		for i := range x.Data {
+			x.Data[i] = rng.Float32()*2 - 1
+		}
+		want := act.Forward(bn.Forward(conv.Forward(x, false), false), false)
+		fused := FuseConvBNAct(conv, bn, act)
+		got := fused.ForwardPooled(x, NewPool())
+		if !got.SameShape(want) {
+			t.Fatalf("shape %+v: fused output %v, unfused %v", s, got.Shape, want.Shape)
+		}
+		for i := range want.Data {
+			d := got.Data[i] - want.Data[i]
+			if d < -1e-4 || d > 1e-4 {
+				t.Fatalf("shape %+v: element %d: fused %v unfused %v", s, i, got.Data[i], want.Data[i])
+			}
+		}
+		// The fused block is the fold plus the GEMM epilogue, so against the
+		// oracle run on the folded weights it is exact, not merely close.
+		spec := convSpec{inC: s.c, outC: s.outC, kk: s.kk, stride: s.stride, pad: s.pad}
+		exact := directConvRef(x, spec, fused.W, fused.B)
+		for i, v := range exact.Data {
+			if v < 0 {
+				v = fused.Slope * v
+			}
+			if got.Data[i] != v {
+				t.Fatalf("shape %+v: element %d: fused %v, oracle on folded weights %v", s, i, got.Data[i], v)
+			}
 		}
 	}
 }
@@ -244,6 +348,35 @@ func BenchmarkGemm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		convGemmInto(x, y, spec, wt, bias, true, 0.1, p, nil)
+	}
+}
+
+// BenchmarkConvKernels is the evidence that one float kernel is enough: the
+// direct-loop oracle against the GEMM lowering on every production shape, at
+// N=1 (serving) and N=8 (audit batches). Rerun it before giving any shape a
+// kernel of its own. The oracle runs its planes serially; convGemmInto fans
+// out on its own when the flop count justifies it, so run with -cpu 1 to
+// compare kernel to kernel.
+func BenchmarkConvKernels(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	p := NewPool()
+	for _, ps := range productionConvShapes {
+		for _, n := range []int{1, 8} {
+			s := ps.convShape
+			x, spec, wt, bias := randomConv(rng, n, s.c, s.h, s.w, s.outC, s.kk, s.stride, s.pad)
+			y := directConvRef(x, spec, wt, bias)
+			name := fmt.Sprintf("%s/n%d", ps.name, n)
+			b.Run(name+"/direct", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					directConvInto(x, y, spec, wt, bias)
+				}
+			})
+			b.Run(name+"/gemm", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					convGemmInto(x, y, spec, wt, bias, false, 0, p, nil)
+				}
+			})
+		}
 	}
 }
 

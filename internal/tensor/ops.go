@@ -45,9 +45,6 @@ func (c *Conv2D) OutSize(h, w int) (int, int) {
 }
 
 // Forward computes the convolution. The input must be [N, InC, H, W].
-// Output planes are independent, so the (batch item, output channel) pairs
-// run on the shared worker pool when the flop count justifies it — this is
-// what lets batched inference scale with GOMAXPROCS.
 func (c *Conv2D) Forward(x *Tensor, train bool) *Tensor {
 	N, C, H, W := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	if C != c.InC {
@@ -62,18 +59,19 @@ func (c *Conv2D) Forward(x *Tensor, train bool) *Tensor {
 	return y
 }
 
-// ForwardPooled is the inference-only forward: the output buffer comes from
-// p (contents fully overwritten) and no backward bookkeeping is recorded.
+// ForwardPooled is ForwardCancel with no cancellation.
 func (c *Conv2D) ForwardPooled(x *Tensor, p *Pool) *Tensor {
 	return c.ForwardCancel(x, p, nil)
 }
 
-// ForwardCancel is the inference-only forward with a cooperative
-// cancellation hook: once done closes, no further output planes are started
-// and the call returns early. The returned tensor is then only partially
-// written — the caller must observe done itself and discard the buffer
-// (returning it to the pool is fine; pooled contents are dirty by contract).
-// A nil done is exactly ForwardPooled, and a nil pool allocates fresh.
+// ForwardCancel is the inference contract the convolutions (this and
+// FusedConvBNAct) share: the output buffer and the im2col scratch come from
+// p (contents fully overwritten; a nil pool allocates fresh), no backward
+// bookkeeping is recorded, and done is a cooperative cancellation hook —
+// once it closes, no further column block is started and the call returns
+// early. The returned tensor is then only partially written: the caller must
+// observe done itself and discard the buffer (returning it to the pool is
+// fine; pooled contents are dirty by contract). A nil done never aborts.
 func (c *Conv2D) ForwardCancel(x *Tensor, p *Pool, done <-chan struct{}) *Tensor {
 	N, C, H, W := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	if C != c.InC {
@@ -86,83 +84,13 @@ func (c *Conv2D) ForwardCancel(x *Tensor, p *Pool, done <-chan struct{}) *Tensor
 }
 
 // forwardInto computes the convolution into the preallocated output y,
-// writing every element. Large shapes are lowered to im2col + blocked GEMM
-// (see gemm.go) with scratch panels drawn from p; small shapes stay on the
-// direct nested loop, which doubles as the bit-exactness reference — both
-// paths accumulate each output element in identical order, so their results
-// are bit-identical (pinned by TestConvGemmMatchesDirect). Work runs on the
-// shared worker pool when the flop count justifies it, and a non-nil done is
-// polled between column blocks (GEMM) or output planes (direct) — the
+// writing every element: every shape lowers to im2col + blocked GEMM (see
+// gemm.go), which runs on the shared worker pool when the flop count
+// justifies it and polls a non-nil done between column blocks — the
 // convolution is the hot loop every cancellation deadline ultimately bounds.
 func (c *Conv2D) forwardInto(x, y *Tensor, p *Pool, done <-chan struct{}) {
-	N := x.Shape[0]
-	OH, OW := y.Shape[2], y.Shape[3]
-	kdim := c.InC * c.K * c.K
 	spec := convSpec{inC: c.InC, outC: c.OutC, kk: c.K, stride: c.Stride, pad: c.Pad}
-	if c.OutC*OH*OW*kdim >= gemmMinWork {
-		convGemmInto(x, y, spec, c.W.Data, c.B.Data, false, 0, p, done)
-		return
-	}
-	tasks := N * c.OutC
-	if ParallelWorthwhile(tasks * OH * OW * kdim) {
-		ParallelForCancel(done, tasks, func(t int) {
-			directConvPlane(x, y, spec, c.W.Data, c.B.Data[t%c.OutC], t/c.OutC, t%c.OutC)
-		})
-		return
-	}
-	for t := 0; t < tasks; t++ {
-		if Aborted(done) {
-			return
-		}
-		directConvPlane(x, y, spec, c.W.Data, c.B.Data[t%c.OutC], t/c.OutC, t%c.OutC)
-	}
-}
-
-// directConvPlane fills output plane (n, oc) with the direct nested loop —
-// the small-shape fallback and the reference the GEMM path is pinned
-// against. Each plane touches a disjoint slice of y, so planes are safe to
-// compute concurrently; the arithmetic order within a plane is fixed,
-// keeping results bit-identical to the serial loop. The weight and input
-// plane bases advance incrementally with ic instead of being recomputed in
-// the innermost loops.
-func directConvPlane(x, y *Tensor, spec convSpec, w []float32, bias float32, n, oc int) {
-	C, H, W := x.Shape[1], x.Shape[2], x.Shape[3]
-	OH, OW := y.Shape[2], y.Shape[3]
-	kk := spec.kk
-	plane := H * W
-	wPer := kk * kk
-	wPlane0 := oc * spec.inC * wPer
-	inPlane0 := n * C * plane
-	outBase := ((n*spec.outC + oc) * OH) * OW
-	for oh := 0; oh < OH; oh++ {
-		ihBase := oh*spec.stride - spec.pad
-		outRow := outBase + oh*OW
-		for ow := 0; ow < OW; ow++ {
-			iwBase := ow*spec.stride - spec.pad
-			sum := bias
-			wBase, inBase := wPlane0, inPlane0
-			for ic := 0; ic < spec.inC; ic++ {
-				for kh := 0; kh < kk; kh++ {
-					ih := ihBase + kh
-					if ih < 0 || ih >= H {
-						continue
-					}
-					inRow := inBase + ih*W
-					wRow := wBase + kh*kk
-					for kw := 0; kw < kk; kw++ {
-						iw := iwBase + kw
-						if iw < 0 || iw >= W {
-							continue
-						}
-						sum += w[wRow+kw] * x.Data[inRow+iw]
-					}
-				}
-				wBase += wPer
-				inBase += plane
-			}
-			y.Data[outRow+ow] = sum
-		}
-	}
+	convGemmInto(x, y, spec, c.W.Data, c.B.Data, false, 0, p, done)
 }
 
 // Backward computes input gradients and accumulates weight/bias gradients.
@@ -254,11 +182,22 @@ func (bn *BatchNorm2D) Forward(x *Tensor, train bool) *Tensor {
 		panic(fmt.Sprintf("tensor: batchnorm expects %d channels, got %d", bn.C, C))
 	}
 	y := New(N, C, H, W)
+	plane := H * W
 	if !train {
-		bn.inferInto(x, y)
+		for c := 0; c < C; c++ {
+			mean, variance := bn.RunMean[c], bn.RunVar[c]
+			std := float32(math.Sqrt(float64(variance + bn.Eps)))
+			g, b := bn.Gamma.Data[c], bn.Beta.Data[c]
+			for n := 0; n < N; n++ {
+				base := ((n*C + c) * plane)
+				for i := 0; i < plane; i++ {
+					norm := (x.Data[base+i] - mean) / std
+					y.Data[base+i] = g*norm + b
+				}
+			}
+		}
 		return y
 	}
-	plane := H * W
 	count := float32(N * plane)
 	bn.lastIn = x
 	if cap(bn.lastNorm) < len(x.Data) {
@@ -301,37 +240,6 @@ func (bn *BatchNorm2D) Forward(x *Tensor, train bool) *Tensor {
 		}
 	}
 	return y
-}
-
-// ForwardPooled normalises with the running statistics into a pooled
-// buffer — the inference-only path.
-func (bn *BatchNorm2D) ForwardPooled(x *Tensor, p *Pool) *Tensor {
-	if x.Shape[1] != bn.C {
-		panic(fmt.Sprintf("tensor: batchnorm expects %d channels, got %d", bn.C, x.Shape[1]))
-	}
-	y := p.Get(x.Shape...)
-	bn.inferInto(x, y)
-	return y
-}
-
-// inferInto applies the running-statistics normalisation into y, writing
-// every element — arithmetic identical to the historical eval branch of
-// Forward.
-func (bn *BatchNorm2D) inferInto(x, y *Tensor) {
-	N, C, H, W := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	plane := H * W
-	for c := 0; c < C; c++ {
-		mean, variance := bn.RunMean[c], bn.RunVar[c]
-		std := float32(math.Sqrt(float64(variance + bn.Eps)))
-		g, b := bn.Gamma.Data[c], bn.Beta.Data[c]
-		for n := 0; n < N; n++ {
-			base := ((n*C + c) * plane)
-			for i := 0; i < plane; i++ {
-				norm := (x.Data[base+i] - mean) / std
-				y.Data[base+i] = g*norm + b
-			}
-		}
-	}
 }
 
 // Backward propagates through the normalisation.
@@ -387,19 +295,6 @@ func (l *LeakyReLU) Forward(x *Tensor, train bool) *Tensor {
 	if train {
 		l.lastIn = x
 	}
-	l.applyInto(x, y)
-	return y
-}
-
-// ForwardPooled applies the activation into a pooled buffer.
-func (l *LeakyReLU) ForwardPooled(x *Tensor, p *Pool) *Tensor {
-	y := p.Get(x.Shape...)
-	l.applyInto(x, y)
-	return y
-}
-
-// applyInto writes the activation of every element of x into y.
-func (l *LeakyReLU) applyInto(x, y *Tensor) {
 	for i, v := range x.Data {
 		if v >= 0 {
 			y.Data[i] = v
@@ -407,6 +302,7 @@ func (l *LeakyReLU) applyInto(x, y *Tensor) {
 			y.Data[i] = l.Slope * v
 		}
 	}
+	return y
 }
 
 // Backward gates the gradient by the sign of the stored input.
@@ -438,10 +334,11 @@ type MaxPool2D struct {
 // NewMaxPool2D builds the pooling layer.
 func NewMaxPool2D() *MaxPool2D { return &MaxPool2D{} }
 
-// Forward pools each 2x2 block to its maximum.
+// Forward pools each 2x2 block to its maximum, recording argmax positions
+// for the backward pass only when train is set.
 func (p *MaxPool2D) Forward(x *Tensor, train bool) *Tensor {
-	N, C := x.Shape[0], x.Shape[1]
-	OH, OW := x.Shape[2]/2, x.Shape[3]/2
+	N, C, H, W := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	OH, OW := H/2, W/2
 	y := New(N, C, OH, OW)
 	if train {
 		if cap(p.argmax) < len(y.Data) {
@@ -450,22 +347,6 @@ func (p *MaxPool2D) Forward(x *Tensor, train bool) *Tensor {
 		p.argmax = p.argmax[:len(y.Data)]
 		p.inLen = len(x.Data)
 	}
-	p.poolInto(x, y, train)
-	return y
-}
-
-// ForwardPooled pools into a pooled buffer without argmax bookkeeping.
-func (p *MaxPool2D) ForwardPooled(x *Tensor, pool *Pool) *Tensor {
-	y := pool.Get(x.Shape[0], x.Shape[1], x.Shape[2]/2, x.Shape[3]/2)
-	p.poolInto(x, y, false)
-	return y
-}
-
-// poolInto writes each 2x2 block's maximum into y, recording argmax
-// positions for the backward pass only when train is set.
-func (p *MaxPool2D) poolInto(x, y *Tensor, train bool) {
-	N, C, H, W := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	OH, OW := y.Shape[2], y.Shape[3]
 	for n := 0; n < N; n++ {
 		for c := 0; c < C; c++ {
 			inBase := ((n*C + c) * H) * W
@@ -488,6 +369,7 @@ func (p *MaxPool2D) poolInto(x, y *Tensor, train bool) {
 			}
 		}
 	}
+	return y
 }
 
 // Backward routes gradients to the argmax positions.

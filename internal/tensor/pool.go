@@ -25,8 +25,8 @@ import (
 // Training never pools: backward passes hold references to forward
 // activations (Conv2D.lastIn, BatchNorm2D.lastNorm), so recycling them
 // between Forward and Backward would corrupt gradients. The inference-only
-// entry points (ForwardPooled, Model.Pool fields) are the only paths that
-// touch a Pool.
+// entry points (the convolutions' ForwardCancel, Model.Pool fields) are the
+// only paths that touch a Pool.
 //
 // A nil *Pool is valid everywhere: Get falls back to New and Put is a
 // no-op, so callers thread an optional pool through unconditionally.
@@ -149,44 +149,4 @@ func (p *Pool) Stats() (gets, news int64) {
 		return 0, 0
 	}
 	return p.gets.Load(), p.news.Load()
-}
-
-// PooledLayer is the inference-only counterpart of Layer.Forward: the layer
-// draws its output from a Pool instead of allocating, and records none of
-// the bookkeeping a backward pass would need. Implementations must produce
-// output bit-identical to Forward(x, false).
-type PooledLayer interface {
-	ForwardPooled(x *Tensor, p *Pool) *Tensor
-}
-
-// InferPooled runs one inference-only forward through l, drawing the output
-// from p when the layer supports pooling and falling back to Forward
-// otherwise.
-func InferPooled(l Layer, x *Tensor, p *Pool) *Tensor {
-	if pl, ok := l.(PooledLayer); ok {
-		return pl.ForwardPooled(x, p)
-	}
-	return l.Forward(x, false)
-}
-
-// CancelLayer is a PooledLayer with a cooperative cancellation hook: once
-// done closes, the layer stops computing and returns a partially written
-// buffer the caller must discard after observing done. Only layers whose
-// forward is expensive enough to matter implement it (the convolutions);
-// elementwise layers finish faster than a checkpoint would save.
-type CancelLayer interface {
-	ForwardCancel(x *Tensor, p *Pool, done <-chan struct{}) *Tensor
-}
-
-// InferCancel runs one inference-only forward through l with cancellation:
-// cancel-aware layers poll done between output planes, everything else runs
-// to completion (the between-layer checkpoint in the caller still bounds the
-// abort to one layer). A nil done is exactly InferPooled.
-func InferCancel(l Layer, x *Tensor, p *Pool, done <-chan struct{}) *Tensor {
-	if done != nil {
-		if cl, ok := l.(CancelLayer); ok {
-			return cl.ForwardCancel(x, p, done)
-		}
-	}
-	return InferPooled(l, x, p)
 }

@@ -99,10 +99,10 @@ func NewModel(seed int64) *Model {
 // Name identifies the backend in registries and result tables.
 func (m *Model) Name() string { return "yolite" }
 
-// SetPool installs the activation pool inference draws from — the seam the
-// serving layer's replica pool uses to give each replica a private pool so
-// recycled buffers never cross model instances. Must not be called while a
-// forward is in flight.
+// SetPool installs the activation pool inference draws from — the seam
+// detect.Build uses to give every built instance a private pool, so recycled
+// buffers never cross model instances. Must not be called while a forward is
+// in flight.
 func (m *Model) SetPool(p *tensor.Pool) { m.Pool = p }
 
 // Params returns every trainable tensor.
@@ -251,41 +251,43 @@ func (m *Model) Backward(dUPO, dAGO *tensor.Tensor) {
 	m.B1.Backward(m.B2.Backward(m.B3.Backward(m.B3b.Backward(sum))))
 }
 
-// CanvasToTensor converts an RGBA canvas (already at InputW x InputH) into a
-// normalised [1, 3, H, W] tensor.
-func CanvasToTensor(c *render.Canvas) *tensor.Tensor {
+// canvasInto writes c, downscaled to InputW x InputH when it is any other
+// size, into dst as one normalised [3, InputH, InputW] item — the single
+// pixel-to-input writer behind every canvas-to-tensor entry point.
+func canvasInto(dst []float32, c *render.Canvas) {
 	if c.W != InputW || c.H != InputH {
 		c = c.Downscale(InputW, InputH)
 	}
-	x := tensor.New(1, 3, InputH, InputW)
 	plane := InputH * InputW
-	for y := 0; y < InputH; y++ {
-		for xx := 0; xx < InputW; xx++ {
-			i := 4 * (y*InputW + xx)
-			o := y*InputW + xx
-			x.Data[o] = float32(c.Pix[i]) / 255
-			x.Data[plane+o] = float32(c.Pix[i+1]) / 255
-			x.Data[2*plane+o] = float32(c.Pix[i+2]) / 255
-		}
+	for o := 0; o < plane; o++ {
+		i := 4 * o
+		dst[o] = float32(c.Pix[i]) / 255
+		dst[plane+o] = float32(c.Pix[i+1]) / 255
+		dst[2*plane+o] = float32(c.Pix[i+2]) / 255
 	}
+}
+
+// CanvasToTensor converts an RGBA canvas (any resolution) into a normalised
+// [1, 3, InputH, InputW] tensor.
+func CanvasToTensor(c *render.Canvas) *tensor.Tensor {
+	x := tensor.New(1, 3, InputH, InputW)
+	canvasInto(x.Data, c)
 	return x
 }
 
 // BatchToTensor stacks samples into one [N, 3, H, W] tensor.
 func BatchToTensor(samples []*dataset.Sample) *tensor.Tensor {
-	n := len(samples)
-	x := tensor.New(n, 3, InputH, InputW)
+	x := tensor.New(len(samples), 3, InputH, InputW)
 	per := 3 * InputH * InputW
-	for si, s := range samples {
-		one := CanvasToTensor(s.Input)
-		copy(x.Data[si*per:(si+1)*per], one.Data)
+	for i, s := range samples {
+		canvasInto(x.Data[i*per:(i+1)*per], s.Input)
 	}
 	return x
 }
 
 // CanvasesToTensor stacks screenshot canvases (any resolutions) into one
-// [N, 3, InputH, InputW] batch tensor, downscaling each like CanvasToTensor.
-// It returns nil for an empty slice.
+// [N, 3, InputH, InputW] batch tensor, downscaling each as needed. It
+// returns nil for an empty slice.
 func CanvasesToTensor(shots []*render.Canvas) *tensor.Tensor {
 	if len(shots) == 0 {
 		return nil
@@ -293,8 +295,7 @@ func CanvasesToTensor(shots []*render.Canvas) *tensor.Tensor {
 	x := tensor.New(len(shots), 3, InputH, InputW)
 	per := 3 * InputH * InputW
 	for i, c := range shots {
-		one := CanvasToTensor(c)
-		copy(x.Data[i*per:(i+1)*per], one.Data)
+		canvasInto(x.Data[i*per:(i+1)*per], c)
 	}
 	return x
 }
@@ -388,19 +389,15 @@ func (m *Model) PredictTensor(x *tensor.Tensor, n int, confThresh float64) []met
 
 // DecodeItem turns the raw head maps for batch item n into final
 // detections: decode both heads, optionally edge-snap against x's luma
-// (scratch drawn from pool when one is given), suppress duplicates. The float
-// model and the int8 port share it.
+// (scratch drawn from pool; a nil pool allocates it), suppress duplicates. The
+// float model and the int8 port share it.
 func DecodeItem(x, upo, ago *tensor.Tensor, n int, confThresh float64, refine bool, pool *tensor.Pool) []metrics.Detection {
 	dets := DecodeHead(upo, n, UPOHeadSpec, confThresh)
 	dets = append(dets, DecodeHead(ago, n, AGOHeadSpec, confThresh)...)
 	if refine {
-		if pool != nil {
-			scratch := pool.Get(x.Shape[2] * x.Shape[3])
-			dets = RefineDetections(dets, LumaPlaneInto(x, n, scratch.Data), InputW, InputH)
-			pool.Put(scratch)
-		} else {
-			dets = RefineDetections(dets, LumaPlane(x, n), InputW, InputH)
-		}
+		scratch := pool.Get(x.Shape[2] * x.Shape[3])
+		dets = RefineDetections(dets, LumaPlaneInto(x, n, scratch.Data), InputW, InputH)
+		pool.Put(scratch)
 	}
 	// Same-class options are never adjacent on real AUIs, so NMS can be
 	// aggressive; this removes the duplicate fires that multi-cell target

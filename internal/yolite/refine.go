@@ -32,15 +32,10 @@ const (
 	refineDriftPenalty = 0.002
 )
 
-// LumaPlane extracts the luminance plane of batch item n from a normalised
-// [N, 3, H, W] tensor.
-func LumaPlane(x *tensor.Tensor, n int) []float32 {
-	return LumaPlaneInto(x, n, nil)
-}
-
-// LumaPlaneInto is LumaPlane writing into dst when it is large enough,
-// letting pooled inference reuse one scratch plane across decodes. It
-// returns the filled plane (dst re-sliced, or a fresh slice).
+// LumaPlaneInto extracts the luminance plane of batch item n from a
+// normalised [N, 3, H, W] tensor, writing into dst when it is large enough so
+// pooled inference reuses one scratch plane across decodes. It returns the
+// filled plane (dst re-sliced, or a fresh slice).
 func LumaPlaneInto(x *tensor.Tensor, n int, dst []float32) []float32 {
 	h, w := x.Shape[2], x.Shape[3]
 	plane := h * w

@@ -10,7 +10,7 @@ import (
 
 // lumaOfCanvas builds a luma plane from a canvas for refinement tests.
 func lumaOfCanvas(c *render.Canvas) []float32 {
-	return LumaPlane(CanvasToTensor(c), 0)
+	return LumaPlaneInto(CanvasToTensor(c), 0, nil)
 }
 
 func TestRefineBoxSnapsLargeButton(t *testing.T) {
