@@ -7,14 +7,9 @@
 package main
 
 import (
-	"context"
-	"fmt"
 	"os"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/auigen"
 	"repro/internal/core"
@@ -23,8 +18,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/quant"
-	"repro/internal/serve"
-	"repro/internal/tensor"
 	"repro/internal/yolite"
 )
 
@@ -264,229 +257,6 @@ func BenchmarkDetectCached(b *testing.B) {
 	b.StopTimer()
 	if cached.Hits() != b.N {
 		b.Fatalf("expected %d cache hits, got %d", b.N, cached.Hits())
-	}
-}
-
-// --- Batched inference (the detector batch seam) ---
-
-// benchBatch stacks the first n test screens into one [n, 3, H, W] tensor.
-func benchBatch(b *testing.B, n int) *tensor.Tensor {
-	b.Helper()
-	test := sharedEnv(b).Split().Test
-	if len(test) < n {
-		b.Skipf("quick test split has %d screens, need %d", len(test), n)
-	}
-	return yolite.BatchToTensor(test[:n])
-}
-
-// BenchmarkPredictBatch runs eight screens through the seam in one call: one
-// backbone forward decodes all items.
-func BenchmarkPredictBatch(b *testing.B) {
-	m := sharedEnv(b).Float()
-	x := benchBatch(b, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.PredictBatchCtx(context.Background(), x, yolite.DefaultConfThresh); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPredictBatchInt8 is the device-model (int8) batch path.
-func BenchmarkPredictBatchInt8(b *testing.B) {
-	m := sharedEnv(b).Device()
-	x := benchBatch(b, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.PredictBatchCtx(context.Background(), x, yolite.DefaultConfThresh); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Serving layer (internal/serve) and activation pooling ---
-
-// benchScreens builds n distinct single-screen tensors from the test split.
-func benchScreens(b *testing.B, n int) []*tensor.Tensor {
-	b.Helper()
-	test := sharedEnv(b).Split().Test
-	if len(test) < n {
-		b.Skipf("quick test split has %d screens, need %d", len(test), n)
-	}
-	out := make([]*tensor.Tensor, n)
-	for i := range out {
-		out[i] = yolite.CanvasToTensor(test[i].Input)
-	}
-	return out
-}
-
-// The serving benchmarks model the fleet scenario: serveClients simulated
-// devices multiplexed onto few cores, each device repeatedly resubmitting
-// its handful of current screens the way a monkey crawl revisits the same
-// rendered states (the darpa-sim fleet run measures ~40% identical
-// resubmissions). Both benchmarks drive the identical workload; they differ
-// only in what serves it.
-const (
-	serveClients     = 8
-	screensPerDevice = 3
-)
-
-// BenchmarkServeConcurrent serves the fleet workload through the full
-// serving stack exactly as cmd/darpa-sim -fleet deploys it: micro-batching
-// Batcher over a sharded result cache over a pooled backend. Concurrent
-// misses coalesce into batched forwards, revisited screens dedupe in the
-// cache, and steady-state forwards allocate nothing. ns/op is the amortised
-// per-screen cost under load; compare against
-// BenchmarkServeUnbatchedBaseline, the same offered load with every request
-// running its own independent unbatched forward.
-func BenchmarkServeConcurrent(b *testing.B) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		b.Skip("needs GOMAXPROCS > 1 for concurrent batching")
-	}
-	m := sharedEnv(b).Float()
-	screens := benchScreens(b, serveClients*screensPerDevice)
-	cached := detect.WithResultCache(m, 64)
-	batcher := serve.NewReplicated(serve.Options{MaxBatch: serveClients}, cached)
-	defer batcher.Close()
-	var clientID atomic.Int64
-	b.SetParallelism((serveClients + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0))
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		device := int(clientID.Add(1)-1) % serveClients
-		mine := screens[device*screensPerDevice : (device+1)*screensPerDevice]
-		for i := 0; pb.Next(); i++ {
-			batcher.PredictTensorCtx(context.Background(), mine[i%len(mine)], 0, yolite.DefaultConfThresh)
-		}
-	})
-	b.StopTimer()
-	st := batcher.Stats()
-	if st.Batches > 0 {
-		b.Logf("served %d screens in %d forwards (max batch %d, cache hit rate %.0f%%)",
-			st.Items, st.Batches, st.MaxBatchSize, 100*cached.HitRate())
-	}
-}
-
-// BenchmarkServeUnbatchedBaseline is the same fleet workload served the way
-// the pre-serving-layer code did: serveClients independent single-screen
-// loops, every request paying a full single-item forward with freshly
-// allocated activations — no scheduler, no shared cache, no pool.
-func BenchmarkServeUnbatchedBaseline(b *testing.B) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		b.Skip("needs GOMAXPROCS > 1 for a comparable concurrent load")
-	}
-	m := sharedEnv(b).Float()
-	screens := benchScreens(b, serveClients*screensPerDevice)
-	var clientID atomic.Int64
-	b.SetParallelism((serveClients + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0))
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		device := int(clientID.Add(1)-1) % serveClients
-		mine := screens[device*screensPerDevice : (device+1)*screensPerDevice]
-		for i := 0; pb.Next(); i++ {
-			m.PredictTensor(mine[i%len(mine)], 0, yolite.DefaultConfThresh)
-		}
-	})
-}
-
-// BenchmarkPredictPooled measures the steady-state allocation profile of
-// the inference forward (backbone + both heads) drawing every activation
-// from a tensor.Pool, with the head maps returned after use the way
-// Predict* does. Compare allocs/op with BenchmarkPredictUnpooled — the
-// pool's point is not speed but keeping a resident service's GC pressure
-// flat. (The decode/refine stage downstream of the forward still allocates
-// its detection slices and search scratch; that is measured by the
-// Predict-level benchmarks above.)
-func BenchmarkPredictPooled(b *testing.B) {
-	m := sharedEnv(b).Float()
-	screens := benchScreens(b, 1)
-	upo, ago := m.Forward(screens[0], false) // warm the pool
-	m.Pool.Put(upo)
-	m.Pool.Put(ago)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		upo, ago := m.Forward(screens[0], false)
-		m.Pool.Put(upo)
-		m.Pool.Put(ago)
-	}
-}
-
-// BenchmarkPredictUnpooled is the allocation baseline: the same forward
-// with every intermediate tensor allocated fresh (the pool detect.Build
-// installed is taken away for the duration).
-func BenchmarkPredictUnpooled(b *testing.B) {
-	m := sharedEnv(b).Float()
-	defer func(p *tensor.Pool) { m.Pool = p }(m.Pool)
-	m.Pool = nil
-	screens := benchScreens(b, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Forward(screens[0], false)
-	}
-}
-
-// latencyReplicaBackend models an accelerator-bound replica: each forward
-// occupies the instance for a fixed wall-clock interval regardless of batch
-// size (the NPU pipeline is latency-bound, batching amortises), so replica
-// scaling measures the scheduler and pool layers rather than this host's
-// core count — the benchmark box often has a single core, where N
-// compute-bound replicas cannot run N forwards at once but N
-// accelerator-bound ones can.
-type latencyReplicaBackend struct{ forward time.Duration }
-
-func (l *latencyReplicaBackend) Name() string { return "latency-replica" }
-
-func (l *latencyReplicaBackend) PredictBatchCtx(_ context.Context, x *tensor.Tensor, conf float64) ([][]metrics.Detection, error) {
-	time.Sleep(l.forward)
-	out := make([][]metrics.Detection, x.Shape[0])
-	for i := range out {
-		out[i] = []metrics.Detection{{Score: conf}}
-	}
-	return out, nil
-}
-
-// BenchmarkSchedulerReplicas drives the layered serving stack (admission ->
-// scheduler -> replica pool) with 16 concurrent mixed-tenant clients — half
-// live-priority, half batch-audit — against 1, 2 and 4 replicas. Every
-// request must succeed; screens/s is the headline metric (BENCH_sched.json
-// tracks the 4-vs-1 scaling, which must stay >= 2x).
-func BenchmarkSchedulerReplicas(b *testing.B) {
-	for _, replicas := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("replicas=%d", replicas), func(b *testing.B) {
-			backends := make([]detect.Detector, replicas)
-			for i := range backends {
-				backends[i] = &latencyReplicaBackend{forward: 2 * time.Millisecond}
-			}
-			batcher := serve.NewReplicated(serve.Options{
-				MaxBatch: 4,
-				MaxDelay: 500 * time.Microsecond,
-			}, backends...)
-			defer batcher.Close()
-			x := tensor.New(1, 3, 8, 8)
-			var clientID, failed atomic.Int64
-			b.SetParallelism((16 + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0))
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				info := serve.TenantInfo{ID: "live"}
-				if clientID.Add(1)%2 == 0 {
-					info = serve.TenantInfo{ID: "audit", Priority: serve.PriorityBatch}
-				}
-				ctx := serve.WithTenant(context.Background(), info)
-				for pb.Next() {
-					if _, err := batcher.PredictTensorCtx(ctx, x, 0, 0.45); err != nil {
-						failed.Add(1)
-					}
-				}
-			})
-			b.StopTimer()
-			if elapsed := b.Elapsed(); elapsed > 0 {
-				b.ReportMetric(float64(b.N)/elapsed.Seconds(), "screens/s")
-			}
-			if failed.Load() != 0 {
-				b.Fatalf("%d requests failed or were dropped", failed.Load())
-			}
-		})
 	}
 }
 

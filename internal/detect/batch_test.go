@@ -140,26 +140,6 @@ func TestQuantHonoursDisableRefine(t *testing.T) {
 	}
 }
 
-func TestFloorAndNMSBatch(t *testing.T) {
-	s := &stubDetector{dets: []metrics.Detection{
-		det(10, 10, 8, 8, 0.9),
-		det(11, 10, 8, 8, 0.7), // near-duplicate, NMS fodder
-	}}
-	d := WithNMS(WithConfidenceFloor(s, 0.8), 0.5)
-	out := batch(t, d, randomBatch(2, 1), 0.45)
-	if s.lastThresh != 0.8 {
-		t.Fatalf("floor not applied on the batch path: thresh %v", s.lastThresh)
-	}
-	if len(s.batchSizes) != 1 || s.batchSizes[0] != 2 {
-		t.Fatalf("middleware broke the native batch hand-off: %v", s.batchSizes)
-	}
-	for i, dets := range out {
-		if len(dets) != 1 {
-			t.Fatalf("item %d: NMS kept %d detections, want 1", i, len(dets))
-		}
-	}
-}
-
 // TestCacheBatchCompactsMisses covers the cache's batch semantics: hits are
 // answered from the memo, the miss sub-batch is compacted (including in-batch
 // duplicates) before reaching the backend, and every item still gets its

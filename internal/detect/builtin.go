@@ -33,11 +33,8 @@ var (
 	_ Detector = (*rcnn.Model)(nil)
 	_ Detector = (*frauddroid.ViewAdapter)(nil)
 
-	_ Detector = floorDetector{}
-	_ Detector = nmsDetector{}
 	_ Detector = (*Timed)(nil)
 	_ Detector = (*Cache)(nil)
-	_ Detector = (*Recovered)(nil)
 	_ Detector = (*Retrier)(nil)
 	_ Detector = (*FallbackChain)(nil)
 	_ Detector = (*Ensemble)(nil)

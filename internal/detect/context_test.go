@@ -148,36 +148,30 @@ func TestPredictCtxCancelMidForward(t *testing.T) {
 	}
 }
 
-// TestMiddlewareCtxPath: the confidence floor and NMS must keep working
-// under a cancellable context, for one screen and for a batch.
+// TestMiddlewareCtxPath: a wrapper stack must hand a cancellable context,
+// the caller's threshold and a whole batch through to the backend, for one
+// screen and for a batch.
 func TestMiddlewareCtxPath(t *testing.T) {
-	s := &stubDetector{dets: []metrics.Detection{
-		det(10, 10, 8, 8, 0.9),
-		det(11, 10, 8, 8, 0.7), // near-duplicate, NMS fodder
-	}}
-	d := WithNMS(WithConfidenceFloor(s, 0.8), 0.5)
+	s := &stubDetector{dets: []metrics.Detection{det(10, 10, 8, 8, 0.9)}}
+	rec := &perfmodel.Timings{}
+	d := WithTiming(WithResultCache(s, 8), rec, "")
 	ctx := cancellableCtx(t)
 	dets, err := Only(d.PredictBatchCtx(ctx, randomBatch(1, 1), 0.45))
 	if err != nil {
 		t.Fatalf("single-screen err = %v", err)
 	}
-	if s.lastThresh != 0.8 {
-		t.Fatalf("floor not applied on the ctx path: thresh %v", s.lastThresh)
+	if s.lastThresh != 0.45 || len(dets) != 1 {
+		t.Fatalf("ctx path: thresh %v, %d detections, want 0.45 and 1", s.lastThresh, len(dets))
 	}
-	if len(dets) != 1 {
-		t.Fatalf("NMS on the ctx path kept %d detections, want 1", len(dets))
-	}
-	out, err := d.PredictBatchCtx(ctx, randomBatch(2, 1), 0.45)
+	out, err := d.PredictBatchCtx(ctx, randomBatch(2, 2), 0.45)
 	if err != nil {
 		t.Fatalf("PredictBatchCtx err = %v", err)
 	}
 	if len(s.batchSizes) != 2 || s.batchSizes[1] != 2 {
 		t.Fatalf("ctx middleware broke the native batch hand-off: %v", s.batchSizes)
 	}
-	for i, dets := range out {
-		if len(dets) != 1 {
-			t.Fatalf("item %d: NMS kept %d detections, want 1", i, len(dets))
-		}
+	if len(out) != 2 || rec.Stage("infer").Count != 3 {
+		t.Fatalf("batch of two answered %d items, %d timed, want 2 and 3", len(out), rec.Stage("infer").Count)
 	}
 }
 

@@ -2,8 +2,8 @@
 // every AUI-detection backend implements (the yolite one-stage model, its
 // int8 port, the RCNN baselines, and the FraudDroid-like metadata
 // heuristic), a named registry so binaries and examples select backends by
-// string, and composable middleware decorators (confidence floor, NMS,
-// result caching keyed on screenshot content, per-stage timing).
+// string, and composable middleware decorators (result caching keyed on
+// screenshot content, per-stage timing).
 //
 // The contract mirrors the paper's Fig. 5 hand-off: the pipeline gives the
 // detector a normalised screenshot tensor and gets back detections in

@@ -139,38 +139,6 @@ func TestFraudDroidBuilderRequiresScreen(t *testing.T) {
 	}
 }
 
-func TestWithConfidenceFloor(t *testing.T) {
-	s := &stubDetector{}
-	d := WithConfidenceFloor(s, 0.8)
-	if d.Name() != "stub" {
-		t.Fatalf("floor should preserve the inner name, got %q", d.Name())
-	}
-	one(t, d, inputTensor(), 0.45)
-	if s.lastThresh != 0.8 {
-		t.Fatalf("threshold below the floor should be raised to it, got %v", s.lastThresh)
-	}
-	one(t, d, inputTensor(), 0.9)
-	if s.lastThresh != 0.9 {
-		t.Fatalf("threshold above the floor should pass through, got %v", s.lastThresh)
-	}
-}
-
-func TestWithNMSSuppressesDuplicates(t *testing.T) {
-	s := &stubDetector{dets: []metrics.Detection{
-		det(10, 10, 8, 8, 0.9),
-		det(11, 10, 8, 8, 0.7), // near-duplicate of the first
-		det(50, 50, 8, 8, 0.8),
-	}}
-	d := WithNMS(s, 0.5)
-	if d.Name() != "stub" {
-		t.Fatalf("nms should preserve the inner name, got %q", d.Name())
-	}
-	got := one(t, d, inputTensor(), 0.4)
-	if len(got) != 2 {
-		t.Fatalf("NMS kept %d detections, want 2: %v", len(got), got)
-	}
-}
-
 func TestResultCacheSkipsInference(t *testing.T) {
 	s := &stubDetector{dets: []metrics.Detection{det(10, 10, 8, 8, 0.9)}}
 	c := WithResultCache(s, 8)
@@ -265,7 +233,7 @@ func TestWithTimingRecords(t *testing.T) {
 func TestMiddlewareComposes(t *testing.T) {
 	s := &stubDetector{dets: []metrics.Detection{det(10, 10, 8, 8, 0.9)}}
 	rec := &perfmodel.Timings{}
-	d := WithTiming(WithResultCache(WithNMS(WithConfidenceFloor(s, 0.5), 0.2), 4), rec, "infer")
+	d := WithTiming(WithResultCache(s, 4), rec, "infer")
 	if d.Name() != "stub" {
 		t.Fatalf("composed stack should still report the backend name, got %q", d.Name())
 	}

@@ -2,7 +2,6 @@ package detect
 
 import (
 	"context"
-	"math"
 	"time"
 
 	"repro/internal/metrics"
@@ -14,63 +13,7 @@ import (
 // preserving its name, so a decorated backend still reports as itself in
 // tables and logs. Decorators compose by nesting:
 //
-//	d = detect.WithTiming(detect.WithResultCache(detect.WithNMS(base, 0.2), 64), timings)
-
-// floorDetector drops detections below a confidence floor, whatever
-// threshold the caller asked for — the deployment knob the device
-// experiments turn (Section VI-C raises the operating threshold to keep
-// screen-level precision up).
-type floorDetector struct {
-	inner Detector
-	floor float64
-}
-
-// WithConfidenceFloor enforces a minimum confidence: the effective threshold
-// of every call is max(confThresh, floor).
-func WithConfidenceFloor(d Detector, floor float64) Detector {
-	return floorDetector{inner: d, floor: floor}
-}
-
-func (f floorDetector) Name() string { return f.inner.Name() }
-
-// PredictBatchCtx applies the floor once and forwards context and batch.
-func (f floorDetector) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return f.inner.PredictBatchCtx(ctx, x, math.Max(confThresh, f.floor))
-}
-
-// nmsDetector applies class-aware non-maximum suppression to the inner
-// detector's output, for backends that do not already suppress duplicates.
-type nmsDetector struct {
-	inner Detector
-	iou   float64
-}
-
-// WithNMS suppresses same-class detections overlapping above iou.
-func WithNMS(d Detector, iou float64) Detector {
-	return nmsDetector{inner: d, iou: iou}
-}
-
-func (m nmsDetector) Name() string { return m.inner.Name() }
-
-// PredictBatchCtx suppresses duplicates within each item independently —
-// detections never compete across screens. A failed inner call propagates
-// its error with nothing to suppress.
-func (m nmsDetector) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out, err := m.inner.PredictBatchCtx(ctx, x, confThresh)
-	if err != nil {
-		return nil, err
-	}
-	for i := range out {
-		out[i] = metrics.NMS(out[i], m.iou)
-	}
-	return out, nil
-}
+//	d = detect.WithTiming(detect.WithResultCache(base, 64), timings, "")
 
 // Timed reports every inference's wall-clock latency into a
 // perfmodel.Timings accumulator under the given stage label.

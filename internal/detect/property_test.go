@@ -8,7 +8,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/metrics"
-	"repro/internal/tensor"
 )
 
 // Property tests over seeded random detection sets: invariants the
@@ -54,65 +53,10 @@ func TestNMSIdempotent(t *testing.T) {
 	}
 }
 
-// threshStub honours the confidence threshold it is handed — the middleware
-// contract the floor wrapper builds on (real backends threshold in
-// DecodeHead).
-type threshStub struct{ dets []metrics.Detection }
-
-func (s *threshStub) Name() string { return "thresh-stub" }
-
-func (s *threshStub) PredictBatchCtx(_ context.Context, _ *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
-	var out []metrics.Detection
-	for _, d := range s.dets {
-		if d.Score >= confThresh {
-			out = append(out, d)
-		}
-	}
-	return [][]metrics.Detection{out}, nil
-}
-
-// TestConfidenceFloorMonotone pins two properties of the floor middleware
-// over random inputs: raising the floor never adds detections (the surviving
-// set shrinks monotonically), and every survivor of the higher floor also
-// survives the lower one, in the same order.
-func TestConfidenceFloorMonotone(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 200; trial++ {
-		dets := randomDets(rng, rng.Intn(30))
-		lo, hi := rng.Float64(), rng.Float64()
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		s := &threshStub{dets: dets}
-		atLo := one(t, WithConfidenceFloor(s, lo), nil, 0)
-		atHi := one(t, WithConfidenceFloor(s, hi), nil, 0)
-		if len(atHi) > len(atLo) {
-			t.Fatalf("trial %d: floor %.3f kept %d, floor %.3f kept %d",
-				trial, hi, len(atHi), lo, len(atLo))
-		}
-		// atHi must be a subsequence of atLo.
-		j := 0
-		for _, d := range atHi {
-			for j < len(atLo) && atLo[j] != d {
-				j++
-			}
-			if j == len(atLo) {
-				t.Fatalf("trial %d: %+v survives floor %.3f but not floor %.3f", trial, d, hi, lo)
-			}
-			j++
-		}
-		for _, d := range atHi {
-			if d.Score < hi {
-				t.Fatalf("trial %d: floor %.3f leaked score %.3f", trial, hi, d.Score)
-			}
-		}
-	}
-}
-
 // TestResilienceTransparentOnRandomResults pins the "transparent when
 // healthy" half of the resilience contract property-style: for any result a
-// healthy backend produces, recovery, retry, a fallback chain, and their
-// composition all return it bit-identical.
+// healthy backend produces, retry, a fallback chain, and their composition
+// all return it bit-identical.
 func TestResilienceTransparentOnRandomResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	ctx := context.Background()
@@ -125,11 +69,10 @@ func TestResilienceTransparentOnRandomResults(t *testing.T) {
 		want := append([]metrics.Detection(nil), dets...)
 
 		wrapped := map[string]Detector{
-			"recovery": WithRecovery(mk()),
 			"retry":    WithRetry(mk(), RetryOptions{}),
 			"fallback": WithFallback(FallbackOptions{}, mk()),
 			"stacked": WithFallback(FallbackOptions{},
-				WithRetry(WithRecovery(mk()), RetryOptions{})),
+				WithRetry(mk(), RetryOptions{})),
 		}
 		for name, d := range wrapped {
 			got, err := Predict(ctx, d, x, 0, 0.5)

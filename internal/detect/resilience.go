@@ -123,24 +123,6 @@ func orDefault(v, def int) int {
 }
 
 // ---------------------------------------------------------------------------
-// Recovery
-
-// Recovered converts inner-backend panics to *PanicError.
-type Recovered struct{ inner Detector }
-
-// WithRecovery wraps d so a panicking call returns an error instead of
-// unwinding the caller. Healthy calls pass through untouched.
-func WithRecovery(d Detector) *Recovered { return &Recovered{inner: d} }
-
-// Name reports the inner backend's name.
-func (r *Recovered) Name() string { return r.inner.Name() }
-
-// PredictBatchCtx delegates through Guarded without result validation.
-func (r *Recovered) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf float64) ([][]metrics.Detection, error) {
-	return Guarded(ctx, r.inner, x, conf, nil)
-}
-
-// ---------------------------------------------------------------------------
 // Retry
 
 // RetryOptions tune WithRetry. The zero value retries up to 3 attempts with

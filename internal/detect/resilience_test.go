@@ -107,12 +107,11 @@ func TestValidDetections(t *testing.T) {
 	}
 }
 
-func TestWithRecoveryConvertsPanics(t *testing.T) {
+func TestGuardedConvertsPanics(t *testing.T) {
 	b := &flakyBackend{dets: healthyDets(), failures: 1} // panic once
-	r := WithRecovery(b)
 	x := resTensor(1)
 
-	_, err := Predict(context.Background(), r, x, 0, 0.5)
+	_, err := Guarded(context.Background(), b, x, 0.5, nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("error = %v, want *PanicError", err)
@@ -121,12 +120,9 @@ func TestWithRecoveryConvertsPanics(t *testing.T) {
 		t.Fatalf("recovered value = %v", pe.Value)
 	}
 	// The backend has now used up its failure; the pass-through is intact.
-	dets, err := Predict(context.Background(), r, x, 0, 0.5)
+	dets, err := Only(Guarded(context.Background(), b, x, 0.5, nil))
 	if err != nil || !sameDets(dets, healthyDets()) {
 		t.Fatalf("healthy pass-through: dets=%v err=%v", dets, err)
-	}
-	if r.Name() != "flaky" {
-		t.Fatalf("Name = %q", r.Name())
 	}
 }
 

@@ -43,7 +43,6 @@ const (
 	DefaultCutoff          = 200 * time.Millisecond
 	DefaultLibrary         = 48
 	DefaultMaxBatch        = 64
-	DefaultMaxDelay        = 200 * time.Microsecond
 
 	// burstLen mirrors the app package: events-per-minute arrive as periodic
 	// bursts of ~burstLen events, the pattern ct-debouncing exploits.
@@ -90,11 +89,10 @@ type Config struct {
 	// Workers bounds the goroutines carrying real inference requests. Zero
 	// means 2x MaxBatch, enough concurrency to fill batches.
 	Workers int
-	// MaxBatch / MaxDelay tune the shared scheduler. Zero means 64 / 200µs —
-	// unlike interactive serving, fleet throughput wants full batches and a
-	// short straggler wait.
+	// MaxBatch caps one forward of the shared scheduler. Zero means 64 —
+	// unlike interactive serving, a fleet backlog can be deep enough to
+	// fill large batches.
 	MaxBatch int
-	MaxDelay time.Duration
 	// ConfThresh is the detector threshold; zero means yolite's default.
 	ConfThresh float64
 	// Plan, when non-nil, injects faults at each replica backend; result
@@ -132,9 +130,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = DefaultMaxDelay
 	}
 	if c.Workers <= 0 {
 		c.Workers = 2 * c.MaxBatch
@@ -361,7 +356,6 @@ func buildStack(cfg Config, models []detect.Detector) (*serve.Batcher, []*detect
 	}
 	batcher := serve.NewReplicated(serve.Options{
 		MaxBatch:      cfg.MaxBatch,
-		MaxDelay:      cfg.MaxDelay,
 		Timings:       cfg.Timings,
 		Tenants:       tenantTable,
 		MaxQueueDepth: cfg.ShedDepth,
@@ -370,9 +364,9 @@ func buildStack(cfg Config, models []detect.Detector) (*serve.Batcher, []*detect
 }
 
 // worker carries analyses through the serving stack. Workers block inside the
-// batcher (that is what forms batches); the event loop blocks on their
-// results at completion events, closing the throttle loop between virtual
-// time and real compute.
+// batcher while the replicas are busy, and what queues up behind them is the
+// next batch; the event loop blocks on their results at completion events,
+// closing the throttle loop between virtual time and real compute.
 func (r *runner) worker() {
 	defer r.wg.Done()
 	for j := range r.submit {

@@ -7,7 +7,7 @@ import (
 // Families renders the run ledger as metric families: the fleet's own
 // counters first, then the serving stack's and the latency recorder's, so one
 // WriteText/WriteJSON call captures the whole run — this is what darpa-sim
-// dumps per run and what BENCH_fleet.json records per sweep point.
+// dumps per run.
 func (r *Result) Families() []metrics.Family {
 	secs := r.Duration.Seconds()
 	rps := 0.0

@@ -50,7 +50,9 @@ import (
 
 // Tenant/priority request headers. An Authorization bearer token doubles as
 // the tenant identity when X-Darpa-Tenant is absent, so existing token-based
-// clients map onto admission without a second header.
+// clients map onto admission without a second header. Either value is only a
+// lookup key: admission gives an id outside the operator's tenant table no
+// state and no metrics label of its own (serve.DefaultTenant accounts it).
 const (
 	HeaderTenant   = "X-Darpa-Tenant"
 	HeaderPriority = "X-Darpa-Priority"

@@ -60,6 +60,38 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestBearerTokenNeverPublished: a bearer token doubles as the tenant id, and
+// the serving layer used to give every id it saw a ledger entry — so one
+// authenticated POST put the credential on /metrics as a tenant label and in
+// /v1/stats as a map key, for anyone who can scrape. Over the real serving
+// stack, a token outside the admission table must appear in neither; the
+// request is still served and still accounted.
+func TestBearerTokenNeverPublished(t *testing.T) {
+	const token = "s3cr3t-bearer-token"
+	b := serve.NewReplicated(serve.Options{
+		Tenants: map[serve.TenantID]serve.TenantConfig{"acme": {}},
+	}, &wireStub{dets: testDets()})
+	defer b.Close()
+	s := New(Config{Backend: b, Stats: b.Stats})
+	hdr := map[string]string{"Authorization": "Bearer " + token}
+	if w, _ := doDetect(t, s, hdr, detectBody(t, 0)); w.Code != http.StatusOK {
+		t.Fatalf("detect status = %d", w.Code)
+	}
+	_, prom := scrape(t, s)
+	req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, req)
+	for name, body := range map[string]string{"/metrics": prom, "/v1/stats": w.Body.String()} {
+		if strings.Contains(body, token) {
+			t.Errorf("%s publishes the bearer token:\n%s", name, body)
+		}
+	}
+	want := `darpa_admission_tenant_requests_total{tenant="` + string(serve.DefaultTenant) + `",verdict="admitted"} 1`
+	if !strings.Contains(prom, want) {
+		t.Errorf("the request is not accounted under the shared entry; want %s in:\n%s", want, prom)
+	}
+}
+
 // TestMetricsEndpointMinimal: with no Stats or Timings wired, the endpoint
 // still serves the HTTP-layer families rather than an empty or broken body.
 func TestMetricsEndpointMinimal(t *testing.T) {

@@ -5,7 +5,7 @@ package metrics
 // HTTP front end) renders its counters into []Family, and the two writers
 // below serialise one consistent snapshot as Prometheus text exposition
 // (version 0.0.4, what a scrape of GET /metrics returns) or as a JSON
-// document (what darpa-sim dumps per run and BENCH_fleet.json records).
+// document (what darpa-sim dumps per run).
 // Keeping the model here — metrics already sits below every producer — means
 // perfmodel, serve, httpd and fleet can all emit families without an import
 // cycle.

@@ -269,7 +269,7 @@ func TestInt8ForwardPooledAllocs(t *testing.T) {
 }
 
 // BenchmarkInt8Forward measures the end-to-end int8 forward on pretrained
-// weights — the number BENCH_kernels.json tracks for the device path.
+// weights; darpa-bench reports the same forward as quant.forward_us.
 func BenchmarkInt8Forward(b *testing.B) {
 	m := yolite.NewModel(1)
 	if err := m.Load("../../weights/yolite.gob"); err != nil {

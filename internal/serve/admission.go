@@ -18,11 +18,12 @@ import (
 // queue it was never going to clear.
 
 // TenantID names one detection consumer — a device fleet, an audit pipeline,
-// a store-scan worker. Requests carrying no tenant are accounted to
-// DefaultTenant.
+// a store-scan worker. Requests carrying no tenant, or one the admission
+// table does not list, are accounted to DefaultTenant.
 type TenantID string
 
-// DefaultTenant is the identity assumed for requests that carry none.
+// DefaultTenant is the identity assumed for requests that carry none, and
+// the one ledger entry shared by every tenant outside the admission table.
 const DefaultTenant TenantID = "default"
 
 // Priority orders the scheduler's queues. The zero value is PriorityLive, so
@@ -159,8 +160,9 @@ type admission struct {
 }
 
 // newAdmission builds the layer. A tenant absent from configs (nil is fine)
-// gets the zero TenantConfig: unlimited rate at the priority its requests
-// carry. maxDepth <= 0 disables shedding; now is injectable for
+// is served as DefaultTenant, which unless configured has the zero
+// TenantConfig: unlimited rate at the priority its requests carry.
+// maxDepth <= 0 disables shedding; now is injectable for
 // deterministic refill tests and defaults to time.Now.
 func newAdmission(configs map[TenantID]TenantConfig, maxDepth int, now func() time.Time) *admission {
 	if now == nil {
@@ -185,13 +187,13 @@ func burst(cfg TenantConfig) float64 {
 	return 1
 }
 
-// state returns the tenant's live bucket, creating it full on first sight —
-// a tenant's first burst is always admitted up to its Burst.
-func (a *admission) state(id TenantID) *tenantState {
+// state returns the live bucket of a tenant whose policy is cfg, creating it
+// full on first sight — a tenant's first burst is always admitted up to its
+// Burst.
+func (a *admission) state(id TenantID, cfg TenantConfig) *tenantState {
 	if s, ok := a.tenants[id]; ok {
 		return s
 	}
-	cfg := a.configs[id]
 	s := &tenantState{cfg: cfg, tokens: burst(cfg), last: a.now()}
 	a.tenants[id] = s
 	return s
@@ -200,16 +202,24 @@ func (a *admission) state(id TenantID) *tenantState {
 // decide runs one admission decision for a request from info against the
 // current scheduler depth, updating the ledger. It returns the verdict and
 // the priority queue the request belongs to (meaningful only when admitted).
+//
+// Tenant ids arrive from outside (httpd takes them from a request header, or
+// from the bearer token itself), so only ids in the operator's table get a
+// bucket, a ledger entry and a metrics label of their own. Every other id is
+// accounted as DefaultTenant: state is bounded by the table, and a
+// credential never becomes a label.
 func (a *admission) decide(info TenantInfo, depth int) (verdict, Priority) {
-	if info.ID == "" {
+	cfg, configured := a.configs[info.ID]
+	if !configured {
 		info.ID = DefaultTenant
+		cfg, configured = a.configs[DefaultTenant]
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	s := a.state(info.ID)
+	s := a.state(info.ID, cfg)
 	prio := info.Priority
-	if _, configured := a.configs[info.ID]; configured {
-		prio = s.cfg.Priority
+	if configured {
+		prio = cfg.Priority
 	}
 	if prio < 0 || prio >= numPriorities {
 		prio = PriorityLive

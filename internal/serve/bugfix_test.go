@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -68,18 +69,47 @@ func TestShedRefundsTenantToken(t *testing.T) {
 	}
 }
 
+// TestAdmissionStateBoundedByTable: a tenant id is outside input — httpd
+// takes it from a request header — and admission used to mint a permanent
+// bucket, ledger entry and metrics label for every distinct value. Only the
+// operator's table may grow state: 10 000 invented ids share DefaultTenant's
+// one entry, stay unlimited at the priority they carry, and the ledger still
+// balances globally and per entry.
+func TestAdmissionStateBoundedByTable(t *testing.T) {
+	table := map[TenantID]TenantConfig{"known": {Rate: 1, Burst: 1, Priority: PriorityBatch}}
+	adm := newAdmission(table, 0, func() time.Time { return time.Unix(0, 0) })
+	const strangers = 10000
+	for i := 0; i < strangers; i++ {
+		info := TenantInfo{ID: TenantID(fmt.Sprintf("stranger-%d", i)), Priority: Priority(i % 2)}
+		if v, prio := adm.decide(info, 0); v != admitted || prio != info.Priority {
+			t.Fatalf("stranger %d: verdict %v at priority %v, want admitted at %v", i, v, prio, info.Priority)
+		}
+	}
+	if v, prio := adm.decide(TenantInfo{ID: "known"}, 0); v != admitted || prio != PriorityBatch {
+		t.Fatalf("configured tenant: verdict %v at priority %v, want admitted at its table priority", v, prio)
+	}
+	if v, _ := adm.decide(TenantInfo{ID: "known"}, 0); v != rejected {
+		t.Fatalf("configured tenant past its burst: verdict %v, want rejected", v)
+	}
+	if n := len(adm.tenants); n > len(table)+1 {
+		t.Fatalf("admission holds %d tenant states for a table of %d: a request header grows server state", n, len(table))
+	}
+	st := adm.snapshot()
+	if st.Offered != strangers+2 || st.Offered != st.Admitted+st.Shed+st.Rejected {
+		t.Fatalf("global ledger = %+v", st)
+	}
+	if len(st.Tenants) != 2 || st.Tenants[DefaultTenant].Admitted != strangers || st.Tenants["known"].Rejected != 1 {
+		t.Fatalf("tenant ledgers = %+v, want the strangers under %q and one entry for the table", st.Tenants, DefaultTenant)
+	}
+}
+
 // TestCloseWakesBenchedReplica: a benched replica used to sleep out its full
 // cooldown through Close, blocking shutdown for up to BenchFor. Close must
 // wake it so the pool drains immediately. Run under -race in CI.
 func TestCloseWakesBenchedReplica(t *testing.T) {
 	benchFor := 30 * time.Second // far beyond the test's tolerance for Close
 	p0, p1 := &panicBackend{}, &panicBackend{}
-	b := NewReplicated(Options{
-		MaxBatch:          2,
-		MaxDelay:          time.Millisecond,
-		ReplicaBenchAfter: 1,
-		ReplicaBenchFor:   benchFor,
-	}, p0, p1)
+	b := newReplicated(Options{MaxBatch: 2}, 1, benchFor, p0, p1)
 
 	// Two fully-failed groups: each benches whichever replica ran it.
 	x := tensor.New(1, 3, 4, 4)
@@ -126,7 +156,7 @@ func TestSingleReplicaServesPooled(t *testing.T) {
 	if pool == nil {
 		t.Fatal("a single built replica has no activation pool: the served forward allocates every activation")
 	}
-	b := NewReplicated(Options{MaxDelay: 100 * time.Microsecond}, reps...)
+	b := NewReplicated(Options{}, reps...)
 	defer b.Close()
 	rng := rand.New(rand.NewSource(5))
 	x := tensor.New(1, 3, yolite.InputH, yolite.InputW)

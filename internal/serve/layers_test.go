@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -112,7 +113,6 @@ func TestTokenBucketRefill(t *testing.T) {
 func TestAdmissionInvariant(t *testing.T) {
 	b := NewReplicated(Options{
 		MaxBatch:      4,
-		MaxDelay:      200 * time.Microsecond,
 		MaxQueueDepth: 4,
 		Tenants: map[TenantID]TenantConfig{
 			"limited": {Rate: 200, Burst: 5, Priority: PriorityBatch},
@@ -167,8 +167,8 @@ func TestAdmissionInvariant(t *testing.T) {
 // it, while an unlimited tenant on the same Batcher sails through.
 func TestRateLimitRejects(t *testing.T) {
 	b := NewReplicated(Options{
-		MaxBatch: 1, MaxDelay: time.Millisecond,
-		Tenants: map[TenantID]TenantConfig{"slow": {Rate: 0.001, Burst: 1}},
+		MaxBatch: 1,
+		Tenants:  map[TenantID]TenantConfig{"slow": {Rate: 0.001, Burst: 1}},
 	}, &stubBackend{})
 	defer b.Close()
 	ctx := WithTenant(context.Background(), TenantInfo{ID: "slow"})
@@ -189,7 +189,7 @@ func TestRateLimitRejects(t *testing.T) {
 // owns the degraded answer — and counted as Shed, not Admitted.
 func TestSheddingOverloaded(t *testing.T) {
 	s := &stubBackend{gate: make(chan struct{})}
-	b := NewReplicated(Options{MaxBatch: 1, MaxDelay: time.Millisecond, MaxQueueDepth: 1}, s)
+	b := NewReplicated(Options{MaxBatch: 1, MaxQueueDepth: 1}, s)
 	var wg sync.WaitGroup
 	submit := func(i int) {
 		wg.Add(1)
@@ -199,7 +199,7 @@ func TestSheddingOverloaded(t *testing.T) {
 		}()
 	}
 	submit(0) // taken by the worker, which parks behind the gate
-	waitFor(t, func() bool { s.mu.Lock(); defer s.mu.Unlock(); return s.calls == 1 })
+	waitFor(t, func() bool { return s.forwards() == 1 })
 	submit(1) // admitted at depth 0, now waiting in the queue
 	waitFor(t, func() bool { return b.sched.depth() == 1 })
 	if _, err := b.PredictTensorCtx(context.Background(), screen(9), 0, 0.45); !errors.Is(err, ErrOverloaded) {
@@ -219,7 +219,7 @@ func TestSheddingOverloaded(t *testing.T) {
 // live-priority flood is still running — the fairShare turn guarantees the
 // audit tier progresses statistically instead of waiting for quiet.
 func TestSchedulerNoStarvation(t *testing.T) {
-	b := NewReplicated(Options{MaxBatch: 2, MaxDelay: 100 * time.Microsecond}, &stubBackend{})
+	b := NewReplicated(Options{MaxBatch: 2}, &stubBackend{})
 	defer b.Close()
 	stop := make(chan struct{})
 	var flood sync.WaitGroup
@@ -256,6 +256,91 @@ func TestSchedulerNoStarvation(t *testing.T) {
 	flood.Wait()
 }
 
+// TestSchedulerBacklogOrder drives batch formation on the scheduler alone —
+// no goroutines, nothing to wait for. On a mixed backlog collect drains the
+// live queue before the batch queue and stops at MaxBatch; every fairShare-th
+// take still gives the batch tier first refusal while live work is waiting.
+func TestSchedulerBacklogOrder(t *testing.T) {
+	s := newScheduler(4, 16)
+	put := func(p Priority, ids ...int) {
+		for _, id := range ids {
+			s.queues[p] <- request{conf: float64(id)}
+		}
+	}
+	take := func() request {
+		t.Helper()
+		r, ok := s.take()
+		if !ok {
+			t.Fatal("take on open queues reported closed")
+		}
+		return r
+	}
+	wantBatch := func(head request, want ...int) {
+		t.Helper()
+		var got []int
+		for _, r := range s.collect(head) {
+			got = append(got, int(r.conf))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch = %v, want %v", got, want)
+		}
+	}
+	put(PriorityBatch, 101, 102, 103, 104)
+	put(PriorityLive, 1, 2)
+	wantBatch(take(), 1, 2, 101, 102) // take 1: live head, live first, batch fills the room
+
+	put(PriorityLive, 3, 4, 5, 6, 7, 8, 9)
+	if a, b := take(), take(); a.conf != 3 || b.conf != 4 { // takes 2 and 3: live preempts batch
+		t.Fatalf("takes 2, 3 = %v, %v, want live 3, 4", a.conf, b.conf)
+	}
+	wantBatch(take(), 103, 5, 6, 7) // take 4: the fairness turn, though live is waiting
+	wantBatch(take(), 8, 9, 104)    // the remainder rides the next batch
+	if d := s.depth(); d != 0 {
+		t.Fatalf("depth = %d after the backlog drained", d)
+	}
+}
+
+// TestBacklogSplitAcrossReplicas: a backlog of 2 x MaxBatch behind two busy
+// replicas is split between them, one full batch each; the first worker
+// free cannot hoard beyond MaxBatch. The gate hands out one forward per
+// token, so each worker parks again on the batch it formed.
+func TestBacklogSplitAcrossReplicas(t *testing.T) {
+	gate := make(chan struct{})
+	r0, r1 := &stubBackend{gate: gate}, &stubBackend{gate: gate}
+	b := NewReplicated(Options{MaxBatch: 4}, r0, r1)
+	const n = 8
+	var wg sync.WaitGroup
+	results := make([][]metrics.Detection, n)
+	go predict(b, screen(100), 0.45) // one plug per replica, one at a time
+	waitFor(t, func() bool { return r0.forwards()+r1.forwards() == 1 })
+	go predict(b, screen(101), 0.45)
+	waitFor(t, func() bool { return r0.forwards() == 1 && r1.forwards() == 1 })
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) { defer wg.Done(); results[i] = predict(b, screen(i), 0.45) }(i)
+	}
+	waitFor(t, func() bool { return b.sched.depth() == n })
+	gate <- struct{}{} // release the two plugs and nothing else
+	gate <- struct{}{}
+	waitFor(t, func() bool { return r0.forwards() == 2 && r1.forwards() == 2 })
+	if d := b.sched.depth(); d != 0 {
+		t.Fatalf("%d requests still queued with both replicas holding a batch", d)
+	}
+	close(gate)
+	wg.Wait()
+	b.Close()
+	for _, r := range []*stubBackend{r0, r1} {
+		if sizes := r.sizes(); !reflect.DeepEqual(sizes, []int{1, 4}) {
+			t.Fatalf("replica forwards = %v, want its plug then one batch of 4", sizes)
+		}
+	}
+	for i, dets := range results {
+		if len(dets) != 1 || dets[0].B.X != float64(i) {
+			t.Fatalf("request %d got the wrong screen's result: %v", i, dets)
+		}
+	}
+}
+
 // TestCloseRaceNoSilentDrop hammers PredictTensorCtx against a concurrent
 // Close under -race: every request must be answered with its correct result
 // — before Close through the scheduler, after Close through the direct
@@ -264,7 +349,7 @@ func TestSchedulerNoStarvation(t *testing.T) {
 func TestCloseRaceNoSilentDrop(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		s := &stubBackend{}
-		b := NewReplicated(Options{MaxBatch: 4, MaxDelay: 100 * time.Microsecond}, s, s)
+		b := NewReplicated(Options{MaxBatch: 4}, s, s)
 		const workers = 8
 		var wg sync.WaitGroup
 		start := make(chan struct{})
@@ -306,21 +391,13 @@ func TestReplicaPoolDistributes(t *testing.T) {
 	gate := make(chan struct{})
 	r0 := &stubBackend{gate: gate}
 	r1 := &stubBackend{gate: gate}
-	b := NewReplicated(Options{MaxBatch: 1, MaxDelay: 100 * time.Microsecond}, r0, r1)
+	b := NewReplicated(Options{MaxBatch: 1}, r0, r1)
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func(i int) { defer wg.Done(); predict(b, screen(i), 0.45) }(i)
 	}
-	waitFor(t, func() bool {
-		r0.mu.Lock()
-		c0 := r0.calls
-		r0.mu.Unlock()
-		r1.mu.Lock()
-		c1 := r1.calls
-		r1.mu.Unlock()
-		return c0 == 1 && c1 == 1
-	})
+	waitFor(t, func() bool { return r0.forwards() == 1 && r1.forwards() == 1 })
 	close(gate)
 	wg.Wait()
 	b.Close()
@@ -359,11 +436,7 @@ func TestReplicaPrivatePools(t *testing.T) {
 func TestReplicaBenching(t *testing.T) {
 	bad := &panicBackend{}
 	good := &stubBackend{}
-	b := NewReplicated(Options{
-		MaxBatch: 1, MaxDelay: 100 * time.Microsecond,
-		ReplicaBenchAfter: 2,
-		ReplicaBenchFor:   50 * time.Millisecond,
-	}, bad, good)
+	b := newReplicated(Options{MaxBatch: 1}, 2, 50*time.Millisecond, bad, good)
 	defer b.Close()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -397,10 +470,7 @@ func TestReplicaBenching(t *testing.T) {
 // TestBenchingDisabledSingleReplica: one replica must never bench itself —
 // with no peer to absorb the load, benching would stall all traffic.
 func TestBenchingDisabledSingleReplica(t *testing.T) {
-	b := NewReplicated(Options{
-		MaxBatch: 1, MaxDelay: 100 * time.Microsecond,
-		ReplicaBenchAfter: 1, ReplicaBenchFor: time.Hour,
-	}, &panicBackend{})
+	b := newReplicated(Options{MaxBatch: 1}, 1, time.Hour, &panicBackend{})
 	defer b.Close()
 	for i := 0; i < 4; i++ {
 		if _, err := b.PredictTensorCtx(context.Background(), screen(i), 0, 0.45); err == nil {
@@ -433,8 +503,7 @@ func (f *flakyBackend) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, co
 // or error), the admission ledger must balance, and Close must drain.
 func TestReplicatedChaosCancelStress(t *testing.T) {
 	b := NewReplicated(Options{
-		MaxBatch: 4, MaxDelay: 200 * time.Microsecond,
-		MaxQueueDepth: 16,
+		MaxBatch: 4, MaxQueueDepth: 16,
 	}, &flakyBackend{}, &flakyBackend{})
 	const (
 		workers = 8

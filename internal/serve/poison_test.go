@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/detect"
 	"repro/internal/geom"
@@ -72,25 +71,29 @@ func screenTensor(v float32) *tensor.Tensor {
 	return x
 }
 
-// runPoisonedGroup pushes devices concurrent requests (one poisoned) through
-// a Batcher over backend and returns each request's outcome, indexed so that
-// request i carried pixel i except the last, which is the poison screen.
-func runPoisonedGroup(t *testing.T, b *Batcher, devices int) ([][]metrics.Detection, []error) {
+// runPoisonedGroup queues devices requests (one poisoned) behind b's held
+// replica h, opens the gate so they ride one grouped forward, and returns
+// each request's outcome, indexed so that request i carried pixel i except
+// the last, which is the poison screen.
+func runPoisonedGroup(t *testing.T, b *Batcher, h *heldBackend, devices int) ([][]metrics.Detection, []error) {
 	t.Helper()
 	dets := make([][]metrics.Detection, devices)
 	errs := make([]error, devices)
 	var wg sync.WaitGroup
-	for i := 0; i < devices; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v := float32(i)
-			if i == devices-1 {
-				v = poisonPixel
-			}
-			dets[i], errs[i] = b.PredictTensorCtx(context.Background(), screenTensor(v), 0, 0.5)
-		}(i)
-	}
+	queueBehind(t, b, screenTensor(100), func() bool { return h.entered.Load() == 1 }, devices, func() {
+		for i := 0; i < devices; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				v := float32(i)
+				if i == devices-1 {
+					v = poisonPixel
+				}
+				dets[i], errs[i] = b.PredictTensorCtx(context.Background(), screenTensor(v), 0, 0.5)
+			}(i)
+		}
+	})
+	close(h.gate)
 	wg.Wait()
 	return dets, errs
 }
@@ -102,11 +105,11 @@ func runPoisonedGroup(t *testing.T, b *Batcher, devices int) ([][]metrics.Detect
 // the dispatcher goroutine, leaving every queued and future caller blocked
 // forever — the Close at the end would hang too.
 func testPoisonIsolation(t *testing.T, mode string, wantPoisonErr bool) {
-	backend := &poisonBackend{mode: mode}
-	b := NewReplicated(Options{MaxBatch: 4, MaxDelay: 100 * time.Millisecond}, backend)
+	h := &heldBackend{Detector: &poisonBackend{mode: mode}, gate: make(chan struct{})}
+	b := NewReplicated(Options{MaxBatch: 4}, h)
 	defer b.Close()
 
-	dets, errs := runPoisonedGroup(t, b, 4)
+	dets, errs := runPoisonedGroup(t, b, h, 4)
 	for i := 0; i < 3; i++ {
 		if errs[i] != nil {
 			t.Errorf("healthy request %d failed: %v", i, errs[i])
@@ -152,7 +155,7 @@ func TestPoisonShortSliceIsolated(t *testing.T) { testPoisonIsolation(t, "short"
 // killing the dispatcher.
 func TestPoisonPanicSingleRequest(t *testing.T) {
 	backend := &poisonBackend{mode: "panic"}
-	b := NewReplicated(Options{MaxBatch: 4, MaxDelay: time.Millisecond}, backend)
+	b := NewReplicated(Options{MaxBatch: 4}, backend)
 	defer b.Close()
 
 	_, err := b.PredictTensorCtx(context.Background(), screenTensor(poisonPixel), 0, 0.5)

@@ -16,13 +16,13 @@ import (
 // breaker decides whether a *backend* is trusted at all, benching decides
 // whether one *copy* of a trusted backend deserves traffic right now.
 
-// Defaults for the replica-health knobs left zero in Options.
+// Replica-health constants; benching is off for a single-replica pool.
 const (
-	// DefaultBenchAfter is how many consecutive fully-failed groups bench a
+	// replicaBenchAfter is how many consecutive fully-failed groups bench a
 	// replica.
-	DefaultBenchAfter = 5
-	// DefaultBenchFor is how long a benched replica sits out.
-	DefaultBenchFor = 50 * time.Millisecond
+	replicaBenchAfter = 5
+	// replicaBenchFor is how long a benched replica sits out.
+	replicaBenchFor = 50 * time.Millisecond
 )
 
 // ReplicaStats is one replica's health and utilisation ledger.

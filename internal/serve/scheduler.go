@@ -1,16 +1,15 @@
 package serve
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // This file is the scheduler layer: priority queues feeding batch formation.
-// Admitted requests land in one of numPriorities channels; replica workers
-// call take to claim the first request of a batch and collect to coalesce
-// followers until the batch is full or MaxDelay elapses. Grouping a formed
-// batch by threshold and shape (groupRequests) is a pure function, extracted
-// so batch-formation policy is unit-testable without goroutines or clocks.
+// Admitted requests land in one of numPriorities channels; an idle replica
+// worker calls take to claim the head request and collect to add whatever is
+// already queued behind it. Dispatch is work-conserving: nothing ever waits
+// for company, so a batch is exactly the backlog that built up while the
+// replicas were busy. Grouping a formed batch by threshold and shape
+// (groupRequests) is a pure function, extracted so batch-formation policy is
+// unit-testable without goroutines.
 
 // fairShare is the anti-starvation ratio: every fairShare-th take gives the
 // batch-priority queue first refusal, so a sustained live-traffic flood
@@ -18,18 +17,17 @@ import (
 // batch — the latency tier stays the latency tier.
 const fairShare = 4
 
-// scheduler owns the priority queues and the batch-formation knobs.
+// scheduler owns the priority queues and the batch-size cap.
 type scheduler struct {
 	queues   [numPriorities]chan request
 	maxBatch int
-	maxDelay time.Duration
 	takes    atomic.Int64
 }
 
 // newScheduler builds the queues; each priority gets the full buffer so one
 // tier's backlog never blocks admission of the other.
-func newScheduler(maxBatch int, maxDelay time.Duration, queueSize int) *scheduler {
-	s := &scheduler{maxBatch: maxBatch, maxDelay: maxDelay}
+func newScheduler(maxBatch, queueSize int) *scheduler {
+	s := &scheduler{maxBatch: maxBatch}
 	for i := range s.queues {
 		s.queues[i] = make(chan request, queueSize)
 	}
@@ -53,94 +51,61 @@ func (s *scheduler) close() {
 	}
 }
 
+// poll receives from q without blocking; ok is false when q is empty, or
+// closed and drained.
+func poll(q chan request) (r request, ok bool) {
+	select {
+	case r, ok = <-q:
+	default:
+	}
+	return r, ok
+}
+
 // take blocks for the first request of a worker's next batch. It returns
 // ok=false only when every queue is closed and drained. Live-priority work is
 // preferred, except on fairness turns where the batch queue gets first
 // refusal so it starves only statistically, never absolutely.
 func (s *scheduler) take() (request, bool) {
 	hi, lo := s.queues[PriorityLive], s.queues[PriorityBatch]
+	preferred := hi
 	if s.takes.Add(1)%fairShare == 0 {
+		preferred = lo
+	}
+	if r, ok := poll(preferred); ok {
+		return r, true
+	}
+	for hi != nil || lo != nil {
+		// A closed, drained queue is nil-ed out so the select stops
+		// spinning on it; the loop ends when both are gone.
 		select {
+		case r, ok := <-hi:
+			if ok {
+				return r, true
+			}
+			hi = nil
 		case r, ok := <-lo:
 			if ok {
 				return r, true
 			}
 			lo = nil
-		default:
-		}
-	} else {
-		select {
-		case r, ok := <-hi:
-			if ok {
-				return r, true
-			}
-			hi = nil
-		default:
 		}
 	}
-	for {
-		if hi == nil && lo == nil {
-			return request{}, false
-		}
-		// A closed, drained queue is nil-ed out so the select stops
-		// spinning on it; the loop ends when both are gone.
-		select {
-		case r, ok := <-hi:
-			if !ok {
-				hi = nil
-				continue
-			}
-			return r, true
-		case r, ok := <-lo:
-			if !ok {
-				lo = nil
-				continue
-			}
-			return r, true
-		}
-	}
+	return request{}, false
 }
 
-// collect coalesces followers onto first until the batch is full or MaxDelay
-// elapses. Within the window live requests are drained preferentially; batch
-// requests fill whatever room remains.
+// collect adds to first whatever is already queued, up to maxBatch, and
+// never blocks: the live queue is drained before the batch queue, so a mixed
+// backlog batches the latency tier ahead of the throughput tier, and an empty
+// backlog is a batch of one.
 func (s *scheduler) collect(first request) []request {
 	batch := append(make([]request, 0, s.maxBatch), first)
-	timer := time.NewTimer(s.maxDelay)
-	defer timer.Stop()
-	hi, lo := s.queues[PriorityLive], s.queues[PriorityBatch]
-	for len(batch) < s.maxBatch {
-		// First refusal to the live queue each slot, so a mixed window
-		// batches the latency tier ahead of the throughput tier.
-		select {
-		case r, ok := <-hi:
-			if ok {
-				batch = append(batch, r)
-				continue
-			}
-			hi = nil
-		default:
-		}
-		if hi == nil && lo == nil {
-			break
-		}
-		// A closed, drained queue is nil, and a nil channel is never ready,
-		// so one select serves whichever queues remain.
-		select {
-		case r, ok := <-hi:
+	for _, q := range s.queues { // in priority order
+		for len(batch) < s.maxBatch {
+			r, ok := poll(q)
 			if !ok {
-				hi = nil
-				continue
+				break
 			}
 			batch = append(batch, r)
-		case r, ok := <-lo:
-			if !ok {
-				lo = nil
-				continue
-			}
-			batch = append(batch, r)
-		case <-timer.C:
-			return batch
 		}
 	}
 	return batch

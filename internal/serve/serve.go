@@ -27,22 +27,15 @@ import (
 	"repro/internal/tensor"
 )
 
-// Defaults for Options fields left zero.
-const (
-	DefaultMaxBatch = 8
-	DefaultMaxDelay = 2 * time.Millisecond
-)
+// DefaultMaxBatch is the MaxBatch used when Options leaves it zero.
+const DefaultMaxBatch = 8
 
 // Options tune the serving layers.
 type Options struct {
-	// MaxBatch caps how many requests one forward carries. A batch is
-	// flushed as soon as it is full.
+	// MaxBatch caps how many requests one forward carries. Nothing waits
+	// to reach it: a batch is whatever queued while the replicas were busy,
+	// so under light load every batch is a batch of one.
 	MaxBatch int
-	// MaxDelay bounds how long the first request of a batch waits for
-	// company. It is the latency the slowest-arriving request pays to buy
-	// batching; under light load every batch degenerates to size 1 and the
-	// only cost is one timer.
-	MaxDelay time.Duration
 	// Timings optionally receives per-layer statistics: "serve-batch"
 	// tracks per-item amortised forward latency, "serve-queued" counts
 	// requests found waiting after a collection (queue pressure),
@@ -54,20 +47,14 @@ type Options struct {
 	// Tenants is the admission table: per-tenant rate limits and priority.
 	// A tenant present here gets its configured priority regardless of what
 	// its requests' contexts claim. Tenants absent from the table (all of
-	// them when it is nil) are unlimited, at the priority their requests
-	// carry, so callers that configure nothing admit everything.
+	// them when it is nil) share DefaultTenant's ledger entry and policy:
+	// unless the table lists DefaultTenant itself they are unlimited, at
+	// the priority their requests carry, so callers that configure nothing
+	// admit everything.
 	Tenants map[TenantID]TenantConfig
 	// MaxQueueDepth sheds requests once the scheduler's queues hold this
 	// many, answering them ErrOverloaded; 0 disables shedding.
 	MaxQueueDepth int
-
-	// ReplicaBenchAfter benches a replica after this many consecutive
-	// fully-failed groups; 0 means DefaultBenchAfter, negative disables.
-	// Benching is always disabled when the pool has a single replica —
-	// benching the only instance would stall all traffic for no benefit.
-	ReplicaBenchAfter int
-	// ReplicaBenchFor is the bench cooldown; 0 means DefaultBenchFor.
-	ReplicaBenchFor time.Duration
 }
 
 // request is one in-flight screen: the one-item tensor x, answered on resp.
@@ -144,31 +131,27 @@ var _ detect.Detector = (*Batcher)(nil)
 // returned Batcher and should Close it to stop the workers; requests in
 // flight at Close are still answered. Panics when called with no replicas.
 func NewReplicated(opts Options, replicas ...detect.Detector) *Batcher {
+	return newReplicated(opts, replicaBenchAfter, replicaBenchFor, replicas...)
+}
+
+// newReplicated is NewReplicated with the replica-health constants as
+// parameters, so tests can bench after one failure or for an hour.
+func newReplicated(opts Options, benchAfter int, benchFor time.Duration, replicas ...detect.Detector) *Batcher {
 	if len(replicas) == 0 {
 		panic("serve: NewReplicated requires at least one replica")
 	}
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = DefaultMaxBatch
 	}
-	if opts.MaxDelay <= 0 {
-		opts.MaxDelay = DefaultMaxDelay
-	}
-	benchAfter := opts.ReplicaBenchAfter
-	switch {
-	case len(replicas) == 1 || benchAfter < 0:
+	if len(replicas) == 1 {
+		// Benching the only instance would stall all traffic for no benefit.
 		benchAfter = 0
-	case benchAfter == 0:
-		benchAfter = DefaultBenchAfter
-	}
-	benchFor := opts.ReplicaBenchFor
-	if benchFor <= 0 {
-		benchFor = DefaultBenchFor
 	}
 	b := &Batcher{
 		inner:    replicas[0],
 		rec:      opts.Timings,
 		adm:      newAdmission(opts.Tenants, opts.MaxQueueDepth, nil),
-		sched:    newScheduler(opts.MaxBatch, opts.MaxDelay, 4*opts.MaxBatch*len(replicas)),
+		sched:    newScheduler(opts.MaxBatch, 4*opts.MaxBatch*len(replicas)),
 		multi:    len(replicas) > 1,
 		stopping: make(chan struct{}),
 		done:     make(chan struct{}),
@@ -228,7 +211,7 @@ func (b *Batcher) Close() {
 
 // PredictBatchCtx is the detector seam over the serving layers. A one-item
 // tensor is a request: it passes admission, waits in its priority queue,
-// rides a coalesced forward with whatever else arrived, and comes back as
+// rides one forward with whatever else was queued, and comes back as
 // exactly what the backend alone would have returned for it (the backends'
 // arithmetic is per-item independent — the seam-conformance tests pin that).
 // A tensor of several items is already a batch: there is nothing to coalesce,
@@ -243,7 +226,8 @@ func (b *Batcher) Close() {
 // forward still returns ctx.Err() promptly — the batch the request rode in
 // completes for its other members and the orphaned result is dropped into
 // the buffered response channel, so no worker ever blocks on a caller that
-// left. Tenant identity attached via WithTenant selects the rate bucket and
+// left. That forward may still be reading x when the caller returns, so a
+// caller that left on a dead context must not write x again. Tenant identity attached via WithTenant selects the rate bucket and
 // priority queue.
 func (b *Batcher) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
 	if err := ctx.Err(); err != nil {
@@ -317,7 +301,7 @@ func (b *Batcher) submit(ctx context.Context, x *tensor.Tensor, confThresh float
 }
 
 // worker is one replica's serving loop: sit out any bench cooldown, claim
-// the first request of a batch, coalesce followers, flush. Closed queues
+// the head request, add what is already queued behind it, flush. Closed queues
 // drain naturally — take returns the stragglers until ok=false, and the
 // worker exits. With N replicas, N workers pull from the shared priority
 // queues, so a slow or benched replica's share flows to its peers.

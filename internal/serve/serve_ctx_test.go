@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -10,23 +11,20 @@ import (
 	"repro/internal/perfmodel"
 )
 
-// TestBatcherOptionDefaults: zero and negative knobs must both land on the
-// documented defaults — a misconfigured scheduler should degrade to sane
-// batching, not a zero-size batch or a busy-looping timer.
+// TestBatcherOptionDefaults: a zero and a negative MaxBatch must both land on
+// the documented default — a misconfigured scheduler should degrade to sane
+// batching, not a zero-size batch.
 func TestBatcherOptionDefaults(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts Options
 	}{
 		{"zero", Options{}},
-		{"negative", Options{MaxBatch: -3, MaxDelay: -time.Second}},
+		{"negative", Options{MaxBatch: -3}},
 	} {
 		b := NewReplicated(tc.opts, &stubBackend{})
 		if b.sched.maxBatch != DefaultMaxBatch {
 			t.Errorf("%s: maxBatch = %d, want %d", tc.name, b.sched.maxBatch, DefaultMaxBatch)
-		}
-		if b.sched.maxDelay != DefaultMaxDelay {
-			t.Errorf("%s: maxDelay = %v, want %v", tc.name, b.sched.maxDelay, DefaultMaxDelay)
 		}
 		for p, q := range b.sched.queues {
 			if got := cap(q); got != 4*DefaultMaxBatch {
@@ -64,14 +62,14 @@ func TestBatcherRejectsDeadContext(t *testing.T) {
 func TestBatcherPrunesCancelledQueued(t *testing.T) {
 	s := &stubBackend{gate: make(chan struct{})}
 	rec := &perfmodel.Timings{}
-	b := NewReplicated(Options{MaxBatch: 1, MaxDelay: time.Millisecond, Timings: rec}, s)
+	b := NewReplicated(Options{MaxBatch: 1, Timings: rec}, s)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // occupies the scheduler behind the gate
 		defer wg.Done()
 		predict(b, screen(0), 0.45)
 	}()
-	waitFor(t, func() bool { s.mu.Lock(); defer s.mu.Unlock(); return s.calls == 1 })
+	waitFor(t, func() bool { return s.forwards() == 1 })
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 2)
@@ -117,7 +115,7 @@ func TestBatcherPrunesCancelledQueued(t *testing.T) {
 // an unanswered waiter would hang this test.
 func TestBatcherCloseWithCancelledWaiters(t *testing.T) {
 	s := &stubBackend{gate: make(chan struct{})}
-	b := NewReplicated(Options{MaxBatch: 2, MaxDelay: time.Millisecond}, s)
+	b := NewReplicated(Options{MaxBatch: 2}, s)
 	ctx, cancel := context.WithCancel(context.Background())
 	const n = 6
 	var wg sync.WaitGroup
@@ -131,7 +129,7 @@ func TestBatcherCloseWithCancelledWaiters(t *testing.T) {
 			}
 		}(i)
 	}
-	waitFor(t, func() bool { s.mu.Lock(); defer s.mu.Unlock(); return s.calls >= 1 })
+	waitFor(t, func() bool { return s.forwards() >= 1 })
 	cancel()
 	wg.Wait() // every caller returns promptly on its dead ctx, gate still held
 	close(s.gate)
@@ -164,7 +162,8 @@ func TestBatcherDirectBatchCtx(t *testing.T) {
 	}
 }
 
-// waitFor polls cond until it holds or the deadline lapses.
+// waitFor yields until cond holds; the deadline only turns a hang into a
+// failure, no outcome depends on how long anything takes.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -172,6 +171,6 @@ func waitFor(t *testing.T, cond func() bool) {
 		if time.Now().After(deadline) {
 			t.Fatal("condition not reached in time")
 		}
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
 	}
 }

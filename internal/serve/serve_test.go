@@ -5,8 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/detect"
@@ -77,6 +77,40 @@ func (s *stubBackend) sizes() []int {
 	return append([]int(nil), s.batchSizes...)
 }
 
+// forwards reports how many forwards the backend has entered, including one
+// parked on the gate.
+func (s *stubBackend) forwards() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.calls
+}
+
+// heldBackend parks every forward of the backend it wraps until gate closes,
+// so a test can build a backlog behind a backend that has no gate of its own.
+type heldBackend struct {
+	detect.Detector
+	gate    chan struct{}
+	entered atomic.Int64
+}
+
+func (h *heldBackend) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf float64) ([][]metrics.Detection, error) {
+	h.entered.Add(1)
+	<-h.gate
+	return h.Detector.PredictBatchCtx(ctx, x, conf)
+}
+
+// queueBehind builds a backlog the only way one forms: a plug request parks
+// b's worker inside a gated forward (held reports when), start launches n
+// callers, and queueBehind returns once all n sit in the queues. The caller
+// then opens the gate. Every step waits on the state it needs, never on time.
+func queueBehind(t *testing.T, b *Batcher, plug *tensor.Tensor, held func() bool, n int, start func()) {
+	t.Helper()
+	go predict(b, plug, 0.45)
+	waitFor(t, held)
+	start()
+	waitFor(t, func() bool { return b.sched.depth() == n })
+}
+
 // screen builds a 1-item tensor whose first pixel carries id.
 func screen(id int) *tensor.Tensor {
 	x := tensor.New(1, 3, yolite.InputH, yolite.InputW)
@@ -87,47 +121,52 @@ func screen(id int) *tensor.Tensor {
 	return x
 }
 
-// TestBatcherCoalescesToFullBatch: with a generous delay, concurrent
-// requests must ride one forward, not four.
+// TestBatcherCoalescesToFullBatch: requests that queue while the replica is
+// busy ride one forward of MaxBatch, and the remainder rides the next.
 func TestBatcherCoalescesToFullBatch(t *testing.T) {
-	s := &stubBackend{}
-	b := NewReplicated(Options{MaxBatch: 4, MaxDelay: time.Second}, s)
+	s := &stubBackend{gate: make(chan struct{})}
+	b := NewReplicated(Options{MaxBatch: 4}, s)
 	defer b.Close()
+	const n = 6
 	var wg sync.WaitGroup
-	results := make([][]metrics.Detection, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = predict(b, screen(i), 0.45)
-		}(i)
-	}
+	results := make([][]metrics.Detection, n)
+	queueBehind(t, b, screen(99), func() bool { return s.forwards() == 1 }, n, func() {
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				results[i] = predict(b, screen(i), 0.45)
+			}(i)
+		}
+	})
+	close(s.gate)
 	wg.Wait()
-	if sizes := s.sizes(); len(sizes) != 1 || sizes[0] != 4 {
-		t.Fatalf("batch sizes = %v, want one forward of 4", sizes)
+	if sizes := s.sizes(); !reflect.DeepEqual(sizes, []int{1, 4, 2}) {
+		t.Fatalf("batch sizes = %v, want the plug, then forwards of 4 and 2", sizes)
 	}
 	for i, dets := range results {
-		if len(dets) != 1 || dets[i%1].B.X != float64(i) {
+		if len(dets) != 1 || dets[0].B.X != float64(i) {
 			t.Fatalf("request %d got the wrong screen's result: %v", i, dets)
 		}
 	}
+	b.Close() // a worker records its batch after answering it; Close waits for that
 	st := b.Stats()
-	if st.Batches != 1 || st.Items != 4 || st.MaxBatchSize != 4 {
+	if st.Batches != 3 || st.Items != n+1 || st.MaxBatchSize != 4 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
-// TestBatcherFlushesOnMaxDelay: a lone request must not wait for a batch
-// that never fills.
-func TestBatcherFlushesOnMaxDelay(t *testing.T) {
-	s := &stubBackend{}
-	b := NewReplicated(Options{MaxBatch: 8, MaxDelay: 5 * time.Millisecond}, s)
-	defer b.Close()
-	start := time.Now()
-	dets := predict(b, screen(7), 0.45)
-	if wait := time.Since(start); wait > time.Second {
-		t.Fatalf("lone request waited %v", wait)
+// TestBatcherLoneRequestRunsAtOnce: nothing waits for company. collect on
+// empty queues returns a batch of one without blocking (a blocking collect
+// hangs this test), and a lone request reaches the backend as [1].
+func TestBatcherLoneRequestRunsAtOnce(t *testing.T) {
+	if batch := newScheduler(8, 8).collect(request{}); len(batch) != 1 {
+		t.Fatalf("collect on empty queues = %d requests, want the head alone", len(batch))
 	}
+	s := &stubBackend{}
+	b := NewReplicated(Options{MaxBatch: 8}, s)
+	defer b.Close()
+	dets := predict(b, screen(7), 0.45)
 	if len(dets) != 1 || dets[0].B.X != 7 {
 		t.Fatalf("dets = %v", dets)
 	}
@@ -140,23 +179,25 @@ func TestBatcherFlushesOnMaxDelay(t *testing.T) {
 // thresholds must split into two forwards — a batched forward carries a
 // single threshold.
 func TestBatcherGroupsByThreshold(t *testing.T) {
-	s := &stubBackend{}
-	b := NewReplicated(Options{MaxBatch: 4, MaxDelay: time.Second}, s)
+	s := &stubBackend{gate: make(chan struct{})}
+	b := NewReplicated(Options{MaxBatch: 4}, s)
 	defer b.Close()
 	confs := []float64{0.3, 0.5, 0.3, 0.5}
 	var wg sync.WaitGroup
 	results := make([][]metrics.Detection, 4)
-	for i, conf := range confs {
-		wg.Add(1)
-		go func(i int, conf float64) {
-			defer wg.Done()
-			results[i] = predict(b, screen(i), conf)
-		}(i, conf)
-	}
+	queueBehind(t, b, screen(99), func() bool { return s.forwards() == 1 }, len(confs), func() {
+		for i, conf := range confs {
+			wg.Add(1)
+			go func(i int, conf float64) {
+				defer wg.Done()
+				results[i] = predict(b, screen(i), conf)
+			}(i, conf)
+		}
+	})
+	close(s.gate)
 	wg.Wait()
-	sizes := s.sizes()
-	if len(sizes) != 2 || sizes[0] != 2 || sizes[1] != 2 {
-		t.Fatalf("batch sizes = %v, want [2 2]", sizes)
+	if sizes := s.sizes(); !reflect.DeepEqual(sizes, []int{1, 2, 2}) {
+		t.Fatalf("batch sizes = %v, want the plug, then [2 2]", sizes)
 	}
 	for i, dets := range results {
 		if dets[0].B.X != float64(i) || dets[0].Score != confs[i] {
@@ -170,17 +211,18 @@ func TestBatcherGroupsByThreshold(t *testing.T) {
 // unbatched inference instead of failing.
 func TestBatcherCloseDrainsPending(t *testing.T) {
 	s := &stubBackend{gate: make(chan struct{})}
-	b := NewReplicated(Options{MaxBatch: 2, MaxDelay: time.Millisecond}, s)
+	b := NewReplicated(Options{MaxBatch: 2}, s)
 	var wg sync.WaitGroup
 	results := make([][]metrics.Detection, 6)
-	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = predict(b, screen(i), 0.45)
-		}(i)
-	}
-	time.Sleep(20 * time.Millisecond) // let requests queue behind the gate
+	queueBehind(t, b, screen(99), func() bool { return s.forwards() == 1 }, len(results), func() {
+		for i := range results {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				results[i] = predict(b, screen(i), 0.45)
+			}(i)
+		}
+	})
 	close(s.gate)
 	b.Close()
 	wg.Wait()
@@ -190,11 +232,11 @@ func TestBatcherCloseDrainsPending(t *testing.T) {
 		}
 	}
 	// After Close the Batcher still serves, directly.
-	calls := func() int { s.mu.Lock(); defer s.mu.Unlock(); return s.calls }()
+	calls := s.forwards()
 	if dets := predict(b, screen(9), 0.45); dets[0].B.X != 9 {
 		t.Fatalf("post-Close predict = %v", dets)
 	}
-	if got := func() int { s.mu.Lock(); defer s.mu.Unlock(); return s.calls }(); got != calls+1 {
+	if got := s.forwards(); got != calls+1 {
 		t.Fatal("post-Close predict did not reach the backend directly")
 	}
 	b.Close() // idempotent
@@ -204,7 +246,7 @@ func TestBatcherCloseDrainsPending(t *testing.T) {
 // recorder under the serve-batch stage.
 func TestBatcherTimings(t *testing.T) {
 	rec := &perfmodel.Timings{}
-	b := NewReplicated(Options{MaxBatch: 2, MaxDelay: time.Millisecond, Timings: rec}, &stubBackend{})
+	b := NewReplicated(Options{MaxBatch: 2, Timings: rec}, &stubBackend{})
 	predict(b, screen(1), 0.45)
 	predict(b, screen(2), 0.45)
 	b.Close() // a worker records its batch after answering it; Close waits for that
@@ -219,7 +261,8 @@ func TestBatcherTimings(t *testing.T) {
 func TestBatcherEquivalenceRealModel(t *testing.T) {
 	m := yolite.NewModel(3)
 	m.Pool = tensor.NewPool() // the production stack batches a pooled model
-	b := NewReplicated(Options{MaxBatch: 4, MaxDelay: 10 * time.Millisecond}, m)
+	h := &heldBackend{Detector: m, gate: make(chan struct{})}
+	b := NewReplicated(Options{MaxBatch: 4}, h)
 	defer b.Close()
 	const screens = 4
 	want := make([][]metrics.Detection, screens)
@@ -238,8 +281,8 @@ func TestBatcherEquivalenceRealModel(t *testing.T) {
 		t.Fatal("equivalence test vacuous, no detections produced")
 	}
 	var wg sync.WaitGroup
-	for round := 0; round < 2; round++ {
-		got := make([][]metrics.Detection, screens)
+	got := make([][]metrics.Detection, screens)
+	round := func() {
 		for i := range xs {
 			wg.Add(1)
 			go func(i int) {
@@ -247,18 +290,30 @@ func TestBatcherEquivalenceRealModel(t *testing.T) {
 				got[i] = predict(b, xs[i], 0.3)
 			}(i)
 		}
+	}
+	check := func(name string) {
+		t.Helper()
 		wg.Wait()
 		for i := range got {
 			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("round %d screen %d: batched %v != direct %v", round, i, got[i], want[i])
+				t.Fatalf("%s screen %d: batched %v != direct %v", name, i, got[i], want[i])
 			}
 		}
 	}
+	// Held round: all four queue behind a plug and ride one forward of 4.
+	queueBehind(t, b, xs[0], func() bool { return h.entered.Load() == 1 }, screens, round)
+	close(h.gate)
+	check("held round")
+	if st := b.Stats(); st.MaxBatchSize != screens {
+		t.Fatalf("held round never rode a forward of %d: %+v", screens, st)
+	}
+	// Free round: the gate is open, batches form as the forwards allow.
+	round()
+	check("free round")
 	// A cancellable per-request context that never fires must not change a
 	// bit either: the same screens ride the ctx entry point.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	got := make([][]metrics.Detection, screens)
 	errs := make([]error, screens)
 	for i := range xs {
 		wg.Add(1)
@@ -272,12 +327,10 @@ func TestBatcherEquivalenceRealModel(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("ctx round screen %d: err = %v", i, errs[i])
 		}
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("ctx round screen %d: batched %v != direct %v", i, got[i], want[i])
-		}
 	}
-	if b.Stats().Items != 3*screens {
-		t.Fatalf("stats items = %d, want %d", b.Stats().Items, 3*screens)
+	check("ctx round")
+	if items := b.Stats().Items; items != 3*screens+1 {
+		t.Fatalf("stats items = %d, want %d and the plug", items, 3*screens)
 	}
 }
 
@@ -286,7 +339,7 @@ func TestBatcherEquivalenceRealModel(t *testing.T) {
 // full serving stack.
 func TestBatcherConcurrentStress(t *testing.T) {
 	s := &stubBackend{}
-	b := NewReplicated(Options{MaxBatch: 4, MaxDelay: 500 * time.Microsecond}, detect.WithResultCache(s, 64))
+	b := NewReplicated(Options{MaxBatch: 4}, detect.WithResultCache(s, 64))
 	defer b.Close()
 	const (
 		workers = 8
