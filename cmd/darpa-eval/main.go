@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"strings"
 
 	"repro/internal/adversary"
@@ -49,7 +50,7 @@ func main() {
 	attackOut := flag.String("attack-out", "BENCH_adversary.json", "adversarial benchmark output (empty = skip)")
 	corpusPath := flag.String("corpus-path", adversary.DefaultCorpusPath, "mined corpus location")
 	writeCorpus := flag.Bool("write-corpus", false, "overwrite the checked-in corpus with this run's mine")
-	attackSkipRCNN := flag.Bool("attack-skip-rcnn", false, "leave the RCNN baseline out of the vote (faster)")
+	attackSkipRCNN := flag.Bool("attack-skip-rcnn", false, "leave the RCNN baseline out (faster)")
 	hardenEpochs := flag.Int("harden-epochs", 20, "adversarial fine-tune epochs")
 	flag.Parse()
 
@@ -59,17 +60,21 @@ func main() {
 	}
 	// The attack modes build their own backends and screens; they run before
 	// NewEnv, which would eagerly generate the full 1072-sample dataset.
-	if *attackSmoke {
-		runAttackSmoke(*weights, *attackSeed)
-		return
-	}
-	if *attack {
-		runAttack(attackFlags{
-			seed: *attackSeed, iters: *attackIters, restarts: *attackRestarts,
-			screens: *attackScreens, evalN: *attackEval, corpusN: *attackCorpus,
-			iou: *attackIoU, weights: *weights, out: *attackOut, corpusPath: *corpusPath,
-			writeCorpus: *writeCorpus, skipRCNN: *attackSkipRCNN, hardenEpochs: *hardenEpochs,
-		})
+	if *attackSmoke || *attack {
+		sweep := experiments.AttackSweep{
+			Seed: *attackSeed, Iters: *attackIters, Restarts: *attackRestarts,
+			Screens: *attackScreens, EvalN: *attackEval, CorpusN: *attackCorpus,
+			IoU: *attackIoU, Weights: *weights, Out: *attackOut, CorpusPath: *corpusPath,
+			WriteCorpus: *writeCorpus, SkipRCNN: *attackSkipRCNN, HardenEpochs: *hardenEpochs,
+			Logf: log.Printf,
+		}
+		run := sweep.Run
+		if *attackSmoke {
+			run = sweep.Smoke
+		}
+		if err := run(os.Stdout); err != nil {
+			log.Fatal(err)
+		}
 		return
 	}
 

@@ -14,21 +14,17 @@
 // only real inference rides goroutines — through one shared serving stack
 // (admission → scheduler → replica pool over per-replica result caches) — so
 // one machine simulates 100k+ devices. Traffic can be shaped (-shape
-// steady|diurnal|spike), replayed exactly (-fleet-seed), exported as
-// Prometheus text + JSON (-metrics-out), and swept across fleet sizes
-// (-fleet-sweep, -bench-out).
+// steady|diurnal|spike), replayed exactly (-fleet-seed) and exported as
+// Prometheus text + JSON (-metrics-out).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"image/png"
 	"log"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/app"
@@ -40,7 +36,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/frauddroid"
 	"repro/internal/metrics"
-	"repro/internal/perfmodel"
 	"repro/internal/uikit"
 )
 
@@ -62,8 +57,6 @@ func main() {
 	eventsPerMin := flag.Float64("events-per-min", fleet.DefaultEventsPerMinute, "fleet: per-device accessibility events per minute before shaping")
 	shape := flag.String("shape", fleet.ShapeSteady, "fleet: traffic shape (steady|diurnal|spike)")
 	metricsOut := flag.String("metrics-out", "", "fleet: write the run's metric families to <path>.prom and <path>.json")
-	fleetSweep := flag.String("fleet-sweep", "", "fleet: comma-separated device counts to sweep (e.g. 1000,10000,100000)")
-	benchOut := flag.String("bench-out", "", "fleet sweep: write the devices-vs-throughput table to this JSON file")
 	chaos := flag.Float64("chaos", 0, "inject detector errors at this rate (0-1); enables the resilient path (retry + frauddroid fallback)")
 	chaosLatency := flag.Duration("chaos-latency", 0, "inject latency spikes of this size on ~10% of detector calls")
 	chaosPanic := flag.Int("chaos-panic", 0, "panic inside the detector on every Nth call (0 = never)")
@@ -88,7 +81,7 @@ func main() {
 		Logf:   log.Printf,
 	}
 
-	if *fleetSweep != "" || *fleetN > 1 {
+	if *fleetN > 1 {
 		// Train-if-cold happens once; replica builds after the first are
 		// warm weight loads producing independent model instances.
 		bctx.SaveWeights = true
@@ -109,10 +102,6 @@ func main() {
 			ShedDepth:       *shedDepth,
 			Plan:            plan,
 			Logf:            log.Printf,
-		}
-		if *fleetSweep != "" {
-			runFleetSweep(reps, cfg, *fleetSweep, *benchOut)
-			return
 		}
 		res, err := fleet.Run(cfg, reps)
 		if err != nil {
@@ -259,79 +248,6 @@ func shapeOrSteady(s string) string {
 		return fleet.ShapeSteady
 	}
 	return s
-}
-
-// benchPoint is one sweep entry in the -bench-out JSON.
-type benchPoint struct {
-	Devices       int     `json:"devices"`
-	SimSeconds    float64 `json:"sim_seconds"`
-	WallSeconds   float64 `json:"wall_seconds"`
-	Events        int     `json:"events"`
-	Analyses      int     `json:"analyses"`
-	Superseded    int     `json:"superseded"`
-	Popups        int     `json:"popups"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-	CacheHitRate  float64 `json:"cache_hit_rate"`
-	Speedup       float64 `json:"sim_over_wall"`
-}
-
-// runFleetSweep runs the fleet at each requested size (reusing the built
-// replicas) and writes the devices-vs-throughput table.
-func runFleetSweep(reps []detect.Detector, cfg fleet.Config, sweep, benchOut string) {
-	var points []benchPoint
-	for _, field := range strings.Split(sweep, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(field))
-		if err != nil || n < 1 {
-			log.Fatalf("bad -fleet-sweep entry %q", field)
-		}
-		c := cfg
-		c.Devices = n
-		c.Timings = &perfmodel.Timings{} // fresh recorder per point
-		res, err := fleet.Run(c, reps)
-		if err != nil {
-			log.Fatal(err)
-		}
-		printFleet(res, cfg.Plan)
-		p := benchPoint{
-			Devices:     res.Devices,
-			SimSeconds:  res.Duration.Seconds(),
-			WallSeconds: res.Wall.Seconds(),
-			Events:      res.Events,
-			Analyses:    res.Analyses,
-			Superseded:  res.Superseded,
-			Popups:      res.Popups,
-		}
-		if res.Wall > 0 {
-			p.ThroughputRPS = float64(res.Analyses) / res.Wall.Seconds()
-			p.Speedup = res.Duration.Seconds() / res.Wall.Seconds()
-		}
-		if res.CacheHits+res.CacheMisses > 0 {
-			p.CacheHitRate = float64(res.CacheHits) / float64(res.CacheHits+res.CacheMisses)
-		}
-		points = append(points, p)
-	}
-	if benchOut == "" {
-		return
-	}
-	doc := struct {
-		Bench  string       `json:"bench"`
-		Shape  string       `json:"shape"`
-		Seed   int64        `json:"seed"`
-		Points []benchPoint `json:"points"`
-	}{Bench: "fleet", Shape: shapeOrSteady(cfg.Shape), Seed: cfg.Seed, Points: points}
-	f, err := os.Create(benchOut)
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("fleet sweep written to %s (%d points)", benchOut, len(points))
 }
 
 // dumpMetrics writes the families as Prometheus text (<path>.prom) and JSON

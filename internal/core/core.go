@@ -75,12 +75,6 @@ type Config struct {
 	UPOColor, AGOColor render.Color
 	// StrokeWidth is the decoration border width; zero means 3.
 	StrokeWidth int
-	// CacheResults wraps the detector in detect.WithResultCache so repeated
-	// analyses of an unchanged screen skip inference entirely.
-	CacheResults bool
-	// CacheCapacity bounds the result cache (entries); zero means
-	// detect.DefaultCacheCapacity. Ignored unless CacheResults is set.
-	CacheCapacity int
 	// Deadline bounds one analysis cycle in wall-clock time (the simulation
 	// clock is virtual, but inference compute is real). When it expires the
 	// detector aborts within roughly one conv layer, the cycle is counted in
@@ -261,9 +255,8 @@ func Start(clock *sim.Clock, mgr *a11y.Manager, detector detect.Detector, cfg Co
 	// Resilience stack, inside out: retry hugs the primary backend (its
 	// transient failures are worth re-attempting), the fallback chain sits
 	// above it (only a retry-exhausted primary falls through to the next
-	// backend), and the result cache goes outermost so memoised screens
-	// skip the whole stack — the cache never stores errors, so it cannot
-	// memoise a failure.
+	// backend). A caller that wants a result cache wraps its detector in
+	// detect.WithResultCache before Start, as fleet does.
 	if detector != nil && cfg.RetryAttempts > 1 {
 		s.retrier = detect.WithRetry(detector, detect.RetryOptions{
 			MaxAttempts: cfg.RetryAttempts,
@@ -275,9 +268,6 @@ func Start(clock *sim.Clock, mgr *a11y.Manager, detector detect.Detector, cfg Co
 		s.chain = detect.WithFallback(detect.FallbackOptions{Timings: s.timings},
 			append([]detect.Detector{detector}, cfg.Fallbacks...)...)
 		detector = s.chain
-	}
-	if detector != nil && cfg.CacheResults {
-		detector = detect.WithResultCache(detector, cfg.CacheCapacity)
 	}
 	s.detector = detector
 	// Event registration (Fig. 5 step 1): all 23 event types.
@@ -304,10 +294,6 @@ func (s *Service) Stats() Stats {
 // Timings returns the per-stage latency recorder. The recorder is live;
 // callers should treat it as read-only.
 func (s *Service) Timings() *perfmodel.Timings { return s.timings }
-
-// Detector returns the detector the service runs, including any cache
-// wrapper installed by Config.CacheResults.
-func (s *Service) Detector() detect.Detector { return s.detector }
 
 // Log returns every analysis performed so far.
 func (s *Service) Log() []Analysis {

@@ -60,10 +60,13 @@ func TestMonitorModeSkipsAllStages(t *testing.T) {
 	}
 }
 
-func TestCacheResultsSkipsRepeatInference(t *testing.T) {
+// TestCallerCacheSkipsRepeatInference: a caller that wants a result cache
+// wraps its detector before Start, as fleet does.
+func TestCallerCacheSkipsRepeatInference(t *testing.T) {
 	clock, mgr, _ := newEnv(23)
 	det := &fakeDetector{}
-	s := Start(clock, mgr, det, Config{CacheResults: true})
+	c := detect.WithResultCache(det, 0)
+	s := Start(clock, mgr, c, Config{})
 	// A static screen: every analysis sees identical pixels.
 	for i := 0; i < 4; i++ {
 		mgr.Emit(a11y.TypeWindowContentChanged, "app")
@@ -75,10 +78,6 @@ func TestCacheResultsSkipsRepeatInference(t *testing.T) {
 	}
 	if det.calls != 1 {
 		t.Fatalf("inner detector ran %d times; the result cache should absorb repeats of an unchanged screen", det.calls)
-	}
-	c, ok := s.Detector().(*detect.Cache)
-	if !ok {
-		t.Fatalf("CacheResults should install a detect.Cache, got %T", s.Detector())
 	}
 	if c.Hits() != 3 || c.Misses() != 1 {
 		t.Fatalf("hits=%d misses=%d, want 3/1", c.Hits(), c.Misses())

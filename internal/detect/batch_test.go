@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/auigen"
 	"repro/internal/metrics"
-	"repro/internal/perfmodel"
 	"repro/internal/quant"
 	"repro/internal/tensor"
 	"repro/internal/yolite"
@@ -192,27 +191,6 @@ func TestCacheBatchCompactsMisses(t *testing.T) {
 	out2[0][0].B.X = 999
 	if batch(t, c, x, 0.45)[0][0].B.X == 999 {
 		t.Fatal("cache batch path returned a shared slice")
-	}
-}
-
-// TestWithTimingNilRecorder: a nil *perfmodel.Timings must be a no-op, not a
-// nil-pointer dereference on the first Observe.
-func TestWithTimingNilRecorder(t *testing.T) {
-	s := &stubDetector{}
-	d := WithTiming(s, nil, "infer")
-	one(t, d, randomBatch(1, 1), 0.45)
-	batch(t, d, randomBatch(2, 1), 0.45)
-	if s.calls != 3 {
-		t.Fatalf("inner calls = %d, want 3", s.calls)
-	}
-}
-
-func TestWithTimingRecordsBatchItemCount(t *testing.T) {
-	rec := &perfmodel.Timings{}
-	d := WithTiming(&stubDetector{}, rec, "")
-	batch(t, d, randomBatch(3, 1), 0.45)
-	if got := rec.Stage("infer").Count; got != 3 {
-		t.Fatalf("batch of 3 recorded Count=%d, want 3", got)
 	}
 }
 

@@ -33,11 +33,9 @@ var (
 	_ Detector = (*rcnn.Model)(nil)
 	_ Detector = (*frauddroid.ViewAdapter)(nil)
 
-	_ Detector = (*Timed)(nil)
 	_ Detector = (*Cache)(nil)
 	_ Detector = (*Retrier)(nil)
 	_ Detector = (*FallbackChain)(nil)
-	_ Detector = (*Ensemble)(nil)
 )
 
 // weightsPath maps a registry name to its weight file ("yolite-masked" →

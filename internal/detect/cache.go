@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"hash/maphash"
 	"math"
-	"math/bits"
 	"sync"
 
 	"repro/internal/metrics"
@@ -16,128 +15,66 @@ import (
 // Cache memoises inference results keyed on the screenshot's tensor content,
 // so an unchanged screen (the common case: debounce fires on cosmetic churn
 // that dies outside the model's downsampled view) skips re-inference
-// entirely. Eviction is FIFO at the configured capacity.
+// entirely. Eviction is exact FIFO at the configured capacity: a cache that
+// holds as many entries as its caller has distinct screens never evicts.
 //
-// Internally the key space is partitioned across shards, each with its own
-// lock, map and FIFO ring, so concurrent auditors (the serving layer fans
-// many devices into one shared cache) do not serialise on a single mutex.
-// Small caches stay single-sharded — one shard preserves exact global FIFO
-// order, which only matters when capacity is tiny enough for eviction order
-// to be observable. Safe for concurrent use.
+// One mutex guards everything. Every cache in the tree is driven by a single
+// goroutine (a serve replica worker, one core.Service, one audit loop), and
+// cacheKey — ~95% of a hit — runs outside the lock, so the critical section
+// is a map lookup and a slice copy. Safe for concurrent use.
 type Cache struct {
-	inner  Detector
-	mask   uint64
-	shards []cacheShard
-}
+	inner Detector
 
-// cacheShard is one lock domain: a hash map for lookup plus a fixed-size
-// ring buffer recording insertion order for FIFO eviction. The ring never
-// reallocates (the historical slice-based FIFO leaked its backing array by
-// re-slicing on every eviction). The trailing pad keeps hot shard headers on
-// separate cache lines when the shard array is walked concurrently.
-type cacheShard struct {
 	mu      sync.Mutex
 	entries map[uint64][]metrics.Detection
-	ring    []uint64 // fixed capacity; oldest key at head
-	head    int
-	count   int
-	hits    int
-	misses  int
-	_       [24]byte
+	// ring records insertion order for eviction, oldest key at head. Its
+	// fixed capacity means eviction overwrites in place and never
+	// reallocates; len(entries) is the number of occupied slots.
+	ring   []uint64
+	head   int
+	hits   int
+	misses int
 }
 
-const (
-	// DefaultCacheCapacity bounds the cache when WithResultCache is given a
-	// non-positive capacity.
-	DefaultCacheCapacity = 32
-	// maxCacheShards caps the shard fan-out; past ~16 lock domains the
-	// contention win is gone and the per-shard rings get too small.
-	maxCacheShards = 16
-	// minShardCapacity is the smallest per-shard ring worth splitting into:
-	// below it, sharding trades observable FIFO order for nothing.
-	minShardCapacity = 8
-)
+// DefaultCacheCapacity bounds the cache when WithResultCache is given a
+// non-positive capacity.
+const DefaultCacheCapacity = 32
 
 // WithResultCache wraps d with a content-hash result cache holding up to
-// capacity screens. The shard count scales with capacity: caches smaller
-// than 2x minShardCapacity stay single-sharded (exact FIFO), larger ones
-// split into up to maxCacheShards lock domains.
+// capacity screens.
 func WithResultCache(d Detector, capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
-	return newCache(d, capacity, capacity/minShardCapacity)
-}
-
-// newCache builds a cache of a positive capacity split into shards lock
-// domains, the count rounded down to a power of two and clamped to
-// [1, min(capacity, maxCacheShards)]. Production derives the count from the
-// capacity (WithResultCache); the shard-sweep benchmark sets it directly.
-func newCache(d Detector, capacity, shards int) *Cache {
-	if shards > maxCacheShards {
-		shards = maxCacheShards
+	return &Cache{
+		inner:   d,
+		entries: make(map[uint64][]metrics.Detection, capacity),
+		ring:    make([]uint64, capacity),
 	}
-	if shards > capacity {
-		shards = capacity
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	// Round down to a power of two so shard selection is a mask, not a mod.
-	shards = 1 << (bits.Len(uint(shards)) - 1)
-	c := &Cache{inner: d, mask: uint64(shards - 1), shards: make([]cacheShard, shards)}
-	base, rem := capacity/shards, capacity%shards
-	for i := range c.shards {
-		cap := base
-		if i < rem {
-			cap++
-		}
-		c.shards[i].entries = make(map[uint64][]metrics.Detection, cap)
-		c.shards[i].ring = make([]uint64, cap)
-	}
-	return c
 }
 
 // Name reports the inner backend's name.
 func (c *Cache) Name() string { return c.inner.Name() }
 
-// ShardCount reports how many lock domains the cache was split into.
-func (c *Cache) ShardCount() int { return len(c.shards) }
-
 // Hits returns how many calls were answered from the cache.
 func (c *Cache) Hits() int {
-	total := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		total += s.hits
-		s.mu.Unlock()
-	}
-	return total
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits
 }
 
 // Misses returns how many calls ran the inner detector.
 func (c *Cache) Misses() int {
-	total := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		total += s.misses
-		s.mu.Unlock()
-	}
-	return total
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.misses
 }
 
 // Len returns the number of cached screens.
 func (c *Cache) Len() int {
-	total := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		total += len(s.entries)
-		s.mu.Unlock()
-	}
-	return total
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }
 
 // HitRate returns hits / (hits + misses), or 0 before any lookup.
@@ -175,13 +112,14 @@ func itemSpan(x *tensor.Tensor, n int) (lo, hi int, ok bool) {
 	return lo, hi, lo >= 0 && hi <= len(x.Data)
 }
 
-// cacheKey hashes batch item n's pixels plus the threshold. Pixel bits are
-// packed into a 4KB stack buffer and flushed to maphash a chunk at a time:
-// the historical one-Write-per-float-pair loop spent ~23k hash calls on a
-// 46k-float screen, and at fleet scale (a million cache lookups a minute,
-// one core) that per-call overhead — not inference — was the bottleneck.
-// Keys are process-internal (the seed is fresh each run), so the chunked
-// byte stream owes the old one nothing.
+// cacheKey hashes batch item n's shape and pixels plus the threshold. The
+// item dims lead the stream so equal data laid out as 96x160 and as 160x96
+// are different screens. Pixel bits are packed into a 4KB stack buffer and
+// flushed to maphash a chunk at a time: the historical one-Write-per-float-pair
+// loop spent ~23k hash calls on a 46k-float screen, and at fleet scale (a
+// million cache lookups a minute, one core) that per-call overhead — not
+// inference — was the bottleneck. Keys are process-internal (the seed is
+// fresh each run), so the byte stream owes earlier layouts nothing.
 func cacheKey(x *tensor.Tensor, n int, confThresh float64) (uint64, bool) {
 	lo, hi, ok := itemSpan(x, n)
 	if !ok {
@@ -192,6 +130,14 @@ func cacheKey(x *tensor.Tensor, n int, confThresh float64) (uint64, bool) {
 	var buf [4096]byte
 	binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(confThresh))
 	off := 8
+	for _, d := range x.Shape[1:] {
+		binary.LittleEndian.PutUint64(buf[off:], uint64(d))
+		off += 8
+		if off == len(buf) {
+			h.Write(buf[:])
+			off = 0
+		}
+	}
 	for i := lo; i < hi; i++ {
 		binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(x.Data[i]))
 		off += 4
@@ -206,51 +152,39 @@ func cacheKey(x *tensor.Tensor, n int, confThresh float64) (uint64, bool) {
 	return h.Sum64(), true
 }
 
-// shardFor maps a key to its lock domain. maphash output is uniformly
-// mixed, so the low bits select shards evenly.
-func (c *Cache) shardFor(key uint64) *cacheShard {
-	return &c.shards[key&c.mask]
-}
-
-// lookup checks one key, counting the hit or miss on its shard. On a hit it
-// returns a fresh copy of the memoised slice (the pipeline scales detection
-// boxes in place).
+// lookup checks one key, counting the hit or miss. On a hit it returns a
+// fresh copy of the memoised slice (the pipeline scales detection boxes in
+// place).
 func (c *Cache) lookup(key uint64) ([]metrics.Detection, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if dets, hit := s.entries[key]; hit {
-		s.hits++
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if dets, hit := c.entries[key]; hit {
+		c.hits++
 		return append([]metrics.Detection(nil), dets...), true
 	}
-	s.misses++
+	c.misses++
 	return nil, false
 }
 
-// store memoises dets under key (copying the slice), evicting the shard's
-// oldest entry when its ring is full. Re-storing a key another call raced in
-// is a no-op.
+// store memoises dets under key (copying the slice), evicting the oldest
+// entry when the ring is full. Re-storing a key another call raced in is a
+// no-op.
 func (c *Cache) store(key uint64, dets []metrics.Detection) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.entries[key]; dup {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, dup := c.entries[key]; dup {
 		return
 	}
-	if len(s.ring) == 0 {
-		return
-	}
-	if s.count == len(s.ring) {
+	if n := len(c.entries); n == len(c.ring) {
 		// Full: the head slot holds the oldest key; overwrite it in place
 		// and advance. No allocation, no retained backing array.
-		delete(s.entries, s.ring[s.head])
-		s.ring[s.head] = key
-		s.head = (s.head + 1) % len(s.ring)
+		delete(c.entries, c.ring[c.head])
+		c.ring[c.head] = key
+		c.head = (c.head + 1) % len(c.ring)
 	} else {
-		s.ring[(s.head+s.count)%len(s.ring)] = key
-		s.count++
+		c.ring[n] = key // head stays 0 until the ring first fills
 	}
-	s.entries[key] = append([]metrics.Detection(nil), dets...)
+	c.entries[key] = append([]metrics.Detection(nil), dets...)
 }
 
 // cacheMiss is one unique screen the memo could not answer: the batch item
@@ -297,18 +231,16 @@ func (c *Cache) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThres
 scan:
 	for i := range out {
 		key, _ := cacheKey(x, i, confThresh)
-		for j, m := range misses {
-			if m.key == key {
-				// In-batch duplicate of a known miss: count it without
-				// another lookup.
-				c.shardFor(key).addMiss()
-				dups = append(dups, [2]int{i, j})
-				continue scan
-			}
-		}
 		if dets, hit := c.lookup(key); hit {
 			out[i] = dets
 			continue
+		}
+		for j, m := range misses {
+			if m.key == key {
+				// In-batch duplicate of a known miss: forwarded once.
+				dups = append(dups, [2]int{i, j})
+				continue scan
+			}
 		}
 		misses = append(misses, cacheMiss{item: i, key: key})
 	}
@@ -354,10 +286,4 @@ func (c *Cache) PredictTensor(x *tensor.Tensor, n int, confThresh float64) []met
 		return nil
 	}
 	return out[n]
-}
-
-func (s *cacheShard) addMiss() {
-	s.mu.Lock()
-	s.misses++
-	s.mu.Unlock()
 }

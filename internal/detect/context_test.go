@@ -153,8 +153,7 @@ func TestPredictCtxCancelMidForward(t *testing.T) {
 // screen and for a batch.
 func TestMiddlewareCtxPath(t *testing.T) {
 	s := &stubDetector{dets: []metrics.Detection{det(10, 10, 8, 8, 0.9)}}
-	rec := &perfmodel.Timings{}
-	d := WithTiming(WithResultCache(s, 8), rec, "")
+	d := WithRetry(WithResultCache(s, 8), RetryOptions{})
 	ctx := cancellableCtx(t)
 	dets, err := Only(d.PredictBatchCtx(ctx, randomBatch(1, 1), 0.45))
 	if err != nil {
@@ -170,38 +169,8 @@ func TestMiddlewareCtxPath(t *testing.T) {
 	if len(s.batchSizes) != 2 || s.batchSizes[1] != 2 {
 		t.Fatalf("ctx middleware broke the native batch hand-off: %v", s.batchSizes)
 	}
-	if len(out) != 2 || rec.Stage("infer").Count != 3 {
-		t.Fatalf("batch of two answered %d items, %d timed, want 2 and 3", len(out), rec.Stage("infer").Count)
-	}
-}
-
-// TestTimedCtxRecordsAborted: aborted calls must land under their own
-// "-aborted" stage so the main latency distribution stays clean.
-func TestTimedCtxRecordsAborted(t *testing.T) {
-	rec := &perfmodel.Timings{}
-	s := &errStub{err: context.Canceled}
-	d := WithTiming(s, rec, "infer")
-	ctx := cancellableCtx(t)
-	if _, err := d.PredictBatchCtx(ctx, randomBatch(1, 1), 0.45); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want Canceled", err)
-	}
-	if _, err := d.PredictBatchCtx(ctx, randomBatch(2, 1), 0.45); !errors.Is(err, context.Canceled) {
-		t.Fatalf("batch err = %v, want Canceled", err)
-	}
-	snap := rec.Snapshot()
-	if snap["infer-aborted"].Count != 2 {
-		t.Fatalf("infer-aborted count = %d, want 2", snap["infer-aborted"].Count)
-	}
-	if snap["infer"].Count != 0 {
-		t.Fatalf("aborted calls leaked into the main stage: count = %d", snap["infer"].Count)
-	}
-	// Successful ctx calls record under the main stage.
-	s.err = nil
-	if _, err := d.PredictBatchCtx(ctx, randomBatch(1, 1), 0.45); err != nil {
-		t.Fatalf("success err = %v", err)
-	}
-	if got := rec.Snapshot()["infer"].Count; got != 1 {
-		t.Fatalf("successful ctx call recorded count = %d, want 1", got)
+	if calls := d.Stats().Calls; len(out) != 2 || calls != 2 {
+		t.Fatalf("batch of two answered %d items over %d calls, want 2 and 2", len(out), calls)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/metrics"
-	"repro/internal/perfmodel"
 	"repro/internal/render"
 	"repro/internal/tensor"
 	"repro/internal/uikit"
@@ -216,24 +215,9 @@ func TestResultCacheBadBatchIndexBypasses(t *testing.T) {
 	}
 }
 
-func TestWithTimingRecords(t *testing.T) {
-	s := &stubDetector{}
-	rec := &perfmodel.Timings{}
-	d := WithTiming(s, rec, "")
-	if d.Name() != "stub" {
-		t.Fatalf("timing should preserve the inner name, got %q", d.Name())
-	}
-	one(t, d, inputTensor(), 0.45)
-	one(t, d, inputTensor(), 0.45)
-	if got := rec.Stage("infer").Count; got != 2 {
-		t.Fatalf("recorded %d observations, want 2", got)
-	}
-}
-
 func TestMiddlewareComposes(t *testing.T) {
 	s := &stubDetector{dets: []metrics.Detection{det(10, 10, 8, 8, 0.9)}}
-	rec := &perfmodel.Timings{}
-	d := WithTiming(WithResultCache(s, 4), rec, "infer")
+	d := WithRetry(WithResultCache(s, 4), RetryOptions{})
 	if d.Name() != "stub" {
 		t.Fatalf("composed stack should still report the backend name, got %q", d.Name())
 	}
@@ -243,8 +227,8 @@ func TestMiddlewareComposes(t *testing.T) {
 	if s.calls != 1 {
 		t.Fatalf("cache inside the stack should absorb the repeat, inner calls = %d", s.calls)
 	}
-	if rec.Stage("infer").Count != 2 {
-		t.Fatalf("timing outside the cache should see both calls")
+	if calls := d.Stats().Calls; calls != 2 {
+		t.Fatalf("the retrier outside the cache should see both calls, saw %d", calls)
 	}
 }
 

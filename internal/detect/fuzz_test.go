@@ -20,13 +20,16 @@ import (
 //     invariant the memo depends on);
 //   - an item's key depends only on that item's pixels: mutating a
 //     different batch item never changes it (the invariant batch miss
-//     compaction depends on).
+//     compaction depends on);
+//   - it depends on the item's shape: the same data under transposed dims is
+//     a different screen.
 func FuzzCacheKey(f *testing.F) {
 	f.Add(1, 3, 4, 0, 0.25, []byte{0, 0, 0, 0, 1, 2, 3, 4, 0xff, 0xff, 0xff, 0xff})
 	f.Add(2, 2, 2, 1, 0.5, []byte{0x7f, 0xc0, 0, 0, 0x7f, 0x80, 0, 0}) // NaN, +Inf floats
 	f.Add(0, 0, 0, 0, 0.0, []byte{})
 	f.Add(-1, 5, 7, -3, math.NaN(), []byte{9, 9, 9, 9})
 	f.Add(1<<30, 1<<30, 4, 1<<20, 0.25, []byte{1, 2, 3, 4})
+	f.Add(1, 96, 160, 0, 0.45, make([]byte, 4*96*160)) // vs 160x96: equal data, different screen
 
 	f.Fuzz(func(t *testing.T, s0, s1, s2, n int, conf float64, raw []byte) {
 		if len(raw) > 1<<16 {
@@ -42,6 +45,12 @@ func FuzzCacheKey(f *testing.F) {
 		k2, ok2 := cacheKey(x, n, conf)
 		if ok1 != ok2 || k1 != k2 {
 			t.Fatalf("cacheKey not deterministic: (%v,%v) vs (%v,%v)", k1, ok1, k2, ok2)
+		}
+
+		if xt := (&tensor.Tensor{Shape: []int{s0, s2, s1}, Data: data}); ok1 && s1 != s2 {
+			if kt, _ := cacheKey(xt, n, conf); kt == k1 {
+				t.Fatalf("shapes %v and %v with equal data share key %#x", x.Shape, xt.Shape, k1)
+			}
 		}
 
 		// Item-independence, checked on shapes small enough to reason about

@@ -45,7 +45,7 @@ var ErrAllBackendsFailed = errors.New("detect: all fallback backends failed")
 
 // ValidDetections reports whether every detection is structurally sane:
 // finite box coordinates, non-negative box sizes, and a finite score in
-// [0, 1]. It is the default validation hook of the retry and fallback
+// [0, 1]. It is the validation hook of the retry and fallback
 // wrappers — the guard that stops a corrupted tensor from flowing into
 // decoration as a NaN-positioned overlay.
 func ValidDetections(dets []metrics.Detection) bool {
@@ -106,58 +106,23 @@ func Guarded(ctx context.Context, d Detector, x *tensor.Tensor, conf float64, va
 	return out, nil
 }
 
-// orValid resolves a wrapper's Validate option: nil means ValidDetections.
-func orValid(v func([]metrics.Detection) bool) func([]metrics.Detection) bool {
-	if v == nil {
-		return ValidDetections
-	}
-	return v
-}
-
-// orDefault resolves a count option: non-positive means def.
-func orDefault(v, def int) int {
-	if v <= 0 {
-		return def
-	}
-	return v
-}
-
 // ---------------------------------------------------------------------------
 // Retry
 
-// RetryOptions tune WithRetry. The zero value retries up to 3 attempts with
-// 1ms..50ms backoff and default validation.
+// RetryOptions tune WithRetry. The zero value retries up to 3 attempts.
 type RetryOptions struct {
 	// MaxAttempts bounds total attempts (first try included); <= 0 means 3.
 	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; it doubles per
-	// attempt up to MaxDelay. <= 0 means 1ms.
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff; <= 0 means 50ms.
-	MaxDelay time.Duration
-	// Seed seeds the jitter RNG so backoff sequences replay; 0 means 1.
-	Seed int64
-	// Validate accepts a result; a rejected result counts as a failed
-	// attempt (ErrCorruptResult). Nil means ValidDetections.
-	Validate func([]metrics.Detection) bool
 	// Timings, when non-nil, counts retries under "detect-retry" and
 	// exhausted calls under "detect-retry-failed".
 	Timings *perfmodel.Timings
 }
 
-func (o RetryOptions) baseDelay() time.Duration {
-	if o.BaseDelay <= 0 {
-		return time.Millisecond
-	}
-	return o.BaseDelay
-}
-
-func (o RetryOptions) maxDelay() time.Duration {
-	if o.MaxDelay <= 0 {
-		return 50 * time.Millisecond
-	}
-	return o.MaxDelay
-}
+// Backoff before the first retry, doubled per attempt up to the cap.
+const (
+	retryBaseDelay = time.Millisecond
+	retryMaxDelay  = 50 * time.Millisecond
+)
 
 // RetryStats snapshots a Retrier's activity.
 type RetryStats struct {
@@ -177,21 +142,30 @@ type RetryStats struct {
 // attempts; cancellations and deadline expiries are never retried. Safe for
 // concurrent use.
 type Retrier struct {
-	inner Detector
-	opts  RetryOptions
+	inner    Detector
+	attempts int
+	rec      *perfmodel.Timings
+	// retryBaseDelay and retryMaxDelay; fields so in-package tests can back
+	// off for a nanosecond.
+	baseDelay, maxDelay time.Duration
 
 	mu    sync.Mutex
-	rng   *rand.Rand
+	rng   *rand.Rand // jitter; fixed seed so backoff sequences replay
 	stats RetryStats
 }
 
-// WithRetry wraps d with bounded, backed-off retry.
+// WithRetry wraps d with bounded, backed-off retry. A result ValidDetections
+// rejects counts as a failed attempt (ErrCorruptResult).
 func WithRetry(d Detector, opts RetryOptions) *Retrier {
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
+	attempts := opts.MaxAttempts
+	if attempts <= 0 {
+		attempts = 3
 	}
-	return &Retrier{inner: d, opts: opts, rng: rand.New(rand.NewSource(seed))}
+	return &Retrier{
+		inner: d, attempts: attempts, rec: opts.Timings,
+		baseDelay: retryBaseDelay, maxDelay: retryMaxDelay,
+		rng: rand.New(rand.NewSource(1)),
+	}
 }
 
 // Name reports the inner backend's name.
@@ -205,12 +179,12 @@ func (r *Retrier) Stats() RetryStats {
 }
 
 // backoff sleeps before retry attempt (1-based), honouring ctx. The delay
-// is BaseDelay doubled per attempt, capped at MaxDelay, with half-interval
+// is baseDelay doubled per attempt, capped at maxDelay, with half-interval
 // jitter drawn from the seeded RNG.
 func (r *Retrier) backoff(ctx context.Context, attempt int) error {
-	d := r.opts.baseDelay() << (attempt - 1)
-	if max := r.opts.maxDelay(); d > max || d <= 0 {
-		d = max
+	d := r.baseDelay << (attempt - 1)
+	if d > r.maxDelay || d <= 0 {
+		d = r.maxDelay
 	}
 	r.mu.Lock()
 	jitter := time.Duration(r.rng.Int63n(int64(d)/2 + 1))
@@ -241,17 +215,16 @@ func (r *Retrier) note(f func(*RetryStats)) {
 // cancellation or deadline expiry propagates immediately.
 func (r *Retrier) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf float64) ([][]metrics.Detection, error) {
 	r.note(func(s *RetryStats) { s.Calls++ })
-	attempts, valid := orDefault(r.opts.MaxAttempts, 3), orValid(r.opts.Validate)
 	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt < r.attempts; attempt++ {
 		if attempt > 0 {
 			if err := r.backoff(ctx, attempt); err != nil {
 				return nil, err
 			}
 			r.note(func(s *RetryStats) { s.Retries++ })
-			r.opts.Timings.AddItems("detect-retry", 1)
+			r.rec.AddItems("detect-retry", 1)
 		}
-		out, err := Guarded(ctx, r.inner, x, conf, valid)
+		out, err := Guarded(ctx, r.inner, x, conf, ValidDetections)
 		if err == nil {
 			if attempt > 0 {
 				r.note(func(s *RetryStats) { s.Recovered++ })
@@ -264,31 +237,27 @@ func (r *Retrier) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf fl
 		lastErr = err
 	}
 	r.note(func(s *RetryStats) { s.Failures++ })
-	r.opts.Timings.AddItems("detect-retry-failed", 1)
+	r.rec.AddItems("detect-retry-failed", 1)
 	return nil, lastErr
 }
 
 // ---------------------------------------------------------------------------
 // Fallback chain with circuit breaking
 
-// FallbackOptions tune WithFallback. The zero value breaks a backend after
-// 5 consecutive failures, sits it out for 32 calls, and uses default
-// validation.
+// FallbackOptions tune WithFallback.
 type FallbackOptions struct {
-	// BreakAfter is the consecutive-failure count that opens a backend's
-	// circuit breaker; <= 0 means 5.
-	BreakAfter int
-	// Cooldown is how many chain calls an open breaker sits out before a
-	// half-open probe is allowed; <= 0 means 32. Counting calls instead of
-	// wall-clock keeps chaos runs deterministic.
-	Cooldown int
-	// Validate accepts a result; rejected results count as backend failures
-	// (ErrCorruptResult). Nil means ValidDetections.
-	Validate func([]metrics.Detection) bool
 	// Timings, when non-nil, counts fallback serves under "detect-fallback"
 	// and breaker trips under "detect-breaker-open".
 	Timings *perfmodel.Timings
 }
+
+// A breaker opens after breakerFailures consecutive failures and sits out
+// breakerCooldown chain calls before a half-open probe. Counting calls
+// instead of wall-clock keeps chaos runs deterministic.
+const (
+	breakerFailures = 5
+	breakerCooldown = 32
+)
 
 // BackendHealth snapshots one chain member's health tracking.
 type BackendHealth struct {
@@ -329,134 +298,24 @@ type health struct {
 	tripped  int
 }
 
-// breakers is the circuit-breaker ledger FallbackChain and Ensemble share:
-// one health record per backend, the guarded attempt that feeds it, and the
-// lock both owners also keep their call counters under. BreakAfter
-// consecutive failures open a backend's breaker, removing it from rotation
-// for Cooldown calls, after which a single probe is allowed through
-// (half-open) — a success closes the breaker, another failure re-opens it for
-// a fresh cooldown. Panics and invalid results count as failures. The mutex
-// is never held across an inference call, so one slow or deadlocked backend
-// cannot wedge the accounting.
-type breakers struct {
-	backends             []Detector
+// FallbackChain tries backends in order until one serves the call, each
+// behind its circuit breaker: breakAfter consecutive failures open a
+// backend's breaker, removing it from rotation for cooldown calls, after
+// which a single probe is allowed through (half-open) — a success closes the
+// breaker, another failure re-opens it for a fresh cooldown. Panics and
+// results ValidDetections rejects count as failures. The mutex is never held
+// across an inference call, so one slow or deadlocked backend cannot wedge
+// the accounting. Safe for concurrent use.
+type FallbackChain struct {
+	backends []Detector
+	rec      *perfmodel.Timings
+	// breakerFailures and breakerCooldown; fields so in-package tests can
+	// trip a breaker on the first failure.
 	breakAfter, cooldown int
-	valid                func([]metrics.Detection) bool
-	rec                  *perfmodel.Timings
 
 	mu     sync.Mutex
 	health []health
-}
-
-func newBreakers(backends []Detector, breakAfter, cooldown int, valid func([]metrics.Detection) bool, rec *perfmodel.Timings) breakers {
-	return breakers{
-		backends:   backends,
-		breakAfter: orDefault(breakAfter, 5),
-		cooldown:   orDefault(cooldown, 32),
-		valid:      orValid(valid),
-		rec:        rec,
-		health:     make([]health, len(backends)),
-	}
-}
-
-// snapshot reports every member's health, in constructor order. The caller
-// holds mu.
-func (b *breakers) snapshot() []BackendHealth {
-	out := make([]BackendHealth, len(b.backends))
-	for i, h := range b.health {
-		out[i] = BackendHealth{
-			Name:        b.backends[i].Name(),
-			Uses:        h.uses,
-			Successes:   h.succ,
-			Failures:    h.fail,
-			Consecutive: h.consec,
-			Open:        h.open,
-			Tripped:     h.tripped,
-		}
-	}
-	return out
-}
-
-// admit decides whether backend i may serve this call. An open breaker
-// counts the call against its cooldown and, once the cooldown is spent,
-// admits a half-open probe (the breaker stays open until that probe
-// succeeds).
-func (b *breakers) admit(i int) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	h := &b.health[i]
-	if !h.open {
-		return true
-	}
-	if h.cooldown > 0 {
-		h.cooldown--
-		return false
-	}
-	return true
-}
-
-// noteOutcome records one attempt's result on backend i, driving the
-// breaker state machine.
-func (b *breakers) noteOutcome(i int, ok bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	h := &b.health[i]
-	h.uses++
-	if ok {
-		h.succ++
-		h.consec = 0
-		h.open = false
-		return
-	}
-	h.fail++
-	h.consec++
-	if h.open {
-		// Failed half-open probe: re-arm the cooldown.
-		h.cooldown = b.cooldown
-		return
-	}
-	if h.consec >= b.breakAfter {
-		h.open = true
-		h.cooldown = b.cooldown
-		h.tripped++
-		b.rec.AddItems("detect-breaker-open", 1)
-	}
-}
-
-// try runs one breaker-gated, guarded, validated attempt on backend i. ran
-// is false when the attempt did not count: the breaker kept the backend out
-// (err nil), or the caller's context ended before or during the call (err is
-// the context's error, to be propagated at once) — a cancellation is charged
-// to nobody's health, the caller left and the backend did nothing wrong.
-func (b *breakers) try(ctx context.Context, i int, x *tensor.Tensor, conf float64) (out [][]metrics.Detection, ran bool, err error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	if !b.admit(i) {
-		return nil, false, nil
-	}
-	out, err = Guarded(ctx, b.backends[i], x, conf, b.valid)
-	if err != nil && isCtxError(err) && ctx.Err() != nil {
-		return nil, false, err
-	}
-	b.noteOutcome(i, err == nil)
-	return out, true, err
-}
-
-// allFailed is the error of a call no backend could serve.
-func (b *breakers) allFailed(lastErr error) error {
-	if lastErr == nil {
-		// Every breaker was open and in cooldown; nothing even ran.
-		return fmt.Errorf("%w (all %d circuit-broken)", ErrAllBackendsFailed, len(b.backends))
-	}
-	return fmt.Errorf("%w: last: %v", ErrAllBackendsFailed, lastErr)
-}
-
-// FallbackChain tries backends in order until one serves the call, each
-// behind its circuit breaker (see breakers). Safe for concurrent use.
-type FallbackChain struct {
-	breakers
-	stats FallbackStats // guarded by breakers.mu
+	stats  FallbackStats
 }
 
 // WithFallback chains backends primary-first. It panics when given no
@@ -465,7 +324,11 @@ func WithFallback(opts FallbackOptions, backends ...Detector) *FallbackChain {
 	if len(backends) == 0 {
 		panic("detect: WithFallback requires at least one backend")
 	}
-	return &FallbackChain{breakers: newBreakers(backends, opts.BreakAfter, opts.Cooldown, opts.Validate, opts.Timings)}
+	return &FallbackChain{
+		backends: backends, rec: opts.Timings,
+		breakAfter: breakerFailures, cooldown: breakerCooldown,
+		health: make([]health, len(backends)),
+	}
 }
 
 // Name reports the primary backend's name.
@@ -484,6 +347,99 @@ func (f *FallbackChain) note(fn func(*FallbackStats)) {
 	f.mu.Lock()
 	fn(&f.stats)
 	f.mu.Unlock()
+}
+
+// snapshot reports every member's health, in constructor order. The caller
+// holds mu.
+func (f *FallbackChain) snapshot() []BackendHealth {
+	out := make([]BackendHealth, len(f.backends))
+	for i, h := range f.health {
+		out[i] = BackendHealth{
+			Name:        f.backends[i].Name(),
+			Uses:        h.uses,
+			Successes:   h.succ,
+			Failures:    h.fail,
+			Consecutive: h.consec,
+			Open:        h.open,
+			Tripped:     h.tripped,
+		}
+	}
+	return out
+}
+
+// admit decides whether backend i may serve this call. An open breaker
+// counts the call against its cooldown and, once the cooldown is spent,
+// admits a half-open probe (the breaker stays open until that probe
+// succeeds).
+func (f *FallbackChain) admit(i int) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	h := &f.health[i]
+	if !h.open {
+		return true
+	}
+	if h.cooldown > 0 {
+		h.cooldown--
+		return false
+	}
+	return true
+}
+
+// noteOutcome records one attempt's result on backend i, driving the
+// breaker state machine.
+func (f *FallbackChain) noteOutcome(i int, ok bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	h := &f.health[i]
+	h.uses++
+	if ok {
+		h.succ++
+		h.consec = 0
+		h.open = false
+		return
+	}
+	h.fail++
+	h.consec++
+	if h.open {
+		// Failed half-open probe: re-arm the cooldown.
+		h.cooldown = f.cooldown
+		return
+	}
+	if h.consec >= f.breakAfter {
+		h.open = true
+		h.cooldown = f.cooldown
+		h.tripped++
+		f.rec.AddItems("detect-breaker-open", 1)
+	}
+}
+
+// try runs one breaker-gated, guarded, validated attempt on backend i. ran
+// is false when the attempt did not count: the breaker kept the backend out
+// (err nil), or the caller's context ended before or during the call (err is
+// the context's error, to be propagated at once) — a cancellation is charged
+// to nobody's health, the caller left and the backend did nothing wrong.
+func (f *FallbackChain) try(ctx context.Context, i int, x *tensor.Tensor, conf float64) (out [][]metrics.Detection, ran bool, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
+	if !f.admit(i) {
+		return nil, false, nil
+	}
+	out, err = Guarded(ctx, f.backends[i], x, conf, ValidDetections)
+	if err != nil && isCtxError(err) && ctx.Err() != nil {
+		return nil, false, err
+	}
+	f.noteOutcome(i, err == nil)
+	return out, true, err
+}
+
+// allFailed is the error of a call no backend could serve.
+func (f *FallbackChain) allFailed(lastErr error) error {
+	if lastErr == nil {
+		// Every breaker was open and in cooldown; nothing even ran.
+		return fmt.Errorf("%w (all %d circuit-broken)", ErrAllBackendsFailed, len(f.backends))
+	}
+	return fmt.Errorf("%w: last: %v", ErrAllBackendsFailed, lastErr)
 }
 
 // PredictBatchCtx walks the chain with whole-batch attempts: the first

@@ -107,6 +107,21 @@ func TestValidDetections(t *testing.T) {
 	}
 }
 
+// fastRetry is WithRetry backing off for a nanosecond, so retry tests do not
+// sleep.
+func fastRetry(d Detector, opts RetryOptions) *Retrier {
+	r := WithRetry(d, opts)
+	r.baseDelay, r.maxDelay = 1, 1
+	return r
+}
+
+// breakerChain is WithFallback with the breaker thresholds a test needs.
+func breakerChain(breakAfter, cooldown int, rec *perfmodel.Timings, backends ...Detector) *FallbackChain {
+	f := WithFallback(FallbackOptions{Timings: rec}, backends...)
+	f.breakAfter, f.cooldown = breakAfter, cooldown
+	return f
+}
+
 func TestGuardedConvertsPanics(t *testing.T) {
 	b := &flakyBackend{dets: healthyDets(), failures: 1} // panic once
 	x := resTensor(1)
@@ -150,7 +165,7 @@ func TestRetryTransparentOnSuccess(t *testing.T) {
 func TestRetryRecoversAfterFailures(t *testing.T) {
 	rec := &perfmodel.Timings{}
 	b := &flakyBackend{dets: healthyDets(), failures: 2, err: errors.New("transient")}
-	r := WithRetry(b, RetryOptions{MaxAttempts: 3, BaseDelay: 1, MaxDelay: 1, Timings: rec})
+	r := fastRetry(b, RetryOptions{MaxAttempts: 3, Timings: rec})
 	dets, err := Predict(context.Background(), r, resTensor(1), 0, 0.5)
 	if err != nil {
 		t.Fatalf("retry should have recovered: %v", err)
@@ -169,7 +184,7 @@ func TestRetryRecoversAfterFailures(t *testing.T) {
 
 func TestRetryRecoversPanics(t *testing.T) {
 	b := &flakyBackend{dets: healthyDets(), failures: 1} // panic once
-	r := WithRetry(b, RetryOptions{BaseDelay: 1, MaxDelay: 1})
+	r := fastRetry(b, RetryOptions{})
 	dets, err := Predict(context.Background(), r, resTensor(1), 0, 0.5)
 	if err != nil || !sameDets(dets, healthyDets()) {
 		t.Fatalf("dets=%v err=%v", dets, err)
@@ -179,7 +194,7 @@ func TestRetryRecoversPanics(t *testing.T) {
 func TestRetryExhaustsAndReportsLastError(t *testing.T) {
 	boom := errors.New("boom")
 	b := &flakyBackend{dets: healthyDets(), failures: 100, err: boom}
-	r := WithRetry(b, RetryOptions{MaxAttempts: 3, BaseDelay: 1, MaxDelay: 1})
+	r := fastRetry(b, RetryOptions{MaxAttempts: 3})
 	_, err := Predict(context.Background(), r, resTensor(1), 0, 0.5)
 	if !errors.Is(err, boom) {
 		t.Fatalf("error = %v, want boom", err)
@@ -194,7 +209,7 @@ func TestRetryExhaustsAndReportsLastError(t *testing.T) {
 
 func TestRetryRejectsCorruptResults(t *testing.T) {
 	b := &flakyBackend{dets: healthyDets(), failures: 100, corrupt: true}
-	r := WithRetry(b, RetryOptions{MaxAttempts: 2, BaseDelay: 1, MaxDelay: 1})
+	r := fastRetry(b, RetryOptions{MaxAttempts: 2})
 	_, err := Predict(context.Background(), r, resTensor(1), 0, 0.5)
 	if !errors.Is(err, ErrCorruptResult) {
 		t.Fatalf("error = %v, want ErrCorruptResult", err)
@@ -203,7 +218,7 @@ func TestRetryRejectsCorruptResults(t *testing.T) {
 
 func TestRetryNeverRetriesCancellation(t *testing.T) {
 	b := &flakyBackend{dets: healthyDets(), failures: 100, err: errors.New("x")}
-	r := WithRetry(b, RetryOptions{MaxAttempts: 5, BaseDelay: 1, MaxDelay: 1})
+	r := fastRetry(b, RetryOptions{MaxAttempts: 5})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := Predict(ctx, r, resTensor(1), 0, 0.5)
@@ -217,7 +232,7 @@ func TestRetryNeverRetriesCancellation(t *testing.T) {
 	// A backend surfacing the caller's cancellation mid-call is also not
 	// retried.
 	b2 := &flakyBackend{dets: healthyDets(), failures: 100, err: context.Canceled}
-	r2 := WithRetry(b2, RetryOptions{MaxAttempts: 5, BaseDelay: 1, MaxDelay: 1})
+	r2 := fastRetry(b2, RetryOptions{MaxAttempts: 5})
 	_, err = Predict(context.Background(), r2, resTensor(1), 0, 0.5)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want Canceled", err)
@@ -229,7 +244,7 @@ func TestRetryNeverRetriesCancellation(t *testing.T) {
 
 func TestRetryBatchSeam(t *testing.T) {
 	b := &flakyBackend{dets: healthyDets(), failures: 1, err: errors.New("transient")}
-	r := WithRetry(b, RetryOptions{BaseDelay: 1, MaxDelay: 1})
+	r := fastRetry(b, RetryOptions{})
 	out, err := r.PredictBatchCtx(context.Background(), resTensor(3), 0.5)
 	if err != nil {
 		t.Fatalf("PredictBatchCtx: %v", err)
@@ -304,7 +319,7 @@ func TestBreakerOpensCoolsAndCloses(t *testing.T) {
 	rec := &perfmodel.Timings{}
 	primary := &flakyBackend{name: "primary", dets: healthyDets(), failures: 2, err: errors.New("down")}
 	secondary := &flakyBackend{name: "secondary", dets: healthyDets()}
-	f := WithFallback(FallbackOptions{BreakAfter: 2, Cooldown: 3, Timings: rec}, primary, secondary)
+	f := breakerChain(2, 3, rec, primary, secondary)
 	x := resTensor(1)
 	call := func() {
 		t.Helper()
@@ -355,7 +370,7 @@ func TestBreakerOpensCoolsAndCloses(t *testing.T) {
 func TestBreakerFailedProbeReArmsCooldown(t *testing.T) {
 	primary := &flakyBackend{name: "primary", dets: healthyDets(), failures: 100, err: errors.New("down")}
 	secondary := &flakyBackend{name: "secondary", dets: healthyDets()}
-	f := WithFallback(FallbackOptions{BreakAfter: 1, Cooldown: 2}, primary, secondary)
+	f := breakerChain(1, 2, nil, primary, secondary)
 	x := resTensor(1)
 
 	// Call 1 opens the breaker; calls 2-3 cool down; call 4 probes and fails.
@@ -382,7 +397,7 @@ func TestBreakerFailedProbeReArmsCooldown(t *testing.T) {
 
 func TestFallbackAllCircuitBroken(t *testing.T) {
 	primary := &flakyBackend{name: "primary", failures: 100, err: errors.New("down")}
-	f := WithFallback(FallbackOptions{BreakAfter: 1, Cooldown: 10}, primary)
+	f := breakerChain(1, 10, nil, primary)
 	x := resTensor(1)
 	Predict(context.Background(), f, x, 0, 0.5) // opens the breaker
 	_, err := Predict(context.Background(), f, x, 0, 0.5)

@@ -14,7 +14,6 @@ import (
 	"repro/internal/detect"
 	"repro/internal/faults"
 	"repro/internal/metrics"
-	"repro/internal/perfmodel"
 	"repro/internal/serve"
 	"repro/internal/tensor"
 	"repro/internal/uikit"
@@ -133,11 +132,9 @@ func TestSeamConformance(t *testing.T) {
 	x, live, samples := seamScreens()
 	type det = detect.Detector
 	cases := map[string]func(*testing.T) subject{
-		"WithTiming":          wrapped(func(d det, _ func() det) det { return detect.WithTiming(d, &perfmodel.Timings{}, "") }),
 		"WithResultCache":     wrapped(func(d det, _ func() det) det { return detect.WithResultCache(d, 64) }),
 		"WithRetry":           wrapped(func(d det, _ func() det) det { return detect.WithRetry(d, detect.RetryOptions{}) }),
 		"WithFallback":        wrapped(func(d det, next func() det) det { return detect.WithFallback(detect.FallbackOptions{}, d, next()) }),
-		"WithMajorityVote":    wrapped(func(d det, next func() det) det { return detect.WithMajorityVote(detect.VoteOptions{}, d, next()) }),
 		"faults.Wrap":         wrapped(func(d det, _ func() det) det { return faults.Wrap(d, faults.NewPlan(1)) }),
 		"serve.NewReplicated": wrapped(func(d det, _ func() det) det { return serve.NewReplicated(serve.Options{}, d) }),
 	}

@@ -1,6 +1,11 @@
 package experiments
 
 import (
+	"encoding/json"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -51,5 +56,50 @@ func TestAttackTableFormat(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestAttackSweepReplays runs the whole -attack loop at toy size, twice: the
+// report must replay exactly from its seed (CI compares the full-size one
+// byte for byte against BENCH_adversary.json) and its rows must run from the
+// attacked model to the hardened one, the pair the gap accounting reads.
+func TestAttackSweepReplays(t *testing.T) {
+	if testing.Short() {
+		t.Skip("searches, mines and fine-tunes a model")
+	}
+	sweep := AttackSweep{
+		Seed: 7002, Restarts: 1, Iters: 5, Screens: 2, EvalN: 4, CorpusN: 4,
+		IoU: 0.5, Weights: "../../weights", SkipRCNN: true, HardenEpochs: 1,
+	}
+	// Once through Run and the file it writes, once through sweep.
+	var table strings.Builder
+	sweep.Out = filepath.Join(t.TempDir(), "adv.json")
+	if err := sweep.Run(&table); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(sweep.Out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := new(benchAdversary)
+	if err := json.Unmarshal(data, a); err != nil {
+		t.Fatal(err)
+	}
+	b, err := sweep.sweep(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed, different reports:\n%+v\n%+v", a, b)
+	}
+	var order []string
+	for _, r := range a.Recall {
+		order = append(order, r.Backend)
+	}
+	if want := []string{"yolite", "frauddroid", "yolite-hardened"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("recall rows %v, want %v", order, want)
+	}
+	if !strings.Contains(table.String(), "yolite-hardened") || a.Command != "go run ./cmd/darpa-eval -attack -attack-seed 7002 -attack-skip-rcnn" {
+		t.Fatalf("table %q, command %q", table.String(), a.Command)
 	}
 }

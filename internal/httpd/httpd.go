@@ -53,6 +53,8 @@ import (
 // clients map onto admission without a second header. Either value is only a
 // lookup key: admission gives an id outside the operator's tenant table no
 // state and no metrics label of its own (serve.DefaultTenant accounts it).
+// A token is a credential and is never echoed, broadcast or logged; an
+// X-Darpa-Tenant value is a name and is.
 const (
 	HeaderTenant   = "X-Darpa-Tenant"
 	HeaderPriority = "X-Darpa-Priority"
@@ -309,20 +311,20 @@ type StatsPayload struct {
 // identity: X-Darpa-Tenant (or the Authorization bearer token) names the
 // tenant, X-Darpa-Priority asks for a scheduler tier. The Batcher's tenant
 // table still outranks the priority claim, exactly as for in-process
-// callers.
-func tenantFromRequest(r *http.Request) serve.TenantInfo {
-	info := serve.TenantInfo{ID: serve.DefaultTenant}
+// callers. shown is what responses, decoration events and logs may call the
+// caller: the X-Darpa-Tenant name, and serve.DefaultTenant for a caller
+// identified by its token or not at all.
+func tenantFromRequest(r *http.Request) (info serve.TenantInfo, shown string) {
+	info.ID, shown = serve.DefaultTenant, string(serve.DefaultTenant)
 	if t := r.Header.Get(HeaderTenant); t != "" {
-		info.ID = serve.TenantID(t)
-	} else if auth := r.Header.Get("Authorization"); auth != "" {
-		if tok, ok := strings.CutPrefix(auth, "Bearer "); ok && tok != "" {
-			info.ID = serve.TenantID(tok)
-		}
+		info.ID, shown = serve.TenantID(t), t
+	} else if tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer "); ok && tok != "" {
+		info.ID = serve.TenantID(tok)
 	}
 	if strings.EqualFold(r.Header.Get(HeaderPriority), "batch") {
 		info.Priority = serve.PriorityBatch
 	}
-	return info
+	return info, shown
 }
 
 // readScreen decodes the request into a canvas and threshold.
@@ -386,16 +388,16 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	info := tenantFromRequest(r)
+	info, tenant := tenantFromRequest(r)
 	if s.draining.Load() {
 		// ErrClosed semantics at the HTTP layer: the server is draining, so
 		// refuse before touching the (closing) serving stack.
-		s.writeError(w, http.StatusServiceUnavailable, info, "server draining", "1")
+		s.writeError(w, http.StatusServiceUnavailable, tenant, "server draining", "1")
 		return
 	}
 	canvas, conf, err := s.readScreen(r)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, info, err.Error(), "")
+		s.writeError(w, http.StatusBadRequest, tenant, err.Error(), "")
 		return
 	}
 	ctx := serve.WithTenant(r.Context(), info)
@@ -403,12 +405,12 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 		s.served.Add(1)
-		s.writeResult(w, http.StatusOK, info, canvas, dets, false)
+		s.writeResult(w, http.StatusOK, tenant, canvas, dets, false)
 	case errors.Is(err, serve.ErrRateLimited):
 		// The tenant outran its token bucket: terminal for this request,
 		// and retrying immediately will fail again — hence Retry-After.
 		s.rateLimited.Add(1)
-		s.writeError(w, http.StatusTooManyRequests, info, err.Error(), "1")
+		s.writeError(w, http.StatusTooManyRequests, tenant, err.Error(), "1")
 	case errors.Is(err, serve.ErrOverloaded):
 		// Shed for global queue depth. With a degraded chain the client
 		// still gets decisions to act on — inside a 503 so it knows the
@@ -418,38 +420,38 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 			if ddets, derr := detect.PredictCanvasCtx(ctx, s.degraded, canvas, conf); derr == nil {
 				s.degradedOK.Add(1)
 				w.Header().Set("Retry-After", "1")
-				s.writeResult(w, http.StatusServiceUnavailable, info, canvas, ddets, true)
+				s.writeResult(w, http.StatusServiceUnavailable, tenant, canvas, ddets, true)
 				return
 			}
 		}
-		s.writeError(w, http.StatusServiceUnavailable, info, err.Error(), "1")
+		s.writeError(w, http.StatusServiceUnavailable, tenant, err.Error(), "1")
 	case errors.Is(err, serve.ErrClosed):
-		s.writeError(w, http.StatusServiceUnavailable, info, "server draining", "1")
+		s.writeError(w, http.StatusServiceUnavailable, tenant, "server draining", "1")
 	case errors.Is(err, r.Context().Err()):
 		// The client left (or its deadline passed) while we worked; there
 		// is no one to answer. 499-style: log and drop.
-		s.cfg.logf("httpd: client gone mid-detect (tenant %s): %v", info.ID, err)
+		s.cfg.logf("httpd: client gone mid-detect (tenant %s): %v", tenant, err)
 	default:
-		s.cfg.logf("httpd: detect failed (tenant %s): %v", info.ID, err)
-		s.writeError(w, http.StatusInternalServerError, info, "detection failed", "")
+		s.cfg.logf("httpd: detect failed (tenant %s): %v", tenant, err)
+		s.writeError(w, http.StatusInternalServerError, tenant, "detection failed", "")
 	}
 }
 
 // writeResult renders a successful (or degraded) detection body and
 // publishes the matching SSE decoration event.
-func (s *Server) writeResult(w http.ResponseWriter, status int, info serve.TenantInfo, c *render.Canvas, dets []metrics.Detection, degraded bool) {
+func (s *Server) writeResult(w http.ResponseWriter, status int, tenant string, c *render.Canvas, dets []metrics.Detection, degraded bool) {
 	resp := DetectResponse{
 		Detections:  toWireDetections(dets),
 		Decorations: s.planDecorations(dets),
 		Bypass:      toWireBoxes(core.BypassTargets(dets)),
 		Degraded:    degraded,
-		Tenant:      string(info.ID),
+		Tenant:      tenant,
 		Width:       c.W,
 		Height:      c.H,
 	}
 	if len(dets) > 0 {
 		s.bcast.publish("decoration", DecorationEvent{
-			Tenant:      string(info.ID),
+			Tenant:      tenant,
 			Width:       c.W,
 			Height:      c.H,
 			Detections:  resp.Detections,
@@ -462,11 +464,11 @@ func (s *Server) writeResult(w http.ResponseWriter, status int, info serve.Tenan
 
 // writeError renders an error body, with Retry-After when the condition is
 // transient.
-func (s *Server) writeError(w http.ResponseWriter, status int, info serve.TenantInfo, msg, retryAfter string) {
+func (s *Server) writeError(w http.ResponseWriter, status int, tenant string, msg, retryAfter string) {
 	if retryAfter != "" {
 		w.Header().Set("Retry-After", retryAfter)
 	}
-	writeJSON(w, status, DetectResponse{Tenant: string(info.ID), Error: msg})
+	writeJSON(w, status, DetectResponse{Tenant: tenant, Error: msg})
 }
 
 // planDecorations maps detections to wire decoration decisions using the

@@ -7,6 +7,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"image/png"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/auigen"
 	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/geom"
@@ -227,8 +229,8 @@ func TestDetectRateLimited(t *testing.T) {
 	if w.Header().Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	if resp.Error == "" || resp.Tenant != "acme" {
-		t.Fatalf("body = %+v, want error and bearer-token tenant", resp)
+	if resp.Error == "" || resp.Tenant != string(serve.DefaultTenant) {
+		t.Fatalf("body = %+v, want error and the bearer token not echoed", resp)
 	}
 	if got := s.statsPayload(); got.RateLimited != 1 || got.Served != 0 {
 		t.Fatalf("counters = %+v, want rate_limited 1", got)
@@ -275,18 +277,18 @@ func TestDetectClosedMapsToDraining(t *testing.T) {
 
 func TestTenantFromRequest(t *testing.T) {
 	req := httptest.NewRequest(http.MethodPost, "/v1/detect", nil)
-	if info := tenantFromRequest(req); info.ID != serve.DefaultTenant || info.Priority != serve.PriorityLive {
-		t.Fatalf("bare request → %+v, want default tenant, live priority", info)
+	if info, shown := tenantFromRequest(req); info.ID != serve.DefaultTenant || info.Priority != serve.PriorityLive || shown != string(serve.DefaultTenant) {
+		t.Fatalf("bare request → %+v shown %q, want default tenant, live priority", info, shown)
 	}
 	req.Header.Set("Authorization", "Bearer tok123")
-	if info := tenantFromRequest(req); info.ID != "tok123" {
-		t.Fatalf("bearer token → %+v", info)
+	if info, shown := tenantFromRequest(req); info.ID != "tok123" || shown != string(serve.DefaultTenant) {
+		t.Fatalf("bearer token → %+v shown %q, want the token as lookup key only", info, shown)
 	}
 	req.Header.Set(HeaderTenant, "named")
 	req.Header.Set(HeaderPriority, "Batch")
-	info := tenantFromRequest(req)
-	if info.ID != "named" || info.Priority != serve.PriorityBatch {
-		t.Fatalf("headers → %+v, want named/batch (tenant header outranks bearer)", info)
+	info, shown := tenantFromRequest(req)
+	if info.ID != "named" || info.Priority != serve.PriorityBatch || shown != "named" {
+		t.Fatalf("headers → %+v shown %q, want named/batch (tenant header outranks bearer)", info, shown)
 	}
 }
 
@@ -611,5 +613,67 @@ func TestPixelHeuristicFindsPlantedPattern(t *testing.T) {
 	stop()
 	if _, err := (PixelHeuristic{}).PredictBatchCtx(ctx, canvasTensor(c), 0.45); err == nil {
 		t.Fatal("cancelled context not honoured")
+	}
+}
+
+// TestServedEqualsInProcess is the differential test the front end's claim
+// implies: the checked-in yolite weights behind the real serving stack answer
+// POST /v1/detect — as JSON+base64 and as a raw PNG body — with exactly what
+// detect.PredictCanvas computes in-process on the same canvas. The PNG
+// round trip, the scheduler hand-off and the wire encoding may not move a
+// box; a score may move by what JSON float formatting can.
+func TestServedEqualsInProcess(t *testing.T) {
+	reps, err := detect.BuildReplicas("yolite", detect.BuildContext{WeightsDir: "../../weights"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := reps[1]
+	b := serve.NewReplicated(serve.Options{}, reps[0])
+	defer b.Close()
+	ts := httptest.NewServer(New(Config{Backend: b}))
+	defer ts.Close()
+
+	// 192x320 is the generator's native layout, so the server downscales.
+	cfg := auigen.DatasetConfig{InputW: 192, InputH: 320}
+	fired := 0
+	for i, s := range auigen.BuildAUISamples(22, 8, cfg) {
+		want := detect.PredictCanvas(local, s.Input, yolite.DefaultConfThresh)
+		fired += len(want)
+		var buf bytes.Buffer
+		if err := png.Encode(&buf, s.Input.Image()); err != nil {
+			t.Fatal(err)
+		}
+		asJSON, err := json.Marshal(DetectRequest{Screen: base64.StdEncoding.EncodeToString(buf.Bytes())})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, body := range []struct {
+			contentType string
+			data        []byte
+		}{{"application/json", asJSON}, {"image/png", buf.Bytes()}} {
+			res, err := ts.Client().Post(ts.URL+"/v1/detect", body.contentType, bytes.NewReader(body.data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got DetectResponse
+			err = json.NewDecoder(res.Body).Decode(&got)
+			res.Body.Close()
+			if err != nil || res.StatusCode != http.StatusOK {
+				t.Fatalf("screen %d as %s: status %d, decode error %v", i, body.contentType, res.StatusCode, err)
+			}
+			if got.Width != s.Input.W || got.Height != s.Input.H || len(got.Detections) != len(want) {
+				t.Fatalf("screen %d as %s: %dx%d with %d detections, want %dx%d with %d",
+					i, body.contentType, got.Width, got.Height, len(got.Detections), s.Input.W, s.Input.H, len(want))
+			}
+			for j, d := range got.Detections {
+				w := want[j]
+				if d.Class != className(w.Class) || d.Box != toWireBox(w) || math.Abs(d.Score-w.Score) > 1e-6 {
+					t.Errorf("screen %d as %s, detection %d: served %+v, in-process %+v", i, body.contentType, j, d, w)
+				}
+			}
+		}
+	}
+	if fired == 0 {
+		t.Fatal("the model fired on none of eight AUI screens; the comparison is vacuous")
 	}
 }

@@ -1,6 +1,8 @@
 package httpd
 
 import (
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -63,9 +65,12 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestBearerTokenNeverPublished: a bearer token doubles as the tenant id, and
 // the serving layer used to give every id it saw a ledger entry — so one
 // authenticated POST put the credential on /metrics as a tenant label and in
-// /v1/stats as a map key, for anyone who can scrape. Over the real serving
-// stack, a token outside the admission table must appear in neither; the
-// request is still served and still accounted.
+// /v1/stats as a map key, for anyone who can scrape; the handler itself
+// echoed it in the response envelope, broadcast it to every /v1/events
+// subscriber inside the decoration event, and wrote it to the log. Over the
+// real serving stack, a token outside the admission table must appear in
+// none of the five; the request is still served and still accounted, under
+// serve.DefaultTenant.
 func TestBearerTokenNeverPublished(t *testing.T) {
 	const token = "s3cr3t-bearer-token"
 	b := serve.NewReplicated(serve.Options{
@@ -73,15 +78,40 @@ func TestBearerTokenNeverPublished(t *testing.T) {
 	}, &wireStub{dets: testDets()})
 	defer b.Close()
 	s := New(Config{Backend: b, Stats: b.Stats})
+	sub := s.bcast.subscribe()
 	hdr := map[string]string{"Authorization": "Bearer " + token}
-	if w, _ := doDetect(t, s, hdr, detectBody(t, 0)); w.Code != http.StatusOK {
-		t.Fatalf("detect status = %d", w.Code)
+	detect, resp := doDetect(t, s, hdr, detectBody(t, 0))
+	if detect.Code != http.StatusOK {
+		t.Fatalf("detect status = %d", detect.Code)
 	}
+	if resp.Tenant != string(serve.DefaultTenant) {
+		t.Errorf("response envelope names tenant %q, want %q", resp.Tenant, serve.DefaultTenant)
+	}
+	ev := <-sub.ch // published before the handler returned
+
+	// A failing backend reaches the handler's log line.
+	var logged strings.Builder
+	failing := New(Config{
+		Backend: &wireStub{err: errors.New("backend down")},
+		Logf:    func(format string, args ...any) { fmt.Fprintf(&logged, format+"\n", args...) },
+	})
+	failed, _ := doDetect(t, failing, hdr, detectBody(t, 0))
+	if failed.Code != http.StatusInternalServerError || logged.Len() == 0 {
+		t.Fatalf("failing backend: status %d, log %q; want a logged 500", failed.Code, logged.String())
+	}
+
 	_, prom := scrape(t, s)
 	req := httptest.NewRequest(http.MethodGet, "/v1/stats", nil)
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, req)
-	for name, body := range map[string]string{"/metrics": prom, "/v1/stats": w.Body.String()} {
+	for name, body := range map[string]string{
+		"/metrics":          prom,
+		"/v1/stats":         w.Body.String(),
+		"the 200 body":      detect.Body.String(),
+		"the 500 body":      failed.Body.String(),
+		"the SSE stream":    string(ev.data),
+		"the handler's log": logged.String(),
+	} {
 		if strings.Contains(body, token) {
 			t.Errorf("%s publishes the bearer token:\n%s", name, body)
 		}

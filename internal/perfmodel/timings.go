@@ -99,8 +99,8 @@ func (l LatencyStats) P95() time.Duration { return l.Quantile(0.95) }
 func (l LatencyStats) P99() time.Duration { return l.Quantile(0.99) }
 
 // Timings collects per-stage latency counters — the measured counterpart of
-// the analytical per-unit costs above. The service pipeline and the
-// detect.WithTiming middleware both feed it, so an operator can see where a
+// the analytical per-unit costs above. The service pipeline, the serving
+// layer and the resilience wrappers all feed it, so an operator can see where a
 // detection cycle spends its time (the decomposition behind Table VII's
 // incremental rows). Safe for concurrent use.
 type Timings struct {

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/auigen"
+	"repro/internal/dataset"
+	"repro/internal/metrics"
 	"repro/internal/tensor"
 	"repro/internal/yolite"
 )
@@ -163,5 +165,33 @@ func TestQuantisationPreservesDetections(t *testing.T) {
 	qF1 := quantEval.All().F1()
 	if qF1 < fF1-0.15 {
 		t.Fatalf("quantisation lost too much: float F1=%v, int8 F1=%v", fF1, qF1)
+	}
+}
+
+// TestInt8AgreesWithFloat is the differential test the int8 port's claim
+// implies: on the checked-in weights, calibrated the way the registry
+// calibrates "yolite-int8", int8 and float name the same options. Float
+// detections stand in as ground truth at IoU 0.5; the agreement rate is the
+// share of all detections either model makes that both make.
+func TestInt8AgreesWithFloat(t *testing.T) {
+	m := yolite.NewModel(1)
+	if err := m.Load("../../weights/yolite.gob"); err != nil {
+		t.Skip("no pretrained weights")
+	}
+	qm := Port(m, auigen.BuildAUISamples(1, 16, auigen.DatasetConfig{}))
+	eval := metrics.NewEvaluation()
+	for _, s := range auigen.BuildAUISamples(64, 64, auigen.DatasetConfig{}) {
+		x := yolite.CanvasToTensor(s.Input)
+		var truth []dataset.Box
+		for _, d := range m.PredictTensor(x, 0, yolite.DefaultConfThresh) {
+			truth = append(truth, dataset.Box{Class: d.Class, B: d.B})
+		}
+		eval.AddSample(qm.PredictTensor(x, 0, yolite.DefaultConfThresh), truth, 0.5)
+	}
+	c := eval.All()
+	const floor = 0.90 // measured 0.946 when the test was written
+	if rate := float64(c.TP) / float64(c.TP+c.FP+c.FN); rate < floor {
+		t.Fatalf("int8 agrees with float on %.3f of detections (%d shared, %d int8-only, %d float-only), floor %.2f",
+			rate, c.TP, c.FP, c.FN, floor)
 	}
 }

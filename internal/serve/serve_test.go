@@ -335,7 +335,7 @@ func TestBatcherEquivalenceRealModel(t *testing.T) {
 }
 
 // TestBatcherConcurrentStress soaks the scheduler under -race: many
-// goroutines, rotating screens and thresholds, over a sharded cache — the
+// goroutines, rotating screens and thresholds, over a result cache — the
 // full serving stack.
 func TestBatcherConcurrentStress(t *testing.T) {
 	s := &stubBackend{}
