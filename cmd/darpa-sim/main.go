@@ -10,12 +10,12 @@
 //
 // With -fleet N > 1 the single-handset timeline is replaced by the
 // event-driven fleet simulator (internal/fleet): N devices' event arrivals,
-// debounce timers and popup dwells are heap events on one virtual clock, and
-// only real inference rides goroutines — through one shared serving stack
-// (admission → scheduler → replica pool over per-replica result caches) — so
-// one machine simulates 100k+ devices. Traffic can be shaped (-shape
-// steady|diurnal|spike), replayed exactly (-fleet-seed) and exported as
-// Prometheus text + JSON (-metrics-out).
+// debounce timers and popup dwells are heap events on one virtual clock, a
+// screen the run's result table has seen costs a map lookup, and only real
+// inference rides goroutines — through one shared serving stack (admission →
+// scheduler → replica pool) — so one machine simulates 100k+ devices. Traffic
+// can be shaped (-shape steady|diurnal|spike), replayed exactly (-fleet-seed)
+// and exported as Prometheus text + JSON (-metrics-out).
 package main
 
 import (
@@ -50,8 +50,8 @@ func main() {
 	fleetN := flag.Int("fleet", 1, "simulated devices on one event-driven clock (1 = classic single-handset run)")
 	replicas := flag.Int("replicas", 1, "independent model replicas behind the fleet's shared scheduler")
 	tenants := flag.Int("tenants", 1, "tenant identities the fleet's devices are spread across (tenant0 is live-priority, the rest batch-priority)")
-	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant admission rate limit in requests/sec (0 = unlimited)")
-	shedDepth := flag.Int("shed-depth", 0, "shed requests once the scheduler queues hold this many (0 = never shed)")
+	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant admission rate limit in requests/sec (0 = unlimited); governs what reaches the stack, not result-table hits")
+	shedDepth := flag.Int("shed-depth", 0, "shed requests once the scheduler queues hold this many (0 = never shed); counts what reaches the stack, as -tenant-rate does")
 	deadline := flag.Duration("deadline", 0, "single-handset: per-analysis wall-clock deadline (0 = none); expired cycles abort mid-forward and skip decoration")
 	fleetSeed := flag.Int64("fleet-seed", 42, "fleet: run seed; equal seeds replay identically")
 	eventsPerMin := flag.Float64("events-per-min", fleet.DefaultEventsPerMinute, "fleet: per-device accessibility events per minute before shaping")
@@ -210,7 +210,7 @@ func main() {
 // printFleet renders one fleet run's ledger.
 func printFleet(res *fleet.Result, plan *faults.Plan) {
 	fmt.Printf("\n--- fleet: %d devices x %v simulated (%s traffic, seed %d) ---\n",
-		res.Devices, res.Duration, shapeOrSteady(res.Shape), res.Seed)
+		res.Devices, res.Duration, res.Shape, res.Seed)
 	fmt.Printf("events:       %d seen, %d debounced (work avoided)\n", res.Events, res.Debounced)
 	fmt.Printf("analyses:     %d completed, %d superseded, %d rate-limited, %d shed, %d degraded\n",
 		res.Analyses, res.Superseded, res.RateLimited, res.Shed, res.Degraded)
@@ -227,7 +227,7 @@ func printFleet(res *fleet.Result, plan *faults.Plan) {
 	}
 	if res.CacheHits+res.CacheMisses > 0 {
 		rate := float64(res.CacheHits) / float64(res.CacheHits+res.CacheMisses)
-		fmt.Printf("result cache: %.0f%% hit rate (%d hits / %d misses)\n", 100*rate, res.CacheHits, res.CacheMisses)
+		fmt.Printf("result table: %.2f%% hit rate (%d hits / %d coalesced / %d forwards)\n", 100*rate, res.CacheHits, res.Coalesced, res.CacheMisses)
 	}
 	if plan != nil {
 		fmt.Printf("chaos:        %s (%d poison batches, %d failed requests isolated)\n", plan, st.Poisoned, st.Failed)
@@ -241,13 +241,6 @@ func printFleet(res *fleet.Result, plan *faults.Plan) {
 	if res.Timings != nil {
 		fmt.Printf("serving:      %s\n", res.Timings.String())
 	}
-}
-
-func shapeOrSteady(s string) string {
-	if s == "" {
-		return fleet.ShapeSteady
-	}
-	return s
 }
 
 // dumpMetrics writes the families as Prometheus text (<path>.prom) and JSON

@@ -256,7 +256,7 @@ func Start(clock *sim.Clock, mgr *a11y.Manager, detector detect.Detector, cfg Co
 	// transient failures are worth re-attempting), the fallback chain sits
 	// above it (only a retry-exhausted primary falls through to the next
 	// backend). A caller that wants a result cache wraps its detector in
-	// detect.WithResultCache before Start, as fleet does.
+	// detect.WithResultCache before Start.
 	if detector != nil && cfg.RetryAttempts > 1 {
 		s.retrier = detect.WithRetry(detector, detect.RetryOptions{
 			MaxAttempts: cfg.RetryAttempts,

@@ -3,6 +3,7 @@ package detect
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"hash/maphash"
 	"math"
 	"sync"
@@ -12,6 +13,12 @@ import (
 	"repro/internal/tensor"
 )
 
+// Key names one screen at one threshold: what KeyOf hashes it to. A caller
+// that holds a screen for longer than one request (fleet's library) computes
+// its Key once and asks the table with Lookup and Store; a caller that holds
+// only floats goes through PredictBatchCtx, which derives the same Key.
+type Key uint64
+
 // Cache memoises inference results keyed on the screenshot's tensor content,
 // so an unchanged screen (the common case: debounce fires on cosmetic churn
 // that dies outside the model's downsampled view) skips re-inference
@@ -19,38 +26,54 @@ import (
 // holds as many entries as its caller has distinct screens never evicts.
 //
 // One mutex guards everything. Every cache in the tree is driven by a single
-// goroutine (a serve replica worker, one core.Service, one audit loop), and
-// cacheKey — ~95% of a hit — runs outside the lock, so the critical section
-// is a map lookup and a slice copy. Safe for concurrent use.
+// goroutine (the fleet's clock, one core.Service, one audit loop), and KeyOf
+// — ~95% of a PredictBatchCtx hit — runs outside the lock, so the critical
+// section is a map lookup and a slice copy. Safe for concurrent use.
 type Cache struct {
 	inner Detector
 
 	mu      sync.Mutex
-	entries map[uint64][]metrics.Detection
+	entries map[Key][]metrics.Detection
 	// ring records insertion order for eviction, oldest key at head. Its
 	// fixed capacity means eviction overwrites in place and never
 	// reallocates; len(entries) is the number of occupied slots.
-	ring   []uint64
+	ring   []Key
 	head   int
 	hits   int
 	misses int
 }
 
-// DefaultCacheCapacity bounds the cache when WithResultCache is given a
-// non-positive capacity.
-const DefaultCacheCapacity = 32
-
-// WithResultCache wraps d with a content-hash result cache holding up to
-// capacity screens.
-func WithResultCache(d Detector, capacity int) *Cache {
+// NewCache builds the result table alone, holding up to capacity screens, for
+// a caller that keys its own screens (KeyOf, Lookup, Store) and runs its own
+// inference on a miss; through PredictBatchCtx such a table answers what it
+// holds and refuses the rest. A non-positive capacity means 32.
+func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
-		capacity = DefaultCacheCapacity
+		capacity = 32
 	}
 	return &Cache{
-		inner:   d,
-		entries: make(map[uint64][]metrics.Detection, capacity),
-		ring:    make([]uint64, capacity),
+		inner:   noInner{},
+		entries: make(map[Key][]metrics.Detection, capacity),
+		ring:    make([]Key, capacity),
 	}
+}
+
+// WithResultCache puts the table in front of d as a Detector, for a caller
+// that holds only floats: PredictBatchCtx keys each item and forwards the
+// misses to d.
+func WithResultCache(d Detector, capacity int) *Cache {
+	c := NewCache(capacity)
+	c.inner = d
+	return c
+}
+
+// noInner stands behind a bare table.
+type noInner struct{}
+
+func (noInner) Name() string { return "result-table" }
+
+func (noInner) PredictBatchCtx(context.Context, *tensor.Tensor, float64) ([][]metrics.Detection, error) {
+	return nil, errors.New("detect: result table has no inner detector")
 }
 
 // Name reports the inner backend's name.
@@ -112,15 +135,15 @@ func itemSpan(x *tensor.Tensor, n int) (lo, hi int, ok bool) {
 	return lo, hi, lo >= 0 && hi <= len(x.Data)
 }
 
-// cacheKey hashes batch item n's shape and pixels plus the threshold. The
-// item dims lead the stream so equal data laid out as 96x160 and as 160x96
-// are different screens. Pixel bits are packed into a 4KB stack buffer and
-// flushed to maphash a chunk at a time: the historical one-Write-per-float-pair
-// loop spent ~23k hash calls on a 46k-float screen, and at fleet scale (a
-// million cache lookups a minute, one core) that per-call overhead — not
-// inference — was the bottleneck. Keys are process-internal (the seed is
-// fresh each run), so the byte stream owes earlier layouts nothing.
-func cacheKey(x *tensor.Tensor, n int, confThresh float64) (uint64, bool) {
+// KeyOf hashes batch item n's shape and pixels plus the threshold, and is the
+// one function that identifies a screen; ok is false for an item x's data does
+// not hold. The item dims lead the stream so equal data laid out as 96x160 and
+// as 160x96 are different screens. Pixel bits are packed into a 4KB stack
+// buffer and flushed to maphash a chunk at a time; that is still 184 KB
+// hashed, ~117 µs, per call, so a caller that will meet the screen again
+// keeps the Key. Keys are process-internal (the seed is fresh each run), so
+// the byte stream owes earlier layouts nothing.
+func KeyOf(x *tensor.Tensor, n int, confThresh float64) (Key, bool) {
 	lo, hi, ok := itemSpan(x, n)
 	if !ok {
 		return 0, false
@@ -149,13 +172,13 @@ func cacheKey(x *tensor.Tensor, n int, confThresh float64) (uint64, bool) {
 	if off > 0 {
 		h.Write(buf[:off])
 	}
-	return h.Sum64(), true
+	return Key(h.Sum64()), true
 }
 
-// lookup checks one key, counting the hit or miss. On a hit it returns a
+// Lookup checks one key, counting the hit or miss. On a hit it returns a
 // fresh copy of the memoised slice (the pipeline scales detection boxes in
 // place).
-func (c *Cache) lookup(key uint64) ([]metrics.Detection, bool) {
+func (c *Cache) Lookup(key Key) ([]metrics.Detection, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if dets, hit := c.entries[key]; hit {
@@ -166,10 +189,10 @@ func (c *Cache) lookup(key uint64) ([]metrics.Detection, bool) {
 	return nil, false
 }
 
-// store memoises dets under key (copying the slice), evicting the oldest
+// Store memoises dets under key (copying the slice), evicting the oldest
 // entry when the ring is full. Re-storing a key another call raced in is a
 // no-op.
-func (c *Cache) store(key uint64, dets []metrics.Detection) {
+func (c *Cache) Store(key Key, dets []metrics.Detection) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.entries[key]; dup {
@@ -191,7 +214,7 @@ func (c *Cache) store(key uint64, dets []metrics.Detection) {
 // that carries it and the key its result will be stored under.
 type cacheMiss struct {
 	item int
-	key  uint64
+	key  Key
 }
 
 // PredictBatchCtx answers hit items from the memo and forwards only the
@@ -209,8 +232,7 @@ type cacheMiss struct {
 // point). A failed inner call propagates its error and stores nothing, so
 // aborted partial results never poison the memo (misses already counted stay
 // counted — the lookup did happen). The bookkeeping is allocated on the first
-// miss, so a batch of hits — the fleet's steady state is one-screen hits —
-// pays for the result slices and nothing else.
+// miss, so a batch of hits pays for the result slices and nothing else.
 func (c *Cache) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -230,8 +252,8 @@ func (c *Cache) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThres
 	var dups [][2]int      // {item, sub-batch row} of in-batch repeats of a miss
 scan:
 	for i := range out {
-		key, _ := cacheKey(x, i, confThresh)
-		if dets, hit := c.lookup(key); hit {
+		key, _ := KeyOf(x, i, confThresh)
+		if dets, hit := c.Lookup(key); hit {
 			out[i] = dets
 			continue
 		}
@@ -267,7 +289,7 @@ scan:
 		return nil, misaligned(len(res), len(misses), "miss items")
 	}
 	for j, m := range misses {
-		c.store(m.key, res[j])
+		c.Store(m.key, res[j])
 		out[m.item] = res[j]
 	}
 	for _, d := range dups {

@@ -76,10 +76,10 @@ func TestCacheRingWrapEviction(t *testing.T) {
 	}
 }
 
-// TestShardedCacheCorrectness fills a cache to exactly its capacity and
+// TestCacheAtCapacityKeepsEveryEntry fills a cache to exactly its capacity and
 // verifies every entry is still resident and answers with its own result:
 // FIFO is exact, so a cache as large as the working set never evicts.
-func TestShardedCacheCorrectness(t *testing.T) {
+func TestCacheAtCapacityKeepsEveryEntry(t *testing.T) {
 	s := &contentStub{}
 	c := WithResultCache(s, 100)
 	for id := 0; id < 100; id++ {
@@ -106,9 +106,9 @@ func TestShardedCacheCorrectness(t *testing.T) {
 	}
 }
 
-// TestCacheBoundedPastCapacityPerShard: the ring must bound the cache at
-// exactly its capacity however many distinct screens pass through.
-func TestCacheBoundedPastCapacityPerShard(t *testing.T) {
+// TestCacheBoundedAtCapacity: the ring must bound the cache at exactly its
+// capacity however many distinct screens pass through.
+func TestCacheBoundedAtCapacity(t *testing.T) {
 	c := WithResultCache(&contentStub{}, 64)
 	for id := 0; id < 1000; id++ {
 		c.PredictTensor(screen(id), 0, 0.45)
@@ -142,12 +142,11 @@ func TestHitRateEmptyCache(t *testing.T) {
 	}
 }
 
-// TestShardedCacheConcurrentStress hammers one cache from many
-// goroutines mixing single and batch lookups over a rotating working set —
-// the -race soak for the serving layer's shared cache. Every result must
-// match its screen, and the counters must reconcile with the total number
-// of lookups.
-func TestShardedCacheConcurrentStress(t *testing.T) {
+// TestCacheConcurrentStress hammers one cache from many goroutines mixing
+// single and batch lookups over a rotating working set — the -race soak for
+// the one mutex. Every result must match its screen, and the counters must
+// reconcile with the total number of lookups.
+func TestCacheConcurrentStress(t *testing.T) {
 	s := &contentStub{}
 	c := WithResultCache(s, 64)
 	const (
@@ -211,6 +210,71 @@ func TestShardedCacheConcurrentStress(t *testing.T) {
 	}
 }
 
+// TestOneTableOneKey: the keyed entry (KeyOf, Lookup, Store) and the float
+// entry (PredictBatchCtx) are two doors to one table. What one stores the
+// other finds, in both directions, and the backend runs once per screen.
+func TestOneTableOneKey(t *testing.T) {
+	s := &contentStub{}
+	c := WithResultCache(s, 8)
+	ctx := context.Background()
+
+	// Keyed store, float lookup: the inner detector is never asked.
+	x := screen(3)
+	key, ok := KeyOf(x, 0, 0.45)
+	if !ok {
+		t.Fatal("KeyOf rejected a well-formed screen")
+	}
+	c.Store(key, []metrics.Detection{det(33, 0, 8, 8, 0.9)})
+	got, err := Only(c.PredictBatchCtx(ctx, x, 0.45))
+	if err != nil || len(got) != 1 || got[0].B.X != 33 || s.calls.Load() != 0 {
+		t.Fatalf("float entry missed a keyed store: dets=%v err=%v inner calls=%d", got, err, s.calls.Load())
+	}
+
+	// Float miss, keyed lookup: item 1 of a batch, under the key of the
+	// same pixels held as a screen of their own.
+	batch := tensor.New(2, 3, yolite.InputH, yolite.InputW)
+	per := len(batch.Data) / 2
+	copy(batch.Data[:per], x.Data)
+	copy(batch.Data[per:], screen(4).Data)
+	if _, err := c.PredictBatchCtx(ctx, batch, 0.45); err != nil || s.calls.Load() != 1 {
+		t.Fatalf("batch of one hit and one miss: err=%v inner calls=%d, want 1", err, s.calls.Load())
+	}
+	k4, _ := KeyOf(screen(4), 0, 0.45)
+	if kb, _ := KeyOf(batch, 1, 0.45); kb != k4 {
+		t.Fatal("a screen keys differently as batch item 1 and on its own")
+	}
+	if got, hit := c.Lookup(k4); !hit || len(got) != 1 || got[0].B.X != 4 {
+		t.Fatalf("keyed entry missed a float store: hit=%v dets=%v", hit, got)
+	}
+	if c.Hits() != 3 || c.Misses() != 1 || c.Len() != 2 {
+		t.Fatalf("hits=%d misses=%d len=%d, want 3/1/2: the doors count on one ledger", c.Hits(), c.Misses(), c.Len())
+	}
+}
+
+// TestBareTableHasNoBackend: NewCache is the table alone. Its keyed entry
+// works; its float entry answers what the table holds and refuses a miss (and
+// a malformed batch) with an error, not a nil dereference.
+func TestBareTableHasNoBackend(t *testing.T) {
+	c := NewCache(4)
+	ctx := context.Background()
+	x := screen(9)
+	if _, err := c.PredictBatchCtx(ctx, x, 0.45); err == nil {
+		t.Fatal("a miss on a table with no inner detector returned no error")
+	}
+	bad := &tensor.Tensor{Shape: []int{2, 3, yolite.InputH, yolite.InputW}, Data: x.Data}
+	if _, err := c.PredictBatchCtx(ctx, bad, 0.45); err == nil {
+		t.Fatal("a malformed batch on a table with no inner detector returned no error")
+	}
+	key, _ := KeyOf(x, 0, 0.45)
+	c.Store(key, []metrics.Detection{det(9, 0, 8, 8, 0.9)})
+	if got, err := Only(c.PredictBatchCtx(ctx, x, 0.45)); err != nil || len(got) != 1 || got[0].B.X != 9 {
+		t.Fatalf("stored screen through the float entry: dets=%v err=%v", got, err)
+	}
+	if c.Name() == "" {
+		t.Fatal("bare table has no name")
+	}
+}
+
 // TestCacheKeyThresholdSensitivity: the same pixels under a different
 // operating threshold is a different cache entry — thresholds change the
 // backend's answer.
@@ -242,8 +306,8 @@ func BenchmarkCacheKey(b *testing.B) {
 	b.SetBytes(int64(4 * len(x.Data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := cacheKey(x, 0, 0.45); !ok {
-			b.Fatal("cacheKey rejected a well-formed screen")
+		if _, ok := KeyOf(x, 0, 0.45); !ok {
+			b.Fatal("KeyOf rejected a well-formed screen")
 		}
 	}
 }

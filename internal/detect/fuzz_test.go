@@ -41,14 +41,14 @@ func FuzzCacheKey(f *testing.F) {
 		}
 		x := &tensor.Tensor{Shape: []int{s0, s1, s2}, Data: data}
 
-		k1, ok1 := cacheKey(x, n, conf)
-		k2, ok2 := cacheKey(x, n, conf)
+		k1, ok1 := KeyOf(x, n, conf)
+		k2, ok2 := KeyOf(x, n, conf)
 		if ok1 != ok2 || k1 != k2 {
-			t.Fatalf("cacheKey not deterministic: (%v,%v) vs (%v,%v)", k1, ok1, k2, ok2)
+			t.Fatalf("KeyOf not deterministic: (%v,%v) vs (%v,%v)", k1, ok1, k2, ok2)
 		}
 
 		if xt := (&tensor.Tensor{Shape: []int{s0, s2, s1}, Data: data}); ok1 && s1 != s2 {
-			if kt, _ := cacheKey(xt, n, conf); kt == k1 {
+			if kt, _ := KeyOf(xt, n, conf); kt == k1 {
 				t.Fatalf("shapes %v and %v with equal data share key %#x", x.Shape, xt.Shape, k1)
 			}
 		}
@@ -62,12 +62,12 @@ func FuzzCacheKey(f *testing.F) {
 				xs.Data[i] = data[i]
 			}
 		}
-		k0, ok := cacheKey(xs, 0, conf)
+		k0, ok := KeyOf(xs, 0, conf)
 		if !ok {
 			t.Fatalf("well-formed 2-item tensor rejected")
 		}
 		xs.Data[per] += 1 // item 1's first value
-		k0b, _ := cacheKey(xs, 0, conf)
+		k0b, _ := KeyOf(xs, 0, conf)
 		if k0 != k0b {
 			t.Fatalf("item 0's key changed when item 1's pixels did")
 		}

@@ -1,24 +1,27 @@
 // Package fleet is the event-driven fleet simulator: one sim.Clock, 100k+
-// simulated devices, and a shared serving stack. The thread-per-device model
-// it replaces spent a goroutine pipeline (clock, screen, renderer, app,
-// monkey, service) on every device and topped out around tens of devices;
-// here a device is ~100 bytes of state whose a11y-event arrivals, debounce
-// timers, AUI dwell times and analysis completions are heap events on one
-// virtual clock. Real goroutines are spent only where real work happens: a
-// bounded worker pool carries each analysis through the serve stack
-// (admission → scheduler → replicas, with per-replica result caches), and the
-// event loop throttles on those results, so virtual time can never outrun the
-// hardware.
+// simulated devices, and a shared serving stack. A device is ~100 bytes of
+// state, no goroutine: its a11y-event arrivals, debounce timers, AUI dwell
+// times and analysis completions are heap events on one virtual clock. A
+// screen is identified once: the library keys each screen when it renders it,
+// and an analysis asks the run's one detect.Cache (and the leaders already in
+// flight) by that key before anything else. Real goroutines are spent only
+// where real work happens: a bounded worker pool carries each screen the table
+// has not seen through the serve stack (admission → scheduler → replicas), and
+// the event loop throttles on those results, so virtual time can never outrun
+// the hardware.
 //
 // Determinism: every simulation decision draws from a per-device splitmix64
-// stream seeded from the run seed, and all counters mutate on the clock's
-// single goroutine in virtual-time order — two runs with the same seed and
-// knobs produce identical totals (the replay test pins this). The only
-// nondeterministic counters are the admission verdicts under -tenant-rate /
-// -shed-depth, whose token buckets and queue depths read the wall clock.
+// stream seeded from the run seed, and all counters — the table's hits,
+// misses and coalesced followers included — mutate on the clock's single
+// goroutine in virtual-time order: two runs with the same seed and knobs
+// produce identical totals (the replay test pins this). The exception is a
+// run under -tenant-rate / -shed-depth: admission's token buckets and queue
+// depths read the wall clock, and a refused leader files nothing in the table,
+// so its verdicts and the table's counters vary with it.
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -32,17 +35,14 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/serve"
 	"repro/internal/sim"
-	"repro/internal/tensor"
 	"repro/internal/yolite"
 )
 
-// Defaults for Config fields left zero.
 const (
-	DefaultEventsPerMinute = 32 // the paper's Taobao storm rate
-	DefaultMeanAUIInterval = 15 * time.Second
-	DefaultCutoff          = 200 * time.Millisecond
-	DefaultLibrary         = 48
-	DefaultMaxBatch        = 64
+	DefaultEventsPerMinute = 32 // Config.EventsPerMinute left zero: the paper's Taobao storm rate
+
+	meanAUIInterval = 15 * time.Second       // mean time between a device's AUI popups
+	cutoff          = 200 * time.Millisecond // the debounce quiet period ct
 
 	// burstLen mirrors the app package: events-per-minute arrive as periodic
 	// bursts of ~burstLen events, the pattern ct-debouncing exploits.
@@ -64,11 +64,6 @@ type Config struct {
 	// EventsPerMinute is each device's background a11y-event rate before
 	// shaping. Zero means 32.
 	EventsPerMinute float64
-	// MeanAUIInterval is the mean time between AUI popups per device. Zero
-	// means 15s.
-	MeanAUIInterval time.Duration
-	// Cutoff is the debounce quiet period ct. Zero means 200ms.
-	Cutoff time.Duration
 	// Shape names the traffic shape: steady (default), diurnal, spike.
 	Shape string
 	// Bypass auto-dismisses a device's popup when an analysis of it flags a
@@ -79,31 +74,28 @@ type Config struct {
 	Tenants int
 	// TenantRate is the per-tenant admission rate limit in requests/sec
 	// (0 = unlimited). Wall-clock based, so it trades determinism for realism.
+	// Admission sees what reaches the stack: the leaders. An analysis the
+	// table or a successful leader answers costs the stack nothing and is not
+	// charged; a refused leader's followers each ask again as their own tenant.
 	TenantRate float64
 	// ShedDepth sheds requests once the scheduler queues hold this many
-	// (0 = never shed).
+	// (0 = never shed). Like TenantRate, it governs leaders.
 	ShedDepth int
-	// Library is how many unique screens per class the fleet draws from.
-	// Zero means 48.
-	Library int
-	// Workers bounds the goroutines carrying real inference requests. Zero
-	// means 2x MaxBatch, enough concurrency to fill batches.
-	Workers int
-	// MaxBatch caps one forward of the shared scheduler. Zero means 64 —
-	// unlike interactive serving, a fleet backlog can be deep enough to
-	// fill large batches.
-	MaxBatch int
-	// ConfThresh is the detector threshold; zero means yolite's default.
-	ConfThresh float64
-	// Plan, when non-nil, injects faults at each replica backend; result
-	// caches are dropped (a corrupted result must not be memoised) and failed
-	// analyses count as degraded.
+	// Plan, when non-nil, injects faults at each replica backend; the run
+	// then has no result table (a corrupted result must not be memoised),
+	// every analysis rides the stack, and failed analyses count as degraded.
 	Plan *faults.Plan
 	// Timings receives per-stage latencies; nil allocates a private recorder
 	// (exposed on Result.Timings either way).
 	Timings *perfmodel.Timings
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
+
+	// Sizing only this package's tests set: unique screens per class (zero
+	// means 48), the goroutines carrying requests through the stack (2x
+	// maxBatch, enough to fill a batch) and the scheduler's cap on one forward
+	// (64: a fleet backlog can fill large batches).
+	library, workers, maxBatch int
 }
 
 func (c *Config) setDefaults() error {
@@ -116,27 +108,13 @@ func (c *Config) setDefaults() error {
 	if c.EventsPerMinute <= 0 {
 		c.EventsPerMinute = DefaultEventsPerMinute
 	}
-	if c.MeanAUIInterval <= 0 {
-		c.MeanAUIInterval = DefaultMeanAUIInterval
-	}
-	if c.Cutoff <= 0 {
-		c.Cutoff = DefaultCutoff
-	}
 	if c.Tenants <= 0 {
 		c.Tenants = 1
 	}
-	if c.Library <= 0 {
-		c.Library = DefaultLibrary
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.Workers <= 0 {
-		c.Workers = 2 * c.MaxBatch
-	}
-	if c.ConfThresh == 0 {
-		c.ConfThresh = yolite.DefaultConfThresh
-	}
+	c.Shape = cmp.Or(c.Shape, ShapeSteady)
+	c.library = cmp.Or(c.library, 48)
+	c.maxBatch = cmp.Or(c.maxBatch, 64)
+	c.workers = cmp.Or(c.workers, 2*c.maxBatch)
 	if c.Timings == nil {
 		c.Timings = &perfmodel.Timings{}
 	}
@@ -147,8 +125,8 @@ func (c *Config) setDefaults() error {
 }
 
 // Result is one run's ledger. The simulation totals (Events through
-// Bypassed) are deterministic per seed; the serving-layer numbers reflect
-// real concurrent execution.
+// Bypassed) and the table's three counters are deterministic per seed; the
+// serving-stack snapshot reflects real concurrent execution.
 type Result struct {
 	Devices  int
 	Duration time.Duration
@@ -170,27 +148,36 @@ type Result struct {
 	Shed        int // analyses answered with serve.ErrOverloaded
 	Degraded    int // analyses whose detector failed outright
 
-	// Serving-stack snapshot and cache totals.
+	// Serving-stack snapshot, and who answered each analysis of a run with a
+	// result table (all zero under Config.Plan).
 	Serve       serve.Stats
-	CacheHits   int
-	CacheMisses int
+	CacheHits   int // the table
+	Coalesced   int // a leader already in the stack for the same screen
+	CacheMisses int // the stack: the leaders, all it was offered bar a refused leader's followers asking again
 
 	Timings *perfmodel.Timings
 }
 
-// analysis is one in-flight detection cycle: submitted to the worker pool at
-// its (virtual) start, reaped by a completion event at start + modeled
-// latency, which blocks on done until the real work has finished.
+// analysis is one in-flight detection cycle, reaped by a completion event at
+// its (virtual) start + modeled latency. Who answers it is settled at that
+// start: the table (dets is set, lead is nil), a leader already in the stack
+// for the same screen (lead), or its own trip through the stack (lead is the
+// analysis itself), which the completion event blocks on until it has ended.
+// Only a leader's error unsettles it: complete then sends the follower itself.
 type analysis struct {
 	dev        *device
 	superseded bool
-	cancel     context.CancelFunc
-	done       chan jobResult
-}
+	lead       *analysis
+	dets       []metrics.Detection
+	err        error
 
-type jobResult struct {
-	dets []metrics.Detection
-	err  error
+	// A leader's trip: its worker takes the screen through the stack under
+	// ctx, writes dets and err, then closes done.
+	screen
+	ctx      context.Context
+	cancel   context.CancelFunc
+	done     chan struct{}
+	followed bool // another analysis will read the answer: never cancel
 }
 
 // device is one simulated handset: ~100 bytes, no goroutine.
@@ -201,13 +188,6 @@ type device struct {
 	popupGen uint32 // invalidates stale dwell-dismiss events
 	debounce *sim.Event
 	cur      *analysis
-}
-
-// job carries one analysis into the worker pool.
-type job struct {
-	ctx context.Context
-	x   *tensor.Tensor
-	an  *analysis
 }
 
 // runner holds one run's live state. Everything except the worker pool runs
@@ -222,17 +202,22 @@ type runner struct {
 
 	backend   *serve.Batcher // shared by every device
 	tenantCtx []context.Context
-	submit    chan job
-	wg        sync.WaitGroup
+	// The run's one result table and the leaders in the stack, by screen:
+	// nil under cfg.Plan, touched only from the clock goroutine.
+	cache    *detect.Cache
+	inflight map[detect.Key]*analysis
+	submit   chan *analysis // leaders, to the worker pool
+	wg       sync.WaitGroup
 
 	stopped bool
 	res     Result
 }
 
 // Run simulates cfg.Devices devices for cfg.Duration on one virtual clock,
-// serving every analysis through a shared serving stack built over models
-// (independent replicas, see detect.BuildReplicas). It returns the run
-// ledger; the serving stack is torn down before it returns.
+// serving every analysis the result table cannot answer through a shared
+// serving stack built over models (independent replicas, see
+// detect.BuildReplicas). It returns the run ledger; the serving stack is torn
+// down before it returns.
 func Run(cfg Config, models []detect.Detector) (*Result, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
@@ -245,34 +230,28 @@ func Run(cfg Config, models []detect.Detector) (*Result, error) {
 		return nil, err
 	}
 
-	cfg.Logf("fleet: rendering screen library (%d screens/class)...", cfg.Library)
-	lib := buildLibrary(cfg.Seed, cfg.Library)
-
-	batcher, caches := buildStack(cfg, models)
+	cfg.Logf("fleet: rendering screen library (%d screens/class)...", cfg.library)
+	batcher, tenantCtx := buildStack(cfg, models)
 	r := &runner{
-		cfg:     cfg,
-		clock:   sim.NewClock(cfg.Seed),
-		shape:   shape,
-		period:  time.Duration(float64(time.Minute) / cfg.EventsPerMinute * burstLen),
-		lib:     lib,
-		devices: make([]device, cfg.Devices),
-		backend: batcher,
-		submit:  make(chan job, 4*cfg.Workers),
+		cfg:       cfg,
+		clock:     sim.NewClock(cfg.Seed),
+		shape:     shape,
+		period:    time.Duration(float64(time.Minute) / cfg.EventsPerMinute * burstLen),
+		lib:       buildLibrary(cfg.Seed, cfg.library),
+		devices:   make([]device, cfg.Devices),
+		backend:   batcher,
+		submit:    make(chan *analysis, 4*cfg.workers),
+		tenantCtx: tenantCtx,
+	}
+	if cfg.Plan == nil {
+		// The working set is the screen library, so capacity scales with it
+		// (and never evicts) — not with the device count.
+		r.cache = detect.NewCache(4 * cfg.library)
+		r.inflight = make(map[detect.Key]*analysis)
 	}
 	r.res = Result{Devices: cfg.Devices, Duration: cfg.Duration, Seed: cfg.Seed, Shape: cfg.Shape, Timings: cfg.Timings}
 
-	// One prebuilt context per tenant: their Done() is nil, so an analysis
-	// context derives with a single allocation and the tenant tag rides the
-	// same channel in-process callers use.
-	r.tenantCtx = make([]context.Context, cfg.Tenants)
-	for t := range r.tenantCtx {
-		r.tenantCtx[t] = serve.WithTenant(context.Background(), serve.TenantInfo{
-			ID:       serve.TenantID(fmt.Sprintf("tenant%d", t)),
-			Priority: tenantPriority(t),
-		})
-	}
-
-	for w := 0; w < cfg.Workers; w++ {
+	for w := 0; w < cfg.workers; w++ {
 		r.wg.Add(1)
 		go r.worker()
 	}
@@ -288,7 +267,7 @@ func Run(cfg Config, models []detect.Detector) (*Result, error) {
 		r.scheduleAUI(d)
 	}
 
-	cfg.Logf("fleet: %d devices x %v on one clock (%s traffic)...", cfg.Devices, cfg.Duration, shapeName(cfg.Shape))
+	cfg.Logf("fleet: %d devices x %v on one clock (%s traffic)...", cfg.Devices, cfg.Duration, cfg.Shape)
 	start := time.Now()
 	r.clock.RunUntil(cfg.Duration)
 
@@ -302,76 +281,55 @@ func Run(cfg Config, models []detect.Detector) (*Result, error) {
 	batcher.Close()
 	r.res.Wall = time.Since(start)
 
-	for _, c := range caches {
-		r.res.CacheHits += c.Hits()
-		r.res.CacheMisses += c.Misses()
-		c.PublishStats(cfg.Timings)
+	if r.cache != nil {
+		r.res.CacheHits, r.res.CacheMisses = r.cache.Hits(), r.cache.Misses()
+		r.cache.PublishStats(cfg.Timings)
 	}
 	r.res.Serve = batcher.Stats()
 	return &r.res, nil
 }
 
-func tenantPriority(t int) serve.Priority {
-	if t > 0 {
-		return serve.PriorityBatch
-	}
-	return serve.PriorityLive
-}
-
-func shapeName(s string) string {
-	if s == "" {
-		return ShapeSteady
-	}
-	return s
-}
-
-// buildStack assembles the shared serving stack exactly as the retired
-// thread-per-device fleet did: per-replica result caches (dropped under chaos
-// so an injected corruption is never memoised), a tenant admission table, and
-// the batcher over it all. Each model arrives with its own activation pool
-// (detect.Build provisions it).
-func buildStack(cfg Config, models []detect.Detector) (*serve.Batcher, []*detect.Cache) {
-	var caches []*detect.Cache
-	backends := make([]detect.Detector, 0, len(models))
-	for _, model := range models {
-		var inner detect.Detector = model
+// buildStack assembles the shared serving stack: the replicas (each model
+// arrives with its own activation pool, detect.Build provisions it; under
+// chaos each is wrapped in the fault plan), a tenant admission table, and the
+// batcher over it all. Beside it, one prebuilt context per tenant: their
+// Done() is nil, so a leader's context derives with a single allocation and
+// the tenant tag rides the same channel in-process callers use.
+func buildStack(cfg Config, models []detect.Detector) (*serve.Batcher, []context.Context) {
+	backends := make([]detect.Detector, len(models))
+	for i, model := range models {
+		backends[i] = model
 		if cfg.Plan != nil {
-			inner = faults.WrapStage(model, cfg.Plan, "backend")
-		} else {
-			// The working set is the screen library, so capacity scales with
-			// it — not with the device count, which would balloon the cache
-			// for identical contents.
-			c := detect.WithResultCache(model, 4*cfg.Library)
-			caches = append(caches, c)
-			inner = c
-		}
-		backends = append(backends, inner)
-	}
-	tenantTable := make(map[serve.TenantID]serve.TenantConfig, cfg.Tenants)
-	for t := 0; t < cfg.Tenants; t++ {
-		tenantTable[serve.TenantID(fmt.Sprintf("tenant%d", t))] = serve.TenantConfig{
-			Rate:     cfg.TenantRate,
-			Priority: tenantPriority(t),
+			backends[i] = faults.WrapStage(model, cfg.Plan, "backend")
 		}
 	}
-	batcher := serve.NewReplicated(serve.Options{
-		MaxBatch:      cfg.MaxBatch,
+	table := make(map[serve.TenantID]serve.TenantConfig, cfg.Tenants)
+	ctxs := make([]context.Context, cfg.Tenants)
+	for t := range ctxs {
+		id, prio := serve.TenantID(fmt.Sprintf("tenant%d", t)), serve.PriorityLive
+		if t > 0 {
+			prio = serve.PriorityBatch
+		}
+		table[id] = serve.TenantConfig{Rate: cfg.TenantRate, Priority: prio}
+		ctxs[t] = serve.WithTenant(context.Background(), serve.TenantInfo{ID: id, Priority: prio})
+	}
+	return serve.NewReplicated(serve.Options{
+		MaxBatch:      cfg.maxBatch,
 		Timings:       cfg.Timings,
-		Tenants:       tenantTable,
+		Tenants:       table,
 		MaxQueueDepth: cfg.ShedDepth,
-	}, backends...)
-	return batcher, caches
+	}, backends...), ctxs
 }
 
-// worker carries analyses through the serving stack. Workers block inside the
+// worker carries leaders through the serving stack. Workers block inside the
 // batcher while the replicas are busy, and what queues up behind them is the
 // next batch; the event loop blocks on their results at completion events,
 // closing the throttle loop between virtual time and real compute.
 func (r *runner) worker() {
 	defer r.wg.Done()
-	for j := range r.submit {
-		dets, err := detect.Only(r.backend.PredictBatchCtx(j.ctx, j.x, r.cfg.ConfThresh))
-		j.an.done <- jobResult{dets: dets, err: err}
+	for an := range r.submit {
+		an.dets, an.err = detect.Only(r.backend.PredictBatchCtx(an.ctx, an.x, yolite.DefaultConfThresh))
+		close(an.done)
 	}
 }
 
@@ -396,7 +354,9 @@ func (r *runner) burst(d *device) {
 
 // onEvent is one a11y event landing on d's DARPA service, with core.Service
 // semantics: re-arm the ct timer, supersede any in-flight analysis (the
-// screen just changed under the detector).
+// screen just changed under the detector). A superseded leader is cancelled
+// — and leaves inflight, so the next request for its screen leads afresh —
+// unless another device's analysis is waiting on its answer.
 func (r *runner) onEvent(d *device) {
 	if r.stopped {
 		return
@@ -406,45 +366,89 @@ func (r *runner) onEvent(d *device) {
 		d.debounce.Cancel()
 		r.res.Debounced++
 	}
-	if d.cur != nil && !d.cur.superseded {
-		d.cur.superseded = true
-		d.cur.cancel() // prunes the request wherever it is in the stack
+	if an := d.cur; an != nil && !an.superseded {
+		an.superseded = true
+		if an.lead == an && !an.followed {
+			an.cancel() // prunes the request wherever it is in the stack
+			delete(r.inflight, an.key)
+		}
 	}
-	d.debounce = r.clock.Schedule(r.cfg.Cutoff, func() { r.analyze(d) })
+	d.debounce = r.clock.Schedule(cutoff, func() { r.analyze(d) })
 }
 
 // analyze starts one detection cycle: pick the device's current screen from
-// the library, hand the real inference to the worker pool, and schedule the
-// completion event at now + the modeled on-device latency (capture +
-// preprocess + a ~20ms forward, per the paper's Table VII budget).
+// the library, find who answers it, and schedule the completion event at now
+// + the modeled on-device latency (capture + preprocess + a ~20ms forward,
+// per the paper's Table VII budget). A leader already in the stack for the
+// screen answers first (this analysis follows it: no submit, no context, no
+// hand-off), then the table; only a screen neither knows becomes a leader and
+// rides worker → admission → scheduler → replica.
 func (r *runner) analyze(d *device) {
 	d.debounce = nil
 	if r.stopped {
 		return
 	}
-	var x *tensor.Tensor
+	pool := r.lib.neg
 	if d.popup {
-		x = r.lib.aui[d.rng.Intn(len(r.lib.aui))]
-	} else {
-		x = r.lib.neg[d.rng.Intn(len(r.lib.neg))]
+		pool = r.lib.aui
 	}
+	s := pool[d.rng.Intn(len(pool))]
 	modeled := 15*time.Millisecond + time.Duration(d.rng.Intn(20))*time.Millisecond
-	ctx, cancel := context.WithCancel(r.tenantCtx[d.tenant])
-	an := &analysis{dev: d, cancel: cancel, done: make(chan jobResult, 1)}
+	an := &analysis{dev: d}
 	d.cur = an
 	r.cfg.Timings.Observe("fleet-modeled-analysis", modeled)
-	r.submit <- job{ctx: ctx, x: x, an: an}
+	hit := false
+	if lead := r.inflight[s.key]; lead != nil {
+		lead.followed, an.lead = true, lead
+		r.res.Coalesced++
+	} else if r.cache != nil {
+		an.dets, hit = r.cache.Lookup(s.key)
+	}
+	if an.lead == nil && !hit {
+		if r.inflight != nil {
+			r.inflight[s.key] = an
+		}
+		r.lead(an, s)
+	}
 	r.clock.Schedule(modeled, func() { r.complete(an) })
 }
 
+// lead sends an through the stack with s, under its own device's tenant.
+func (r *runner) lead(an *analysis, s screen) {
+	an.ctx, an.cancel = context.WithCancel(r.tenantCtx[an.dev.tenant])
+	an.lead, an.screen, an.done = an, s, make(chan struct{})
+	r.submit <- an
+}
+
 // complete reaps one analysis when its modeled latency elapses, blocking
-// until the real result is in. Superseded cycles count as such whatever the
-// stack answered — core.Service never surfaces a cancelled cycle's result
-// either — which keeps the totals deterministic even though the cancel races
-// the forward.
+// until the real result is in. A leader still in inflight was never cancelled:
+// it leaves, and files what the stack answered in the table — so what the
+// table holds is decided here, on the clock goroutine in virtual-time order.
+// Superseded cycles count as such whatever the stack answered — core.Service
+// never surfaces a cancelled cycle's result either — which keeps the totals
+// deterministic even though the cancel races the forward.
 func (r *runner) complete(an *analysis) {
-	res := <-an.done
-	an.cancel()
+	if lead := an.lead; lead != nil {
+		<-lead.done
+		if lead != an && lead.err != nil && !an.superseded {
+			// An error is a verdict on the leader's request — its tenant's
+			// rate limit, the queue depth it met — and not an answer to
+			// share: the follower asks for itself, and is due now.
+			r.lead(an, lead.screen)
+			lead = an
+			<-an.done
+		}
+		an.dets, an.err = lead.dets, lead.err
+	}
+	if an.lead == an {
+		an.cancel()
+		if r.inflight[an.key] == an {
+			delete(r.inflight, an.key)
+			if an.err == nil {
+				r.cache.Store(an.key, an.dets)
+			}
+		}
+	}
 	d := an.dev
 	if d.cur == an {
 		d.cur = nil
@@ -453,11 +457,11 @@ func (r *runner) complete(an *analysis) {
 		r.res.Superseded++
 		return
 	}
-	if res.err != nil {
+	if an.err != nil {
 		switch {
-		case errors.Is(res.err, serve.ErrRateLimited):
+		case errors.Is(an.err, serve.ErrRateLimited):
 			r.res.RateLimited++
-		case errors.Is(res.err, serve.ErrOverloaded):
+		case errors.Is(an.err, serve.ErrOverloaded):
 			r.res.Shed++
 		default:
 			r.res.Degraded++
@@ -465,11 +469,11 @@ func (r *runner) complete(an *analysis) {
 		return
 	}
 	r.res.Analyses++
-	if len(res.dets) == 0 {
+	if len(an.dets) == 0 {
 		return
 	}
 	r.res.Flagged++
-	if r.cfg.Bypass && d.popup && hasUPO(res.dets) {
+	if r.cfg.Bypass && d.popup && hasUPO(an.dets) {
 		r.dismissAUI(d, d.popupGen, true)
 	}
 }
@@ -489,7 +493,7 @@ func (r *runner) scheduleAUI(d *device) {
 	if r.stopped {
 		return
 	}
-	delay := time.Duration(d.rng.ExpFloat64() * float64(r.cfg.MeanAUIInterval))
+	delay := time.Duration(d.rng.ExpFloat64() * float64(meanAUIInterval))
 	if delay < 500*time.Millisecond {
 		delay = 500 * time.Millisecond
 	}

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"context"
+	"maps"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +12,8 @@ import (
 	"repro/internal/detect"
 	"repro/internal/faults"
 	"repro/internal/metrics"
+	"repro/internal/serve"
+	"repro/internal/sim"
 	"repro/internal/tensor"
 )
 
@@ -30,6 +34,32 @@ func (stubDetector) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, _ flo
 	return out, nil
 }
 
+// contentStub answers from the pixels — a UPO iff a sparse checksum of the
+// item's float bits is odd, nothing otherwise — so an entry filed under the
+// wrong key changes Flagged and Bypassed instead of hiding behind a constant
+// answer.
+type contentStub struct{}
+
+func (contentStub) Name() string { return "content-stub" }
+
+func (contentStub) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, _ float64) ([][]metrics.Detection, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	out := make([][]metrics.Detection, x.Shape[0])
+	per := len(x.Data) / len(out)
+	for i := range out {
+		var sum uint32
+		for j := i * per; j < (i+1)*per; j += 61 {
+			sum += math.Float32bits(x.Data[j]) >> 8
+		}
+		if sum&1 == 1 {
+			out[i] = []metrics.Detection{{Class: dataset.ClassUPO, Score: 0.99}}
+		}
+	}
+	return out, nil
+}
+
 // smallConfig is a fleet sized for a unit test: enough devices and virtual
 // time to exercise debounce, supersede, popups and bypass, small enough to
 // run in well under a second.
@@ -39,27 +69,46 @@ func smallConfig(seed int64) Config {
 		Duration: 30 * time.Second,
 		Seed:     seed,
 		Bypass:   true,
-		Library:  4,
-		Workers:  8,
-		MaxBatch: 8,
+		library:  4,
+		workers:  8,
+		maxBatch: 8,
 	}
 }
 
 func run(t *testing.T, cfg Config) *Result {
 	t.Helper()
-	res, err := Run(cfg, []detect.Detector{stubDetector{}})
+	return runOn(t, cfg, stubDetector{})
+}
+
+func runOn(t *testing.T, cfg Config, d detect.Detector) *Result {
+	t.Helper()
+	res, err := Run(cfg, []detect.Detector{d})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	return res
 }
 
+// submitted is how many analyses a run started: analyze observes this stage
+// once for each, whoever ends up answering it.
+func submitted(r *Result) int { return r.Timings.Stage("fleet-modeled-analysis").Count }
+
+// conserved fails the test unless every analysis started is accounted for
+// exactly once.
+func conserved(t *testing.T, r *Result) {
+	t.Helper()
+	if got := r.Analyses + r.Superseded + r.RateLimited + r.Shed + r.Degraded; got != submitted(r) {
+		t.Fatalf("conservation: %d analyses accounted for, %d started: %+v", got, submitted(r), r)
+	}
+}
+
 // deterministic extracts the replay-stable slice of a Result: everything the
-// virtual clock alone decides. Wall time, throughput and serve-internal
-// watermarks are excluded by construction.
-func deterministic(r *Result) [9]int {
-	return [9]int{r.Events, r.Debounced, r.Analyses, r.Superseded, r.Flagged,
-		r.Popups, r.Bypassed, r.RateLimited, r.Shed}
+// virtual clock alone decides, which includes who answered each analysis —
+// the table, a leader in flight, or the stack. Wall time, throughput and
+// serve-internal watermarks are excluded by construction.
+func deterministic(r *Result) [12]int {
+	return [12]int{r.Events, r.Debounced, r.Analyses, r.Superseded, r.Flagged,
+		r.Popups, r.Bypassed, r.RateLimited, r.Shed, r.CacheHits, r.CacheMisses, r.Coalesced}
 }
 
 // TestReplayDeterminism pins satellite 1: same seed, same knobs → identical
@@ -181,6 +230,7 @@ func TestResultFamilies(t *testing.T) {
 		`darpa_fleet_analyses_total{outcome="completed"}`,
 		`darpa_fleet_popups_total{kind="shown"}`,
 		`darpa_cache_requests_total{outcome="hit"}`,
+		`darpa_cache_requests_total{outcome="coalesced"}`,
 		`darpa_admission_requests_total{verdict="admitted"}`,
 		"darpa_stage_latency_seconds",
 	} {
@@ -193,18 +243,228 @@ func TestResultFamilies(t *testing.T) {
 	}
 }
 
-// TestServedMatchesAnalyses: with admission wide open, every completed
-// analysis was served by the stack — the serve ledger and the fleet ledger
-// agree.
-func TestServedMatchesAnalyses(t *testing.T) {
-	res := run(t, smallConfig(17))
-	if res.Serve.Admitted == 0 {
-		t.Fatal("no requests admitted")
+// TestTableLedgerExact: every analysis is answered by exactly one of the
+// table, a leader in flight, or the stack, and the stack is offered the
+// leaders and nothing else. Seed 24 leads each of its 2x4 screens once
+// (CacheMisses == 8 says no leader was cancelled and re-led), so the serve
+// ledger must agree to the request; a cancelled leader may be refused at the
+// batcher's door before admission counts it, which is the slack the storm
+// test's bound allows for.
+func TestTableLedgerExact(t *testing.T) {
+	cfg := smallConfig(24)
+	res := run(t, cfg)
+	conserved(t, res)
+	if got := res.CacheHits + res.Coalesced + res.CacheMisses; got != submitted(res) {
+		t.Fatalf("hits %d + coalesced %d + misses %d = %d, %d analyses started",
+			res.CacheHits, res.Coalesced, res.CacheMisses, got, submitted(res))
 	}
-	// Superseded cycles also transit the stack (their cancel may land before
-	// or after service), so Admitted covers at least the completed analyses.
-	if res.Serve.Admitted < res.Analyses {
-		t.Fatalf("admitted %d < completed analyses %d", res.Serve.Admitted, res.Analyses)
+	if res.CacheMisses != 2*cfg.library {
+		t.Fatalf("%d leaders for a library of 2x%d screens", res.CacheMisses, cfg.library)
+	}
+	if res.Serve.Offered != res.CacheMisses || res.Serve.Admitted != res.CacheMisses {
+		t.Fatalf("stack offered %d, admitted %d; leaders %d", res.Serve.Offered, res.Serve.Admitted, res.CacheMisses)
+	}
+	if res.Coalesced == 0 || res.CacheHits == 0 {
+		t.Fatalf("run exercised no follower or no hit: %+v", res)
+	}
+}
+
+// TestTableAgreesWithStack is the differential: a plan with no rules drops the
+// table without injecting anything, so the same seed runs once answered by
+// table and followers and once with every analysis riding the stack. What the
+// devices saw must be identical — with a stub whose answer depends on the
+// pixels, a mis-keyed or crossed entry would move Flagged or Bypassed.
+func TestTableAgreesWithStack(t *testing.T) {
+	for _, seed := range []int64{7, 23} {
+		viaTable := runOn(t, smallConfig(seed), contentStub{})
+		cfg := smallConfig(seed)
+		cfg.Plan = faults.NewPlan(seed)
+		viaStack := runOn(t, cfg, contentStub{})
+		sim := func(r *Result) [7]int {
+			return [7]int{r.Events, r.Debounced, r.Analyses, r.Superseded, r.Flagged, r.Popups, r.Bypassed}
+		}
+		if sim(viaTable) != sim(viaStack) {
+			t.Fatalf("seed %d: table-served and stack-served runs disagree:\n  table=%v\n  stack=%v", seed, sim(viaTable), sim(viaStack))
+		}
+		if viaTable.Flagged == 0 || viaTable.Flagged == viaTable.Analyses || viaTable.Bypassed == 0 {
+			t.Fatalf("seed %d: stub answered every screen alike: %+v", seed, viaTable)
+		}
+		if viaStack.CacheHits+viaStack.CacheMisses+viaStack.Coalesced != 0 || viaStack.Serve.Offered < viaStack.Analyses {
+			t.Fatalf("seed %d: plan run did not ride the stack: %+v", seed, viaStack)
+		}
+	}
+}
+
+// TestStormLeadersWithFollowers: one screen per class under storm churn, so
+// nearly every early analysis follows one of two leaders and some of those
+// leaders are superseded while followed. A leader somebody waits on must not
+// be cancelled — its followers would inherit context.Canceled and count as
+// degraded — and one nobody waits on must be, and be led afresh. The seeds are
+// ones where it happens: cancelling followed leaders too degrades 17, 2 and 11
+// of their analyses.
+func TestStormLeadersWithFollowers(t *testing.T) {
+	for _, seed := range []int64{8, 18, 40} {
+		cfg := smallConfig(seed)
+		cfg.Devices, cfg.Duration = 600, 6*time.Second
+		cfg.EventsPerMinute, cfg.library = 240, 1
+		res := run(t, cfg)
+		conserved(t, res)
+		if res.Degraded != 0 || res.RateLimited != 0 || res.Shed != 0 {
+			t.Fatalf("seed %d: followers lost their answer: %+v", seed, res)
+		}
+		if res.Coalesced == 0 || res.Superseded == 0 {
+			t.Fatalf("seed %d: storm produced no follower or no supersede: %+v", seed, res)
+		}
+		if res.CacheMisses < 2 || res.CacheMisses > 2*cfg.library+res.Superseded {
+			t.Fatalf("seed %d: %d leaders for 2 screens and %d superseded", seed, res.CacheMisses, res.Superseded)
+		}
+		if o := res.Serve.Offered; o > res.CacheMisses || o < res.CacheMisses-res.Superseded {
+			t.Fatalf("seed %d: stack offered %d requests for %d leaders", seed, o, res.CacheMisses)
+		}
+	}
+}
+
+// handRunner is a two-device runner over one screen per class with a live
+// worker and stack, for tests that drive analyze, onEvent and complete by hand.
+func handRunner(t *testing.T, cfg Config) *runner {
+	cfg.library = 1
+	if err := cfg.setDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	backend, tenantCtx := buildStack(cfg, []detect.Detector{stubDetector{}})
+	r := &runner{
+		backend:   backend,
+		tenantCtx: tenantCtx,
+		cfg:       cfg,
+		clock:     sim.NewClock(1),
+		lib:       buildLibrary(1, 1),
+		devices:   make([]device, 2),
+		submit:    make(chan *analysis, 4),
+		cache:     detect.NewCache(4),
+		inflight:  make(map[detect.Key]*analysis),
+	}
+	r.wg.Add(1)
+	go r.worker()
+	t.Cleanup(func() {
+		close(r.submit)
+		r.wg.Wait()
+		r.backend.Close()
+	})
+	return r
+}
+
+// TestSupersededLeader drives the three clock-side steps by hand on two
+// devices sharing one screen, where Run can only make the interleavings
+// likely: a superseded leader with a follower keeps its trip through the stack
+// and files the answer; one without is cancelled, leaves inflight and files
+// nothing, so the next request leads afresh.
+func TestSupersededLeader(t *testing.T) {
+	r := handRunner(t, smallConfig(1))
+	a, b := &r.devices[0], &r.devices[1]
+	key := r.lib.neg[0].key
+
+	// Unfollowed: cancelled and forgotten at the supersede, never stored.
+	r.analyze(a)
+	lone := a.cur
+	r.onEvent(a)
+	if !lone.superseded || r.inflight[key] != nil {
+		t.Fatalf("unfollowed leader: superseded=%v, still inflight=%v", lone.superseded, r.inflight[key] != nil)
+	}
+	a.debounce.Cancel()
+	r.clock.Drain(8)
+	if r.cache.Len() != 0 || r.res.Superseded != 1 {
+		t.Fatalf("cancelled leader stored %d entries, superseded=%d", r.cache.Len(), r.res.Superseded)
+	}
+
+	// Followed: b waits on a's leader, a is superseded, both must end well.
+	r.analyze(a)
+	lead := a.cur
+	r.analyze(b)
+	if b.cur.lead != lead || r.res.Coalesced != 1 {
+		t.Fatalf("second device did not follow the leader in flight: %+v", r.res)
+	}
+	r.onEvent(a)
+	if r.inflight[key] != lead {
+		t.Fatal("a leader with a follower was cancelled at its supersede")
+	}
+	a.debounce.Cancel()
+	r.clock.Drain(8)
+	want := Result{Events: 2, Superseded: 2, Analyses: 1, Flagged: 1, Coalesced: 1}
+	if got := r.res; got.Events != want.Events || got.Superseded != want.Superseded || got.Analyses != want.Analyses ||
+		got.Flagged != want.Flagged || got.Coalesced != want.Coalesced || got.Degraded != 0 {
+		t.Fatalf("ledger %+v, want %+v", got, want)
+	}
+	if r.cache.Len() != 1 || len(r.inflight) != 0 || r.cache.Misses() != 2 {
+		t.Fatalf("table holds %d entries after %d leaders, %d still inflight", r.cache.Len(), r.cache.Misses(), len(r.inflight))
+	}
+	r.analyze(b)
+	if b.cur.lead != nil || r.cache.Hits() != 1 {
+		t.Fatal("a screen whose leader has filed its answer was not a table hit")
+	}
+	r.clock.Drain(8)
+}
+
+// TestRefusedLeaderIsNotAnAnswer: an admission refusal is a verdict on one
+// tenant's request, so a follower of a refused leader must not be counted on
+// it — it asks again as its own tenant. Each tenant's bucket holds one token
+// and refills in ~17 minutes: tenant0 spends its token on the benign screen,
+// is refused for the popup, and tenant1, following that refusal, is admitted
+// on its own first token.
+func TestRefusedLeaderIsNotAnAnswer(t *testing.T) {
+	cfg := smallConfig(1)
+	cfg.Tenants, cfg.TenantRate, cfg.Bypass = 2, 0.001, false
+	r := handRunner(t, cfg)
+	a, b := &r.devices[0], &r.devices[1]
+	b.tenant = 1
+
+	r.analyze(a)
+	r.clock.Drain(8)
+	a.popup, b.popup = true, true
+	r.analyze(a)
+	r.analyze(b)
+	if b.cur.lead != a.cur {
+		t.Fatal("second device did not follow the leader in flight")
+	}
+	r.clock.Drain(8)
+	if r.res.Analyses != 2 || r.res.RateLimited != 1 || r.res.Degraded != 0 {
+		t.Fatalf("ledger %+v, want tenant0 refused once and tenant1 answered", r.res)
+	}
+	st := r.backend.Stats()
+	want := map[serve.TenantID]serve.TenantStats{
+		"tenant0": {Offered: 2, Admitted: 1, Rejected: 1},
+		"tenant1": {Offered: 1, Admitted: 1},
+	}
+	if !maps.Equal(st.Tenants, want) {
+		t.Fatalf("admission saw %+v, want %+v", st.Tenants, want)
+	}
+	if len(r.inflight) != 0 || r.cache.Len() != 1 {
+		t.Fatalf("%d still inflight, table holds %d (a refusal must not be filed)", len(r.inflight), r.cache.Len())
+	}
+}
+
+// TestRateLimitedStormConserves runs the storm with the same one-token
+// buckets: nearly every leader is refused while others follow it. Every
+// analysis is still accounted for once, and every refusal the fleet counts is
+// one admission issued to that analysis: Rejected leaders end RateLimited, or
+// Superseded if an event beat the verdict.
+func TestRateLimitedStormConserves(t *testing.T) {
+	cfg := smallConfig(8)
+	cfg.Devices, cfg.Duration = 600, 6*time.Second
+	cfg.EventsPerMinute, cfg.library = 240, 1
+	cfg.Tenants, cfg.TenantRate = 2, 0.001
+	res := run(t, cfg)
+	conserved(t, res)
+	st := res.Serve
+	if res.RateLimited == 0 || res.RateLimited > st.Rejected || res.RateLimited < st.Rejected-res.Superseded {
+		t.Fatalf("%d rate-limited analyses for %d rejections (%d superseded)", res.RateLimited, st.Rejected, res.Superseded)
+	}
+	if res.Degraded != 0 || res.Shed != 0 || st.Admitted > cfg.Tenants {
+		t.Fatalf("one token a tenant, yet %d admitted; degraded %d, shed %d", st.Admitted, res.Degraded, res.Shed)
+	}
+	for id, ts := range st.Tenants {
+		if ts.Offered != ts.Admitted+ts.Rejected || ts.Rejected == 0 {
+			t.Fatalf("%s: ledger %+v", id, ts)
+		}
 	}
 }
 

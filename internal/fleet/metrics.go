@@ -46,11 +46,12 @@ func (r *Result) Families() []metrics.Family {
 		rate := float64(r.CacheHits) / float64(r.CacheHits+r.CacheMisses)
 		fams = append(fams,
 			metrics.Counter("darpa_cache_requests_total",
-				"Result-cache lookups across all replica caches.",
+				"Analyses by who answered: the run's result table (hit), a leader already in the stack for the same screen (coalesced), or the stack (miss).",
 				metrics.L(float64(r.CacheHits), "outcome", "hit"),
+				metrics.L(float64(r.Coalesced), "outcome", "coalesced"),
 				metrics.L(float64(r.CacheMisses), "outcome", "miss")),
 			metrics.Gauge("darpa_cache_hit_rate",
-				"Fraction of lookups answered from a result cache.",
+				"Fraction of table lookups answered from the table.",
 				metrics.V(rate)))
 	}
 	fams = append(fams, r.Serve.Families()...)

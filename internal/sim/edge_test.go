@@ -120,3 +120,49 @@ func TestCancelInsideOwnTimestampBatch(t *testing.T) {
 		t.Fatalf("fired %v, want [1 2 4]", got)
 	}
 }
+
+// TestHeapPopsTheMinimum drives the hand-written heap with interleaved pushes
+// and pops of random, heavily colliding deadlines and checks it against the
+// definition: a pop is the (at, seq) minimum of the queue, every queued event
+// knows its own slot, and a popped one knows it has left.
+func TestHeapPopsTheMinimum(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	c := NewClock(1)
+	var popped []*Event
+	check := func() {
+		t.Helper()
+		for i, e := range c.queue {
+			if e.index != i {
+				t.Fatalf("queue[%d] records index %d", i, e.index)
+			}
+			if p := (i - 1) / 2; i > 0 && e.before(c.queue[p]) {
+				t.Fatalf("queue[%d] (%v,%d) sorts before its parent (%v,%d)", i, e.at, e.seq, c.queue[p].at, c.queue[p].seq)
+			}
+		}
+	}
+	for round := 0; round < 200; round++ {
+		for n := rng.Intn(8); n > 0; n-- {
+			c.Schedule(time.Duration(rng.Intn(16))*time.Millisecond, func() {})
+		}
+		check()
+		for n := rng.Intn(6); n > 0 && len(c.queue) > 0; n-- {
+			// Popping by hand leaves the clock at zero, so a later push may
+			// sort before an earlier pop; each pop must be the minimum of
+			// what is queued at that moment.
+			e := c.pop()
+			if e.index != -1 {
+				t.Fatalf("popped event still records index %d", e.index)
+			}
+			for _, q := range c.queue {
+				if q.before(e) {
+					t.Fatalf("popped (%v,%d) with (%v,%d) still queued", e.at, e.seq, q.at, q.seq)
+				}
+			}
+			popped = append(popped, e)
+			check()
+		}
+	}
+	if len(popped) < 400 {
+		t.Fatalf("only %d pops exercised", len(popped))
+	}
+}

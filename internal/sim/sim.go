@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -39,38 +38,61 @@ func (e *Event) Cancel() {
 // Cancelled reports whether Cancel was called before the event fired.
 func (e *Event) Cancelled() bool { return e.cancel }
 
-type eventQueue []*Event
+// before is the heap order, (at, seq): equal deadlines fire in scheduling
+// order, and since seq is unique the order is total — pop order does not
+// depend on how the heap happens to be laid out.
+func (e *Event) before(o *Event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// push sifts e up from the tail of the binary min-heap c.queue. The heap is
+// written out on []*Event: at a fleet-sized queue container/heap's interface
+// dispatch per comparison and swap was most of a pop.
+func (c *Clock) push(e *Event) {
+	c.queue = append(c.queue, e)
+	q := c.queue
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].index = i
+		i = p
 	}
-	// Equal deadlines fire in scheduling order for determinism.
-	return q[i].seq < q[j].seq
+	q[i] = e
+	e.index = i
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+// pop removes the earliest event and sifts the tail down from the root.
+func (c *Clock) pop() *Event {
+	q := c.queue
+	n := len(q) - 1
+	top := q[0]
+	e := q[n] // the tail, to be re-seated from the root down
+	q[n] = nil
+	c.queue = q[:n]
+	top.index = -1
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		k := 2*i + 1 // the earlier of i's children
+		if k+1 < n && q[k+1].before(q[k]) {
+			k++
+		}
+		if k >= n || !q[k].before(e) {
+			break
+		}
+		q[i] = q[k]
+		q[i].index = i
+		i = k
+	}
+	q[i] = e
+	e.index = i
+	return top
 }
 
 // Clock is a virtual clock with an event queue. It is not safe for
@@ -79,7 +101,7 @@ func (q *eventQueue) Pop() any {
 type Clock struct {
 	now   time.Duration
 	seq   uint64
-	queue eventQueue
+	queue []*Event // binary min-heap on (at, seq)
 	rng   *rand.Rand
 }
 
@@ -110,7 +132,7 @@ func (c *Clock) Schedule(delay time.Duration, fn func()) *Event {
 	}
 	c.seq++
 	e := &Event{at: c.now + delay, seq: c.seq, fn: fn}
-	heap.Push(&c.queue, e)
+	c.push(e)
 	return e
 }
 
@@ -129,7 +151,7 @@ func (c *Clock) Pending() int { return len(c.queue) }
 // empty). Cancelled events are skipped without being counted.
 func (c *Clock) Step() bool {
 	for len(c.queue) > 0 {
-		e := heap.Pop(&c.queue).(*Event)
+		e := c.pop()
 		if e.cancel {
 			continue
 		}
@@ -152,7 +174,7 @@ func (c *Clock) RunUntil(deadline time.Duration) int {
 		// Peek at the earliest non-cancelled event.
 		e := c.queue[0]
 		if e.cancel {
-			heap.Pop(&c.queue)
+			c.pop()
 			continue
 		}
 		if e.at > deadline {
