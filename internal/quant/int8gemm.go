@@ -3,7 +3,8 @@ package quant
 // True int8 inference path: activations are quantised once at the network
 // input and stay int8 across the whole backbone. Each layer lowers to an
 // int8 im2col panel (shared with the float path via tensor.Im2colPanelI8)
-// and an int8 x int8 -> int32 blocked GEMM, and the epilogue requantises the
+// and an int8 x int8 -> int32 blocked GEMM over weight rows packed in pairs
+// (gemmPairs: two MACs per 64-bit multiply), and the epilogue requantises the
 // int32 accumulators straight to the next layer's int8 scale with the folded
 // bias and leaky-ReLU applied in the same pass:
 //
@@ -24,13 +25,14 @@ import (
 	"repro/internal/tensor"
 )
 
-// Int8 activation and int32 accumulator scratch, bucketed by power-of-two
-// capacity class so a request only ever reuses a buffer of the matching
-// class — the replacement for the old single-bucket qx pool, which thrashed
-// whenever two layers with different activation sizes alternated.
+// scratch recycles []T buffers, bucketed by power-of-two capacity class so a
+// request only ever reuses a buffer of the matching class: a single bucket
+// thrashed whenever two layers with different activation sizes alternated.
+type scratch[T any] [33]sync.Pool
+
 var (
-	i8Buckets  [33]sync.Pool
-	i32Buckets [33]sync.Pool
+	i8s  scratch[int8]  // activations and im2col panels
+	i32s scratch[int32] // accumulator tiles
 )
 
 func bucketFor(n int) int {
@@ -41,36 +43,18 @@ func bucketFor(n int) int {
 	return b
 }
 
-func getI8(n int) *[]int8 {
+func (s *scratch[T]) get(n int) *[]T {
 	c := bucketFor(n)
-	if v := i8Buckets[c].Get(); v != nil {
-		p := v.(*[]int8)
+	if v := s[c].Get(); v != nil {
+		p := v.(*[]T)
 		*p = (*p)[:n]
 		return p
 	}
-	b := make([]int8, n, 1<<c)
+	b := make([]T, n, 1<<c)
 	return &b
 }
 
-func putI8(p *[]int8) {
-	if p == nil {
-		return
-	}
-	i8Buckets[bucketFor(cap(*p))].Put(p)
-}
-
-func getI32(n int) *[]int32 {
-	c := bucketFor(n)
-	if v := i32Buckets[c].Get(); v != nil {
-		p := v.(*[]int32)
-		*p = (*p)[:n]
-		return p
-	}
-	b := make([]int32, n, 1<<c)
-	return &b
-}
-
-func putI32(p *[]int32) { i32Buckets[bucketFor(cap(*p))].Put(p) }
+func (s *scratch[T]) put(p *[]T) { s[bucketFor(cap(*p))].Put(p) }
 
 // quantI8 quantises float activations to int8: dst[i] =
 // clamp(round(src[i]/s)) with round-half-away-from-zero done entirely in
@@ -80,7 +64,10 @@ func putI32(p *[]int32) { i32Buckets[bucketFor(cap(*p))].Put(p) }
 // by TestQuantI8MatchesLegacyOnCorpus). The float32 divide is kept rather
 // than a precomputed reciprocal multiply: v*(1/s) lands one ulp short of
 // half-integers that v/s hits exactly, flipping rounded values across the
-// calibration corpus.
+// calibration corpus. The seam does not validate input tensors, so the
+// non-finite cases are spelled out: +-Inf clamp to +-127 and NaN, which fails
+// both range comparisons, is sent to 0 rather than into a float-to-int
+// conversion whose NaN result the Go spec leaves to the implementation.
 func quantI8(dst []int8, src []float32, s float32) {
 	for i, v := range src {
 		r := v / s
@@ -88,6 +75,8 @@ func quantI8(dst []int8, src []float32, s float32) {
 			r = 127
 		} else if r < -127 {
 			r = -127
+		} else if r != r {
+			r = 0
 		}
 		if r >= 0 {
 			dst[i] = int8(r + 0.5)
@@ -102,40 +91,26 @@ func (q *qconv) outSize(h, w int) (int, int) {
 	return (h+2*q.pad-q.k)/q.stride + 1, (w+2*q.pad-q.k)/q.stride + 1
 }
 
-// colBlockI8 mirrors tensor's column blocking: int8 panels capped near 32
-// KiB, block width a multiple of 4 for the register tile.
-func colBlockI8(kdim, cols int) int {
-	b := (1 << 15) / kdim
-	if b > cols {
-		b = cols
-	}
-	if b < 16 {
-		b = 16
-	}
-	if b >= 8 {
-		b &^= 3
-	}
-	return b
-}
-
-// forwardI8 runs the quantised convolution on int8 activations and writes
-// requantised int8 outputs: qx is [N][inC][H][W] at q.inScale, out (length
-// N*outC*OH*OW) ends up at q.outScale. Work splits into (batch item, column
-// block) tasks on the shared worker pool, each a cooperative cancellation
-// checkpoint; once done closes, out is partially written and must be
-// discarded.
-func (q *qconv) forwardI8(qx []int8, N, H, W int, out []int8, done <-chan struct{}) {
+// forward runs the quantised convolution on int8 activations: qx is
+// [N][inC][H][W] at q.inScale. Exactly one of out and yf is set. A backbone
+// layer passes out (length N*outC*OH*OW) and gets requantised int8 at
+// q.outScale; a head passes yf ([N, outC, OH, OW]) and gets float32 exactly
+// as the reference per-plane loop computes it (float32(acc)*deq + bias,
+// optional leaky-ReLU). Work splits into (batch item, column block) tasks on
+// the shared worker pool, each a cooperative cancellation checkpoint; once
+// done closes, the output is partially written and must be discarded.
+func (q *qconv) forward(qx []int8, N, H, W int, out []int8, yf *tensor.Tensor, done <-chan struct{}) {
 	OH, OW := q.outSize(H, W)
 	cols := OH * OW
 	kdim := q.inC * q.k * q.k
-	blk := colBlockI8(kdim, cols)
+	blk := tensor.ColBlock(kdim, cols)
 	nBlocks := (cols + blk - 1) / blk
 	tasks := N * nBlocks
 	// The closure is only built inside the parallel branch so the serial
 	// path stays allocation-free (see tensor.ParallelWorthwhile).
 	if tensor.ParallelWorthwhile(N * q.outC * cols * kdim) {
 		tensor.ParallelForCancel(done, tasks, func(t int) {
-			q.i8Task(qx, N, H, W, out, nil, blk, nBlocks, t)
+			q.i8Task(qx, N, H, W, out, yf, blk, nBlocks, t)
 		})
 		return
 	}
@@ -143,35 +118,8 @@ func (q *qconv) forwardI8(qx []int8, N, H, W int, out []int8, done <-chan struct
 		if tensor.Aborted(done) {
 			return
 		}
-		q.i8Task(qx, N, H, W, out, nil, blk, nBlocks, t)
+		q.i8Task(qx, N, H, W, out, yf, blk, nBlocks, t)
 	}
-}
-
-// forwardI8Float is forwardI8 with the dequantising head epilogue: the int32
-// accumulators become float32 exactly as the reference per-plane loop
-// computes them (float32(acc)*deq + bias, optional leaky-ReLU), written into
-// a pooled tensor.
-func (q *qconv) forwardI8Float(qx []int8, N, H, W int, p *tensor.Pool, done <-chan struct{}) *tensor.Tensor {
-	OH, OW := q.outSize(H, W)
-	y := p.Get(N, q.outC, OH, OW)
-	cols := OH * OW
-	kdim := q.inC * q.k * q.k
-	blk := colBlockI8(kdim, cols)
-	nBlocks := (cols + blk - 1) / blk
-	tasks := N * nBlocks
-	if tensor.ParallelWorthwhile(N * q.outC * cols * kdim) {
-		tensor.ParallelForCancel(done, tasks, func(t int) {
-			q.i8Task(qx, N, H, W, nil, y, blk, nBlocks, t)
-		})
-		return y
-	}
-	for t := 0; t < tasks; t++ {
-		if tensor.Aborted(done) {
-			return y
-		}
-		q.i8Task(qx, N, H, W, nil, y, blk, nBlocks, t)
-	}
-	return y
 }
 
 // i8Task runs one (batch item, column block) unit: unpack the int8 panel,
@@ -189,19 +137,24 @@ func (q *qconv) i8Task(qx []int8, N, H, W int, out []int8, yf *tensor.Tensor, bl
 		j1 = cols
 	}
 	nc := j1 - j0
-	accBuf := getI32(q.outC * nc)
+	accBuf := i32s.get(q.outC * nc)
 	acc := *accBuf
 	if q.k == 1 && q.stride == 1 && q.pad == 0 {
 		// 1x1 stride-1: the panel is the input activations themselves.
 		bp := qx[n*q.inC*cols+j0:]
-		gemmI8(q.qw, kdim, bp, cols, acc, q.outC, kdim, nc)
+		gemmPairs(q.qwp, bp, cols, acc, q.outC, kdim, nc)
 	} else {
-		panel := getI8(kdim * nc)
+		panel := i8s.get(kdim * nc)
 		tensor.Im2colPanelI8(qx[n*q.inC*H*W:(n+1)*q.inC*H*W], q.inC, H, W, q.k, q.stride, q.pad, OW, j0, j1, *panel)
-		gemmI8(q.qw, kdim, *panel, nc, acc, q.outC, kdim, nc)
-		putI8(panel)
+		gemmPairs(q.qwp, *panel, nc, acc, q.outC, kdim, nc)
+		i8s.put(panel)
 	}
 	outBase := n*q.outC*cols + j0
+	// Read q.relu once: a slope of 1 leaves negatives bit-for-bit alone.
+	slope := float32(1)
+	if q.relu {
+		slope = 0.1
+	}
 	if out != nil {
 		for oc := 0; oc < q.outC; oc++ {
 			rq, bq := q.rq[oc], q.bq[oc]
@@ -209,8 +162,8 @@ func (q *qconv) i8Task(qx []int8, N, H, W int, out []int8, yf *tensor.Tensor, bl
 			dst := out[outBase+oc*cols : outBase+oc*cols+nc]
 			for j, a := range row {
 				v := float32(a)*rq + bq
-				if q.relu && v < 0 {
-					v *= 0.1
+				if v < 0 {
+					v *= slope
 				}
 				if v > 127 {
 					v = 127
@@ -232,108 +185,132 @@ func (q *qconv) i8Task(qx []int8, N, H, W int, out []int8, yf *tensor.Tensor, bl
 			dst := yf.Data[outBase+oc*cols : outBase+oc*cols+nc]
 			for j, a := range row {
 				v := float32(a)*deq + bias
-				if q.relu && v < 0 {
-					v *= 0.1
+				if v < 0 {
+					v *= slope
 				}
 				dst[j] = v
 			}
 		}
 	}
-	putI32(accBuf)
+	i32s.put(accBuf)
 }
 
-// gemmI8 computes acc[m*nc+j] = sum_k a[m*lda+k]*b[k*ldb+j] in int32 for m
-// in [0,M), j in [0,nc). Same 4x4 register tile as the float gemmBlock;
-// integer accumulation is exact, so tiling order cannot change the result.
-func gemmI8(a []int8, lda int, b []int8, ldb int, acc []int32, M, K, nc int) {
-	m := 0
-	for ; m+4 <= M; m += 4 {
-		a0 := a[(m+0)*lda : (m+0)*lda+K]
-		a1 := a[(m+1)*lda : (m+1)*lda+K]
-		a2 := a[(m+2)*lda : (m+2)*lda+K]
-		a3 := a[(m+3)*lda : (m+3)*lda+K]
-		j := 0
-		for ; j+4 <= nc; j += 4 {
-			var c00, c01, c02, c03 int32
-			var c10, c11, c12, c13 int32
-			var c20, c21, c22, c23 int32
-			var c30, c31, c32, c33 int32
-			off := j
-			for k := 0; k < K; k++ {
-				b0, b1, b2, b3 := int32(b[off]), int32(b[off+1]), int32(b[off+2]), int32(b[off+3])
-				av := int32(a0[k])
-				c00 += av * b0
-				c01 += av * b1
-				c02 += av * b2
-				c03 += av * b3
-				av = int32(a1[k])
-				c10 += av * b0
-				c11 += av * b1
-				c12 += av * b2
-				c13 += av * b3
-				av = int32(a2[k])
-				c20 += av * b0
-				c21 += av * b1
-				c22 += av * b2
-				c23 += av * b3
-				av = int32(a3[k])
-				c30 += av * b0
-				c31 += av * b1
-				c32 += av * b2
-				c33 += av * b3
-				off += ldb
-			}
-			r := (m + 0) * nc
-			acc[r+j], acc[r+j+1], acc[r+j+2], acc[r+j+3] = c00, c01, c02, c03
-			r = (m + 1) * nc
-			acc[r+j], acc[r+j+1], acc[r+j+2], acc[r+j+3] = c10, c11, c12, c13
-			r = (m + 2) * nc
-			acc[r+j], acc[r+j+1], acc[r+j+2], acc[r+j+3] = c20, c21, c22, c23
-			r = (m + 3) * nc
-			acc[r+j], acc[r+j+1], acc[r+j+2], acc[r+j+3] = c30, c31, c32, c33
-		}
-		for ; j < nc; j++ {
-			var cc0, cc1, cc2, cc3 int32
-			off := j
-			for k := 0; k < K; k++ {
-				bv := int32(b[off])
-				cc0 += int32(a0[k]) * bv
-				cc1 += int32(a1[k]) * bv
-				cc2 += int32(a2[k]) * bv
-				cc3 += int32(a3[k]) * bv
-				off += ldb
-			}
-			acc[(m+0)*nc+j] = cc0
-			acc[(m+1)*nc+j] = cc1
-			acc[(m+2)*nc+j] = cc2
-			acc[(m+3)*nc+j] = cc3
+// packPairs lays int8 weight rows [M][K] out as (M+1)/2 rows of int64, row p
+// holding row 2p in bits 0-31 and row 2p+1 in bits 32-63 (zero when M is
+// odd): the layout gemmPairs multiplies, derived from qw, which stays the
+// canonical weights. It refuses a K whose lane sums could leave int32 (see
+// gemmPairs), so no packed row exists that the kernel would get wrong.
+func packPairs(qw []int8, M, K int) []int64 {
+	if K > (1<<31-1)/(127*128) {
+		panic("quant: reduction depth overflows an int32 accumulator lane")
+	}
+	ap := make([]int64, (M+1)/2*K)
+	for m := 0; m < M; m++ {
+		row := ap[m/2*K : (m/2+1)*K]
+		for k, w := range qw[m*K : (m+1)*K] {
+			row[k] += int64(w) << (32 * (m & 1))
 		}
 	}
-	for ; m < M; m++ {
-		arow := a[m*lda : m*lda+K]
-		j := 0
-		for ; j+4 <= nc; j += 4 {
-			var cc0, cc1, cc2, cc3 int32
+	return ap
+}
+
+// gemmPairs computes acc[m*nc+j] = sum_k qw[m*K+k]*b[k*ldb+j] in int32 for m
+// in [0,M), j in [0,nc), reading the weights as packPairs lays them out. One
+// 64-bit multiply of a packed weight by a sign-extended activation yields
+// both rows' products at once, so a packed accumulator is
+//
+//	s = L + H<<32,  L = sum_k qw[2p][k]*x_k,  H = sum_k qw[2p+1][k]*x_k.
+//
+// Every product is at most 127*128 in magnitude, so |L| and |H| stay below
+// 2^31 while K*127*128 < 2^31, K <= 132 104 (the largest production K is
+// 288) — the bound int32 accumulators need with one MAC per multiply too —
+// and then |H<<32| + |L| < 2^63: s never wraps. L is the one int32 congruent
+// to s mod 2^32, int32(s). A negative L has borrowed one from the high lane;
+// subtracting L before the shift returns it, so (s - L) >> 32 is H exactly.
+// Both accumulators are bit-identical to the per-plane loop's (the oracle in
+// int8gemm_test.go) on every GOARCH.
+//
+// The register tile is 4 packed rows x 2 columns: eight int64 accumulators,
+// eight multiplies for sixteen MACs per k step (picked by measurement over
+// 2x4, 2x3, 3x2 and 2x2). What it leaves — the last P%4 packed rows, and the
+// odd column of the rows it did cover — goes through a 1x4 tile.
+func gemmPairs(ap []int64, b []int8, ldb int, acc []int32, M, K, nc int) {
+	P := (M + 1) / 2
+	P4, nc2 := P&^3, nc&^1
+	for p := 0; p < P4; p += 4 {
+		a0 := ap[(p+0)*K : (p+1)*K]
+		a1 := ap[(p+1)*K : (p+2)*K]
+		a2 := ap[(p+2)*K : (p+3)*K]
+		a3 := ap[(p+3)*K : (p+4)*K]
+		for j := 0; j < nc2; j += 2 {
+			var s00, s01, s10, s11, s20, s21, s30, s31 int64
 			off := j
 			for k := 0; k < K; k++ {
-				av := int32(arow[k])
-				cc0 += av * int32(b[off])
-				cc1 += av * int32(b[off+1])
-				cc2 += av * int32(b[off+2])
-				cc3 += av * int32(b[off+3])
+				b0, b1 := int64(b[off]), int64(b[off+1])
+				w := a0[k]
+				s00 += w * b0
+				s01 += w * b1
+				w = a1[k]
+				s10 += w * b0
+				s11 += w * b1
+				w = a2[k]
+				s20 += w * b0
+				s21 += w * b1
+				w = a3[k]
+				s30 += w * b0
+				s31 += w * b1
 				off += ldb
 			}
-			r := m * nc
-			acc[r+j], acc[r+j+1], acc[r+j+2], acc[r+j+3] = cc0, cc1, cc2, cc3
+			unpack(acc, 2*p+0, M, nc, j, s00)
+			unpack(acc, 2*p+0, M, nc, j+1, s01)
+			unpack(acc, 2*p+2, M, nc, j, s10)
+			unpack(acc, 2*p+2, M, nc, j+1, s11)
+			unpack(acc, 2*p+4, M, nc, j, s20)
+			unpack(acc, 2*p+4, M, nc, j+1, s21)
+			unpack(acc, 2*p+6, M, nc, j, s30)
+			unpack(acc, 2*p+6, M, nc, j+1, s31)
+		}
+	}
+	for p := 0; p < P; p++ {
+		arow := ap[p*K : (p+1)*K]
+		j := 0
+		if p < P4 {
+			j = nc2
+		}
+		for ; j+4 <= nc; j += 4 {
+			var s0, s1, s2, s3 int64
+			off := j
+			for k := 0; k < K; k++ {
+				w := arow[k]
+				s0 += w * int64(b[off])
+				s1 += w * int64(b[off+1])
+				s2 += w * int64(b[off+2])
+				s3 += w * int64(b[off+3])
+				off += ldb
+			}
+			unpack(acc, 2*p, M, nc, j, s0)
+			unpack(acc, 2*p, M, nc, j+1, s1)
+			unpack(acc, 2*p, M, nc, j+2, s2)
+			unpack(acc, 2*p, M, nc, j+3, s3)
 		}
 		for ; j < nc; j++ {
-			var s int32
+			var s int64
 			off := j
 			for k := 0; k < K; k++ {
-				s += int32(arow[k]) * int32(b[off])
+				s += arow[k] * int64(b[off])
 				off += ldb
 			}
-			acc[m*nc+j] = s
+			unpack(acc, 2*p, M, nc, j, s)
 		}
+	}
+}
+
+// unpack stores a packed accumulator's lanes as rows m and m+1 of column j;
+// the upper lane of an odd M's last pair is the zero row and is dropped.
+func unpack(acc []int32, m, M, nc, j int, s int64) {
+	lo := int32(s)
+	acc[m*nc+j] = lo
+	if m+1 < M {
+		acc[(m+1)*nc+j] = int32((s - int64(lo)) >> 32)
 	}
 }

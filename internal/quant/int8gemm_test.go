@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -121,7 +122,8 @@ func TestForwardI8FloatMatchesPerPlane(t *testing.T) {
 					q.forwardPlane(qx, []int{s.n, s.c, s.h, s.w}, want, n, oc)
 				}
 			}
-			got := q.forwardI8Float(qx, s.n, s.h, s.w, nil, nil)
+			got := tensor.New(s.n, s.outC, oh, ow)
+			q.forward(qx, s.n, s.h, s.w, nil, got, nil)
 			for i := range want.Data {
 				if got.Data[i] != want.Data[i] {
 					t.Fatalf("shape %+v relu=%v: element %d differs: gemm %v per-plane %v",
@@ -149,7 +151,7 @@ func TestForwardI8RequantMatchesFormula(t *testing.T) {
 	qx := randQx(rng, N*q.inC*H*W)
 	oh, ow := q.outSize(H, W)
 	out := make([]int8, N*q.outC*oh*ow)
-	q.forwardI8(qx, N, H, W, out, nil)
+	q.forward(qx, N, H, W, out, nil, nil)
 	// Reference: exact accumulators from the per-plane loop, with the
 	// dequantising epilogue disabled by unit constants so y holds raw acc.
 	ref := &qconv{foldedConv: q.foldedConv, qw: q.qw, relu: false}
@@ -211,6 +213,127 @@ func TestQuantI8MatchesLegacyOnCorpus(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestQuantI8NonFinite pins the inputs the ±127 clamp must not leave to the
+// platform's float-to-int conversion: NaN quantises to 0, ±Inf to ±127.
+func TestQuantI8NonFinite(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	src := []float32{nan, inf, -inf, 0.5, -nan}
+	got := make([]int8, len(src))
+	quantI8(got, src, 1.0/127)
+	for i, want := range []int8{0, 127, -127, 64, 0} {
+		if got[i] != want {
+			t.Errorf("quantI8(%v) = %d, want %d", src[i], got[i], want)
+		}
+	}
+}
+
+// naiveGemm is the triple loop gemmPairs must equal bit for bit:
+// acc[m*nc+j] = sum_k qw[m*K+k]*b[k*ldb+j], accumulated in int64 so the
+// reference itself cannot wrap.
+func naiveGemm(t *testing.T, qw, b []int8, ldb, M, K, nc int) []int32 {
+	acc := make([]int32, M*nc)
+	for m := 0; m < M; m++ {
+		for j := 0; j < nc; j++ {
+			var s int64
+			for k := 0; k < K; k++ {
+				s += int64(qw[m*K+k]) * int64(b[k*ldb+j])
+			}
+			if int64(int32(s)) != s {
+				t.Fatalf("reference sum %d at (%d,%d) leaves int32", s, m, j)
+			}
+			acc[m*nc+j] = int32(s)
+		}
+	}
+	return acc
+}
+
+// checkGemm runs gemmPairs over a poisoned accumulator tile (pooled tiles
+// arrive dirty) and demands exact equality with naiveGemm.
+func checkGemm(t *testing.T, qw, b []int8, ldb, M, K, nc int) {
+	t.Helper()
+	want := naiveGemm(t, qw, b, ldb, M, K, nc)
+	got := make([]int32, M*nc)
+	for i := range got {
+		got[i] = -1 << 31
+	}
+	gemmPairs(packPairs(qw, M, K), b, ldb, got, M, K, nc)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("M=%d K=%d nc=%d ldb=%d: acc[%d] (row %d, col %d) = %d, want %d",
+				M, K, nc, ldb, i, i/nc, i%nc, got[i], want[i])
+		}
+	}
+}
+
+// TestGemmPairsMatchesNaive sweeps random shapes so every row tail (0-3
+// packed rows left over), column tail and odd-M zero lane meets every other,
+// with ldb > nc as on the 1x1 path, over the full int8 range.
+func TestGemmPairsMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	full := func(n int) []int8 {
+		v := make([]int8, n)
+		for i := range v {
+			v[i] = int8(rng.Intn(256) - 128)
+		}
+		return v
+	}
+	for i := 0; i < 400; i++ {
+		M, K, nc := 1+rng.Intn(13), 1+rng.Intn(300), 1+rng.Intn(11)
+		ldb := nc + rng.Intn(3)
+		checkGemm(t, full(M*K), full(K*ldb), ldb, M, K, nc)
+	}
+}
+
+// TestGemmPairsLaneExtremes drives both lanes of a packed accumulator to
+// their most negative and most positive sums at once, in every combination,
+// so a carry or borrow mistake between the lanes cannot hide behind random
+// data: weights are all +-127, activations all -128 or +127, each constant or
+// alternating along k. Every pair of the four weight-row patterns shares a
+// packed row (33 rows: sixteen pairs and an odd row over the zero lane),
+// against five columns (two tile steps and a tail). K = 288 is the deepest
+// production reduction; K = 4 096 is fourteen times past it.
+func TestGemmPairsLaneExtremes(t *testing.T) {
+	pattern := func(p, k int, pos, neg int8) int8 {
+		if p == 0 || p == 2 && k%2 == 0 || p == 3 && k%2 == 1 {
+			return pos
+		}
+		return neg
+	}
+	const M, nc = 33, 5
+	for _, K := range []int{288, 4096} {
+		qw := make([]int8, M*K)
+		for m := 0; m < M; m++ {
+			p := m / 2 / 4 // row 2i carries pattern i/4, row 2i+1 pattern i%4
+			if m%2 == 1 {
+				p = m / 2 % 4
+			}
+			for k := 0; k < K; k++ {
+				qw[m*K+k] = pattern(p, k, 127, -127)
+			}
+		}
+		b := make([]int8, K*nc)
+		for k := 0; k < K; k++ {
+			for j := 0; j < nc; j++ {
+				b[k*nc+j] = pattern(j%4, k, 127, -128)
+			}
+		}
+		checkGemm(t, qw, b, nc, M, K, nc)
+	}
+}
+
+// TestPackPairsRefusesOverflowingK pins the lane bound where the layout is
+// built: the deepest K whose sums provably fit int32 packs, one more panics.
+func TestPackPairsRefusesOverflowingK(t *testing.T) {
+	const maxK = 132104 // floor((2^31-1) / (127*128))
+	packPairs(nil, 0, maxK)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("packPairs accepted a K whose lane sums can leave int32")
+		}
+	}()
+	packPairs(nil, 0, maxK+1)
 }
 
 // TestInt8PipelineScaleChain checks link's invariants: every backbone
@@ -286,5 +409,30 @@ func BenchmarkInt8Forward(b *testing.B) {
 		upo, ago := qm.Forward(x)
 		qm.Pool.Put(upo)
 		qm.Pool.Put(ago)
+	}
+}
+
+// BenchmarkGemmI8 times the packed-pair kernel alone on every production
+// shape (M = outC, K = inC*k*k, the layer's first column block at N=1), so a
+// kernel change can be sized without the im2col and epilogue around it.
+func BenchmarkGemmI8(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	for _, s := range []struct {
+		name       string
+		M, K, cols int
+	}{
+		{"B1", 10, 27, 3840}, {"B2", 16, 90, 960}, {"B3", 24, 144, 240}, {"B3b", 24, 216, 240},
+		{"B4", 32, 216, 60}, {"B5", 32, 288, 15}, {"UPO", 5, 24, 240}, {"AGO", 5, 32, 15},
+	} {
+		nc := min(tensor.ColBlock(s.K, s.cols), s.cols)
+		ap := packPairs(randQx(rng, s.M*s.K), s.M, s.K)
+		panel := randQx(rng, s.K*nc)
+		acc := make([]int32, s.M*nc)
+		b.Run(fmt.Sprintf("%s_%dx%dx%d", s.name, s.M, s.K, nc), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				gemmPairs(ap, panel, nc, acc, s.M, s.K, nc)
+			}
+			b.ReportMetric(float64(s.M*s.K*nc)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+		})
 	}
 }

@@ -8,6 +8,13 @@
 // Inference runs with int8 multiplications accumulated in int32, exactly the
 // arithmetic an ARM CPU would execute, so the accuracy loss measured in the
 // experiments (Table III vs Table IV) is the genuine quantisation error.
+//
+// The port is the fast path as well as the small one, as in the paper: integer
+// products are exact, so the GEMM carries two weight rows in one 64-bit lane
+// pair and gets two MACs from every multiply (gemmPairs in int8gemm.go),
+// which float arithmetic cannot do. The batched int8 forward outruns the
+// float one (cmd/darpa-bench, audit-batch: audit_int8_screens_per_s against
+// audit_screens_per_s).
 package quant
 
 import (
@@ -31,7 +38,8 @@ type foldedConv struct {
 // qconv is an int8-quantised convolution layer.
 type qconv struct {
 	foldedConv
-	qw      []int8    // quantised weights
+	qw      []int8    // quantised weights: canonical (WeightBytes, the test oracle)
+	qwp     []int64   // qw as packed row pairs, the layout gemmPairs reads (see packPairs)
 	wScale  []float32 // per-output-channel weight scale
 	inScale float32   // activation scale (from calibration)
 	relu    bool      // apply leaky-ReLU(0.1) after
@@ -48,7 +56,7 @@ type qconv struct {
 }
 
 // quantiseWeights converts folded float weights to int8 with per-channel
-// symmetric scales.
+// symmetric scales, and derives the packed-pair layout the GEMM multiplies.
 func (q *qconv) quantiseWeights() {
 	per := q.inC * q.k * q.k
 	q.qw = make([]int8, len(q.w))
@@ -74,6 +82,7 @@ func (q *qconv) quantiseWeights() {
 			q.qw[oc*per+i] = int8(clamp(math.Round(float64(v)), -127, 127))
 		}
 	}
+	q.qwp = packPairs(q.qw, q.outC, per)
 }
 
 // Model is the ported, int8 detector — the artefact DARPA embeds in the
@@ -229,41 +238,45 @@ func (qm *Model) forwardInt8(ctx context.Context, x *tensor.Tensor) (upo, ago *t
 	p := qm.Pool
 	done := ctx.Done()
 	N, _, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	cur := getI8(len(x.Data))
+	cur := i8s.get(len(x.Data))
 	quantI8(*cur, x.Data, qm.blocks[0].inScale)
 	for _, b := range qm.blocks {
 		oh, ow := b.outSize(h, w)
-		nxt := getI8(N * b.outC * oh * ow)
-		b.forwardI8(*cur, N, h, w, *nxt, done)
-		putI8(cur)
+		nxt := i8s.get(N * b.outC * oh * ow)
+		b.forward(*cur, N, h, w, *nxt, nil, done)
+		i8s.put(cur)
 		cur, h, w = nxt, oh, ow
 		if err := ctx.Err(); err != nil {
-			putI8(cur)
+			i8s.put(cur)
 			return nil, nil, err
 		}
 	}
 	// cur is the stride-8 trunk, int8 at the scale both consumers expect.
-	upo = qm.upoHead.forwardI8Float(*cur, N, h, w, p, done)
+	oh, ow := qm.upoHead.outSize(h, w)
+	upo = p.Get(N, qm.upoHead.outC, oh, ow)
+	qm.upoHead.forward(*cur, N, h, w, nil, upo, done)
 	if err := ctx.Err(); err != nil {
-		putI8(cur)
+		i8s.put(cur)
 		p.Put(upo)
 		return nil, nil, err
 	}
 	for _, b := range qm.deep {
 		oh, ow := b.outSize(h, w)
-		nxt := getI8(N * b.outC * oh * ow)
-		b.forwardI8(*cur, N, h, w, *nxt, done)
-		putI8(cur) // for the first deep block this releases the trunk,
+		nxt := i8s.get(N * b.outC * oh * ow)
+		b.forward(*cur, N, h, w, *nxt, nil, done)
+		i8s.put(cur) // for the first deep block this releases the trunk,
 		// whose second consumer (the UPO head) has already run
 		cur, h, w = nxt, oh, ow
 		if err := ctx.Err(); err != nil {
-			putI8(cur)
+			i8s.put(cur)
 			p.Put(upo)
 			return nil, nil, err
 		}
 	}
-	ago = qm.agoHead.forwardI8Float(*cur, N, h, w, p, done)
-	putI8(cur)
+	oh, ow = qm.agoHead.outSize(h, w)
+	ago = p.Get(N, qm.agoHead.outC, oh, ow)
+	qm.agoHead.forward(*cur, N, h, w, nil, ago, done)
+	i8s.put(cur)
 	if err := ctx.Err(); err != nil {
 		p.Put(upo)
 		p.Put(ago)

@@ -24,10 +24,12 @@ type convSpec struct {
 	inC, outC, kk, stride, pad int
 }
 
-// colBlock picks the column-block width: panels are capped near 32k
-// elements (128 KiB of float32) so a block stays cache-resident across the
-// row-tile sweeps, with a floor that keeps the 4-wide kernel efficient.
-func colBlock(kdim, cols int) int {
+// ColBlock picks the column-block width for both precisions' GEMM (the int8
+// one lives in internal/quant): panels are capped near 32k elements (128 KiB
+// of float32, 32 KiB of int8) so a block stays cache-resident across the
+// row-tile sweeps, with a floor of 16 and a multiple of 4 to keep the
+// register tiles full.
+func ColBlock(kdim, cols int) int {
 	b := (1 << 15) / kdim
 	if b > cols {
 		b = cols
@@ -35,10 +37,7 @@ func colBlock(kdim, cols int) int {
 	if b < 16 {
 		b = 16
 	}
-	if b >= 8 {
-		b &^= 3
-	}
-	return b
+	return b &^ 3
 }
 
 // convGemmInto computes y = conv(x; w, bias) for every batch item via
@@ -53,7 +52,7 @@ func convGemmInto(x, y *Tensor, spec convSpec, w, bias []float32, act bool, slop
 	OH, OW := y.Shape[2], y.Shape[3]
 	cols := OH * OW
 	kdim := spec.inC * spec.kk * spec.kk
-	blk := colBlock(kdim, cols)
+	blk := ColBlock(kdim, cols)
 	nBlocks := (cols + blk - 1) / blk
 	tasks := N * nBlocks
 	if ParallelWorthwhile(N * spec.outC * cols * kdim) {
