@@ -193,6 +193,7 @@ func main() {
 		fmt.Printf("degraded (no detector):      %d\n", st.Degraded)
 		fmt.Printf("detector retries:            %d\n", st.Retried)
 		fmt.Printf("fallback served:             %d\n", st.FellBack)
+		fmt.Printf("circuit-breaker trips:       %d\n", st.BreakerTrips)
 		fmt.Printf("faults injected:             %s\n", plan)
 		printServedRate(st)
 	}

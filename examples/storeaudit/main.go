@@ -124,9 +124,6 @@ func main() {
 	for _, r := range rows {
 		fmt.Printf("%-18s %8d %12d %14d\n", r.pkg, r.screens, r.auiScreens, r.popups)
 	}
-	// Fold the cache tallies into the same recorder the latency stages feed,
-	// so one summary line carries both.
-	cached.PublishStats(rec)
 	fmt.Printf("\naudited %d screens: %s\n", total, rec.String())
 	fmt.Printf("cache hit rate: %.0f%% (%d hits / %d misses)\n",
 		100*cached.HitRate(), cached.Hits(), cached.Misses())

@@ -182,26 +182,6 @@ func TestDeadlineExpiryCountsTimedOut(t *testing.T) {
 	s.Stop()
 }
 
-// TestBaseContextCancelAbandonsCycles: cancelling the BaseContext (a fleet
-// pulling one device) makes cycles abandon before inference starts.
-func TestBaseContextCancelAbandonsCycles(t *testing.T) {
-	clock, mgr, _ := newEnv(23)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	d := &ctxDetector{dets: []metrics.Detection{upoDet(20, 2, 4, 4)}}
-	s := Start(clock, mgr, d, Config{BaseContext: ctx})
-	mgr.Emit(a11y.TypeWindowsChanged, "app")
-	clock.RunFor(time.Second)
-	st := s.Stats()
-	if st.Superseded != 1 || st.Analyses != 0 {
-		t.Fatalf("stats = %+v, want the cycle abandoned as Superseded", st)
-	}
-	if d.ctxCalls() != 0 {
-		t.Fatal("inference ran under a dead base context")
-	}
-	s.Stop()
-}
-
 // TestStopRaceStress soaks Stop racing the in-flight cycle under -race:
 // repeated rounds of event -> blocked forward -> concurrent Stop + Stats
 // readers must neither deadlock nor leave decorations behind.

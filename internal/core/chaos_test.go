@@ -80,8 +80,6 @@ func TestChaosFleetSurvives(t *testing.T) {
 		wg.Add(1)
 		go func(d int) {
 			defer wg.Done()
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
 			clock := sim.NewClock(int64(42 + d))
 			screen := uikit.NewScreen(384, 640)
 			mgr := a11y.NewManager(clock, screen)
@@ -96,7 +94,6 @@ func TestChaosFleetSurvives(t *testing.T) {
 				Fallbacks: []detect.Detector{
 					faults.WrapStage(&chaosStub{name: "fallback"}, plan, "fallback"),
 				},
-				BaseContext: ctx,
 			})
 			clock.RunUntil(2 * time.Minute)
 			monkey.Stop()
@@ -124,6 +121,7 @@ func TestChaosFleetSurvives(t *testing.T) {
 		agg.Degraded += st.Degraded
 		agg.Retried += st.Retried
 		agg.FellBack += st.FellBack
+		agg.BreakerTrips += st.BreakerTrips
 		for i := range agg.Stages {
 			agg.Stages[i].Runs += st.Stages[i].Runs
 		}
@@ -134,6 +132,13 @@ func TestChaosFleetSurvives(t *testing.T) {
 	}
 	if agg.Retried == 0 {
 		t.Error("no retries recorded under a 30% error rate")
+	}
+	// A breaker opens on five consecutive failures of one chain member. Retry
+	// leaves the primary failing ~5% of calls, so five in a row is well under
+	// a one-in-a-million event, and the fallback only runs on those: a trip
+	// here means the chain charged a retried-away failure to a member.
+	if agg.BreakerTrips != 0 {
+		t.Errorf("%d breaker trips with retry absorbing the error rate, want 0", agg.BreakerTrips)
 	}
 	served := agg.Stages[StageAct].Runs
 	eligible := served + agg.Degraded

@@ -24,7 +24,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/perfmodel"
 	"repro/internal/render"
-	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/uikit"
 	"repro/internal/yolite"
@@ -81,21 +80,6 @@ type Config struct {
 	// Stats.TimedOut, and the act stage (decoration, observers, bypass) is
 	// skipped. Zero means no deadline.
 	Deadline time.Duration
-	// BaseContext, when non-nil, parents every per-analysis context, so an
-	// embedding application (the fleet simulator runs one service per
-	// device) can cancel a whole service's work at once. Nil means
-	// context.Background().
-	BaseContext context.Context
-	// Tenant, when non-empty, tags every analysis context with this serving
-	// tenant identity (serve.WithTenant), so a shared serve.Batcher can
-	// rate-limit, prioritise, and account this service's requests per
-	// tenant. Empty leaves the context untagged, which the serving layer
-	// accounts to serve.DefaultTenant.
-	Tenant string
-	// TenantPriority is the scheduler queue this service's requests ask
-	// for. The Batcher's tenant table, when it names the tenant, overrides
-	// this. Zero is serve.PriorityLive — right for interactive decoration.
-	TenantPriority serve.Priority
 	// RetryAttempts, when > 1, wraps the detector in detect.WithRetry with
 	// that attempt bound, so transient backend failures (errors, panics,
 	// corrupt results) are retried with backoff before the cycle degrades.
@@ -176,6 +160,9 @@ type Stats struct {
 	// FellBack counts inference calls served by a Config.Fallbacks backend
 	// rather than the primary detector.
 	FellBack int
+	// BreakerTrips counts how many times a Config.Fallbacks chain member's
+	// circuit breaker opened, summed over the chain.
+	BreakerTrips int
 	// AUIFlagged counts analyses that detected at least one option.
 	AUIFlagged int
 	// DecorationsDrawn counts decoration views added.
@@ -184,8 +171,8 @@ type Stats struct {
 	Bypasses int
 	// Rinses counts screenshot buffers zeroed after use.
 	Rinses int
-	// Stages holds per-stage run counts and cumulative compute time,
-	// indexed by Stage.
+	// Stages holds per-stage run counts, indexed by Stage. Their time is
+	// in Timings.
 	Stages [NumStages]StageStats
 }
 
@@ -258,15 +245,11 @@ func Start(clock *sim.Clock, mgr *a11y.Manager, detector detect.Detector, cfg Co
 	// backend). A caller that wants a result cache wraps its detector in
 	// detect.WithResultCache before Start.
 	if detector != nil && cfg.RetryAttempts > 1 {
-		s.retrier = detect.WithRetry(detector, detect.RetryOptions{
-			MaxAttempts: cfg.RetryAttempts,
-			Timings:     s.timings,
-		})
+		s.retrier = detect.WithRetry(detector, cfg.RetryAttempts)
 		detector = s.retrier
 	}
 	if detector != nil && len(cfg.Fallbacks) > 0 {
-		s.chain = detect.WithFallback(detect.FallbackOptions{Timings: s.timings},
-			append([]detect.Detector{detector}, cfg.Fallbacks...)...)
+		s.chain = detect.WithFallback(append([]detect.Detector{detector}, cfg.Fallbacks...)...)
 		detector = s.chain
 	}
 	s.detector = detector
@@ -275,9 +258,10 @@ func Start(clock *sim.Clock, mgr *a11y.Manager, detector detect.Detector, cfg Co
 	return s
 }
 
-// Stats returns a snapshot of the counters. Retried and FellBack are read
-// live from the resilience wrappers (they own those counts), so the
-// snapshot is consistent with their Stats() at the moment of the call.
+// Stats returns a snapshot of the counters. Retried, FellBack and
+// BreakerTrips are read live from the resilience wrappers (they own those
+// counts), so the snapshot is consistent with their Stats() at the moment
+// of the call.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	st := s.stats
@@ -286,7 +270,11 @@ func (s *Service) Stats() Stats {
 		st.Retried = s.retrier.Stats().Retries
 	}
 	if s.chain != nil {
-		st.FellBack = s.chain.Stats().FellBack
+		cs := s.chain.Stats()
+		st.FellBack = cs.FellBack
+		for _, b := range cs.Backends {
+			st.BreakerTrips += b.Tripped
+		}
 	}
 	return st
 }
@@ -354,7 +342,7 @@ func (s *Service) onEvent(e a11y.Event) {
 }
 
 // beginAnalysis opens one analysis cycle: it builds the cycle's context
-// (parented on Config.BaseContext, bounded by Config.Deadline) and registers
+// (bounded by Config.Deadline) and registers
 // it as the in-flight work that onEvent and Stop can cancel. The returned
 // finish must run when the cycle unwinds; ok is false when the service is
 // stopped.
@@ -365,21 +353,11 @@ func (s *Service) beginAnalysis() (ctx context.Context, finish func(), ok bool) 
 		return nil, nil, false
 	}
 	s.pending = nil
-	base := s.cfg.BaseContext
-	if base == nil {
-		base = context.Background()
-	}
 	var cancel context.CancelFunc
 	if d := s.cfg.Deadline; d > 0 {
-		ctx, cancel = context.WithTimeout(base, d)
+		ctx, cancel = context.WithTimeout(context.Background(), d)
 	} else {
-		ctx, cancel = context.WithCancel(base)
-	}
-	if s.cfg.Tenant != "" {
-		ctx = serve.WithTenant(ctx, serve.TenantInfo{
-			ID:       serve.TenantID(s.cfg.Tenant),
-			Priority: s.cfg.TenantPriority,
-		})
+		ctx, cancel = context.WithCancel(context.Background())
 	}
 	done := make(chan struct{})
 	s.inflightCancel = cancel
@@ -398,8 +376,7 @@ func (s *Service) beginAnalysis() (ctx context.Context, finish func(), ok bool) 
 }
 
 // abandon accounts one cycle that did not complete: deadline expiries count
-// as TimedOut, every other cancellation (fresh event, Stop, a cancelled
-// BaseContext) as Superseded.
+// as TimedOut, every other cancellation (fresh event, Stop) as Superseded.
 func (s *Service) abandon(err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -414,18 +391,16 @@ func (s *Service) abandon(err error) {
 // panic, or corrupt result that survived whatever retry and fallback the
 // config installed). Degraded mode is the graceful floor of the service:
 // the cycle skips decoration — the screen goes unprotected this once —
-// instead of crashing, and the failure is visible in Stats.Degraded and the
-// "degraded" timings stage.
+// instead of crashing, and the failure is counted in Stats.Degraded.
 func (s *Service) degrade() {
 	s.mu.Lock()
 	s.stats.Degraded++
 	s.mu.Unlock()
-	s.timings.AddItems("degraded", 1)
 }
 
 // analyze runs one detection cycle (Fig. 5 steps 3-5) as an explicit
 // pipeline: capture -> preprocess -> infer -> postprocess -> act. Each stage
-// is individually timed into Stats.Stages and the Timings recorder. The
+// is counted in Stats.Stages and timed into the Timings recorder. The
 // cycle runs under a per-analysis context: between stages (and, inside
 // inference, between conv layers) a cancel or deadline expiry aborts the
 // remaining work — in particular a cancelled cycle never reaches the act

@@ -45,14 +45,12 @@ func (st Stage) String() string {
 	return stageNames[st]
 }
 
-// StageStats accumulates per-stage activity for the overhead model.
+// StageStats counts per-stage activity. The stage's wall-clock time — real
+// compute, since the simulation clock is virtual — is the same-named stage
+// of the service's Timings.
 type StageStats struct {
 	// Runs counts how many analyses executed this stage.
 	Runs int
-	// Time is the cumulative wall-clock time spent in the stage. The
-	// simulation clock is virtual, so this measures real compute cost —
-	// what the perfmodel calibration wants.
-	Time time.Duration
 }
 
 // CaptureResult is the output of the capture stage.
@@ -103,9 +101,7 @@ func (s *Service) stageStart(st Stage) func() {
 	return func() {
 		d := time.Since(begin)
 		s.mu.Lock()
-		ss := &s.stats.Stages[st]
-		ss.Runs++
-		ss.Time += d
+		s.stats.Stages[st].Runs++
 		s.mu.Unlock()
 		s.timings.Observe(st.String(), d)
 	}

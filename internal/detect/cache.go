@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"repro/internal/metrics"
-	"repro/internal/perfmodel"
 	"repro/internal/tensor"
 )
 
@@ -107,15 +106,6 @@ func (c *Cache) HitRate() float64 {
 		return 0
 	}
 	return float64(h) / float64(h+m)
-}
-
-// PublishStats folds the cache's lifetime hit and miss tallies into rec as
-// the count-only stages "cache-hit" and "cache-miss", putting the hit rate
-// in the same report the latency stages already feed. Call it once at the
-// end of a run; repeated calls re-add the totals. A nil rec is a no-op.
-func (c *Cache) PublishStats(rec *perfmodel.Timings) {
-	rec.AddItems("cache-hit", c.Hits())
-	rec.AddItems("cache-miss", c.Misses())
 }
 
 // cacheSeed is fixed so keys are stable within a process run.

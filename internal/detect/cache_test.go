@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
-	"repro/internal/perfmodel"
 	"repro/internal/tensor"
 	"repro/internal/yolite"
 )
@@ -116,23 +115,6 @@ func TestCacheBoundedAtCapacity(t *testing.T) {
 	if c.Len() != 64 {
 		t.Fatalf("Len=%d, want full cache of 64", c.Len())
 	}
-}
-
-// TestCachePublishStats routes the tallies into a Timings recorder, the
-// line operators read hit-rate from.
-func TestCachePublishStats(t *testing.T) {
-	c := WithResultCache(&contentStub{}, 8)
-	x := screen(1)
-	c.PredictTensor(x, 0, 0.45)
-	c.PredictTensor(x, 0, 0.45)
-	c.PredictTensor(x, 0, 0.45)
-	rec := &perfmodel.Timings{}
-	c.PublishStats(rec)
-	snap := rec.Snapshot()
-	if snap["cache-hit"].Count != 2 || snap["cache-miss"].Count != 1 {
-		t.Fatalf("published hit=%d miss=%d, want 2/1", snap["cache-hit"].Count, snap["cache-miss"].Count)
-	}
-	c.PublishStats(nil) // must not panic
 }
 
 // TestHitRateEmptyCache guards the 0/0 division.

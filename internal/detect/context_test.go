@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/perfmodel"
 	"repro/internal/quant"
 	"repro/internal/tensor"
 	"repro/internal/yolite"
@@ -153,7 +152,7 @@ func TestPredictCtxCancelMidForward(t *testing.T) {
 // screen and for a batch.
 func TestMiddlewareCtxPath(t *testing.T) {
 	s := &stubDetector{dets: []metrics.Detection{det(10, 10, 8, 8, 0.9)}}
-	d := WithRetry(WithResultCache(s, 8), RetryOptions{})
+	d := WithRetry(WithResultCache(s, 8), 0)
 	ctx := cancellableCtx(t)
 	dets, err := Only(d.PredictBatchCtx(ctx, randomBatch(1, 1), 0.45))
 	if err != nil {
@@ -210,8 +209,7 @@ func TestCacheCtxErrorNotStored(t *testing.T) {
 }
 
 // TestCacheStatsBeforeTraffic: the observability accessors must be safe on a
-// fresh cache — Len 0, a 0/0-guarded HitRate, and PublishStats that tolerates
-// both a nil recorder and a zero-traffic cache.
+// fresh cache — Len 0, zero hits and misses, and a 0/0-guarded HitRate.
 func TestCacheStatsBeforeTraffic(t *testing.T) {
 	c := WithResultCache(&stubDetector{}, 8)
 	if c.Len() != 0 {
@@ -220,11 +218,8 @@ func TestCacheStatsBeforeTraffic(t *testing.T) {
 	if got := c.HitRate(); got != 0 {
 		t.Fatalf("fresh cache HitRate = %v, want 0 (no NaN)", got)
 	}
-	c.PublishStats(nil) // must not panic
-	rec := &perfmodel.Timings{}
-	c.PublishStats(rec) // zero traffic: publishes nothing, panics never
-	if snap := rec.Snapshot(); snap["cache-hit"].Count != 0 || snap["cache-miss"].Count != 0 {
-		t.Fatalf("zero-traffic publish recorded %+v", snap)
+	if c.Hits() != 0 || c.Misses() != 0 {
+		t.Fatalf("fresh cache hits/misses = %d/%d", c.Hits(), c.Misses())
 	}
 	c.PredictTensor(randomBatch(1, 5), 0, 0.45)
 	if c.Len() != 1 {

@@ -217,7 +217,7 @@ func TestResultCacheBadBatchIndexBypasses(t *testing.T) {
 
 func TestMiddlewareComposes(t *testing.T) {
 	s := &stubDetector{dets: []metrics.Detection{det(10, 10, 8, 8, 0.9)}}
-	d := WithRetry(WithResultCache(s, 4), RetryOptions{})
+	d := WithRetry(WithResultCache(s, 4), 0)
 	if d.Name() != "stub" {
 		t.Fatalf("composed stack should still report the backend name, got %q", d.Name())
 	}

@@ -69,10 +69,9 @@ func TestResilienceTransparentOnRandomResults(t *testing.T) {
 		want := append([]metrics.Detection(nil), dets...)
 
 		wrapped := map[string]Detector{
-			"retry":    WithRetry(mk(), RetryOptions{}),
-			"fallback": WithFallback(FallbackOptions{}, mk()),
-			"stacked": WithFallback(FallbackOptions{},
-				WithRetry(mk(), RetryOptions{})),
+			"retry":    WithRetry(mk(), 0),
+			"fallback": WithFallback(mk()),
+			"stacked":  WithFallback(WithRetry(mk(), 0)),
 		}
 		for name, d := range wrapped {
 			got, err := Predict(ctx, d, x, 0, 0.5)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/perfmodel"
 	"repro/internal/tensor"
 )
 
@@ -109,15 +108,6 @@ func Guarded(ctx context.Context, d Detector, x *tensor.Tensor, conf float64, va
 // ---------------------------------------------------------------------------
 // Retry
 
-// RetryOptions tune WithRetry. The zero value retries up to 3 attempts.
-type RetryOptions struct {
-	// MaxAttempts bounds total attempts (first try included); <= 0 means 3.
-	MaxAttempts int
-	// Timings, when non-nil, counts retries under "detect-retry" and
-	// exhausted calls under "detect-retry-failed".
-	Timings *perfmodel.Timings
-}
-
 // Backoff before the first retry, doubled per attempt up to the cap.
 const (
 	retryBaseDelay = time.Millisecond
@@ -144,7 +134,6 @@ type RetryStats struct {
 type Retrier struct {
 	inner    Detector
 	attempts int
-	rec      *perfmodel.Timings
 	// retryBaseDelay and retryMaxDelay; fields so in-package tests can back
 	// off for a nanosecond.
 	baseDelay, maxDelay time.Duration
@@ -154,15 +143,15 @@ type Retrier struct {
 	stats RetryStats
 }
 
-// WithRetry wraps d with bounded, backed-off retry. A result ValidDetections
+// WithRetry wraps d with bounded, backed-off retry: at most attempts tries
+// per call, first try included (<= 0 means 3). A result ValidDetections
 // rejects counts as a failed attempt (ErrCorruptResult).
-func WithRetry(d Detector, opts RetryOptions) *Retrier {
-	attempts := opts.MaxAttempts
+func WithRetry(d Detector, attempts int) *Retrier {
 	if attempts <= 0 {
 		attempts = 3
 	}
 	return &Retrier{
-		inner: d, attempts: attempts, rec: opts.Timings,
+		inner: d, attempts: attempts,
 		baseDelay: retryBaseDelay, maxDelay: retryMaxDelay,
 		rng: rand.New(rand.NewSource(1)),
 	}
@@ -207,7 +196,7 @@ func (r *Retrier) note(f func(*RetryStats)) {
 	r.mu.Unlock()
 }
 
-// PredictBatchCtx runs the retry loop: up to MaxAttempts guarded, validated
+// PredictBatchCtx runs the retry loop: up to attempts guarded, validated
 // attempts separated by jittered exponential backoff. One forward serves
 // every item, so the batch fails and retries as a unit (per-item containment
 // is the serving layer's poison isolation, not the retrier's). A first-try
@@ -222,7 +211,6 @@ func (r *Retrier) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf fl
 				return nil, err
 			}
 			r.note(func(s *RetryStats) { s.Retries++ })
-			r.rec.AddItems("detect-retry", 1)
 		}
 		out, err := Guarded(ctx, r.inner, x, conf, ValidDetections)
 		if err == nil {
@@ -237,19 +225,11 @@ func (r *Retrier) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf fl
 		lastErr = err
 	}
 	r.note(func(s *RetryStats) { s.Failures++ })
-	r.rec.AddItems("detect-retry-failed", 1)
 	return nil, lastErr
 }
 
 // ---------------------------------------------------------------------------
 // Fallback chain with circuit breaking
-
-// FallbackOptions tune WithFallback.
-type FallbackOptions struct {
-	// Timings, when non-nil, counts fallback serves under "detect-fallback"
-	// and breaker trips under "detect-breaker-open".
-	Timings *perfmodel.Timings
-}
 
 // A breaker opens after breakerFailures consecutive failures and sits out
 // breakerCooldown chain calls before a half-open probe. Counting calls
@@ -308,7 +288,6 @@ type health struct {
 // the accounting. Safe for concurrent use.
 type FallbackChain struct {
 	backends []Detector
-	rec      *perfmodel.Timings
 	// breakerFailures and breakerCooldown; fields so in-package tests can
 	// trip a breaker on the first failure.
 	breakAfter, cooldown int
@@ -320,12 +299,12 @@ type FallbackChain struct {
 
 // WithFallback chains backends primary-first. It panics when given no
 // backends (a chain that can serve nothing is a programming error).
-func WithFallback(opts FallbackOptions, backends ...Detector) *FallbackChain {
+func WithFallback(backends ...Detector) *FallbackChain {
 	if len(backends) == 0 {
 		panic("detect: WithFallback requires at least one backend")
 	}
 	return &FallbackChain{
-		backends: backends, rec: opts.Timings,
+		backends:   backends,
 		breakAfter: breakerFailures, cooldown: breakerCooldown,
 		health: make([]health, len(backends)),
 	}
@@ -409,7 +388,6 @@ func (f *FallbackChain) noteOutcome(i int, ok bool) {
 		h.open = true
 		h.cooldown = f.cooldown
 		h.tripped++
-		f.rec.AddItems("detect-breaker-open", 1)
 	}
 }
 
@@ -461,7 +439,6 @@ func (f *FallbackChain) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, c
 		}
 		if i > 0 {
 			f.note(func(s *FallbackStats) { s.FellBack++ })
-			f.rec.AddItems("detect-fallback", 1)
 		}
 		return out, nil
 	}

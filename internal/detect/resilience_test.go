@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
-	"repro/internal/perfmodel"
 	"repro/internal/tensor"
 )
 
@@ -109,15 +108,15 @@ func TestValidDetections(t *testing.T) {
 
 // fastRetry is WithRetry backing off for a nanosecond, so retry tests do not
 // sleep.
-func fastRetry(d Detector, opts RetryOptions) *Retrier {
-	r := WithRetry(d, opts)
+func fastRetry(d Detector, attempts int) *Retrier {
+	r := WithRetry(d, attempts)
 	r.baseDelay, r.maxDelay = 1, 1
 	return r
 }
 
 // breakerChain is WithFallback with the breaker thresholds a test needs.
-func breakerChain(breakAfter, cooldown int, rec *perfmodel.Timings, backends ...Detector) *FallbackChain {
-	f := WithFallback(FallbackOptions{Timings: rec}, backends...)
+func breakerChain(breakAfter, cooldown int, backends ...Detector) *FallbackChain {
+	f := WithFallback(backends...)
 	f.breakAfter, f.cooldown = breakAfter, cooldown
 	return f
 }
@@ -143,7 +142,7 @@ func TestGuardedConvertsPanics(t *testing.T) {
 
 func TestRetryTransparentOnSuccess(t *testing.T) {
 	b := &flakyBackend{dets: healthyDets()}
-	r := WithRetry(b, RetryOptions{})
+	r := WithRetry(b, 0)
 	x := resTensor(1)
 
 	dets, err := Predict(context.Background(), r, x, 0, 0.5)
@@ -163,9 +162,8 @@ func TestRetryTransparentOnSuccess(t *testing.T) {
 }
 
 func TestRetryRecoversAfterFailures(t *testing.T) {
-	rec := &perfmodel.Timings{}
 	b := &flakyBackend{dets: healthyDets(), failures: 2, err: errors.New("transient")}
-	r := fastRetry(b, RetryOptions{MaxAttempts: 3, Timings: rec})
+	r := fastRetry(b, 3)
 	dets, err := Predict(context.Background(), r, resTensor(1), 0, 0.5)
 	if err != nil {
 		t.Fatalf("retry should have recovered: %v", err)
@@ -177,14 +175,11 @@ func TestRetryRecoversAfterFailures(t *testing.T) {
 	if st.Retries != 2 || st.Recovered != 1 || st.Failures != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if snap := rec.Snapshot(); snap["detect-retry"].Count != 2 {
-		t.Fatalf("timings: %+v", snap)
-	}
 }
 
 func TestRetryRecoversPanics(t *testing.T) {
 	b := &flakyBackend{dets: healthyDets(), failures: 1} // panic once
-	r := fastRetry(b, RetryOptions{})
+	r := fastRetry(b, 0)
 	dets, err := Predict(context.Background(), r, resTensor(1), 0, 0.5)
 	if err != nil || !sameDets(dets, healthyDets()) {
 		t.Fatalf("dets=%v err=%v", dets, err)
@@ -194,7 +189,7 @@ func TestRetryRecoversPanics(t *testing.T) {
 func TestRetryExhaustsAndReportsLastError(t *testing.T) {
 	boom := errors.New("boom")
 	b := &flakyBackend{dets: healthyDets(), failures: 100, err: boom}
-	r := fastRetry(b, RetryOptions{MaxAttempts: 3})
+	r := fastRetry(b, 3)
 	_, err := Predict(context.Background(), r, resTensor(1), 0, 0.5)
 	if !errors.Is(err, boom) {
 		t.Fatalf("error = %v, want boom", err)
@@ -209,7 +204,7 @@ func TestRetryExhaustsAndReportsLastError(t *testing.T) {
 
 func TestRetryRejectsCorruptResults(t *testing.T) {
 	b := &flakyBackend{dets: healthyDets(), failures: 100, corrupt: true}
-	r := fastRetry(b, RetryOptions{MaxAttempts: 2})
+	r := fastRetry(b, 2)
 	_, err := Predict(context.Background(), r, resTensor(1), 0, 0.5)
 	if !errors.Is(err, ErrCorruptResult) {
 		t.Fatalf("error = %v, want ErrCorruptResult", err)
@@ -218,7 +213,7 @@ func TestRetryRejectsCorruptResults(t *testing.T) {
 
 func TestRetryNeverRetriesCancellation(t *testing.T) {
 	b := &flakyBackend{dets: healthyDets(), failures: 100, err: errors.New("x")}
-	r := fastRetry(b, RetryOptions{MaxAttempts: 5})
+	r := fastRetry(b, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := Predict(ctx, r, resTensor(1), 0, 0.5)
@@ -232,7 +227,7 @@ func TestRetryNeverRetriesCancellation(t *testing.T) {
 	// A backend surfacing the caller's cancellation mid-call is also not
 	// retried.
 	b2 := &flakyBackend{dets: healthyDets(), failures: 100, err: context.Canceled}
-	r2 := fastRetry(b2, RetryOptions{MaxAttempts: 5})
+	r2 := fastRetry(b2, 5)
 	_, err = Predict(context.Background(), r2, resTensor(1), 0, 0.5)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want Canceled", err)
@@ -244,7 +239,7 @@ func TestRetryNeverRetriesCancellation(t *testing.T) {
 
 func TestRetryBatchSeam(t *testing.T) {
 	b := &flakyBackend{dets: healthyDets(), failures: 1, err: errors.New("transient")}
-	r := fastRetry(b, RetryOptions{})
+	r := fastRetry(b, 0)
 	out, err := r.PredictBatchCtx(context.Background(), resTensor(3), 0.5)
 	if err != nil {
 		t.Fatalf("PredictBatchCtx: %v", err)
@@ -262,7 +257,7 @@ func TestRetryBatchSeam(t *testing.T) {
 func TestFallbackPrimaryOnlyWhenHealthy(t *testing.T) {
 	primary := &flakyBackend{name: "primary", dets: healthyDets()}
 	secondary := &flakyBackend{name: "secondary", dets: []metrics.Detection{det(0, 0, 1, 1, 0.1)}}
-	f := WithFallback(FallbackOptions{}, primary, secondary)
+	f := WithFallback(primary, secondary)
 
 	dets, err := Predict(context.Background(), f, resTensor(1), 0, 0.5)
 	if err != nil || !sameDets(dets, healthyDets()) {
@@ -280,10 +275,9 @@ func TestFallbackPrimaryOnlyWhenHealthy(t *testing.T) {
 }
 
 func TestFallbackServesFromSecondary(t *testing.T) {
-	rec := &perfmodel.Timings{}
 	primary := &flakyBackend{name: "primary", dets: healthyDets(), failures: 100, err: errors.New("down")}
 	secondary := &flakyBackend{name: "secondary", dets: healthyDets()}
-	f := WithFallback(FallbackOptions{Timings: rec}, primary, secondary)
+	f := WithFallback(primary, secondary)
 
 	dets, err := Predict(context.Background(), f, resTensor(1), 0, 0.5)
 	if err != nil || !sameDets(dets, healthyDets()) {
@@ -296,15 +290,12 @@ func TestFallbackServesFromSecondary(t *testing.T) {
 	if st.Backends[0].Failures != 1 || st.Backends[1].Successes != 1 {
 		t.Fatalf("backend health = %+v", st.Backends)
 	}
-	if snap := rec.Snapshot(); snap["detect-fallback"].Count != 1 {
-		t.Fatalf("timings: %+v", snap)
-	}
 }
 
 func TestFallbackAllBackendsFailed(t *testing.T) {
 	primary := &flakyBackend{name: "primary", failures: 100, err: errors.New("down")}
 	secondary := &flakyBackend{name: "secondary", failures: 100} // panics
-	f := WithFallback(FallbackOptions{}, primary, secondary)
+	f := WithFallback(primary, secondary)
 
 	_, err := Predict(context.Background(), f, resTensor(1), 0, 0.5)
 	if !errors.Is(err, ErrAllBackendsFailed) {
@@ -316,10 +307,9 @@ func TestFallbackAllBackendsFailed(t *testing.T) {
 }
 
 func TestBreakerOpensCoolsAndCloses(t *testing.T) {
-	rec := &perfmodel.Timings{}
 	primary := &flakyBackend{name: "primary", dets: healthyDets(), failures: 2, err: errors.New("down")}
 	secondary := &flakyBackend{name: "secondary", dets: healthyDets()}
-	f := breakerChain(2, 3, rec, primary, secondary)
+	f := breakerChain(2, 3, primary, secondary)
 	x := resTensor(1)
 	call := func() {
 		t.Helper()
@@ -334,9 +324,6 @@ func TestBreakerOpensCoolsAndCloses(t *testing.T) {
 	st := f.Stats()
 	if !st.Backends[0].Open || st.Backends[0].Tripped != 1 {
 		t.Fatalf("breaker should be open after 2 consecutive failures: %+v", st.Backends[0])
-	}
-	if snap := rec.Snapshot(); snap["detect-breaker-open"].Count != 1 {
-		t.Fatalf("timings: %+v", snap)
 	}
 
 	// Calls 3-5 sit out the cooldown: primary must not run at all.
@@ -370,7 +357,7 @@ func TestBreakerOpensCoolsAndCloses(t *testing.T) {
 func TestBreakerFailedProbeReArmsCooldown(t *testing.T) {
 	primary := &flakyBackend{name: "primary", dets: healthyDets(), failures: 100, err: errors.New("down")}
 	secondary := &flakyBackend{name: "secondary", dets: healthyDets()}
-	f := breakerChain(1, 2, nil, primary, secondary)
+	f := breakerChain(1, 2, primary, secondary)
 	x := resTensor(1)
 
 	// Call 1 opens the breaker; calls 2-3 cool down; call 4 probes and fails.
@@ -397,7 +384,7 @@ func TestBreakerFailedProbeReArmsCooldown(t *testing.T) {
 
 func TestFallbackAllCircuitBroken(t *testing.T) {
 	primary := &flakyBackend{name: "primary", failures: 100, err: errors.New("down")}
-	f := breakerChain(1, 10, nil, primary)
+	f := breakerChain(1, 10, primary)
 	x := resTensor(1)
 	Predict(context.Background(), f, x, 0, 0.5) // opens the breaker
 	_, err := Predict(context.Background(), f, x, 0, 0.5)
@@ -411,7 +398,7 @@ func TestFallbackAllCircuitBroken(t *testing.T) {
 
 func TestFallbackPropagatesCancellation(t *testing.T) {
 	primary := &flakyBackend{name: "primary", dets: healthyDets()}
-	f := WithFallback(FallbackOptions{}, primary)
+	f := WithFallback(primary)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := Predict(ctx, f, resTensor(1), 0, 0.5)
@@ -430,7 +417,7 @@ func TestFallbackPropagatesCancellation(t *testing.T) {
 func TestFallbackBatchSeam(t *testing.T) {
 	primary := &flakyBackend{name: "primary", failures: 100, err: errors.New("down")}
 	secondary := &flakyBackend{name: "secondary", dets: healthyDets()}
-	f := WithFallback(FallbackOptions{}, primary, secondary)
+	f := WithFallback(primary, secondary)
 	out, err := f.PredictBatchCtx(context.Background(), resTensor(2), 0.5)
 	if err != nil || len(out) != 2 {
 		t.Fatalf("out=%v err=%v", out, err)
@@ -448,5 +435,5 @@ func TestWithFallbackPanicsOnEmptyChain(t *testing.T) {
 			t.Fatalf("no panic for empty chain")
 		}
 	}()
-	WithFallback(FallbackOptions{})
+	WithFallback()
 }

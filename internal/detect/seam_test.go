@@ -133,8 +133,8 @@ func TestSeamConformance(t *testing.T) {
 	type det = detect.Detector
 	cases := map[string]func(*testing.T) subject{
 		"WithResultCache":     wrapped(func(d det, _ func() det) det { return detect.WithResultCache(d, 64) }),
-		"WithRetry":           wrapped(func(d det, _ func() det) det { return detect.WithRetry(d, detect.RetryOptions{}) }),
-		"WithFallback":        wrapped(func(d det, next func() det) det { return detect.WithFallback(detect.FallbackOptions{}, d, next()) }),
+		"WithRetry":           wrapped(func(d det, _ func() det) det { return detect.WithRetry(d, 0) }),
+		"WithFallback":        wrapped(func(d det, next func() det) det { return detect.WithFallback(d, next()) }),
 		"faults.Wrap":         wrapped(func(d det, _ func() det) det { return faults.Wrap(d, faults.NewPlan(1)) }),
 		"serve.NewReplicated": wrapped(func(d det, _ func() det) det { return serve.NewReplicated(serve.Options{}, d) }),
 	}

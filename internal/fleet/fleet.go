@@ -283,7 +283,6 @@ func Run(cfg Config, models []detect.Detector) (*Result, error) {
 
 	if r.cache != nil {
 		r.res.CacheHits, r.res.CacheMisses = r.cache.Hits(), r.cache.Misses()
-		r.cache.PublishStats(cfg.Timings)
 	}
 	r.res.Serve = batcher.Stats()
 	return &r.res, nil

@@ -153,7 +153,7 @@ type Server struct {
 	cfg      Config
 	mux      *http.ServeMux
 	bcast    *broadcaster
-	degraded detect.Detector // WithFallback chain over cfg.Degraded; nil when unset
+	degraded *detect.FallbackChain // breaker over cfg.Degraded; nil when unset
 
 	draining atomic.Bool
 
@@ -176,7 +176,7 @@ func New(cfg Config) *Server {
 		bcast: newBroadcaster(cfg.ClientBuffer),
 	}
 	if cfg.Degraded != nil {
-		s.degraded = detect.WithFallback(detect.FallbackOptions{Timings: cfg.Timings}, cfg.Degraded)
+		s.degraded = detect.WithFallback(cfg.Degraded)
 	}
 	s.mux.HandleFunc("/v1/detect", s.handleDetect)
 	s.mux.HandleFunc("/v1/events", s.handleEvents)

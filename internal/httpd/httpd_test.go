@@ -6,10 +6,12 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"fmt"
 	"image/png"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -675,5 +677,187 @@ func TestServedEqualsInProcess(t *testing.T) {
 	}
 	if fired == 0 {
 		t.Fatal("the model fired on none of eight AUI screens; the comparison is vacuous")
+	}
+}
+
+// gatedDetector passes calls to its detector until shut, then holds each
+// call until reopened, signalling entered as a call starts to wait.
+type gatedDetector struct {
+	detect.Detector
+	entered chan struct{}
+
+	mu   sync.Mutex
+	gate chan struct{} // nil while open
+}
+
+func (g *gatedDetector) shut() {
+	g.mu.Lock()
+	g.gate = make(chan struct{})
+	g.mu.Unlock()
+}
+
+func (g *gatedDetector) open() {
+	g.mu.Lock()
+	close(g.gate)
+	g.gate = nil
+	g.mu.Unlock()
+}
+
+func (g *gatedDetector) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf float64) ([][]metrics.Detection, error) {
+	g.mu.Lock()
+	gate := g.gate
+	g.mu.Unlock()
+	if gate != nil {
+		g.entered <- struct{}{}
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	return g.Detector.PredictBatchCtx(ctx, x, conf)
+}
+
+// spinUntil yields until cond holds, failing the test after ten seconds.
+func spinUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestRealAdmissionVerdictsOverHTTP maps the serving stack's own verdicts,
+// not stubbed errors, onto HTTP: the checked-in yolite behind a real
+// Batcher answers 200 with detections, a tenant past its bucket gets 429
+// with Retry-After, a request finding the queue at depth gets 503 with the
+// degraded heuristic's body, the decoration reaches an SSE subscriber, and
+// /healthz turns 503 once draining.
+func TestRealAdmissionVerdictsOverHTTP(t *testing.T) {
+	model, err := detect.Build("yolite", detect.BuildContext{WeightsDir: "../../weights"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var screen []byte
+	for _, s := range auigen.BuildAUISamples(22, 8, auigen.DatasetConfig{}) {
+		if dets, err := detect.PredictCanvasCtx(context.Background(), model, s.Input, yolite.DefaultConfThresh); err == nil && len(dets) > 0 {
+			var buf bytes.Buffer
+			if err := png.Encode(&buf, s.Input.Image()); err != nil {
+				t.Fatal(err)
+			}
+			screen = buf.Bytes()
+			break
+		}
+	}
+	if screen == nil {
+		t.Fatal("the model fired on none of eight AUI screens")
+	}
+
+	gated := &gatedDetector{Detector: model, entered: make(chan struct{}, 1)}
+	b := serve.NewReplicated(serve.Options{
+		Tenants:       map[serve.TenantID]serve.TenantConfig{"tenant0": {Rate: 1e-9, Burst: 1}},
+		MaxQueueDepth: 1,
+	}, gated)
+	defer b.Close()
+	api := New(Config{Backend: b, Stats: b.Stats, Degraded: PixelHeuristic{}})
+	ts := httptest.NewServer(api)
+	defer ts.Close()
+	lines, _, cancel := sseClient(t, ts.URL)
+	defer cancel()
+
+	type reply struct {
+		status int
+		header http.Header
+		body   DetectResponse
+		err    error
+	}
+	post := func(tenant string) <-chan reply {
+		out := make(chan reply, 1)
+		go func() {
+			req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/detect", bytes.NewReader(screen))
+			if err != nil {
+				out <- reply{err: err}
+				return
+			}
+			req.Header.Set("Content-Type", "image/png")
+			if tenant != "" {
+				req.Header.Set(HeaderTenant, tenant)
+			}
+			res, err := ts.Client().Do(req)
+			if err != nil {
+				out <- reply{err: err}
+				return
+			}
+			defer res.Body.Close()
+			r := reply{status: res.StatusCode, header: res.Header}
+			r.err = json.NewDecoder(res.Body).Decode(&r.body)
+			out <- r
+		}()
+		return out
+	}
+	answer := func(what string, c <-chan reply, status int) reply {
+		t.Helper()
+		r := <-c
+		if r.err != nil || r.status != status {
+			t.Fatalf("%s: status %d, error %v; want %d", what, r.status, r.err, status)
+		}
+		return r
+	}
+
+	if r := answer("tenant0's first request", post("tenant0"), http.StatusOK); len(r.body.Detections) == 0 {
+		t.Fatal("a 200 without detections for a screen the model fires on")
+	}
+	waitLine(t, lines, "decoration event", func(l string) bool { return l == "event: decoration" })
+	if r := answer("tenant0 past its bucket", post("tenant0"), http.StatusTooManyRequests); r.header.Get("Retry-After") == "" {
+		t.Fatal("429 without Retry-After")
+	}
+
+	// Hold the one replica on a forward and queue one request behind it: the
+	// queue is then at MaxQueueDepth.
+	gated.shut()
+	backlog := []<-chan reply{post("")}
+	<-gated.entered
+	backlog = append(backlog, post(""))
+	admitted := 3
+	spinUntil(t, "the backlog to be admitted", func() bool { return b.Stats().Admitted == admitted })
+
+	// The next request is shed into the degraded body. One admitted in the
+	// instant between an earlier verdict and its enqueue joins the backlog
+	// instead, and the one after it is shed.
+	var shed *reply
+	for ; shed == nil; admitted++ {
+		probe := post("")
+		for shed == nil && b.Stats().Admitted == admitted {
+			select {
+			case r := <-probe:
+				shed = &r
+			default:
+				runtime.Gosched()
+			}
+		}
+		if shed == nil {
+			backlog = append(backlog, probe)
+		}
+	}
+	if shed.err != nil || shed.status != http.StatusServiceUnavailable || !shed.body.Degraded {
+		t.Fatalf("request at full depth: status %d, degraded %v, error %v; want a 503 with a degraded body",
+			shed.status, shed.body.Degraded, shed.err)
+	}
+	gated.open()
+	for i, c := range backlog {
+		answer(fmt.Sprintf("backlog request %d", i), c, http.StatusOK)
+	}
+
+	api.BeginDrain()
+	res, err := ts.Client().Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("healthz after BeginDrain: status %d, want 503", res.StatusCode)
 	}
 }

@@ -16,7 +16,7 @@ func TestTimingsFamilies(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		rec.Observe("infer", time.Duration(i)*time.Millisecond)
 	}
-	rec.AddItems("cache-hit", 42)
+	rec.ObserveBatch("serve-batch", 42*time.Millisecond, 42)
 
 	fams := rec.Families()
 	if len(fams) != 2 {
@@ -31,7 +31,7 @@ func TestTimingsFamilies(t *testing.T) {
 		`darpa_stage_latency_seconds{quantile="0.95",stage="infer"} 0.095`,
 		`darpa_stage_latency_seconds{quantile="0.99",stage="infer"} 0.099`,
 		`darpa_stage_latency_seconds_count{stage="infer"} 100`,
-		`darpa_stage_latency_seconds_count{stage="cache-hit"} 42`,
+		`darpa_stage_latency_seconds_count{stage="serve-batch"} 42`,
 		`darpa_stage_latency_max_seconds{stage="infer"} 0.1`,
 	} {
 		if !strings.Contains(text, want) {

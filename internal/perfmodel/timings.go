@@ -33,17 +33,16 @@ type LatencyStats struct {
 }
 
 // Observe folds one measurement into the counters.
-func (l *LatencyStats) Observe(d time.Duration) {
-	l.Count++
+func (l *LatencyStats) Observe(d time.Duration) { l.observe(d, 1) }
+
+// observe folds items measured under one wall-clock interval d: Count
+// advances by items, Max and the quantile window see d once.
+func (l *LatencyStats) observe(d time.Duration, items int) {
+	l.Count += items
 	l.Total += d
 	if d > l.Max {
 		l.Max = d
 	}
-	l.sample(d)
-}
-
-// sample records one wall-clock observation in the recent window.
-func (l *LatencyStats) sample(d time.Duration) {
 	if len(l.samples) < latencyWindow {
 		l.samples = append(l.samples, d)
 		return
@@ -98,11 +97,12 @@ func (l LatencyStats) P95() time.Duration { return l.Quantile(0.95) }
 // the scheduler's latency claims are judged on.
 func (l LatencyStats) P99() time.Duration { return l.Quantile(0.99) }
 
-// Timings collects per-stage latency counters — the measured counterpart of
-// the analytical per-unit costs above. The service pipeline, the serving
-// layer and the resilience wrappers all feed it, so an operator can see where a
-// detection cycle spends its time (the decomposition behind Table VII's
-// incremental rows). Safe for concurrent use.
+// Timings collects per-stage latency — the measured counterpart of the
+// analytical per-unit costs above. The service pipeline, the serving layer
+// and the fleet feed it, so an operator can see where a detection cycle
+// spends its time (the decomposition behind Table VII's incremental rows).
+// It records durations only: every count the system keeps lives in the
+// owning component's Stats. Safe for concurrent use.
 type Timings struct {
 	mu     sync.Mutex
 	stages map[string]*LatencyStats
@@ -132,25 +132,7 @@ func (t *Timings) ObserveBatch(stage string, d time.Duration, items int) {
 		s = &LatencyStats{}
 		t.stages[stage] = s
 	}
-	s.Count += items
-	s.Total += d
-	if d > s.Max {
-		s.Max = d
-	}
-	// Event-only records (AddItems routes here with d == 0) advance the
-	// tally but stay out of the quantile ring: a stage mixing timed
-	// observations with event counts would otherwise report p50/p95 dragged
-	// toward 0 by samples that never measured anything.
-	if d > 0 {
-		s.sample(d)
-	}
-}
-
-// AddItems advances a stage's Count without contributing latency — for
-// event-style stages (cache hits, queue admissions) where only the tally is
-// meaningful. A nil recorder or non-positive count is a no-op.
-func (t *Timings) AddItems(stage string, items int) {
-	t.ObserveBatch(stage, 0, items)
+	s.observe(d, items)
 }
 
 // Stage returns a snapshot of one stage's counters. A nil recorder reports

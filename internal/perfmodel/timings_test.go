@@ -81,21 +81,6 @@ func TestTimingsSnapshot(t *testing.T) {
 	}
 }
 
-// TestTimingsAddItems: count-only stages tally items without latency, so
-// event counters (cache hits, queue admissions) share the recorder.
-func TestTimingsAddItems(t *testing.T) {
-	rec := &Timings{}
-	rec.AddItems("cache-hit", 5)
-	rec.AddItems("cache-hit", 2)
-	rec.AddItems("cache-hit", 0) // no-op
-	s := rec.Stage("cache-hit")
-	if s.Count != 7 || s.Total != 0 || s.Max != 0 {
-		t.Fatalf("stats = %+v", s)
-	}
-	var nilRec *Timings
-	nilRec.AddItems("cache-hit", 3) // must not panic
-}
-
 func TestTimingsStages(t *testing.T) {
 	rec := &Timings{}
 	rec.Observe("infer", 5*time.Millisecond)
@@ -184,34 +169,5 @@ func TestTimingsSnapshotQuantiles(t *testing.T) {
 	rec2.Observe("serve-batch", 2*time.Millisecond)
 	if got := rec2.Stage("serve-batch").P50(); got != 2*time.Millisecond {
 		t.Fatalf("batched stage P50 = %v, want 2ms (batch counted once)", got)
-	}
-}
-
-// TestAddItemsKeepsQuantilesClean: event-only tallies (AddItems) must not
-// enter the quantile ring. Historically AddItems routed through ObserveBatch
-// with d=0 and sampled the zero, so any stage mixing timed observations with
-// event counts reported p50/p95 dragged toward 0 — with enough events, all
-// the way to 0.
-func TestAddItemsKeepsQuantilesClean(t *testing.T) {
-	rec := &Timings{}
-	for i := 0; i < 100; i++ {
-		rec.Observe("serve-batch", 10*time.Millisecond)
-	}
-	// Far more event records than timed ones: before the fix these zeros
-	// dominate the window and drag every quantile to 0.
-	rec.AddItems("serve-batch", 1)
-	for i := 0; i < 400; i++ {
-		rec.AddItems("serve-batch", 3)
-	}
-	st := rec.Stage("serve-batch")
-	if got := st.P50(); got != 10*time.Millisecond {
-		t.Fatalf("P50 after event tallies = %v, want 10ms (zero-duration records polluted the ring)", got)
-	}
-	if got := st.P99(); got != 10*time.Millisecond {
-		t.Fatalf("P99 after event tallies = %v, want 10ms", got)
-	}
-	// The tally itself still advances: 100 observations + 1201 events.
-	if st.Count != 100+1+400*3 {
-		t.Fatalf("Count = %d, want %d", st.Count, 100+1+400*3)
 	}
 }

@@ -36,11 +36,8 @@ type Options struct {
 	// to reach it: a batch is whatever queued while the replicas were busy,
 	// so under light load every batch is a batch of one.
 	MaxBatch int
-	// Timings optionally receives per-layer statistics: "serve-batch"
-	// tracks per-item amortised forward latency, "serve-queued" counts
-	// requests found waiting after a collection (queue pressure),
-	// "serve-rejected"/"serve-shed" count admission outcomes, and with
-	// multiple replicas "serve-replicaN" tracks per-replica items. Nil
+	// Timings optionally receives the "serve-batch" stage: each forward's
+	// wall time, amortised over its items. Every count lives in Stats. Nil
 	// disables recording.
 	Timings *perfmodel.Timings
 
@@ -109,7 +106,6 @@ type Batcher struct {
 	adm   *admission
 	sched *scheduler
 	reps  []*replica
-	multi bool // more than one replica: per-replica item counts are recorded
 
 	mu       sync.RWMutex // guards closed vs. sends on the scheduler queues
 	closed   bool
@@ -152,7 +148,6 @@ func newReplicated(opts Options, benchAfter int, benchFor time.Duration, replica
 		rec:      opts.Timings,
 		adm:      newAdmission(opts.Tenants, opts.MaxQueueDepth, nil),
 		sched:    newScheduler(opts.MaxBatch, 4*opts.MaxBatch*len(replicas)),
-		multi:    len(replicas) > 1,
 		stopping: make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -272,11 +267,9 @@ func (b *Batcher) submit(ctx context.Context, x *tensor.Tensor, confThresh float
 	switch v {
 	case rejected:
 		b.mu.RUnlock()
-		b.rec.AddItems("serve-rejected", 1)
 		return nil, fmt.Errorf("%w: tenant %q", ErrRateLimited, info.ID)
 	case shed:
 		b.mu.RUnlock()
-		b.rec.AddItems("serve-shed", 1)
 		return nil, ErrOverloaded
 	}
 	resp := make(chan response, 1)
@@ -330,7 +323,6 @@ func (b *Batcher) noteCollected(size, depth int) {
 		b.stats.MaxQueueDepth = depth
 	}
 	b.statsMu.Unlock()
-	b.rec.AddItems("serve-queued", depth)
 }
 
 // flush answers every request in batch on rep. Requests whose context died
@@ -351,7 +343,9 @@ func (b *Batcher) flush(rep *replica, batch []request) {
 		live = append(live, r)
 	}
 	if pruned > 0 {
-		b.notePruned(pruned)
+		b.statsMu.Lock()
+		b.stats.Cancelled += pruned
+		b.statsMu.Unlock()
 	}
 	for _, group := range groupRequests(live) {
 		b.runGroup(rep, group)
@@ -387,7 +381,9 @@ func (b *Batcher) runGroup(rep *replica, group []request) {
 		// Poison isolation: one member spoiled the shared forward (or the
 		// backend misaligned the result mapping). Re-run each request on its
 		// own so the failure lands only on the item that caused it.
-		b.notePoisoned()
+		b.statsMu.Lock()
+		b.stats.Poisoned++
+		b.statsMu.Unlock()
 		failed := 0
 		for _, r := range group {
 			failed += b.runOne(rep, r)
@@ -419,28 +415,9 @@ func (b *Batcher) answer(r request, out [][]metrics.Detection, err error) int {
 		b.statsMu.Lock()
 		b.stats.Failed++
 		b.statsMu.Unlock()
-		b.rec.AddItems("serve-failed", 1)
 	}
 	r.resp <- response{out: out, err: err}
 	return failed
-}
-
-// notePoisoned records one grouped forward that fell back to per-item
-// isolation.
-func (b *Batcher) notePoisoned() {
-	b.statsMu.Lock()
-	b.stats.Poisoned++
-	b.statsMu.Unlock()
-	b.rec.AddItems("serve-poisoned", 1)
-}
-
-// notePruned records requests dropped at batch formation because their
-// context had already been cancelled or had expired.
-func (b *Batcher) notePruned(n int) {
-	b.statsMu.Lock()
-	b.stats.Cancelled += n
-	b.statsMu.Unlock()
-	b.rec.AddItems("serve-cancelled", n)
 }
 
 // noteBatch records one flushed forward in the global counters, the timing
@@ -450,8 +427,5 @@ func (b *Batcher) noteBatch(rep *replica, wall time.Duration, items, failed int,
 	b.stats.Batches++
 	b.statsMu.Unlock()
 	b.rec.ObserveBatch("serve-batch", wall, items)
-	if b.multi {
-		b.rec.AddItems(fmt.Sprintf("serve-replica%d", rep.id), items)
-	}
 	rep.note(wall, items, failed, poisoned)
 }

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/perfmodel"
 )
 
 // TestBatcherOptionDefaults: a zero and a negative MaxBatch must both land on
@@ -57,12 +55,11 @@ func TestBatcherRejectsDeadContext(t *testing.T) {
 
 // TestBatcherPrunesCancelledQueued: a request whose context dies while it
 // waits in the queue must answer its caller immediately, be pruned at batch
-// formation without spending forward compute, and be counted in
-// Stats.Cancelled and the serve-cancelled stage.
+// formation without spending forward compute, and be counted once, in
+// Stats.Cancelled.
 func TestBatcherPrunesCancelledQueued(t *testing.T) {
 	s := &stubBackend{gate: make(chan struct{})}
-	rec := &perfmodel.Timings{}
-	b := NewReplicated(Options{MaxBatch: 1, Timings: rec}, s)
+	b := NewReplicated(Options{MaxBatch: 1}, s)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // occupies the scheduler behind the gate
@@ -99,9 +96,6 @@ func TestBatcherPrunesCancelledQueued(t *testing.T) {
 	b.Close()
 	if st := b.Stats(); st.Cancelled != 2 {
 		t.Fatalf("Stats.Cancelled = %d, want 2", st.Cancelled)
-	}
-	if got := rec.Stage("serve-cancelled").Count; got != 2 {
-		t.Fatalf("serve-cancelled count = %d, want 2", got)
 	}
 	// The backend only ever saw the one live request.
 	if sizes := s.sizes(); len(sizes) != 1 || sizes[0] != 1 {
