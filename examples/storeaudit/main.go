@@ -5,7 +5,7 @@
 // Unlike the live run-time decorator (one screen per debounce cycle), an
 // audit holds every captured screen up front, so the detector is called on
 // whole batches: screens are stacked eight at a time and the conv backbone
-// forwards once per stack (core.AuditScreens), with a result cache
+// forwards once per stack (core.AuditScreensCtx), with a result cache
 // absorbing the many identical screens a monkey crawl revisits.
 //
 //	go run ./examples/storeaudit

@@ -9,28 +9,21 @@ import (
 	"repro/internal/yolite"
 )
 
-// DefaultAuditBatch is the chunk size AuditScreens uses when given a
+// DefaultAuditBatch is the chunk size AuditScreensCtx uses when given a
 // non-positive batch size.
 const DefaultAuditBatch = 8
 
-// AuditScreens batch-analyses captured screenshots offline — the app-store /
-// regulator workload of the paper's Section VII discussion. Where the live
-// service (Service.analyze) handles one debounce-stable screen at a time,
-// an audit holds a whole catalogue of screens up front: they are stacked
-// into [batchSize, 3, H, W] chunks and run through the detector seam, one
-// call — for the conv backends one backbone forward — per chunk. Detections
-// come back per screen, scaled to that canvas's own coordinate system like
-// detect.PredictCanvasCtx.
-func AuditScreens(p detect.Detector, shots []*render.Canvas, confThresh float64, batchSize int) [][]metrics.Detection {
-	out, _ := AuditScreensCtx(context.Background(), p, shots, confThresh, batchSize)
-	return out
-}
-
-// AuditScreensCtx is AuditScreens with cooperative cancellation: the context
-// is threaded into each chunk's call, so a cancelled audit stops within
-// roughly one conv layer instead of finishing the catalogue. On cancel it
-// returns ctx.Err() along with the screens fully audited so far — partial
-// results are exactly what a deadline-bounded audit wants to keep.
+// AuditScreensCtx batch-analyses captured screenshots offline — the
+// app-store / regulator workload of the paper's Section VII discussion.
+// Where the live service (Service.analyze) handles one debounce-stable screen
+// at a time, an audit holds a whole catalogue of screens up front: they are
+// stacked into [batchSize, 3, H, W] chunks and run through the detector seam,
+// one call — for the conv backends one backbone forward — per chunk, whose
+// items are built and decoded on the worker pool. Detections come back per
+// screen, scaled to that canvas's own coordinate system like
+// detect.PredictCanvasCtx. A cancelled audit stops within roughly one conv
+// layer and returns ctx.Err() along with the screens fully audited so far —
+// partial results are exactly what a deadline-bounded audit wants to keep.
 func AuditScreensCtx(ctx context.Context, p detect.Detector, shots []*render.Canvas, confThresh float64, batchSize int) ([][]metrics.Detection, error) {
 	if batchSize <= 0 {
 		batchSize = DefaultAuditBatch

@@ -224,10 +224,10 @@ func (qm *Model) Forward(x *tensor.Tensor) (upo, ago *tensor.Tensor) {
 }
 
 // forwardInt8 is the end-to-end int8 pipeline. The input is quantised to
-// int8 once and the activations stay int8 across the entire backbone (see
-// int8gemm.go): layer outputs at each step carry the scale the next layer
-// expects (see link), so no float activations exist between the input
-// quantisation and the head dequantisation. The int8 intermediates recycle
+// int8 once, item by item, and the activations stay int8 across the entire
+// backbone (see int8gemm.go): layer outputs at each step carry the scale the
+// next layer expects (see link), so no float activations exist between the
+// input quantisation and the head dequantisation. The int8 intermediates recycle
 // through the bucketed int8 scratch pool and the head maps come from the
 // Pool, so the steady-state forward is allocation free. ctx is a cooperative
 // cancellation checkpoint between layers (and, via its Done channel, between
@@ -239,7 +239,16 @@ func (qm *Model) forwardInt8(ctx context.Context, x *tensor.Tensor) (upo, ago *t
 	done := ctx.Done()
 	N, _, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	cur := i8s.get(len(x.Data))
-	quantI8(*cur, x.Data, qm.blocks[0].inScale)
+	if N > 1 {
+		// One item per task. Capturing cur, which is reassigned below, would
+		// move it to the heap on every forward, N = 1 included.
+		q, per := *cur, len(x.Data)/N
+		tensor.ParallelFor(N, func(n int) {
+			quantI8(q[n*per:(n+1)*per], x.Data[n*per:(n+1)*per], qm.blocks[0].inScale)
+		})
+	} else {
+		quantI8(*cur, x.Data, qm.blocks[0].inScale)
+	}
 	for _, b := range qm.blocks {
 		oh, ow := b.outSize(h, w)
 		nxt := i8s.get(N * b.outC * oh * ow)
@@ -286,11 +295,11 @@ func (qm *Model) forwardInt8(ctx context.Context, x *tensor.Tensor) (upo, ago *t
 }
 
 // PredictBatchCtx is the detector seam with int8 inference: one forward over
-// the whole [N, 3, H, W] batch, every item decoded exactly as the float model
-// decodes it. The contract is yolite.Model.PredictBatchCtx's: a dead ctx
-// returns ctx.Err() before any work, a cancel aborts within roughly one conv
-// layer (or between per-item decodes) with a nil result, and a context that
-// never fires computes exactly what Background does.
+// the whole [N, 3, H, W] batch, every item decoded by the float model's
+// yolite.DecodeBatch. The contract is yolite.Model.PredictBatchCtx's: a dead
+// ctx returns ctx.Err() before any work, a cancel aborts within roughly one
+// conv layer (or between decoded items) with a nil result, and a context
+// that never fires computes exactly what Background does.
 func (qm *Model) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -303,14 +312,7 @@ func (qm *Model) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThre
 		qm.Pool.Put(upo)
 		qm.Pool.Put(ago)
 	}()
-	out := make([][]metrics.Detection, x.Shape[0])
-	for n := range out {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out[n] = yolite.DecodeItem(x, upo, ago, n, confThresh, !qm.DisableRefine, qm.Pool)
-	}
-	return out, nil
+	return yolite.DecodeBatch(ctx, x, upo, ago, confThresh, !qm.DisableRefine, qm.Pool)
 }
 
 // PredictTensor is a shim kept for cmd/darpa-bench, which times the int8

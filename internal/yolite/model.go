@@ -251,6 +251,15 @@ func (m *Model) Backward(dUPO, dAGO *tensor.Tensor) {
 	m.B1.Backward(m.B2.Backward(m.B3.Backward(m.B3b.Backward(sum))))
 }
 
+// unit holds float32(v)/255 for every channel byte v: canvasInto looks the
+// normalised value up instead of dividing, bit for bit the same.
+var unit = func() (t [256]float32) {
+	for v := range t {
+		t[v] = float32(v) / 255
+	}
+	return t
+}()
+
 // canvasInto writes c, downscaled to InputW x InputH when it is any other
 // size, into dst as one normalised [3, InputH, InputW] item — the single
 // pixel-to-input writer behind every canvas-to-tensor entry point.
@@ -259,11 +268,10 @@ func canvasInto(dst []float32, c *render.Canvas) {
 		c = c.Downscale(InputW, InputH)
 	}
 	plane := InputH * InputW
-	for o := 0; o < plane; o++ {
-		i := 4 * o
-		dst[o] = float32(c.Pix[i]) / 255
-		dst[plane+o] = float32(c.Pix[i+1]) / 255
-		dst[2*plane+o] = float32(c.Pix[i+2]) / 255
+	r, g, b := dst[:plane], dst[plane:2*plane], dst[2*plane:3*plane]
+	for o := range r {
+		px := c.Pix[4*o : 4*o+3]
+		r[o], g[o], b[o] = unit[px[0]], unit[px[1]], unit[px[2]]
 	}
 }
 
@@ -275,28 +283,28 @@ func CanvasToTensor(c *render.Canvas) *tensor.Tensor {
 	return x
 }
 
-// BatchToTensor stacks samples into one [N, 3, H, W] tensor.
+// BatchToTensor stacks samples' input canvases into one [N, 3, H, W] tensor
+// through CanvasesToTensor.
 func BatchToTensor(samples []*dataset.Sample) *tensor.Tensor {
-	x := tensor.New(len(samples), 3, InputH, InputW)
-	per := 3 * InputH * InputW
+	shots := make([]*render.Canvas, len(samples))
 	for i, s := range samples {
-		canvasInto(x.Data[i*per:(i+1)*per], s.Input)
+		shots[i] = s.Input
 	}
-	return x
+	return CanvasesToTensor(shots)
 }
 
 // CanvasesToTensor stacks screenshot canvases (any resolutions) into one
-// [N, 3, InputH, InputW] batch tensor, downscaling each as needed. It
-// returns nil for an empty slice.
+// [N, 3, InputH, InputW] batch tensor, downscaling and writing the items on
+// the shared worker pool. It returns nil for an empty slice.
 func CanvasesToTensor(shots []*render.Canvas) *tensor.Tensor {
 	if len(shots) == 0 {
 		return nil
 	}
 	x := tensor.New(len(shots), 3, InputH, InputW)
 	per := 3 * InputH * InputW
-	for i, c := range shots {
-		canvasInto(x.Data[i*per:(i+1)*per], c)
-	}
+	tensor.ParallelFor(len(shots), func(i int) {
+		canvasInto(x.Data[i*per:(i+1)*per], shots[i])
+	})
 	return x
 }
 
@@ -352,11 +360,11 @@ func DecodeHead(out *tensor.Tensor, n int, spec HeadSpec, confThresh float64) []
 
 // PredictBatchCtx is the detector seam: one forward over the whole
 // [N, 3, H, W] batch, every item decoded to NMS-filtered detections in
-// input-resolution coordinates (a single screen is a batch of one). A dead
-// ctx returns ctx.Err() before any work; a cancel during the forward aborts
-// it within roughly one conv layer, and one between per-item decodes stops
-// there — either way the result is nil and the pool is whole. A context that
-// never fires computes exactly what Background does.
+// input-resolution coordinates (a single screen is a batch of one) by
+// DecodeBatch. A dead ctx returns ctx.Err() before any work; a cancel during
+// the forward aborts it within roughly one conv layer, and one during the
+// decode stops it between items — either way the result is nil and the pool
+// is whole. A context that never fires computes exactly what Background does.
 func (m *Model) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -369,14 +377,7 @@ func (m *Model) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThres
 		m.Pool.Put(upo)
 		m.Pool.Put(ago)
 	}()
-	out := make([][]metrics.Detection, x.Shape[0])
-	for n := range out {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out[n] = DecodeItem(x, upo, ago, n, confThresh, !m.DisableRefine, m.Pool)
-	}
-	return out, nil
+	return DecodeBatch(ctx, x, upo, ago, confThresh, !m.DisableRefine, m.Pool)
 }
 
 // PredictTensor is a shim kept for cmd/darpa-bench, which times the model
@@ -387,11 +388,30 @@ func (m *Model) PredictTensor(x *tensor.Tensor, n int, confThresh float64) []met
 	return out[n]
 }
 
-// DecodeItem turns the raw head maps for batch item n into final
+// DecodeBatch turns the raw head maps of an [N, 3, H, W] batch into final
+// detections, for the float model and the int8 port alike. A batch of more
+// than one decodes its items on the shared worker pool, polling ctx between
+// items; a batch of one decodes inline and builds no closure, so the serving
+// path pays nothing for the fan-out. A cancel returns nil and ctx.Err().
+func DecodeBatch(ctx context.Context, x, upo, ago *tensor.Tensor, confThresh float64, refine bool, pool *tensor.Pool) ([][]metrics.Detection, error) {
+	out := make([][]metrics.Detection, x.Shape[0])
+	if len(out) > 1 {
+		tensor.ParallelForCancel(ctx.Done(), len(out), func(n int) {
+			out[n] = decodeItem(x, upo, ago, n, confThresh, refine, pool)
+		})
+	} else if len(out) == 1 {
+		out[0] = decodeItem(x, upo, ago, 0, confThresh, refine, pool)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// decodeItem turns the raw head maps for batch item n into final
 // detections: decode both heads, optionally edge-snap against x's luma
-// (scratch drawn from pool; a nil pool allocates it), suppress duplicates. The
-// float model and the int8 port share it.
-func DecodeItem(x, upo, ago *tensor.Tensor, n int, confThresh float64, refine bool, pool *tensor.Pool) []metrics.Detection {
+// (scratch drawn from pool; a nil pool allocates it), suppress duplicates.
+func decodeItem(x, upo, ago *tensor.Tensor, n int, confThresh float64, refine bool, pool *tensor.Pool) []metrics.Detection {
 	dets := DecodeHead(upo, n, UPOHeadSpec, confThresh)
 	dets = append(dets, DecodeHead(ago, n, AGOHeadSpec, confThresh)...)
 	if refine {

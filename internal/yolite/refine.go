@@ -1,6 +1,8 @@
 package yolite
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -49,49 +51,6 @@ func LumaPlaneInto(x *tensor.Tensor, n int, dst []float32) []float32 {
 		out[i] = 0.299*x.Data[base+i] + 0.587*x.Data[base+plane+i] + 0.114*x.Data[base+2*plane+i]
 	}
 	return out
-}
-
-// perimeterContrast scores rectangle r on the luma plane: the mean absolute
-// luminance step across its border. Vertical edges are sampled over the
-// middle third of the height (pill-shaped buttons only expose their flat
-// boundary there); horizontal edges over the middle half of the width.
-func perimeterContrast(luma []float32, w, h int, r geom.Rect) float64 {
-	if r.X < 1 || r.Y < 1 || r.MaxX() >= w || r.MaxY() >= h || r.W < 2 || r.H < 2 {
-		return -1
-	}
-	at := func(x, y int) float64 { return float64(luma[y*w+x]) }
-	abs := func(v float64) float64 {
-		if v < 0 {
-			return -v
-		}
-		return v
-	}
-	var sum float64
-	n := 0
-	y0 := r.Y + r.H/3
-	y1 := r.MaxY() - r.H/3
-	if y1 <= y0 {
-		y0, y1 = r.Y+r.H/2, r.Y+r.H/2+1
-	}
-	for y := y0; y < y1; y++ {
-		sum += abs(at(r.X, y) - at(r.X-1, y))           // left edge
-		sum += abs(at(r.MaxX()-1, y) - at(r.MaxX(), y)) // right edge
-		n += 2
-	}
-	x0 := r.X + r.W/4
-	x1 := r.MaxX() - r.W/4
-	if x1 <= x0 {
-		x0, x1 = r.X+r.W/2, r.X+r.W/2+1
-	}
-	for x := x0; x < x1; x++ {
-		sum += abs(at(x, r.Y) - at(x, r.Y-1))           // top edge
-		sum += abs(at(x, r.MaxY()-1) - at(x, r.MaxY())) // bottom edge
-		n += 2
-	}
-	if n == 0 {
-		return -1
-	}
-	return sum / float64(n)
 }
 
 // blobRefine handles small boxes (corner close-buttons): it estimates the
@@ -191,6 +150,76 @@ const smallBoxMax = 12
 // use a local search maximising perimeter contrast. The box is returned
 // unchanged when no candidate clears the contrast floor.
 func RefineBox(luma []float32, w, h int, b geom.BoxF) geom.BoxF {
+	var s stepSums
+	return s.refine(luma, w, h, b)
+}
+
+// RefineDetections applies edge snapping to every detection, in place, and
+// returns the slice for chaining. The boxes share one search scratch.
+func RefineDetections(dets []metrics.Detection, luma []float32, w, h int) []metrics.Detection {
+	var s stepSums
+	for i := range dets {
+		dets[i].B = s.refine(luma, w, h, dets[i].B)
+	}
+	return dets
+}
+
+// stepSums is the large-box search's scratch: float64 prefix sums of the
+// absolute luma steps over the box's search window win, so a candidate's
+// perimeter costs four lookups instead of a walk. col[k*win.W+i] sums the
+// horizontal steps |L(x,y)-L(x-1,y)| of window column i over its first k
+// rows; row[k*(win.W+1)+i] sums the vertical steps |L(x,y)-L(x,y-1)| of
+// window row k over its first i columns.
+//
+// The sums are exact. On every luma plane production builds (LumaPlaneInto
+// over a canvasInto tensor, rcnn's lumaOf) a value is 0 or a float32 of at
+// least 0.114/255 > 2^-12, so with its 24-bit significand a multiple of
+// 2^-35, and at most ~1. A step is then a multiple of 2^-35 below 2, and a
+// sum of fewer than 2^17 steps is a multiple of 2^-35 below 2^18: 53 bits,
+// held exactly by a float64. No partial sum rounds, the summation order
+// cannot change a bit, and every score equals the perimeter walk's (kept in
+// refine_test.go as the oracle).
+// A non-finite step (luma no canvas produces) makes every sum through it NaN
+// or +Inf, and the search takes finite scores only.
+type stepSums struct {
+	win           geom.Rect
+	buf, col, row []float64
+}
+
+// build fills the sums over win, whose every pixel has a left and an upper
+// neighbour in the w-wide plane.
+func (s *stepSums) build(luma []float32, w int, win geom.Rect) {
+	s.win = win
+	nc, nr := (win.H+1)*win.W, win.H*(win.W+1)
+	s.buf = slices.Grow(s.buf[:0], nc+nr)[:nc+nr]
+	s.col, s.row = s.buf[:nc], s.buf[nc:]
+	clear(s.col[:win.W])
+	for k := 0; k < win.H; k++ {
+		at, c, r := (win.Y+k)*w+win.X, s.col[k*win.W:(k+2)*win.W], s.row[k*(win.W+1):(k+1)*(win.W+1)]
+		r[0] = 0
+		for i := 0; i < win.W; i++ {
+			c[win.W+i] = c[i] + math.Abs(float64(luma[at+i])-float64(luma[at+i-1]))
+			r[i+1] = r[i] + math.Abs(float64(luma[at+i])-float64(luma[at+i-w]))
+		}
+	}
+}
+
+// contrast scores candidate r, which lies inside the window: the mean
+// absolute luminance step across its border. Vertical edges are sampled over
+// the middle third of the height (pill-shaped buttons only expose their flat
+// boundary there); horizontal edges over the middle half of the width. With
+// r.W, r.H >= 2 both samples hold at least one row or column.
+func (s *stepSums) contrast(r geom.Rect) float64 {
+	W, X, Y := s.win.W, r.X-s.win.X, r.Y-s.win.Y
+	y0, y1, x0, x1 := Y+r.H/3, Y+r.H-r.H/3, X+r.W/4, X+r.W-r.W/4
+	right, top, bottom := X+r.W, Y*(W+1), (Y+r.H)*(W+1)
+	sum := (s.col[y1*W+X] - s.col[y0*W+X]) + (s.col[y1*W+right] - s.col[y0*W+right]) +
+		(s.row[top+x1] - s.row[top+x0]) + (s.row[bottom+x1] - s.row[bottom+x0])
+	return sum / float64(2*(y1-y0)+2*(x1-x0))
+}
+
+// refine is RefineBox with s as the search scratch.
+func (s *stepSums) refine(luma []float32, w, h int, b geom.BoxF) geom.BoxF {
 	if b.W <= smallBoxMax && b.H <= smallBoxMax {
 		// Escalate the contrast threshold until the blob stops ballooning
 		// into neighbouring content: a close button's true extent never
@@ -204,41 +233,38 @@ func RefineBox(luma []float32, w, h int, b geom.BoxF) geom.BoxF {
 		return b
 	}
 	r := b.Rect()
+	// Candidates' border steps lie in columns r.X-3 .. r.MaxX()+6 and rows
+	// r.Y-3 .. r.MaxY()+6, and a scorable one is a pixel inside the plane.
+	win := geom.Rect{X: r.X - refineShift, Y: r.Y - refineShift, W: r.W + 3*refineShift + 1, H: r.H + 3*refineShift + 1}
+	win = win.Intersect(geom.Rect{X: 1, Y: 1, W: w - 1, H: h - 1})
+	if win.Empty() {
+		return b
+	}
+	s.build(luma, w, win)
 	best := refineMinContrast
 	bestRect := geom.Rect{}
-	found := false
 	for dx := -refineShift; dx <= refineShift; dx++ {
 		for dy := -refineShift; dy <= refineShift; dy++ {
 			for dw := -refineShift; dw <= refineShift; dw++ {
 				for dh := -refineShift; dh <= refineShift; dh++ {
 					cand := geom.Rect{X: r.X + dx, Y: r.Y + dy, W: r.W + dw, H: r.H + dh}
-					if cand.W < 2 || cand.H < 2 {
+					if cand.W < 2 || cand.H < 2 || cand.X < 1 || cand.Y < 1 || cand.MaxX() >= w || cand.MaxY() >= h {
 						continue
 					}
 					drift := float64(absi(dx) + absi(dy) + absi(dw) + absi(dh))
-					score := perimeterContrast(luma, w, h, cand) - refineDriftPenalty*drift
-					if score > best {
+					score := s.contrast(cand) - refineDriftPenalty*drift
+					if score > best && score < math.Inf(1) {
 						best = score
 						bestRect = cand
-						found = true
 					}
 				}
 			}
 		}
 	}
-	if !found {
+	if bestRect.Empty() {
 		return b
 	}
 	return geom.BoxFromRect(bestRect)
-}
-
-// RefineDetections applies edge snapping to every detection, in place, and
-// returns the slice for chaining.
-func RefineDetections(dets []metrics.Detection, luma []float32, w, h int) []metrics.Detection {
-	for i := range dets {
-		dets[i].B = RefineBox(luma, w, h, dets[i].B)
-	}
-	return dets
 }
 
 func absi(v int) int {

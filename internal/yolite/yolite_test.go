@@ -1,7 +1,10 @@
 package yolite
 
 import (
+	"context"
+	"errors"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -167,6 +170,72 @@ func TestCanvasToTensorNormalised(t *testing.T) {
 	}
 	if math.Abs(float64(x.Data[2*plane])-128.0/255.0) > 1e-6 {
 		t.Fatalf("B = %v", x.Data[2*plane])
+	}
+}
+
+// TestCanvasToTensorEveryByte: every channel byte normalises to exactly
+// float32(v)/255, whichever channel it sits in.
+func TestCanvasToTensorEveryByte(t *testing.T) {
+	c := render.NewCanvas(InputW, InputH)
+	for o := 0; o < InputW*InputH; o++ {
+		c.Pix[4*o], c.Pix[4*o+1], c.Pix[4*o+2] = byte(o), byte(o+85), byte(o+170)
+	}
+	x := CanvasToTensor(c)
+	plane := InputH * InputW
+	for ch := 0; ch < 3; ch++ {
+		for o := 0; o < plane; o++ {
+			v := c.Pix[4*o+ch]
+			if got, want := x.Data[ch*plane+o], float32(v)/255; got != want {
+				t.Fatalf("channel %d byte %d normalised to %v, want %v", ch, v, got, want)
+			}
+		}
+	}
+}
+
+// TestCanvasesToTensorMatchesPerItem: the batched writer puts every canvas,
+// whatever its size, exactly where a batch of one would.
+func TestCanvasesToTensorMatchesPerItem(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var shots []*render.Canvas
+	for _, sz := range [][2]int{{InputW, InputH}, {2 * InputW, 2 * InputH}, {InputW, InputH}, {4 * InputW, 4 * InputH}, {2 * InputW, 2 * InputH}} {
+		c := render.NewCanvas(sz[0], sz[1])
+		rng.Read(c.Pix)
+		shots = append(shots, c)
+	}
+	x := CanvasesToTensor(shots)
+	per := 3 * InputH * InputW
+	for i, c := range shots {
+		want := CanvasToTensor(c).Data
+		for j, v := range x.Data[i*per : (i+1)*per] {
+			if v != want[j] {
+				t.Fatalf("item %d element %d: batched %v, alone %v", i, j, v, want[j])
+			}
+		}
+	}
+	if CanvasesToTensor(nil) != nil {
+		t.Fatal("an empty batch built a tensor")
+	}
+}
+
+// TestDecodeBatchCancelled: a cancelled context gets nil and its error from
+// the parallel decode (N > 1) and the inline one (N = 1) alike.
+func TestDecodeBatchCancelled(t *testing.T) {
+	m := NewModel(1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, n := range []int{1, 3} {
+		shots := make([]*render.Canvas, n)
+		for i := range shots {
+			shots[i] = render.NewCanvas(InputW, InputH)
+		}
+		x := CanvasesToTensor(shots)
+		upo, ago := m.Forward(x, false)
+		if out, err := DecodeBatch(ctx, x, upo, ago, 0, true, nil); out != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("N=%d: cancelled decode returned %d items, err %v", n, len(out), err)
+		}
+		if out, err := DecodeBatch(context.Background(), x, upo, ago, 0, true, nil); len(out) != n || err != nil {
+			t.Fatalf("N=%d: decode returned %d items, err %v", n, len(out), err)
+		}
 	}
 }
 
