@@ -2,8 +2,8 @@ package quant
 
 // True int8 inference path: activations are quantised once at the network
 // input and stay int8 across the whole backbone. Each layer lowers to an
-// int8 im2col panel (shared with the float path via tensor.Im2colPanelI8)
-// and an int8 x int8 -> int32 blocked GEMM over weight rows packed in pairs
+// int8 im2col panel of its distinct columns (tensor.DistinctPanel) and an
+// int8 x int8 -> int32 blocked GEMM over weight rows packed in pairs
 // (gemmPairs: two MACs per 64-bit multiply), and the epilogue requantises the
 // int32 accumulators straight to the next layer's int8 scale with the folded
 // bias and leaky-ReLU applied in the same pass:
@@ -19,42 +19,12 @@ package quant
 // bit-for-bit given the same int8 activations (pinned by the property tests
 // in int8gemm_test.go).
 
-import (
-	"sync"
-
-	"repro/internal/tensor"
-)
-
-// scratch recycles []T buffers, bucketed by power-of-two capacity class so a
-// request only ever reuses a buffer of the matching class: a single bucket
-// thrashed whenever two layers with different activation sizes alternated.
-type scratch[T any] [33]sync.Pool
+import "repro/internal/tensor"
 
 var (
-	i8s  scratch[int8]  // activations and im2col panels
-	i32s scratch[int32] // accumulator tiles
+	i8s  tensor.Scratch[int8]  // activations and im2col panels
+	i32s tensor.Scratch[int32] // accumulator tiles and distinct-column maps
 )
-
-func bucketFor(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-	}
-	return b
-}
-
-func (s *scratch[T]) get(n int) *[]T {
-	c := bucketFor(n)
-	if v := s[c].Get(); v != nil {
-		p := v.(*[]T)
-		*p = (*p)[:n]
-		return p
-	}
-	b := make([]T, n, 1<<c)
-	return &b
-}
-
-func (s *scratch[T]) put(p *[]T) { s[bucketFor(cap(*p))].Put(p) }
 
 // quantI8 quantises float activations to int8: dst[i] =
 // clamp(round(src[i]/s)) with round-half-away-from-zero done entirely in
@@ -136,18 +106,18 @@ func (q *qconv) i8Task(qx []int8, N, H, W int, out []int8, yf *tensor.Tensor, bl
 	if j1 > cols {
 		j1 = cols
 	}
-	nc := j1 - j0
-	accBuf := i32s.get(q.outC * nc)
+	nc, u := j1-j0, j1-j0
+	accBuf, rep := i32s.Get(q.outC*nc), i32s.Get(nc)
 	acc := *accBuf
 	if q.k == 1 && q.stride == 1 && q.pad == 0 {
 		// 1x1 stride-1: the panel is the input activations themselves.
 		bp := qx[n*q.inC*cols+j0:]
 		gemmPairs(q.qwp, bp, cols, acc, q.outC, kdim, nc)
 	} else {
-		panel := i8s.get(kdim * nc)
-		tensor.Im2colPanelI8(qx[n*q.inC*H*W:(n+1)*q.inC*H*W], q.inC, H, W, q.k, q.stride, q.pad, OW, j0, j1, *panel)
-		gemmPairs(q.qwp, *panel, nc, acc, q.outC, kdim, nc)
-		i8s.put(panel)
+		panel := i8s.Get(kdim * nc)
+		u = tensor.DistinctPanel(qx[n*q.inC*H*W:(n+1)*q.inC*H*W], q.inC, H, W, q.k, q.stride, q.pad, OW, j0, j1, *panel, *rep)
+		gemmPairs(q.qwp, *panel, u, acc, q.outC, kdim, u)
+		i8s.Put(panel)
 	}
 	outBase := n*q.outC*cols + j0
 	// Read q.relu once: a slope of 1 leaves negatives bit-for-bit alone.
@@ -158,7 +128,7 @@ func (q *qconv) i8Task(qx []int8, N, H, W int, out []int8, yf *tensor.Tensor, bl
 	if out != nil {
 		for oc := 0; oc < q.outC; oc++ {
 			rq, bq := q.rq[oc], q.bq[oc]
-			row := acc[oc*nc : (oc+1)*nc]
+			row := acc[oc*u : (oc+1)*u]
 			dst := out[outBase+oc*cols : outBase+oc*cols+nc]
 			for j, a := range row {
 				v := float32(a)*rq + bq
@@ -176,12 +146,15 @@ func (q *qconv) i8Task(qx []int8, N, H, W int, out []int8, yf *tensor.Tensor, bl
 					dst[j] = int8(v - 0.5)
 				}
 			}
+			if u < nc {
+				tensor.SpreadCols(dst, *rep)
+			}
 		}
 	} else {
 		for oc := 0; oc < q.outC; oc++ {
 			deq := q.wScale[oc] * q.inScale
 			bias := q.b[oc]
-			row := acc[oc*nc : (oc+1)*nc]
+			row := acc[oc*u : (oc+1)*u]
 			dst := yf.Data[outBase+oc*cols : outBase+oc*cols+nc]
 			for j, a := range row {
 				v := float32(a)*deq + bias
@@ -190,9 +163,13 @@ func (q *qconv) i8Task(qx []int8, N, H, W int, out []int8, yf *tensor.Tensor, bl
 				}
 				dst[j] = v
 			}
+			if u < nc {
+				tensor.SpreadCols(dst, *rep)
+			}
 		}
 	}
-	i32s.put(accBuf)
+	i32s.Put(accBuf)
+	i32s.Put(rep)
 }
 
 // packPairs lays int8 weight rows [M][K] out as (M+1)/2 rows of int64, row p

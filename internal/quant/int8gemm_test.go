@@ -83,16 +83,49 @@ func randQx(rng *rand.Rand, n int) []int8 {
 	return qx
 }
 
+// repeatQx are int8 activations whose receptive fields repeat the way a
+// screen's do, each batch item with values of its own: a flat field with a
+// rectangle on it, a 3x5 tile repeated across the map, a constant map, and
+// an all-zero map (its windows wholly in padding equal its in-bounds ones).
+func repeatQx(rng *rand.Rand, n, c, h, w int) [][]int8 {
+	flat, tile, cnst, zero := make([]int8, n*c*h*w), make([]int8, n*c*h*w), make([]int8, n*c*h*w), make([]int8, n*c*h*w)
+	for item := 0; item < n; item++ {
+		bg, fg, v := randQx(rng, c), randQx(rng, c), randQx(rng, 1)[0]
+		tl := randQx(rng, c*15)
+		x0, y0 := rng.Intn(w), rng.Intn(h)
+		x1, y1 := x0+1+rng.Intn(w-x0), y0+1+rng.Intn(h-y0)
+		for ic := 0; ic < c; ic++ {
+			for y := 0; y < h; y++ {
+				for x := 0; x < w; x++ {
+					i := ((item*c+ic)*h+y)*w + x
+					flat[i] = bg[ic]
+					if x >= x0 && x < x1 && y >= y0 && y < y1 {
+						flat[i] = fg[ic]
+					}
+					tile[i] = tl[(ic*3+y%3)*5+x%5]
+					cnst[i] = v
+				}
+			}
+		}
+	}
+	return [][]int8{flat, tile, cnst, zero}
+}
+
 // TestForwardI8FloatMatchesPerPlane pins the int8 GEMM against the retained
 // per-plane int8 reference loop: same int8 activations in, bit-identical
 // float32 maps out — int32 accumulation is exact, so any tiling or im2col
 // error shows up as a hard mismatch. Shapes cover the 1x1 fast path,
-// stride > 1, pad >= k/2, and spatial sizes smaller than the kernel.
+// stride > 1, pad >= k/2, and spatial sizes smaller than the kernel; inputs
+// are random, where no column repeats, and repeatQx, where most do and only
+// the distinct ones are multiplied (B1's four column blocks per item see
+// repeats straddle their boundaries).
 func TestForwardI8FloatMatchesPerPlane(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	type shape struct{ n, c, h, w, outC, k, stride, pad int }
 	cases := []shape{
-		{1, 3, 160, 96, 10, 3, 2, 1}, // B1 geometry
+		{2, 3, 160, 96, 10, 3, 2, 1}, // B1 geometry
+		{1, 2, 5, 5, 3, 3, 1, 3},     // windows wholly in padding
+		{2, 4, 9, 9, 4, 3, 1, 0},     // no padding: a constant map is one column
 		{2, 24, 12, 20, 5, 1, 1, 0},  // UPO head geometry (1x1 fast path)
 		{1, 32, 3, 5, 5, 1, 1, 0},    // AGO head geometry, tiny grid
 		{1, 4, 2, 2, 3, 3, 1, 2},     // input smaller than kernel
@@ -114,20 +147,22 @@ func TestForwardI8FloatMatchesPerPlane(t *testing.T) {
 		}
 		for _, relu := range []bool{false, true} {
 			q := randQConv(rng, s.c, s.outC, s.k, s.stride, s.pad, relu)
-			qx := randQx(rng, s.n*s.c*s.h*s.w)
-			oh, ow := q.outSize(s.h, s.w)
-			want := tensor.New(s.n, s.outC, oh, ow)
-			for n := 0; n < s.n; n++ {
-				for oc := 0; oc < s.outC; oc++ {
-					q.forwardPlane(qx, []int{s.n, s.c, s.h, s.w}, want, n, oc)
+			inputs := append([][]int8{randQx(rng, s.n*s.c*s.h*s.w)}, repeatQx(rng, s.n, s.c, s.h, s.w)...)
+			for k, qx := range inputs {
+				oh, ow := q.outSize(s.h, s.w)
+				want := tensor.New(s.n, s.outC, oh, ow)
+				for n := 0; n < s.n; n++ {
+					for oc := 0; oc < s.outC; oc++ {
+						q.forwardPlane(qx, []int{s.n, s.c, s.h, s.w}, want, n, oc)
+					}
 				}
-			}
-			got := tensor.New(s.n, s.outC, oh, ow)
-			q.forward(qx, s.n, s.h, s.w, nil, got, nil)
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("shape %+v relu=%v: element %d differs: gemm %v per-plane %v",
-						s, relu, i, got.Data[i], want.Data[i])
+				got := tensor.New(s.n, s.outC, oh, ow)
+				q.forward(qx, s.n, s.h, s.w, nil, got, nil)
+				for i := range want.Data {
+					if got.Data[i] != want.Data[i] {
+						t.Fatalf("shape %+v relu=%v input %d: element %d differs: gemm %v per-plane %v",
+							s, relu, k, i, got.Data[i], want.Data[i])
+					}
 				}
 			}
 		}
@@ -148,7 +183,13 @@ func TestForwardI8RequantMatchesFormula(t *testing.T) {
 		q.bq[oc] = q.b[oc] / q.outScale
 	}
 	N, H, W := 2, 13, 11
-	qx := randQx(rng, N*q.inC*H*W)
+	for k, qx := range [][]int8{randQx(rng, N*q.inC*H*W), repeatQx(rng, N, q.inC, H, W)[0]} {
+		requantMatchesFormula(t, q, qx, N, H, W, k)
+	}
+}
+
+// requantMatchesFormula runs one input through TestForwardI8RequantMatchesFormula.
+func requantMatchesFormula(t *testing.T, q *qconv, qx []int8, N, H, W, k int) {
 	oh, ow := q.outSize(H, W)
 	out := make([]int8, N*q.outC*oh*ow)
 	q.forward(qx, N, H, W, out, nil, nil)
@@ -178,8 +219,8 @@ func TestForwardI8RequantMatchesFormula(t *testing.T) {
 		// The epilogue rounds in float32; allow the half-integer knife edge
 		// only if float64 rounding disagrees by exactly one.
 		if g != want {
-			t.Fatalf("element %d: requant %d, formula %d (acc=%v rq=%v bq=%v)",
-				i, g, want, accT.Data[i], q.rq[oc], q.bq[oc])
+			t.Fatalf("input %d element %d: requant %d, formula %d (acc=%v rq=%v bq=%v)",
+				k, i, g, want, accT.Data[i], q.rq[oc], q.bq[oc])
 		}
 	}
 }
@@ -388,6 +429,35 @@ func TestInt8ForwardPooledAllocs(t *testing.T) {
 	warm()
 	if avg := testing.AllocsPerRun(10, warm); avg != 0 {
 		t.Fatalf("int8 pooled forward allocates %v per op, want 0", avg)
+	}
+}
+
+// TestInt8ForwardPooledAllocsFlat is TestInt8ForwardPooledAllocs on a flat
+// screen — a light background with a dark rectangle — where most columns
+// repeat: the distinct-column path allocates nothing either.
+func TestInt8ForwardPooledAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	m := yolite.NewModel(5)
+	qm := Port(m, nil)
+	qm.SetPool(tensor.NewPool())
+	x := tensor.New(1, 3, yolite.InputH, yolite.InputW)
+	for i := range x.Data {
+		x.Data[i] = 0.9
+		if y, xx := i/yolite.InputW%yolite.InputH, i%yolite.InputW; y >= 60 && y < 100 && xx >= 20 && xx < 70 {
+			x.Data[i] = 0.2
+		}
+	}
+	warm := func() {
+		upo, ago := qm.Forward(x)
+		qm.Pool.Put(upo)
+		qm.Pool.Put(ago)
+	}
+	warm()
+	if avg := testing.AllocsPerRun(10, warm); avg != 0 {
+		t.Fatalf("int8 pooled forward on a flat screen allocates %v per op, want 0", avg)
 	}
 }
 

@@ -238,7 +238,7 @@ func (qm *Model) forwardInt8(ctx context.Context, x *tensor.Tensor) (upo, ago *t
 	p := qm.Pool
 	done := ctx.Done()
 	N, _, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	cur := i8s.get(len(x.Data))
+	cur := i8s.Get(len(x.Data))
 	if N > 1 {
 		// One item per task. Capturing cur, which is reassigned below, would
 		// move it to the heap on every forward, N = 1 included.
@@ -251,12 +251,12 @@ func (qm *Model) forwardInt8(ctx context.Context, x *tensor.Tensor) (upo, ago *t
 	}
 	for _, b := range qm.blocks {
 		oh, ow := b.outSize(h, w)
-		nxt := i8s.get(N * b.outC * oh * ow)
+		nxt := i8s.Get(N * b.outC * oh * ow)
 		b.forward(*cur, N, h, w, *nxt, nil, done)
-		i8s.put(cur)
+		i8s.Put(cur)
 		cur, h, w = nxt, oh, ow
 		if err := ctx.Err(); err != nil {
-			i8s.put(cur)
+			i8s.Put(cur)
 			return nil, nil, err
 		}
 	}
@@ -265,19 +265,19 @@ func (qm *Model) forwardInt8(ctx context.Context, x *tensor.Tensor) (upo, ago *t
 	upo = p.Get(N, qm.upoHead.outC, oh, ow)
 	qm.upoHead.forward(*cur, N, h, w, nil, upo, done)
 	if err := ctx.Err(); err != nil {
-		i8s.put(cur)
+		i8s.Put(cur)
 		p.Put(upo)
 		return nil, nil, err
 	}
 	for _, b := range qm.deep {
 		oh, ow := b.outSize(h, w)
-		nxt := i8s.get(N * b.outC * oh * ow)
+		nxt := i8s.Get(N * b.outC * oh * ow)
 		b.forward(*cur, N, h, w, *nxt, nil, done)
-		i8s.put(cur) // for the first deep block this releases the trunk,
+		i8s.Put(cur) // for the first deep block this releases the trunk,
 		// whose second consumer (the UPO head) has already run
 		cur, h, w = nxt, oh, ow
 		if err := ctx.Err(); err != nil {
-			i8s.put(cur)
+			i8s.Put(cur)
 			p.Put(upo)
 			return nil, nil, err
 		}
@@ -285,7 +285,7 @@ func (qm *Model) forwardInt8(ctx context.Context, x *tensor.Tensor) (upo, ago *t
 	oh, ow = qm.agoHead.outSize(h, w)
 	ago = p.Get(N, qm.agoHead.outC, oh, ow)
 	qm.agoHead.forward(*cur, N, h, w, nil, ago, done)
-	i8s.put(cur)
+	i8s.Put(cur)
 	if err := ctx.Err(); err != nil {
 		p.Put(upo)
 		p.Put(ago)

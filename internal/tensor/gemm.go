@@ -69,9 +69,9 @@ func convGemmInto(x, y *Tensor, spec convSpec, w, bias []float32, act bool, slop
 	}
 }
 
-// convGemmTask runs one (batch item, column block) unit: unpack the panel,
-// multiply every weight row against it, apply the epilogue. Tasks write
-// disjoint column ranges of y, so they are safe to run concurrently.
+// convGemmTask runs one (batch item, column block) unit: unpack the distinct
+// panel columns, multiply, apply the epilogue, spread the results (see
+// DistinctPanel). Tasks write disjoint column ranges of y.
 func convGemmTask(x, y *Tensor, spec convSpec, w, bias []float32, act bool, slope float32, p *Pool, blk, nBlocks, t int) {
 	n, b := t/nBlocks, t%nBlocks
 	C, H, W := x.Shape[1], x.Shape[2], x.Shape[3]
@@ -83,7 +83,8 @@ func convGemmTask(x, y *Tensor, spec convSpec, w, bias []float32, act bool, slop
 	if j1 > cols {
 		j1 = cols
 	}
-	nc := j1 - j0
+	nc, u := j1-j0, j1-j0
+	rep := idxScratch.Get(nc)
 	outBase := n * spec.outC * cols
 	if spec.kk == 1 && spec.stride == 1 && spec.pad == 0 {
 		// 1x1 stride-1 convolution: the im2col panel is the input itself.
@@ -91,20 +92,24 @@ func convGemmTask(x, y *Tensor, spec convSpec, w, bias []float32, act bool, slop
 		gemmBlock(w, kdim, bias, bp, cols, y.Data[outBase+j0:], cols, spec.outC, kdim, nc)
 	} else {
 		panel := p.Get(kdim, nc)
-		im2colPanel(x.Data[n*C*H*W:(n+1)*C*H*W], C, H, W, spec.kk, spec.stride, spec.pad, OW, j0, j1, panel.Data)
-		gemmBlock(w, kdim, bias, panel.Data, nc, y.Data[outBase+j0:], cols, spec.outC, kdim, nc)
+		u = DistinctPanel(x.Data[n*C*H*W:(n+1)*C*H*W], C, H, W, spec.kk, spec.stride, spec.pad, OW, j0, j1, panel.Data, *rep)
+		gemmBlock(w, kdim, bias, panel.Data, u, y.Data[outBase+j0:], cols, spec.outC, kdim, u)
 		p.Put(panel)
 	}
-	if act {
-		for oc := 0; oc < spec.outC; oc++ {
-			row := y.Data[outBase+oc*cols+j0 : outBase+oc*cols+j1]
-			for i, v := range row {
+	for oc := 0; oc < spec.outC; oc++ {
+		row := y.Data[outBase+oc*cols+j0 : outBase+oc*cols+j1]
+		if act {
+			for i, v := range row[:u] {
 				if v < 0 {
 					row[i] = slope * v
 				}
 			}
 		}
+		if u < nc {
+			SpreadCols(row, *rep)
+		}
 	}
+	idxScratch.Put(rep)
 }
 
 // gemmBlock computes c[m*ldc+j] = bias[m] + sum_k a[m*lda+k]*b[k*ldb+j] for

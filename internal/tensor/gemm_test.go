@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -90,6 +91,63 @@ func randomConv(rng *rand.Rand, n, c, h, w, outC, kk, stride, pad int) (*Tensor,
 	return x, spec, wt, bias
 }
 
+// repeatInputs are [n, c, h, w] maps whose receptive fields repeat the way
+// a screen's do, each batch item with values of its own: a flat field with
+// a rectangle on it, a 3x5 tile repeated across the map, a constant map
+// (one distinct column wherever no window meets padding), an all-zero map
+// (its windows wholly in padding equal its in-bounds ones), and a map of
+// +0 and -0 halves with a different NaN payload in two far corners, which
+// a comparison by value would merge and a comparison by bits must not.
+func repeatInputs(rng *rand.Rand, n, c, h, w int) []*Tensor {
+	flat, tile, cnst, zero, signed := New(n, c, h, w), New(n, c, h, w), New(n, c, h, w), New(n, c, h, w), New(n, c, h, w)
+	negZero := float32(math.Copysign(0, -1))
+	nanA, nanB := math.Float32frombits(0x7fc00001), math.Float32frombits(0x7fc00002)
+	for item := 0; item < n; item++ {
+		bg, fg, v := rng.Float32(), rng.Float32(), rng.Float32()*2-1
+		x0, y0 := rng.Intn(w), rng.Intn(h)
+		x1, y1 := x0+1+rng.Intn(w-x0), y0+1+rng.Intn(h-y0)
+		tl := make([]float32, c*15)
+		for i := range tl {
+			tl[i] = rng.Float32()
+		}
+		for ic := 0; ic < c; ic++ {
+			for y := 0; y < h; y++ {
+				for x := 0; x < w; x++ {
+					i := ((item*c+ic)*h+y)*w + x
+					flat.Data[i] = bg + float32(ic)
+					if x >= x0 && x < x1 && y >= y0 && y < y1 {
+						flat.Data[i] = fg + float32(ic)
+					}
+					tile.Data[i] = tl[(ic*3+y%3)*5+x%5]
+					cnst.Data[i] = v
+					switch far := h >= 8 && w >= 8; {
+					case far && x < 2 && y < 2:
+						signed.Data[i] = nanA
+					case far && x >= w-2 && y >= h-2:
+						signed.Data[i] = nanB
+					case x >= w/2:
+						signed.Data[i] = negZero
+					}
+				}
+			}
+		}
+	}
+	return []*Tensor{flat, tile, cnst, zero, signed}
+}
+
+// requireSameBits fails at the first element whose bits differ: the float
+// oracles demand the GEMM path's exact bits, NaN payloads and zero signs
+// included.
+func requireSameBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: element %d differs: gemm %v (%#x), direct %v (%#x)",
+				what, i, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}
+
 // convShape is one convolution geometry: input [n, c, h, w], outC kernels of
 // kk x kk at the given stride and padding.
 type convShape struct{ n, c, h, w, outC, kk, stride, pad int }
@@ -118,7 +176,10 @@ var productionConvShapes = []struct {
 // blocked GEMM path produces exactly the float32 bits of the direct nested
 // loop across every production shape (N=1 and N=8) and randomized geometry,
 // including 1x1 kernels, stride > 1, padding >= k/2, and spatial sizes
-// smaller than the kernel.
+// smaller than the kernel — on random data, where no column repeats, and on
+// repeatInputs, where most do and only the distinct ones are multiplied
+// (the B1 geometry's four column blocks per item see repeats straddle
+// their boundaries).
 func TestConvGemmMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	p := NewPool()
@@ -133,6 +194,8 @@ func TestConvGemmMatchesDirect(t *testing.T) {
 		{1, 1, 6, 6, 1, 5, 2, 2},     // big kernel, pad = k/2
 		{2, 8, 12, 12, 8, 1, 1, 0},   // 1x1 fast path with batch
 		{1, 6, 7, 11, 5, 3, 2, 0},    // no padding, non-square
+		{1, 2, 6, 6, 3, 3, 1, 3},     // windows wholly in padding
+		{2, 3, 12, 12, 4, 3, 1, 0},   // no padding: a constant map is one column
 	}
 	for _, ps := range productionConvShapes {
 		for _, n := range []int{1, 8} {
@@ -155,14 +218,35 @@ func TestConvGemmMatchesDirect(t *testing.T) {
 			s.pad = s.kk // keep the output non-empty
 		}
 		x, spec, wt, bias := randomConv(rng, s.n, s.c, s.h, s.w, s.outC, s.kk, s.stride, s.pad)
-		want := directConvRef(x, spec, wt, bias)
-		got := New(want.Shape...)
-		convGemmInto(x, got, spec, wt, bias, false, 0, p, nil)
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("shape %+v: element %d differs: gemm %v direct %v", s, i, got.Data[i], want.Data[i])
-			}
+		for k, in := range append([]*Tensor{x}, repeatInputs(rng, s.n, s.c, s.h, s.w)...) {
+			want := directConvRef(in, spec, wt, bias)
+			got := New(want.Shape...)
+			convGemmInto(in, got, spec, wt, bias, false, 0, p, nil)
+			requireSameBits(t, fmt.Sprintf("shape %+v input %d", s, k), got.Data, want.Data)
 		}
+	}
+	// With a -0 bias and positive weights a window of -0 taps sums to -0 and
+	// one of +0 taps to +0, so a merge by value would flip signs. No padding:
+	// the direct loop skips padding taps that the panel adds as w*(+0), and
+	// -0 + +0 is +0.
+	x := repeatInputs(rng, 2, 3, 12, 12)[4]
+	_, spec, wt, bias := randomConv(rng, 2, 3, 12, 12, 4, 3, 1, 0)
+	for i := range wt {
+		wt[i] = float32(math.Abs(float64(wt[i])))
+	}
+	for i := range bias {
+		bias[i] = float32(math.Copysign(0, -1))
+	}
+	want := directConvRef(x, spec, wt, bias)
+	got := New(want.Shape...)
+	convGemmInto(x, got, spec, wt, bias, false, 0, p, nil)
+	requireSameBits(t, "signed zeros", got.Data, want.Data)
+	signs := map[uint32]bool{}
+	for _, v := range want.Data {
+		signs[math.Float32bits(v)] = true
+	}
+	if !signs[0] || !signs[1<<31] || !signs[0x7fc00001] || !signs[0x7fc00002] {
+		t.Fatal("signed-zero case lost its +0, -0 or NaN outputs")
 	}
 }
 
@@ -171,24 +255,101 @@ func TestConvGemmMatchesDirect(t *testing.T) {
 func TestConvGemmActEpilogue(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x, spec, wt, bias := randomConv(rng, 2, 4, 10, 9, 6, 3, 2, 1)
-	want := directConvRef(x, spec, wt, bias)
-	const slope = 0.1
-	for i, v := range want.Data {
-		if v < 0 {
-			want.Data[i] = slope * v
+	for k, in := range append([]*Tensor{x}, repeatInputs(rng, 2, 4, 10, 9)...) {
+		want := directConvRef(in, spec, wt, bias)
+		const slope = 0.1
+		for i, v := range want.Data {
+			if v < 0 {
+				want.Data[i] = slope * v
+			}
 		}
+		got := New(want.Shape...)
+		convGemmInto(in, got, spec, wt, bias, true, slope, NewPool(), nil)
+		requireSameBits(t, fmt.Sprintf("input %d with epilogue", k), got.Data, want.Data)
 	}
-	got := New(want.Shape...)
-	convGemmInto(x, got, spec, wt, bias, true, slope, NewPool(), nil)
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("element %d differs with epilogue: %v vs %v", i, got.Data[i], want.Data[i])
+}
+
+// TestDistinctPanel pins the helper against naivePanel on repeatInputs and
+// random data, at awkward block boundaries: every pixel's column in the
+// compact panel is, bit for bit, the one the naive gather makes; the
+// columns kept are the first appearances, in order; and there are exactly
+// as many as the block has distinct columns — so every repeat is found, a
+// constant map away from padding is one column, and random data keeps all.
+func TestDistinctPanel(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, s := range []convShape{
+		{1, 3, 12, 10, 0, 3, 2, 1},
+		{1, 4, 9, 11, 0, 3, 1, 0},
+		{1, 2, 6, 6, 0, 3, 1, 3}, // windows wholly in padding
+		{1, 5, 7, 7, 0, 1, 2, 0}, // 1x1 with stride 2 still gathers
+		{1, 2, 9, 8, 0, 5, 2, 2},
+	} {
+		OH := (s.h+2*s.pad-s.kk)/s.stride + 1
+		OW := (s.w+2*s.pad-s.kk)/s.stride + 1
+		cols, kdim := OH*OW, s.c*s.kk*s.kk
+		x, _, _, _ := randomConv(rng, 1, s.c, s.h, s.w, 1, s.kk, s.stride, s.pad)
+		for k, in := range append(repeatInputs(rng, 1, s.c, s.h, s.w), x) {
+			full := naivePanel(in.Data, s.c, s.h, s.w, s.kk, s.stride, s.pad, OH, OW)
+			column := func(j int) string {
+				b := make([]byte, 0, 4*kdim)
+				for r := 0; r < kdim; r++ {
+					b = fmt.Appendf(b, "%08x", math.Float32bits(full[r*cols+j]))
+				}
+				return string(b)
+			}
+			for _, blk := range []int{1, 5, OW, OW + 3, cols} {
+				for j0 := 0; j0 < cols; j0 += blk {
+					j1 := min(j0+blk, cols)
+					nc := j1 - j0
+					dst, rep := make([]float32, kdim*nc), make([]int32, nc)
+					u := DistinctPanel(in.Data, s.c, s.h, s.w, s.kk, s.stride, s.pad, OW, j0, j1, dst, rep)
+					distinct, kept := map[string]bool{}, 0
+					for i := 0; i < nc; i++ {
+						distinct[column(j0+i)] = true
+						if c := int(rep[i]); c > kept || c >= u {
+							t.Fatalf("shape %+v input %d block [%d,%d): pixel %d maps to column %d of %d, %d kept so far", s, k, j0, j1, i, c, u, kept)
+						} else if c == kept {
+							kept++
+						}
+						for r := 0; r < kdim; r++ {
+							if math.Float32bits(dst[r*u+int(rep[i])]) != math.Float32bits(full[r*cols+j0+i]) {
+								t.Fatalf("shape %+v input %d block [%d,%d): pixel %d row %d: compact %v, im2col %v", s, k, j0, j1, i, r, dst[r*u+int(rep[i])], full[r*cols+j0+i])
+							}
+						}
+					}
+					if u != kept || u != len(distinct) {
+						t.Fatalf("shape %+v input %d block [%d,%d): %d columns, %d kept, %d distinct", s, k, j0, j1, u, kept, len(distinct))
+					}
+					if k == 2 && s.pad == 0 && u != 1 {
+						t.Fatalf("shape %+v: constant map gives %d columns, want 1", s, u)
+					}
+				}
+			}
 		}
 	}
 }
 
+// naivePanel is the whole-map im2col panel [kdim x OH*OW] gathered tap by
+// tap, the oracle for DistinctPanel.
+func naivePanel(src []float32, C, H, W, kk, stride, pad, OH, OW int) []float32 {
+	cols := OH * OW
+	panel := make([]float32, C*kk*kk*cols)
+	for r := range C * kk * kk {
+		ic, kh, kw := r/(kk*kk), r/kk%kk, r%kk
+		for j := 0; j < cols; j++ {
+			ih := (j/OW)*stride - pad + kh
+			iw := (j%OW)*stride - pad + kw
+			if ih >= 0 && ih < H && iw >= 0 && iw < W {
+				panel[r*cols+j] = src[(ic*H+ih)*W+iw]
+			}
+		}
+	}
+	return panel
+}
+
 // TestIm2colPanelBlocks checks the block-wise unpack against a naive
-// whole-map gather for awkward block boundaries.
+// whole-map gather for awkward block boundaries, on random data, where
+// every column is distinct.
 func TestIm2colPanelBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	C, H, W, kk, stride, pad := 3, 7, 5, 3, 2, 1
@@ -200,21 +361,7 @@ func TestIm2colPanelBlocks(t *testing.T) {
 	for i := range src {
 		src[i] = rng.Float32()
 	}
-	naive := make([]float32, kdim*cols)
-	for ic := 0; ic < C; ic++ {
-		for kh := 0; kh < kk; kh++ {
-			for kw := 0; kw < kk; kw++ {
-				r := (ic*kk+kh)*kk + kw
-				for j := 0; j < cols; j++ {
-					ih := (j/OW)*stride - pad + kh
-					iw := (j%OW)*stride - pad + kw
-					if ih >= 0 && ih < H && iw >= 0 && iw < W {
-						naive[r*cols+j] = src[(ic*H+ih)*W+iw]
-					}
-				}
-			}
-		}
-	}
+	naive := naivePanel(src, C, H, W, kk, stride, pad, OH, OW)
 	for _, blk := range []int{1, 3, 4, OW, OW + 1, cols} {
 		for j0 := 0; j0 < cols; j0 += blk {
 			j1 := j0 + blk
@@ -226,7 +373,9 @@ func TestIm2colPanelBlocks(t *testing.T) {
 			for i := range dst {
 				dst[i] = -99 // poison: every element must be written
 			}
-			im2colPanel(src, C, H, W, kk, stride, pad, OW, j0, j1, dst)
+			if u := DistinctPanel(src, C, H, W, kk, stride, pad, OW, j0, j1, dst, make([]int32, nc)); u != nc {
+				t.Fatalf("blk %d: %d of %d random columns kept", blk, u, nc)
+			}
 			for r := 0; r < kdim; r++ {
 				for j := j0; j < j1; j++ {
 					if dst[r*nc+j-j0] != naive[r*cols+j] {
@@ -337,6 +486,54 @@ func TestConvGemmPooledAllocs(t *testing.T) {
 	}
 }
 
+// TestSameWindowComparesBits pins the exact check behind every repeat. The
+// fingerprints already keep these windows apart, so only a collision reaches
+// it, and then it must compare bits, not values: -0 and +0 differ, so do
+// two NaN payloads, a NaN equals itself, and a window wholly in padding
+// equals an in-bounds +0 but not a -0.
+func TestSameWindowComparesBits(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	nanA, nanB := math.Float32frombits(0x7fc00001), math.Float32frombits(0x7fc00002)
+	src := []float32{0, negZero, nanA, nanA, nanB, 1, 1}
+	const W, OW = 7, 9 // a 1x1 kernel over one row, padded by 1
+	g := windows[float32]{src, 1, W, 1, 1, 1, OW, []int32{0}, []int32{0}}
+	at := func(iw int) int { return OW + iw + 1 } // the pixel over input (0, iw)
+	for _, c := range []struct {
+		a, b int
+		want bool
+	}{
+		{at(0), at(1), false}, {at(2), at(3), true}, {at(2), at(4), false},
+		{at(5), at(6), true}, {at(1), at(1), true},
+		{0, at(0), true}, {0, at(1), false}, {0, 2 * OW, true},
+	} {
+		if got := g.same(c.a, c.b); got != c.want {
+			t.Errorf("same(%d, %d) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// TestConvGemmPooledAllocsFlat is TestConvGemmPooledAllocs on a flat field,
+// where most columns repeat: fingerprints, tables, rep maps, the compact
+// panel and the spread allocate nothing either.
+func TestConvGemmPooledAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rng := rand.New(rand.NewSource(5))
+	_, spec, wt, bias := randomConv(rng, 1, 8, 20, 20, 8, 3, 1, 1)
+	x := repeatInputs(rng, 1, 8, 20, 20)[0]
+	p := NewPool()
+	y := New(1, 8, 20, 20)
+	convGemmInto(x, y, spec, wt, bias, true, 0.1, p, nil) // warm the pool buckets
+	avg := testing.AllocsPerRun(20, func() {
+		convGemmInto(x, y, spec, wt, bias, true, 0.1, p, nil)
+	})
+	if avg != 0 {
+		t.Fatalf("pooled GEMM conv on a flat field allocates %v per op, want 0", avg)
+	}
+}
+
 func BenchmarkGemm(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	// B2-like layer: 16 -> 24 channels over an 40x24 grid.
@@ -391,9 +588,9 @@ func BenchmarkConvIm2col(b *testing.B) {
 	for i := range src {
 		src[i] = rng.Float32()
 	}
-	dst := make([]float32, kdim*cols)
+	dst, rep := make([]float32, kdim*cols), make([]int32, cols)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		im2colPanel(src, C, H, W, kk, stride, pad, OW, 0, cols, dst)
+		DistinctPanel(src, C, H, W, kk, stride, pad, OW, 0, cols, dst, rep)
 	}
 }

@@ -150,3 +150,23 @@ func (p *Pool) Stats() (gets, news int64) {
 	}
 	return p.gets.Load(), p.news.Load()
 }
+
+// Scratch recycles []T buffers that are not activations (int8 panels, int32
+// tiles, fingerprints), one sync.Pool per power-of-two capacity class: one
+// bucket thrashed when layers of different sizes alternated. Not zeroed.
+type Scratch[T any] [33]sync.Pool
+
+// Get returns a buffer of length n.
+func (s *Scratch[T]) Get(n int) *[]T {
+	c := poolBucket(max(n, 1))
+	if v := s[c].Get(); v != nil {
+		p := v.(*[]T)
+		*p = (*p)[:n]
+		return p
+	}
+	b := make([]T, n, 1<<c)
+	return &b
+}
+
+// Put returns a buffer from Get for reuse.
+func (s *Scratch[T]) Put(p *[]T) { s[poolBucket(cap(*p))].Put(p) }

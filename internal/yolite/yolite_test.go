@@ -317,3 +317,27 @@ func TestPredictScalesToCanvas(t *testing.T) {
 		t.Fatalf("scaling broken: %v vs %v", r, b)
 	}
 }
+
+// BenchmarkConvScreens is BenchmarkConvKernels' other extreme: the six
+// backbone convolutions at N=8 on what they see in service — generator
+// screens run through the real fused layer chain, where most receptive
+// fields repeat and only the distinct columns are multiplied.
+// BenchmarkConvKernels feeds random data, where none repeat.
+func BenchmarkConvScreens(b *testing.B) {
+	m := NewModel(1)
+	if err := m.Load("../../weights/yolite.gob"); err != nil {
+		b.Skip("no pretrained weights")
+	}
+	cfg := auigen.DatasetConfig{}
+	samples := append(auigen.BuildAUISamples(1, 6, cfg), auigen.BuildNegativeSamples(2, 2, cfg)...)
+	x := BatchToTensor(samples)
+	p := tensor.NewPool()
+	for i, blk := range m.fusedBlocks() {
+		b.Run([]string{"b1", "b2", "b3", "b3b", "b4", "b5"}[i], func(b *testing.B) {
+			for range b.N {
+				p.Put(blk.ForwardCancel(x, p, nil))
+			}
+		})
+		x = blk.ForwardCancel(x, nil, nil)
+	}
+}
