@@ -23,7 +23,7 @@ import "repro/internal/tensor"
 
 var (
 	i8s  tensor.Scratch[int8]  // activations and im2col panels
-	i32s tensor.Scratch[int32] // accumulator tiles and distinct-column maps
+	i32s tensor.Scratch[int32] // accumulator tiles, distinct-column maps, labels
 )
 
 // quantI8 quantises float activations to int8: dst[i] =
@@ -66,56 +66,61 @@ func (q *qconv) outSize(h, w int) (int, int) {
 // layer passes out (length N*outC*OH*OW) and gets requantised int8 at
 // q.outScale; a head passes yf ([N, outC, OH, OW]) and gets float32 exactly
 // as the reference per-plane loop computes it (float32(acc)*deq + bias,
-// optional leaky-ReLU). Work splits into (batch item, column block) tasks on
-// the shared worker pool, each a cooperative cancellation checkpoint; once
-// done closes, the output is partially written and must be discarded.
-func (q *qconv) forward(qx []int8, N, H, W int, out []int8, yf *tensor.Tensor, done <-chan struct{}) {
+// optional leaky-ReLU). labIn holds qx's position labels (nil: none), and a
+// non-nil labOut receives out's, as tensor.FusedConvBNAct.ForwardLabels
+// defines them. Work splits into (batch item, column block) tasks on the
+// shared worker pool, each a cooperative cancellation checkpoint; once done
+// closes, the output is partially written and must be discarded.
+func (q *qconv) forward(qx []int8, N, H, W int, out []int8, yf *tensor.Tensor, labIn, labOut []int32, done <-chan struct{}) {
 	OH, OW := q.outSize(H, W)
 	cols := OH * OW
 	kdim := q.inC * q.k * q.k
 	blk := tensor.ColBlock(kdim, cols)
 	nBlocks := (cols + blk - 1) / blk
 	tasks := N * nBlocks
+	tabs := tensor.NewLabelTables(labOut, cols)
 	// The closure is only built inside the parallel branch so the serial
 	// path stays allocation-free (see tensor.ParallelWorthwhile).
 	if tensor.ParallelWorthwhile(N * q.outC * cols * kdim) {
 		tensor.ParallelForCancel(done, tasks, func(t int) {
-			q.i8Task(qx, N, H, W, out, yf, blk, nBlocks, t)
+			q.i8Task(qx, N, H, W, out, yf, labIn, labOut, tabs, blk, nBlocks, t)
 		})
-		return
-	}
-	for t := 0; t < tasks; t++ {
-		if tensor.Aborted(done) {
-			return
+	} else {
+		for t := 0; t < tasks && !tensor.Aborted(done); t++ {
+			q.i8Task(qx, N, H, W, out, yf, labIn, labOut, tabs, blk, nBlocks, t)
 		}
-		q.i8Task(qx, N, H, W, out, yf, blk, nBlocks, t)
 	}
+	tabs.Free()
 }
 
 // i8Task runs one (batch item, column block) unit: unpack the int8 panel,
 // accumulate every output channel against it in int32, then requantise (out
 // != nil) or dequantise (yf != nil) the accumulator tile while it is
-// cache-hot.
-func (q *qconv) i8Task(qx []int8, N, H, W int, out []int8, yf *tensor.Tensor, blk, nBlocks, t int) {
+// cache-hot, labelling requantised results when labels are wanted.
+func (q *qconv) i8Task(qx []int8, N, H, W int, out []int8, yf *tensor.Tensor, labIn, labOut []int32, tabs tensor.LabelTables, blk, nBlocks, t int) {
 	n, b := t/nBlocks, t%nBlocks
 	OH, OW := q.outSize(H, W)
 	cols := OH * OW
 	kdim := q.inC * q.k * q.k
 	j0 := b * blk
-	j1 := j0 + blk
-	if j1 > cols {
-		j1 = cols
-	}
+	j1 := min(j0+blk, cols)
 	nc, u := j1-j0, j1-j0
-	accBuf, rep := i32s.Get(q.outC*nc), i32s.Get(nc)
-	acc := *accBuf
+	accBuf, repBuf := i32s.Get(q.outC*nc), i32s.Get(nc)
+	acc, rep := *accBuf, *repBuf
+	if labOut != nil { // the rep map is the block's share of labOut
+		rep = labOut[n*cols+j0 : n*cols+j1]
+	}
 	if q.k == 1 && q.stride == 1 && q.pad == 0 {
 		// 1x1 stride-1: the panel is the input activations themselves.
 		bp := qx[n*q.inC*cols+j0:]
 		gemmPairs(q.qwp, bp, cols, acc, q.outC, kdim, nc)
+		for i := range rep {
+			rep[i] = int32(i)
+		}
 	} else {
 		panel := i8s.Get(kdim * nc)
-		u = tensor.DistinctPanel(qx[n*q.inC*H*W:(n+1)*q.inC*H*W], q.inC, H, W, q.k, q.stride, q.pad, OW, j0, j1, *panel, *rep)
+		// The item's labels lead labIn[n*H*W:]; a nil labIn stays nil.
+		u = tensor.DistinctPanel(qx[n*q.inC*H*W:(n+1)*q.inC*H*W], labIn[min(n*H*W, len(labIn)):], q.inC, H, W, q.k, q.stride, q.pad, OW, j0, j1, *panel, rep)
 		gemmPairs(q.qwp, *panel, u, acc, q.outC, kdim, u)
 		i8s.Put(panel)
 	}
@@ -147,8 +152,11 @@ func (q *qconv) i8Task(qx []int8, N, H, W int, out []int8, yf *tensor.Tensor, bl
 				}
 			}
 			if u < nc {
-				tensor.SpreadCols(dst, *rep)
+				tensor.SpreadCols(dst, rep)
 			}
+		}
+		if labOut != nil {
+			tensor.LabelBlock(tabs, n, out[n*q.outC*cols:(n+1)*q.outC*cols], cols, j0, rep)
 		}
 	} else {
 		for oc := 0; oc < q.outC; oc++ {
@@ -164,12 +172,12 @@ func (q *qconv) i8Task(qx []int8, N, H, W int, out []int8, yf *tensor.Tensor, bl
 				dst[j] = v
 			}
 			if u < nc {
-				tensor.SpreadCols(dst, *rep)
+				tensor.SpreadCols(dst, rep)
 			}
 		}
 	}
 	i32s.Put(accBuf)
-	i32s.Put(rep)
+	i32s.Put(repBuf)
 }
 
 // packPairs lays int8 weight rows [M][K] out as (M+1)/2 rows of int64, row p

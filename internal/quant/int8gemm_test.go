@@ -157,7 +157,7 @@ func TestForwardI8FloatMatchesPerPlane(t *testing.T) {
 					}
 				}
 				got := tensor.New(s.n, s.outC, oh, ow)
-				q.forward(qx, s.n, s.h, s.w, nil, got, nil)
+				q.forward(qx, s.n, s.h, s.w, nil, got, nil, nil, nil)
 				for i := range want.Data {
 					if got.Data[i] != want.Data[i] {
 						t.Fatalf("shape %+v relu=%v input %d: element %d differs: gemm %v per-plane %v",
@@ -174,7 +174,17 @@ func TestForwardI8FloatMatchesPerPlane(t *testing.T) {
 // int8 must equal clamp(round(leaky(acc*rq + bq))) for every element.
 func TestForwardI8RequantMatchesFormula(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	q := randQConv(rng, 6, 9, 3, 2, 1, true)
+	q := requantQConv(rng, 6, 9, 3, 2, 1)
+	N, H, W := 2, 13, 11
+	for k, qx := range [][]int8{randQx(rng, N*q.inC*H*W), repeatQx(rng, N, q.inC, H, W)[0]} {
+		requantMatchesFormula(t, q, qx, N, H, W, k)
+	}
+}
+
+// requantQConv is randQConv with leaky-ReLU and a random output scale, so
+// forward requantises to int8.
+func requantQConv(rng *rand.Rand, inC, outC, k, stride, pad int) *qconv {
+	q := randQConv(rng, inC, outC, k, stride, pad, true)
 	q.outScale = (0.5 + rng.Float32()) / 8
 	q.rq = make([]float32, q.outC)
 	q.bq = make([]float32, q.outC)
@@ -182,17 +192,14 @@ func TestForwardI8RequantMatchesFormula(t *testing.T) {
 		q.rq[oc] = q.wScale[oc] * q.inScale / q.outScale
 		q.bq[oc] = q.b[oc] / q.outScale
 	}
-	N, H, W := 2, 13, 11
-	for k, qx := range [][]int8{randQx(rng, N*q.inC*H*W), repeatQx(rng, N, q.inC, H, W)[0]} {
-		requantMatchesFormula(t, q, qx, N, H, W, k)
-	}
+	return q
 }
 
 // requantMatchesFormula runs one input through TestForwardI8RequantMatchesFormula.
 func requantMatchesFormula(t *testing.T, q *qconv, qx []int8, N, H, W, k int) {
 	oh, ow := q.outSize(H, W)
 	out := make([]int8, N*q.outC*oh*ow)
-	q.forward(qx, N, H, W, out, nil, nil)
+	q.forward(qx, N, H, W, out, nil, nil, nil, nil)
 	// Reference: exact accumulators from the per-plane loop, with the
 	// dequantising epilogue disabled by unit constants so y holds raw acc.
 	ref := &qconv{foldedConv: q.foldedConv, qw: q.qw, relu: false}
@@ -383,21 +390,18 @@ func TestPackPairsRefusesOverflowingK(t *testing.T) {
 func TestInt8PipelineScaleChain(t *testing.T) {
 	m := yolite.NewModel(3)
 	qm := Port(m, nil)
-	if qm.blocks[0].outScale != qm.blocks[1].inScale ||
-		qm.blocks[1].outScale != qm.blocks[2].inScale ||
-		qm.blocks[2].outScale != qm.blocks[3].inScale {
-		t.Fatal("backbone scale chain broken")
+	for i, l := range qm.backbone[:len(qm.backbone)-1] {
+		if l.outScale != qm.backbone[i+1].inScale {
+			t.Fatalf("backbone scale chain broken at layer %d", i)
+		}
 	}
-	if qm.blocks[3].outScale != qm.deep[0].inScale {
-		t.Fatal("trunk scale does not feed B4")
-	}
-	if qm.upoHead.inScale != qm.deep[0].inScale {
+	if qm.upoHead.inScale != qm.backbone[4].inScale {
 		t.Fatal("UPO head does not share the trunk scale")
 	}
-	if qm.deep[0].outScale != qm.deep[1].inScale || qm.deep[1].outScale != qm.agoHead.inScale {
-		t.Fatal("deep chain scales broken")
+	if qm.backbone[5].outScale != qm.agoHead.inScale {
+		t.Fatal("B5 does not feed the AGO head's scale")
 	}
-	for _, l := range []*qconv{qm.blocks[0], qm.blocks[1], qm.blocks[2], qm.blocks[3], qm.deep[0], qm.deep[1]} {
+	for _, l := range qm.backbone {
 		if len(l.rq) != l.outC || len(l.bq) != l.outC {
 			t.Fatal("requantise constants missing")
 		}

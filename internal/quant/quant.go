@@ -20,6 +20,7 @@ package quant
 import (
 	"context"
 	"math"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/metrics"
@@ -88,10 +89,9 @@ func (q *qconv) quantiseWeights() {
 // Model is the ported, int8 detector — the artefact DARPA embeds in the
 // on-device app.
 type Model struct {
-	blocks  []*qconv // backbone conv stack in order B1..B3b (stride-8 trunk)
-	deep    []*qconv // B4, B5
-	upoHead *qconv
-	agoHead *qconv
+	backbone []*qconv // B1..B5; B3b's output is the stride-8 trunk
+	upoHead  *qconv   // reads the trunk
+	agoHead  *qconv   // reads B5's output
 
 	// DisableRefine turns off the edge-snapping post-processor, mirroring
 	// yolite.Model.DisableRefine so refine-ablation benchmarks compare the
@@ -134,12 +134,13 @@ func newQConvFromHead(conv *tensor.Conv2D) *qconv {
 // images suffices; the paper's ncnn flow does the same).
 func Port(m *yolite.Model, calib []*dataset.Sample) *Model {
 	qm := &Model{
-		blocks:        []*qconv{newQConvFromBlock(m.B1), newQConvFromBlock(m.B2), newQConvFromBlock(m.B3), newQConvFromBlock(m.B3b)},
-		deep:          []*qconv{newQConvFromBlock(m.B4), newQConvFromBlock(m.B5)},
 		upoHead:       newQConvFromHead(m.UPOHead),
 		agoHead:       newQConvFromHead(m.AGOHead),
 		DisableRefine: m.DisableRefine,
 		Pool:          m.Pool,
+	}
+	for _, s := range []*nn.Sequential{m.B1, m.B2, m.B3, m.B3b, m.B4, m.B5} {
+		qm.backbone = append(qm.backbone, newQConvFromBlock(s))
 	}
 	qm.calibrate(m, calib)
 	qm.link()
@@ -153,14 +154,12 @@ func Port(m *yolite.Model, calib []*dataset.Sample) *Model {
 // observed the same tensor for both inputs, and link pins the head to the
 // deep chain's scale so the shared buffer is valid for both by construction.
 func (qm *Model) link() {
-	qm.upoHead.inScale = qm.deep[0].inScale
-	chain := []*qconv{qm.blocks[0], qm.blocks[1], qm.blocks[2], qm.blocks[3], qm.deep[0], qm.deep[1]}
-	next := []float32{
-		qm.blocks[1].inScale, qm.blocks[2].inScale, qm.blocks[3].inScale,
-		qm.deep[0].inScale, qm.deep[1].inScale, qm.agoHead.inScale,
-	}
-	for i, l := range chain {
-		l.outScale = next[i]
+	qm.upoHead.inScale = qm.backbone[4].inScale
+	for i, l := range qm.backbone {
+		l.outScale = qm.agoHead.inScale
+		if i+1 < len(qm.backbone) {
+			l.outScale = qm.backbone[i+1].inScale
+		}
 		l.rq = make([]float32, l.outC)
 		l.bq = make([]float32, l.outC)
 		for oc := 0; oc < l.outC; oc++ {
@@ -207,8 +206,7 @@ func (qm *Model) calibrate(m *yolite.Model, calib []*dataset.Sample) {
 		h = m.B5.Forward(h, false)
 		observe(7, h) // AGO head input
 	}
-	layers := []*qconv{qm.blocks[0], qm.blocks[1], qm.blocks[2], qm.blocks[3], qm.deep[0], qm.deep[1], qm.upoHead, qm.agoHead}
-	for i, l := range layers {
+	for i, l := range slices.Concat(qm.backbone, []*qconv{qm.upoHead, qm.agoHead}) {
 		if maxIn[i] == 0 {
 			maxIn[i] = 1
 		}
@@ -244,38 +242,29 @@ func (qm *Model) forwardInt8(ctx context.Context, x *tensor.Tensor) (upo, ago *t
 		// move it to the heap on every forward, N = 1 included.
 		q, per := *cur, len(x.Data)/N
 		tensor.ParallelFor(N, func(n int) {
-			quantI8(q[n*per:(n+1)*per], x.Data[n*per:(n+1)*per], qm.blocks[0].inScale)
+			quantI8(q[n*per:(n+1)*per], x.Data[n*per:(n+1)*per], qm.backbone[0].inScale)
 		})
 	} else {
-		quantI8(*cur, x.Data, qm.blocks[0].inScale)
+		quantI8(*cur, x.Data, qm.backbone[0].inScale)
 	}
-	for _, b := range qm.blocks {
-		oh, ow := b.outSize(h, w)
-		nxt := i8s.Get(N * b.outC * oh * ow)
-		b.forward(*cur, N, h, w, *nxt, nil, done)
-		i8s.Put(cur)
-		cur, h, w = nxt, oh, ow
-		if err := ctx.Err(); err != nil {
-			i8s.Put(cur)
-			return nil, nil, err
+	// Output labels alternate between the halves of a buffer sized for B1's.
+	oh, ow := qm.backbone[0].outSize(h, w)
+	labs, half := i32s.Get(2*N*oh*ow), N*oh*ow
+	defer i32s.Put(labs)
+	var lab []int32 // cur's labels; the input has none
+	for i, b := range qm.backbone {
+		if i == 4 {
+			// cur is the stride-8 trunk, int8 at the scale both consumers
+			// expect: the UPO head reads it before B4 consumes it.
+			oh, ow := qm.upoHead.outSize(h, w)
+			upo = p.Get(N, qm.upoHead.outC, oh, ow)
+			qm.upoHead.forward(*cur, N, h, w, nil, upo, nil, nil, done)
 		}
-	}
-	// cur is the stride-8 trunk, int8 at the scale both consumers expect.
-	oh, ow := qm.upoHead.outSize(h, w)
-	upo = p.Get(N, qm.upoHead.outC, oh, ow)
-	qm.upoHead.forward(*cur, N, h, w, nil, upo, done)
-	if err := ctx.Err(); err != nil {
-		i8s.Put(cur)
-		p.Put(upo)
-		return nil, nil, err
-	}
-	for _, b := range qm.deep {
 		oh, ow := b.outSize(h, w)
-		nxt := i8s.Get(N * b.outC * oh * ow)
-		b.forward(*cur, N, h, w, *nxt, nil, done)
-		i8s.Put(cur) // for the first deep block this releases the trunk,
-		// whose second consumer (the UPO head) has already run
-		cur, h, w = nxt, oh, ow
+		nxt, next := i8s.Get(N*b.outC*oh*ow), (*labs)[i%2*half:i%2*half+N*oh*ow]
+		b.forward(*cur, N, h, w, *nxt, nil, lab, next, done)
+		i8s.Put(cur)
+		cur, lab, h, w = nxt, next, oh, ow
 		if err := ctx.Err(); err != nil {
 			i8s.Put(cur)
 			p.Put(upo)
@@ -284,7 +273,7 @@ func (qm *Model) forwardInt8(ctx context.Context, x *tensor.Tensor) (upo, ago *t
 	}
 	oh, ow = qm.agoHead.outSize(h, w)
 	ago = p.Get(N, qm.agoHead.outC, oh, ow)
-	qm.agoHead.forward(*cur, N, h, w, nil, ago, done)
+	qm.agoHead.forward(*cur, N, h, w, nil, ago, nil, nil, done)
 	i8s.Put(cur)
 	if err := ctx.Err(); err != nil {
 		p.Put(upo)
@@ -337,9 +326,7 @@ func (qm *Model) SetPool(p *tensor.Pool) { qm.Pool = p }
 // "smaller model size" the paper credits ncnn with.
 func (qm *Model) WeightBytes() int {
 	n := 0
-	all := append(append([]*qconv{}, qm.blocks...), qm.deep...)
-	all = append(all, qm.upoHead, qm.agoHead)
-	for _, l := range all {
+	for _, l := range slices.Concat(qm.backbone, []*qconv{qm.upoHead, qm.agoHead}) {
 		n += len(l.qw) + 4*len(l.b) + 4*len(l.wScale) + 4
 	}
 	return n

@@ -3,6 +3,7 @@ package quant
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/auigen"
@@ -90,7 +91,7 @@ func TestPortOutputsCloseToFloat(t *testing.T) {
 func TestQuantisedWeightsInRange(t *testing.T) {
 	m, _ := warmModel(3)
 	qm := Port(m, nil)
-	all := append(append([]*qconv{}, qm.blocks...), qm.deep...)
+	all := slices.Clone(qm.backbone)
 	all = append(all, qm.upoHead, qm.agoHead)
 	for li, l := range all {
 		if len(l.qw) == 0 {

@@ -66,6 +66,14 @@ func (f *FusedConvBNAct) ForwardPooled(x *Tensor, p *Pool) *Tensor {
 // done closes the returned buffer is partially written and the caller must
 // discard it.
 func (f *FusedConvBNAct) ForwardCancel(x *Tensor, p *Pool, done <-chan struct{}) *Tensor {
+	return f.ForwardLabels(x, nil, nil, p, done)
+}
+
+// ForwardLabels is ForwardCancel in a labelled chain: labIn holds x's
+// position labels as its producer's labOut got them (nil: no producer), and
+// a non-nil labOut, one int32 per output pixel, gets the output's. Labels
+// are garbage once done closes; see DistinctPanel for what they mean.
+func (f *FusedConvBNAct) ForwardLabels(x *Tensor, labIn, labOut []int32, p *Pool, done <-chan struct{}) *Tensor {
 	N, C, H, W := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	if C != f.InC {
 		panic(fmt.Sprintf("tensor: fused conv expects %d input channels, got %d", f.InC, C))
@@ -73,6 +81,6 @@ func (f *FusedConvBNAct) ForwardCancel(x *Tensor, p *Pool, done <-chan struct{})
 	OH, OW := f.OutSize(H, W)
 	y := p.Get(N, f.OutC, OH, OW)
 	spec := convSpec{inC: f.InC, outC: f.OutC, kk: f.K, stride: f.Stride, pad: f.Pad}
-	convGemmInto(x, y, spec, f.W, f.B, true, f.Slope, p, done)
+	convGemmInto(x, y, spec, f.W, f.B, true, f.Slope, labIn, labOut, p, done)
 	return y
 }

@@ -44,10 +44,12 @@ func ColBlock(kdim, cols int) int {
 // im2col + blocked GEMM. w is [outC][inC*kk*kk] row-major, bias is [outC].
 // When act is set, the leaky-ReLU epilogue (negative slope) is applied to
 // each output tile while it is still cache-hot — the fusion hook that turns
-// a ConvBNAct block into one pass. Scratch panels come from p (nil p
-// allocates fresh); done adds a cooperative cancellation checkpoint between
-// column blocks.
-func convGemmInto(x, y *Tensor, spec convSpec, w, bias []float32, act bool, slope float32, p *Pool, done <-chan struct{}) {
+// a ConvBNAct block into one pass. labIn holds x's position labels (nil:
+// none, the search labels its own), and a non-nil labOut receives y's (see
+// LabelBlock), both N items of one int32 per pixel. Scratch panels come
+// from p (nil p allocates fresh); done adds a cooperative cancellation
+// checkpoint between column blocks.
+func convGemmInto(x, y *Tensor, spec convSpec, w, bias []float32, act bool, slope float32, labIn, labOut []int32, p *Pool, done <-chan struct{}) {
 	N := x.Shape[0]
 	OH, OW := y.Shape[2], y.Shape[3]
 	cols := OH * OW
@@ -55,44 +57,49 @@ func convGemmInto(x, y *Tensor, spec convSpec, w, bias []float32, act bool, slop
 	blk := ColBlock(kdim, cols)
 	nBlocks := (cols + blk - 1) / blk
 	tasks := N * nBlocks
+	tabs := NewLabelTables(labOut, cols)
 	if ParallelWorthwhile(N * spec.outC * cols * kdim) {
 		ParallelForCancel(done, tasks, func(t int) {
-			convGemmTask(x, y, spec, w, bias, act, slope, p, blk, nBlocks, t)
+			convGemmTask(x, y, spec, w, bias, act, slope, labIn, labOut, tabs, p, blk, nBlocks, t)
 		})
-		return
-	}
-	for t := 0; t < tasks; t++ {
-		if Aborted(done) {
-			return
+	} else {
+		for t := 0; t < tasks && !Aborted(done); t++ {
+			convGemmTask(x, y, spec, w, bias, act, slope, labIn, labOut, tabs, p, blk, nBlocks, t)
 		}
-		convGemmTask(x, y, spec, w, bias, act, slope, p, blk, nBlocks, t)
 	}
+	tabs.Free()
 }
 
 // convGemmTask runs one (batch item, column block) unit: unpack the distinct
 // panel columns, multiply, apply the epilogue, spread the results (see
-// DistinctPanel). Tasks write disjoint column ranges of y.
-func convGemmTask(x, y *Tensor, spec convSpec, w, bias []float32, act bool, slope float32, p *Pool, blk, nBlocks, t int) {
+// DistinctPanel), label them when labels are wanted. Tasks write disjoint
+// column ranges of y and labOut.
+func convGemmTask(x, y *Tensor, spec convSpec, w, bias []float32, act bool, slope float32, labIn, labOut []int32, tabs LabelTables, p *Pool, blk, nBlocks, t int) {
 	n, b := t/nBlocks, t%nBlocks
 	C, H, W := x.Shape[1], x.Shape[2], x.Shape[3]
 	OW := y.Shape[3]
 	cols := y.Shape[2] * OW
 	kdim := spec.inC * spec.kk * spec.kk
 	j0 := b * blk
-	j1 := j0 + blk
-	if j1 > cols {
-		j1 = cols
-	}
+	j1 := min(j0+blk, cols)
 	nc, u := j1-j0, j1-j0
-	rep := idxScratch.Get(nc)
+	buf := idxScratch.Get(nc)
+	rep := *buf
+	if labOut != nil { // the rep map is the block's share of labOut
+		rep = labOut[n*cols+j0 : n*cols+j1]
+	}
 	outBase := n * spec.outC * cols
 	if spec.kk == 1 && spec.stride == 1 && spec.pad == 0 {
 		// 1x1 stride-1 convolution: the im2col panel is the input itself.
 		bp := x.Data[n*C*cols+j0:]
 		gemmBlock(w, kdim, bias, bp, cols, y.Data[outBase+j0:], cols, spec.outC, kdim, nc)
+		for i := range rep {
+			rep[i] = int32(i)
+		}
 	} else {
 		panel := p.Get(kdim, nc)
-		u = DistinctPanel(x.Data[n*C*H*W:(n+1)*C*H*W], C, H, W, spec.kk, spec.stride, spec.pad, OW, j0, j1, panel.Data, *rep)
+		// The item's labels lead labIn[n*H*W:]; a nil labIn stays nil.
+		u = DistinctPanel(x.Data[n*C*H*W:(n+1)*C*H*W], labIn[min(n*H*W, len(labIn)):], C, H, W, spec.kk, spec.stride, spec.pad, OW, j0, j1, panel.Data, rep)
 		gemmBlock(w, kdim, bias, panel.Data, u, y.Data[outBase+j0:], cols, spec.outC, kdim, u)
 		p.Put(panel)
 	}
@@ -106,10 +113,13 @@ func convGemmTask(x, y *Tensor, spec convSpec, w, bias []float32, act bool, slop
 			}
 		}
 		if u < nc {
-			SpreadCols(row, *rep)
+			SpreadCols(row, rep)
 		}
 	}
-	idxScratch.Put(rep)
+	if labOut != nil {
+		LabelBlock(tabs, n, y.Data[outBase:outBase+spec.outC*cols], cols, j0, rep)
+	}
+	idxScratch.Put(buf)
 }
 
 // gemmBlock computes c[m*ldc+j] = bias[m] + sum_k a[m*lda+k]*b[k*ldb+j] for

@@ -221,7 +221,7 @@ func TestConvGemmMatchesDirect(t *testing.T) {
 		for k, in := range append([]*Tensor{x}, repeatInputs(rng, s.n, s.c, s.h, s.w)...) {
 			want := directConvRef(in, spec, wt, bias)
 			got := New(want.Shape...)
-			convGemmInto(in, got, spec, wt, bias, false, 0, p, nil)
+			convGemmInto(in, got, spec, wt, bias, false, 0, nil, nil, p, nil)
 			requireSameBits(t, fmt.Sprintf("shape %+v input %d", s, k), got.Data, want.Data)
 		}
 	}
@@ -239,7 +239,7 @@ func TestConvGemmMatchesDirect(t *testing.T) {
 	}
 	want := directConvRef(x, spec, wt, bias)
 	got := New(want.Shape...)
-	convGemmInto(x, got, spec, wt, bias, false, 0, p, nil)
+	convGemmInto(x, got, spec, wt, bias, false, 0, nil, nil, p, nil)
 	requireSameBits(t, "signed zeros", got.Data, want.Data)
 	signs := map[uint32]bool{}
 	for _, v := range want.Data {
@@ -264,17 +264,20 @@ func TestConvGemmActEpilogue(t *testing.T) {
 			}
 		}
 		got := New(want.Shape...)
-		convGemmInto(in, got, spec, wt, bias, true, slope, NewPool(), nil)
+		convGemmInto(in, got, spec, wt, bias, true, slope, nil, nil, NewPool(), nil)
 		requireSameBits(t, fmt.Sprintf("input %d with epilogue", k), got.Data, want.Data)
 	}
 }
 
 // TestDistinctPanel pins the helper against naivePanel on repeatInputs and
-// random data, at awkward block boundaries: every pixel's column in the
-// compact panel is, bit for bit, the one the naive gather makes; the
-// columns kept are the first appearances, in order; and there are exactly
-// as many as the block has distinct columns — so every repeat is found, a
-// constant map away from padding is one column, and random data keeps all.
+// random data, at awkward block boundaries, with the input unlabelled and
+// labelled (exact labels under arbitrary ids, as a producer would hand
+// them): every pixel's column in the compact panel is, bit for bit, the one
+// the naive gather makes; the columns kept are the first appearances, in
+// order; and there are
+// exactly as many as the block has distinct columns — so every repeat is
+// found, a constant map away from padding is one column, and random data
+// keeps all.
 func TestDistinctPanel(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, s := range []convShape{
@@ -297,31 +300,33 @@ func TestDistinctPanel(t *testing.T) {
 				}
 				return string(b)
 			}
-			for _, blk := range []int{1, 5, OW, OW + 3, cols} {
-				for j0 := 0; j0 < cols; j0 += blk {
-					j1 := min(j0+blk, cols)
-					nc := j1 - j0
-					dst, rep := make([]float32, kdim*nc), make([]int32, nc)
-					u := DistinctPanel(in.Data, s.c, s.h, s.w, s.kk, s.stride, s.pad, OW, j0, j1, dst, rep)
-					distinct, kept := map[string]bool{}, 0
-					for i := 0; i < nc; i++ {
-						distinct[column(j0+i)] = true
-						if c := int(rep[i]); c > kept || c >= u {
-							t.Fatalf("shape %+v input %d block [%d,%d): pixel %d maps to column %d of %d, %d kept so far", s, k, j0, j1, i, c, u, kept)
-						} else if c == kept {
-							kept++
-						}
-						for r := 0; r < kdim; r++ {
-							if math.Float32bits(dst[r*u+int(rep[i])]) != math.Float32bits(full[r*cols+j0+i]) {
-								t.Fatalf("shape %+v input %d block [%d,%d): pixel %d row %d: compact %v, im2col %v", s, k, j0, j1, i, r, dst[r*u+int(rep[i])], full[r*cols+j0+i])
+			for _, lab := range [][]int32{nil, vectorLabels(in.Data, s.h*s.w, 7919)} {
+				for _, blk := range []int{1, 5, OW, OW + 3, cols} {
+					for j0 := 0; j0 < cols; j0 += blk {
+						j1 := min(j0+blk, cols)
+						nc := j1 - j0
+						dst, rep := make([]float32, kdim*nc), make([]int32, nc)
+						u := DistinctPanel(in.Data, lab, s.c, s.h, s.w, s.kk, s.stride, s.pad, OW, j0, j1, dst, rep)
+						distinct, first := map[string]bool{}, []int{}
+						for i := 0; i < nc; i++ {
+							distinct[column(j0+i)] = true
+							if c := int(rep[i]); c > len(first) || c >= u {
+								t.Fatalf("shape %+v input %d block [%d,%d): pixel %d maps to column %d of %d, %d kept so far", s, k, j0, j1, i, c, u, len(first))
+							} else if c == len(first) {
+								first = append(first, i)
+							}
+							for r := 0; r < kdim; r++ {
+								if math.Float32bits(dst[r*u+int(rep[i])]) != math.Float32bits(full[r*cols+j0+i]) {
+									t.Fatalf("shape %+v input %d block [%d,%d): pixel %d row %d: compact %v, im2col %v", s, k, j0, j1, i, r, dst[r*u+int(rep[i])], full[r*cols+j0+i])
+								}
 							}
 						}
-					}
-					if u != kept || u != len(distinct) {
-						t.Fatalf("shape %+v input %d block [%d,%d): %d columns, %d kept, %d distinct", s, k, j0, j1, u, kept, len(distinct))
-					}
-					if k == 2 && s.pad == 0 && u != 1 {
-						t.Fatalf("shape %+v: constant map gives %d columns, want 1", s, u)
+						if u != len(first) || u != len(distinct) {
+							t.Fatalf("shape %+v input %d block [%d,%d): %d columns, %d kept, %d distinct", s, k, j0, j1, u, len(first), len(distinct))
+						}
+						if k == 2 && s.pad == 0 && u != 1 {
+							t.Fatalf("shape %+v: constant map gives %d columns, want 1", s, u)
+						}
 					}
 				}
 			}
@@ -373,7 +378,7 @@ func TestIm2colPanelBlocks(t *testing.T) {
 			for i := range dst {
 				dst[i] = -99 // poison: every element must be written
 			}
-			if u := DistinctPanel(src, C, H, W, kk, stride, pad, OW, j0, j1, dst, make([]int32, nc)); u != nc {
+			if u := DistinctPanel(src, nil, C, H, W, kk, stride, pad, OW, j0, j1, dst, make([]int32, nc)); u != nc {
 				t.Fatalf("blk %d: %d of %d random columns kept", blk, u, nc)
 			}
 			for r := 0; r < kdim; r++ {
@@ -477,37 +482,43 @@ func TestConvGemmPooledAllocs(t *testing.T) {
 	x, spec, wt, bias := randomConv(rng, 1, 8, 20, 20, 8, 3, 1, 1)
 	p := NewPool()
 	y := New(1, 8, 20, 20)
-	convGemmInto(x, y, spec, wt, bias, true, 0.1, p, nil) // warm the pool buckets
+	convGemmInto(x, y, spec, wt, bias, true, 0.1, nil, nil, p, nil) // warm the pool buckets
 	avg := testing.AllocsPerRun(20, func() {
-		convGemmInto(x, y, spec, wt, bias, true, 0.1, p, nil)
+		convGemmInto(x, y, spec, wt, bias, true, 0.1, nil, nil, p, nil)
 	})
 	if avg != 0 {
 		t.Fatalf("pooled GEMM conv allocates %v per op, want 0", avg)
 	}
 }
 
-// TestSameWindowComparesBits pins the exact check behind every repeat. The
-// fingerprints already keep these windows apart, so only a collision reaches
-// it, and then it must compare bits, not values: -0 and +0 differ, so do
-// two NaN payloads, a NaN equals itself, and a window wholly in padding
-// equals an in-bounds +0 but not a -0.
+// TestSameWindowComparesBits pins the exact check behind every repeat: the
+// labels the search gives unlabelled input compare bits, not values. -0 and
+// +0 differ, so do two NaN payloads, a NaN equals itself, and a position in
+// padding equals an in-bounds +0 but not a -0.
 func TestSameWindowComparesBits(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	nanA, nanB := math.Float32frombits(0x7fc00001), math.Float32frombits(0x7fc00002)
-	src := []float32{0, negZero, nanA, nanA, nanB, 1, 1}
+	// No vector repeats its left neighbour, so the lookup table decides.
+	src := []float32{0, nanA, negZero, nanA, 1, nanB, 1}
 	const W, OW = 7, 9 // a 1x1 kernel over one row, padded by 1
-	g := windows[float32]{src, 1, W, 1, 1, 1, OW, []int32{0}, []int32{0}}
-	at := func(iw int) int { return OW + iw + 1 } // the pixel over input (0, iw)
+	s := search[float32]{src: src, H: 1, W: W, kk: 1, stride: 1, pad: 1, OW: OW, ih0: -1, wp: OW,
+		halo: make([]int32, 3*OW)}
+	s.pos = newTable(len(s.halo), 1)
+	defer fpScratch.Put(s.pos.buf)
+	for r := range 3 {
+		s.labelRow(r)
+	}
+	at := func(iw int) int { return OW + iw + 1 } // the halo position of input (0, iw)
 	for _, c := range []struct {
 		a, b int
 		want bool
 	}{
-		{at(0), at(1), false}, {at(2), at(3), true}, {at(2), at(4), false},
-		{at(5), at(6), true}, {at(1), at(1), true},
-		{0, at(0), true}, {0, at(1), false}, {0, 2 * OW, true},
+		{at(0), at(2), false}, {at(1), at(3), true}, {at(1), at(5), false},
+		{at(4), at(6), true}, {at(2), at(2), true},
+		{0, at(0), true}, {0, at(2), false}, {0, 2 * OW, true},
 	} {
-		if got := g.same(c.a, c.b); got != c.want {
-			t.Errorf("same(%d, %d) = %v, want %v", c.a, c.b, got, c.want)
+		if got := s.halo[c.a] == s.halo[c.b]; got != c.want {
+			t.Errorf("labels of %d and %d equal = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -525,9 +536,9 @@ func TestConvGemmPooledAllocsFlat(t *testing.T) {
 	x := repeatInputs(rng, 1, 8, 20, 20)[0]
 	p := NewPool()
 	y := New(1, 8, 20, 20)
-	convGemmInto(x, y, spec, wt, bias, true, 0.1, p, nil) // warm the pool buckets
+	convGemmInto(x, y, spec, wt, bias, true, 0.1, nil, nil, p, nil) // warm the pool buckets
 	avg := testing.AllocsPerRun(20, func() {
-		convGemmInto(x, y, spec, wt, bias, true, 0.1, p, nil)
+		convGemmInto(x, y, spec, wt, bias, true, 0.1, nil, nil, p, nil)
 	})
 	if avg != 0 {
 		t.Fatalf("pooled GEMM conv on a flat field allocates %v per op, want 0", avg)
@@ -544,7 +555,7 @@ func BenchmarkGemm(b *testing.B) {
 	y := New(1, spec.outC, OH, OW)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		convGemmInto(x, y, spec, wt, bias, true, 0.1, p, nil)
+		convGemmInto(x, y, spec, wt, bias, true, 0.1, nil, nil, p, nil)
 	}
 }
 
@@ -570,7 +581,7 @@ func BenchmarkConvKernels(b *testing.B) {
 			})
 			b.Run(name+"/gemm", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					convGemmInto(x, y, spec, wt, bias, false, 0, p, nil)
+					convGemmInto(x, y, spec, wt, bias, false, 0, nil, nil, p, nil)
 				}
 			})
 		}
@@ -591,6 +602,6 @@ func BenchmarkConvIm2col(b *testing.B) {
 	dst, rep := make([]float32, kdim*cols), make([]int32, cols)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DistinctPanel(src, C, H, W, kk, stride, pad, OW, 0, cols, dst, rep)
+		DistinctPanel(src, nil, C, H, W, kk, stride, pad, OW, 0, cols, dst, rep)
 	}
 }

@@ -3,6 +3,8 @@ package tensor
 import (
 	"math"
 	"math/bits"
+	"slices"
+	"sync/atomic"
 )
 
 // im2col lowers convolution to matrix multiplication: the window under each
@@ -20,19 +22,18 @@ import (
 // starts it at the bias and adds taps in ascending k whatever register tile
 // the column lands in (TestConvGemmMatchesDirect pins every tile against the
 // direct loop), int8 accumulates in int32, which is exact, and both
-// epilogues are elementwise. Equality is decided tap by tap against the
-// input, an out-of-bounds tap reading as the panel's zero, float32 by bits:
-// -0 and +0 differ, NaNs match only with the same payload. Fingerprints only
-// nominate candidates.
+// epilogues are elementwise.
 //
-// The search reads the input, not the panel. Equal windows have equal centre
-// taps, so a pixel whose centre position's fingerprint (h = (h ^ tap) * fpMul
-// over the channels; outside the input, the zero vector's) no other pixel of
-// the block shares is new: on data with no repeats that pass is the whole
-// cost. Otherwise every position the block touches is fingerprinted, a
-// candidate's window fingerprint xors its kk*kk position fingerprints, tap t
-// rotated 7t bits, and an open-addressing table finds the first pixel with
-// the same window.
+// Windows are compared by position labels, not by taps. A label is an int32
+// per input position of one item: equal exactly when the channel vectors are
+// bit-identical (float32 by bits: -0 and +0 differ, NaNs match only with the
+// same payload), and -1 for the all-+0 vector, which is what padding holds.
+// Two windows are equal exactly when their kk x kk label tuples are. Each
+// labelled layer hands the next its output's labels (LabelBlock), so only
+// input with no producer is labelled inside the search. Equal windows have
+// equal centre labels, so a pixel whose centre label no other pixel of the
+// block shares is new: on data with no repeats that pass is the whole
+// search. Otherwise candidates' label tuples go through a hash table.
 
 // colScalar is the element type an im2col panel can hold: float32 for the
 // float kernels, int8 for the quantised path (internal/quant).
@@ -40,175 +41,171 @@ type colScalar interface {
 	~float32 | ~int8
 }
 
-var fpScratch Scratch[uint64] // position fingerprints, window table
-var idxScratch Scratch[int32] // first pixels, tap offsets, rep maps
+var fpScratch Scratch[uint64] // hash tables
+var idxScratch Scratch[int32] // halo labels, first pixels, tap offsets, rep maps
 
 // fpMul is an odd 64-bit multiplier, 2^64 divided by the golden ratio.
 const fpMul = 0x9E3779B97F4A7C15
 
 // DistinctPanel unpacks the panel for output pixels [j0, j1) of one CHW item:
 // row (ic*kk+kh)*kk+kw holds tap (ic, kh, kw) of the window at (oh*stride-pad,
-// ow*stride-pad), j = oh*OW+ow. It writes the u distinct columns, first
-// appearances in order, to dst as [kdim x u], sets rep[j-j0] to pixel j's
-// column (so rep[i] <= i) and returns u. dst must hold kdim*(j1-j0) values.
-func DistinctPanel[T colScalar](src []T, C, H, W, kk, stride, pad, OW, j0, j1 int, dst []T, rep []int32) int {
+// ow*stride-pad), j = oh*OW+ow. lab starts with the item's H*W position
+// labels, or is nil when no producer computed them. It writes the u distinct
+// columns, first appearances in order, to dst as [kdim x u], sets rep[j-j0]
+// to pixel j's column (so rep[i] <= i) and returns u. dst must hold
+// kdim*(j1-j0) values.
+func DistinctPanel[T colScalar](src []T, lab []int32, C, H, W, kk, stride, pad, OW, j0, j1 int, dst []T, rep []int32) int {
 	nc, kdim := j1-j0, C*kk*kk
 	oh0 := j0 / OW
-	rows := ((j1-1)/OW-oh0)*stride + kk // input rows from oh0*stride-pad
-	wp := (OW-1)*stride + kk            // input columns from -pad
-	tbits := bits.Len(uint(2*nc - 1))   // a table at most half full
-	fpBuf, idxBuf := fpScratch.Get(rows*wp+nc+1<<tbits), idxScratch.Get(nc+2*kdim)
-	pos, keys, table := (*fpBuf)[:rows*wp], (*fpBuf)[rows*wp:rows*wp+nc], (*fpBuf)[rows*wp+nc:]
-	first := (*idxBuf)[:nc]
-	g := windows[T]{src, H, W, kk, stride, pad, OW, (*idxBuf)[nc : nc+kdim], (*idxBuf)[nc+kdim:]}
-	for r := range kdim {
-		g.taps[r], g.khw[r] = int32((r/(kk*kk)*H+r/kk%kk)*W+r%kk), int32(r/kk%kk<<16|r%kk)
+	s := search[T]{src: src, H: H, W: W, kk: kk, stride: stride, pad: pad, OW: OW,
+		ih0: oh0*stride - pad, wp: (OW-1)*stride + kk}
+	rows := ((j1-1)/OW-oh0)*stride + kk
+	buf := idxScratch.Get(rows*s.wp + 2*nc + 2*kdim)
+	s.halo, s.taps, s.khw = (*buf)[:rows*s.wp], (*buf)[rows*s.wp+2*nc:][:kdim], (*buf)[rows*s.wp+2*nc+kdim:]
+	wins, first := (*buf)[rows*s.wp:rows*s.wp+nc], (*buf)[rows*s.wp+nc:rows*s.wp+2*nc]
+	for r := range s.taps {
+		s.taps[r], s.khw[r] = int32((r/(kk*kk)*H+r/kk%kk)*W+r%kk), int32(r/kk%kk<<16|r%kk)
 	}
-
+	if lab != nil {
+		s.fill(lab)
+	}
+	// A pixel's centre is its centre tap's label or, unlabelled, its input
+	// position (first[i], -1 in the padding), compared by vector.
+	centre, plane := (kk/2)*s.wp+kk/2, H*W
+	tab := newTable(nc, 1)
+	cands := false
 	for i, n := 0, 0; i < nc; i += n {
 		oh, ow := (j0+i)/OW, (j0+i)%OW
 		n = min(OW-ow, nc-i)
-		positionFPs(src, C, H, W, oh*stride-pad+kk/2, ow*stride-pad+kk/2, stride, keys[i:i+n])
-	}
-	clear(table)
-	cands := false
-	for i, h := range keys {
-		rep[i] = 0
-		if f := lookup(table, tbits, h, i); f >= 0 {
-			rep[i], rep[f], cands = 1, 1, true // candidates
+		for k := i; k < i+n; k++ {
+			wins[k] = int32((oh-oh0)*stride*s.wp + (ow+k-i)*stride)
+			var f int32
+			if l := s.halo[int(wins[k])+centre]; lab != nil {
+				f = tab.find(uint64(uint32(l))*fpMul, int32(k), func(f int32) bool { return s.halo[int(wins[f])+centre] == l })
+			} else {
+				ih, iw, at := oh*stride-pad+kk/2, (ow+k-i)*stride-pad+kk/2, int32(-1)
+				if ih >= 0 && ih < H && iw >= 0 && iw < W {
+					at = int32(ih*W + iw)
+				}
+				if first[k] = at; k > i && sameVec(src, plane, int(first[k-1]), int(at)) {
+					f = int32(k - 1) // a run: the left centre's vector
+				} else {
+					f = tab.find(vecHash(src, plane, int(at)), int32(k), func(f int32) bool { return sameVec(src, plane, int(first[f]), int(at)) })
+				}
+			}
+			rep[k] = 0
+			if int(f) != k {
+				rep[k], rep[f], cands = 1, 1, true
+			}
 		}
 	}
 	if cands {
-		clear(table)
-		for r := 0; r < rows; r++ {
-			positionFPs(src, C, H, W, oh0*stride-pad+r, -pad, 1, pos[r*wp:(r+1)*wp])
+		clear(tab.slots)
+	}
+	if cands && lab == nil { // label every position
+		s.pos = newTable(len(s.halo), 1)
+		for r := range rows {
+			s.labelRow(r)
 		}
 	}
 	u := 0
-	for i, oh, ow := 0, oh0, j0%OW; i < nc; i++ {
-		c := -1
-		if rep[i] != 0 {
-			// A candidate whose fingerprint matches a window it does not equal
-			// stays out of the table: a missed repeat, never a wrong one.
-			c = lookup(table, tbits, windowFP(pos[(oh-oh0)*stride*wp+ow*stride:], wp, kk), u)
-			if c >= 0 && !g.same(j0+int(first[c]), j0+i) {
-				c = -1
-			}
+	for i, w := range wins {
+		c := u
+		if rep[i] != 0 && i > 0 && w == wins[i-1]+int32(stride) && s.sameWindow(int(wins[i-1]), int(w)) {
+			c = int(rep[i-1]) // the left neighbour's window: flat runs skip the table
+		} else if rep[i] != 0 {
+			c = int(tab.find(s.windowHash(int(w)), int32(u), func(c int32) bool { return s.sameWindow(int(wins[first[c]]), int(w)) }))
 		}
-		if c < 0 {
-			c, first[u] = u, int32(i)
+		if c == u {
+			first[u] = int32(i)
 			u++
 		}
 		rep[i] = int32(c)
-		if ow++; ow == OW {
-			oh, ow = oh+1, 0
-		}
 	}
 	for c := 0; c < u; c++ {
-		g.gather(j0+int(first[c]), dst[c:], u)
+		s.gather(j0+int(first[c]), dst[c:], u)
 	}
-	fpScratch.Put(fpBuf)
-	idxScratch.Put(idxBuf)
+	if fpScratch.Put(tab.buf); cands && lab == nil {
+		fpScratch.Put(s.pos.buf)
+	}
+	idxScratch.Put(buf)
 	return u
 }
 
-// lookup returns the value stored under fingerprint h in a table of 1<<tbits
-// slots, or stores v and returns -1. An entry is 32 bits of h, value+1.
-func lookup(table []uint64, tbits int, h uint64, v int) int {
-	h *= fpMul
-	check := h >> 16 << 32
-	for slot := h >> (64 - tbits); ; slot = (slot + 1) & (1<<tbits - 1) {
-		if e := table[slot]; e == 0 {
-			table[slot] = check | uint64(v+1)
-			return -1
-		} else if e>>32 == check>>32 {
-			return int(int32(e)) - 1
-		}
-	}
-}
-
-// positionFPs fingerprints the channel vectors of input row ih at columns
-// iw0, iw0+step, ... into fps.
-func positionFPs[T colScalar](src []T, C, H, W, ih, iw0, step int, fps []uint64) {
-	zero := uint64(fpMul)
-	for ic := 0; ic < C; ic++ {
-		zero *= fpMul
-	}
-	lo, hi := len(fps), len(fps) // positions [lo, hi) lie inside the input
-	if ih >= 0 && ih < H && iw0 < W {
-		lo = min(max(-iw0+step-1, 0)/step, len(fps))
-		hi = max(min((W-iw0+step-1)/step, len(fps)), lo)
-	}
-	for c := range fps {
-		if c < lo || c >= hi {
-			fps[c] = zero
-		}
-	}
-	for ic := 0; ic < C && lo < hi; ic++ {
-		fpMix(fps[lo:hi], src[ic*H*W+ih*W+iw0+lo*step:], step, ic == 0)
-	}
-}
-
-// fpMix folds the taps in[0], in[step], ... of one channel into their
-// positions' fingerprints, which the first channel starts from fpMul.
-func fpMix[T colScalar](fps []uint64, in []T, step int, first bool) {
-	for c := range fps {
-		h := fps[c]
-		if first {
-			h = fpMul
-		}
-		fps[c] = (h ^ tapBits(in[c*step])) * fpMul
-	}
-}
-
-// windowFP combines a window's kk x kk position fingerprints, rows wp apart.
-func windowFP(pos []uint64, wp, kk int) uint64 {
-	var h uint64
-	for kh := 0; kh < kk; kh++ {
-		for kw, f := range pos[kh*wp : kh*wp+kk] {
-			h ^= bits.RotateLeft64(f, 7*(kh*kk+kw))
-		}
-	}
-	return h
-}
-
-// windows reads one item's receptive fields: panel row r is offset taps[r]
-// from a window's top-left, khw[r] = kh<<16 | kw rows and columns away.
-type windows[T colScalar] struct {
+// search holds one block's windows. halo[r*wp+c] labels input (ih0+r,
+// c-pad), -1 outside; panel row r is taps[r] from a window's top-left tap,
+// khw[r] = kh<<16 | kw rows and columns away.
+type search[T colScalar] struct {
 	src                       []T
 	H, W, kk, stride, pad, OW int
-	taps, khw                 []int32
+	ih0, wp                   int
+	halo, taps, khw           []int32
+	pos                       table // unlabelled input: the vectors seen
 }
 
-// at returns pixel j's top-left tap and whether its window is in the input.
-func (g *windows[T]) at(j int) (ih, iw int, inside bool) {
-	ih, iw = j/g.OW*g.stride-g.pad, j%g.OW*g.stride-g.pad
-	return ih, iw, ih >= 0 && iw >= 0 && ih+g.kk <= g.H && iw+g.kk <= g.W
-}
-
-// tap reads panel row r of the window at (ih, iw), zero outside the input.
-func (g *windows[T]) tap(ih, iw, r int) T {
-	if kh, kw := int(g.khw[r]>>16), int(g.khw[r]&0xffff); uint(ih+kh) < uint(g.H) && uint(iw+kw) < uint(g.W) {
-		return g.src[ih*g.W+iw+int(g.taps[r])]
+// fill copies the block's halo from the producer's labels.
+func (s *search[T]) fill(lab []int32) {
+	for r := 0; r < len(s.halo)/s.wp; r++ {
+		row := s.halo[r*s.wp : (r+1)*s.wp]
+		for c := range row {
+			row[c] = -1
+		}
+		if ih := s.ih0 + r; ih >= 0 && ih < s.H {
+			copy(row[min(s.pad, s.wp):min(s.wp, s.pad+s.W)], lab[ih*s.W:])
+		}
 	}
-	return 0
 }
 
-// same reports whether pixels a and b have bit-identical receptive fields.
-func (g *windows[T]) same(a, b int) bool {
-	iha, iwa, ina := g.at(a)
-	ihb, iwb, inb := g.at(b)
-	if ina && inb {
-		pa, pb := iha*g.W+iwa, ihb*g.W+iwb
-		for _, o := range g.taps {
-			if !sameBits(g.src[pa+int(o)], g.src[pb+int(o)]) {
-				return false
+// labelRow labels halo row r from the input, consistently with every label
+// s.pos has given. A vector equal to its left neighbour in every channel,
+// found one channel at a time, takes its label (screens are mostly runs);
+// any other is looked up (vecLabel).
+func (s *search[T]) labelRow(r int) {
+	row, plane, ih := s.halo[r*s.wp:(r+1)*s.wp], s.H*s.W, s.ih0+r
+	in := row[min(s.pad, s.wp):min(s.wp, s.pad+s.W)] // input columns 0, 1, ...
+	for c := range row {
+		row[c] = -1
+	}
+	if ih < 0 || ih >= s.H || len(in) == 0 {
+		return
+	}
+	for c := range in {
+		in[c] = min(int32(c), 1) // 1: equal to the left so far
+	}
+	for o := ih * s.W; o < len(s.src); o += plane {
+		for c, v := range s.src[o+1 : o+len(in)] {
+			// Unequal bits or a NaN; only zeros can be equal with unequal bits.
+			if w := s.src[o+c]; v != w || v == 0 && math.Float32bits(float32(v)) != math.Float32bits(float32(w)) {
+				in[c+1] = 0
 			}
 		}
-		return true
 	}
-	for r := range g.taps {
-		if !sameBits(g.tap(iha, iwa, r), g.tap(ihb, iwb, r)) {
+	for c, same := range in {
+		if at := ih*s.W + c; same == 1 {
+			in[c] = in[c-1]
+		} else {
+			in[c] = vecLabel(&s.pos, s.src, plane, at, vecHash(s.src, plane, at))
+		}
+	}
+}
+
+// windowHash hashes the label tuple of the window at halo index w: rotate
+// and xor per tap, one multiply at the end.
+func (s *search[T]) windowHash(w int) uint64 {
+	var h uint64
+	for kh := 0; kh < s.kk; kh++ {
+		for _, l := range s.halo[w+kh*s.wp : w+kh*s.wp+s.kk] {
+			h = bits.RotateLeft64(h, 21) ^ uint64(uint32(l))
+		}
+	}
+	return h * fpMul
+}
+
+// sameWindow reports whether the windows at halo indices a and b have equal
+// label tuples.
+func (s *search[T]) sameWindow(a, b int) bool {
+	for o := 0; o < s.kk*s.wp; o += s.wp {
+		if !slices.Equal(s.halo[a+o:a+o+s.kk], s.halo[b+o:b+o+s.kk]) {
 			return false
 		}
 	}
@@ -216,25 +213,103 @@ func (g *windows[T]) same(a, b int) bool {
 }
 
 // gather writes pixel j's panel column to dst[0], dst[ld], dst[2*ld], ...
-func (g *windows[T]) gather(j int, dst []T, ld int) {
-	if ih, iw, in := g.at(j); in {
-		p := g.src[ih*g.W+iw:]
-		for r, o := range g.taps {
+func (s *search[T]) gather(j int, dst []T, ld int) {
+	ih, iw := j/s.OW*s.stride-s.pad, j%s.OW*s.stride-s.pad
+	if ih >= 0 && iw >= 0 && ih+s.kk <= s.H && iw+s.kk <= s.W {
+		p := s.src[ih*s.W+iw:]
+		for r, o := range s.taps {
 			dst[r*ld] = p[o]
 		}
-	} else {
-		for r := range g.taps {
-			dst[r*ld] = g.tap(ih, iw, r)
+		return
+	}
+	for r, o := range s.taps {
+		var v T
+		if y, x := ih+int(s.khw[r]>>16), iw+int(s.khw[r]&0xffff); uint(y) < uint(s.H) && uint(x) < uint(s.W) {
+			v = s.src[ih*s.W+iw+int(o)]
 		}
+		dst[r*ld] = v
 	}
 }
 
-// tapBits is a tap's bits: an int8 tap's exact float32 value is one-to-one.
-func tapBits[T colScalar](v T) uint64 { return uint64(math.Float32bits(float32(v))) }
+// vecHash hashes the channel vector at position at of src, whose channel
+// planes are plane apart; the all-+0 vector, and at = -1 for it, hash to 0.
+// Two rotate-xor chains take alternate channels: no long dependent chain.
+func vecHash[T colScalar](src []T, plane, at int) uint64 {
+	var h0, h1 uint64
+	for ; at >= 0 && at < len(src); at += plane {
+		h0, h1 = h1, bits.RotateLeft64(h0, 7)^uint64(math.Float32bits(float32(src[at])))
+	}
+	return (h0 ^ bits.RotateLeft64(h1, 32)) * fpMul
+}
 
-// sameBits: equal nonzero values have equal bits; zeros and NaNs may not.
-func sameBits[T colScalar](a, b T) bool {
-	return a == b && a != 0 || tapBits(a) == tapBits(b)
+// sameVec reports whether positions a and b of src, channel planes plane
+// apart, hold bit-identical vectors (an int8 tap's float32 value is
+// one-to-one); -1 stands for the all-+0 vector.
+func sameVec[T colScalar](src []T, plane, a, b int) bool {
+	if a, b = min(a, b), max(a, b); b < 0 {
+		return true
+	}
+	for o := 0; b+o < len(src); o += plane {
+		var va T
+		if a >= 0 {
+			va = src[a+o]
+		}
+		if math.Float32bits(float32(va)) != math.Float32bits(float32(src[b+o])) {
+			return false
+		}
+	}
+	return true
+}
+
+// vecLabel labels the vector at position at of src, whose hash is h: -1 if
+// it is all +0, else the position t first saw it at.
+func vecLabel[T colScalar](t *table, src []T, plane, at int, h uint64) int32 {
+	if h == 0 && sameVec(src, plane, -1, at) {
+		return -1
+	}
+	return t.find(h, int32(at), func(q int32) bool { return sameVec(src, plane, int(q), at) })
+}
+
+// table is an open-addressing hash table of non-negative int32 values, at
+// most half full. A slot holds the top 32 bits of its key's hash and
+// value+1; keys are not stored, so find confirms a candidate with eq. A
+// shared table takes inserts from several goroutines at once.
+type table struct {
+	buf    *[]uint64 // the scratch slots come from
+	slots  []uint64
+	bits   int
+	shared bool
+}
+
+// newTable returns items empty tables of room for n values each, back to
+// back in slots.
+func newTable(n, items int) table {
+	t := table{bits: max(bits.Len(uint(2*n-1)), 1)}
+	t.buf = fpScratch.Get(items << t.bits)
+	t.slots = *t.buf
+	clear(t.slots)
+	return t
+}
+
+// find returns the value stored under hash h that eq accepts or, if there
+// is none, stores v and returns it.
+func (t *table) find(h uint64, v int32, eq func(int32) bool) int32 {
+	check := h >> 32
+	for slot := check >> (32 - t.bits); ; slot = (slot + 1) & (1<<t.bits - 1) {
+		e := atomic.LoadUint64(&t.slots[slot])
+		if e == 0 {
+			if e = check<<32 | uint64(v+1); !t.shared {
+				t.slots[slot] = e
+				return v
+			} else if atomic.CompareAndSwapUint64(&t.slots[slot], 0, e) {
+				return v
+			}
+			e = atomic.LoadUint64(&t.slots[slot])
+		}
+		if e>>32 == check && eq(int32(e)-1) {
+			return int32(e) - 1
+		}
+	}
 }
 
 // SpreadCols expands one output row from DistinctPanel's u results, held in
@@ -244,4 +319,38 @@ func SpreadCols[T colScalar](row []T, rep []int32) {
 	for i := len(row) - 1; i >= 0; i-- {
 		row[i] = row[rep[i]]
 	}
+}
+
+// LabelTables are a labelled layer's output side: one shared table per
+// batch item, in which every column block labels its output columns as soon
+// as its epilogue is done (LabelBlock), so no serial step joins the blocks.
+type LabelTables struct{ t table }
+
+// NewLabelTables readies a table for each item of cols output pixels in
+// labOut, the output labels wanted (none when it is nil).
+func NewLabelTables(labOut []int32, cols int) LabelTables {
+	return LabelTables{newTable(cols, len(labOut)/cols)}
+}
+
+// Free returns the tables' scratch.
+func (l LabelTables) Free() { fpScratch.Put(l.t.buf) }
+
+// LabelBlock turns rep, the rep map of output pixels [j0, j0+len(rep)) of
+// item n, whose outC x cols outputs y holds, into their labels: equal exactly
+// when the output vectors are bit-identical, -1 exactly for all +0. Item n's
+// table joins the columns of all blocks, and distinct windows requantisation
+// or leaky-ReLU collapse: each column is looked up once, by its vector's
+// hash, with an exact compare on a hit.
+func LabelBlock[T colScalar](l LabelTables, n int, y []T, cols, j0 int, rep []int32) {
+	t := table{slots: l.t.slots[n<<l.t.bits : (n+1)<<l.t.bits], bits: l.t.bits, shared: true}
+	buf := idxScratch.Get(len(rep))
+	colLab, u := *buf, int32(0)
+	for i, c := range rep {
+		if c == u { // the column's first pixel
+			colLab[c] = vecLabel(&t, y, cols, j0+i, vecHash(y, cols, j0+i))
+			u++
+		}
+		rep[i] = colLab[c]
+	}
+	idxScratch.Put(buf)
 }

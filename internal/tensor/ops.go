@@ -46,17 +46,10 @@ func (c *Conv2D) OutSize(h, w int) (int, int) {
 
 // Forward computes the convolution. The input must be [N, InC, H, W].
 func (c *Conv2D) Forward(x *Tensor, train bool) *Tensor {
-	N, C, H, W := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	if C != c.InC {
-		panic(fmt.Sprintf("tensor: conv expects %d input channels, got %d", c.InC, C))
-	}
-	OH, OW := c.OutSize(H, W)
-	y := New(N, c.OutC, OH, OW)
 	if train {
 		c.lastIn = x
 	}
-	c.forwardInto(x, y, nil, nil)
-	return y
+	return c.ForwardCancel(x, nil, nil)
 }
 
 // ForwardPooled is ForwardCancel with no cancellation.
@@ -79,18 +72,9 @@ func (c *Conv2D) ForwardCancel(x *Tensor, p *Pool, done <-chan struct{}) *Tensor
 	}
 	OH, OW := c.OutSize(H, W)
 	y := p.Get(N, c.OutC, OH, OW)
-	c.forwardInto(x, y, p, done)
-	return y
-}
-
-// forwardInto computes the convolution into the preallocated output y,
-// writing every element: every shape lowers to im2col + blocked GEMM (see
-// gemm.go), which runs on the shared worker pool when the flop count
-// justifies it and polls a non-nil done between column blocks — the
-// convolution is the hot loop every cancellation deadline ultimately bounds.
-func (c *Conv2D) forwardInto(x, y *Tensor, p *Pool, done <-chan struct{}) {
 	spec := convSpec{inC: c.InC, outC: c.OutC, kk: c.K, stride: c.Stride, pad: c.Pad}
-	convGemmInto(x, y, spec, c.W.Data, c.B.Data, false, 0, p, done)
+	convGemmInto(x, y, spec, c.W.Data, c.B.Data, false, 0, nil, nil, p, done)
+	return y
 }
 
 // Backward computes input gradients and accumulates weight/bias gradients.

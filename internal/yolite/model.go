@@ -197,9 +197,11 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) (upo, ago *tensor.Tensor) 
 }
 
 // infer is the inference forward: each backbone block is one fused
-// conv+BN+activation pass, and every intermediate returns to the pool the
-// moment its consumers are done (with a nil pool the Get/Put calls degrade
-// to plain allocation). done is a cooperative cancellation channel, polled
+// conv+BN+activation pass that hands the next block its output's position
+// labels (tensor.FusedConvBNAct.ForwardLabels), so only B1 labels its
+// input, and every intermediate returns to the pool the moment its
+// consumers are done (with a nil pool the Get/Put calls degrade to plain
+// allocation). done is a cooperative cancellation channel, polled
 // after every block and, inside each conv, between column blocks (see
 // tensor.ParallelForCancel), so a cancel aborts within roughly one conv
 // layer; nil never aborts. On abort ok is false and every activation —
@@ -209,17 +211,25 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) (upo, ago *tensor.Tensor) 
 func (m *Model) infer(x *tensor.Tensor, done <-chan struct{}) (upo, ago *tensor.Tensor, ok bool) {
 	p := m.Pool
 	h := x
-	for i, b := range m.fusedBlocks() {
+	blocks := m.fusedBlocks()
+	// Output labels alternate between the halves of a buffer sized for B1's.
+	oh, ow := blocks[0].OutSize(x.Shape[2], x.Shape[3])
+	labs, half := labScratch.Get(2*x.Shape[0]*oh*ow), x.Shape[0]*oh*ow
+	defer labScratch.Put(labs)
+	var lab []int32 // h's labels; the network input has none
+	for i, b := range blocks {
 		if i == 4 {
 			// h is the stride-8 trunk: the fine head reads it before B4
 			// consumes (and releases) it.
 			upo = m.UPOHead.ForwardCancel(h, p, done)
 		}
-		next := b.ForwardCancel(h, p, done)
+		oh, ow := b.OutSize(h.Shape[2], h.Shape[3])
+		next := (*labs)[i%2*half : i%2*half+x.Shape[0]*oh*ow]
+		out := b.ForwardLabels(h, lab, next, p, done)
 		if h != x {
 			p.Put(h)
 		}
-		h = next
+		h, lab = out, next
 		if tensor.Aborted(done) {
 			p.Put(h)
 			p.Put(upo)
@@ -235,6 +245,9 @@ func (m *Model) infer(x *tensor.Tensor, done <-chan struct{}) (upo, ago *tensor.
 	}
 	return upo, ago, true
 }
+
+// labScratch pools the position labels infer hands from block to block.
+var labScratch tensor.Scratch[int32]
 
 // Backward propagates head gradients through the shared backbone.
 func (m *Model) Backward(dUPO, dAGO *tensor.Tensor) {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/auigen"
@@ -318,11 +319,44 @@ func TestPredictScalesToCanvas(t *testing.T) {
 	}
 }
 
+// TestForwardPooledAllocsFlat pins the steady-state allocation count of the
+// pooled float forward at zero on a flat screen — a light background with a
+// dark rectangle — where most columns repeat: activations, the labels each
+// block hands the next, the search's tables and the merge all recycle.
+// GOMAXPROCS is pinned to 1 because the parallel branch builds a closure by
+// design.
+func TestForwardPooledAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	m := NewModel(5)
+	m.SetPool(tensor.NewPool())
+	x := tensor.New(1, 3, InputH, InputW)
+	for i := range x.Data {
+		x.Data[i] = 0.9
+		if y, xx := i/InputW%InputH, i%InputW; y >= 60 && y < 100 && xx >= 20 && xx < 70 {
+			x.Data[i] = 0.2
+		}
+	}
+	warm := func() {
+		upo, ago := m.Forward(x, false)
+		m.Pool.Put(upo)
+		m.Pool.Put(ago)
+	}
+	warm()
+	if avg := testing.AllocsPerRun(10, warm); avg != 0 {
+		t.Fatalf("pooled float forward on a flat screen allocates %v per op, want 0", avg)
+	}
+}
+
 // BenchmarkConvScreens is BenchmarkConvKernels' other extreme: the six
 // backbone convolutions at N=8 on what they see in service — generator
 // screens run through the real fused layer chain, where most receptive
 // fields repeat and only the distinct columns are multiplied.
-// BenchmarkConvKernels feeds random data, where none repeat.
+// BenchmarkConvKernels feeds random data, where none repeat. Each block
+// runs standalone, with no producer labels; chain is the whole labelled
+// forward (infer), each block handed its producer's labels.
 func BenchmarkConvScreens(b *testing.B) {
 	m := NewModel(1)
 	if err := m.Load("../../weights/yolite.gob"); err != nil {
@@ -332,6 +366,14 @@ func BenchmarkConvScreens(b *testing.B) {
 	samples := append(auigen.BuildAUISamples(1, 6, cfg), auigen.BuildNegativeSamples(2, 2, cfg)...)
 	x := BatchToTensor(samples)
 	p := tensor.NewPool()
+	m.SetPool(p)
+	b.Run("chain", func(b *testing.B) {
+		for range b.N {
+			upo, ago, _ := m.infer(x, nil)
+			p.Put(upo)
+			p.Put(ago)
+		}
+	})
 	for i, blk := range m.fusedBlocks() {
 		b.Run([]string{"b1", "b2", "b3", "b3b", "b4", "b5"}[i], func(b *testing.B) {
 			for range b.N {
