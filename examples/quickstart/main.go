@@ -42,7 +42,7 @@ func main() {
 
 	// 3. Detection. The same call DARPA's runtime makes on every stable
 	//    screenshot.
-	dets, err := detect.PredictCanvasCtx(context.Background(), model, sample.Input, yolite.DefaultConfThresh)
+	dets, err := detect.PredictCanvasCtx(context.Background(), model, sample.Input, sample.Input.W, sample.Input.H, yolite.DefaultConfThresh)
 	if err != nil {
 		panic(err)
 	}

@@ -49,7 +49,7 @@ func TestAuditMatchesPerScreen(t *testing.T) {
 			}
 			found := 0
 			for i, c := range shots {
-				want, err := detect.PredictCanvasCtx(ctx, det, c, yolite.DefaultConfThresh)
+				want, err := detect.PredictCanvasCtx(ctx, det, c, c.W, c.H, yolite.DefaultConfThresh)
 				if err != nil {
 					t.Fatal(err)
 				}

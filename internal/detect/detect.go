@@ -104,25 +104,25 @@ func PredictBatchCtx(ctx context.Context, p Detector, x *tensor.Tensor, confThre
 }
 
 // PredictCanvas is a shim kept for cmd/darpa-bench: PredictCanvasCtx with no
-// deadline and the error dropped. Nothing else calls it.
+// deadline and the error dropped, on a full-size canvas. Nothing else calls it.
 func PredictCanvas(p Detector, c *render.Canvas, confThresh float64) []metrics.Detection {
-	dets, _ := PredictCanvasCtx(context.Background(), p, c, confThresh)
+	dets, _ := PredictCanvasCtx(context.Background(), p, c, c.W, c.H, confThresh)
 	return dets
 }
 
-// PredictCanvasCtx runs a detector on a screenshot canvas of any resolution
-// under a per-request context: tenant identity and cancellation ride ctx into
-// the backend (the serving layers read both), and detections come back scaled
-// to the canvas's coordinate system. It is the one-call path a network front
-// end needs: pixels in, screen-coordinate detections out, admission errors
-// surfaced.
-func PredictCanvasCtx(ctx context.Context, p Detector, c *render.Canvas, confThresh float64) ([]metrics.Detection, error) {
+// PredictCanvasCtx runs a detector on a screenshot under a per-request
+// context: tenant identity and cancellation ride ctx into the backend (the
+// serving layers read both), and detections come back scaled to the sw x sh
+// screen, whose pixels c holds at any resolution (httpd decodes them straight
+// to the model's size). It is the one-call path a network front end needs:
+// pixels in, screen-coordinate detections out, admission errors surfaced.
+func PredictCanvasCtx(ctx context.Context, p Detector, c *render.Canvas, sw, sh int, confThresh float64) ([]metrics.Detection, error) {
 	dets, err := Only(p.PredictBatchCtx(ctx, yolite.CanvasToTensor(c), confThresh))
 	if err != nil {
 		return nil, err
 	}
-	sx := float64(c.W) / float64(yolite.InputW)
-	sy := float64(c.H) / float64(yolite.InputH)
+	sx := float64(sw) / float64(yolite.InputW)
+	sy := float64(sh) / float64(yolite.InputH)
 	for i := range dets {
 		dets[i].B = dets[i].B.Scale(sx, sy)
 	}

@@ -209,8 +209,8 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 type DetectRequest struct {
 	// Screen is the base64 (standard encoding) PNG screenshot.
 	Screen string `json:"screen"`
-	// Conf overrides the server's confidence threshold when > 0.
-	Conf float64 `json:"conf,omitempty"`
+	// Conf overrides the server's confidence threshold; like ?conf= it must lie in (0, 1).
+	Conf *float64 `json:"conf,omitempty"`
 }
 
 // Box is a detection rectangle in screen (canvas) coordinates.
@@ -327,59 +327,66 @@ func tenantFromRequest(r *http.Request) (info serve.TenantInfo, shown string) {
 	return info, shown
 }
 
-// readScreen decodes the request into a canvas and threshold.
-func (s *Server) readScreen(r *http.Request) (*render.Canvas, float64, error) {
-	conf := s.cfg.confThresh()
+// screen is a decoded request: pixels at the model's size, the screen's size, the threshold.
+type screen struct {
+	canvas *render.Canvas
+	w, h   int
+	conf   float64
+}
+
+// readScreen decodes the request into a screen.
+func (s *Server) readScreen(r *http.Request) (screen, error) {
 	body := io.LimitReader(r.Body, s.cfg.maxBody()+1)
 	var pngBytes []byte
+	var req DetectRequest // req.Screen is set on the JSON path only
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "image/png") {
 		raw, err := io.ReadAll(body)
 		if err != nil {
-			return nil, 0, fmt.Errorf("reading body: %w", err)
+			return screen{}, fmt.Errorf("reading body: %w", err)
 		}
 		pngBytes = raw
 		if q := r.URL.Query().Get("conf"); q != "" {
 			v, err := strconv.ParseFloat(q, 64)
-			if err != nil || v <= 0 || v >= 1 {
-				return nil, 0, fmt.Errorf("invalid conf %q", q)
+			if err != nil {
+				return screen{}, fmt.Errorf("invalid conf %q", q)
 			}
-			conf = v
+			req.Conf = &v
 		}
 	} else {
-		var req DetectRequest
 		if err := json.NewDecoder(body).Decode(&req); err != nil {
-			return nil, 0, fmt.Errorf("decoding JSON: %w", err)
+			return screen{}, fmt.Errorf("decoding JSON: %w", err)
 		}
 		if req.Screen == "" {
-			return nil, 0, errors.New(`missing "screen"`)
+			return screen{}, errors.New(`missing "screen"`)
 		}
 		raw, err := base64.StdEncoding.DecodeString(req.Screen)
 		if err != nil {
-			return nil, 0, fmt.Errorf("decoding base64 screen: %w", err)
+			return screen{}, fmt.Errorf("decoding base64 screen: %w", err)
 		}
 		pngBytes = raw
-		if req.Conf > 0 {
-			conf = req.Conf
-		}
+	}
+	sc := screen{conf: s.cfg.confThresh()}
+	if c := req.Conf; c != nil && !(*c > 0 && *c < 1) { // NaN fails both
+		return screen{}, fmt.Errorf("invalid conf %v: want 0 < conf < 1", *c)
+	} else if c != nil {
+		sc.conf = *c
 	}
 	if int64(len(pngBytes)) > s.cfg.maxBody() {
-		return nil, 0, fmt.Errorf("screen exceeds %d bytes", s.cfg.maxBody())
+		return screen{}, fmt.Errorf("screen exceeds %d bytes", s.cfg.maxBody())
 	}
-	// The header is read on its own first: png.Decode allocates whatever
-	// size IHDR declares before it has seen a single pixel.
+	// The header is read on its own first: decoding allocates by the size
+	// IHDR declares before it has seen a single pixel.
 	hdr, err := png.DecodeConfig(bytes.NewReader(pngBytes))
 	if err != nil {
-		return nil, 0, fmt.Errorf("decoding PNG: %w", err)
+		return screen{}, fmt.Errorf("decoding PNG: %w", err)
 	}
 	if int64(hdr.Width)*int64(hdr.Height) > maxScreenPixels {
-		return nil, 0, fmt.Errorf("screen %dx%d exceeds %d pixels", hdr.Width, hdr.Height, maxScreenPixels)
+		return screen{}, fmt.Errorf("screen %dx%d exceeds %d pixels", hdr.Width, hdr.Height, maxScreenPixels)
 	}
-	img, err := png.Decode(bytes.NewReader(pngBytes))
-	if err != nil {
-		return nil, 0, fmt.Errorf("decoding PNG: %w", err)
+	if sc.canvas, sc.w, sc.h, err = render.DecodePNG(pngBytes, yolite.InputW, yolite.InputH); err != nil {
+		return screen{}, fmt.Errorf("decoding PNG: %w", err)
 	}
-	// img is decoded for this call alone, so the canvas may adopt its pixels.
-	return render.FromImage(img), conf, nil
+	return sc, nil
 }
 
 // handleDetect is POST /v1/detect.
@@ -395,17 +402,17 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, tenant, "server draining", "1")
 		return
 	}
-	canvas, conf, err := s.readScreen(r)
+	sc, err := s.readScreen(r)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, tenant, err.Error(), "")
 		return
 	}
 	ctx := serve.WithTenant(r.Context(), info)
-	dets, err := detect.PredictCanvasCtx(ctx, s.cfg.Backend, canvas, conf)
+	dets, err := detect.PredictCanvasCtx(ctx, s.cfg.Backend, sc.canvas, sc.w, sc.h, sc.conf)
 	switch {
 	case err == nil:
 		s.served.Add(1)
-		s.writeResult(w, http.StatusOK, tenant, canvas, dets, false)
+		s.writeResult(w, http.StatusOK, tenant, sc, dets, false)
 	case errors.Is(err, serve.ErrRateLimited):
 		// The tenant outran its token bucket: terminal for this request,
 		// and retrying immediately will fail again — hence Retry-After.
@@ -417,10 +424,10 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		// full model never saw this screen.
 		s.overloaded.Add(1)
 		if s.degraded != nil {
-			if ddets, derr := detect.PredictCanvasCtx(ctx, s.degraded, canvas, conf); derr == nil {
+			if ddets, derr := detect.PredictCanvasCtx(ctx, s.degraded, sc.canvas, sc.w, sc.h, sc.conf); derr == nil {
 				s.degradedOK.Add(1)
 				w.Header().Set("Retry-After", "1")
-				s.writeResult(w, http.StatusServiceUnavailable, tenant, canvas, ddets, true)
+				s.writeResult(w, http.StatusServiceUnavailable, tenant, sc, ddets, true)
 				return
 			}
 		}
@@ -439,21 +446,21 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 
 // writeResult renders a successful (or degraded) detection body and
 // publishes the matching SSE decoration event.
-func (s *Server) writeResult(w http.ResponseWriter, status int, tenant string, c *render.Canvas, dets []metrics.Detection, degraded bool) {
+func (s *Server) writeResult(w http.ResponseWriter, status int, tenant string, sc screen, dets []metrics.Detection, degraded bool) {
 	resp := DetectResponse{
 		Detections:  toWireDetections(dets),
 		Decorations: s.planDecorations(dets),
 		Bypass:      toWireBoxes(core.BypassTargets(dets)),
 		Degraded:    degraded,
 		Tenant:      tenant,
-		Width:       c.W,
-		Height:      c.H,
+		Width:       sc.w,
+		Height:      sc.h,
 	}
 	if len(dets) > 0 {
 		s.bcast.publish("decoration", DecorationEvent{
 			Tenant:      tenant,
-			Width:       c.W,
-			Height:      c.H,
+			Width:       sc.w,
+			Height:      sc.h,
 			Detections:  resp.Detections,
 			Decorations: resp.Decorations,
 			Degraded:    degraded,

@@ -7,6 +7,8 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"image"
+	"image/draw"
 	"image/png"
 	"math"
 	"net/http"
@@ -97,12 +99,9 @@ func screenPNG(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-func detectBody(t *testing.T, conf float64) *bytes.Reader {
+func detectBody(t *testing.T) *bytes.Reader {
 	t.Helper()
-	b, err := json.Marshal(DetectRequest{
-		Screen: base64.StdEncoding.EncodeToString(screenPNG(t)),
-		Conf:   conf,
-	})
+	b, err := json.Marshal(DetectRequest{Screen: base64.StdEncoding.EncodeToString(screenPNG(t))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +127,7 @@ func TestDetectOKJSON(t *testing.T) {
 	stub := &wireStub{dets: testDets()}
 	s := New(Config{Backend: stub})
 
-	w, resp := doDetect(t, s, map[string]string{HeaderTenant: "alice"}, detectBody(t, 0))
+	w, resp := doDetect(t, s, map[string]string{HeaderTenant: "alice"}, detectBody(t))
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, want 200 (body %s)", w.Code, w.Body.String())
 	}
@@ -199,12 +198,30 @@ func TestDetectBadRequests(t *testing.T) {
 		{"bad base64", `{"screen":"!!!"}`},
 		{"not a PNG", `{"screen":"` + base64.StdEncoding.EncodeToString([]byte("nope")) + `"}`},
 	}
+	// conf outside (0, 1) is refused on the JSON body as on ?conf=.
+	screen := base64.StdEncoding.EncodeToString(screenPNG(t))
+	for _, conf := range []string{"2", "1", "0", "-0.5"} {
+		cases = append(cases, struct{ name, body string }{"conf " + conf, `{"screen":"` + screen + `","conf":` + conf + `}`})
+	}
 	for _, tc := range cases {
 		w, resp := doDetect(t, s, nil, bytes.NewReader([]byte(tc.body)))
 		if w.Code != http.StatusBadRequest || resp.Error == "" {
 			t.Errorf("%s: status = %d error %q, want 400 with error", tc.name, w.Code, resp.Error)
 		}
 	}
+
+	// In range it is used; omitted, the server default stands.
+	stub := &wireStub{dets: testDets()}
+	s = New(Config{Backend: stub})
+	for body, want := range map[string]float64{
+		`{"screen":"` + screen + `","conf":0.3}`: 0.3,
+		`{"screen":"` + screen + `"}`:            yolite.DefaultConfThresh,
+	} {
+		if w, _ := doDetect(t, s, nil, bytes.NewReader([]byte(body))); w.Code != http.StatusOK || stub.lastConf() != want {
+			t.Errorf("status %d, backend saw conf %v, want 200 and %v", w.Code, stub.lastConf(), want)
+		}
+	}
+	s = New(Config{Backend: &wireStub{}})
 
 	req := httptest.NewRequest(http.MethodGet, "/v1/detect", nil)
 	w := httptest.NewRecorder()
@@ -216,7 +233,7 @@ func TestDetectBadRequests(t *testing.T) {
 
 func TestDetectBodyLimit(t *testing.T) {
 	s := New(Config{Backend: &wireStub{dets: testDets()}, MaxBodyBytes: 16})
-	w, resp := doDetect(t, s, nil, detectBody(t, 0))
+	w, resp := doDetect(t, s, nil, detectBody(t))
 	if w.Code != http.StatusBadRequest || resp.Error == "" {
 		t.Fatalf("oversized screen: status = %d error %q, want 400", w.Code, resp.Error)
 	}
@@ -224,7 +241,7 @@ func TestDetectBodyLimit(t *testing.T) {
 
 func TestDetectRateLimited(t *testing.T) {
 	s := New(Config{Backend: &wireStub{err: serve.ErrRateLimited}})
-	w, resp := doDetect(t, s, map[string]string{"Authorization": "Bearer acme"}, detectBody(t, 0))
+	w, resp := doDetect(t, s, map[string]string{"Authorization": "Bearer acme"}, detectBody(t))
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", w.Code)
 	}
@@ -243,7 +260,7 @@ func TestDetectShedWithDegradedBody(t *testing.T) {
 	degraded := &wireStub{dets: testDets()[1:]} // the heuristic finds the AGO only
 	s := New(Config{Backend: &wireStub{err: serve.ErrOverloaded}, Degraded: degraded})
 
-	w, resp := doDetect(t, s, nil, detectBody(t, 0))
+	w, resp := doDetect(t, s, nil, detectBody(t))
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503", w.Code)
 	}
@@ -263,7 +280,7 @@ func TestDetectShedWithDegradedBody(t *testing.T) {
 
 func TestDetectShedBare(t *testing.T) {
 	s := New(Config{Backend: &wireStub{err: serve.ErrOverloaded}})
-	w, resp := doDetect(t, s, nil, detectBody(t, 0))
+	w, resp := doDetect(t, s, nil, detectBody(t))
 	if w.Code != http.StatusServiceUnavailable || resp.Degraded || resp.Error == "" {
 		t.Fatalf("status %d body %+v, want bare 503 with error", w.Code, resp)
 	}
@@ -271,7 +288,7 @@ func TestDetectShedBare(t *testing.T) {
 
 func TestDetectClosedMapsToDraining(t *testing.T) {
 	s := New(Config{Backend: &wireStub{err: serve.ErrClosed}})
-	w, resp := doDetect(t, s, nil, detectBody(t, 0))
+	w, resp := doDetect(t, s, nil, detectBody(t))
 	if w.Code != http.StatusServiceUnavailable || !strings.Contains(resp.Error, "draining") {
 		t.Fatalf("status %d error %q, want 503 draining", w.Code, resp.Error)
 	}
@@ -303,7 +320,7 @@ func TestStatsEndpoint(t *testing.T) {
 		Stats:   func() serve.Stats { return fixed },
 		Timings: rec,
 	})
-	if w, _ := doDetect(t, s, nil, detectBody(t, 0)); w.Code != http.StatusOK {
+	if w, _ := doDetect(t, s, nil, detectBody(t)); w.Code != http.StatusOK {
 		t.Fatalf("detect status = %d", w.Code)
 	}
 
@@ -621,9 +638,13 @@ func TestPixelHeuristicFindsPlantedPattern(t *testing.T) {
 // TestServedEqualsInProcess is the differential test the front end's claim
 // implies: the checked-in yolite weights behind the real serving stack answer
 // POST /v1/detect — as JSON+base64 and as a raw PNG body — with exactly what
-// detect.PredictCanvas computes in-process on the same canvas. The PNG
-// round trip, the scheduler hand-off and the wire encoding may not move a
-// box; a score may move by what JSON float formatting can.
+// detect.PredictCanvas computes in-process on the full-size canvas. The
+// server decodes straight to the model's size (render.DecodePNG), so this
+// covers each kind it handles: RGB screens at 192x320 and pixel-doubled to
+// 384x640 (streamed through one and two 2:1 passes), a translucent RGBA
+// screen (streamed), and a grey one (handed to image/png). The scheduler
+// hand-off and the wire encoding may not move a box; a score may move by
+// what JSON float formatting can.
 func TestServedEqualsInProcess(t *testing.T) {
 	reps, err := detect.BuildReplicas("yolite", detect.BuildContext{WeightsDir: "../../weights"}, 2)
 	if err != nil {
@@ -636,24 +657,37 @@ func TestServedEqualsInProcess(t *testing.T) {
 	defer ts.Close()
 
 	// 192x320 is the generator's native layout, so the server downscales.
-	cfg := auigen.DatasetConfig{InputW: 192, InputH: 320}
+	type screenCase struct {
+		name string
+		img  image.Image
+	}
+	var cases []screenCase
+	for i, s := range auigen.BuildAUISamples(22, 8, auigen.DatasetConfig{InputW: 192, InputH: 320}) {
+		cases = append(cases, screenCase{fmt.Sprintf("screen %d", i), s.Input.Image()})
+		if i%4 != 0 {
+			continue
+		}
+		cases = append(cases, screenCase{fmt.Sprintf("screen %d 384x640", i), pixelDouble(s.Input).Image()})
+		translucent := s.Input.Clone()
+		for p := 3; p < len(translucent.Pix); p += 4 * 7 {
+			translucent.Pix[p] = uint8(p)
+		}
+		cases = append(cases, screenCase{fmt.Sprintf("screen %d translucent", i), translucent.Image()})
+		grey := image.NewGray(image.Rect(0, 0, s.Input.W, s.Input.H))
+		draw.Draw(grey, grey.Rect, s.Input.Image(), image.Point{}, draw.Src)
+		cases = append(cases, screenCase{fmt.Sprintf("screen %d grey", i), grey})
+	}
 	fired := 0
-	for i, s := range auigen.BuildAUISamples(22, 8, cfg) {
-		want := detect.PredictCanvas(local, s.Input, yolite.DefaultConfThresh)
+	for _, sc := range cases {
+		full := render.FromImage(sc.img)
+		want := detect.PredictCanvas(local, full, yolite.DefaultConfThresh)
 		fired += len(want)
 		var buf bytes.Buffer
-		if err := png.Encode(&buf, s.Input.Image()); err != nil {
+		if err := png.Encode(&buf, sc.img); err != nil {
 			t.Fatal(err)
 		}
-		asJSON, err := json.Marshal(DetectRequest{Screen: base64.StdEncoding.EncodeToString(buf.Bytes())})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, body := range []struct {
-			contentType string
-			data        []byte
-		}{{"application/json", asJSON}, {"image/png", buf.Bytes()}} {
-			res, err := ts.Client().Post(ts.URL+"/v1/detect", body.contentType, bytes.NewReader(body.data))
+		for _, body := range screenBodies(buf.Bytes()) {
+			res, err := ts.Client().Post(ts.URL+"/v1/detect", body.ctype, bytes.NewReader(body.body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -661,22 +695,22 @@ func TestServedEqualsInProcess(t *testing.T) {
 			err = json.NewDecoder(res.Body).Decode(&got)
 			res.Body.Close()
 			if err != nil || res.StatusCode != http.StatusOK {
-				t.Fatalf("screen %d as %s: status %d, decode error %v", i, body.contentType, res.StatusCode, err)
+				t.Fatalf("%s as %s: status %d, decode error %v", sc.name, body.ctype, res.StatusCode, err)
 			}
-			if got.Width != s.Input.W || got.Height != s.Input.H || len(got.Detections) != len(want) {
-				t.Fatalf("screen %d as %s: %dx%d with %d detections, want %dx%d with %d",
-					i, body.contentType, got.Width, got.Height, len(got.Detections), s.Input.W, s.Input.H, len(want))
+			if got.Width != full.W || got.Height != full.H || len(got.Detections) != len(want) {
+				t.Fatalf("%s as %s: %dx%d with %d detections, want %dx%d with %d",
+					sc.name, body.ctype, got.Width, got.Height, len(got.Detections), full.W, full.H, len(want))
 			}
 			for j, d := range got.Detections {
 				w := want[j]
 				if d.Class != className(w.Class) || d.Box != toWireBox(w) || math.Abs(d.Score-w.Score) > 1e-6 {
-					t.Errorf("screen %d as %s, detection %d: served %+v, in-process %+v", i, body.contentType, j, d, w)
+					t.Errorf("%s as %s, detection %d: served %+v, in-process %+v", sc.name, body.ctype, j, d, w)
 				}
 			}
 		}
 	}
 	if fired == 0 {
-		t.Fatal("the model fired on none of eight AUI screens; the comparison is vacuous")
+		t.Fatal("the model fired on none of the screens; the comparison is vacuous")
 	}
 }
 
@@ -743,7 +777,7 @@ func TestRealAdmissionVerdictsOverHTTP(t *testing.T) {
 	}
 	var screen []byte
 	for _, s := range auigen.BuildAUISamples(22, 8, auigen.DatasetConfig{}) {
-		if dets, err := detect.PredictCanvasCtx(context.Background(), model, s.Input, yolite.DefaultConfThresh); err == nil && len(dets) > 0 {
+		if dets, err := detect.PredictCanvasCtx(context.Background(), model, s.Input, s.Input.W, s.Input.H, yolite.DefaultConfThresh); err == nil && len(dets) > 0 {
 			var buf bytes.Buffer
 			if err := png.Encode(&buf, s.Input.Image()); err != nil {
 				t.Fatal(err)

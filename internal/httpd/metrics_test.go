@@ -35,7 +35,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		Timings:  rec,
 		Degraded: PixelHeuristic{},
 	})
-	if w, _ := doDetect(t, s, nil, detectBody(t, 0)); w.Code != http.StatusOK {
+	if w, _ := doDetect(t, s, nil, detectBody(t)); w.Code != http.StatusOK {
 		t.Fatalf("detect status = %d", w.Code)
 	}
 
@@ -82,7 +82,7 @@ func TestBearerTokenNeverPublished(t *testing.T) {
 	s := New(Config{Backend: b, Stats: b.Stats})
 	sub := s.bcast.subscribe()
 	hdr := map[string]string{"Authorization": "Bearer " + token}
-	detect, resp := doDetect(t, s, hdr, detectBody(t, 0))
+	detect, resp := doDetect(t, s, hdr, detectBody(t))
 	if detect.Code != http.StatusOK {
 		t.Fatalf("detect status = %d", detect.Code)
 	}
@@ -97,7 +97,7 @@ func TestBearerTokenNeverPublished(t *testing.T) {
 		Backend: &wireStub{err: errors.New("backend down")},
 		Logf:    func(format string, args ...any) { fmt.Fprintf(&logged, format+"\n", args...) },
 	})
-	failed, _ := doDetect(t, failing, hdr, detectBody(t, 0))
+	failed, _ := doDetect(t, failing, hdr, detectBody(t))
 	if failed.Code != http.StatusInternalServerError || logged.Len() == 0 {
 		t.Fatalf("failing backend: status %d, log %q; want a logged 500", failed.Code, logged.String())
 	}

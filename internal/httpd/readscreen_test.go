@@ -7,11 +7,15 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"image/png"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/auigen"
+	"repro/internal/render"
 )
 
 // declaredPNG hand-builds a well-formed truecolour PNG whose IHDR declares
@@ -110,4 +114,53 @@ func FuzzReadScreen(f *testing.F) {
 			}
 		}
 	})
+}
+
+// pixelDouble returns c at twice the size, every pixel repeated 2x2: the
+// same layout on a denser display.
+func pixelDouble(c *render.Canvas) *render.Canvas {
+	out := render.NewCanvas(2*c.W, 2*c.H)
+	for y := 0; y < out.H; y++ {
+		for x := 0; x < out.W; x++ {
+			out.Set(x, y, c.At(x/2, y/2))
+		}
+	}
+	return out
+}
+
+// BenchmarkReadScreen posts generated screens as raw PNG bodies, encoded as
+// a device would (BestSpeed), through the real handler in front of a stub
+// backend: it times the request front end — readScreen, the model tensor and
+// the response — without a forward. 96x160 is the model's own size; 384x640
+// is the generator's 192x320 layout pixel-doubled, the serve-hires shape.
+func BenchmarkReadScreen(b *testing.B) {
+	cfg := auigen.DatasetConfig{InputW: 192, InputH: 320}
+	samples := append(auigen.BuildAUISamples(1, 4, cfg), auigen.BuildNegativeSamples(2, 12, cfg)...)
+	for _, size := range []string{"96x160", "384x640"} {
+		var bodies [][]byte
+		for _, s := range samples {
+			c := s.Input.Downscale(96, 160)
+			if size == "384x640" {
+				c = pixelDouble(s.Input)
+			}
+			var buf bytes.Buffer
+			if err := (&png.Encoder{CompressionLevel: png.BestSpeed}).Encode(&buf, c.Image()); err != nil {
+				b.Fatal(err)
+			}
+			bodies = append(bodies, buf.Bytes())
+		}
+		s := New(Config{Backend: &wireStub{dets: testDets()}})
+		b.Run(size, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				req := httptest.NewRequest(http.MethodPost, "/v1/detect", bytes.NewReader(bodies[i%len(bodies)]))
+				req.Header.Set("Content-Type", "image/png")
+				w := httptest.NewRecorder()
+				s.ServeHTTP(w, req)
+				if w.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", w.Code, w.Body.String())
+				}
+			}
+		})
+	}
 }

@@ -150,8 +150,8 @@ func TestFromImageEmptyPanics(t *testing.T) {
 	FromImage(image.NewNRGBA(image.Rect(0, 0, 0, 5)))
 }
 
-// oldDownsample2x is the per-channel indexed loop Downsample2x replaced,
-// kept verbatim as the oracle.
+// oldDownsample2x is the per-channel indexed loop the 2:1 box pass
+// replaced, kept verbatim as the oracle for every 2:1 kernel.
 func oldDownsample2x(c *Canvas) *Canvas {
 	w, h := c.W/2, c.H/2
 	if w < 1 {
@@ -196,12 +196,18 @@ func noiseCanvas(rng *rand.Rand, w, h int) *Canvas {
 	return c
 }
 
+// TestDownsample2xMatchesOldLoop holds the 2:1 box pass to the oracle, both
+// through Downsample2x and as Downscale to half an even size.
 func TestDownsample2xMatchesOldLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	for _, sz := range [][2]int{{2, 2}, {8, 6}, {64, 40}, {7, 5}, {9, 4}, {4, 9}, {3, 3}, {384, 640}} {
+	for _, sz := range [][2]int{{2, 2}, {8, 6}, {64, 40}, {7, 5}, {9, 4}, {4, 9}, {3, 3}, {384, 640}, {2, 18}, {18, 2}} {
 		c := noiseCanvas(rng, sz[0], sz[1])
-		if !sameCanvas(c.Downsample2x(), oldDownsample2x(c)) {
+		want := oldDownsample2x(c)
+		if !sameCanvas(c.Downsample2x(), want) {
 			t.Errorf("%dx%d: Downsample2x differs from the old loop", sz[0], sz[1])
+		}
+		if sz[0]%2 == 0 && sz[1]%2 == 0 && !sameCanvas(c.Downscale(sz[0]/2, sz[1]/2), want) {
+			t.Errorf("%dx%d: Downscale to half differs from the old loop", sz[0], sz[1])
 		}
 	}
 }
@@ -279,8 +285,8 @@ func TestFromImageAllocs(t *testing.T) {
 
 func TestDownscaleAllocs(t *testing.T) {
 	c := NewCanvas(384, 640)
-	if n := testing.AllocsPerRun(10, func() { c.Downscale(96, 160) }); n > 4 {
-		t.Errorf("Downscale(384x640 -> 96x160) allocates %.0f times, want <= 4 (two passes, canvas + pixels each)", n)
+	if n := testing.AllocsPerRun(10, func() { c.Downscale(96, 160) }); n > 3 {
+		t.Errorf("Downscale(384x640 -> 96x160) allocates %.0f times, want <= 3 (the canvas, its pixels, one buffer of pending rows)", n)
 	}
 }
 

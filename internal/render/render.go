@@ -405,46 +405,112 @@ func (c *Canvas) Resize(w, h int) *Canvas {
 	return out
 }
 
-// Downsample2x returns the canvas reduced by exactly 2:1, averaging each
-// 2x2 block. For even-aligned UI geometry this is a lossless-feeling
-// reduction: edges stay crisp and full contrast, unlike general bilinear
-// resampling. The dataset pipeline uses it for its exact 2:1
-// screen-to-model-input ratio. A canvas one pixel wide or high has no 2x2
-// block; Resize averages the pairs it does have, with the same rounding.
+// Downsample2x returns the canvas reduced by exactly 2:1: Downscale's one box
+// pass over its even part. A canvas one pixel wide or high goes through
+// Resize. cmd/darpa-bench's tests call it.
 func (c *Canvas) Downsample2x() *Canvas {
 	w, h := c.W/2, c.H/2
 	if w < 1 || h < 1 {
 		return c.Resize(max(w, 1), max(h, 1))
 	}
-	out := NewCanvas(w, h)
-	for y := 0; y < h; y++ {
-		top := c.Pix[4*c.W*(2*y):][:8*w]
-		bot := c.Pix[4*c.W*(2*y+1):][:8*w]
-		dst := out.Pix[4*w*y:][:4*w]
-		for x := 0; x < w; x++ {
-			t, b, d := top[8*x:8*x+8], bot[8*x:8*x+8], dst[4*x:4*x+4]
-			d[0] = uint8((uint32(t[0]) + uint32(t[4]) + uint32(b[0]) + uint32(b[4]) + 2) / 4)
-			d[1] = uint8((uint32(t[1]) + uint32(t[5]) + uint32(b[1]) + uint32(b[5]) + 2) / 4)
-			d[2] = uint8((uint32(t[2]) + uint32(t[6]) + uint32(b[2]) + uint32(b[6]) + 2) / 4)
-			d[3] = uint8((uint32(t[3]) + uint32(t[7]) + uint32(b[3]) + uint32(b[7]) + 2) / 4)
-		}
-	}
-	return out
+	return c.SubImage(geom.Rect{W: 2 * w, H: 2 * h}).Downscale(w, h)
 }
 
 // Downscale reduces the canvas to (w, h) with proper area filtering: exact
 // 2:1 box-filter passes while the ratio allows, then bilinear for the
 // remainder. Plain bilinear at ratios beyond 2:1 skips source pixels
 // (aliasing thin UI strokes away); every consumer that feeds the detector
-// must use this instead.
+// must use this instead. The passes stream the rows: no canvas between them.
 func (c *Canvas) Downscale(w, h int) *Canvas {
-	for c.W >= 2*w && c.H >= 2*h && c.W%2 == 0 && c.H%2 == 0 {
-		c = c.Downsample2x()
+	if halves(c.W, c.H, w, h) {
+		b := newBoxCascade(c.W, c.H, w, h, 4)
+		for y := 0; y < c.H; y++ {
+			b.push(0, c.Pix[4*c.W*y:][:4*c.W])
+		}
+		c = b.dst
 	}
 	if c.W != w || c.H != h {
 		c = c.Resize(w, h)
 	}
 	return c
+}
+
+// halves reports whether Downscale takes a 2:1 pass from sw x sh towards w x h.
+func halves(sw, sh, w, h int) bool { return sw >= 2*w && sh >= 2*h && sw%2 == 0 && sh%2 == 0 }
+
+// boxCascade runs Downscale's 2:1 passes, at least one, over a stream of rows,
+// RGBA or (bpp 3) opaque RGB. Pass k holds each even row, not a copy, until
+// the odd one comes, and averages the two, (sum+2)/4 per channel, into a row
+// of half the width for pass k+1; the last pass writes dst.
+type boxCascade struct {
+	dst    *Canvas
+	rows   int           // rows written to dst
+	bpp, n int           // n passes
+	top    [31][]byte    // each pass's pending row; a side below 1<<31 halves at most 30 times
+	out    [31][2][]byte // each pass's output rows, alternated so that the next pass may hold one
+}
+
+func newBoxCascade(sw, sh, w, h, bpp int) boxCascade {
+	n := 1
+	for halves(sw>>n, sh>>n, w, h) {
+		n++
+	}
+	b := boxCascade{dst: NewCanvas(sw>>n, sh>>n), bpp: bpp, n: n}
+	var buf []byte // two rows for each pass but the last: 2*4*sw*(1/2 + 1/4 + ...) < 8*sw bytes
+	if n > 1 {
+		buf = make([]byte, 8*sw)
+	}
+	for k := 0; k < n-1; k++ {
+		rw := 4 * (sw >> (k + 1))
+		b.out[k] = [2][]byte{buf[:rw], buf[rw : 2*rw]}
+		buf = buf[2*rw:]
+	}
+	return b
+}
+
+// push hands row to pass k.
+func (b *boxCascade) push(k int, row []byte) {
+	if b.top[k] == nil {
+		b.top[k] = row
+		return
+	}
+	out := b.out[k][0]
+	b.out[k][0], b.out[k][1] = b.out[k][1], out
+	if k == b.n-1 {
+		out = b.dst.Pix[4*b.dst.W*b.rows:][:4*b.dst.W]
+		b.rows++
+	}
+	if k == 0 && b.bpp == 3 {
+		halveRGB(out, b.top[k], row)
+	} else {
+		halveRGBA(out, b.top[k], row)
+	}
+	b.top[k] = nil
+	if k < b.n-1 {
+		b.push(k+1, out)
+	}
+}
+
+// halveRGBA writes into dst the 2x2 box average of RGBA rows twice its length.
+func halveRGBA(dst, top, bot []byte) {
+	for x := 0; x < len(dst)/4; x++ {
+		t, b, d := top[8*x:8*x+8], bot[8*x:8*x+8], dst[4*x:4*x+4]
+		d[0] = uint8((uint32(t[0]) + uint32(t[4]) + uint32(b[0]) + uint32(b[4]) + 2) / 4)
+		d[1] = uint8((uint32(t[1]) + uint32(t[5]) + uint32(b[1]) + uint32(b[5]) + 2) / 4)
+		d[2] = uint8((uint32(t[2]) + uint32(t[6]) + uint32(b[2]) + uint32(b[6]) + 2) / 4)
+		d[3] = uint8((uint32(t[3]) + uint32(t[7]) + uint32(b[3]) + uint32(b[7]) + 2) / 4)
+	}
+}
+
+// halveRGB is halveRGBA for RGB rows, whose alpha is 255: (4*255+2)/4.
+func halveRGB(dst, top, bot []byte) {
+	for x := 0; x < len(dst)/4; x++ {
+		t, b, d := top[6*x:6*x+6], bot[6*x:6*x+6], dst[4*x:4*x+4]
+		d[0] = uint8((uint32(t[0]) + uint32(t[3]) + uint32(b[0]) + uint32(b[3]) + 2) / 4)
+		d[1] = uint8((uint32(t[1]) + uint32(t[4]) + uint32(b[1]) + uint32(b[4]) + 2) / 4)
+		d[2] = uint8((uint32(t[2]) + uint32(t[5]) + uint32(b[2]) + uint32(b[5]) + 2) / 4)
+		d[3] = 255
+	}
 }
 
 // Image converts the canvas to a standard library image for encoding.
@@ -459,8 +525,8 @@ func (c *Canvas) Image() *image.NRGBA {
 // returns for screenshots are taken bytewise: *image.NRGBA is already the
 // canvas layout, and so is an opaque *image.RGBA. When such an image's rows
 // are contiguous the canvas adopts img's Pix instead of copying it — the
-// caller hands the image over and must not touch it afterwards (httpd, the
-// only production caller, decodes it for this call alone). Rows of a wider
+// caller hands the image over and must not touch it afterwards (DecodePNG's
+// fallback decodes it for this call alone). Rows of a wider
 // stride (a SubImage) are copied one by one. Every other image type is
 // converted by draw.Draw, except that a paletted image is looked up in its
 // converted palette: draw.Draw hands colours over premultiplied, which
