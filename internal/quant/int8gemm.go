@@ -1,12 +1,13 @@
 package quant
 
 // True int8 inference path: activations are quantised once at the network
-// input and stay int8 across the whole backbone. Each layer lowers to an
-// int8 im2col panel of its distinct columns (tensor.DistinctPanel) and an
-// int8 x int8 -> int32 blocked GEMM over weight rows packed in pairs
-// (gemmPairs: two MACs per 64-bit multiply), and the epilogue requantises the
-// int32 accumulators straight to the next layer's int8 scale with the folded
-// bias and leaky-ReLU applied in the same pass:
+// input and stay int8 across the whole backbone. tensor.Conv runs every
+// layer as it runs the float ones, over int8 im2col panels of the distinct
+// columns; each layer is a tensor.ConvKernel whose Block is an int8 x int8
+// -> int32 blocked GEMM over weight rows packed in pairs (gemmPairs: two
+// MACs per 64-bit multiply) and an epilogue that requantises the int32
+// accumulators straight to the next layer's int8 scale with the folded bias
+// and leaky-ReLU applied in the same pass:
 //
 //	q_out = clamp(round(leaky(acc*rq + bq))),  rq = wScale*inScale/outScale,
 //	                                           bq = bias/outScale
@@ -22,8 +23,8 @@ package quant
 import "repro/internal/tensor"
 
 var (
-	i8s  tensor.Scratch[int8]  // activations and im2col panels
-	i32s tensor.Scratch[int32] // accumulator tiles, distinct-column maps, labels
+	i8s  tensor.Scratch[int8]  // activations
+	i32s tensor.Scratch[int32] // accumulator tiles, labels
 )
 
 // quantI8 quantises float activations to int8: dst[i] =
@@ -56,128 +57,71 @@ func quantI8(dst []int8, src []float32, s float32) {
 	}
 }
 
-// outSize returns the conv's spatial output size for an (h, w) input.
-func (q *qconv) outSize(h, w int) (int, int) {
-	return (h+2*q.pad-q.k)/q.stride + 1, (w+2*q.pad-q.k)/q.stride + 1
+// qhead is a detection head: the same layer, whose epilogue dequantises to
+// float32 instead of requantising.
+type qhead qconv
+
+// accumulate multiplies the u columns of panel (rows ldb apart) by every
+// output channel's weights, returning the OutC x u int32 tile from i32s.
+func (q *qconv) accumulate(panel []int8, ldb, u int) *[]int32 {
+	acc := i32s.Get(q.OutC * u)
+	gemmPairs(q.qwp, panel, ldb, *acc, q.OutC, q.InC*q.K*q.K, u)
+	return acc
 }
 
-// forward runs the quantised convolution on int8 activations: qx is
-// [N][inC][H][W] at q.inScale. Exactly one of out and yf is set. A backbone
-// layer passes out (length N*outC*OH*OW) and gets requantised int8 at
-// q.outScale; a head passes yf ([N, outC, OH, OW]) and gets float32 exactly
-// as the reference per-plane loop computes it (float32(acc)*deq + bias,
-// optional leaky-ReLU). labIn holds qx's position labels (nil: none), and a
-// non-nil labOut receives out's, as tensor.FusedConvBNAct.ForwardLabels
-// defines them. Work splits into (batch item, column block) tasks on the
-// shared worker pool, each a cooperative cancellation checkpoint; once done
-// closes, the output is partially written and must be discarded.
-func (q *qconv) forward(qx []int8, N, H, W int, out []int8, yf *tensor.Tensor, labIn, labOut []int32, done <-chan struct{}) {
-	OH, OW := q.outSize(H, W)
-	cols := OH * OW
-	kdim := q.inC * q.k * q.k
-	blk := tensor.ColBlock(kdim, cols)
-	nBlocks := (cols + blk - 1) / blk
-	tasks := N * nBlocks
-	tabs := tensor.NewLabelTables(labOut, cols)
-	// The closure is only built inside the parallel branch so the serial
-	// path stays allocation-free (see tensor.ParallelWorthwhile).
-	if tensor.ParallelWorthwhile(N * q.outC * cols * kdim) {
-		tensor.ParallelForCancel(done, tasks, func(t int) {
-			q.i8Task(qx, N, H, W, out, yf, labIn, labOut, tabs, blk, nBlocks, t)
-		})
-	} else {
-		for t := 0; t < tasks && !tensor.Aborted(done); t++ {
-			q.i8Task(qx, N, H, W, out, yf, labIn, labOut, tabs, blk, nBlocks, t)
-		}
-	}
-	tabs.Free()
-}
-
-// i8Task runs one (batch item, column block) unit: unpack the int8 panel,
-// accumulate every output channel against it in int32, then requantise (out
-// != nil) or dequantise (yf != nil) the accumulator tile while it is
-// cache-hot, labelling requantised results when labels are wanted.
-func (q *qconv) i8Task(qx []int8, N, H, W int, out []int8, yf *tensor.Tensor, labIn, labOut []int32, tabs tensor.LabelTables, blk, nBlocks, t int) {
-	n, b := t/nBlocks, t%nBlocks
-	OH, OW := q.outSize(H, W)
-	cols := OH * OW
-	kdim := q.inC * q.k * q.k
-	j0 := b * blk
-	j1 := min(j0+blk, cols)
-	nc, u := j1-j0, j1-j0
-	accBuf, repBuf := i32s.Get(q.outC*nc), i32s.Get(nc)
-	acc, rep := *accBuf, *repBuf
-	if labOut != nil { // the rep map is the block's share of labOut
-		rep = labOut[n*cols+j0 : n*cols+j1]
-	}
-	if q.k == 1 && q.stride == 1 && q.pad == 0 {
-		// 1x1 stride-1: the panel is the input activations themselves.
-		bp := qx[n*q.inC*cols+j0:]
-		gemmPairs(q.qwp, bp, cols, acc, q.outC, kdim, nc)
-		for i := range rep {
-			rep[i] = int32(i)
-		}
-	} else {
-		panel := i8s.Get(kdim * nc)
-		// The item's labels lead labIn[n*H*W:]; a nil labIn stays nil.
-		u = tensor.DistinctPanel(qx[n*q.inC*H*W:(n+1)*q.inC*H*W], labIn[min(n*H*W, len(labIn)):], q.inC, H, W, q.k, q.stride, q.pad, OW, j0, j1, *panel, rep)
-		gemmPairs(q.qwp, *panel, u, acc, q.outC, kdim, u)
-		i8s.Put(panel)
-	}
-	outBase := n*q.outC*cols + j0
-	// Read q.relu once: a slope of 1 leaves negatives bit-for-bit alone.
-	slope := float32(1)
+// slope is the epilogue's leaky-ReLU slope: 1 leaves negatives bit for bit.
+func (q *qconv) slope() float32 {
 	if q.relu {
-		slope = 0.1
+		return 0.1
 	}
-	if out != nil {
-		for oc := 0; oc < q.outC; oc++ {
-			rq, bq := q.rq[oc], q.bq[oc]
-			row := acc[oc*u : (oc+1)*u]
-			dst := out[outBase+oc*cols : outBase+oc*cols+nc]
-			for j, a := range row {
-				v := float32(a)*rq + bq
-				if v < 0 {
-					v *= slope
-				}
-				if v > 127 {
-					v = 127
-				} else if v < -127 {
-					v = -127
-				}
-				if v >= 0 {
-					dst[j] = int8(v + 0.5)
-				} else {
-					dst[j] = int8(v - 0.5)
-				}
+	return 1
+}
+
+// Block is a backbone layer's tensor.ConvKernel: accumulate, then requantise
+// each accumulator to y's int8 scale, clamp(round(leaky(acc*rq + bq))).
+func (q *qconv) Block(panel []int8, ldb int, y []int8, ldc, u int) {
+	acc, slope := q.accumulate(panel, ldb, u), q.slope()
+	for oc := range q.OutC {
+		rq, bq := q.rq[oc], q.bq[oc]
+		dst := y[oc*ldc : oc*ldc+u]
+		for j, a := range (*acc)[oc*u : (oc+1)*u] {
+			v := float32(a)*rq + bq
+			if v < 0 {
+				v *= slope
 			}
-			if u < nc {
-				tensor.SpreadCols(dst, rep)
+			if v > 127 {
+				v = 127
+			} else if v < -127 {
+				v = -127
 			}
-		}
-		if labOut != nil {
-			tensor.LabelBlock(tabs, n, out[n*q.outC*cols:(n+1)*q.outC*cols], cols, j0, rep)
-		}
-	} else {
-		for oc := 0; oc < q.outC; oc++ {
-			deq := q.wScale[oc] * q.inScale
-			bias := q.b[oc]
-			row := acc[oc*u : (oc+1)*u]
-			dst := yf.Data[outBase+oc*cols : outBase+oc*cols+nc]
-			for j, a := range row {
-				v := float32(a)*deq + bias
-				if v < 0 {
-					v *= slope
-				}
-				dst[j] = v
-			}
-			if u < nc {
-				tensor.SpreadCols(dst, rep)
+			if v >= 0 {
+				dst[j] = int8(v + 0.5)
+			} else {
+				dst[j] = int8(v - 0.5)
 			}
 		}
 	}
-	i32s.Put(accBuf)
-	i32s.Put(repBuf)
+	i32s.Put(acc)
+}
+
+// Block is a head's tensor.ConvKernel: accumulate, then dequantise exactly
+// as the reference per-plane loop does, float32(acc)*deq + bias, with the
+// optional leaky-ReLU.
+func (h *qhead) Block(panel []int8, ldb int, y []float32, ldc, u int) {
+	q := (*qconv)(h)
+	acc, slope := q.accumulate(panel, ldb, u), q.slope()
+	for oc := range q.OutC {
+		deq, bias := q.wScale[oc]*q.inScale, q.b[oc]
+		dst := y[oc*ldc : oc*ldc+u]
+		for j, a := range (*acc)[oc*u : (oc+1)*u] {
+			v := float32(a)*deq + bias
+			if v < 0 {
+				v *= slope
+			}
+			dst[j] = v
+		}
+	}
+	i32s.Put(acc)
 }
 
 // packPairs lays int8 weight rows [M][K] out as (M+1)/2 rows of int64, row p

@@ -19,24 +19,24 @@ func (q *qconv) forwardPlane(qx []int8, inShape []int, y *tensor.Tensor, n, oc i
 	oh, ow := y.Shape[2], y.Shape[3]
 	deq := q.wScale[oc] * q.inScale
 	bias := q.b[oc]
-	outBase := ((n*q.outC + oc) * oh) * ow
+	outBase := ((n*q.OutC + oc) * oh) * ow
 	for oy := 0; oy < oh; oy++ {
-		ihBase := oy*q.stride - q.pad
+		ihBase := oy*q.Stride - q.Pad
 		outRow := outBase + oy*ow
 		for ox := 0; ox < ow; ox++ {
-			iwBase := ox*q.stride - q.pad
+			iwBase := ox*q.Stride - q.Pad
 			var acc int32
-			for ic := 0; ic < q.inC; ic++ {
-				wBase := ((oc*q.inC + ic) * q.k) * q.k
+			for ic := 0; ic < q.InC; ic++ {
+				wBase := ((oc*q.InC + ic) * q.K) * q.K
 				inBase := ((n*C + ic) * H) * W
-				for kh := 0; kh < q.k; kh++ {
+				for kh := 0; kh < q.K; kh++ {
 					ih := ihBase + kh
 					if ih < 0 || ih >= H {
 						continue
 					}
 					inRow := inBase + ih*W
-					wRow := wBase + kh*q.k
-					for kw := 0; kw < q.k; kw++ {
+					wRow := wBase + kh*q.K
+					for kw := 0; kw < q.K; kw++ {
 						iw := iwBase + kw
 						if iw < 0 || iw >= W {
 							continue
@@ -58,9 +58,7 @@ func (q *qconv) forwardPlane(qx []int8, inShape []int, y *tensor.Tensor, n, oc i
 // scales, quantised the production way.
 func randQConv(rng *rand.Rand, inC, outC, k, stride, pad int, relu bool) *qconv {
 	per := inC * k * k
-	q := &qconv{foldedConv: foldedConv{
-		inC: inC, outC: outC, k: k, stride: stride, pad: pad,
-	}, relu: relu}
+	q := &qconv{ConvGeom: tensor.ConvGeom{InC: inC, OutC: outC, K: k, Stride: stride, Pad: pad}, relu: relu}
 	q.w = make([]float32, outC*per)
 	for i := range q.w {
 		q.w[i] = rng.Float32()*2 - 1
@@ -149,7 +147,7 @@ func TestForwardI8FloatMatchesPerPlane(t *testing.T) {
 			q := randQConv(rng, s.c, s.outC, s.k, s.stride, s.pad, relu)
 			inputs := append([][]int8{randQx(rng, s.n*s.c*s.h*s.w)}, repeatQx(rng, s.n, s.c, s.h, s.w)...)
 			for k, qx := range inputs {
-				oh, ow := q.outSize(s.h, s.w)
+				oh, ow := q.OutSize(s.h, s.w)
 				want := tensor.New(s.n, s.outC, oh, ow)
 				for n := 0; n < s.n; n++ {
 					for oc := 0; oc < s.outC; oc++ {
@@ -157,7 +155,7 @@ func TestForwardI8FloatMatchesPerPlane(t *testing.T) {
 					}
 				}
 				got := tensor.New(s.n, s.outC, oh, ow)
-				q.forward(qx, s.n, s.h, s.w, nil, got, nil, nil, nil)
+				tensor.Conv((*qhead)(q), qx, s.n, s.h, s.w, got.Data, nil, nil, nil)
 				for i := range want.Data {
 					if got.Data[i] != want.Data[i] {
 						t.Fatalf("shape %+v relu=%v input %d: element %d differs: gemm %v per-plane %v",
@@ -176,7 +174,7 @@ func TestForwardI8RequantMatchesFormula(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	q := requantQConv(rng, 6, 9, 3, 2, 1)
 	N, H, W := 2, 13, 11
-	for k, qx := range [][]int8{randQx(rng, N*q.inC*H*W), repeatQx(rng, N, q.inC, H, W)[0]} {
+	for k, qx := range [][]int8{randQx(rng, N*q.InC*H*W), repeatQx(rng, N, q.InC, H, W)[0]} {
 		requantMatchesFormula(t, q, qx, N, H, W, k)
 	}
 }
@@ -186,9 +184,9 @@ func TestForwardI8RequantMatchesFormula(t *testing.T) {
 func requantQConv(rng *rand.Rand, inC, outC, k, stride, pad int) *qconv {
 	q := randQConv(rng, inC, outC, k, stride, pad, true)
 	q.outScale = (0.5 + rng.Float32()) / 8
-	q.rq = make([]float32, q.outC)
-	q.bq = make([]float32, q.outC)
-	for oc := 0; oc < q.outC; oc++ {
+	q.rq = make([]float32, q.OutC)
+	q.bq = make([]float32, q.OutC)
+	for oc := 0; oc < q.OutC; oc++ {
 		q.rq[oc] = q.wScale[oc] * q.inScale / q.outScale
 		q.bq[oc] = q.b[oc] / q.outScale
 	}
@@ -197,27 +195,27 @@ func requantQConv(rng *rand.Rand, inC, outC, k, stride, pad int) *qconv {
 
 // requantMatchesFormula runs one input through TestForwardI8RequantMatchesFormula.
 func requantMatchesFormula(t *testing.T, q *qconv, qx []int8, N, H, W, k int) {
-	oh, ow := q.outSize(H, W)
-	out := make([]int8, N*q.outC*oh*ow)
-	q.forward(qx, N, H, W, out, nil, nil, nil, nil)
+	oh, ow := q.OutSize(H, W)
+	out := make([]int8, N*q.OutC*oh*ow)
+	tensor.Conv(q, qx, N, H, W, out, nil, nil, nil)
 	// Reference: exact accumulators from the per-plane loop, with the
 	// dequantising epilogue disabled by unit constants so y holds raw acc.
-	ref := &qconv{foldedConv: q.foldedConv, qw: q.qw, relu: false}
-	ref.wScale = make([]float32, q.outC)
-	ref.b = make([]float32, q.outC)
+	ref := &qconv{ConvGeom: q.ConvGeom, qw: q.qw}
+	ref.wScale = make([]float32, q.OutC)
+	ref.b = make([]float32, q.OutC)
 	for i := range ref.wScale {
 		ref.wScale[i] = 1
 	}
 	ref.inScale = 1
-	accT := tensor.New(N, q.outC, oh, ow)
+	accT := tensor.New(N, q.OutC, oh, ow)
 	for n := 0; n < N; n++ {
-		for oc := 0; oc < q.outC; oc++ {
-			ref.forwardPlane(qx, []int{N, q.inC, H, W}, accT, n, oc)
+		for oc := 0; oc < q.OutC; oc++ {
+			ref.forwardPlane(qx, []int{N, q.InC, H, W}, accT, n, oc)
 		}
 	}
 	cols := oh * ow
 	for i, g := range out {
-		oc := (i / cols) % q.outC
+		oc := (i / cols) % q.OutC
 		v := accT.Data[i]*q.rq[oc] + q.bq[oc]
 		if v < 0 {
 			v *= 0.1
@@ -402,7 +400,7 @@ func TestInt8PipelineScaleChain(t *testing.T) {
 		t.Fatal("B5 does not feed the AGO head's scale")
 	}
 	for _, l := range qm.backbone {
-		if len(l.rq) != l.outC || len(l.bq) != l.outC {
+		if len(l.rq) != l.OutC || len(l.bq) != l.OutC {
 			t.Fatal("requantise constants missing")
 		}
 	}

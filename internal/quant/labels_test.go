@@ -19,8 +19,8 @@ import (
 // repeatQx (a flat field, a tile, a constant, all zeros), the flat field
 // with an all-zero band beside the left padding, and random activations, at
 // the B1 geometry, whose four column blocks an item make repeats straddle
-// blocks. A layer's labels are exact from unlabelled input and from its
-// producer's, and labels change no output bit.
+// blocks. A layer's labels are exact whether it labels its input itself
+// or is handed its producer's, and labels change no output bit.
 func TestForwardI8Labels(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	N, C, H, W := 2, 3, 160, 96
@@ -37,18 +37,19 @@ func TestForwardI8Labels(t *testing.T) {
 	}
 }
 
-// labelledI8 runs q over qx, whose labels are labIn, checks the output's
-// labels and that the output is the unlabelled run's, and returns both.
+// labelledI8 runs q over qx, handed labIn (nil: it labels qx itself),
+// checks the output's labels and that the output is that of a run that
+// labels qx itself, and returns both.
 func labelledI8(t *testing.T, what string, q *qconv, qx []int8, N, H, W int, labIn []int32) ([]int8, []int32) {
 	t.Helper()
-	oh, ow := q.outSize(H, W)
-	want, got, lab := make([]int8, N*q.outC*oh*ow), make([]int8, N*q.outC*oh*ow), make([]int32, N*oh*ow)
-	q.forward(qx, N, H, W, want, nil, nil, nil, nil)
-	q.forward(qx, N, H, W, got, nil, labIn, lab, nil)
+	oh, ow := q.OutSize(H, W)
+	want, got, lab := make([]int8, N*q.OutC*oh*ow), make([]int8, N*q.OutC*oh*ow), make([]int32, N*oh*ow)
+	tensor.Conv(q, qx, N, H, W, want, nil, nil, nil)
+	tensor.Conv(q, qx, N, H, W, got, labIn, lab, nil)
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s: labels changed the output", what)
 	}
-	per, cols := q.outC*oh*ow, oh*ow
+	per, cols := q.OutC*oh*ow, oh*ow
 	for n := 0; n < N; n++ {
 		checkVectorLabels(t, fmt.Sprintf("%s item %d", what, n), got[n*per:(n+1)*per], cols, lab[n*cols:(n+1)*cols])
 	}
@@ -71,8 +72,8 @@ type chainLayer[T scalar] struct {
 
 // TestChainLabels runs both precisions' backbones over generator screens
 // the way yolite.Model.infer and Model.forwardInt8 do, each layer handed its
-// producer's labels (the first none), and holds every layer to two brute-
-// force counts. The labels it emits are exact: equal exactly for bit-
+// producer's labels (the first labels its own), and holds every layer to two
+// brute-force counts. The labels it emits are exact: equal exactly for bit-
 // identical channel vectors, -1 exactly for all +0. And every column block
 // of the next layer, searched with those labels, finds exactly as many
 // distinct windows as the block has; a repeat the merge missed would
@@ -104,15 +105,15 @@ func TestChainLabels(t *testing.T) {
 	}
 	var ints []chainLayer[int8]
 	for _, q := range qm.backbone {
-		ints = append(ints, chainLayer[int8]{q.inC, q.outC, q.k, q.stride, q.pad,
+		ints = append(ints, chainLayer[int8]{q.InC, q.OutC, q.K, q.Stride, q.Pad,
 			func(x []int8, n, h, w int, labIn []int32, wantLab bool) ([]int8, []int32) {
-				oh, ow := q.outSize(h, w)
-				out := make([]int8, n*q.outC*oh*ow)
+				oh, ow := q.OutSize(h, w)
+				out := make([]int8, n*q.OutC*oh*ow)
 				var lab []int32
 				if wantLab {
 					lab = make([]int32, n*oh*ow)
 				}
-				q.forward(x, n, h, w, out, nil, labIn, lab, nil)
+				tensor.Conv(q, x, n, h, w, out, labIn, lab, nil)
 				return out, lab
 			}})
 	}
@@ -133,9 +134,11 @@ func checkChain[T scalar](t *testing.T, layers []chainLayer[T], x []T, N, h, w i
 		got, want := 0, 0
 		for n := 0; n < N; n++ {
 			item := x[n*l.C*h*w : (n+1)*l.C*h*w]
-			var itemLab []int32
+			itemLab := make([]int32, h*w) // the first layer labels its input
 			if lab != nil {
 				itemLab = lab[n*h*w : (n+1)*h*w]
+			} else {
+				tensor.LabelInput(item, 1, l.C, h, w, itemLab)
 			}
 			for j0 := 0; j0 < cols; j0 += blk {
 				j1 := min(j0+blk, cols)

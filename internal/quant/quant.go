@@ -29,16 +29,11 @@ import (
 	"repro/internal/yolite"
 )
 
-// foldedConv is a convolution with batch-norm constants folded in.
-type foldedConv struct {
-	inC, outC, k, stride, pad int
-	w                         []float32 // [outC][inC*k*k]
-	b                         []float32
-}
-
-// qconv is an int8-quantised convolution layer.
+// qconv is an int8-quantised convolution layer: a backbone layer's
+// tensor.ConvKernel, and a head's as a qhead (int8gemm.go).
 type qconv struct {
-	foldedConv
+	tensor.ConvGeom
+	w, b    []float32 // folded float weights [OutC][InC*K*K] and bias
 	qw      []int8    // quantised weights: canonical (WeightBytes, the test oracle)
 	qwp     []int64   // qw as packed row pairs, the layout gemmPairs reads (see packPairs)
 	wScale  []float32 // per-output-channel weight scale
@@ -59,10 +54,10 @@ type qconv struct {
 // quantiseWeights converts folded float weights to int8 with per-channel
 // symmetric scales, and derives the packed-pair layout the GEMM multiplies.
 func (q *qconv) quantiseWeights() {
-	per := q.inC * q.k * q.k
+	per := q.InC * q.K * q.K
 	q.qw = make([]int8, len(q.w))
-	q.wScale = make([]float32, q.outC)
-	for oc := 0; oc < q.outC; oc++ {
+	q.wScale = make([]float32, q.OutC)
+	for oc := 0; oc < q.OutC; oc++ {
 		var maxAbs float32
 		for i := 0; i < per; i++ {
 			v := q.w[oc*per+i]
@@ -83,7 +78,7 @@ func (q *qconv) quantiseWeights() {
 			q.qw[oc*per+i] = int8(clamp(math.Round(float64(v)), -127, 127))
 		}
 	}
-	q.qwp = packPairs(q.qw, q.outC, per)
+	q.qwp = packPairs(q.qw, q.OutC, per)
 }
 
 // Model is the ported, int8 detector — the artefact DARPA embeds in the
@@ -108,23 +103,14 @@ type Model struct {
 
 func newQConvFromBlock(seq *nn.Sequential) *qconv {
 	conv, bn, _ := nn.ConvBNActParts(seq)
-	q := &qconv{foldedConv: foldedConv{
-		inC: conv.InC, outC: conv.OutC, k: conv.K, stride: conv.Stride, pad: conv.Pad,
-	}, relu: true}
+	q := &qconv{ConvGeom: conv.ConvGeom, relu: true}
 	q.w, q.b = tensor.FoldConvBN(conv, bn)
 	q.quantiseWeights()
 	return q
 }
 
 func newQConvFromHead(conv *tensor.Conv2D) *qconv {
-	per := conv.InC * conv.K * conv.K
-	q := &qconv{foldedConv: foldedConv{
-		inC: conv.InC, outC: conv.OutC, k: conv.K, stride: conv.Stride, pad: conv.Pad,
-	}}
-	q.w = make([]float32, conv.OutC*per)
-	copy(q.w, conv.W.Data)
-	q.b = make([]float32, conv.OutC)
-	copy(q.b, conv.B.Data)
+	q := &qconv{ConvGeom: conv.ConvGeom, w: slices.Clone(conv.W.Data), b: slices.Clone(conv.B.Data)}
 	q.quantiseWeights()
 	return q
 }
@@ -160,9 +146,9 @@ func (qm *Model) link() {
 		if i+1 < len(qm.backbone) {
 			l.outScale = qm.backbone[i+1].inScale
 		}
-		l.rq = make([]float32, l.outC)
-		l.bq = make([]float32, l.outC)
-		for oc := 0; oc < l.outC; oc++ {
+		l.rq = make([]float32, l.OutC)
+		l.bq = make([]float32, l.OutC)
+		for oc := 0; oc < l.OutC; oc++ {
 			l.rq[oc] = l.wScale[oc] * l.inScale / l.outScale
 			l.bq[oc] = l.b[oc] / l.outScale
 		}
@@ -225,17 +211,18 @@ func (qm *Model) Forward(x *tensor.Tensor) (upo, ago *tensor.Tensor) {
 // int8 once, item by item, and the activations stay int8 across the entire
 // backbone (see int8gemm.go): layer outputs at each step carry the scale the
 // next layer expects (see link), so no float activations exist between the
-// input quantisation and the head dequantisation. The int8 intermediates recycle
-// through the bucketed int8 scratch pool and the head maps come from the
-// Pool, so the steady-state forward is allocation free. ctx is a cooperative
-// cancellation checkpoint between layers (and, via its Done channel, between
-// column-block tasks inside each layer): once the cancel is observed the
-// partially written activations go back to their pools and ctx.Err() is
-// returned.
+// input quantisation and the head dequantisation. Every layer runs through
+// tensor.Conv, which refuses an input of the wrong channel count. The int8
+// intermediates recycle through the bucketed int8 scratch pool and the head
+// maps come from the Pool, so the steady-state forward is allocation free.
+// ctx is a cooperative cancellation checkpoint between layers (and, via its
+// Done channel, between column-block tasks inside each layer): once the
+// cancel is observed the partially written activations go back to their
+// pools and ctx.Err() is returned.
 func (qm *Model) forwardInt8(ctx context.Context, x *tensor.Tensor) (upo, ago *tensor.Tensor, err error) {
 	p := qm.Pool
 	done := ctx.Done()
-	N, _, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
+	N, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	cur := i8s.Get(len(x.Data))
 	if N > 1 {
 		// One item per task. Capturing cur, which is reassigned below, would
@@ -248,21 +235,19 @@ func (qm *Model) forwardInt8(ctx context.Context, x *tensor.Tensor) (upo, ago *t
 		quantI8(*cur, x.Data, qm.backbone[0].inScale)
 	}
 	// Output labels alternate between the halves of a buffer sized for B1's.
-	oh, ow := qm.backbone[0].outSize(h, w)
+	oh, ow := qm.backbone[0].OutSize(h, w)
 	labs, half := i32s.Get(2*N*oh*ow), N*oh*ow
 	defer i32s.Put(labs)
-	var lab []int32 // cur's labels; the input has none
+	var lab []int32 // cur's labels; B1 labels its input itself
 	for i, b := range qm.backbone {
 		if i == 4 {
 			// cur is the stride-8 trunk, int8 at the scale both consumers
 			// expect: the UPO head reads it before B4 consumes it.
-			oh, ow := qm.upoHead.outSize(h, w)
-			upo = p.Get(N, qm.upoHead.outC, oh, ow)
-			qm.upoHead.forward(*cur, N, h, w, nil, upo, nil, nil, done)
+			upo = qm.head(qm.upoHead, *cur, N, h, w, done)
 		}
-		oh, ow := b.outSize(h, w)
-		nxt, next := i8s.Get(N*b.outC*oh*ow), (*labs)[i%2*half:i%2*half+N*oh*ow]
-		b.forward(*cur, N, h, w, *nxt, nil, lab, next, done)
+		oh, ow := b.OutSize(h, w)
+		nxt, next := i8s.Get(N*b.OutC*oh*ow), (*labs)[i%2*half:i%2*half+N*oh*ow]
+		tensor.Conv(b, *cur, N, h, w, *nxt, lab, next, done)
 		i8s.Put(cur)
 		cur, lab, h, w = nxt, next, oh, ow
 		if err := ctx.Err(); err != nil {
@@ -271,9 +256,7 @@ func (qm *Model) forwardInt8(ctx context.Context, x *tensor.Tensor) (upo, ago *t
 			return nil, nil, err
 		}
 	}
-	oh, ow = qm.agoHead.outSize(h, w)
-	ago = p.Get(N, qm.agoHead.outC, oh, ow)
-	qm.agoHead.forward(*cur, N, h, w, nil, ago, nil, nil, done)
+	ago = qm.head(qm.agoHead, *cur, N, h, w, done)
 	i8s.Put(cur)
 	if err := ctx.Err(); err != nil {
 		p.Put(upo)
@@ -281,6 +264,15 @@ func (qm *Model) forwardInt8(ctx context.Context, x *tensor.Tensor) (upo, ago *t
 		return nil, nil, err
 	}
 	return upo, ago, nil
+}
+
+// head runs head q over the int8 activations x into a float map from the
+// Pool.
+func (qm *Model) head(q *qconv, x []int8, N, h, w int, done <-chan struct{}) *tensor.Tensor {
+	oh, ow := q.OutSize(h, w)
+	y := qm.Pool.Get(N, q.OutC, oh, ow)
+	tensor.Conv((*qhead)(q), x, N, h, w, y.Data, nil, nil, done)
+	return y
 }
 
 // PredictBatchCtx is the detector seam with int8 inference: one forward over

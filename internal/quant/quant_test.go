@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"slices"
@@ -194,5 +195,34 @@ func TestInt8AgreesWithFloat(t *testing.T) {
 	if rate := float64(c.TP) / float64(c.TP+c.FP+c.FN); rate < floor {
 		t.Fatalf("int8 agrees with float on %.3f of detections (%d shared, %d int8-only, %d float-only), floor %.2f",
 			rate, c.TP, c.FP, c.FN, floor)
+	}
+}
+
+// TestBackendsRefuseWrongChannelCount feeds both backends a [1, 4, H, W]
+// tensor. Each refuses it, the way tensor.Conv refuses any input whose size
+// is not its channel count's (a panic, which detect.Guarded turns into an
+// error), instead of answering from a misread buffer; a [1, 3, H, W] tensor
+// still gets an answer.
+func TestBackendsRefuseWrongChannelCount(t *testing.T) {
+	m := yolite.NewModel(1)
+	qm := Port(m, nil)
+	predict := func(p yolite.Predictor, c int) (refused bool) {
+		defer func() { refused = recover() != nil }()
+		x := tensor.New(1, c, yolite.InputH, yolite.InputW)
+		for i := range x.Data {
+			x.Data[i] = float32(i%7) / 7
+		}
+		if _, err := p.PredictBatchCtx(context.Background(), x, yolite.DefaultConfThresh); err != nil {
+			t.Fatalf("%T on %d channels: %v", p, c, err)
+		}
+		return false
+	}
+	for _, p := range []yolite.Predictor{m, qm} {
+		if !predict(p, 4) {
+			t.Errorf("%T answered a 4-channel tensor", p)
+		}
+		if predict(p, 3) {
+			t.Errorf("%T refused a 3-channel tensor", p)
+		}
 	}
 }

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // FoldConvBN combines a convolution and the batch norm that follows it into
 // a single convolution: w' = w * gamma/std, b' = beta + (b - mean) *
@@ -33,27 +30,32 @@ func FoldConvBN(conv *Conv2D, bn *BatchNorm2D) (w []float32, b []float32) {
 // and records no backward bookkeeping, so it must be rebuilt (Fuse again)
 // after the underlying layers train or load new weights.
 type FusedConvBNAct struct {
-	InC, OutC, K, Stride, Pad int
-	W                         []float32 // folded weights [OutC][InC*K*K]
-	B                         []float32 // folded bias [OutC]
-	Slope                     float32   // leaky-ReLU negative slope
+	ConvGeom
+	W     []float32 // folded weights [OutC][InC*K*K]
+	B     []float32 // folded bias [OutC]
+	Slope float32   // leaky-ReLU negative slope
 }
 
 // FuseConvBNAct folds conv and bn into a single fused block with act's
 // slope applied in the epilogue.
 func FuseConvBNAct(conv *Conv2D, bn *BatchNorm2D, act *LeakyReLU) *FusedConvBNAct {
 	w, b := FoldConvBN(conv, bn)
-	return &FusedConvBNAct{
-		InC: conv.InC, OutC: conv.OutC, K: conv.K, Stride: conv.Stride, Pad: conv.Pad,
-		W: w, B: b, Slope: act.Slope,
-	}
+	return &FusedConvBNAct{ConvGeom: conv.ConvGeom, W: w, B: b, Slope: act.Slope}
 }
 
-// OutSize returns the spatial output size for an input of size (h, w).
-func (f *FusedConvBNAct) OutSize(h, w int) (int, int) {
-	oh := (h+2*f.Pad-f.K)/f.Stride + 1
-	ow := (w+2*f.Pad-f.K)/f.Stride + 1
-	return oh, ow
+// Block is the fused block's ConvKernel: the GEMM, then the leaky-ReLU on
+// each output row while it is cache-hot.
+func (f *FusedConvBNAct) Block(panel []float32, ldb int, y []float32, ldc, u int) {
+	kdim := f.InC * f.K * f.K
+	gemmBlock(f.W, kdim, f.B, panel, ldb, y, ldc, f.OutC, kdim, u)
+	for oc := range f.OutC {
+		row := y[oc*ldc : oc*ldc+u]
+		for i, v := range row {
+			if v < 0 {
+				row[i] = f.Slope * v
+			}
+		}
+	}
 }
 
 // ForwardPooled is ForwardCancel with no cancellation.
@@ -62,25 +64,27 @@ func (f *FusedConvBNAct) ForwardPooled(x *Tensor, p *Pool) *Tensor {
 }
 
 // ForwardCancel runs the fused block under the inference contract of
-// Conv2D.ForwardCancel: output and scratch from p (nil allocates), and once
-// done closes the returned buffer is partially written and the caller must
-// discard it.
+// Conv2D.ForwardCancel: output from p (nil allocates), and once done closes
+// the returned buffer is partially written and the caller must discard it.
 func (f *FusedConvBNAct) ForwardCancel(x *Tensor, p *Pool, done <-chan struct{}) *Tensor {
-	return f.ForwardLabels(x, nil, nil, p, done)
+	return forward(f, x, nil, nil, p, done)
 }
 
 // ForwardLabels is ForwardCancel in a labelled chain: labIn holds x's
-// position labels as its producer's labOut got them (nil: no producer), and
-// a non-nil labOut, one int32 per output pixel, gets the output's. Labels
-// are garbage once done closes; see DistinctPanel for what they mean.
+// position labels as its producer's labOut got them (nil: Conv labels x),
+// and a non-nil labOut, one int32 per output pixel, gets the output's.
+// Labels are garbage once done closes; see DistinctPanel for what they mean.
 func (f *FusedConvBNAct) ForwardLabels(x *Tensor, labIn, labOut []int32, p *Pool, done <-chan struct{}) *Tensor {
-	N, C, H, W := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	if C != f.InC {
-		panic(fmt.Sprintf("tensor: fused conv expects %d input channels, got %d", f.InC, C))
-	}
-	OH, OW := f.OutSize(H, W)
-	y := p.Get(N, f.OutC, OH, OW)
-	spec := convSpec{inC: f.InC, outC: f.OutC, kk: f.K, stride: f.Stride, pad: f.Pad}
-	convGemmInto(x, y, spec, f.W, f.B, true, f.Slope, labIn, labOut, p, done)
+	return forward(f, x, labIn, labOut, p, done)
+}
+
+// forward runs the float kernel k over x (see Conv) into an output drawn
+// from p.
+func forward[K ConvKernel[float32, float32]](k K, x *Tensor, labIn, labOut []int32, p *Pool, done <-chan struct{}) *Tensor {
+	g := k.Geom()
+	N, H, W := x.Shape[0], x.Shape[2], x.Shape[3]
+	OH, OW := g.OutSize(H, W)
+	y := p.Get(N, g.OutC, OH, OW)
+	Conv(k, x.Data, N, H, W, y.Data, labIn, labOut, done)
 	return y
 }

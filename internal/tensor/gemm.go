@@ -1,5 +1,7 @@
 package tensor
 
+import "fmt"
+
 // Cache-blocked SGEMM specialised for im2col convolution: C = A*B + bias,
 // where A is the weight matrix [M x K] (M = output channels, K = InC*k*k),
 // B is an im2col panel [K x nc] for one block of output pixels, and C is the
@@ -13,22 +15,38 @@ package tensor
 // merely close (padding taps contribute w*0, which cannot change a float
 // sum).
 //
+// Conv runs every convolution in the tree, both precisions: the precision's
+// ConvKernel supplies only the multiply and the epilogue (the float kernels
+// are Conv2D and FusedConvBNAct, the int8 ones live in internal/quant).
 // Work is split into (batch item, column block) tasks dispatched through
 // ParallelForCancel, preserving the between-block cancellation checkpoints
 // the context-aware request path relies on: one task is a few hundred
 // microseconds, far inside the one-conv-layer abort budget.
 
-// convSpec is the geometry a lowered convolution shares between the float
-// and fused entry points.
-type convSpec struct {
-	inC, outC, kk, stride, pad int
+// ConvGeom is a convolution's geometry: InC input channels, OutC output
+// channels, K x K kernels at the given stride and zero padding.
+type ConvGeom struct{ InC, OutC, K, Stride, Pad int }
+
+// OutSize returns the spatial output size for an input of size (h, w).
+func (g ConvGeom) OutSize(h, w int) (int, int) {
+	return (h+2*g.Pad-g.K)/g.Stride + 1, (w+2*g.Pad-g.K)/g.Stride + 1
 }
 
-// ColBlock picks the column-block width for both precisions' GEMM (the int8
-// one lives in internal/quant): panels are capped near 32k elements (128 KiB
-// of float32, 32 KiB of int8) so a block stays cache-resident across the
-// row-tile sweeps, with a floor of 16 and a multiple of 4 to keep the
-// register tiles full.
+// Geom returns g; a kernel embedding ConvGeom gets it promoted.
+func (g ConvGeom) Geom() ConvGeom { return g }
+
+// ConvKernel is one precision's convolution: its geometry, and Block, which
+// multiplies the u columns of panel (InC*K*K rows, ldb apart) by the weights
+// and writes the epilogued OutC x u results to y, rows ldc apart.
+type ConvKernel[In, Out colScalar] interface {
+	Geom() ConvGeom
+	Block(panel []In, ldb int, y []Out, ldc, u int)
+}
+
+// ColBlock picks the column-block width for both precisions' GEMM: panels
+// are capped near 32k elements (128 KiB of float32, 32 KiB of int8) so a
+// block stays cache-resident across the row-tile sweeps, with a floor of 16
+// and a multiple of 4 to keep the register tiles full.
 func ColBlock(kdim, cols int) int {
 	b := (1 << 15) / kdim
 	if b > cols {
@@ -40,46 +58,55 @@ func ColBlock(kdim, cols int) int {
 	return b &^ 3
 }
 
-// convGemmInto computes y = conv(x; w, bias) for every batch item via
-// im2col + blocked GEMM. w is [outC][inC*kk*kk] row-major, bias is [outC].
-// When act is set, the leaky-ReLU epilogue (negative slope) is applied to
-// each output tile while it is still cache-hot — the fusion hook that turns
-// a ConvBNAct block into one pass. labIn holds x's position labels (nil:
-// none, the search labels its own), and a non-nil labOut receives y's (see
-// LabelBlock), both N items of one int32 per pixel. Scratch panels come
-// from p (nil p allocates fresh); done adds a cooperative cancellation
-// checkpoint between column blocks.
-func convGemmInto(x, y *Tensor, spec convSpec, w, bias []float32, act bool, slope float32, labIn, labOut []int32, p *Pool, done <-chan struct{}) {
-	N := x.Shape[0]
-	OH, OW := y.Shape[2], y.Shape[3]
+// Conv computes y = k(x) for the N items of x, each InC x H x W, into y,
+// N items of OutC x OH x OW. labIn holds x's position labels (nil: none,
+// and Conv labels x itself with LabelInput), and a non-nil labOut receives
+// y's (see labelBlock), both N items of one int32 per pixel. done adds a
+// cooperative cancellation checkpoint between column blocks: once it
+// closes, y and labOut are partially written and must be discarded. A
+// kernel with pointer receivers keeps the serial path allocation-free.
+func Conv[In, Out colScalar, K ConvKernel[In, Out]](k K, x []In, N, H, W int, y []Out, labIn, labOut []int32, done <-chan struct{}) {
+	g := k.Geom()
+	if len(x) != N*g.InC*H*W {
+		panic(fmt.Sprintf("tensor: conv expects %d input channels, got %d values for %d items of %dx%d", g.InC, len(x), N, H, W))
+	}
+	OH, OW := g.OutSize(H, W)
 	cols := OH * OW
-	kdim := spec.inC * spec.kk * spec.kk
+	kdim := g.InC * g.K * g.K
+	if labIn == nil && !g.direct() {
+		buf := idxScratch.Get(N * H * W)
+		defer idxScratch.Put(buf)
+		labIn = *buf
+		LabelInput(x, N, g.InC, H, W, labIn)
+	}
 	blk := ColBlock(kdim, cols)
 	nBlocks := (cols + blk - 1) / blk
 	tasks := N * nBlocks
-	tabs := NewLabelTables(labOut, cols)
-	if ParallelWorthwhile(N * spec.outC * cols * kdim) {
+	tabs := newTable(cols, len(labOut)/cols) // one per item whose labels are wanted
+	if ParallelWorthwhile(N * g.OutC * cols * kdim) {
 		ParallelForCancel(done, tasks, func(t int) {
-			convGemmTask(x, y, spec, w, bias, act, slope, labIn, labOut, tabs, p, blk, nBlocks, t)
+			convTask(k, g, x, H, W, y, labIn, labOut, tabs, blk, nBlocks, t)
 		})
 	} else {
 		for t := 0; t < tasks && !Aborted(done); t++ {
-			convGemmTask(x, y, spec, w, bias, act, slope, labIn, labOut, tabs, p, blk, nBlocks, t)
+			convTask(k, g, x, H, W, y, labIn, labOut, tabs, blk, nBlocks, t)
 		}
 	}
-	tabs.Free()
+	fpScratch.Put(tabs.buf)
 }
 
-// convGemmTask runs one (batch item, column block) unit: unpack the distinct
-// panel columns, multiply, apply the epilogue, spread the results (see
-// DistinctPanel), label them when labels are wanted. Tasks write disjoint
-// column ranges of y and labOut.
-func convGemmTask(x, y *Tensor, spec convSpec, w, bias []float32, act bool, slope float32, labIn, labOut []int32, tabs LabelTables, p *Pool, blk, nBlocks, t int) {
+// direct reports a 1x1 stride-1 unpadded convolution, whose im2col panel
+// is the input itself.
+func (g ConvGeom) direct() bool { return g.K == 1 && g.Stride == 1 && g.Pad == 0 }
+
+// convTask runs one (batch item, column block) unit: unpack the distinct
+// panel columns, multiply them and apply the epilogue (k.Block), spread the
+// results (see DistinctPanel), label them when labels are wanted. Tasks
+// write disjoint column ranges of y and labOut.
+func convTask[In, Out colScalar, K ConvKernel[In, Out]](k K, g ConvGeom, x []In, H, W int, y []Out, labIn, labOut []int32, tabs table, blk, nBlocks, t int) {
 	n, b := t/nBlocks, t%nBlocks
-	C, H, W := x.Shape[1], x.Shape[2], x.Shape[3]
-	OW := y.Shape[3]
-	cols := y.Shape[2] * OW
-	kdim := spec.inC * spec.kk * spec.kk
+	OH, OW := g.OutSize(H, W)
+	cols, kdim := OH*OW, g.InC*g.K*g.K
 	j0 := b * blk
 	j1 := min(j0+blk, cols)
 	nc, u := j1-j0, j1-j0
@@ -88,38 +115,39 @@ func convGemmTask(x, y *Tensor, spec convSpec, w, bias []float32, act bool, slop
 	if labOut != nil { // the rep map is the block's share of labOut
 		rep = labOut[n*cols+j0 : n*cols+j1]
 	}
-	outBase := n * spec.outC * cols
-	if spec.kk == 1 && spec.stride == 1 && spec.pad == 0 {
-		// 1x1 stride-1 convolution: the im2col panel is the input itself.
-		bp := x.Data[n*C*cols+j0:]
-		gemmBlock(w, kdim, bias, bp, cols, y.Data[outBase+j0:], cols, spec.outC, kdim, nc)
+	item, out := x[n*g.InC*H*W:(n+1)*g.InC*H*W], y[n*g.OutC*cols:(n+1)*g.OutC*cols]
+	if g.direct() {
+		k.Block(item[j0:], cols, out[j0:], cols, nc)
 		for i := range rep {
 			rep[i] = int32(i)
 		}
 	} else {
-		panel := p.Get(kdim, nc)
-		// The item's labels lead labIn[n*H*W:]; a nil labIn stays nil.
-		u = DistinctPanel(x.Data[n*C*H*W:(n+1)*C*H*W], labIn[min(n*H*W, len(labIn)):], C, H, W, spec.kk, spec.stride, spec.pad, OW, j0, j1, panel.Data, rep)
-		gemmBlock(w, kdim, bias, panel.Data, u, y.Data[outBase+j0:], cols, spec.outC, kdim, u)
-		p.Put(panel)
+		ps := panelScratch[In]()
+		panel := ps.Get(kdim * nc)
+		u = DistinctPanel(item, labIn[n*H*W:(n+1)*H*W], g.InC, H, W, g.K, g.Stride, g.Pad, OW, j0, j1, *panel, rep)
+		k.Block(*panel, u, out[j0:], cols, u)
+		ps.Put(panel)
 	}
-	for oc := 0; oc < spec.outC; oc++ {
-		row := y.Data[outBase+oc*cols+j0 : outBase+oc*cols+j1]
-		if act {
-			for i, v := range row[:u] {
-				if v < 0 {
-					row[i] = slope * v
-				}
-			}
-		}
-		if u < nc {
-			SpreadCols(row, rep)
+	if u < nc {
+		for oc := range g.OutC {
+			SpreadCols(out[oc*cols+j0:oc*cols+j1], rep)
 		}
 	}
 	if labOut != nil {
-		LabelBlock(tabs, n, y.Data[outBase:outBase+spec.outC*cols], cols, j0, rep)
+		labelBlock(tabs, n, out, cols, j0, rep)
 	}
 	idxScratch.Put(buf)
+}
+
+var f32Panels Scratch[float32]
+var i8Panels Scratch[int8]
+
+// panelScratch is where T's im2col panels recycle.
+func panelScratch[T colScalar]() *Scratch[T] {
+	if s, ok := any(&f32Panels).(*Scratch[T]); ok {
+		return s
+	}
+	return any(&i8Panels).(*Scratch[T])
 }
 
 // gemmBlock computes c[m*ldc+j] = bias[m] + sum_k a[m*lda+k]*b[k*ldb+j] for

@@ -13,23 +13,23 @@ import (
 // test-only because it never wins (BenchmarkConvKernels). The arithmetic
 // order within a plane is fixed: bias first, then taps in (ic, kh, kw)
 // order, out-of-bounds taps skipped.
-func directConvPlane(x, y *Tensor, spec convSpec, w []float32, bias float32, n, oc int) {
+func directConvPlane(x, y *Tensor, spec ConvGeom, w []float32, bias float32, n, oc int) {
 	C, H, W := x.Shape[1], x.Shape[2], x.Shape[3]
 	OH, OW := y.Shape[2], y.Shape[3]
-	kk := spec.kk
+	kk := spec.K
 	plane := H * W
 	wPer := kk * kk
-	wPlane0 := oc * spec.inC * wPer
+	wPlane0 := oc * spec.InC * wPer
 	inPlane0 := n * C * plane
-	outBase := ((n*spec.outC + oc) * OH) * OW
+	outBase := ((n*spec.OutC + oc) * OH) * OW
 	for oh := 0; oh < OH; oh++ {
-		ihBase := oh*spec.stride - spec.pad
+		ihBase := oh*spec.Stride - spec.Pad
 		outRow := outBase + oh*OW
 		for ow := 0; ow < OW; ow++ {
-			iwBase := ow*spec.stride - spec.pad
+			iwBase := ow*spec.Stride - spec.Pad
 			sum := bias
 			wBase, inBase := wPlane0, inPlane0
-			for ic := 0; ic < spec.inC; ic++ {
+			for ic := 0; ic < spec.InC; ic++ {
 				for kh := 0; kh < kk; kh++ {
 					ih := ihBase + kh
 					if ih < 0 || ih >= H {
@@ -55,31 +55,31 @@ func directConvPlane(x, y *Tensor, spec convSpec, w []float32, bias float32, n, 
 
 // directConvRef computes the convolution with the plain nested loop for every
 // output plane — the reference the GEMM path must match bit-for-bit.
-func directConvRef(x *Tensor, spec convSpec, w, bias []float32) *Tensor {
+func directConvRef(x *Tensor, spec ConvGeom, w, bias []float32) *Tensor {
 	N, _, H, W := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	OH := (H+2*spec.pad-spec.kk)/spec.stride + 1
-	OW := (W+2*spec.pad-spec.kk)/spec.stride + 1
-	y := New(N, spec.outC, OH, OW)
+	OH := (H+2*spec.Pad-spec.K)/spec.Stride + 1
+	OW := (W+2*spec.Pad-spec.K)/spec.Stride + 1
+	y := New(N, spec.OutC, OH, OW)
 	directConvInto(x, y, spec, w, bias)
 	return y
 }
 
 // directConvInto runs the oracle over every output plane of y, serially.
-func directConvInto(x, y *Tensor, spec convSpec, w, bias []float32) {
+func directConvInto(x, y *Tensor, spec ConvGeom, w, bias []float32) {
 	for n := 0; n < x.Shape[0]; n++ {
-		for oc := 0; oc < spec.outC; oc++ {
+		for oc := 0; oc < spec.OutC; oc++ {
 			directConvPlane(x, y, spec, w, bias[oc], n, oc)
 		}
 	}
 }
 
 // randomConv builds a random input and weight set for a given geometry.
-func randomConv(rng *rand.Rand, n, c, h, w, outC, kk, stride, pad int) (*Tensor, convSpec, []float32, []float32) {
+func randomConv(rng *rand.Rand, n, c, h, w, outC, kk, stride, pad int) (*Tensor, ConvGeom, []float32, []float32) {
 	x := New(n, c, h, w)
 	for i := range x.Data {
 		x.Data[i] = rng.Float32()*2 - 1
 	}
-	spec := convSpec{inC: c, outC: outC, kk: kk, stride: stride, pad: pad}
+	spec := ConvGeom{c, outC, kk, stride, pad}
 	wt := make([]float32, outC*c*kk*kk)
 	for i := range wt {
 		wt[i] = rng.Float32()*2 - 1
@@ -89,6 +89,18 @@ func randomConv(rng *rand.Rand, n, c, h, w, outC, kk, stride, pad int) (*Tensor,
 		bias[i] = rng.Float32()*2 - 1
 	}
 	return x, spec, wt, bias
+}
+
+// convInto runs Conv on x, whose labels are labIn, into y and labOut
+// through a real kernel: FusedConvBNAct's at slope when act is set,
+// Conv2D's otherwise.
+func convInto(x, y *Tensor, g ConvGeom, w, bias []float32, act bool, slope float32, labIn, labOut []int32) {
+	N, H, W := x.Shape[0], x.Shape[2], x.Shape[3]
+	if act {
+		Conv(&FusedConvBNAct{ConvGeom: g, W: w, B: bias, Slope: slope}, x.Data, N, H, W, y.Data, labIn, labOut, nil)
+		return
+	}
+	Conv(&Conv2D{ConvGeom: g, W: &Tensor{Data: w}, B: &Tensor{Data: bias}}, x.Data, N, H, W, y.Data, labIn, labOut, nil)
 }
 
 // repeatInputs are [n, c, h, w] maps whose receptive fields repeat the way
@@ -182,7 +194,6 @@ var productionConvShapes = []struct {
 // their boundaries).
 func TestConvGemmMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	p := NewPool()
 	cases := []convShape{
 		{1, 3, 8, 8, 4, 3, 1, 1},
 		{2, 3, 160, 96, 10, 3, 2, 1}, // yolite B1 geometry
@@ -221,7 +232,7 @@ func TestConvGemmMatchesDirect(t *testing.T) {
 		for k, in := range append([]*Tensor{x}, repeatInputs(rng, s.n, s.c, s.h, s.w)...) {
 			want := directConvRef(in, spec, wt, bias)
 			got := New(want.Shape...)
-			convGemmInto(in, got, spec, wt, bias, false, 0, nil, nil, p, nil)
+			convInto(in, got, spec, wt, bias, false, 0, nil, nil)
 			requireSameBits(t, fmt.Sprintf("shape %+v input %d", s, k), got.Data, want.Data)
 		}
 	}
@@ -239,7 +250,7 @@ func TestConvGemmMatchesDirect(t *testing.T) {
 	}
 	want := directConvRef(x, spec, wt, bias)
 	got := New(want.Shape...)
-	convGemmInto(x, got, spec, wt, bias, false, 0, nil, nil, p, nil)
+	convInto(x, got, spec, wt, bias, false, 0, nil, nil)
 	requireSameBits(t, "signed zeros", got.Data, want.Data)
 	signs := map[uint32]bool{}
 	for _, v := range want.Data {
@@ -264,15 +275,15 @@ func TestConvGemmActEpilogue(t *testing.T) {
 			}
 		}
 		got := New(want.Shape...)
-		convGemmInto(in, got, spec, wt, bias, true, slope, nil, nil, NewPool(), nil)
+		convInto(in, got, spec, wt, bias, true, slope, nil, nil)
 		requireSameBits(t, fmt.Sprintf("input %d with epilogue", k), got.Data, want.Data)
 	}
 }
 
 // TestDistinctPanel pins the helper against naivePanel on repeatInputs and
-// random data, at awkward block boundaries, with the input unlabelled and
-// labelled (exact labels under arbitrary ids, as a producer would hand
-// them): every pixel's column in the compact panel is, bit for bit, the one
+// random data, at awkward block boundaries, with the input labelled by
+// LabelInput and by the vectorLabels oracle (exact labels under arbitrary
+// ids, as a producer would hand them): every pixel's column in the compact panel is, bit for bit, the one
 // the naive gather makes; the columns kept are the first appearances, in
 // order; and there are
 // exactly as many as the block has distinct columns — so every repeat is
@@ -300,7 +311,9 @@ func TestDistinctPanel(t *testing.T) {
 				}
 				return string(b)
 			}
-			for _, lab := range [][]int32{nil, vectorLabels(in.Data, s.h*s.w, 7919)} {
+			own := make([]int32, s.h*s.w)
+			LabelInput(in.Data, 1, s.c, s.h, s.w, own)
+			for _, lab := range [][]int32{own, vectorLabels(in.Data, s.h*s.w, 7919)} {
 				for _, blk := range []int{1, 5, OW, OW + 3, cols} {
 					for j0 := 0; j0 < cols; j0 += blk {
 						j1 := min(j0+blk, cols)
@@ -367,6 +380,8 @@ func TestIm2colPanelBlocks(t *testing.T) {
 		src[i] = rng.Float32()
 	}
 	naive := naivePanel(src, C, H, W, kk, stride, pad, OH, OW)
+	lab := make([]int32, H*W)
+	LabelInput(src, 1, C, H, W, lab)
 	for _, blk := range []int{1, 3, 4, OW, OW + 1, cols} {
 		for j0 := 0; j0 < cols; j0 += blk {
 			j1 := j0 + blk
@@ -378,7 +393,7 @@ func TestIm2colPanelBlocks(t *testing.T) {
 			for i := range dst {
 				dst[i] = -99 // poison: every element must be written
 			}
-			if u := DistinctPanel(src, nil, C, H, W, kk, stride, pad, OW, j0, j1, dst, make([]int32, nc)); u != nc {
+			if u := DistinctPanel(src, lab, C, H, W, kk, stride, pad, OW, j0, j1, dst, make([]int32, nc)); u != nc {
 				t.Fatalf("blk %d: %d of %d random columns kept", blk, u, nc)
 			}
 			for r := 0; r < kdim; r++ {
@@ -436,7 +451,7 @@ func TestFusedConvBNActMatchesUnfused(t *testing.T) {
 		}
 		// The fused block is the fold plus the GEMM epilogue, so against the
 		// oracle run on the folded weights it is exact, not merely close.
-		spec := convSpec{inC: s.c, outC: s.outC, kk: s.kk, stride: s.stride, pad: s.pad}
+		spec := ConvGeom{s.c, s.outC, s.kk, s.stride, s.pad}
 		exact := directConvRef(x, spec, fused.W, fused.B)
 		for i, v := range exact.Data {
 			if v < 0 {
@@ -470,78 +485,76 @@ func TestFusedConvBNActCancel(t *testing.T) {
 	}
 }
 
-// TestConvGemmPooledAllocs pins the steady-state allocation count of the
-// GEMM convolution at zero: panels and outputs both recycle through the
-// pool. Serial path only — the parallel branch builds a closure by design.
+// TestConvGemmPooledAllocs pins the steady-state allocation count of Conv
+// at zero, through a real kernel with no producer labels, so LabelInput is
+// inside the gate: labels, panels and tables recycle through their scratch,
+// the output through the pool. Serial path only — the parallel branch
+// builds a closure by design.
 func TestConvGemmPooledAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	x, spec, wt, bias := randomConv(rng, 1, 8, 20, 20, 8, 3, 1, 1)
+	requireConvAllocsFree(t, "pooled GEMM conv", &FusedConvBNAct{ConvGeom: spec, W: wt, B: bias, Slope: 0.1}, x)
+}
+
+// TestConvGemmPooledAllocsFlat is TestConvGemmPooledAllocs on a flat field,
+// where most columns repeat: the runs LabelInput follows, the search's
+// tables, rep maps, the compact panel and the spread allocate nothing
+// either.
+func TestConvGemmPooledAllocsFlat(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	_, spec, wt, bias := randomConv(rng, 1, 8, 20, 20, 8, 3, 1, 1)
+	x := repeatInputs(rng, 1, 8, 20, 20)[0]
+	requireConvAllocsFree(t, "pooled GEMM conv on a flat field", &FusedConvBNAct{ConvGeom: spec, W: wt, B: bias, Slope: 0.1}, x)
+}
+
+// requireConvAllocsFree fails unless the pooled forward of f over x
+// allocates nothing in steady state on one processor.
+func requireConvAllocsFree(t *testing.T, what string, f *FusedConvBNAct, x *Tensor) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	rng := rand.New(rand.NewSource(5))
-	x, spec, wt, bias := randomConv(rng, 1, 8, 20, 20, 8, 3, 1, 1)
 	p := NewPool()
-	y := New(1, 8, 20, 20)
-	convGemmInto(x, y, spec, wt, bias, true, 0.1, nil, nil, p, nil) // warm the pool buckets
-	avg := testing.AllocsPerRun(20, func() {
-		convGemmInto(x, y, spec, wt, bias, true, 0.1, nil, nil, p, nil)
-	})
-	if avg != 0 {
-		t.Fatalf("pooled GEMM conv allocates %v per op, want 0", avg)
+	p.Put(f.ForwardCancel(x, p, nil)) // warm the pool buckets
+	if avg := testing.AllocsPerRun(20, func() { p.Put(f.ForwardCancel(x, p, nil)) }); avg != 0 {
+		t.Fatalf("%s allocates %v per op, want 0", what, avg)
 	}
 }
 
 // TestSameWindowComparesBits pins the exact check behind every repeat: the
-// labels the search gives unlabelled input compare bits, not values. -0 and
-// +0 differ, so do two NaN payloads, a NaN equals itself, and a position in
-// padding equals an in-bounds +0 but not a -0.
+// labels LabelInput gives compare bits, not values. -0 and +0 differ, so do
+// two NaN payloads, a NaN equals itself, and +0 labels -1, as padding does.
+// The first row repeats no left neighbour, so the lookup table decides; the
+// second puts the same cases side by side, so the run pass does.
 func TestSameWindowComparesBits(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	nanA, nanB := math.Float32frombits(0x7fc00001), math.Float32frombits(0x7fc00002)
-	// No vector repeats its left neighbour, so the lookup table decides.
-	src := []float32{0, nanA, negZero, nanA, 1, nanB, 1}
-	const W, OW = 7, 9 // a 1x1 kernel over one row, padded by 1
-	s := search[float32]{src: src, H: 1, W: W, kk: 1, stride: 1, pad: 1, OW: OW, ih0: -1, wp: OW,
-		halo: make([]int32, 3*OW)}
-	s.pos = newTable(len(s.halo), 1)
-	defer fpScratch.Put(s.pos.buf)
-	for r := range 3 {
-		s.labelRow(r)
+	const W = 7
+	src := []float32{
+		0, nanA, negZero, nanA, 1, nanB, 1,
+		negZero, 0, 0, nanA, nanB, nanB, 1,
 	}
-	at := func(iw int) int { return OW + iw + 1 } // the halo position of input (0, iw)
+	lab := make([]int32, len(src))
+	LabelInput(src, 1, 1, 2, W, lab)
+	at := func(ih, iw int) int { return ih*W + iw }
 	for _, c := range []struct {
 		a, b int
 		want bool
 	}{
-		{at(0), at(2), false}, {at(1), at(3), true}, {at(1), at(5), false},
-		{at(4), at(6), true}, {at(2), at(2), true},
-		{0, at(0), true}, {0, at(2), false}, {0, 2 * OW, true},
+		{at(0, 0), at(0, 2), false}, {at(0, 1), at(0, 3), true}, {at(0, 1), at(0, 5), false},
+		{at(0, 4), at(0, 6), true}, {at(0, 2), at(0, 2), true},
+		{at(1, 0), at(1, 1), false}, {at(1, 1), at(1, 2), true}, {at(1, 0), at(0, 2), true},
+		{at(1, 3), at(0, 1), true}, {at(1, 3), at(1, 4), false}, {at(1, 4), at(1, 5), true},
+		{at(1, 5), at(0, 5), true}, {at(1, 6), at(0, 4), true},
 	} {
-		if got := s.halo[c.a] == s.halo[c.b]; got != c.want {
+		if got := lab[c.a] == lab[c.b]; got != c.want {
 			t.Errorf("labels of %d and %d equal = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
-}
-
-// TestConvGemmPooledAllocsFlat is TestConvGemmPooledAllocs on a flat field,
-// where most columns repeat: fingerprints, tables, rep maps, the compact
-// panel and the spread allocate nothing either.
-func TestConvGemmPooledAllocsFlat(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	rng := rand.New(rand.NewSource(5))
-	_, spec, wt, bias := randomConv(rng, 1, 8, 20, 20, 8, 3, 1, 1)
-	x := repeatInputs(rng, 1, 8, 20, 20)[0]
-	p := NewPool()
-	y := New(1, 8, 20, 20)
-	convGemmInto(x, y, spec, wt, bias, true, 0.1, nil, nil, p, nil) // warm the pool buckets
-	avg := testing.AllocsPerRun(20, func() {
-		convGemmInto(x, y, spec, wt, bias, true, 0.1, nil, nil, p, nil)
-	})
-	if avg != 0 {
-		t.Fatalf("pooled GEMM conv on a flat field allocates %v per op, want 0", avg)
+	for p, v := range src {
+		if zero := math.Float32bits(v) == 0; zero != (lab[p] == -1) {
+			t.Errorf("position %d (%v) labelled %d", p, v, lab[p])
+		}
 	}
 }
 
@@ -549,25 +562,25 @@ func BenchmarkGemm(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	// B2-like layer: 16 -> 24 channels over an 40x24 grid.
 	x, spec, wt, bias := randomConv(rng, 1, 16, 40, 24, 24, 3, 2, 1)
+	f := &FusedConvBNAct{ConvGeom: spec, W: wt, B: bias, Slope: 0.1}
 	p := NewPool()
-	OH := (x.Shape[2]+2*spec.pad-spec.kk)/spec.stride + 1
-	OW := (x.Shape[3]+2*spec.pad-spec.kk)/spec.stride + 1
-	y := New(1, spec.outC, OH, OW)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		convGemmInto(x, y, spec, wt, bias, true, 0.1, nil, nil, p, nil)
+		p.Put(f.ForwardCancel(x, p, nil))
 	}
 }
 
 // BenchmarkConvKernels is the evidence that one float kernel is enough: the
-// direct-loop oracle against the GEMM lowering on every production shape, at
-// N=1 (serving) and N=8 (audit batches). Rerun it before giving any shape a
-// kernel of its own. The oracle runs its planes serially; convGemmInto fans
-// out on its own when the flop count justifies it, so run with -cpu 1 to
-// compare kernel to kernel.
+// direct-loop oracle against Conv on every production shape, at N=1
+// (serving) and N=8 (audit batches). Rerun it before giving any shape a
+// kernel of its own. The inputs are random, so no column repeats, and the
+// gemm side includes labelling its input (LabelInput), which on such data
+// finds nothing; BenchmarkConvScreens (internal/yolite) is the screen-data
+// side. The oracle runs its planes serially; Conv fans out on its own when
+// the flop count justifies it, so run with -cpu 1 to compare kernel to
+// kernel.
 func BenchmarkConvKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	p := NewPool()
 	for _, ps := range productionConvShapes {
 		for _, n := range []int{1, 8} {
 			s := ps.convShape
@@ -581,7 +594,7 @@ func BenchmarkConvKernels(b *testing.B) {
 			})
 			b.Run(name+"/gemm", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					convGemmInto(x, y, spec, wt, bias, false, 0, nil, nil, p, nil)
+					convInto(x, y, spec, wt, bias, false, 0, nil, nil)
 				}
 			})
 		}
@@ -599,9 +612,11 @@ func BenchmarkConvIm2col(b *testing.B) {
 	for i := range src {
 		src[i] = rng.Float32()
 	}
+	lab := make([]int32, H*W)
+	LabelInput(src, 1, C, H, W, lab)
 	dst, rep := make([]float32, kdim*cols), make([]int32, cols)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DistinctPanel(src, nil, C, H, W, kk, stride, pad, OW, 0, cols, dst, rep)
+		DistinctPanel(src, lab, C, H, W, kk, stride, pad, OW, 0, cols, dst, rep)
 	}
 }

@@ -21,19 +21,19 @@ import (
 // its panel column: the float kernel keeps one accumulator per output,
 // starts it at the bias and adds taps in ascending k whatever register tile
 // the column lands in (TestConvGemmMatchesDirect pins every tile against the
-// direct loop), int8 accumulates in int32, which is exact, and both
-// epilogues are elementwise.
+// direct loop), int8 accumulates in int32, which is exact, and every
+// kernel's epilogue is elementwise.
 //
 // Windows are compared by position labels, not by taps. A label is an int32
 // per input position of one item: equal exactly when the channel vectors are
 // bit-identical (float32 by bits: -0 and +0 differ, NaNs match only with the
 // same payload), and -1 for the all-+0 vector, which is what padding holds.
 // Two windows are equal exactly when their kk x kk label tuples are. Each
-// labelled layer hands the next its output's labels (LabelBlock), so only
-// input with no producer is labelled inside the search. Equal windows have
-// equal centre labels, so a pixel whose centre label no other pixel of the
-// block shares is new: on data with no repeats that pass is the whole
-// search. Otherwise candidates' label tuples go through a hash table.
+// layer hands the next its output's labels (labelBlock), and input with no
+// producer is labelled once, before its blocks are searched (LabelInput).
+// Equal windows have equal centre labels, so a pixel whose centre label no
+// other pixel of the block shares is new; the other candidates' label
+// tuples go through a hash table.
 
 // colScalar is the element type an im2col panel can hold: float32 for the
 // float kernels, int8 for the quantised path (internal/quant).
@@ -42,18 +42,17 @@ type colScalar interface {
 }
 
 var fpScratch Scratch[uint64] // hash tables
-var idxScratch Scratch[int32] // halo labels, first pixels, tap offsets, rep maps
+var idxScratch Scratch[int32] // labels, halos, first pixels, tap offsets, rep maps
 
 // fpMul is an odd 64-bit multiplier, 2^64 divided by the golden ratio.
 const fpMul = 0x9E3779B97F4A7C15
 
 // DistinctPanel unpacks the panel for output pixels [j0, j1) of one CHW item:
 // row (ic*kk+kh)*kk+kw holds tap (ic, kh, kw) of the window at (oh*stride-pad,
-// ow*stride-pad), j = oh*OW+ow. lab starts with the item's H*W position
-// labels, or is nil when no producer computed them. It writes the u distinct
-// columns, first appearances in order, to dst as [kdim x u], sets rep[j-j0]
-// to pixel j's column (so rep[i] <= i) and returns u. dst must hold
-// kdim*(j1-j0) values.
+// ow*stride-pad), j = oh*OW+ow. lab holds the item's H*W position labels
+// (its producer's, or LabelInput's). It writes the u distinct columns, first
+// appearances in order, to dst as [kdim x u], sets rep[j-j0] to pixel j's
+// column (so rep[i] <= i) and returns u. dst must hold kdim*(j1-j0) values.
 func DistinctPanel[T colScalar](src []T, lab []int32, C, H, W, kk, stride, pad, OW, j0, j1 int, dst []T, rep []int32) int {
 	nc, kdim := j1-j0, C*kk*kk
 	oh0 := j0 / OW
@@ -66,12 +65,9 @@ func DistinctPanel[T colScalar](src []T, lab []int32, C, H, W, kk, stride, pad, 
 	for r := range s.taps {
 		s.taps[r], s.khw[r] = int32((r/(kk*kk)*H+r/kk%kk)*W+r%kk), int32(r/kk%kk<<16|r%kk)
 	}
-	if lab != nil {
-		s.fill(lab)
-	}
-	// A pixel's centre is its centre tap's label or, unlabelled, its input
-	// position (first[i], -1 in the padding), compared by vector.
-	centre, plane := (kk/2)*s.wp+kk/2, H*W
+	s.fill(lab)
+	// A pixel whose centre label no other pixel of the block shares is new.
+	centre := (kk/2)*s.wp + kk/2
 	tab := newTable(nc, 1)
 	cands := false
 	for i, n := 0, 0; i < nc; i += n {
@@ -79,20 +75,8 @@ func DistinctPanel[T colScalar](src []T, lab []int32, C, H, W, kk, stride, pad, 
 		n = min(OW-ow, nc-i)
 		for k := i; k < i+n; k++ {
 			wins[k] = int32((oh-oh0)*stride*s.wp + (ow+k-i)*stride)
-			var f int32
-			if l := s.halo[int(wins[k])+centre]; lab != nil {
-				f = tab.find(uint64(uint32(l))*fpMul, int32(k), func(f int32) bool { return s.halo[int(wins[f])+centre] == l })
-			} else {
-				ih, iw, at := oh*stride-pad+kk/2, (ow+k-i)*stride-pad+kk/2, int32(-1)
-				if ih >= 0 && ih < H && iw >= 0 && iw < W {
-					at = int32(ih*W + iw)
-				}
-				if first[k] = at; k > i && sameVec(src, plane, int(first[k-1]), int(at)) {
-					f = int32(k - 1) // a run: the left centre's vector
-				} else {
-					f = tab.find(vecHash(src, plane, int(at)), int32(k), func(f int32) bool { return sameVec(src, plane, int(first[f]), int(at)) })
-				}
-			}
+			l := s.halo[int(wins[k])+centre]
+			f := tab.find(uint64(uint32(l))*fpMul, int32(k), func(f int32) bool { return s.halo[int(wins[f])+centre] == l })
 			rep[k] = 0
 			if int(f) != k {
 				rep[k], rep[f], cands = 1, 1, true
@@ -101,12 +85,6 @@ func DistinctPanel[T colScalar](src []T, lab []int32, C, H, W, kk, stride, pad, 
 	}
 	if cands {
 		clear(tab.slots)
-	}
-	if cands && lab == nil { // label every position
-		s.pos = newTable(len(s.halo), 1)
-		for r := range rows {
-			s.labelRow(r)
-		}
 	}
 	u := 0
 	for i, w := range wins {
@@ -125,9 +103,7 @@ func DistinctPanel[T colScalar](src []T, lab []int32, C, H, W, kk, stride, pad, 
 	for c := 0; c < u; c++ {
 		s.gather(j0+int(first[c]), dst[c:], u)
 	}
-	if fpScratch.Put(tab.buf); cands && lab == nil {
-		fpScratch.Put(s.pos.buf)
-	}
+	fpScratch.Put(tab.buf)
 	idxScratch.Put(buf)
 	return u
 }
@@ -140,10 +116,9 @@ type search[T colScalar] struct {
 	H, W, kk, stride, pad, OW int
 	ih0, wp                   int
 	halo, taps, khw           []int32
-	pos                       table // unlabelled input: the vectors seen
 }
 
-// fill copies the block's halo from the producer's labels.
+// fill copies the block's halo from the item's labels.
 func (s *search[T]) fill(lab []int32) {
 	for r := 0; r < len(s.halo)/s.wp; r++ {
 		row := s.halo[r*s.wp : (r+1)*s.wp]
@@ -156,37 +131,54 @@ func (s *search[T]) fill(lab []int32) {
 	}
 }
 
-// labelRow labels halo row r from the input, consistently with every label
-// s.pos has given. A vector equal to its left neighbour in every channel,
-// found one channel at a time, takes its label (screens are mostly runs);
-// any other is looked up (vecLabel).
-func (s *search[T]) labelRow(r int) {
-	row, plane, ih := s.halo[r*s.wp:(r+1)*s.wp], s.H*s.W, s.ih0+r
-	in := row[min(s.pad, s.wp):min(s.wp, s.pad+s.W)] // input columns 0, 1, ...
-	for c := range row {
-		row[c] = -1
-	}
-	if ih < 0 || ih >= s.H || len(in) == 0 {
+// LabelInput labels the N CHW items of x, item n's H*W position labels to
+// lab[n*H*W:], as labelBlock labels a layer's output: equal exactly when the
+// channel vectors are bit-identical, -1 exactly for all +0. A batch labels
+// its items on the worker pool.
+func LabelInput[T colScalar](x []T, N, C, H, W int, lab []int32) {
+	per, plane := C*H*W, H*W
+	if N > 1 && ParallelWorthwhile(len(x)) {
+		ParallelFor(N, func(n int) { labelItem(x[n*per:(n+1)*per], W, lab[n*plane:(n+1)*plane]) })
 		return
 	}
-	for c := range in {
-		in[c] = min(int32(c), 1) // 1: equal to the left so far
+	for n := range N {
+		labelItem(x[n*per:(n+1)*per], W, lab[n*plane:(n+1)*plane])
 	}
-	for o := ih * s.W; o < len(s.src); o += plane {
-		for c, v := range s.src[o+1 : o+len(in)] {
+}
+
+// labelItem labels one item's positions, rows W wide. A position whose
+// vector equals its left neighbour's, found one channel plane at a time,
+// takes its label (screens are mostly runs); each run head is looked up
+// once (vecLabel) in a table of the item's own, sized for the heads.
+func labelItem[T colScalar](src []T, W int, lab []int32) {
+	for p := range lab {
+		lab[p] = 1 // equal to the left so far
+	}
+	for r := 0; r < len(lab); r += W {
+		lab[r] = 0 // a row's first position heads a run
+	}
+	for o := 0; o < len(src); o += len(lab) {
+		ch := src[o : o+len(lab)]
+		for p := 1; p < len(ch); p++ {
 			// Unequal bits or a NaN; only zeros can be equal with unequal bits.
-			if w := s.src[o+c]; v != w || v == 0 && math.Float32bits(float32(v)) != math.Float32bits(float32(w)) {
-				in[c+1] = 0
+			if v, w := ch[p], ch[p-1]; v != w || v == 0 && math.Float32bits(float32(v)) != math.Float32bits(float32(w)) {
+				lab[p] = 0
 			}
 		}
 	}
-	for c, same := range in {
-		if at := ih*s.W + c; same == 1 {
-			in[c] = in[c-1]
+	heads := 0
+	for _, same := range lab {
+		heads += int(1 - same)
+	}
+	t := newTable(heads, 1)
+	for p, same := range lab {
+		if same == 1 {
+			lab[p] = lab[p-1]
 		} else {
-			in[c] = vecLabel(&s.pos, s.src, plane, at, vecHash(s.src, plane, at))
+			lab[p] = vecLabel(&t, src, len(lab), p, vecHash(src, len(lab), p))
 		}
 	}
+	fpScratch.Put(t.buf)
 }
 
 // windowHash hashes the label tuple of the window at halo index w: rotate
@@ -232,11 +224,11 @@ func (s *search[T]) gather(j int, dst []T, ld int) {
 }
 
 // vecHash hashes the channel vector at position at of src, whose channel
-// planes are plane apart; the all-+0 vector, and at = -1 for it, hash to 0.
-// Two rotate-xor chains take alternate channels: no long dependent chain.
+// planes are plane apart; the all-+0 vector hashes to 0. Two rotate-xor
+// chains take alternate channels: no long dependent chain.
 func vecHash[T colScalar](src []T, plane, at int) uint64 {
 	var h0, h1 uint64
-	for ; at >= 0 && at < len(src); at += plane {
+	for ; at < len(src); at += plane {
 		h0, h1 = h1, bits.RotateLeft64(h0, 7)^uint64(math.Float32bits(float32(src[at])))
 	}
 	return (h0 ^ bits.RotateLeft64(h1, 32)) * fpMul
@@ -321,28 +313,16 @@ func SpreadCols[T colScalar](row []T, rep []int32) {
 	}
 }
 
-// LabelTables are a labelled layer's output side: one shared table per
-// batch item, in which every column block labels its output columns as soon
-// as its epilogue is done (LabelBlock), so no serial step joins the blocks.
-type LabelTables struct{ t table }
-
-// NewLabelTables readies a table for each item of cols output pixels in
-// labOut, the output labels wanted (none when it is nil).
-func NewLabelTables(labOut []int32, cols int) LabelTables {
-	return LabelTables{newTable(cols, len(labOut)/cols)}
-}
-
-// Free returns the tables' scratch.
-func (l LabelTables) Free() { fpScratch.Put(l.t.buf) }
-
-// LabelBlock turns rep, the rep map of output pixels [j0, j0+len(rep)) of
+// labelBlock turns rep, the rep map of output pixels [j0, j0+len(rep)) of
 // item n, whose outC x cols outputs y holds, into their labels: equal exactly
-// when the output vectors are bit-identical, -1 exactly for all +0. Item n's
-// table joins the columns of all blocks, and distinct windows requantisation
-// or leaky-ReLU collapse: each column is looked up once, by its vector's
-// hash, with an exact compare on a hit.
-func LabelBlock[T colScalar](l LabelTables, n int, y []T, cols, j0 int, rep []int32) {
-	t := table{slots: l.t.slots[n<<l.t.bits : (n+1)<<l.t.bits], bits: l.t.bits, shared: true}
+// when the output vectors are bit-identical, -1 exactly for all +0. tabs
+// holds one shared table per item, so every column block labels its columns
+// as soon as its epilogue is done and no serial step joins the blocks. Item
+// n's table joins the columns of all blocks, and distinct windows
+// requantisation or leaky-ReLU collapse: each column is looked up once, by
+// its vector's hash, with an exact compare on a hit.
+func labelBlock[T colScalar](tabs table, n int, y []T, cols, j0 int, rep []int32) {
+	t := table{slots: tabs.slots[n<<tabs.bits : (n+1)<<tabs.bits], bits: tabs.bits, shared: true}
 	buf := idxScratch.Get(len(rep))
 	colLab, u := *buf, int32(0)
 	for i, c := range rep {

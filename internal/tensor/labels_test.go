@@ -60,15 +60,16 @@ func checkLabels[T colScalar](t *testing.T, what string, y []T, hw int, lab []in
 }
 
 // TestLabelsMatchVectors is the label invariant on structured inputs: every
-// label map a layer emits, from unlabelled input and from its producer's
-// labels, is exact, and labels change no output bit. The inputs are
-// repeatInputs (flat fields, tiles, a constant, all zeros, ±0 and NaN
-// payloads), the same with an all-+0 band beside the left padding, and
-// random data; the B1 geometry puts four column blocks in an item, so
-// repeats straddle blocks. The weight sets are random, and centre-tap only,
-// where distinct windows give identical outputs and only the merge finds
-// them; the second layer's leaky-ReLU with slope 0 collapses every negative
-// to -0 as well.
+// label map, LabelInput's and each layer's, is exact, and labels change no
+// output bit. The inputs are repeatInputs (flat fields, tiles, a constant,
+// all zeros, ±0 and NaN payloads), the same with an all-+0 band beside the
+// left padding, and random data, at N = 1, 2 and 3; the B1 geometry puts
+// four column blocks in an item, so repeats straddle blocks. LabelInput is
+// held to the vectorLabels oracle. The first layer labels its own input,
+// the second is handed the first's labels. The weight sets are random, and
+// centre-tap only, where distinct windows give identical outputs and only
+// the merge finds them; the second layer's leaky-ReLU with slope 0
+// collapses every negative to -0 as well.
 func TestLabelsMatchVectors(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, s := range []convShape{
@@ -92,10 +93,17 @@ func TestLabelsMatchVectors(t *testing.T) {
 		}
 		inputs := append(repeatInputs(rng, s.n, s.c, s.h, s.w), banded, x)
 		for k, in := range inputs {
+			hw := s.h * s.w
+			lab := make([]int32, s.n*hw)
+			LabelInput(in.Data, s.n, s.c, s.h, s.w, lab)
+			for n := 0; n < s.n; n++ {
+				item := in.Data[n*s.c*hw : (n+1)*s.c*hw]
+				sameLabelling(t, fmt.Sprintf("shape %+v input %d item %d: LabelInput", s, k, n), lab[n*hw:(n+1)*hw], vectorLabels(item, hw, 1))
+			}
 			for wi, w := range [][]float32{wt, centre} {
 				what := fmt.Sprintf("shape %+v input %d weights %d", s, k, wi)
 				y1, lab1 := labelledConv(t, what+" layer 1", in, nil, spec, w, bias, 0.1)
-				spec2 := convSpec{inC: s.outC, outC: s.outC, kk: 3, stride: 1, pad: 1}
+				spec2 := ConvGeom{s.outC, s.outC, 3, 1, 1}
 				_, _, w2, b2 := randomConv(rng, 1, s.outC, 1, 1, s.outC, 3, 1, 1)
 				labelledConv(t, what+" layer 2", y1, lab1, spec2, w2, b2, 0)
 			}
@@ -103,20 +111,34 @@ func TestLabelsMatchVectors(t *testing.T) {
 	}
 }
 
-// labelledConv runs convGemmInto with the act epilogue at slope on x, whose
-// labels are labIn, checks the output's labels and that the output is the
-// unlabelled run's bit for bit, and returns both.
-func labelledConv(t *testing.T, what string, x *Tensor, labIn []int32, spec convSpec, w, bias []float32, slope float32) (*Tensor, []int32) {
+// sameLabelling fails unless got and want make the same classes of
+// positions, -1 the same one.
+func sameLabelling(t *testing.T, what string, got, want []int32) {
+	t.Helper()
+	fwd, back := map[int32]int32{-1: -1}, map[int32]int32{-1: -1}
+	for p := range want {
+		g, okG := fwd[want[p]]
+		w, okW := back[got[p]]
+		if okG && g != got[p] || okW && w != want[p] {
+			t.Fatalf("%s: position %d labelled %d, oracle %d", what, p, got[p], want[p])
+		}
+		fwd[want[p]], back[got[p]] = got[p], want[p]
+	}
+}
+
+// labelledConv runs Conv with the act epilogue at slope on x, handed labIn
+// (nil: it labels x itself), checks the output's labels and that the output
+// is that of a run that labels x itself, bit for bit, and returns both.
+func labelledConv(t *testing.T, what string, x *Tensor, labIn []int32, spec ConvGeom, w, bias []float32, slope float32) (*Tensor, []int32) {
 	t.Helper()
 	N, H, W := x.Shape[0], x.Shape[2], x.Shape[3]
-	OH := (H+2*spec.pad-spec.kk)/spec.stride + 1
-	OW := (W+2*spec.pad-spec.kk)/spec.stride + 1
-	want, got := New(N, spec.outC, OH, OW), New(N, spec.outC, OH, OW)
-	convGemmInto(x, want, spec, w, bias, true, slope, nil, nil, nil, nil)
+	OH, OW := spec.OutSize(H, W)
+	want, got := New(N, spec.OutC, OH, OW), New(N, spec.OutC, OH, OW)
+	convInto(x, want, spec, w, bias, true, slope, nil, nil)
 	lab := make([]int32, N*OH*OW)
-	convGemmInto(x, got, spec, w, bias, true, slope, labIn, lab, NewPool(), nil)
+	convInto(x, got, spec, w, bias, true, slope, labIn, lab)
 	requireSameBits(t, what, got.Data, want.Data)
-	per, cols := spec.outC*OH*OW, OH*OW
+	per, cols := spec.OutC*OH*OW, OH*OW
 	for n := 0; n < N; n++ {
 		checkLabels(t, fmt.Sprintf("%s item %d", what, n), got.Data[n*per:(n+1)*per], cols, lab[n*cols:(n+1)*cols])
 	}

@@ -19,9 +19,9 @@ type Layer interface {
 // Conv2D is a 2-D convolution with square kernels, equal stride in both
 // dimensions, and zero padding.
 type Conv2D struct {
-	InC, OutC, K, Stride, Pad int
-	W                         *Tensor // [OutC, InC, K, K]
-	B                         *Tensor // [OutC]
+	ConvGeom
+	W *Tensor // [OutC, InC, K, K]
+	B *Tensor // [OutC]
 
 	lastIn *Tensor
 }
@@ -31,17 +31,16 @@ func NewConv2D(rng *rand.Rand, inC, outC, k, stride, pad int) *Conv2D {
 	if inC <= 0 || outC <= 0 || k <= 0 || stride <= 0 || pad < 0 {
 		panic(fmt.Sprintf("tensor: invalid conv config in=%d out=%d k=%d s=%d p=%d", inC, outC, k, stride, pad))
 	}
-	c := &Conv2D{InC: inC, OutC: outC, K: k, Stride: stride, Pad: pad,
+	c := &Conv2D{ConvGeom: ConvGeom{inC, outC, k, stride, pad},
 		W: NewWithGrad(outC, inC, k, k), B: NewWithGrad(outC)}
 	c.W.KaimingInit(rng, inC*k*k)
 	return c
 }
 
-// OutSize returns the spatial output size for an input of size (h, w).
-func (c *Conv2D) OutSize(h, w int) (int, int) {
-	oh := (h+2*c.Pad-c.K)/c.Stride + 1
-	ow := (w+2*c.Pad-c.K)/c.Stride + 1
-	return oh, ow
+// Block is the convolution's ConvKernel: the GEMM alone.
+func (c *Conv2D) Block(panel []float32, ldb int, y []float32, ldc, u int) {
+	kdim := c.InC * c.K * c.K
+	gemmBlock(c.W.Data, kdim, c.B.Data, panel, ldb, y, ldc, c.OutC, kdim, u)
 }
 
 // Forward computes the convolution. The input must be [N, InC, H, W].
@@ -58,23 +57,15 @@ func (c *Conv2D) ForwardPooled(x *Tensor, p *Pool) *Tensor {
 }
 
 // ForwardCancel is the inference contract the convolutions (this and
-// FusedConvBNAct) share: the output buffer and the im2col scratch come from
-// p (contents fully overwritten; a nil pool allocates fresh), no backward
-// bookkeeping is recorded, and done is a cooperative cancellation hook —
-// once it closes, no further column block is started and the call returns
-// early. The returned tensor is then only partially written: the caller must
-// observe done itself and discard the buffer (returning it to the pool is
-// fine; pooled contents are dirty by contract). A nil done never aborts.
+// FusedConvBNAct) share: the output buffer comes from p (contents fully
+// overwritten; a nil pool allocates fresh), no backward bookkeeping is
+// recorded, and done is a cooperative cancellation hook — once it closes,
+// no further column block is started and the call returns early. The
+// returned tensor is then only partially written: the caller must observe
+// done itself and discard the buffer (returning it to the pool is fine;
+// pooled contents are dirty by contract). A nil done never aborts.
 func (c *Conv2D) ForwardCancel(x *Tensor, p *Pool, done <-chan struct{}) *Tensor {
-	N, C, H, W := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	if C != c.InC {
-		panic(fmt.Sprintf("tensor: conv expects %d input channels, got %d", c.InC, C))
-	}
-	OH, OW := c.OutSize(H, W)
-	y := p.Get(N, c.OutC, OH, OW)
-	spec := convSpec{inC: c.InC, outC: c.OutC, kk: c.K, stride: c.Stride, pad: c.Pad}
-	convGemmInto(x, y, spec, c.W.Data, c.B.Data, false, 0, nil, nil, p, done)
-	return y
+	return forward(c, x, nil, nil, p, done)
 }
 
 // Backward computes input gradients and accumulates weight/bias gradients.

@@ -49,10 +49,10 @@ func Aborted(done <-chan struct{}) bool {
 // ParallelForCancel is ParallelFor with a cooperative cancellation point
 // between tasks: once done closes, workers stop claiming new indices and the
 // call returns after in-flight tasks finish. Tasks already started are never
-// interrupted — the checkpoint granularity is one task, which for the conv
-// forwards means one (batch item, output channel) plane. Some indices may
-// never run after a cancel, so the caller must treat the output as garbage
-// once it observes done closed. A nil done is exactly ParallelFor.
+// interrupted — the checkpoint granularity is one task, which for Conv
+// means one (batch item, column block) unit. Some indices may never run
+// after a cancel, so the caller must treat the output as garbage once it
+// observes done closed. A nil done is exactly ParallelFor.
 func ParallelForCancel(done <-chan struct{}, n int, f func(int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {

@@ -74,8 +74,8 @@ func TestParallelForCancelAbortsEarly(t *testing.T) {
 }
 
 // TestConvForwardParallelMatchesSerial pins the parallel forward's contract:
-// splitting work per (batch item, output channel) plane must be bit-identical
-// to the serial loop, because each plane keeps its original arithmetic order.
+// splitting work per (batch item, column block) must be bit-identical to the
+// serial loop, because each output keeps its original arithmetic order.
 func TestConvForwardParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	conv := NewConv2D(rng, 8, 8, 3, 1, 1)

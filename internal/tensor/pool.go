@@ -151,9 +151,10 @@ func (p *Pool) Stats() (gets, news int64) {
 	return p.gets.Load(), p.news.Load()
 }
 
-// Scratch recycles []T buffers that are not activations (int8 panels, int32
-// tiles, fingerprints), one sync.Pool per power-of-two capacity class: one
-// bucket thrashed when layers of different sizes alternated. Not zeroed.
+// Scratch recycles []T buffers that are not activations (im2col panels,
+// int32 tiles, labels, hash tables), one sync.Pool per power-of-two capacity
+// class: one bucket thrashed when layers of different sizes alternated. Not
+// zeroed.
 type Scratch[T any] [33]sync.Pool
 
 // Get returns a buffer of length n.

@@ -199,11 +199,11 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) (upo, ago *tensor.Tensor) 
 // infer is the inference forward: each backbone block is one fused
 // conv+BN+activation pass that hands the next block its output's position
 // labels (tensor.FusedConvBNAct.ForwardLabels), so only B1 labels its
-// input, and every intermediate returns to the pool the moment its
-// consumers are done (with a nil pool the Get/Put calls degrade to plain
-// allocation). done is a cooperative cancellation channel, polled
+// input (tensor.LabelInput), and every intermediate returns to the pool the
+// moment its consumers are done (with a nil pool the Get/Put calls degrade
+// to plain allocation). done is a cooperative cancellation channel, polled
 // after every block and, inside each conv, between column blocks (see
-// tensor.ParallelForCancel), so a cancel aborts within roughly one conv
+// tensor.Conv), so a cancel aborts within roughly one conv
 // layer; nil never aborts. On abort ok is false and every activation —
 // partially written, which pooled buffers are allowed to be — is back in the
 // pool. Otherwise the returned head maps are pooled buffers owned by the

@@ -355,8 +355,9 @@ func TestForwardPooledAllocsFlat(t *testing.T) {
 // screens run through the real fused layer chain, where most receptive
 // fields repeat and only the distinct columns are multiplied.
 // BenchmarkConvKernels feeds random data, where none repeat. Each block
-// runs standalone, with no producer labels; chain is the whole labelled
-// forward (infer), each block handed its producer's labels.
+// runs standalone and labels its own input (tensor.LabelInput); chain is
+// the whole labelled forward (infer), each block after B1 handed its
+// producer's labels.
 func BenchmarkConvScreens(b *testing.B) {
 	m := NewModel(1)
 	if err := m.Load("../../weights/yolite.gob"); err != nil {
