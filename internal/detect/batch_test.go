@@ -211,8 +211,8 @@ func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
 
 // TestConcurrentPredictSharedModel drives single-screen and batch calls on
 // one shared model from many goroutines under -race, proving inference is
-// read-only: Conv2D.lastIn and Model.lastF8 are only written under
-// train=true, which is what makes the parallel batch workers sound.
+// read-only: Conv2D.lastIn is only written under train=true, which is what
+// makes the parallel batch workers sound.
 func TestConcurrentPredictSharedModel(t *testing.T) {
 	m := yolite.NewModel(3)
 	qm := quant.Port(m, nil)

@@ -100,10 +100,11 @@ func Build(name string, ctx BuildContext) (Detector, error) {
 	if f, ok := d.(interface{ Fuse() }); ok {
 		f.Fuse()
 	}
-	// Backends that recycle activations (the float and int8 models) get a
-	// private pool with the instance: every Build is one replica, so pooled
-	// buffers never cross model instances, and a served model never runs the
-	// allocating forward because nobody downstream remembered to install one.
+	// Backends that pool their head maps (the float and int8 models) get a
+	// private pool with the instance: every Build is one replica, and a
+	// served model never runs the allocating forward because nobody
+	// downstream remembered to install one. Their intermediates recycle
+	// process-wide, whatever the pool.
 	if p, ok := d.(interface{ SetPool(*tensor.Pool) }); ok {
 		p.SetPool(tensor.NewPool())
 	}

@@ -24,7 +24,7 @@ import "repro/internal/tensor"
 
 var (
 	i8s  tensor.Scratch[int8]  // activations
-	i32s tensor.Scratch[int32] // accumulator tiles, labels
+	i32s tensor.Scratch[int32] // accumulator tiles
 )
 
 // quantI8 quantises float activations to int8: dst[i] =

@@ -71,9 +71,8 @@ type chainLayer[T scalar] struct {
 }
 
 // TestChainLabels runs both precisions' backbones over generator screens
-// the way yolite.Model.infer and Model.forwardInt8 do, each layer handed its
-// producer's labels (the first labels its own), and holds every layer to two
-// brute-force counts. The labels it emits are exact: equal exactly for bit-
+// the way tensor.Walk does, each layer handed its producer's labels (the
+// first labels its own), and holds every layer to two brute-force counts. The labels it emits are exact: equal exactly for bit-
 // identical channel vectors, -1 exactly for all +0. And every column block
 // of the next layer, searched with those labels, finds exactly as many
 // distinct windows as the block has; a repeat the merge missed would
@@ -90,17 +89,18 @@ func TestChainLabels(t *testing.T) {
 	N := x.Shape[0]
 
 	var floats []chainLayer[float32]
-	for _, s := range []*nn.Sequential{m.B1, m.B2, m.B3, m.B3b, m.B4, m.B5} {
+	for _, s := range m.Blocks() {
 		f := tensor.FuseConvBNAct(nn.ConvBNActParts(s))
 		floats = append(floats, chainLayer[float32]{f.InC, f.OutC, f.K, f.Stride, f.Pad,
 			func(x []float32, n, h, w int, labIn []int32, wantLab bool) ([]float32, []int32) {
 				oh, ow := f.OutSize(h, w)
+				out := make([]float32, n*f.OutC*oh*ow)
 				var lab []int32
 				if wantLab {
 					lab = make([]int32, n*oh*ow)
 				}
-				in := &tensor.Tensor{Shape: []int{n, f.InC, h, w}, Data: x}
-				return f.ForwardLabels(in, labIn, lab, nil, nil).Data, lab
+				tensor.Conv(f, x, n, h, w, out, labIn, lab, nil)
+				return out, lab
 			}})
 	}
 	var ints []chainLayer[int8]

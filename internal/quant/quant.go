@@ -42,11 +42,10 @@ type qconv struct {
 
 	// End-to-end int8 chain constants, set by Model.link once every
 	// calibration scale is known. outScale is the next layer's inScale (the
-	// trunk's is shared by the UPO head and B4 — calibration observes the
-	// same tensor for both, and link makes the equality structural); rq and
-	// bq fold dequantise + bias + requantise into one multiply-add per
-	// accumulator: rq = wScale*inScale/outScale, bq = bias/outScale. Heads
-	// emit float32 and leave them nil.
+	// trunk's is shared by the UPO head and the block at yolite.Trunk, which
+	// link gives the head); rq and bq fold dequantise + bias + requantise
+	// into one multiply-add per accumulator: rq = wScale*inScale/outScale,
+	// bq = bias/outScale. Heads emit float32 and leave them nil.
 	outScale float32
 	rq, bq   []float32
 }
@@ -84,9 +83,9 @@ func (q *qconv) quantiseWeights() {
 // Model is the ported, int8 detector — the artefact DARPA embeds in the
 // on-device app.
 type Model struct {
-	backbone []*qconv // B1..B5; B3b's output is the stride-8 trunk
-	upoHead  *qconv   // reads the trunk
-	agoHead  *qconv   // reads B5's output
+	backbone []*qconv // yolite.Model.Blocks, ported
+	upoHead  *qconv   // reads backbone[yolite.Trunk]'s input
+	agoHead  *qconv   // reads the last block's output
 
 	// DisableRefine turns off the edge-snapping post-processor, mirroring
 	// yolite.Model.DisableRefine so refine-ablation benchmarks compare the
@@ -94,10 +93,9 @@ type Model struct {
 	// model.
 	DisableRefine bool
 
-	// Pool mirrors yolite.Model.Pool: when set, inference draws activation
-	// buffers (and the int8 scratch) from it instead of allocating per
-	// layer. Port carries it over from the source model. Training never
-	// goes through this backend, so every path may pool.
+	// Pool mirrors yolite.Model.Pool: when set, inference draws its head
+	// maps and refine scratch from it; the int8 intermediates recycle
+	// through i8s. Port carries it over from the source model.
 	Pool *tensor.Pool
 }
 
@@ -125,7 +123,7 @@ func Port(m *yolite.Model, calib []*dataset.Sample) *Model {
 		DisableRefine: m.DisableRefine,
 		Pool:          m.Pool,
 	}
-	for _, s := range []*nn.Sequential{m.B1, m.B2, m.B3, m.B3b, m.B4, m.B5} {
+	for _, s := range m.Blocks() {
 		qm.backbone = append(qm.backbone, newQConvFromBlock(s))
 	}
 	qm.calibrate(m, calib)
@@ -136,11 +134,11 @@ func Port(m *yolite.Model, calib []*dataset.Sample) *Model {
 // link derives the end-to-end int8 chain constants from the calibration
 // scales: each backbone layer's output scale is the scale its consumer
 // quantises with, so activations flow between layers as int8 without a float
-// round trip. The stride-8 trunk feeds both the UPO head and B4; calibration
-// observed the same tensor for both inputs, and link pins the head to the
-// deep chain's scale so the shared buffer is valid for both by construction.
+// round trip. The stride-8 trunk feeds both the UPO head and the block at
+// yolite.Trunk, so the head takes that block's scale and the shared buffer is
+// valid for both by construction.
 func (qm *Model) link() {
-	qm.upoHead.inScale = qm.backbone[4].inScale
+	qm.upoHead.inScale = qm.backbone[yolite.Trunk].inScale
 	for i, l := range qm.backbone {
 		l.outScale = qm.agoHead.inScale
 		if i+1 < len(qm.backbone) {
@@ -156,9 +154,11 @@ func (qm *Model) link() {
 }
 
 // calibrate runs the float model over the calibration set recording the
-// maximum absolute activation entering each layer, and sets the int8 scales.
+// maximum absolute activation entering each block and the AGO head, and
+// sets their int8 scales; link gives the UPO head its trunk's.
 func (qm *Model) calibrate(m *yolite.Model, calib []*dataset.Sample) {
-	maxIn := make([]float32, 8) // b1,b2,b3,b3b,b4,b5,upoHead,agoHead
+	layers := append(slices.Clone(qm.backbone), qm.agoHead)
+	maxIn := make([]float32, len(layers))
 	observe := func(idx int, t *tensor.Tensor) {
 		for _, v := range t.Data {
 			if v < 0 {
@@ -176,23 +176,14 @@ func (qm *Model) calibrate(m *yolite.Model, calib []*dataset.Sample) {
 		}
 	}
 	for _, s := range calib {
-		x := yolite.CanvasToTensor(s.Input)
-		observe(0, x)
-		h := m.B1.Forward(x, false)
-		observe(1, h)
-		h = m.B2.Forward(h, false)
-		observe(2, h)
-		h = m.B3.Forward(h, false)
-		observe(3, h)
-		h = m.B3b.Forward(h, false)
-		observe(6, h) // UPO head input
-		observe(4, h) // B4 input
-		h = m.B4.Forward(h, false)
-		observe(5, h)
-		h = m.B5.Forward(h, false)
-		observe(7, h) // AGO head input
+		h := yolite.CanvasToTensor(s.Input)
+		for i, b := range m.Blocks() {
+			observe(i, h)
+			h = b.Forward(h, false)
+		}
+		observe(len(layers)-1, h)
 	}
-	for i, l := range slices.Concat(qm.backbone, []*qconv{qm.upoHead, qm.agoHead}) {
+	for i, l := range layers {
 		if maxIn[i] == 0 {
 			maxIn[i] = 1
 		}
@@ -203,76 +194,30 @@ func (qm *Model) calibrate(m *yolite.Model, calib []*dataset.Sample) {
 // Forward runs the quantised network with no deadline, returning both raw
 // head maps: pooled float32 buffers owned by the caller.
 func (qm *Model) Forward(x *tensor.Tensor) (upo, ago *tensor.Tensor) {
-	upo, ago, _ = qm.forwardInt8(context.Background(), x)
+	upo, ago, _ = qm.forwardInt8(x, nil)
 	return upo, ago
 }
 
-// forwardInt8 is the end-to-end int8 pipeline. The input is quantised to
-// int8 once, item by item, and the activations stay int8 across the entire
-// backbone (see int8gemm.go): layer outputs at each step carry the scale the
-// next layer expects (see link), so no float activations exist between the
-// input quantisation and the head dequantisation. Every layer runs through
-// tensor.Conv, which refuses an input of the wrong channel count. The int8
-// intermediates recycle through the bucketed int8 scratch pool and the head
-// maps come from the Pool, so the steady-state forward is allocation free.
-// ctx is a cooperative cancellation checkpoint between layers (and, via its
-// Done channel, between column-block tasks inside each layer): once the
-// cancel is observed the partially written activations go back to their
-// pools and ctx.Err() is returned.
-func (qm *Model) forwardInt8(ctx context.Context, x *tensor.Tensor) (upo, ago *tensor.Tensor, err error) {
-	p := qm.Pool
-	done := ctx.Done()
-	N, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
-	cur := i8s.Get(len(x.Data))
+// forwardInt8 is the end-to-end int8 pipeline: the input is quantised to
+// int8 once, item by item, and tensor.Walk runs the backbone and heads over
+// it. Activations stay int8 until the heads dequantise (see int8gemm.go):
+// each block's output carries the scale its consumer expects (see link).
+// The int8 intermediates recycle through i8s and the head maps come from
+// the Pool, owned by the caller. done is the walk's cancellation channel:
+// on abort ok is false with every buffer returned.
+func (qm *Model) forwardInt8(x *tensor.Tensor, done <-chan struct{}) (upo, ago *tensor.Tensor, ok bool) {
+	N := x.Shape[0]
+	in := i8s.Get(len(x.Data))
+	defer i8s.Put(in)
 	if N > 1 {
-		// One item per task. Capturing cur, which is reassigned below, would
-		// move it to the heap on every forward, N = 1 included.
-		q, per := *cur, len(x.Data)/N
+		q, per := *in, len(x.Data)/N
 		tensor.ParallelFor(N, func(n int) {
 			quantI8(q[n*per:(n+1)*per], x.Data[n*per:(n+1)*per], qm.backbone[0].inScale)
 		})
 	} else {
-		quantI8(*cur, x.Data, qm.backbone[0].inScale)
+		quantI8(*in, x.Data, qm.backbone[0].inScale)
 	}
-	// Output labels alternate between the halves of a buffer sized for B1's.
-	oh, ow := qm.backbone[0].OutSize(h, w)
-	labs, half := i32s.Get(2*N*oh*ow), N*oh*ow
-	defer i32s.Put(labs)
-	var lab []int32 // cur's labels; B1 labels its input itself
-	for i, b := range qm.backbone {
-		if i == 4 {
-			// cur is the stride-8 trunk, int8 at the scale both consumers
-			// expect: the UPO head reads it before B4 consumes it.
-			upo = qm.head(qm.upoHead, *cur, N, h, w, done)
-		}
-		oh, ow := b.OutSize(h, w)
-		nxt, next := i8s.Get(N*b.OutC*oh*ow), (*labs)[i%2*half:i%2*half+N*oh*ow]
-		tensor.Conv(b, *cur, N, h, w, *nxt, lab, next, done)
-		i8s.Put(cur)
-		cur, lab, h, w = nxt, next, oh, ow
-		if err := ctx.Err(); err != nil {
-			i8s.Put(cur)
-			p.Put(upo)
-			return nil, nil, err
-		}
-	}
-	ago = qm.head(qm.agoHead, *cur, N, h, w, done)
-	i8s.Put(cur)
-	if err := ctx.Err(); err != nil {
-		p.Put(upo)
-		p.Put(ago)
-		return nil, nil, err
-	}
-	return upo, ago, nil
-}
-
-// head runs head q over the int8 activations x into a float map from the
-// Pool.
-func (qm *Model) head(q *qconv, x []int8, N, h, w int, done <-chan struct{}) *tensor.Tensor {
-	oh, ow := q.OutSize(h, w)
-	y := qm.Pool.Get(N, q.OutC, oh, ow)
-	tensor.Conv((*qhead)(q), x, N, h, w, y.Data, nil, nil, done)
-	return y
+	return tensor.Walk(qm.backbone, yolite.Trunk, (*qhead)(qm.upoHead), (*qhead)(qm.agoHead), *in, N, x.Shape[2], x.Shape[3], &i8s, qm.Pool, done)
 }
 
 // PredictBatchCtx is the detector seam with int8 inference: one forward over
@@ -285,9 +230,9 @@ func (qm *Model) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThre
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	upo, ago, err := qm.forwardInt8(ctx, x)
-	if err != nil {
-		return nil, err
+	upo, ago, ok := qm.forwardInt8(x, ctx.Done())
+	if !ok {
+		return nil, ctx.Err()
 	}
 	defer func() {
 		qm.Pool.Put(upo)
@@ -310,7 +255,7 @@ var _ yolite.Predictor = (*Model)(nil)
 func (qm *Model) Name() string { return "yolite-int8" }
 
 // SetPool mirrors yolite.Model.SetPool: the seam detect.Build installs a
-// private activation pool through. Must not be called while a forward is in
+// private head-map pool through. Must not be called while a forward is in
 // flight.
 func (qm *Model) SetPool(p *tensor.Pool) { qm.Pool = p }
 

@@ -226,3 +226,20 @@ func TestBackendsRefuseWrongChannelCount(t *testing.T) {
 		}
 	}
 }
+
+// TestPortScalesPinned pins calibrate and link bit for bit: every layer's
+// inScale and outScale, backbone then the UPO and AGO heads, from a port
+// calibrated on seeded generator screens. TestInt8PipelineScaleChain checks
+// only how the scales are wired.
+func TestPortScalesPinned(t *testing.T) {
+	qm := Port(yolite.NewModel(5), auigen.BuildAUISamples(9, 3, auigen.DatasetConfig{}))
+	var got []uint32
+	for _, l := range slices.Concat(qm.backbone, []*qconv{qm.upoHead, qm.agoHead}) {
+		got = append(got, math.Float32bits(l.inScale), math.Float32bits(l.outScale))
+	}
+	want := []uint32{0x3c010204, 0x3ca292c2, 0x3ca292c2, 0x3cdea271, 0x3cdea271, 0x3d0bd604, 0x3d0bd604, 0x3d031e4f,
+		0x3d031e4f, 0x3cb36854, 0x3cb36854, 0x3cb6c975, 0x3d031e4f, 0, 0x3cb6c975, 0}
+	if !slices.Equal(got, want) {
+		t.Fatalf("scale bits %#x, want %#x", got, want)
+	}
+}

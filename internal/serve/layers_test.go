@@ -408,8 +408,8 @@ func TestReplicaPoolDistributes(t *testing.T) {
 }
 
 // TestReplicaPrivatePools: every replica detect.BuildReplicas provisions
-// arrives with its own activation pool, so recycled buffers never cross
-// model instances however many replicas the serving layer is given.
+// arrives with its own head-map pool, however many replicas the serving
+// layer is given.
 func TestReplicaPrivatePools(t *testing.T) {
 	const n = 3
 	reps, err := detect.BuildReplicas("yolite", detect.BuildContext{WeightsDir: "../../weights"}, n)

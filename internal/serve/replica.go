@@ -9,8 +9,9 @@ import (
 
 // This file is the replica-pool layer: N independently-owned model instances,
 // each driven by its own worker goroutine (and each arriving with its own
-// tensor.Pool from detect.Build, so recycled activations never cross
-// replicas). Each replica keeps its own health ledger; a replica whose
+// tensor.Pool for its head maps from detect.Build; the intermediates of
+// every forward recycle process-wide). Each replica keeps its own health
+// ledger; a replica whose
 // forwards fail consecutively is benched for a cooldown, the pool-level
 // analogue of the per-backend circuit breakers in detect.WithFallback: the
 // breaker decides whether a *backend* is trusted at all, benching decides

@@ -122,9 +122,9 @@ var _ detect.Detector = (*Batcher)(nil)
 // NewReplicated starts the serving layers over a pool of replicas, one
 // worker goroutine per replica. Each replica should be an independent model
 // instance from detect.BuildReplicas, which is also where each gets its
-// private tensor.Pool, so recycled activations never cross replicas. Each
-// priority queue buffers 4 x MaxBatch x replicas requests. Callers own the
-// returned Batcher and should Close it to stop the workers; requests in
+// private tensor.Pool for head maps (intermediates recycle process-wide).
+// Each priority queue buffers 4 x MaxBatch x replicas requests. Callers own
+// the returned Batcher and should Close it to stop the workers; requests in
 // flight at Close are still answered. Panics when called with no replicas.
 func NewReplicated(opts Options, replicas ...detect.Detector) *Batcher {
 	return newReplicated(opts, replicaBenchAfter, replicaBenchFor, replicas...)

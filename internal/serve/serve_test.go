@@ -13,6 +13,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/metrics"
 	"repro/internal/perfmodel"
+	"repro/internal/quant"
 	"repro/internal/tensor"
 	"repro/internal/yolite"
 )
@@ -257,11 +258,27 @@ func TestBatcherTimings(t *testing.T) {
 
 // TestBatcherEquivalenceRealModel is the serving layer's correctness
 // contract: batched answers must be bit-identical to direct single-screen
-// calls on the same model.
+// calls on the same model, for the float model and its int8 port.
 func TestBatcherEquivalenceRealModel(t *testing.T) {
 	m := yolite.NewModel(3)
 	m.Pool = tensor.NewPool() // the production stack batches a pooled model
-	h := &heldBackend{Detector: m, gate: make(chan struct{})}
+	for _, d := range []directDetector{m, quant.Port(m, nil)} {
+		t.Run(d.Name(), func(t *testing.T) { checkBatcherEquivalence(t, d) })
+	}
+}
+
+// directDetector is a backend with the direct single-screen call the
+// batched answers are held to.
+type directDetector interface {
+	detect.Detector
+	PredictTensor(x *tensor.Tensor, n int, conf float64) []metrics.Detection
+}
+
+// checkBatcherEquivalence holds four screens behind a plug so they ride one
+// forward of four, then serves them freely and through the ctx entry point,
+// each answer against d's direct single-screen call.
+func checkBatcherEquivalence(t *testing.T, d directDetector) {
+	h := &heldBackend{Detector: d, gate: make(chan struct{})}
 	b := NewReplicated(Options{MaxBatch: 4}, h)
 	defer b.Close()
 	const screens = 4
@@ -274,7 +291,7 @@ func TestBatcherEquivalenceRealModel(t *testing.T) {
 		for j := range xs[i].Data {
 			xs[i].Data[j] = rng.Float32()
 		}
-		want[i] = m.PredictTensor(xs[i], 0, 0.3)
+		want[i] = d.PredictTensor(xs[i], 0, 0.3)
 		total += len(want[i])
 	}
 	if total == 0 {

@@ -67,24 +67,15 @@ func (f *FusedConvBNAct) ForwardPooled(x *Tensor, p *Pool) *Tensor {
 // Conv2D.ForwardCancel: output from p (nil allocates), and once done closes
 // the returned buffer is partially written and the caller must discard it.
 func (f *FusedConvBNAct) ForwardCancel(x *Tensor, p *Pool, done <-chan struct{}) *Tensor {
-	return forward(f, x, nil, nil, p, done)
+	return forward(f, x.Data, x.Shape[0], x.Shape[2], x.Shape[3], p, done)
 }
 
-// ForwardLabels is ForwardCancel in a labelled chain: labIn holds x's
-// position labels as its producer's labOut got them (nil: Conv labels x),
-// and a non-nil labOut, one int32 per output pixel, gets the output's.
-// Labels are garbage once done closes; see DistinctPanel for what they mean.
-func (f *FusedConvBNAct) ForwardLabels(x *Tensor, labIn, labOut []int32, p *Pool, done <-chan struct{}) *Tensor {
-	return forward(f, x, labIn, labOut, p, done)
-}
-
-// forward runs the float kernel k over x (see Conv) into an output drawn
-// from p.
-func forward[K ConvKernel[float32, float32]](k K, x *Tensor, labIn, labOut []int32, p *Pool, done <-chan struct{}) *Tensor {
+// forward runs the float-output kernel k over the N items of x, each
+// H x W (see Conv), into an output drawn from p.
+func forward[In colScalar, K ConvKernel[In, float32]](k K, x []In, N, H, W int, p *Pool, done <-chan struct{}) *Tensor {
 	g := k.Geom()
-	N, H, W := x.Shape[0], x.Shape[2], x.Shape[3]
 	OH, OW := g.OutSize(H, W)
 	y := p.Get(N, g.OutC, OH, OW)
-	Conv(k, x.Data, N, H, W, y.Data, labIn, labOut, done)
+	Conv(k, x, N, H, W, y.Data, nil, nil, done)
 	return y
 }

@@ -95,6 +95,48 @@ func Conv[In, Out colScalar, K ConvKernel[In, Out]](k K, x []In, N, H, W int, y 
 	fpScratch.Put(tabs.buf)
 }
 
+// Walk runs a two-headed detector over the N items of x, each H x W: the
+// blocks in order, each handing the next its output's labels through the
+// two halves of one buffer, the fine head reading blocks[tap]'s input and
+// the coarse head the last block's output. It is the inference forward of
+// both precisions. The intermediates recycle through acts and x stays the
+// caller's; the head maps come from p and are the caller's to Put. done is
+// polled between column blocks (see Conv) and after every conv: on abort ok
+// is false, the maps are nil and every buffer is back where it came from.
+func Walk[T colScalar, B ConvKernel[T, T], Hd ConvKernel[T, float32]](blocks []B, tap int, fine, coarse Hd, x []T, N, H, W int, acts *Scratch[T], p *Pool, done <-chan struct{}) (f, c *Tensor, ok bool) {
+	oh, ow := blocks[0].Geom().OutSize(H, W)
+	labs, half := idxScratch.Get(2*N*oh*ow), N*oh*ow
+	defer idxScratch.Put(labs)
+	var cur *[]T    // x's successor, from acts
+	var lab []int32 // x's labels; Conv labels the network input itself
+	for i, b := range blocks {
+		if i == tap {
+			f = forward(fine, x, N, H, W, p, done)
+		}
+		g := b.Geom()
+		oh, ow := g.OutSize(H, W)
+		nxt, next := acts.Get(N*g.OutC*oh*ow), (*labs)[i%2*half:][:N*oh*ow]
+		Conv(b, x, N, H, W, *nxt, lab, next, done)
+		if cur != nil {
+			acts.Put(cur)
+		}
+		cur, x, lab, H, W = nxt, *nxt, next, oh, ow
+		if Aborted(done) {
+			break
+		}
+	}
+	if !Aborted(done) {
+		c = forward(coarse, x, N, H, W, p, done)
+	}
+	acts.Put(cur)
+	if Aborted(done) {
+		p.Put(f)
+		p.Put(c)
+		return nil, nil, false
+	}
+	return f, c, true
+}
+
 // direct reports a 1x1 stride-1 unpadded convolution, whose im2col panel
 // is the input itself.
 func (g ConvGeom) direct() bool { return g.K == 1 && g.Stride == 1 && g.Pad == 0 }

@@ -65,7 +65,7 @@ func (c *Conv2D) ForwardPooled(x *Tensor, p *Pool) *Tensor {
 // done itself and discard the buffer (returning it to the pool is fine;
 // pooled contents are dirty by contract). A nil done never aborts.
 func (c *Conv2D) ForwardCancel(x *Tensor, p *Pool, done <-chan struct{}) *Tensor {
-	return forward(c, x, nil, nil, p, done)
+	return forward(c, x.Data, x.Shape[0], x.Shape[2], x.Shape[3], p, done)
 }
 
 // Backward computes input gradients and accumulates weight/bias gradients.

@@ -24,9 +24,10 @@ import (
 //
 // Training never pools: backward passes hold references to forward
 // activations (Conv2D.lastIn, BatchNorm2D.lastNorm), so recycling them
-// between Forward and Backward would corrupt gradients. The inference-only
-// entry points (the convolutions' ForwardCancel, Model.Pool fields) are the
-// only paths that touch a Pool.
+// between Forward and Backward would corrupt gradients. Inference touches a
+// Pool in two places: the convolutions' ForwardPooled and ForwardCancel draw
+// their outputs from it, and Walk draws its head maps from it. Walk's
+// intermediates recycle through a Scratch the caller names instead.
 //
 // A nil *Pool is valid everywhere: Get falls back to New and Put is a
 // no-op, so callers thread an optional pool through unconditionally.
@@ -151,10 +152,10 @@ func (p *Pool) Stats() (gets, news int64) {
 	return p.gets.Load(), p.news.Load()
 }
 
-// Scratch recycles []T buffers that are not activations (im2col panels,
-// int32 tiles, labels, hash tables), one sync.Pool per power-of-two capacity
-// class: one bucket thrashed when layers of different sizes alternated. Not
-// zeroed.
+// Scratch recycles []T buffers nobody keeps past a call (Walk's
+// intermediates, im2col panels, int32 tiles, labels, hash tables), one
+// sync.Pool per power-of-two capacity class: one bucket thrashed when layers
+// of different sizes alternated. Not zeroed.
 type Scratch[T any] [33]sync.Pool
 
 // Get returns a buffer of length n.

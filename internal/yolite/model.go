@@ -61,16 +61,13 @@ type Model struct {
 	// ablation benchmarks.
 	DisableRefine bool
 
-	// Pool, when set, recycles activation buffers across inference calls:
-	// Forward(train=false) draws every intermediate from it and
-	// PredictBatchCtx returns the head maps once decoded, cutting
-	// steady-state allocations per inference to near zero. Training ignores it — the backward pass
-	// holds references to forward activations, so they must stay fresh.
+	// Pool, when set, recycles the head maps across inference calls:
+	// Forward(train=false) draws them from it, PredictBatchCtx returns them
+	// once decoded, and the refine scratch comes from it too. Intermediates
+	// recycle process-wide (see infer). Training ignores it — the backward
+	// pass holds references to forward activations, so they must stay fresh.
 	// Safe to share across goroutines serving one model.
 	Pool *tensor.Pool
-
-	// cached stride-8 activation for the backward pass
-	lastF8 *tensor.Tensor
 
 	// fused holds the folded one-pass inference form of each backbone block
 	// (conv, batch norm, and activation collapsed — see tensor.FuseConvBNAct),
@@ -99,27 +96,28 @@ func NewModel(seed int64) *Model {
 // Name identifies the backend in registries and result tables.
 func (m *Model) Name() string { return "yolite" }
 
-// SetPool installs the activation pool inference draws from — the seam
-// detect.Build uses to give every built instance a private pool, so recycled
-// buffers never cross model instances. Must not be called while a forward is
-// in flight.
+// SetPool installs the pool inference draws its head maps from — the seam
+// detect.Build uses to give every built instance a private pool. Must not be
+// called while a forward is in flight.
 func (m *Model) SetPool(p *tensor.Pool) { m.Pool = p }
 
-// Params returns every trainable tensor.
-func (m *Model) Params() []*tensor.Tensor {
-	var out []*tensor.Tensor
-	out = append(out, m.B1.Params()...)
-	out = append(out, m.B2.Params()...)
-	out = append(out, m.B3.Params()...)
-	out = append(out, m.B3b.Params()...)
-	out = append(out, m.B4.Params()...)
-	out = append(out, m.B5.Params()...)
-	out = append(out, m.UPOHead.Params()...)
-	out = append(out, m.AGOHead.Params()...)
-	return out
+// Trunk indexes the block that reads the stride-8 trunk, the fine head's
+// input too: the backbone branches there.
+const Trunk = 4
+
+// Blocks returns the backbone in order, the one declaration of the graph
+// every walk (training, inference, port, calibration) loops over: the UPO
+// head reads Blocks()[Trunk]'s input and the AGO head the last block's
+// output.
+func (m *Model) Blocks() []*nn.Sequential {
+	return []*nn.Sequential{m.B1, m.B2, m.B3, m.B3b, m.B4, m.B5}
 }
 
-// backbone is the serialisable layer view of the model, used for weight IO.
+// Params returns every trainable tensor.
+func (m *Model) Params() []*tensor.Tensor { return m.asSequential().Params() }
+
+// asSequential is the serialisable layer view of the model, used for weight
+// IO: the blocks, then the UPO and AGO heads.
 func (m *Model) asSequential() *nn.Sequential {
 	return nn.NewSequential(m.B1, m.B2, m.B3, m.B3b, m.B4, m.B5, m.UPOHead, m.AGOHead)
 }
@@ -168,10 +166,8 @@ func (m *Model) fusedBlocks() []*tensor.FusedConvBNAct {
 	m.fusedMu.Lock()
 	defer m.fusedMu.Unlock()
 	if m.fused == nil {
-		seqs := [...]*nn.Sequential{m.B1, m.B2, m.B3, m.B3b, m.B4, m.B5}
-		m.fused = make([]*tensor.FusedConvBNAct, len(seqs))
-		for i, s := range seqs {
-			m.fused[i] = tensor.FuseConvBNAct(nn.ConvBNActParts(s))
+		for _, s := range m.Blocks() {
+			m.fused = append(m.fused, tensor.FuseConvBNAct(nn.ConvBNActParts(s)))
 		}
 	}
 	return m.fused
@@ -179,7 +175,7 @@ func (m *Model) fusedBlocks() []*tensor.FusedConvBNAct {
 
 // Forward runs the backbone and both heads. x is [N, 3, InputH, InputW];
 // the returned maps are [N, 5, GH, GW] for each head. Inference runs the one
-// fused forward (infer); training keeps the layer-by-layer form the backward
+// fused walk (infer); training walks the layer-by-layer form the backward
 // pass needs, and drops any stale fused snapshot since the step about to
 // happen will change the weights.
 func (m *Model) Forward(x *tensor.Tensor, train bool) (upo, ago *tensor.Tensor) {
@@ -188,80 +184,44 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) (upo, ago *tensor.Tensor) 
 		return upo, ago
 	}
 	m.invalidateFused()
-	f8 := m.B3b.Forward(m.B3.Forward(m.B2.Forward(m.B1.Forward(x, train), train), train), train)
-	m.lastF8 = f8
-	upo = m.UPOHead.Forward(f8, train)
-	f32 := m.B5.Forward(m.B4.Forward(f8, train), train)
-	ago = m.AGOHead.Forward(f32, train)
-	return upo, ago
+	for i, b := range m.Blocks() {
+		if i == Trunk {
+			upo = m.UPOHead.Forward(x, train)
+		}
+		x = b.Forward(x, train)
+	}
+	return upo, m.AGOHead.Forward(x, train)
 }
 
-// infer is the inference forward: each backbone block is one fused
-// conv+BN+activation pass that hands the next block its output's position
-// labels (tensor.FusedConvBNAct.ForwardLabels), so only B1 labels its
-// input (tensor.LabelInput), and every intermediate returns to the pool the
-// moment its consumers are done (with a nil pool the Get/Put calls degrade
-// to plain allocation). done is a cooperative cancellation channel, polled
-// after every block and, inside each conv, between column blocks (see
-// tensor.Conv), so a cancel aborts within roughly one conv
-// layer; nil never aborts. On abort ok is false and every activation —
-// partially written, which pooled buffers are allowed to be — is back in the
-// pool. Otherwise the returned head maps are pooled buffers owned by the
-// caller.
+// infer is the inference forward: tensor.Walk over the fused blocks (see
+// tensor.FuseConvBNAct), intermediates recycling through acts, head maps
+// drawn from the Pool and owned by the caller. done is a cooperative
+// cancellation channel; nil never aborts, and on abort ok is false with
+// every buffer returned.
 func (m *Model) infer(x *tensor.Tensor, done <-chan struct{}) (upo, ago *tensor.Tensor, ok bool) {
-	p := m.Pool
-	h := x
-	blocks := m.fusedBlocks()
-	// Output labels alternate between the halves of a buffer sized for B1's.
-	oh, ow := blocks[0].OutSize(x.Shape[2], x.Shape[3])
-	labs, half := labScratch.Get(2*x.Shape[0]*oh*ow), x.Shape[0]*oh*ow
-	defer labScratch.Put(labs)
-	var lab []int32 // h's labels; the network input has none
-	for i, b := range blocks {
-		if i == 4 {
-			// h is the stride-8 trunk: the fine head reads it before B4
-			// consumes (and releases) it.
-			upo = m.UPOHead.ForwardCancel(h, p, done)
-		}
-		oh, ow := b.OutSize(h.Shape[2], h.Shape[3])
-		next := (*labs)[i%2*half : i%2*half+x.Shape[0]*oh*ow]
-		out := b.ForwardLabels(h, lab, next, p, done)
-		if h != x {
-			p.Put(h)
-		}
-		h, lab = out, next
-		if tensor.Aborted(done) {
-			p.Put(h)
-			p.Put(upo)
-			return nil, nil, false
-		}
-	}
-	ago = m.AGOHead.ForwardCancel(h, p, done)
-	p.Put(h)
-	if tensor.Aborted(done) {
-		p.Put(upo)
-		p.Put(ago)
-		return nil, nil, false
-	}
-	return upo, ago, true
+	return tensor.Walk(m.fusedBlocks(), Trunk, m.UPOHead, m.AGOHead, x.Data, x.Shape[0], x.Shape[2], x.Shape[3], &acts, m.Pool, done)
 }
 
-// labScratch pools the position labels infer hands from block to block.
-var labScratch tensor.Scratch[int32]
+// acts recycles the float intermediates of every model's inference walk.
+var acts tensor.Scratch[float32]
 
-// Backward propagates head gradients through the shared backbone.
+// Backward propagates head gradients through the shared backbone: the UPO
+// head's input gradient joins the deep chain's at the trunk.
 func (m *Model) Backward(dUPO, dAGO *tensor.Tensor) {
-	dF8Head := m.UPOHead.Backward(dUPO)
-	dF32 := m.AGOHead.Backward(dAGO)
-	dF8Deep := m.B4.Backward(m.B5.Backward(dF32))
-	if !dF8Head.SameShape(dF8Deep) {
-		panic("yolite: branch gradients disagree in shape")
+	blocks := m.Blocks()
+	d := m.AGOHead.Backward(dAGO)
+	for i := len(blocks) - 1; i >= 0; i-- {
+		d = blocks[i].Backward(d)
+		if i == Trunk {
+			head := m.UPOHead.Backward(dUPO)
+			if !head.SameShape(d) {
+				panic("yolite: branch gradients disagree in shape")
+			}
+			for j, v := range head.Data {
+				d.Data[j] += v
+			}
+		}
 	}
-	sum := tensor.New(dF8Head.Shape...)
-	for i := range sum.Data {
-		sum.Data[i] = dF8Head.Data[i] + dF8Deep.Data[i]
-	}
-	m.B1.Backward(m.B2.Backward(m.B3.Backward(m.B3b.Backward(sum))))
 }
 
 // unit holds float32(v)/255 for every channel byte v: canvasInto looks the

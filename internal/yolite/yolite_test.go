@@ -2,7 +2,9 @@ package yolite
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -382,5 +384,32 @@ func BenchmarkConvScreens(b *testing.B) {
 			}
 		})
 		x = blk.ForwardCancel(x, nil, nil)
+	}
+}
+
+// TestGradientsPinned pins training's forward and backward walks over Blocks
+// bit for bit: the hash of every Params() gradient after one seeded training
+// step's Forward and Backward, on generator screens scored by the training
+// loss. TestTrainingLearns checks only that the loss falls.
+func TestGradientsPinned(t *testing.T) {
+	m := NewModel(5)
+	batch := auigen.BuildAUISamples(7, 3, auigen.DatasetConfig{})
+	upo, ago := m.Forward(BatchToTensor(batch), true)
+	upoT, agoT := make([]target, len(batch)), make([]target, len(batch))
+	for i, s := range batch {
+		upoT[i], agoT[i] = encodeTargets(s.Boxes, UPOHeadSpec), encodeTargets(s.Boxes, AGOHeadSpec)
+	}
+	dUPO, dAGO := tensor.New(upo.Shape...), tensor.New(ago.Shape...)
+	headLoss(upo, upoT, UPOHeadSpec, dUPO)
+	headLoss(ago, agoT, AGOHeadSpec, dAGO)
+	m.Backward(dUPO, dAGO)
+	h := fnv.New64a()
+	for _, p := range m.Params() {
+		for _, g := range p.Grad {
+			binary.Write(h, binary.LittleEndian, math.Float32bits(g))
+		}
+	}
+	if got, want := h.Sum64(), uint64(0xee9e37156e2f5622); got != want {
+		t.Fatalf("gradient hash %#x, want %#x", got, want)
 	}
 }
