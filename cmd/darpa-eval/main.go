@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	darpa-eval [-quick] [-weights weights] [-iou 0.9] [-detector yolite-int8] [-batch 8] [-list]
+//	darpa-eval [-quick] [-weights weights] [-iou 0.9] [-detector yolite-int8] [-list]
 //	darpa-eval -attack [-attack-seed 7002] [-write-corpus] [-attack-out BENCH_adversary.json]
 //	darpa-eval -attack-smoke
 package main
@@ -20,7 +20,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
+	"repro/internal/frauddroid"
 	"repro/internal/yolite"
 )
 
@@ -31,7 +31,6 @@ func main() {
 	weights := flag.String("weights", "weights", "pretrained weights directory")
 	iou := flag.Float64("iou", 0.9, "IoU matching threshold")
 	detector := flag.String("detector", "yolite-int8", "registry backend to evaluate (see -list)")
-	batch := flag.Int("batch", detect.DefaultEvalBatch, "screens per inference batch (1 = per-item loop)")
 	list := flag.Bool("list", false, "list registered detector backends and exit")
 	attack := flag.Bool("attack", false, "run the adversarial sweep: search, mine, recall-under-attack, harden")
 	attackSmoke := flag.Bool("attack-smoke", false, "seeded 30-iteration attack replay check (CI smoke)")
@@ -93,14 +92,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// The batch path amortises the backbone across screens; -batch 1
-		// falls back to the historical per-image loop.
-		var eval *metrics.Evaluation
-		if *batch > 1 {
-			eval = detect.EvaluateBatch(d, env.Split().Test, *iou, *batch)
-		} else {
-			eval = yolite.Evaluate(d, env.Split().Test, *iou)
+		// The test split is pixels and labels only: a backend that reads the
+		// live view hierarchy would score a row of zeros here.
+		if _, meta := d.(*frauddroid.ViewAdapter); meta {
+			log.Fatalf("%s reads view metadata, which the test split does not carry; -attack scores it on live screens", d.Name())
 		}
+		eval := yolite.Evaluate(d, env.Split().Test, *iou)
 		for _, cls := range []dataset.Class{dataset.ClassUPO, dataset.ClassAGO} {
 			c := eval.Class(cls)
 			fmt.Printf("%s %s@IoU%.2f  P=%.3f R=%.3f F1=%.3f\n", d.Name(), cls, *iou, c.Precision(), c.Recall(), c.F1())

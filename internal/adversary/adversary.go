@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/auigen"
 	"repro/internal/dataset"
-	"repro/internal/metrics"
 	"repro/internal/yolite"
 )
 
@@ -268,14 +267,4 @@ func Samples(screens []*auigen.Attacked) []*dataset.Sample {
 		out = append(out, at.Sample)
 	}
 	return out
-}
-
-// Recall evaluates a predictor over attacked screens at the given IoU
-// threshold, returning the per-class evaluation.
-func Recall(p yolite.Predictor, screens []*auigen.Attacked, iouThresh float64) *metrics.Evaluation {
-	eval := metrics.NewEvaluation()
-	for _, at := range screens {
-		eval.AddSample(yolite.PredictInput(p, at.Sample.Input, yolite.DefaultConfThresh), at.Sample.Boxes, iouThresh)
-	}
-	return eval
 }

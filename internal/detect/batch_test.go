@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/auigen"
 	"repro/internal/metrics"
 	"repro/internal/quant"
 	"repro/internal/tensor"
@@ -191,21 +190,6 @@ func TestCacheBatchCompactsMisses(t *testing.T) {
 	out2[0][0].B.X = 999
 	if batch(t, c, x, 0.45)[0][0].B.X == 999 {
 		t.Fatal("cache batch path returned a shared slice")
-	}
-}
-
-// TestEvaluateBatchMatchesEvaluate: batching the evaluation loop must not
-// change the confusion counts.
-func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping dataset generation in -short mode")
-	}
-	m := yolite.NewModel(3)
-	samples := auigen.BuildAUISamples(5, 7, auigen.DatasetConfig{})
-	want := yolite.Evaluate(m, samples, 0.5).All()
-	got := EvaluateBatch(m, samples, 0.5, 3).All()
-	if got != want {
-		t.Fatalf("EvaluateBatch counts %+v != Evaluate counts %+v", got, want)
 	}
 }
 

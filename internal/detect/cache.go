@@ -3,7 +3,6 @@ package detect
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"hash/maphash"
 	"math"
 	"sync"
@@ -14,23 +13,23 @@ import (
 
 // Key names one screen at one threshold: what KeyOf hashes it to. A caller
 // that holds a screen for longer than one request (fleet's library) computes
-// its Key once and asks the table with Lookup and Store; a caller that holds
-// only floats goes through PredictBatchCtx, which derives the same Key.
+// its Key once and asks a Table with Lookup and Store; a caller that holds
+// only floats goes through Cache.PredictBatchCtx, which derives the same Key.
 type Key uint64
 
-// Cache memoises inference results keyed on the screenshot's tensor content,
+// Table memoises inference results keyed on the screenshot's tensor content,
 // so an unchanged screen (the common case: debounce fires on cosmetic churn
 // that dies outside the model's downsampled view) skips re-inference
-// entirely. Eviction is exact FIFO at the configured capacity: a cache that
-// holds as many entries as its caller has distinct screens never evicts.
+// entirely. Eviction is exact FIFO at the configured capacity: a table that
+// holds as many entries as its caller has distinct screens never evicts. A
+// bare Table is not a Detector: its caller keys its own screens (KeyOf,
+// Lookup, Store) and runs its own inference on a miss.
 //
-// One mutex guards everything. Every cache in the tree is driven by a single
+// One mutex guards everything. Every table in the tree is driven by a single
 // goroutine (the fleet's clock, one core.Service, one audit loop), and KeyOf
-// — ~95% of a PredictBatchCtx hit — runs outside the lock, so the critical
-// section is a map lookup and a slice copy. Safe for concurrent use.
-type Cache struct {
-	inner Detector
-
+// — ~95% of a Cache hit — runs outside the lock, so the critical section is
+// a map lookup and a slice copy. Safe for concurrent use.
+type Table struct {
 	mu      sync.Mutex
 	entries map[Key][]metrics.Detection
 	// ring records insertion order for eviction, oldest key at head. Its
@@ -42,65 +41,62 @@ type Cache struct {
 	misses int
 }
 
-// NewCache builds the result table alone, holding up to capacity screens, for
-// a caller that keys its own screens (KeyOf, Lookup, Store) and runs its own
-// inference on a miss; through PredictBatchCtx such a table answers what it
-// holds and refuses the rest. A non-positive capacity means 32.
-func NewCache(capacity int) *Cache {
-	if capacity <= 0 {
-		capacity = 32
-	}
-	return &Cache{
-		inner:   noInner{},
-		entries: make(map[Key][]metrics.Detection, capacity),
-		ring:    make([]Key, capacity),
-	}
+// Cache is a Table in front of a detector, for a caller that holds only
+// floats: PredictBatchCtx keys each item and forwards the misses to inner.
+type Cache struct {
+	Table
+	inner Detector
 }
 
-// WithResultCache puts the table in front of d as a Detector, for a caller
-// that holds only floats: PredictBatchCtx keys each item and forwards the
-// misses to d.
-func WithResultCache(d Detector, capacity int) *Cache {
-	c := NewCache(capacity)
-	c.inner = d
+// NewCache builds a bare result table holding up to capacity screens. A
+// non-positive capacity means 32.
+func NewCache(capacity int) *Table {
+	c := new(Table)
+	c.init(capacity)
 	return c
 }
 
-// noInner stands behind a bare table.
-type noInner struct{}
+func (c *Table) init(capacity int) {
+	if capacity <= 0 {
+		capacity = 32
+	}
+	c.entries = make(map[Key][]metrics.Detection, capacity)
+	c.ring = make([]Key, capacity)
+}
 
-func (noInner) Name() string { return "result-table" }
-
-func (noInner) PredictBatchCtx(context.Context, *tensor.Tensor, float64) ([][]metrics.Detection, error) {
-	return nil, errors.New("detect: result table has no inner detector")
+// WithResultCache puts a table of the given capacity in front of d.
+func WithResultCache(d Detector, capacity int) *Cache {
+	c := &Cache{inner: d}
+	c.init(capacity)
+	return c
 }
 
 // Name reports the inner backend's name.
 func (c *Cache) Name() string { return c.inner.Name() }
 
-// Hits returns how many calls were answered from the cache.
-func (c *Cache) Hits() int {
+// Hits returns how many lookups were answered from the table.
+func (c *Table) Hits() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits
 }
 
-// Misses returns how many calls ran the inner detector.
-func (c *Cache) Misses() int {
+// Misses returns how many lookups the table could not answer.
+func (c *Table) Misses() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.misses
 }
 
-// Len returns the number of cached screens.
-func (c *Cache) Len() int {
+// Len returns the number of stored screens.
+func (c *Table) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
 
 // HitRate returns hits / (hits + misses), or 0 before any lookup.
-func (c *Cache) HitRate() float64 {
+func (c *Table) HitRate() float64 {
 	h, m := c.Hits(), c.Misses()
 	if h+m == 0 {
 		return 0
@@ -168,7 +164,7 @@ func KeyOf(x *tensor.Tensor, n int, confThresh float64) (Key, bool) {
 // Lookup checks one key, counting the hit or miss. On a hit it returns a
 // fresh copy of the memoised slice (the pipeline scales detection boxes in
 // place).
-func (c *Cache) Lookup(key Key) ([]metrics.Detection, bool) {
+func (c *Table) Lookup(key Key) ([]metrics.Detection, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if dets, hit := c.entries[key]; hit {
@@ -182,7 +178,7 @@ func (c *Cache) Lookup(key Key) ([]metrics.Detection, bool) {
 // Store memoises dets under key (copying the slice), evicting the oldest
 // entry when the ring is full. Re-storing a key another call raced in is a
 // no-op.
-func (c *Cache) Store(key Key, dets []metrics.Detection) {
+func (c *Table) Store(key Key, dets []metrics.Detection) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.entries[key]; dup {

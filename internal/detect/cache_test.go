@@ -234,26 +234,23 @@ func TestOneTableOneKey(t *testing.T) {
 }
 
 // TestBareTableHasNoBackend: NewCache is the table alone. Its keyed entry
-// works; its float entry answers what the table holds and refuses a miss (and
-// a malformed batch) with an error, not a nil dereference.
+// works, and it is not a Detector, so it cannot be asked for a screen it
+// would have no backend to run.
 func TestBareTableHasNoBackend(t *testing.T) {
 	c := NewCache(4)
-	ctx := context.Background()
-	x := screen(9)
-	if _, err := c.PredictBatchCtx(ctx, x, 0.45); err == nil {
-		t.Fatal("a miss on a table with no inner detector returned no error")
+	if _, ok := any(c).(Detector); ok {
+		t.Fatal("a bare table satisfies the detector seam")
 	}
-	bad := &tensor.Tensor{Shape: []int{2, 3, yolite.InputH, yolite.InputW}, Data: x.Data}
-	if _, err := c.PredictBatchCtx(ctx, bad, 0.45); err == nil {
-		t.Fatal("a malformed batch on a table with no inner detector returned no error")
+	key, _ := KeyOf(screen(9), 0, 0.45)
+	if _, hit := c.Lookup(key); hit {
+		t.Fatal("an empty table answered a lookup")
 	}
-	key, _ := KeyOf(x, 0, 0.45)
 	c.Store(key, []metrics.Detection{det(9, 0, 8, 8, 0.9)})
-	if got, err := Only(c.PredictBatchCtx(ctx, x, 0.45)); err != nil || len(got) != 1 || got[0].B.X != 9 {
-		t.Fatalf("stored screen through the float entry: dets=%v err=%v", got, err)
+	if got, hit := c.Lookup(key); !hit || len(got) != 1 || got[0].B.X != 9 {
+		t.Fatalf("stored screen: hit=%v dets=%v", hit, got)
 	}
-	if c.Name() == "" {
-		t.Fatal("bare table has no name")
+	if c.Hits() != 1 || c.Misses() != 1 || c.Len() != 1 {
+		t.Fatalf("hits=%d misses=%d len=%d, want 1/1/1", c.Hits(), c.Misses(), c.Len())
 	}
 }
 

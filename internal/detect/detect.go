@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/render"
 	"repro/internal/tensor"
@@ -127,31 +126,4 @@ func PredictCanvasCtx(ctx context.Context, p Detector, c *render.Canvas, sw, sh 
 		dets[i].B = dets[i].B.Scale(sx, sy)
 	}
 	return dets, nil
-}
-
-// DefaultEvalBatch is the batch size EvaluateBatch uses when given a
-// non-positive one.
-const DefaultEvalBatch = 8
-
-// EvaluateBatch is the batched counterpart of yolite.Evaluate: it stacks
-// samples into [batchSize, 3, H, W] tensors and runs each chunk through the
-// seam, so dataset-scale evaluations pay one backbone forward per chunk
-// instead of one per image. Detections are identical to the per-item loop;
-// only the amortisation changes. A failed chunk scores as no detections.
-func EvaluateBatch(p Detector, samples []*dataset.Sample, iouThresh float64, batchSize int) *metrics.Evaluation {
-	if batchSize <= 0 {
-		batchSize = DefaultEvalBatch
-	}
-	eval := metrics.NewEvaluation()
-	for start := 0; start < len(samples); start += batchSize {
-		chunk := samples[start:min(start+batchSize, len(samples))]
-		out, err := p.PredictBatchCtx(context.Background(), yolite.BatchToTensor(chunk), yolite.DefaultConfThresh)
-		if err != nil || len(out) != len(chunk) {
-			out = make([][]metrics.Detection, len(chunk))
-		}
-		for i, dets := range out {
-			eval.AddSample(dets, chunk[i].Boxes, iouThresh)
-		}
-	}
-	return eval
 }

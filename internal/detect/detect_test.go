@@ -2,6 +2,7 @@ package detect
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -243,5 +244,30 @@ func TestPredictCanvasScalesToScreen(t *testing.T) {
 	b := got[0].B
 	if b.X != 40 || b.Y != 80 || b.W != 32 || b.H != 16 {
 		t.Fatalf("scaled box = %+v", b)
+	}
+}
+
+// TestPredictScalesToCanvas checks the scaling contract on a real model, down
+// the path httpd serves: predictions on a 2x canvas are 2x the raw ones.
+func TestPredictScalesToCanvas(t *testing.T) {
+	m := yolite.NewModel(4)
+	small := render.NewCanvas(yolite.InputW, yolite.InputH)
+	small.Fill(small.Bounds(), render.White)
+	big := small.Resize(2*yolite.InputW, 2*yolite.InputH)
+	ctx := context.Background()
+	rawDets, err := PredictCanvasCtx(ctx, m, small, small.W, small.H, 0.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigDets, err := PredictCanvasCtx(ctx, m, big, big.W, big.H, 0.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rawDets) == 0 || len(rawDets) != len(bigDets) {
+		t.Fatalf("detection counts differ: %d vs %d", len(rawDets), len(bigDets))
+	}
+	r, b := rawDets[0].B, bigDets[0].B
+	if math.Abs(b.X-2*r.X) > 1e-6 || math.Abs(b.W-2*r.W) > 1e-6 {
+		t.Fatalf("scaling broken: %v vs %v", r, b)
 	}
 }

@@ -62,22 +62,26 @@ func recallPoint(e *metrics.Evaluation) RecallPoint {
 	}
 }
 
-// evalScreens scores p over attacked screens, invoking observe with each
-// composed screen before predicting — the hook that lets the metadata-reading
-// backend (frauddroid) see the view hierarchy the pixels came from.
+// evalScreens scores p over attacked screens. Pixel backends (observe nil)
+// go through the one batched scorer. A metadata backend (frauddroid) reads
+// the one live view hierarchy and answers batch slot 0 only, the seam's
+// documented exception, so it is scored one screen at a time: observe hands
+// it each composed screen before its pixels are predicted.
 func evalScreens(p detect.Detector, screens []*auigen.Attacked, iouThresh float64, observe func(*uikit.Screen)) *metrics.Evaluation {
+	if observe == nil {
+		return yolite.Evaluate(p, adversary.Samples(screens), iouThresh)
+	}
 	eval := metrics.NewEvaluation()
 	for _, at := range screens {
-		if observe != nil {
-			observe(at.Screen)
-		}
+		observe(at.Screen)
 		eval.AddSample(yolite.PredictInput(p, at.Sample.Input, yolite.DefaultConfThresh), at.Sample.Boxes, iouThresh)
 	}
 	return eval
 }
 
 // RecallUnderAttack scores one backend on matched clean and attacked screen
-// sets at the given IoU threshold.
+// sets at the given IoU threshold; observe is nil for a pixel backend and
+// feeds a metadata backend its live screen (see evalScreens).
 func RecallUnderAttack(name string, p detect.Detector, clean, attacked []*auigen.Attacked, iouThresh float64, observe func(*uikit.Screen)) AttackRow {
 	return AttackRow{
 		Backend:  name,
@@ -251,7 +255,6 @@ func (f AttackSweep) Run(w io.Writer) error {
 func (f AttackSweep) sweep(w io.Writer) (*benchAdversary, error) {
 	cfg := DataConfig()
 	var cur *uikit.Screen
-	observe := func(s *uikit.Screen) { cur = s }
 	bctx := detect.BuildContext{
 		WeightsDir: f.Weights,
 		Samples:    attackPool(cfg),
@@ -299,7 +302,7 @@ func (f AttackSweep) sweep(w io.Writer) (*benchAdversary, error) {
 	// Recall under attack, per backend, on held-out screens.
 	evalSeeds := seedRange(f.Seed+500, f.EvalN)
 	clean, attacked := AttackScreenSets(evalSeeds, res.Best, cfg)
-	rows := []AttackRow{RecallUnderAttack("yolite", yl, clean, attacked, f.IoU, observe)}
+	rows := []AttackRow{RecallUnderAttack("yolite", yl, clean, attacked, f.IoU, nil)}
 	if !f.SkipRCNN {
 		rc, err := detect.Build("mask-rcnn-resnet50", detect.BuildContext{
 			Samples: bctx.Samples, Epochs: 4, Seed: ModelSeed, Logf: f.Logf,
@@ -307,9 +310,9 @@ func (f AttackSweep) sweep(w io.Writer) (*benchAdversary, error) {
 		if err != nil {
 			return nil, fmt.Errorf("building rcnn: %w", err)
 		}
-		rows = append(rows, RecallUnderAttack(rc.Name(), rc, clean, attacked, f.IoU, observe))
+		rows = append(rows, RecallUnderAttack(rc.Name(), rc, clean, attacked, f.IoU, nil))
 	}
-	rows = append(rows, RecallUnderAttack("frauddroid", fd, clean, attacked, f.IoU, observe))
+	rows = append(rows, RecallUnderAttack("frauddroid", fd, clean, attacked, f.IoU, func(s *uikit.Screen) { cur = s }))
 
 	// Harden on the mined corpus plus the clean renders of the same seeds.
 	minedSeeds := make([]int64, 0, len(corpus.Entries))
@@ -344,7 +347,7 @@ func (f AttackSweep) sweep(w io.Writer) (*benchAdversary, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hardening: %w", err)
 	}
-	rows = append(rows, RecallUnderAttack("yolite-hardened", hardened, clean, attacked, f.IoU, observe))
+	rows = append(rows, RecallUnderAttack("yolite-hardened", hardened, clean, attacked, f.IoU, nil))
 
 	fmt.Fprintln(w, AttackTable(rows, f.IoU).Format())
 

@@ -3,7 +3,7 @@
 // state, no goroutine: its a11y-event arrivals, debounce timers, AUI dwell
 // times and analysis completions are heap events on one virtual clock. A
 // screen is identified once: the library keys each screen when it renders it,
-// and an analysis asks the run's one detect.Cache (and the leaders already in
+// and an analysis asks the run's one detect.Table (and the leaders already in
 // flight) by that key before anything else. Real goroutines are spent only
 // where real work happens: a bounded worker pool carries each screen the table
 // has not seen through the serve stack (admission → scheduler → replicas), and
@@ -204,7 +204,7 @@ type runner struct {
 	tenantCtx []context.Context
 	// The run's one result table and the leaders in the stack, by screen:
 	// nil under cfg.Plan, touched only from the clock goroutine.
-	cache    *detect.Cache
+	cache    *detect.Table
 	inflight map[detect.Key]*analysis
 	submit   chan *analysis // leaders, to the worker pool
 	wg       sync.WaitGroup

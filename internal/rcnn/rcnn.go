@@ -179,13 +179,6 @@ func lumaOf(c *render.Canvas) []float32 {
 	return out
 }
 
-// Predict runs the two-stage pipeline on a model-input-sized canvas with no
-// deadline.
-func (m *Model) Predict(c *render.Canvas, confThresh float64) []metrics.Detection {
-	dets, _ := m.predict(context.Background(), c, confThresh)
-	return dets
-}
-
 // predict is the two-stage pipeline with a cooperative cancellation
 // checkpoint between proposal crops — the natural granularity of a two-stage
 // detector, where each proposal costs a full (small) backbone forward. On

@@ -1,6 +1,7 @@
 package rcnn
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -157,8 +158,12 @@ func TestTrainingImprovesDetection(t *testing.T) {
 func TestPredictTensorRoundTrip(t *testing.T) {
 	samples := auigen.BuildAUISamples(6, 2, auigen.DatasetConfig{})
 	m := New(Variants[0], 1)
-	// Contract: the seam on the canvas's tensor equals Predict on the canvas.
-	a := m.Predict(samples[0].Input, 0.5)
+	// Contract: the seam on the canvas's tensor equals the two-stage pipeline
+	// on the canvas.
+	a, err := m.predict(context.Background(), samples[0].Input, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b := yolite.PredictInput(m, samples[0].Input, 0.5)
 	if len(a) != len(b) {
 		t.Fatalf("canvas/tensor predictions differ: %d vs %d", len(a), len(b))

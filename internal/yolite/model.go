@@ -400,26 +400,15 @@ func decodeItem(x, upo, ago *tensor.Tensor, n int, confThresh float64, refine bo
 
 // PredictInput runs any backend on one screenshot canvas (resampled to the
 // model input) with no deadline and returns its detections in
-// input-resolution coordinates — the evaluation loops' single call. A failed
-// call reads as no detections, which is how an evaluation should score it.
+// input-resolution coordinates: the one-screen call of the adversary's
+// confidence probe and of the Table V latency measurement. A failed call
+// reads as no detections, which is how a probe should score it.
 func PredictInput(p Predictor, c *render.Canvas, confThresh float64) []metrics.Detection {
 	out, err := p.PredictBatchCtx(context.Background(), CanvasToTensor(c), confThresh)
 	if err != nil || len(out) != 1 {
 		return nil
 	}
 	return out[0]
-}
-
-// Predict runs inference on a screenshot canvas (any resolution) and returns
-// detections scaled back to the canvas's coordinate system.
-func (m *Model) Predict(c *render.Canvas, confThresh float64) []metrics.Detection {
-	dets := PredictInput(m, c, confThresh)
-	sx := float64(c.W) / float64(InputW)
-	sy := float64(c.H) / float64(InputH)
-	for i := range dets {
-		dets[i].B = dets[i].B.Scale(sx, sy)
-	}
-	return dets
 }
 
 // DefaultConfThresh is the objectness threshold used throughout the

@@ -288,12 +288,26 @@ type Predictor interface {
 	PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error)
 }
 
-// Evaluate runs a detector over samples and returns per-class counts at the
-// given IoU threshold.
+// evalChunk is how many screens Evaluate stacks into one forward.
+const evalChunk = 8
+
+// Evaluate scores a detector on a labelled split: per-class counts at the
+// given IoU threshold and DefaultConfThresh. It is the one scoring loop every
+// pixel backend goes through. Samples run through the seam in stacked chunks
+// of evalChunk, so a split pays one backbone forward per chunk; the seam's
+// answers do not depend on batch company, so the counts are the per-screen
+// ones. A failed chunk scores as no detections.
 func Evaluate(m Predictor, samples []*dataset.Sample, iouThresh float64) *metrics.Evaluation {
 	eval := metrics.NewEvaluation()
-	for _, s := range samples {
-		eval.AddSample(PredictInput(m, s.Input, DefaultConfThresh), s.Boxes, iouThresh)
+	for start := 0; start < len(samples); start += evalChunk {
+		chunk := samples[start:min(start+evalChunk, len(samples))]
+		out, err := m.PredictBatchCtx(context.Background(), BatchToTensor(chunk), DefaultConfThresh)
+		if err != nil || len(out) != len(chunk) {
+			out = make([][]metrics.Detection, len(chunk))
+		}
+		for i, dets := range out {
+			eval.AddSample(dets, chunk[i].Boxes, iouThresh)
+		}
 	}
 	return eval
 }

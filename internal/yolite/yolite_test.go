@@ -303,24 +303,6 @@ func TestTrainingLearns(t *testing.T) {
 	}
 }
 
-func TestPredictScalesToCanvas(t *testing.T) {
-	// A model with known head output is hard to build; instead check the
-	// scaling contract: predictions on a 2x canvas are 2x the raw ones.
-	m := NewModel(4)
-	small := render.NewCanvas(InputW, InputH)
-	small.Fill(small.Bounds(), render.White)
-	big := small.Resize(2*InputW, 2*InputH)
-	rawDets := m.Predict(small, 0.0)
-	bigDets := m.Predict(big, 0.0)
-	if len(rawDets) == 0 || len(rawDets) != len(bigDets) {
-		t.Fatalf("detection counts differ: %d vs %d", len(rawDets), len(bigDets))
-	}
-	r, b := rawDets[0].B, bigDets[0].B
-	if math.Abs(b.X-2*r.X) > 1e-6 || math.Abs(b.W-2*r.W) > 1e-6 {
-		t.Fatalf("scaling broken: %v vs %v", r, b)
-	}
-}
-
 // TestForwardPooledAllocsFlat pins the steady-state allocation count of the
 // pooled float forward at zero on a flat screen — a light background with a
 // dark rectangle — where most columns repeat: activations, the labels each
