@@ -20,7 +20,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/experiments"
-	"repro/internal/frauddroid"
 	"repro/internal/yolite"
 )
 
@@ -77,6 +76,12 @@ func main() {
 		return
 	}
 
+	// The test split is pixels and labels only: a backend that reads the live
+	// view hierarchy would score a row of zeros. Refused by name, before
+	// NewEnv generates a dataset it could not use.
+	if *detector == "frauddroid" {
+		log.Fatalf("%s reads view metadata, which the test split does not carry; -attack scores it on live screens", *detector)
+	}
 	opts := []experiments.EnvOption{
 		experiments.WithWeightsDir(*weights),
 		experiments.WithLogf(log.Printf),
@@ -91,11 +96,6 @@ func main() {
 		d, err := env.Detector(*detector)
 		if err != nil {
 			log.Fatal(err)
-		}
-		// The test split is pixels and labels only: a backend that reads the
-		// live view hierarchy would score a row of zeros here.
-		if _, meta := d.(*frauddroid.ViewAdapter); meta {
-			log.Fatalf("%s reads view metadata, which the test split does not carry; -attack scores it on live screens", d.Name())
 		}
 		eval := yolite.Evaluate(d, env.Split().Test, *iou)
 		for _, cls := range []dataset.Class{dataset.ClassUPO, dataset.ClassAGO} {

@@ -116,15 +116,6 @@ func main() {
 		return
 	}
 
-	svcCfg := core.Config{AutoBypass: *bypass, Deadline: *deadline}
-	if plan != nil {
-		// Chaos mode: faults hit the primary backend; the service retries it,
-		// then falls back to the metadata heuristic reading the same screen.
-		svcCfg.RetryAttempts = 3
-		svcCfg.Fallbacks = []detect.Detector{&frauddroid.ViewAdapter{
-			Screen: func() *uikit.Screen { return h.Screen },
-		}}
-	}
 	h = fleet.NewHandset(fleet.HandsetConfig{
 		Seed: 42,
 		App: app.Config{
@@ -132,18 +123,27 @@ func main() {
 			MeanAUIInterval: 10 * time.Second,
 			Obfuscate:       *obfuscate,
 		},
-		Service: svcCfg,
+		Service: core.Config{AutoBypass: *bypass, Deadline: *deadline},
 	})
 	model, err := detect.Build(*detector, bctx)
 	if err != nil {
 		log.Fatal(err)
 	}
-	svcModel := model
+	var (
+		retrier *detect.Retrier
+		chain   *detect.FallbackChain
+	)
 	if plan != nil {
-		svcModel = faults.WrapStage(model, plan, "backend")
+		// Chaos mode: faults hit the primary backend, which is retried, then
+		// falls back to the metadata heuristic reading the same screen.
+		retrier = detect.WithRetry(faults.WrapStage(model, plan, "backend"), 3)
+		chain = detect.WithFallback(retrier, &frauddroid.ViewAdapter{
+			Screen: func() *uikit.Screen { return h.Screen },
+		})
+		model = chain
 	}
 	shotIdx := 0
-	svc := h.Start(svcModel)
+	svc := h.Start(model)
 	svc.OnAnalysis = func(an core.Analysis) {
 		if len(an.Detections) == 0 {
 			return
@@ -191,9 +191,14 @@ func main() {
 	fmt.Printf("screenshot buffers rinsed:   %d\n", st.Rinses)
 	if plan != nil {
 		fmt.Printf("degraded (no detector):      %d\n", st.Degraded)
-		fmt.Printf("detector retries:            %d\n", st.Retried)
-		fmt.Printf("fallback served:             %d\n", st.FellBack)
-		fmt.Printf("circuit-breaker trips:       %d\n", st.BreakerTrips)
+		cs := chain.Stats()
+		trips := 0
+		for _, b := range cs.Backends {
+			trips += b.Tripped
+		}
+		fmt.Printf("detector retries:            %d\n", retrier.Stats().Retries)
+		fmt.Printf("fallback served:             %d\n", cs.FellBack)
+		fmt.Printf("circuit-breaker trips:       %d\n", trips)
 		fmt.Printf("faults injected:             %s\n", plan)
 		printServedRate(st)
 	}

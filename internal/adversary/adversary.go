@@ -64,8 +64,6 @@ type Config struct {
 	// Screens are the generation seeds of the base screens the objective
 	// averages over. Required.
 	Screens []int64
-	// Step scales mutations as a fraction of each knob's range (default 0.35).
-	Step float64
 	// Data configures rendering.
 	Data auigen.DatasetConfig
 	// Detector is the attacked backend, used by the default objective.
@@ -93,13 +91,6 @@ func (c Config) iterations() int {
 		return 40
 	}
 	return c.Iterations
-}
-
-func (c Config) step() float64 {
-	if c.Step == 0 {
-		return 0.35
-	}
-	return c.Step
 }
 
 func (c Config) probeThresh() float64 {
@@ -205,7 +196,7 @@ func Search(cfg Config) *Result {
 		cur, curConf := auigen.Knobs{}, clean
 		traj := Trajectory{Restart: r}
 		for it := 0; it < cfg.iterations(); it++ {
-			cand := mutate(cur, &stream, cfg.step())
+			cand := mutate(cur, &stream)
 			conf, ok := score(cand.Knobs)
 			accepted := ok && conf < curConf
 			recorded := conf
@@ -236,15 +227,18 @@ func Search(cfg Config) *Result {
 // mutation metadata has somewhere to live).
 type candidate struct{ Knobs auigen.Knobs }
 
-// mutate perturbs 1-2 distinct knobs by a uniform step scaled to each knob's
-// range, then clamps back into the valid box.
-func mutate(k auigen.Knobs, stream *rng, step float64) candidate {
+// mutateStep scales one mutation as a fraction of each knob's range.
+const mutateStep = 0.35
+
+// mutate perturbs 1-2 distinct knobs by a uniform step of up to mutateStep of
+// each knob's range, then clamps back into the valid box.
+func mutate(k auigen.Knobs, stream *rng) candidate {
 	v := k.Vec()
 	n := 1 + stream.Intn(2)
 	for m := 0; m < n; m++ {
 		i := stream.Intn(auigen.NumKnobs)
 		lo, hi := auigen.KnobRange(i)
-		v[i] += (stream.Float64()*2 - 1) * step * (hi - lo)
+		v[i] += (stream.Float64()*2 - 1) * mutateStep * (hi - lo)
 	}
 	return candidate{Knobs: auigen.KnobsFromVec(v).Clamp()}
 }

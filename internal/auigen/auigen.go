@@ -28,17 +28,6 @@ import (
 
 // Config tunes the generator. The zero value is the calibrated default.
 type Config struct {
-	// UPOTransparentProb is the probability that a UPO has no background
-	// fill — the hard cases behind most of the paper's false negatives.
-	// Zero means the calibrated default (0.10).
-	UPOTransparentProb float64
-	// AGOPresentProb is the probability an AUI has a discrete AGO button
-	// (otherwise the whole background is the app-guided surface and no AGO
-	// box is labelled). Zero means the default 744/1072.
-	AGOPresentProb float64
-	// SecondUPOProb is the probability of a second UPO. Zero means the
-	// default calibrated to Table II's 1,103 UPOs on 1,072 screenshots.
-	SecondUPOProb float64
 	// ObfuscateIDs replaces semantic resource ids with meaningless tokens,
 	// the app-hardening that defeats the FraudDroid-like baseline.
 	ObfuscateIDs bool
@@ -47,26 +36,19 @@ type Config struct {
 	CJK bool
 }
 
-func (c Config) upoTransparentProb() float64 {
-	if c.UPOTransparentProb == 0 {
-		return 0.10
-	}
-	return c.UPOTransparentProb
-}
-
-func (c Config) agoPresentProb() float64 {
-	if c.AGOPresentProb == 0 {
-		return 744.0 / 1072.0
-	}
-	return c.AGOPresentProb
-}
-
-func (c Config) secondUPOProb() float64 {
-	if c.SecondUPOProb == 0 {
-		return (1103.0 - 1072.0) / 1072.0
-	}
-	return c.SecondUPOProb
-}
+// The generator's calibrated draw probabilities.
+const (
+	// upoTransparentProb is the probability that a UPO has no background
+	// fill — the hard cases behind most of the paper's false negatives.
+	upoTransparentProb = 0.10
+	// agoPresentProb is the probability an AUI has a discrete AGO button
+	// (otherwise the whole background is the app-guided surface and no AGO
+	// box is labelled): Table II's 744 AGOs on 1,072 screenshots.
+	agoPresentProb = 744.0 / 1072.0
+	// secondUPOProb is the probability of a second UPO, calibrated to
+	// Table II's 1,103 UPOs on 1,072 screenshots.
+	secondUPOProb = (1103.0 - 1072.0) / 1072.0
+)
 
 // AUI is one generated asymmetric dark UI: a view tree plus ground truth.
 type AUI struct {
@@ -218,7 +200,7 @@ func (g *Generator) upoView(w, h int, corner, darkBG bool) (*uikit.View, geom.Re
 	// The hard subset — transparent or heavily faded UPOs — reproduces the
 	// paper's dominant false-negative cause; the rest are small but clearly
 	// visible, like real close buttons.
-	hard := g.rng.Float64() < g.cfg.upoTransparentProb()
+	hard := g.rng.Float64() < upoTransparentProb
 	if hard {
 		v.Alpha = 0.3 + g.rng.Float64()*0.25
 	} else {

@@ -54,7 +54,7 @@ func (g *Generator) addUPO(a *AUI, root *uikit.View, w, h int, corner, darkBG bo
 // has a discrete one) and records its label. It returns whether a button was
 // added.
 func (g *Generator) addAGO(a *AUI, root *uikit.View, w, h int, label string) bool {
-	if g.rng.Float64() >= g.cfg.agoPresentProb() {
+	if g.rng.Float64() >= agoPresentProb {
 		// No discrete AGO: the whole background is the app-guided surface.
 		root.Clickable = true
 		if root.ID == "" {
@@ -99,7 +99,7 @@ func (g *Generator) buildAdvertisement(w, h int) *AUI {
 	// ~78% corner UPOs among ads keeps the global corner rate near 73.1%
 	// once the dialog subjects (inline UPOs) are mixed in.
 	g.addUPO(a, root, w, h, g.rng.Float64() < 0.78, false)
-	if g.rng.Float64() < g.cfg.secondUPOProb() {
+	if g.rng.Float64() < secondUPOProb {
 		g.addUPO(a, root, w, h, true, false)
 	}
 	a.Root = root
@@ -134,7 +134,7 @@ func (g *Generator) buildPromotion(w, h int) *AUI {
 	card.Add(head)
 	a.TextRects = append(a.TextRects, textRectOf(head, head.Bounds.Translate(cardR.X, cardR.Y)))
 	// AGO inside the card, recorded in content coordinates.
-	if g.rng.Float64() < g.cfg.agoPresentProb() {
+	if g.rng.Float64() < agoPresentProb {
 		bw := even(int(float64(cw) * (0.62 + g.rng.Float64()*0.16)))
 		bh := even(int(float64(ch) * (0.13 + g.rng.Float64()*0.07)))
 		br := geom.Rect{X: even((cw - bw) / 2), Y: even(ch - bh - ch/8), W: bw, H: bh}
@@ -161,7 +161,7 @@ func (g *Generator) buildPromotion(w, h int) *AUI {
 	upo := &uikit.View{ID: g.id("promo_close"), Kind: uikit.KindIcon, Bounds: ur,
 		Cross: true, CrossColor: render.RGB(55, 55, 55), Clickable: true,
 		Alpha: 0.8 + g.rng.Float64()*0.2}
-	if g.rng.Float64() >= g.cfg.upoTransparentProb() {
+	if g.rng.Float64() >= upoTransparentProb {
 		upo.Color = render.RGB(233, 233, 233).WithAlpha(uint8(200 + g.rng.Intn(55)))
 		upo.Corner = size / 2
 	} else {
@@ -188,7 +188,7 @@ func (g *Generator) buildLuckyMoney(w, h int) *AUI {
 	card.Add(head)
 	a.TextRects = append(a.TextRects, textRectOf(head, head.Bounds.Translate(cardR.X, cardR.Y)))
 	// Golden "open" disc: the AGO.
-	if g.rng.Float64() < g.cfg.agoPresentProb() {
+	if g.rng.Float64() < agoPresentProb {
 		d := even(int(float64(cw) * (0.30 + g.rng.Float64()*0.12)))
 		br := geom.Rect{X: even((cw - d) / 2), Y: even(ch/2 - d/4), W: d, H: d}
 		btn := &uikit.View{ID: g.id("packet_open"), Kind: uikit.KindButton, Bounds: br,
@@ -236,7 +236,7 @@ func (g *Generator) buildUpgrade(w, h int) *AUI {
 	upo := &uikit.View{ID: g.id("btn_later"), Kind: uikit.KindText, Bounds: ur,
 		Text: g.label(skipLabels), TextScale: 1, TextColor: render.Gray,
 		Clickable: true, Alpha: 0.5 + g.rng.Float64()*0.5}
-	if g.rng.Float64() >= g.cfg.upoTransparentProb() {
+	if g.rng.Float64() >= upoTransparentProb {
 		upo.Color = render.RGB(182, 186, 190).WithAlpha(uint8(220 + g.rng.Intn(36)))
 		upo.Corner = 3
 	}
@@ -324,7 +324,7 @@ func (g *Generator) buildPermission(w, h int) *AUI {
 	upo := &uikit.View{ID: g.id("btn_deny"), Kind: uikit.KindText, Bounds: ur,
 		Text: "DENY", TextScale: 1, TextColor: render.Gray, Clickable: true,
 		Alpha: 0.45 + g.rng.Float64()*0.5}
-	if g.rng.Float64() >= g.cfg.upoTransparentProb() {
+	if g.rng.Float64() >= upoTransparentProb {
 		upo.Color = render.RGB(182, 186, 190).WithAlpha(uint8(220 + g.rng.Intn(36)))
 		upo.Corner = 3
 	}

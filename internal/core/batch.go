@@ -32,7 +32,7 @@ func AuditScreensCtx(ctx context.Context, p detect.Detector, shots []*render.Can
 	for start := 0; start < len(shots); start += batchSize {
 		chunk := shots[start:min(start+batchSize, len(shots))]
 		x := yolite.CanvasesToTensor(chunk)
-		res, err := detect.Guarded(ctx, p, x, confThresh, nil)
+		res, err := detect.Guarded(ctx, p, x, confThresh)
 		if err != nil {
 			return out, err
 		}

@@ -75,6 +75,8 @@ func TestChaosFleetSurvives(t *testing.T) {
 	)
 
 	stats := make([]Stats, devices)
+	retried := make([]int, devices)
+	fallbacks := make([]detect.FallbackStats, devices)
 	var wg sync.WaitGroup
 	for d := 0; d < devices; d++ {
 		wg.Add(1)
@@ -89,23 +91,23 @@ func TestChaosFleetSurvives(t *testing.T) {
 				GenSeed:         int64(100 + d),
 			})
 			monkey := app.StartMonkey(clock, mgr, "monkey", 2*time.Second)
-			svc := Start(clock, mgr, shared, Config{
-				RetryAttempts: 3,
-				Fallbacks: []detect.Detector{
-					faults.WrapStage(&chaosStub{name: "fallback"}, plan, "fallback"),
-				},
-			})
+			retrier := detect.WithRetry(shared, 3)
+			chain := detect.WithFallback(retrier, faults.WrapStage(&chaosStub{name: "fallback"}, plan, "fallback"))
+			svc := Start(clock, mgr, chain, Config{})
 			clock.RunUntil(2 * time.Minute)
 			monkey.Stop()
 			svc.Stop()
 			a.Stop()
 			stats[d] = svc.Stats()
+			retried[d] = retrier.Stats().Retries
+			fallbacks[d] = chain.Stats()
 		}(d)
 	}
 	wg.Wait()
 	shared.Close()
 
 	var agg Stats
+	var retries, fellBack, trips int
 	for d, st := range stats {
 		captured := st.Stages[StageCapture].Runs
 		acted := st.Stages[StageAct].Runs
@@ -119,9 +121,11 @@ func TestChaosFleetSurvives(t *testing.T) {
 		agg.Superseded += st.Superseded
 		agg.TimedOut += st.TimedOut
 		agg.Degraded += st.Degraded
-		agg.Retried += st.Retried
-		agg.FellBack += st.FellBack
-		agg.BreakerTrips += st.BreakerTrips
+		retries += retried[d]
+		fellBack += fallbacks[d].FellBack
+		for _, b := range fallbacks[d].Backends {
+			trips += b.Tripped
+		}
 		for i := range agg.Stages {
 			agg.Stages[i].Runs += st.Stages[i].Runs
 		}
@@ -130,15 +134,15 @@ func TestChaosFleetSurvives(t *testing.T) {
 	if plan.TotalInjected() == 0 {
 		t.Fatal("no faults were injected; the chaos scenario is vacuous")
 	}
-	if agg.Retried == 0 {
+	if retries == 0 {
 		t.Error("no retries recorded under a 30% error rate")
 	}
 	// A breaker opens on five consecutive failures of one chain member. Retry
 	// leaves the primary failing ~5% of calls, so five in a row is well under
 	// a one-in-a-million event, and the fallback only runs on those: a trip
 	// here means the chain charged a retried-away failure to a member.
-	if agg.BreakerTrips != 0 {
-		t.Errorf("%d breaker trips with retry absorbing the error rate, want 0", agg.BreakerTrips)
+	if trips != 0 {
+		t.Errorf("%d breaker trips with retry absorbing the error rate, want 0", trips)
 	}
 	served := agg.Stages[StageAct].Runs
 	eligible := served + agg.Degraded
@@ -150,7 +154,7 @@ func TestChaosFleetSurvives(t *testing.T) {
 			100*frac, eligible, agg.Degraded)
 	}
 	t.Logf("chaos fleet: %s; %d/%d screens served, %d retries, %d fallback-served, %d degraded",
-		plan, served, eligible, agg.Retried, agg.FellBack, agg.Degraded)
+		plan, served, eligible, retries, fellBack, agg.Degraded)
 
 	// Leak check: everything is stopped, so the goroutine count must settle
 	// back to (at most) where it started, give or take runtime housekeeping.
@@ -166,5 +170,30 @@ func TestChaosFleetSurvives(t *testing.T) {
 				baseGoroutines, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestCorruptBackendDegradesEveryCycle: a service composed with no wrappers
+// over a backend whose every answer carries a NaN box must still hold the
+// answer to the seam's contract — every cycle that reaches infer degrades,
+// and nothing is flagged or drawn.
+func TestCorruptBackendDegradesEveryCycle(t *testing.T) {
+	plan := faults.NewPlan(1, faults.Rule{Stage: "backend", Kind: faults.Corrupt, Rate: 1})
+	clock := sim.NewClock(42)
+	mgr := a11y.NewManager(clock, uikit.NewScreen(384, 640))
+	a := app.Launch(clock, mgr, app.Config{Package: "com.chaos.corrupt", MeanAUIInterval: 5 * time.Second, GenSeed: 3})
+	monkey := app.StartMonkey(clock, mgr, "monkey", 2*time.Second)
+	svc := Start(clock, mgr, faults.WrapStage(&chaosStub{name: "primary"}, plan, "backend"), Config{})
+	clock.RunUntil(time.Minute)
+	monkey.Stop()
+	svc.Stop()
+	a.Stop()
+	st := svc.Stats()
+	inferred := st.Stages[StageInfer].Runs
+	if inferred == 0 || plan.Injected(faults.Corrupt) != inferred {
+		t.Fatalf("%d cycles reached infer, %s: want every one corrupted", inferred, plan)
+	}
+	if st.Degraded != inferred || st.Analyses != 0 || st.AUIFlagged != 0 || st.DecorationsDrawn != 0 {
+		t.Fatalf("stats = %+v: want all %d inferred cycles degraded and nothing flagged or drawn", st, inferred)
 	}
 }

@@ -80,16 +80,6 @@ type Config struct {
 	// Stats.TimedOut, and the act stage (decoration, observers, bypass) is
 	// skipped. Zero means no deadline.
 	Deadline time.Duration
-	// RetryAttempts, when > 1, wraps the detector in detect.WithRetry with
-	// that attempt bound, so transient backend failures (errors, panics,
-	// corrupt results) are retried with backoff before the cycle degrades.
-	RetryAttempts int
-	// Fallbacks, when non-empty, chains the (possibly retried) detector
-	// with these backends via detect.WithFallback: when the primary errors,
-	// panics, or circuit-breaks, the cycle is served by the first healthy
-	// fallback instead of degrading — e.g. quant → yolite → the frauddroid
-	// view heuristic.
-	Fallbacks []detect.Detector
 }
 
 func (c Config) cutoff() time.Duration {
@@ -150,19 +140,11 @@ type Stats struct {
 	// TimedOut counts in-flight analyses aborted by Config.Deadline.
 	TimedOut int
 	// Degraded counts analyses abandoned because the detector failed
-	// (error, panic, or corrupt result that survived retry and fallback):
-	// the cycle skips decoration instead of crashing the service — the
-	// screen simply goes unprotected, which is the graceful floor.
+	// (error, panic, or corrupt result that survived whatever retry and
+	// fallback the caller wrapped it in): the cycle skips decoration instead
+	// of crashing the service — the screen simply goes unprotected, which is
+	// the graceful floor.
 	Degraded int
-	// Retried counts extra inference attempts made by Config.RetryAttempts
-	// beyond each call's first.
-	Retried int
-	// FellBack counts inference calls served by a Config.Fallbacks backend
-	// rather than the primary detector.
-	FellBack int
-	// BreakerTrips counts how many times a Config.Fallbacks chain member's
-	// circuit breaker opened, summed over the chain.
-	BreakerTrips int
 	// AUIFlagged counts analyses that detected at least one option.
 	AUIFlagged int
 	// DecorationsDrawn counts decoration views added.
@@ -205,12 +187,6 @@ type Service struct {
 	detector detect.Detector
 	timings  *perfmodel.Timings
 
-	// retrier/chain are the resilience wrappers installed by
-	// Config.RetryAttempts / Config.Fallbacks, kept so Stats can surface
-	// their counters; nil when the config does not ask for them.
-	retrier *detect.Retrier
-	chain   *detect.FallbackChain
-
 	mu          sync.Mutex
 	pending     *sim.Event
 	lastPkg     string
@@ -233,50 +209,24 @@ type Service struct {
 
 // Start registers DARPA on the accessibility manager and returns the
 // running service. detector is the ported on-device model (or any
-// detect.Detector, typically built via detect.Build).
+// detect.Detector, typically built via detect.Build). A caller that wants a
+// result cache, retry or a fallback chain composes detect's wrappers around
+// the detector before Start and reads their counts from their own Stats.
 func Start(clock *sim.Clock, mgr *a11y.Manager, detector detect.Detector, cfg Config) *Service {
 	if detector == nil && cfg.mode() != ModeMonitor {
 		panic("core: Start requires a detector unless running monitor-only")
 	}
-	s := &Service{cfg: cfg, clock: clock, mgr: mgr, timings: &perfmodel.Timings{}}
-	// Resilience stack, inside out: retry hugs the primary backend (its
-	// transient failures are worth re-attempting), the fallback chain sits
-	// above it (only a retry-exhausted primary falls through to the next
-	// backend). A caller that wants a result cache wraps its detector in
-	// detect.WithResultCache before Start.
-	if detector != nil && cfg.RetryAttempts > 1 {
-		s.retrier = detect.WithRetry(detector, cfg.RetryAttempts)
-		detector = s.retrier
-	}
-	if detector != nil && len(cfg.Fallbacks) > 0 {
-		s.chain = detect.WithFallback(append([]detect.Detector{detector}, cfg.Fallbacks...)...)
-		detector = s.chain
-	}
-	s.detector = detector
+	s := &Service{cfg: cfg, clock: clock, mgr: mgr, detector: detector, timings: &perfmodel.Timings{}}
 	// Event registration (Fig. 5 step 1): all 23 event types.
 	mgr.Register(a11y.TypeAllMask, cfg.NotificationDelay, s.onEvent)
 	return s
 }
 
-// Stats returns a snapshot of the counters. Retried, FellBack and
-// BreakerTrips are read live from the resilience wrappers (they own those
-// counts), so the snapshot is consistent with their Stats() at the moment
-// of the call.
+// Stats returns a snapshot of the counters.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
-	st := s.stats
-	s.mu.Unlock()
-	if s.retrier != nil {
-		st.Retried = s.retrier.Stats().Retries
-	}
-	if s.chain != nil {
-		cs := s.chain.Stats()
-		st.FellBack = cs.FellBack
-		for _, b := range cs.Backends {
-			st.BreakerTrips += b.Tripped
-		}
-	}
-	return st
+	defer s.mu.Unlock()
+	return s.stats
 }
 
 // Timings returns the per-stage latency recorder. The recorder is live;
@@ -389,9 +339,9 @@ func (s *Service) abandon(err error) {
 
 // degrade accounts one cycle whose detector failed outright (an error,
 // panic, or corrupt result that survived whatever retry and fallback the
-// config installed). Degraded mode is the graceful floor of the service:
-// the cycle skips decoration — the screen goes unprotected this once —
-// instead of crashing, and the failure is counted in Stats.Degraded.
+// caller composed around it). Degraded mode is the graceful floor of the
+// service: the cycle skips decoration — the screen goes unprotected this
+// once — instead of crashing, and the failure is counted in Stats.Degraded.
 func (s *Service) degrade() {
 	s.mu.Lock()
 	s.stats.Degraded++

@@ -135,13 +135,13 @@ func (s *Service) preprocess(c CaptureResult) PreprocessResult {
 // infer runs the detector backend on the prepared tensor under the cycle's
 // context: a supersession or deadline expiry aborts the forward within
 // roughly one conv layer and surfaces as ctx.Err(). The stage is also the
-// service's panic boundary (detect.Guarded) — a detector that panics on one
-// bad screen surfaces as an inference error (degrading that cycle) instead of
-// unwinding the clock goroutine and killing every device the simulation
-// runs.
+// service's panic and validation boundary (detect.Guarded) — a detector that
+// panics on one bad screen, or answers it with a NaN or negative-size box,
+// surfaces as an inference error (degrading that cycle) instead of unwinding
+// the clock goroutine or drawing an overlay nowhere.
 func (s *Service) infer(ctx context.Context, p PreprocessResult) (InferResult, error) {
 	defer s.stageStart(StageInfer)()
-	dets, err := detect.Only(detect.Guarded(ctx, s.detector, p.X, s.cfg.confThresh(), nil))
+	dets, err := detect.Only(detect.Guarded(ctx, s.detector, p.X, s.cfg.confThresh()))
 	if err != nil {
 		return InferResult{}, err
 	}

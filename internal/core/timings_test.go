@@ -204,16 +204,19 @@ func TestTimingsHoldOnlyDurations(t *testing.T) {
 	mgr := a11y.NewManager(clock, uikit.NewScreen(384, 640))
 	a := app.Launch(clock, mgr, app.Config{Package: "com.chaos.timings", MeanAUIInterval: 5 * time.Second, GenSeed: 9})
 	monkey := app.StartMonkey(clock, mgr, "monkey", 2*time.Second)
-	svc := Start(clock, mgr, faults.WrapStage(&chaosStub{name: "primary"}, plan, "backend"), Config{
-		RetryAttempts: 3,
-		Fallbacks:     []detect.Detector{faults.WrapStage(&chaosStub{name: "fallback"}, plan, "fallback")},
-	})
+	retrier := detect.WithRetry(faults.WrapStage(&chaosStub{name: "primary"}, plan, "backend"), 3)
+	chain := detect.WithFallback(retrier, faults.WrapStage(&chaosStub{name: "fallback"}, plan, "fallback"))
+	svc := Start(clock, mgr, chain, Config{})
 	clock.RunUntil(time.Minute)
 	monkey.Stop()
 	svc.Stop()
 	a.Stop()
-	if cs := svc.Stats(); cs.Retried == 0 || cs.FellBack == 0 || cs.Degraded == 0 || cs.BreakerTrips == 0 {
-		t.Fatalf("handset stats = %+v, want retries, fallbacks, degraded cycles and a breaker trip", cs)
+	rs, fs, trips := retrier.Stats(), chain.Stats(), 0
+	for _, b := range fs.Backends {
+		trips += b.Tripped
+	}
+	if cs := svc.Stats(); rs.Retries == 0 || fs.FellBack == 0 || cs.Degraded == 0 || trips == 0 {
+		t.Fatalf("handset stats = %+v, retries %d, fallbacks %+v: want retries, fallbacks, degraded cycles and a breaker trip", cs, rs.Retries, fs)
 	}
 	for _, name := range svc.Timings().Stages() {
 		if !slices.Contains(stageNames[:], name) {

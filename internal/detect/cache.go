@@ -215,10 +215,11 @@ type cacheMiss struct {
 // backend), so Hits()+Misses() is the number of items looked up. An
 // already-dead context is rejected before even hashing the pixels; a hit is
 // answered immediately (hits cost microseconds — not worth a cancellation
-// point). A failed inner call propagates its error and stores nothing, so
-// aborted partial results never poison the memo (misses already counted stay
-// counted — the lookup did happen). The bookkeeping is allocated on the first
-// miss, so a batch of hits pays for the result slices and nothing else.
+// point). The misses reach inner through Guarded; a failed, misaligned or
+// corrupt answer propagates its error and stores nothing, so no bad answer
+// ever poisons the memo (misses already counted stay counted — the lookup
+// did happen). The bookkeeping is allocated on the first miss, so a batch of
+// hits pays for the result slices and nothing else.
 func (c *Cache) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -231,7 +232,7 @@ func (c *Cache) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThres
 	if !ok {
 		// Malformed batch (the shape claims more pixels than the data
 		// holds): bypass the cache entirely.
-		return c.inner.PredictBatchCtx(ctx, x, confThresh)
+		return Guarded(ctx, c.inner, x, confThresh)
 	}
 	out := make([][]metrics.Detection, n)
 	var misses []cacheMiss // sub-batch row j carries item misses[j].item
@@ -263,16 +264,13 @@ scan:
 			copy(sub.Data[j*per:(j+1)*per], x.Data[m.item*per:(m.item+1)*per])
 		}
 	}
-	res, err := c.inner.PredictBatchCtx(ctx, sub, confThresh)
+	// Guarded holds the mapping invariant (res[j] belongs to misses[j]), the
+	// whole correctness of miss compaction: a short or long answer is refused,
+	// not mapped back, and so is a corrupt one — the memo stores only answers
+	// that passed the seam's check.
+	res, err := Guarded(ctx, c.inner, sub, confThresh)
 	if err != nil {
 		return nil, err
-	}
-	// The mapping invariant (res[j] belongs to misses[j]) is the whole
-	// correctness of miss compaction: a misbehaving backend's nil, short or
-	// long answer must be refused, not mapped back — that would panic, or
-	// memoise screen A's detections under screen B's key.
-	if len(res) != len(misses) {
-		return nil, misaligned(len(res), len(misses), "miss items")
 	}
 	for j, m := range misses {
 		c.Store(m.key, res[j])

@@ -2,8 +2,8 @@ package detect
 
 import (
 	"context"
+	"errors"
 	"math/rand"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -343,7 +343,7 @@ func TestCacheRejectsMisalignedInnerBatch(t *testing.T) {
 			if err == nil {
 				t.Fatalf("misaligned inner batch accepted: %v", out)
 			}
-			if !strings.Contains(err.Error(), "miss items") {
+			if !errors.Is(err, ErrMisaligned) {
 				t.Fatalf("unexpected error: %v", err)
 			}
 

@@ -39,14 +39,13 @@ func (e *PanicError) Error() string { return fmt.Sprintf("detect: backend panick
 var ErrCorruptResult = errors.New("detect: backend returned corrupt detections")
 
 // ErrAllBackendsFailed is wrapped by a fallback chain when no backend could
-// serve a call; errors.Is recognises it under the per-backend detail.
+// serve a call; errors.Is recognises both it and the last backend's error.
 var ErrAllBackendsFailed = errors.New("detect: all fallback backends failed")
 
 // ValidDetections reports whether every detection is structurally sane:
 // finite box coordinates, non-negative box sizes, and a finite score in
-// [0, 1]. It is the validation hook of the retry and fallback
-// wrappers — the guard that stops a corrupted tensor from flowing into
-// decoration as a NaN-positioned overlay.
+// [0, 1]. Guarded holds every answer to it — the guard that stops a
+// corrupted tensor from flowing into decoration as a NaN-positioned overlay.
 func ValidDetections(dets []metrics.Detection) bool {
 	for _, d := range dets {
 		b := d.B
@@ -74,12 +73,13 @@ func isCtxError(err error) bool {
 
 // Guarded is the seam's one checked call, the only place a backend's answer
 // is held to the contract: a dead context is refused before the backend is
-// reached, a panic becomes *PanicError, an answer without
-// exactly one result per batch item becomes ErrMisaligned, and — when valid is
-// non-nil — an item it rejects becomes ErrCorruptResult. A healthy answer is
-// handed through untouched. Every resilience wrapper, the serving layer's
-// workers and the pipeline's infer stage make their inner calls through it.
-func Guarded(ctx context.Context, d Detector, x *tensor.Tensor, conf float64, valid func([]metrics.Detection) bool) (out [][]metrics.Detection, err error) {
+// reached, a panic becomes *PanicError, an answer without exactly one result
+// per batch item becomes ErrMisaligned, and an item ValidDetections rejects
+// becomes ErrCorruptResult. A healthy answer is handed through untouched.
+// Every wrapper (Cache, Retrier, FallbackChain, the serving layer's Batcher)
+// and every pipeline (core's infer stage and batch audit) reaches its backend
+// through it, so no caller can forget the check.
+func Guarded(ctx context.Context, d Detector, x *tensor.Tensor, conf float64) (out [][]metrics.Detection, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -95,11 +95,9 @@ func Guarded(ctx context.Context, d Detector, x *tensor.Tensor, conf float64, va
 	if want := batchLen(x); len(out) != want {
 		return nil, misaligned(len(out), want, "items")
 	}
-	if valid != nil {
-		for _, dets := range out {
-			if !valid(dets) {
-				return nil, ErrCorruptResult
-			}
+	for _, dets := range out {
+		if !ValidDetections(dets) {
+			return nil, ErrCorruptResult
 		}
 	}
 	return out, nil
@@ -212,7 +210,7 @@ func (r *Retrier) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf fl
 			}
 			r.note(func(s *RetryStats) { s.Retries++ })
 		}
-		out, err := Guarded(ctx, r.inner, x, conf, ValidDetections)
+		out, err := Guarded(ctx, r.inner, x, conf)
 		if err == nil {
 			if attempt > 0 {
 				r.note(func(s *RetryStats) { s.Recovered++ })
@@ -403,7 +401,7 @@ func (f *FallbackChain) try(ctx context.Context, i int, x *tensor.Tensor, conf f
 	if !f.admit(i) {
 		return nil, false, nil
 	}
-	out, err = Guarded(ctx, f.backends[i], x, conf, ValidDetections)
+	out, err = Guarded(ctx, f.backends[i], x, conf)
 	if err != nil && isCtxError(err) && ctx.Err() != nil {
 		return nil, false, err
 	}
@@ -417,7 +415,7 @@ func (f *FallbackChain) allFailed(lastErr error) error {
 		// Every breaker was open and in cooldown; nothing even ran.
 		return fmt.Errorf("%w (all %d circuit-broken)", ErrAllBackendsFailed, len(f.backends))
 	}
-	return fmt.Errorf("%w: last: %v", ErrAllBackendsFailed, lastErr)
+	return fmt.Errorf("%w: last: %w", ErrAllBackendsFailed, lastErr)
 }
 
 // PredictBatchCtx walks the chain with whole-batch attempts: the first

@@ -125,7 +125,7 @@ func TestGuardedConvertsPanics(t *testing.T) {
 	b := &flakyBackend{dets: healthyDets(), failures: 1} // panic once
 	x := resTensor(1)
 
-	_, err := Guarded(context.Background(), b, x, 0.5, nil)
+	_, err := Guarded(context.Background(), b, x, 0.5)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("error = %v, want *PanicError", err)
@@ -134,7 +134,7 @@ func TestGuardedConvertsPanics(t *testing.T) {
 		t.Fatalf("recovered value = %v", pe.Value)
 	}
 	// The backend has now used up its failure; the pass-through is intact.
-	dets, err := Only(Guarded(context.Background(), b, x, 0.5, nil))
+	dets, err := Only(Guarded(context.Background(), b, x, 0.5))
 	if err != nil || !sameDets(dets, healthyDets()) {
 		t.Fatalf("healthy pass-through: dets=%v err=%v", dets, err)
 	}

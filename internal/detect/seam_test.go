@@ -135,7 +135,7 @@ func TestSeamConformance(t *testing.T) {
 		"WithResultCache":     wrapped(func(d det, _ func() det) det { return detect.WithResultCache(d, 64) }),
 		"WithRetry":           wrapped(func(d det, _ func() det) det { return detect.WithRetry(d, 0) }),
 		"WithFallback":        wrapped(func(d det, next func() det) det { return detect.WithFallback(d, next()) }),
-		"faults.Wrap":         wrapped(func(d det, _ func() det) det { return faults.Wrap(d, faults.NewPlan(1)) }),
+		"faults.WrapStage":    wrapped(func(d det, _ func() det) det { return faults.WrapStage(d, faults.NewPlan(1), d.Name()) }),
 		"serve.NewReplicated": wrapped(func(d det, _ func() det) det { return serve.NewReplicated(serve.Options{}, d) }),
 	}
 	for _, name := range detect.Names() {
@@ -281,7 +281,7 @@ func TestPredictRefusesWhatItCannotIndex(t *testing.T) {
 		if _, err := detect.Only(short.PredictBatchCtx(context.Background(), itemOf(x, 0), 0.3)); answered != 1 && !errors.Is(err, detect.ErrMisaligned) {
 			t.Errorf("Only over %d results: err %v, want ErrMisaligned", answered, err)
 		}
-		if _, err := detect.Guarded(context.Background(), short, x, 0.3, nil); !errors.Is(err, detect.ErrMisaligned) {
+		if _, err := detect.Guarded(context.Background(), short, x, 0.3); !errors.Is(err, detect.ErrMisaligned) {
 			t.Errorf("Guarded over %d results for 3 items: err %v, want ErrMisaligned", answered, err)
 		}
 	}

@@ -15,8 +15,8 @@ import (
 // detect.Detector, so it drops in anywhere a backend fits — typically
 // innermost, under the resilience middleware it exists to exercise:
 //
-//	chaos := faults.Wrap(model, plan)
-//	d := detect.WithFallback(opts, detect.WithRetry(chaos, retryOpts), heuristic)
+//	chaos := faults.WrapStage(model, plan, "backend")
+//	d := detect.WithFallback(detect.WithRetry(chaos, 3), heuristic)
 //
 // One Decide is consumed per inference call (a batch counts as one call of
 // the stage, mirroring how one forward serves the whole batch).
@@ -28,14 +28,9 @@ type Detector struct {
 
 var _ detect.Detector = (*Detector)(nil)
 
-// Wrap injects plan's faults around d, using d's name as the plan stage.
-func Wrap(d detect.Detector, plan *Plan) *Detector {
-	return WrapStage(d, plan, d.Name())
-}
-
-// WrapStage is Wrap with an explicit stage name, for plans that target one
-// copy of a backend among several (e.g. only the primary of a fallback
-// chain).
+// WrapStage injects plan's faults around d under the plan stage name, so a
+// plan can target one copy of a backend among several (e.g. only the
+// primary of a fallback chain).
 func WrapStage(d detect.Detector, plan *Plan, stage string) *Detector {
 	return &Detector{inner: d, plan: plan, stage: stage}
 }

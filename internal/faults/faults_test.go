@@ -212,7 +212,7 @@ func TestNilPlanInjectsNothing(t *testing.T) {
 
 func TestWrapperTransparentWithoutFaults(t *testing.T) {
 	inner := &stubBackend{dets: stubDets()}
-	d := Wrap(inner, NewPlan(1)) // no rules: never fires
+	d := WrapStage(inner, NewPlan(1), inner.Name()) // no rules: never fires
 	x := smallTensor(2)
 
 	got, err := detect.Predict(context.Background(), d, x, 0, 0.5)

@@ -82,8 +82,9 @@ type Config struct {
 	// (0 = never shed). Like TenantRate, it governs leaders.
 	ShedDepth int
 	// Plan, when non-nil, injects faults at each replica backend; the run
-	// then has no result table (a corrupted result must not be memoised),
-	// every analysis rides the stack, and failed analyses count as degraded.
+	// then has no result table, so every analysis rides the stack and meets
+	// the plan (with one, ~99.9% of analyses are table hits that no fault
+	// could reach), and failed analyses count as degraded.
 	Plan *faults.Plan
 	// Timings receives per-stage latencies; nil allocates a private recorder
 	// (exposed on Result.Timings either way).

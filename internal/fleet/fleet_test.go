@@ -166,6 +166,20 @@ func TestChaosReplayStability(t *testing.T) {
 	}
 }
 
+// TestCorruptPlanDegradesEveryAnswer: when every backend answer carries a
+// NaN box, no analysis may complete or be flagged — each one the stack
+// answers degrades, and only a superseded one escapes that count.
+func TestCorruptPlanDegradesEveryAnswer(t *testing.T) {
+	cfg := smallConfig(5)
+	cfg.Plan = faults.NewPlan(5, faults.Rule{Stage: "backend", Kind: faults.Corrupt, Rate: 1})
+	res := run(t, cfg)
+	conserved(t, res)
+	if calls := submitted(res) - res.Superseded; res.Degraded == 0 || res.Degraded != calls || res.Flagged != 0 || res.Analyses != 0 {
+		t.Fatalf("%d stack answers, %d degraded, %d flagged, %d completed: want every answer degraded and none flagged (%s)",
+			calls, res.Degraded, res.Flagged, res.Analyses, cfg.Plan)
+	}
+}
+
 // TestSupersedeUnderChurn: burst churn arriving faster than the modeled
 // analysis latency must invalidate in-flight cycles, exactly as
 // core.Service does on-device.

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -16,11 +17,12 @@ import (
 const poisonPixel = 66
 
 // poisonBackend fails whole-batch forwards that contain the poison screen —
-// by panicking, erroring, or returning a misaligned (short) result slice —
-// while healthy items answer a detection encoding their first pixel, so the
-// test can check every result reached its own requester.
+// by panicking, erroring, returning a misaligned (short) result slice, or
+// answering the poison item with a NaN box — while healthy items answer a
+// detection encoding their first pixel, so the test can check every result
+// reached its own requester.
 type poisonBackend struct {
-	mode string // "panic", "error", or "short"
+	mode string // "panic", "error", "short", or "corrupt"
 }
 
 func (p *poisonBackend) Name() string { return "poison" }
@@ -60,6 +62,9 @@ func (p *poisonBackend) PredictBatchCtx(_ context.Context, x *tensor.Tensor, _ f
 	out := make([][]metrics.Detection, n)
 	for i := range out {
 		out[i] = itemDets(x, i)
+		if p.mode == "corrupt" && itemPoisoned(x, i) {
+			out[i][0].B.X = math.NaN()
+		}
 	}
 	return out, nil
 }

@@ -212,7 +212,8 @@ func (b *Batcher) Close() {
 // A tensor of several items is already a batch: there is nothing to coalesce,
 // and routing it through the queue would only add latency, so it goes
 // straight to the first replica's backend. After Close both degrade to that
-// direct call.
+// direct call. Every path reaches a backend through detect.Guarded, so a
+// panic, a misaligned answer or a corrupt one is an error on each of them.
 //
 // An already-dead context is rejected before touching the layers; a context
 // that dies while the request is queued makes the caller return ctx.Err()
@@ -229,11 +230,11 @@ func (b *Batcher) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThr
 		return nil, err
 	}
 	if x == nil || len(x.Shape) == 0 || x.Shape[0] != 1 {
-		return b.inner.PredictBatchCtx(ctx, x, confThresh)
+		return detect.Guarded(ctx, b.inner, x, confThresh)
 	}
 	out, err := b.submit(ctx, x, confThresh)
 	if errors.Is(err, ErrClosed) {
-		return b.inner.PredictBatchCtx(ctx, x, confThresh)
+		return detect.Guarded(ctx, b.inner, x, confThresh)
 	}
 	return out, err
 }
@@ -359,11 +360,11 @@ func (b *Batcher) flush(rep *replica, batch []request) {
 // several callers and so runs under none of theirs. Every backend call goes
 // through detect.Guarded, so the worker survives any backend, and failure
 // containment is the scheduler's poison-item isolation: a grouped forward
-// that panics, errors, or returns a misaligned answer is re-run item by item,
-// so the one poison item fails alone — with its own error — while the rest of
-// the batch still returns real results. Historically an inner panic here
-// killed the dispatcher goroutine, leaving every queued and future caller
-// blocked forever.
+// that panics, errors, or returns a misaligned or corrupt answer is re-run
+// item by item, so the one poison item fails alone — with its own error —
+// while the rest of the batch still returns real results. Historically an
+// inner panic here killed the dispatcher goroutine, leaving every queued and
+// future caller blocked forever.
 func (b *Batcher) runGroup(rep *replica, group []request) {
 	start := time.Now()
 	if len(group) == 1 {
@@ -376,7 +377,7 @@ func (b *Batcher) runGroup(rep *replica, group []request) {
 	for j, r := range group {
 		copy(sub.Data[j*per:(j+1)*per], r.x.Data)
 	}
-	res, err := detect.Guarded(context.Background(), rep.backend, sub, group[0].conf, nil)
+	res, err := detect.Guarded(context.Background(), rep.backend, sub, group[0].conf)
 	if err != nil {
 		// Poison isolation: one member spoiled the shared forward (or the
 		// backend misaligned the result mapping). Re-run each request on its
@@ -400,7 +401,7 @@ func (b *Batcher) runGroup(rep *replica, group []request) {
 // runOne runs one request's own tensor on rep under the request's own
 // context and answers it.
 func (b *Batcher) runOne(rep *replica, r request) int {
-	out, err := detect.Guarded(r.ctx, rep.backend, r.x, r.conf, nil)
+	out, err := detect.Guarded(r.ctx, rep.backend, r.x, r.conf)
 	return b.answer(r, out, err)
 }
 

@@ -21,6 +21,9 @@ const (
 	huberDelta = 0.5
 )
 
+// trainBatch is the minibatch size in images.
+const trainBatch = 8
+
 // huber returns the Huber loss and its derivative for error e (pixels).
 func huber(e float64) (loss, grad float64) {
 	if e > huberDelta {
@@ -176,8 +179,6 @@ func bceWithLogits(logit, y float32) float64 {
 type TrainConfig struct {
 	// Epochs over the training set. Zero means 30.
 	Epochs int
-	// BatchSize in images. Zero means 8.
-	BatchSize int
 	// LR is the Adam learning rate. Zero means 3e-3.
 	LR float32
 	// Seed for shuffling and model init. Zero means 1.
@@ -191,13 +192,6 @@ func (c TrainConfig) epochs() int {
 		return 30
 	}
 	return c.Epochs
-}
-
-func (c TrainConfig) batch() int {
-	if c.BatchSize == 0 {
-		return 8
-	}
-	return c.BatchSize
 }
 
 func (c TrainConfig) lr() float32 {
@@ -230,7 +224,6 @@ func TrainInto(m *Model, samples []*dataset.Sample, cfg TrainConfig) {
 	for i := range idx {
 		idx[i] = i
 	}
-	bs := cfg.batch()
 	for epoch := 0; epoch < cfg.epochs(); epoch++ {
 		// Step learning-rate schedule: 10x drop for the final quarter of
 		// training, which is what tightens box regression enough for the
@@ -241,8 +234,8 @@ func TrainInto(m *Model, samples []*dataset.Sample, cfg TrainConfig) {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		var epochLoss float64
 		var batches int
-		for start := 0; start < len(idx); start += bs {
-			end := start + bs
+		for start := 0; start < len(idx); start += trainBatch {
+			end := start + trainBatch
 			if end > len(idx) {
 				end = len(idx)
 			}
