@@ -4,10 +4,20 @@ package quant
 // input and stay int8 across the whole backbone. tensor.Conv runs every
 // layer as it runs the float ones, over int8 im2col panels of the distinct
 // columns; each layer is a tensor.ConvKernel whose Block is an int8 x int8
-// -> int32 blocked GEMM over weight rows packed in pairs (gemmPairs: two
-// MACs per 64-bit multiply) and an epilogue that requantises the int32
+// -> int32 blocked GEMM and an epilogue that requantises the int32
 // accumulators straight to the next layer's int8 scale with the folded bias
-// and leaky-ReLU applied in the same pass:
+// and leaky-ReLU applied in the same pass.
+//
+// The GEMM is chosen once, at package init, from CPUID and XGETBV (simd):
+// on amd64 with AVX2 it is gemmWords (int8gemm_amd64.s), which sign-extends
+// weights and panel rows to int16 pairs and accumulates VPMADDWD's two-term
+// sums into int32 lanes with VPADDD; everywhere else it is gemmPairs, two
+// MACs per 64-bit multiply over weight rows packed in pairs, which is also
+// the tests' oracle. VPMADDUBSW is not used: it saturates. Both kernels are
+// exact, so their tiles are bit-identical whatever order they sum in:
+// every product is at most 127*128 in magnitude, so while K*127*128 < 2^31,
+// K <= 132 104 (checkDepth; the largest production K is 288), no partial
+// sum leaves int32 and integer addition is associative. The epilogue:
 //
 //	q_out = clamp(round(leaky(acc*rq + bq))),  rq = wScale*inScale/outScale,
 //	                                           bq = bias/outScale
@@ -65,7 +75,11 @@ type qhead qconv
 // output channel's weights, returning the OutC x u int32 tile from i32s.
 func (q *qconv) accumulate(panel []int8, ldb, u int) *[]int32 {
 	acc := i32s.Get(q.OutC * u)
-	gemmPairs(q.qwp, panel, ldb, *acc, q.OutC, q.InC*q.K*q.K, u)
+	if simd {
+		gemmWords(q.qww, panel, ldb, *acc, q.OutC, q.InC*q.K*q.K, u)
+	} else {
+		gemmPairs(q.qwp, panel, ldb, *acc, q.OutC, q.InC*q.K*q.K, u)
+	}
 	return acc
 }
 
@@ -124,15 +138,37 @@ func (h *qhead) Block(panel []int8, ldb int, y []float32, ldc, u int) {
 	i32s.Put(acc)
 }
 
-// packPairs lays int8 weight rows [M][K] out as (M+1)/2 rows of int64, row p
-// holding row 2p in bits 0-31 and row 2p+1 in bits 32-63 (zero when M is
-// odd): the layout gemmPairs multiplies, derived from qw, which stays the
-// canonical weights. It refuses a K whose lane sums could leave int32 (see
-// gemmPairs), so no packed row exists that the kernel would get wrong.
-func packPairs(qw []int8, M, K int) []int64 {
+// checkDepth refuses a reduction depth K past the int32 bound above, K <=
+// 132 104. Both packers call it, so no packed layout exists that either
+// kernel would get wrong.
+func checkDepth(K int) {
 	if K > (1<<31-1)/(127*128) {
 		panic("quant: reduction depth overflows an int32 accumulator lane")
 	}
+}
+
+// packWords lays int8 weight rows [M][K] out as gemmWords reads them: bands
+// of four rows (the last padded with zero rows), each band (K+1)/2 steps of
+// four int32 words, word r of step p holding row r's int16 pair (w[2p] in
+// bits 0-15, w[2p+1] in bits 16-31, zero past K).
+func packWords(qw []int8, M, K int) []int32 {
+	checkDepth(K)
+	kp := (K + 1) / 2
+	aw := make([]int32, (M+3)/4*kp*4)
+	for m := 0; m < M; m++ {
+		for k, w := range qw[m*K : (m+1)*K] {
+			aw[(m/4*kp+k/2)*4+m%4] |= int32(uint16(int16(w))) << (16 * (k & 1))
+		}
+	}
+	return aw
+}
+
+// packPairs lays int8 weight rows [M][K] out as (M+1)/2 rows of int64, row p
+// holding row 2p in bits 0-31 and row 2p+1 in bits 32-63 (zero when M is
+// odd): the layout gemmPairs multiplies, derived from qw, which stays the
+// canonical weights.
+func packPairs(qw []int8, M, K int) []int64 {
+	checkDepth(K)
 	ap := make([]int64, (M+1)/2*K)
 	for m := 0; m < M; m++ {
 		row := ap[m/2*K : (m/2+1)*K]
@@ -150,10 +186,8 @@ func packPairs(qw []int8, M, K int) []int64 {
 //
 //	s = L + H<<32,  L = sum_k qw[2p][k]*x_k,  H = sum_k qw[2p+1][k]*x_k.
 //
-// Every product is at most 127*128 in magnitude, so |L| and |H| stay below
-// 2^31 while K*127*128 < 2^31, K <= 132 104 (the largest production K is
-// 288) — the bound int32 accumulators need with one MAC per multiply too —
-// and then |H<<32| + |L| < 2^63: s never wraps. L is the one int32 congruent
+// Under checkDepth's bound |L| and |H| stay below 2^31, and then
+// |H<<32| + |L| < 2^63: s never wraps. L is the one int32 congruent
 // to s mod 2^32, int32(s). A negative L has borrowed one from the high lane;
 // subtracting L before the shift returns it, so (s - L) >> 32 is H exactly.
 // Both accumulators are bit-identical to the per-plane loop's (the oracle in

@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/auigen"
 	"repro/internal/tensor"
 	"repro/internal/yolite"
 )
@@ -295,22 +299,45 @@ func naiveGemm(t *testing.T, qw, b []int8, ldb, M, K, nc int) []int32 {
 	return acc
 }
 
-// checkGemm runs gemmPairs over a poisoned accumulator tile (pooled tiles
-// arrive dirty) and demands exact equality with naiveGemm.
+// checkGemm runs gemmPairs, and gemmWords where this CPU has it, over a
+// poisoned accumulator tile (pooled tiles arrive dirty) and demands exact
+// equality with naiveGemm, and so with each other. b is cut to exactly the
+// length the kernels may read, so the drivers' bounds checks catch a tile
+// that would read past it.
 func checkGemm(t *testing.T, qw, b []int8, ldb, M, K, nc int) {
 	t.Helper()
-	want := naiveGemm(t, qw, b, ldb, M, K, nc)
-	got := make([]int32, M*nc)
-	for i := range got {
-		got[i] = -1 << 31
+	if K > 0 {
+		b = b[:(K-1)*ldb+nc]
 	}
-	gemmPairs(packPairs(qw, M, K), b, ldb, got, M, K, nc)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("M=%d K=%d nc=%d ldb=%d: acc[%d] (row %d, col %d) = %d, want %d",
-				M, K, nc, ldb, i, i/nc, i%nc, got[i], want[i])
+	want := naiveGemm(t, qw, b, ldb, M, K, nc)
+	kernels := map[string]func([]int32){
+		"gemmPairs": func(acc []int32) { gemmPairs(packPairs(qw, M, K), b, ldb, acc, M, K, nc) },
+	}
+	if simd {
+		kernels["gemmWords"] = func(acc []int32) { gemmWords(packWords(qw, M, K), b, ldb, acc, M, K, nc) }
+	}
+	for name, run := range kernels {
+		got := make([]int32, M*nc)
+		for i := range got {
+			got[i] = -1 << 31
+		}
+		run(got)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s M=%d K=%d nc=%d ldb=%d: acc[%d] (row %d, col %d) = %d, want %d",
+					name, M, K, nc, ldb, i, i/nc, i%nc, got[i], want[i])
+			}
 		}
 	}
+}
+
+// fullI8 draws n values over the whole int8 range, -128 included.
+func fullI8(rng *rand.Rand, n int) []int8 {
+	v := make([]int8, n)
+	for i := range v {
+		v[i] = int8(rng.Intn(256) - 128)
+	}
+	return v
 }
 
 // TestGemmPairsMatchesNaive sweeps random shapes so every row tail (0-3
@@ -318,17 +345,39 @@ func checkGemm(t *testing.T, qw, b []int8, ldb, M, K, nc int) {
 // with ldb > nc as on the 1x1 path, over the full int8 range.
 func TestGemmPairsMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	full := func(n int) []int8 {
-		v := make([]int8, n)
-		for i := range v {
-			v[i] = int8(rng.Intn(256) - 128)
-		}
-		return v
-	}
 	for i := 0; i < 400; i++ {
 		M, K, nc := 1+rng.Intn(13), 1+rng.Intn(300), 1+rng.Intn(11)
 		ldb := nc + rng.Intn(3)
-		checkGemm(t, full(M*K), full(K*ldb), ldb, M, K, nc)
+		checkGemm(t, fullI8(rng, M*K), fullI8(rng, K*ldb), ldb, M, K, nc)
+	}
+}
+
+// TestGemmWordsMatchesNaive pins the SIMD kernel where gemmWords' tiling
+// can go wrong: every production shape at its benchmarked block width;
+// every column count from 1 to 17 (under a tile, one tile, one column
+// past it) and whole and shifted tiles up to 65, each with odd and even K
+// and every row-band tail (M%4 = 0-3); and panels whose rows are longer
+// than the block (ldb > nc, as on the 1x1 path).
+func TestGemmWordsMatchesNaive(t *testing.T) {
+	if !simd {
+		t.Skip("no SIMD int8 kernel on this CPU")
+	}
+	rng := rand.New(rand.NewSource(24))
+	for _, s := range gemmShapes {
+		nc := s.width()
+		checkGemm(t, fullI8(rng, s.M*s.K), fullI8(rng, s.K*nc), nc, s.M, s.K, nc)
+	}
+	for _, nc := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 32, 33, 48, 65} {
+		for _, K := range []int{1, 2, 27, 90, 287, 288} {
+			for _, M := range []int{1, 4, 5, 10, 11, 32} {
+				checkGemm(t, fullI8(rng, M*K), fullI8(rng, K*nc), nc, M, K, nc)
+			}
+		}
+	}
+	for i := 0; i < 200; i++ {
+		M, K, nc := 1+rng.Intn(13), 1+rng.Intn(300), 1+rng.Intn(70)
+		ldb := nc + 1 + rng.Intn(20)
+		checkGemm(t, fullI8(rng, M*K), fullI8(rng, K*ldb), ldb, M, K, nc)
 	}
 }
 
@@ -338,8 +387,10 @@ func TestGemmPairsMatchesNaive(t *testing.T) {
 // data: weights are all +-127, activations all -128 or +127, each constant or
 // alternating along k. Every pair of the four weight-row patterns shares a
 // packed row (33 rows: sixteen pairs and an odd row over the zero lane),
-// against five columns (two tile steps and a tail). K = 288 is the deepest
-// production reduction; K = 4 096 is fourteen times past it.
+// against five columns (two tile steps and a tail) and against 37 (two
+// gemmWords tiles and a shifted one), in panel rows 37 wide. K = 288 is the
+// deepest production reduction; K = 4 096 is fourteen times past it.
+// checkGemm runs gemmWords on the same extremes.
 func TestGemmPairsLaneExtremes(t *testing.T) {
 	pattern := func(p, k int, pos, neg int8) int8 {
 		if p == 0 || p == 2 && k%2 == 0 || p == 3 && k%2 == 1 {
@@ -347,7 +398,7 @@ func TestGemmPairsLaneExtremes(t *testing.T) {
 		}
 		return neg
 	}
-	const M, nc = 33, 5
+	const M, ldb = 33, 37
 	for _, K := range []int{288, 4096} {
 		qw := make([]int8, M*K)
 		for m := 0; m < M; m++ {
@@ -359,27 +410,59 @@ func TestGemmPairsLaneExtremes(t *testing.T) {
 				qw[m*K+k] = pattern(p, k, 127, -127)
 			}
 		}
-		b := make([]int8, K*nc)
+		b := make([]int8, K*ldb)
 		for k := 0; k < K; k++ {
-			for j := 0; j < nc; j++ {
-				b[k*nc+j] = pattern(j%4, k, 127, -128)
+			for j := 0; j < ldb; j++ {
+				b[k*ldb+j] = pattern(j%4, k, 127, -128)
 			}
 		}
-		checkGemm(t, qw, b, nc, M, K, nc)
+		for _, nc := range []int{5, ldb} {
+			checkGemm(t, qw, b, ldb, M, K, nc)
+		}
 	}
 }
 
-// TestPackPairsRefusesOverflowingK pins the lane bound where the layout is
-// built: the deepest K whose sums provably fit int32 packs, one more panics.
+// TestPackPairsRefusesOverflowingK pins the lane bound where each layout is
+// built: the deepest K whose sums provably fit int32 packs, one more panics,
+// in both packers (checkDepth).
 func TestPackPairsRefusesOverflowingK(t *testing.T) {
 	const maxK = 132104 // floor((2^31-1) / (127*128))
-	packPairs(nil, 0, maxK)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("packPairs accepted a K whose lane sums can leave int32")
+	for name, pack := range map[string]func(K int){
+		"packPairs": func(K int) { packPairs(nil, 0, K) },
+		"packWords": func(K int) { packWords(nil, 0, K) },
+	} {
+		pack(maxK)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s accepted a K whose lane sums can leave int32", name)
+				}
+			}()
+			pack(maxK + 1)
+		}()
+	}
+}
+
+// TestKernelDispatchMatchesCPU fails when the CPU lists AVX2 but the layers
+// were given gemmPairs: broken feature detection would otherwise cost the
+// SIMD kernel's speed silently, since both kernels answer alike.
+func TestKernelDispatchMatchesCPU(t *testing.T) {
+	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
+		t.Skip("reads /proc/cpuinfo on linux/amd64")
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skip(err)
+	}
+	for _, line := range strings.Split(string(info), "\n") {
+		if name, flags, _ := strings.Cut(line, ":"); strings.TrimSpace(name) == "flags" {
+			if slices.Contains(strings.Fields(flags), "avx2") && !simd {
+				t.Fatal("the CPU lists avx2 but the int8 layers run gemmPairs")
+			}
+			return
 		}
-	}()
-	packPairs(nil, 0, maxK+1)
+	}
+	t.Skip("no flags line in /proc/cpuinfo")
 }
 
 // TestInt8PipelineScaleChain checks link's invariants: every backbone
@@ -463,8 +546,30 @@ func TestInt8ForwardPooledAllocsFlat(t *testing.T) {
 	}
 }
 
+// BenchmarkInt8ForwardScreens is the int8 forward at N=8 on what it sees in
+// service: six generator screens and two negatives, where most receptive
+// fields repeat and only the distinct columns reach the kernel, as in
+// darpa-bench's audit-batch (quant.forward_b8_item_us is its per-item time).
+func BenchmarkInt8ForwardScreens(b *testing.B) {
+	m := yolite.NewModel(1)
+	if err := m.Load("../../weights/yolite.gob"); err != nil {
+		b.Skip("no pretrained weights")
+	}
+	qm := Port(m, nil)
+	qm.SetPool(tensor.NewPool())
+	cfg := auigen.DatasetConfig{}
+	x := yolite.BatchToTensor(append(auigen.BuildAUISamples(1, 6, cfg), auigen.BuildNegativeSamples(2, 2, cfg)...))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		upo, ago := qm.Forward(x)
+		qm.Pool.Put(upo)
+		qm.Pool.Put(ago)
+	}
+}
+
 // BenchmarkInt8Forward measures the end-to-end int8 forward on pretrained
-// weights; darpa-bench reports the same forward as quant.forward_us.
+// weights at N=1 over a ramp input, where few columns repeat; darpa-bench
+// reports the same forward as quant.forward_us.
 func BenchmarkInt8Forward(b *testing.B) {
 	m := yolite.NewModel(1)
 	if err := m.Load("../../weights/yolite.gob"); err != nil {
@@ -484,27 +589,44 @@ func BenchmarkInt8Forward(b *testing.B) {
 	}
 }
 
-// BenchmarkGemmI8 times the packed-pair kernel alone on every production
-// shape (M = outC, K = inC*k*k, the layer's first column block at N=1), so a
-// kernel change can be sized without the im2col and epilogue around it.
+// gemmShape is a production GEMM: M = outC, K = inC*k*k, and the layer's
+// output columns at N=1.
+type gemmShape struct {
+	name       string
+	M, K, cols int
+}
+
+var gemmShapes = []gemmShape{
+	{"B1", 10, 27, 3840}, {"B2", 16, 90, 960}, {"B3", 24, 144, 240}, {"B3b", 24, 216, 240},
+	{"B4", 32, 216, 60}, {"B5", 32, 288, 15}, {"UPO", 5, 24, 240}, {"AGO", 5, 32, 15},
+}
+
+// width is a shape's first column block, as tensor.Conv cuts it.
+func (s gemmShape) width() int {
+	return min(tensor.ColBlock(s.K, s.cols), s.cols)
+}
+
+// BenchmarkGemmI8 times each int8 kernel alone on every production shape
+// (the first column block at N=1, random data), so a kernel change can be
+// sized without the im2col and epilogue around it: gemmPairs, and gemmWords
+// where this CPU has it.
 func BenchmarkGemmI8(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
-	for _, s := range []struct {
-		name       string
-		M, K, cols int
-	}{
-		{"B1", 10, 27, 3840}, {"B2", 16, 90, 960}, {"B3", 24, 144, 240}, {"B3b", 24, 216, 240},
-		{"B4", 32, 216, 60}, {"B5", 32, 288, 15}, {"UPO", 5, 24, 240}, {"AGO", 5, 32, 15},
-	} {
-		nc := min(tensor.ColBlock(s.K, s.cols), s.cols)
-		ap := packPairs(randQx(rng, s.M*s.K), s.M, s.K)
-		panel := randQx(rng, s.K*nc)
-		acc := make([]int32, s.M*nc)
-		b.Run(fmt.Sprintf("%s_%dx%dx%d", s.name, s.M, s.K, nc), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				gemmPairs(ap, panel, nc, acc, s.M, s.K, nc)
-			}
-			b.ReportMetric(float64(s.M*s.K*nc)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
-		})
+	for _, s := range gemmShapes {
+		nc := s.width()
+		qw, panel, acc := randQx(rng, s.M*s.K), randQx(rng, s.K*nc), make([]int32, s.M*nc)
+		ap, aw := packPairs(qw, s.M, s.K), packWords(qw, s.M, s.K)
+		bench := func(kernel string, run func()) {
+			b.Run(fmt.Sprintf("%s/%s_%dx%dx%d", kernel, s.name, s.M, s.K, nc), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					run()
+				}
+				b.ReportMetric(float64(s.M*s.K*nc)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+			})
+		}
+		bench("pairs", func() { gemmPairs(ap, panel, nc, acc, s.M, s.K, nc) })
+		if simd {
+			bench("words", func() { gemmWords(aw, panel, nc, acc, s.M, s.K, nc) })
+		}
 	}
 }

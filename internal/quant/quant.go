@@ -9,12 +9,14 @@
 // arithmetic an ARM CPU would execute, so the accuracy loss measured in the
 // experiments (Table III vs Table IV) is the genuine quantisation error.
 //
-// The port is the fast path as well as the small one, as in the paper: integer
-// products are exact, so the GEMM carries two weight rows in one 64-bit lane
-// pair and gets two MACs from every multiply (gemmPairs in int8gemm.go),
-// which float arithmetic cannot do. The batched int8 forward outruns the
-// float one (cmd/darpa-bench, audit-batch: audit_int8_screens_per_s against
-// audit_screens_per_s).
+// The port is the fast path as well as the small one, as in the paper, where
+// ncnn's speed comes from SIMD integer dot products: on amd64 with AVX2 the
+// GEMM is gemmWords, VPMADDWD over int16 pairs into int32 lanes; elsewhere
+// it is gemmPairs, which carries two weight rows in one 64-bit lane pair and
+// gets two MACs from every multiply. Integer sums are exact in any order, so
+// both give the same int32 tiles and the same answers (int8gemm.go). The
+// batched int8 forward outruns the float one (cmd/darpa-bench, audit-batch:
+// audit_int8_screens_per_s against audit_screens_per_s).
 package quant
 
 import (
@@ -35,7 +37,8 @@ type qconv struct {
 	tensor.ConvGeom
 	w, b    []float32 // folded float weights [OutC][InC*K*K] and bias
 	qw      []int8    // quantised weights: canonical (WeightBytes, the test oracle)
-	qwp     []int64   // qw as packed row pairs, the layout gemmPairs reads (see packPairs)
+	qwp     []int64   // qw as gemmPairs reads it, where simd is false
+	qww     []int32   // qw as gemmWords reads it, where simd is true
 	wScale  []float32 // per-output-channel weight scale
 	inScale float32   // activation scale (from calibration)
 	relu    bool      // apply leaky-ReLU(0.1) after
@@ -51,7 +54,7 @@ type qconv struct {
 }
 
 // quantiseWeights converts folded float weights to int8 with per-channel
-// symmetric scales, and derives the packed-pair layout the GEMM multiplies.
+// symmetric scales, and derives the layout this CPU's GEMM multiplies.
 func (q *qconv) quantiseWeights() {
 	per := q.InC * q.K * q.K
 	q.qw = make([]int8, len(q.w))
@@ -77,7 +80,11 @@ func (q *qconv) quantiseWeights() {
 			q.qw[oc*per+i] = int8(clamp(math.Round(float64(v)), -127, 127))
 		}
 	}
-	q.qwp = packPairs(q.qw, q.OutC, per)
+	if simd {
+		q.qww = packWords(q.qw, q.OutC, per)
+	} else {
+		q.qwp = packPairs(q.qw, q.OutC, per)
+	}
 }
 
 // Model is the ported, int8 detector — the artefact DARPA embeds in the
