@@ -188,7 +188,7 @@ func main() {
 	fmt.Printf("AUIs flagged:                %d\n", st.AUIFlagged)
 	fmt.Printf("decorations drawn:           %d\n", st.DecorationsDrawn)
 	fmt.Printf("auto-bypass clicks:          %d\n", st.Bypasses)
-	fmt.Printf("screenshot buffers rinsed:   %d\n", st.Rinses)
+	fmt.Printf("screenshot buffers rinsed:   %d\n", svc.Timings().Stage(core.StagePreprocess).Count)
 	if plan != nil {
 		fmt.Printf("degraded (no detector):      %d\n", st.Degraded)
 		cs := chain.Stats()
@@ -200,7 +200,7 @@ func main() {
 		fmt.Printf("fallback served:             %d\n", cs.FellBack)
 		fmt.Printf("circuit-breaker trips:       %d\n", trips)
 		fmt.Printf("faults injected:             %s\n", plan)
-		printServedRate(st)
+		printServedRate(st, svc.Timings().Stage(core.StageAct).Count)
 	}
 	fmt.Printf("pipeline stage times:        %s\n", svc.Timings())
 	shown := h.App.History()
@@ -277,9 +277,9 @@ func dumpMetrics(path string, fams []metrics.Family) error {
 // printServedRate reports what fraction of the screens that reached the
 // infer decision still produced a full analysis — directly or via
 // retry/fallback — rather than degrading. Superseded and timed-out cycles
-// are the caller's doing and excluded from the denominator.
-func printServedRate(st core.Stats) {
-	served := st.Stages[core.StageAct].Runs
+// are the caller's doing and excluded from the denominator. served is the
+// act step's run count.
+func printServedRate(st core.Stats, served int) {
 	eligible := served + st.Degraded
 	if eligible == 0 {
 		return

@@ -16,38 +16,9 @@ import (
 
 	"repro/internal/auigen"
 	"repro/internal/dataset"
+	"repro/internal/sim"
 	"repro/internal/yolite"
 )
-
-// rng is the splitmix64 generator internal/fleet introduced: 8 bytes of
-// state, one independent stream per restart, no interleaving hazards.
-type rng struct{ s uint64 }
-
-// golden is the splitmix64 increment (2^64 / phi).
-const golden = 0x9E3779B97F4A7C15
-
-// restartRNG derives restart r's stream from the search seed, diffusing the
-// seed first so adjacent restarts do not start in adjacent state.
-func restartRNG(seed int64, r int) rng {
-	g := rng{s: mix64(uint64(seed))}
-	g.s += uint64(r+1) * golden
-	return g
-}
-
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (r *rng) Uint64() uint64 {
-	r.s += golden
-	return mix64(r.s)
-}
-
-func (r *rng) Intn(n int) int { return int(r.Uint64() % uint64(n)) }
-
-func (r *rng) Float64() float64 { return float64(r.Uint64()>>11) / (1 << 53) }
 
 // Objective scores one attacked screen; lower means more evasive. The
 // default is mean detector confidence over the ground-truth boxes.
@@ -192,7 +163,7 @@ func Search(cfg Config) *Result {
 	clean, _ := score(auigen.Knobs{})
 	res := &Result{Clean: clean, Best: auigen.Knobs{}, BestConfidence: clean}
 	for r := 0; r < cfg.restarts(); r++ {
-		stream := restartRNG(cfg.Seed, r)
+		stream := sim.Stream(cfg.Seed, r)
 		cur, curConf := auigen.Knobs{}, clean
 		traj := Trajectory{Restart: r}
 		for it := 0; it < cfg.iterations(); it++ {
@@ -232,7 +203,7 @@ const mutateStep = 0.35
 
 // mutate perturbs 1-2 distinct knobs by a uniform step of up to mutateStep of
 // each knob's range, then clamps back into the valid box.
-func mutate(k auigen.Knobs, stream *rng) candidate {
+func mutate(k auigen.Knobs, stream *sim.Splitmix) candidate {
 	v := k.Vec()
 	n := 1 + stream.Intn(2)
 	for m := 0; m < n; m++ {

@@ -112,9 +112,6 @@ func TestStopCancelsInflightAnalysis(t *testing.T) {
 	if len(s.Decorations()) != 0 {
 		t.Fatal("cancelled cycle left decorations on screen")
 	}
-	if len(s.Log()) != 0 {
-		t.Fatal("cancelled cycle was logged as an analysis")
-	}
 	<-done
 }
 
@@ -141,6 +138,8 @@ func TestEventSupersedesInflightAnalysis(t *testing.T) {
 		return nil, ctx.Err()
 	}
 	s := Start(clock, mgr, d, Config{})
+	observed := 0
+	s.OnAnalysis = func(Analysis) { observed++ }
 	mgr.Emit(a11y.TypeWindowsChanged, "app")
 	clock.RunFor(time.Second)
 	st := s.Stats()
@@ -153,8 +152,8 @@ func TestEventSupersedesInflightAnalysis(t *testing.T) {
 	if st.EventsSeen != 2 {
 		t.Fatalf("events seen = %d, want 2", st.EventsSeen)
 	}
-	if len(s.Log()) != 1 {
-		t.Fatalf("log holds %d analyses, want only the completed one", len(s.Log()))
+	if observed != 1 {
+		t.Fatalf("observer saw %d analyses, want only the completed one", observed)
 	}
 	if len(s.Decorations()) != 1 {
 		t.Fatalf("%d decorations, want 1 from the completed cycle", len(s.Decorations()))
@@ -176,8 +175,8 @@ func TestDeadlineExpiryCountsTimedOut(t *testing.T) {
 	if st.TimedOut != 1 || st.Superseded != 0 || st.Analyses != 0 {
 		t.Fatalf("stats = %+v, want exactly one TimedOut", st)
 	}
-	if len(s.Decorations()) != 0 || len(s.Log()) != 0 {
-		t.Fatal("timed-out cycle decorated or logged")
+	if len(s.Decorations()) != 0 {
+		t.Fatal("timed-out cycle decorated")
 	}
 	s.Stop()
 }
@@ -205,7 +204,6 @@ func TestStopRaceStress(t *testing.T) {
 				defer wg.Done()
 				_ = s.Stats()
 				_ = s.Decorations()
-				_ = s.Log()
 			}()
 		}
 		s.Stop()

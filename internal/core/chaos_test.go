@@ -75,6 +75,8 @@ func TestChaosFleetSurvives(t *testing.T) {
 	)
 
 	stats := make([]Stats, devices)
+	captured := make([]int, devices)
+	acted := make([]int, devices)
 	retried := make([]int, devices)
 	fallbacks := make([]detect.FallbackStats, devices)
 	var wg sync.WaitGroup
@@ -99,6 +101,8 @@ func TestChaosFleetSurvives(t *testing.T) {
 			svc.Stop()
 			a.Stop()
 			stats[d] = svc.Stats()
+			captured[d] = svc.Timings().Stage(StageCapture).Count
+			acted[d] = svc.Timings().Stage(StageAct).Count
 			retried[d] = retrier.Stats().Retries
 			fallbacks[d] = chain.Stats()
 		}(d)
@@ -107,15 +111,13 @@ func TestChaosFleetSurvives(t *testing.T) {
 	shared.Close()
 
 	var agg Stats
-	var retries, fellBack, trips int
+	var served, retries, fellBack, trips int
 	for d, st := range stats {
-		captured := st.Stages[StageCapture].Runs
-		acted := st.Stages[StageAct].Runs
-		if captured != acted+st.Superseded+st.TimedOut+st.Degraded {
+		if captured[d] != acted[d]+st.Superseded+st.TimedOut+st.Degraded {
 			t.Errorf("device %d: cycle accounting off: %d captured != %d acted + %d superseded + %d timed out + %d degraded",
-				d, captured, acted, st.Superseded, st.TimedOut, st.Degraded)
+				d, captured[d], acted[d], st.Superseded, st.TimedOut, st.Degraded)
 		}
-		if captured == 0 {
+		if captured[d] == 0 {
 			t.Errorf("device %d analysed nothing", d)
 		}
 		agg.Superseded += st.Superseded
@@ -126,9 +128,7 @@ func TestChaosFleetSurvives(t *testing.T) {
 		for _, b := range fallbacks[d].Backends {
 			trips += b.Tripped
 		}
-		for i := range agg.Stages {
-			agg.Stages[i].Runs += st.Stages[i].Runs
-		}
+		served += acted[d]
 	}
 
 	if plan.TotalInjected() == 0 {
@@ -144,7 +144,6 @@ func TestChaosFleetSurvives(t *testing.T) {
 	if trips != 0 {
 		t.Errorf("%d breaker trips with retry absorbing the error rate, want 0", trips)
 	}
-	served := agg.Stages[StageAct].Runs
 	eligible := served + agg.Degraded
 	if eligible == 0 {
 		t.Fatal("no cycles reached the infer decision")
@@ -189,7 +188,7 @@ func TestCorruptBackendDegradesEveryCycle(t *testing.T) {
 	svc.Stop()
 	a.Stop()
 	st := svc.Stats()
-	inferred := st.Stages[StageInfer].Runs
+	inferred := svc.Timings().Stage(StageInfer).Count
 	if inferred == 0 || plan.Injected(faults.Corrupt) != inferred {
 		t.Fatalf("%d cycles reached infer, %s: want every one corrupted", inferred, plan)
 	}

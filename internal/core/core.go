@@ -124,7 +124,8 @@ func (c Config) strokeWidth() int {
 	return c.StrokeWidth
 }
 
-// Stats counts service activity for the overhead model.
+// Stats counts service activity for the overhead model. How often each
+// step of the cycle ran, and for how long, is in Service.Timings.
 type Stats struct {
 	// EventsSeen counts accessibility callbacks received.
 	EventsSeen int
@@ -151,22 +152,9 @@ type Stats struct {
 	DecorationsDrawn int
 	// Bypasses counts auto-clicks dispatched.
 	Bypasses int
-	// Rinses counts screenshot buffers zeroed after use.
-	Rinses int
-	// Stages holds per-stage run counts, indexed by Stage. Their time is
-	// in Timings.
-	Stages [NumStages]StageStats
 }
 
-// Stage returns the counters for one pipeline stage.
-func (s Stats) Stage(st Stage) StageStats {
-	if st < 0 || st >= NumStages {
-		return StageStats{}
-	}
-	return s.Stages[st]
-}
-
-// Analysis is one recorded detection cycle.
+// Analysis is one completed detection cycle, as handed to OnAnalysis.
 type Analysis struct {
 	At         time.Duration
 	Package    string
@@ -192,7 +180,6 @@ type Service struct {
 	lastPkg     string
 	decorations []*uikit.Window
 	stats       Stats
-	log         []Analysis
 	stopped     bool
 	// inflightCancel/inflightDone track the analysis cycle currently
 	// executing, if any: cancel aborts it cooperatively, done closes when it
@@ -229,18 +216,10 @@ func (s *Service) Stats() Stats {
 	return s.stats
 }
 
-// Timings returns the per-stage latency recorder. The recorder is live;
-// callers should treat it as read-only.
+// Timings returns the per-step recorder, keyed by the Stage* names: each
+// step's run count and wall-clock time. The recorder is live; callers
+// should treat it as read-only.
 func (s *Service) Timings() *perfmodel.Timings { return s.timings }
-
-// Log returns every analysis performed so far.
-func (s *Service) Log() []Analysis {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Analysis, len(s.log))
-	copy(out, s.log)
-	return out
-}
 
 // Stop cancels pending work — including an analysis currently executing,
 // which aborts cooperatively within roughly one conv layer — waits for it to
@@ -348,13 +327,12 @@ func (s *Service) degrade() {
 	s.mu.Unlock()
 }
 
-// analyze runs one detection cycle (Fig. 5 steps 3-5) as an explicit
-// pipeline: capture -> preprocess -> infer -> postprocess -> act. Each stage
-// is counted in Stats.Stages and timed into the Timings recorder. The
-// cycle runs under a per-analysis context: between stages (and, inside
+// analyze runs one detection cycle (Fig. 5 steps 3-5): capture ->
+// preprocess -> infer -> postprocess -> act, each step timed into Timings.
+// The cycle runs under a per-analysis context: between steps (and, inside
 // inference, between conv layers) a cancel or deadline expiry aborts the
-// remaining work — in particular a cancelled cycle never reaches the act
-// stage, so stale detections are never drawn, reported, or clicked.
+// remaining work — in particular a cancelled cycle never reaches act, so
+// stale detections are never drawn, reported, or clicked.
 func (s *Service) analyze() {
 	ctx, finish, ok := s.beginAnalysis()
 	if !ok {
@@ -367,13 +345,12 @@ func (s *Service) analyze() {
 	if s.cfg.mode() == ModeMonitor {
 		return
 	}
-	shot := s.capture()
-	pre := s.preprocess(shot)
+	x := s.preprocess(s.capture())
 	if err := ctx.Err(); err != nil {
 		s.abandon(err)
 		return
 	}
-	inf, err := s.infer(ctx, pre)
+	dets, err := s.infer(ctx, x)
 	if err == nil {
 		// Catch a cancel that landed between inference finishing and now:
 		// the result is already stale.
@@ -394,42 +371,28 @@ func (s *Service) analyze() {
 	s.mu.Lock()
 	s.stats.Analyses++
 	s.mu.Unlock()
-	post := s.postprocess(pre, inf)
+	shift := s.postprocess(dets)
 	if err := ctx.Err(); err != nil {
 		s.abandon(err)
 		return
 	}
 	s.mu.Lock()
-	rec := Analysis{At: s.clock.Now(), Package: s.lastPkg, Detections: post.Detections}
-	s.log = append(s.log, rec)
+	rec := Analysis{At: s.clock.Now(), Package: s.lastPkg, Detections: dets}
 	s.mu.Unlock()
-	s.act(rec, post)
+	s.act(rec, shift)
 }
 
 // decorate draws a high-contrast border overlay around each detected option
-// (Section IV-D), calibrating window coordinates with the anchor-view
-// offset measured by the postprocess stage. It returns the number of
-// overlays added.
-func (s *Service) decorate(p PostprocessResult) int {
-	added := 0
-	for _, dec := range PlanDecorations(p.Detections, s.cfg.upoColor(), s.cfg.agoColor(), s.cfg.strokeWidth()) {
-		r := dec.Frame
-		// WindowManager.addView positions views relative to the app
-		// window; the model reports screen coordinates. Calibration
-		// subtracts the anchor-view offset (Figure 6 lines 8-9).
-		lp := geom.Pt{X: r.X, Y: r.Y}
-		if !s.cfg.DisableCalibration {
-			lp = lp.Sub(p.Offset)
-		}
-		frame := geom.Rect{X: p.WinOrigin.X + lp.X, Y: p.WinOrigin.Y + lp.Y, W: r.W, H: r.H}
+// (Section IV-D), moved by the calibrated shift postprocess measured.
+func (s *Service) decorate(dets []metrics.Detection, shift geom.Pt) {
+	for _, dec := range PlanDecorations(dets, s.cfg.upoColor(), s.cfg.agoColor(), s.cfg.strokeWidth()) {
+		frame := dec.Frame.Translate(shift.X, shift.Y)
 		w := s.mgr.AddOverlay("org.darpa.aui", frame, decorationView(frame, dec.Stroke, dec.Color))
 		s.mu.Lock()
 		s.decorations = append(s.decorations, w)
 		s.stats.DecorationsDrawn++
 		s.mu.Unlock()
-		added++
 	}
-	return added
 }
 
 // decorationView builds the border view used as decoration content.
@@ -448,12 +411,11 @@ func decorationView(frame geom.Rect, width int, col render.Color) *uikit.View {
 // bypass auto-clicks the detected UPO regions, highest confidence first
 // (Section IV-D's "automatically sends a click event to the UPO region").
 // Up to three regions are tried: a benign false positive absorbs one click
-// harmlessly, while the real close button still gets hit. It returns the
-// number of clicks dispatched.
-func (s *Service) bypass(dets []metrics.Detection) int {
+// harmlessly, while the real close button still gets hit.
+func (s *Service) bypass(dets []metrics.Detection) {
 	upos := BypassTargets(dets)
 	if len(upos) == 0 {
-		return 0
+		return
 	}
 	s.mu.Lock()
 	s.stats.Bypasses++
@@ -461,7 +423,6 @@ func (s *Service) bypass(dets []metrics.Detection) int {
 	for _, d := range upos {
 		s.mgr.DispatchClick(d.B.Rect().Center())
 	}
-	return len(upos)
 }
 
 // clearDecorations removes every decoration overlay. The windows are

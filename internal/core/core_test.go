@@ -10,6 +10,7 @@ import (
 	"repro/internal/detect"
 	"repro/internal/geom"
 	"repro/internal/metrics"
+	"repro/internal/render"
 	"repro/internal/sim"
 	"repro/internal/tensor"
 	"repro/internal/uikit"
@@ -105,14 +106,31 @@ func TestShorterCutoffAnalysesMore(t *testing.T) {
 	}
 }
 
-func TestRinseAfterEveryAnalysis(t *testing.T) {
+// TestPreprocessRinsesScreenshot: the preprocess step hands on the model
+// tensor and leaves every byte of the screenshot zeroed (Section IV-E).
+func TestPreprocessRinsesScreenshot(t *testing.T) {
 	clock, mgr, _ := newEnv(4)
 	s := Start(clock, mgr, &fakeDetector{}, Config{})
-	mgr.Emit(a11y.TypeWindowsChanged, "app")
-	clock.RunFor(time.Second)
-	st := s.Stats()
-	if st.Rinses != st.Analyses || st.Rinses == 0 {
-		t.Fatalf("rinses=%d analyses=%d — every screenshot must be rinsed", st.Rinses, st.Analyses)
+	shot := render.NewCanvas(384, 640)
+	shot.Fill(geom.Rect{X: 40, Y: 60, W: 200, H: 100}, render.Color{R: 200, G: 30, B: 90, A: 255})
+	x := s.preprocess(shot)
+	nonZero := false
+	for _, v := range x.Data {
+		if v != 0 {
+			nonZero = true
+			break
+		}
+	}
+	if !nonZero {
+		t.Fatal("preprocess returned an all-zero tensor for a painted screenshot")
+	}
+	for i, b := range shot.Pix {
+		if b != 0 {
+			t.Fatalf("screenshot byte %d = %d after preprocess, want every byte rinsed to 0", i, b)
+		}
+	}
+	if got := s.Timings().Stage(StagePreprocess).Count; got != 1 {
+		t.Fatalf("preprocess timed %d runs, want 1", got)
 	}
 }
 
@@ -257,7 +275,7 @@ func TestStopCancelsPendingWork(t *testing.T) {
 	}
 }
 
-func TestAnalysisLogAndCallback(t *testing.T) {
+func TestAnalysisCallback(t *testing.T) {
 	clock, mgr, _ := newEnv(13)
 	det := &fakeDetector{dets: []metrics.Detection{upoDet(20, 2, 4, 4)}}
 	var observed []Analysis
@@ -265,16 +283,15 @@ func TestAnalysisLogAndCallback(t *testing.T) {
 	s.OnAnalysis = func(a Analysis) { observed = append(observed, a) }
 	mgr.Emit(a11y.TypeWindowsChanged, "com.shop")
 	clock.RunFor(time.Second)
-	log := s.Log()
-	if len(log) != 1 || len(observed) != 1 {
-		t.Fatalf("log=%d observed=%d", len(log), len(observed))
+	if len(observed) != 1 {
+		t.Fatalf("observed %d analyses, want 1", len(observed))
 	}
-	if log[0].Package != "com.shop" {
-		t.Fatalf("logged package %q", log[0].Package)
+	if observed[0].Package != "com.shop" {
+		t.Fatalf("observed package %q", observed[0].Package)
 	}
 	// Detections are reported in screen coordinates (4x input).
-	if log[0].Detections[0].B.X != 80 {
-		t.Fatalf("logged detection %v, want screen coords", log[0].Detections[0].B)
+	if observed[0].Detections[0].B.X != 80 {
+		t.Fatalf("observed detection %v, want screen coords", observed[0].Detections[0].B)
 	}
 }
 

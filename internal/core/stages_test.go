@@ -8,23 +8,8 @@ import (
 	"repro/internal/detect"
 )
 
-func TestStageNamesAndBounds(t *testing.T) {
-	want := map[Stage]string{
-		StageCapture: "capture", StagePreprocess: "preprocess", StageInfer: "infer",
-		StagePostprocess: "postprocess", StageAct: "act",
-	}
-	for st, name := range want {
-		if st.String() != name {
-			t.Errorf("%d.String() = %q, want %q", st, st.String(), name)
-		}
-	}
-	if Stage(-1).String() != "unknown" || NumStages.String() != "unknown" {
-		t.Error("out-of-range stages should stringify as unknown")
-	}
-	if (Stats{}).Stage(Stage(-1)) != (StageStats{}) {
-		t.Error("out-of-range Stage() should return zero stats")
-	}
-}
+// allStages lists the cycle's steps in execution order.
+var allStages = []string{StageCapture, StagePreprocess, StageInfer, StagePostprocess, StageAct}
 
 func TestStagesRunOncePerAnalysis(t *testing.T) {
 	clock, mgr, _ := newEnv(21)
@@ -33,18 +18,16 @@ func TestStagesRunOncePerAnalysis(t *testing.T) {
 		mgr.Emit(a11y.TypeWindowContentChanged, "app")
 		clock.RunFor(time.Second)
 	}
-	st := s.Stats()
-	if st.Analyses != 3 {
+	if st := s.Stats(); st.Analyses != 3 {
 		t.Fatalf("analyses = %d", st.Analyses)
 	}
-	for stage := Stage(0); stage < NumStages; stage++ {
-		ss := st.Stage(stage)
-		if ss.Runs != 3 {
-			t.Errorf("stage %v ran %d times, want 3", stage, ss.Runs)
+	for _, stage := range allStages {
+		if rec := s.Timings().Stage(stage); rec.Count != 3 {
+			t.Errorf("timings for %s recorded %d, want 3", stage, rec.Count)
 		}
-		if rec := s.Timings().Stage(stage.String()); rec.Count != 3 {
-			t.Errorf("timings for %v recorded %d, want 3", stage, rec.Count)
-		}
+	}
+	if got := s.Timings().Stages(); len(got) != len(allStages) {
+		t.Errorf("timed stages %v, want exactly %v", got, allStages)
 	}
 }
 
@@ -53,10 +36,8 @@ func TestMonitorModeSkipsAllStages(t *testing.T) {
 	s := Start(clock, mgr, nil, Config{Mode: ModeMonitor})
 	mgr.Emit(a11y.TypeWindowContentChanged, "app")
 	clock.RunFor(time.Second)
-	for stage := Stage(0); stage < NumStages; stage++ {
-		if ss := s.Stats().Stage(stage); ss.Runs != 0 {
-			t.Errorf("monitor mode ran stage %v %d times", stage, ss.Runs)
-		}
+	if got := s.Timings().Stages(); len(got) != 0 {
+		t.Errorf("monitor mode ran stages %v", got)
 	}
 }
 
@@ -82,9 +63,9 @@ func TestCallerCacheSkipsRepeatInference(t *testing.T) {
 	if c.Hits() != 3 || c.Misses() != 1 {
 		t.Fatalf("hits=%d misses=%d, want 3/1", c.Hits(), c.Misses())
 	}
-	// Stage counters still tick for every analysis — the cache is inside
-	// the infer stage, not a bypass of it.
-	if ss := st.Stage(StageInfer); ss.Runs != 4 {
-		t.Fatalf("infer stage ran %d times, want 4", ss.Runs)
+	// The infer step still runs for every analysis — the cache is inside
+	// it, not a bypass of it.
+	if n := s.Timings().Stage(StageInfer).Count; n != 4 {
+		t.Fatalf("infer stage ran %d times, want 4", n)
 	}
 }

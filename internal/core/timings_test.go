@@ -219,7 +219,7 @@ func TestTimingsHoldOnlyDurations(t *testing.T) {
 		t.Fatalf("handset stats = %+v, retries %d, fallbacks %+v: want retries, fallbacks, degraded cycles and a breaker trip", cs, rs.Retries, fs)
 	}
 	for _, name := range svc.Timings().Stages() {
-		if !slices.Contains(stageNames[:], name) {
+		if !slices.Contains(allStages, name) {
 			t.Errorf("handset recorder holds %q, not a pipeline stage", name)
 		}
 	}

@@ -115,8 +115,9 @@ func PredictCanvas(p Detector, c *render.Canvas, confThresh float64) []metrics.D
 // screen, whose pixels c holds at any resolution (httpd decodes them straight
 // to the model's size). It is the one-call path a network front end needs:
 // pixels in, screen-coordinate detections out, admission errors surfaced.
+// It reaches p through Guarded, so a panic or a corrupt answer is an error.
 func PredictCanvasCtx(ctx context.Context, p Detector, c *render.Canvas, sw, sh int, confThresh float64) ([]metrics.Detection, error) {
-	dets, err := Only(p.PredictBatchCtx(ctx, yolite.CanvasToTensor(c), confThresh))
+	dets, err := Only(Guarded(ctx, p, yolite.CanvasToTensor(c), confThresh))
 	if err != nil {
 		return nil, err
 	}

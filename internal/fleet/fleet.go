@@ -183,7 +183,7 @@ type analysis struct {
 
 // device is one simulated handset: ~100 bytes, no goroutine.
 type device struct {
-	rng      rng
+	rng      sim.Splitmix
 	tenant   int32
 	popup    bool
 	popupGen uint32 // invalidates stale dwell-dismiss events
@@ -261,7 +261,7 @@ func Run(cfg Config, models []detect.Detector) (*Result, error) {
 	// thundering herd at t=0) and the first AUI popup at its exponential draw.
 	for i := range r.devices {
 		d := &r.devices[i]
-		d.rng = deviceRNG(cfg.Seed, i)
+		d.rng = sim.Stream(cfg.Seed, i)
 		d.tenant = int32(i % cfg.Tenants)
 		phase := time.Duration(d.rng.Float64() * float64(r.period))
 		r.clock.Schedule(phase, func() { r.burst(d) })

@@ -501,7 +501,7 @@ func TestConfigValidation(t *testing.T) {
 // TestDeviceRNGStreamsIndependent: adjacent devices' generators must not be
 // correlated shifts of each other (the bug a naive seed+i construction has).
 func TestDeviceRNGStreamsIndependent(t *testing.T) {
-	a, b := deviceRNG(42, 0), deviceRNG(42, 1)
+	a, b := sim.Stream(42, 0), sim.Stream(42, 1)
 	matches := 0
 	for i := 0; i < 64; i++ {
 		if a.Intn(1000) == b.Intn(1000) {

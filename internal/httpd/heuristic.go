@@ -14,7 +14,7 @@ import (
 // pixel-statistics scan that stands in when the scheduler sheds a request.
 // The in-process fleet degrades onto the frauddroid view-metadata heuristic,
 // but a network client sends pixels only — no view hierarchy — so the
-// degraded chain here works from the screenshot alone: the AGO is found as
+// degraded detector here works from the screenshot alone: the AGO is found as
 // the largest connected vivid region (the paper's app-guided options are
 // deliberately big, saturated and central), and a UPO is proposed as the
 // strongest small luma outlier in the band just above it (close buttons sit

@@ -86,10 +86,10 @@ type Config struct {
 	// Timings, when non-nil, contributes per-stage p50/p95/p99 to the stats
 	// payloads. Share the recorder given to serve.Options.Timings.
 	Timings *perfmodel.Timings
-	// Degraded, when non-nil, answers shed requests: it is wrapped in a
-	// detect.WithFallback chain (circuit breaker included) and its result
-	// rides the 503 body so an overloaded server still returns decisions a
-	// client can act on. Nil means shed requests get a bare 503.
+	// Degraded, when non-nil, answers shed requests: its result rides the
+	// 503 body so an overloaded server still returns decisions a client can
+	// act on. Nil, or a degraded call that fails (detect.Guarded turns a
+	// panic or a corrupt answer into an error), means a bare 503.
 	Degraded detect.Detector
 	// ConfThresh is the default confidence threshold when a request does
 	// not set one. Zero means yolite.DefaultConfThresh.
@@ -150,10 +150,9 @@ func (c Config) logf(format string, args ...any) {
 // Server is the HTTP front end. Create with New, mount as an http.Handler,
 // and call BeginDrain when shutting down.
 type Server struct {
-	cfg      Config
-	mux      *http.ServeMux
-	bcast    *broadcaster
-	degraded *detect.FallbackChain // breaker over cfg.Degraded; nil when unset
+	cfg   Config
+	mux   *http.ServeMux
+	bcast *broadcaster
 
 	draining atomic.Bool
 
@@ -174,9 +173,6 @@ func New(cfg Config) *Server {
 		cfg:   cfg,
 		mux:   http.NewServeMux(),
 		bcast: newBroadcaster(cfg.ClientBuffer),
-	}
-	if cfg.Degraded != nil {
-		s.degraded = detect.WithFallback(cfg.Degraded)
 	}
 	s.mux.HandleFunc("/v1/detect", s.handleDetect)
 	s.mux.HandleFunc("/v1/events", s.handleEvents)
@@ -240,7 +236,7 @@ type Decoration struct {
 }
 
 // DetectResponse is the POST /v1/detect reply. On 429/503 only Error (and,
-// when a degraded chain answered, Degraded plus the decision fields) is set.
+// when Config.Degraded answered, Degraded plus the decision fields) is set.
 type DetectResponse struct {
 	Detections  []Detection  `json:"detections"`
 	Decorations []Decoration `json:"decorations"`
@@ -419,12 +415,12 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		s.rateLimited.Add(1)
 		s.writeError(w, http.StatusTooManyRequests, tenant, err.Error(), "1")
 	case errors.Is(err, serve.ErrOverloaded):
-		// Shed for global queue depth. With a degraded chain the client
+		// Shed for global queue depth. With a degraded detector the client
 		// still gets decisions to act on — inside a 503 so it knows the
 		// full model never saw this screen.
 		s.overloaded.Add(1)
-		if s.degraded != nil {
-			if ddets, derr := detect.PredictCanvasCtx(ctx, s.degraded, sc.canvas, sc.w, sc.h, sc.conf); derr == nil {
+		if s.cfg.Degraded != nil {
+			if ddets, derr := detect.PredictCanvasCtx(ctx, s.cfg.Degraded, sc.canvas, sc.w, sc.h, sc.conf); derr == nil {
 				s.degradedOK.Add(1)
 				w.Header().Set("Retry-After", "1")
 				s.writeResult(w, http.StatusServiceUnavailable, tenant, sc, ddets, true)

@@ -278,6 +278,47 @@ func TestDetectShedWithDegradedBody(t *testing.T) {
 	}
 }
 
+// panicStub is a degraded detector that panics on every call.
+type panicStub struct{}
+
+func (panicStub) Name() string { return "panic-stub" }
+
+func (panicStub) PredictBatchCtx(context.Context, *tensor.Tensor, float64) ([][]metrics.Detection, error) {
+	panic("degraded detector blew up")
+}
+
+// TestDetectShedFailedDegradedIsBare: a degraded detector that panics, or
+// answers with a NaN box, must not crash the handler or leak its answer; the
+// shed request gets a bare 503 with Retry-After, and the server goes on
+// serving the next request.
+func TestDetectShedFailedDegradedIsBare(t *testing.T) {
+	nanBox := []metrics.Detection{{Class: dataset.ClassAGO, B: geom.BoxF{X: math.NaN(), Y: 1, W: 10, H: 10}, Score: 0.9}}
+	for name, degraded := range map[string]detect.Detector{
+		"panic": panicStub{},
+		"nan":   &wireStub{dets: nanBox},
+	} {
+		t.Run(name, func(t *testing.T) {
+			backend := &wireStub{dets: testDets(), err: serve.ErrOverloaded}
+			s := New(Config{Backend: backend, Degraded: degraded})
+			w, resp := doDetect(t, s, nil, detectBody(t))
+			if w.Code != http.StatusServiceUnavailable || resp.Degraded || resp.Error == "" || len(resp.Detections) != 0 {
+				t.Fatalf("status %d body %+v, want a bare 503 with an error", w.Code, resp)
+			}
+			if w.Header().Get("Retry-After") == "" {
+				t.Fatal("shed 503 without Retry-After")
+			}
+			if got := s.statsPayload(); got.Overloaded != 1 || got.DegradedOK != 0 {
+				t.Fatalf("counters = %+v, want overloaded 1 degraded_served 0", got)
+			}
+			backend.err = nil
+			w, resp = doDetect(t, s, nil, detectBody(t))
+			if w.Code != http.StatusOK || len(resp.Detections) != len(testDets()) {
+				t.Fatalf("after a failed degraded call: status %d body %+v, want a 200 with detections", w.Code, resp)
+			}
+		})
+	}
+}
+
 func TestDetectShedBare(t *testing.T) {
 	s := New(Config{Backend: &wireStub{err: serve.ErrOverloaded}})
 	w, resp := doDetect(t, s, nil, detectBody(t))

@@ -53,14 +53,6 @@ func (s *Server) families() []metrics.Family {
 		metrics.Gauge("darpa_http_draining",
 			"1 while BeginDrain has been called.", metrics.V(draining)),
 	}
-	if s.degraded != nil {
-		trips := 0
-		for _, b := range s.degraded.Stats().Backends {
-			trips += b.Tripped
-		}
-		fams = append(fams, metrics.Counter("darpa_degraded_breaker_trips_total",
-			"Times the degraded detector's circuit breaker opened.", metrics.V(float64(trips))))
-	}
 	if s.cfg.Stats != nil {
 		fams = append(fams, s.cfg.Stats().Families()...)
 	}

@@ -23,8 +23,8 @@ func scrape(t *testing.T, s *Server) (*httptest.ResponseRecorder, string) {
 }
 
 // TestMetricsEndpoint: /metrics serves well-formed Prometheus text carrying
-// the HTTP counters, the serving ledger, the degraded chain's breaker and the
-// stage latencies — the scrape CI's serve smoke performs.
+// the HTTP counters, the serving ledger and the stage latencies — the scrape
+// CI's serve smoke performs.
 func TestMetricsEndpoint(t *testing.T) {
 	fixed := serve.Stats{Offered: 10, Admitted: 7, Shed: 2, Rejected: 1, Batches: 4, Items: 7}
 	rec := &perfmodel.Timings{}
@@ -56,7 +56,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`darpa_stage_latency_seconds{quantile="0.5",stage="serve-batch"}`,
 		"darpa_sse_subscribers 0",
 		"darpa_http_draining 0",
-		"darpa_degraded_breaker_trips_total 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("missing series %q in scrape:\n%s", want, body)

@@ -143,7 +143,9 @@ func writeLabels(w *bufio.Writer, labels map[string]string) {
 		if i > 0 {
 			w.WriteByte(',')
 		}
-		fmt.Fprintf(w, `%s=%q`, k, escapeLabel(labels[k]))
+		// %q adds the quotes and escapes ", \ and newlines, which is all
+		// the exposition format asks of a label value.
+		fmt.Fprintf(w, `%s=%q`, k, labels[k])
 	}
 	w.WriteByte('}')
 }
@@ -164,13 +166,6 @@ func formatValue(v float64) string {
 
 func escapeHelp(s string) string {
 	return strings.NewReplacer(`\`, `\\`, "\n", `\n`).Replace(s)
-}
-
-func escapeLabel(s string) string {
-	// %q in writeLabels adds the quotes and escapes " and \; newlines are
-	// escaped by it too, so the label value needs no pre-pass. The function
-	// exists as the single seam where label sanitisation would go.
-	return s
 }
 
 // ValidateText checks that r holds well-formed Prometheus text exposition:

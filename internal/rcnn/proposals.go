@@ -153,6 +153,3 @@ func borderContrast(c *render.Canvas, r geom.Rect) float64 {
 	}
 	return 1 + d/255
 }
-
-// BoxIoU is a debugging helper exposing rect-vs-box IoU.
-func BoxIoU(r geom.Rect, b geom.BoxF) float64 { return geom.BoxFromRect(r).IoU(b) }

@@ -128,9 +128,10 @@ type TenantStats struct {
 	Rejected int // requests dropped by this tenant's rate limit
 }
 
-// AdmissionStats aggregates the admission layer's ledger. The invariant
-// Offered == Admitted + Shed + Rejected holds at every snapshot — a request
-// that reaches admission is counted exactly once, whatever its fate.
+// AdmissionStats aggregates the admission layer's ledger: the totals are
+// sums over Tenants. The invariant Offered == Admitted + Shed + Rejected
+// holds at every snapshot — a request that reaches admission is counted
+// exactly once, whatever its fate.
 type AdmissionStats struct {
 	Offered  int
 	Admitted int
@@ -156,7 +157,6 @@ type admission struct {
 	configs  map[TenantID]TenantConfig
 	maxDepth int
 	now      func() time.Time
-	stats    AdmissionStats
 }
 
 // newAdmission builds the layer. A tenant absent from configs (nil is fine)
@@ -224,7 +224,6 @@ func (a *admission) decide(info TenantInfo, depth int) (verdict, Priority) {
 	if prio < 0 || prio >= numPriorities {
 		prio = PriorityLive
 	}
-	a.stats.Offered++
 	s.stats.Offered++
 
 	// Rate limit first: a tenant over its budget is rejected even when the
@@ -238,7 +237,6 @@ func (a *admission) decide(info TenantInfo, depth int) (verdict, Priority) {
 			s.tokens = max
 		}
 		if s.tokens < 1 {
-			a.stats.Rejected++
 			s.stats.Rejected++
 			return rejected, prio
 		}
@@ -259,11 +257,9 @@ func (a *admission) decide(info TenantInfo, depth int) (verdict, Priority) {
 				s.tokens = max
 			}
 		}
-		a.stats.Shed++
 		s.stats.Shed++
 		return shed, prio
 	}
-	a.stats.Admitted++
 	s.stats.Admitted++
 	return admitted, prio
 }
@@ -272,10 +268,13 @@ func (a *admission) decide(info TenantInfo, depth int) (verdict, Priority) {
 func (a *admission) snapshot() AdmissionStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := a.stats
-	out.Tenants = make(map[TenantID]TenantStats, len(a.tenants))
+	out := AdmissionStats{Tenants: make(map[TenantID]TenantStats, len(a.tenants))}
 	for id, s := range a.tenants {
 		out.Tenants[id] = s.stats
+		out.Offered += s.stats.Offered
+		out.Admitted += s.stats.Admitted
+		out.Shed += s.stats.Shed
+		out.Rejected += s.stats.Rejected
 	}
 	return out
 }

@@ -69,7 +69,9 @@ type response struct {
 	err error
 }
 
-// Stats is a point-in-time snapshot across all three layers.
+// Stats is a point-in-time snapshot across all three layers. Batches,
+// Poisoned and Failed are sums over Replicas; the admission totals are sums
+// over Tenants.
 type Stats struct {
 	Batches       int // forwards dispatched (after threshold grouping)
 	Items         int // requests served through the scheduler
@@ -175,6 +177,9 @@ func (b *Batcher) Stats() Stats {
 	st.Replicas = make([]ReplicaStats, len(b.reps))
 	for i, r := range b.reps {
 		st.Replicas[i] = r.snapshot()
+		st.Batches += st.Replicas[i].Batches
+		st.Poisoned += st.Replicas[i].Poisoned
+		st.Failed += st.Replicas[i].Failed
 	}
 	return st
 }
@@ -353,24 +358,43 @@ func (b *Batcher) flush(rep *replica, batch []request) {
 	}
 }
 
-// runGroup executes one homogeneous group as a single forward on rep and
-// fans the results back out to their requesters: each gets its own one-item
-// window of the group's answer. A group of one skips the copy and runs its
-// request's own tensor under its own context; a coalesced forward serves
-// several callers and so runs under none of theirs. Every backend call goes
-// through detect.Guarded, so the worker survives any backend, and failure
-// containment is the scheduler's poison-item isolation: a grouped forward
-// that panics, errors, or returns a misaligned or corrupt answer is re-run
-// item by item, so the one poison item fails alone — with its own error —
-// while the rest of the batch still returns real results. Historically an
-// inner panic here killed the dispatcher goroutine, leaving every queued and
-// future caller blocked forever.
+// runGroup executes one homogeneous group on rep, records it in the
+// timing recorder and the replica's ledger, and only then answers each
+// requester, so every count is visible by the time a caller has its answer.
+// A real failure is an error other than a cancellation, which
+// Stats.Cancelled and the caller's own ctx already account for.
 func (b *Batcher) runGroup(rep *replica, group []request) {
 	start := time.Now()
+	answers, poisoned := b.forward(rep, group)
+	wall := time.Since(start)
+	failed := 0
+	for _, a := range answers {
+		if a.err != nil && !errors.Is(a.err, context.Canceled) && !errors.Is(a.err, context.DeadlineExceeded) {
+			failed++
+		}
+	}
+	b.rec.ObserveBatch("serve-batch", wall, len(group))
+	rep.note(wall, len(group), failed, poisoned)
+	for j, r := range group {
+		r.resp <- answers[j]
+	}
+}
+
+// forward runs one group as a single forward on rep and returns each
+// request's own one-item window of the answer. A group of one skips the copy
+// and runs its request's own tensor under its own context; a coalesced
+// forward serves several callers and so runs under none of theirs. Every
+// backend call goes through detect.Guarded, so the worker survives any
+// backend, and failure containment is the scheduler's poison-item
+// isolation: a grouped forward that panics, errors, or returns a misaligned
+// or corrupt answer is re-run item by item (poisoned is then true), so the
+// one poison item fails alone — with its own error — while the rest of the
+// batch still returns real results.
+func (b *Batcher) forward(rep *replica, group []request) (answers []response, poisoned bool) {
+	answers = make([]response, len(group))
 	if len(group) == 1 {
-		failed := b.runOne(rep, group[0])
-		b.noteBatch(rep, time.Since(start), 1, failed, false)
-		return
+		answers[0] = runOne(rep, group[0])
+		return answers, false
 	}
 	sub := tensor.New(append([]int{len(group)}, group[0].x.Shape[1:]...)...)
 	per := len(sub.Data) / len(group)
@@ -382,51 +406,20 @@ func (b *Batcher) runGroup(rep *replica, group []request) {
 		// Poison isolation: one member spoiled the shared forward (or the
 		// backend misaligned the result mapping). Re-run each request on its
 		// own so the failure lands only on the item that caused it.
-		b.statsMu.Lock()
-		b.stats.Poisoned++
-		b.statsMu.Unlock()
-		failed := 0
-		for _, r := range group {
-			failed += b.runOne(rep, r)
+		for j, r := range group {
+			answers[j] = runOne(rep, r)
 		}
-		b.noteBatch(rep, time.Since(start), len(group), failed, true)
-		return
+		return answers, true
 	}
-	for j, r := range group {
-		r.resp <- response{out: res[j : j+1 : j+1]}
+	for j := range group {
+		answers[j] = response{out: res[j : j+1 : j+1]}
 	}
-	b.noteBatch(rep, time.Since(start), len(group), 0, false)
+	return answers, false
 }
 
 // runOne runs one request's own tensor on rep under the request's own
-// context and answers it.
-func (b *Batcher) runOne(rep *replica, r request) int {
+// context.
+func runOne(rep *replica, r request) response {
 	out, err := detect.Guarded(r.ctx, rep.backend, r.x, r.conf)
-	return b.answer(r, out, err)
-}
-
-// answer delivers one request's outcome, counting real failures (not
-// cancellations, which Stats.Cancelled and the caller's own ctx already
-// account for). It reports 1 for a counted failure so runGroup can fold the
-// tally into the replica's health ledger.
-func (b *Batcher) answer(r request, out [][]metrics.Detection, err error) int {
-	failed := 0
-	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		failed = 1
-		b.statsMu.Lock()
-		b.stats.Failed++
-		b.statsMu.Unlock()
-	}
-	r.resp <- response{out: out, err: err}
-	return failed
-}
-
-// noteBatch records one flushed forward in the global counters, the timing
-// recorder, and the replica's health ledger.
-func (b *Batcher) noteBatch(rep *replica, wall time.Duration, items, failed int, poisoned bool) {
-	b.statsMu.Lock()
-	b.stats.Batches++
-	b.statsMu.Unlock()
-	b.rec.ObserveBatch("serve-batch", wall, items)
-	rep.note(wall, items, failed, poisoned)
+	return response{out: out, err: err}
 }

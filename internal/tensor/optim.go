@@ -2,12 +2,6 @@ package tensor
 
 import "math"
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update and clears the gradients.
-	Step()
-}
-
 // Adam is the Adam optimiser, the one the paper uses to train YOLOv5
 // (Section VI-B, "we use a batch size of 256, and apply the Adam optimizer").
 type Adam struct {
@@ -54,40 +48,6 @@ func (a *Adam) Step() {
 			mh := m[i] / bc1
 			vh := v[i] / bc2
 			p.Data[i] -= a.LR * mh / (float32(math.Sqrt(float64(vh))) + a.Eps)
-			p.Grad[i] = 0
-		}
-	}
-}
-
-// SGD is plain stochastic gradient descent with optional momentum, used by
-// the ablation studies to contrast with Adam.
-type SGD struct {
-	LR       float32
-	Momentum float32
-
-	params []*Tensor
-	vel    [][]float32
-}
-
-// NewSGD builds the optimiser.
-func NewSGD(params []*Tensor, lr, momentum float32) *SGD {
-	s := &SGD{LR: lr, Momentum: momentum, params: params}
-	for _, p := range params {
-		if p.Grad == nil {
-			panic("tensor: SGD requires parameters with gradient buffers")
-		}
-		s.vel = append(s.vel, make([]float32, len(p.Data)))
-	}
-	return s
-}
-
-// Step applies one SGD update and zeroes the gradients.
-func (s *SGD) Step() {
-	for pi, p := range s.params {
-		vel := s.vel[pi]
-		for i := range p.Data {
-			vel[i] = s.Momentum*vel[i] - s.LR*p.Grad[i]
-			p.Data[i] += vel[i]
 			p.Grad[i] = 0
 		}
 	}

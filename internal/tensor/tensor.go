@@ -53,13 +53,6 @@ func (t *Tensor) Len() int { return len(t.Data) }
 // Dim returns the i-th dimension.
 func (t *Tensor) Dim(i int) int { return t.Shape[i] }
 
-// ZeroGrad clears the accumulated gradient, if any.
-func (t *Tensor) ZeroGrad() {
-	for i := range t.Grad {
-		t.Grad[i] = 0
-	}
-}
-
 // Fill sets every element to v.
 func (t *Tensor) Fill(v float32) {
 	for i := range t.Data {

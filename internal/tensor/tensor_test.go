@@ -365,19 +365,6 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumConverges(t *testing.T) {
-	p := NewWithGrad(1)
-	p.Data[0] = 10
-	sgd := NewSGD([]*Tensor{p}, 0.05, 0.9)
-	for step := 0; step < 300; step++ {
-		p.Grad[0] = 2 * p.Data[0]
-		sgd.Step()
-	}
-	if math.Abs(float64(p.Data[0])) > 0.01 {
-		t.Fatalf("SGD did not converge: %v", p.Data[0])
-	}
-}
-
 func TestClipGrad(t *testing.T) {
 	p := NewWithGrad(2)
 	p.Grad[0], p.Grad[1] = 3, 4 // norm 5
