@@ -2,17 +2,16 @@
 // the layered serving stack (admission → scheduler → replica pool) behind
 // the HTTP/SSE front end of internal/httpd. It is the deployment shape the
 // paper describes — an always-on detection service that apps and auditors
-// consume at run time — with per-tenant rate limits, queue-depth shedding
-// answered by a degraded pixel heuristic, and live fleet telemetry pushed
-// to SSE subscribers.
+// consume at run time — with per-tenant rate limits, queue-depth shedding,
+// and live fleet telemetry pushed to SSE subscribers.
 //
 //	darpa-serve [-addr :8080] [-weights weights] [-detector yolite]
 //	            [-replicas 2] [-tenants 2] [-tenant-rate 50] [-shed-depth 16]
 //
 // SIGINT/SIGTERM trigger a graceful drain: stop accepting, close SSE
 // streams, drain the scheduler, then exit 0. The wire contract (200
-// detections, 429 rate limiting, 503 shedding with degraded bodies, SSE
-// events) is pinned by internal/httpd's tests over the same stack.
+// detections, 429 rate limiting, bare 503 shedding, SSE events) is pinned
+// by internal/httpd's tests over the same stack.
 package main
 
 import (
@@ -90,7 +89,6 @@ func main() {
 		Backend:       batcher,
 		Stats:         batcher.Stats,
 		Timings:       rec,
-		Degraded:      httpd.PixelHeuristic{},
 		ConfThresh:    *conf,
 		Heartbeat:     *heartbeat,
 		StatsInterval: *statsEvery,

@@ -136,7 +136,7 @@ func main() {
 	if plan != nil {
 		// Chaos mode: faults hit the primary backend, which is retried, then
 		// falls back to the metadata heuristic reading the same screen.
-		retrier = detect.WithRetry(faults.WrapStage(model, plan, "backend"), 3)
+		retrier = detect.WithRetry(faults.Wrap(model, plan), 3)
 		chain = detect.WithFallback(retrier, &frauddroid.ViewAdapter{
 			Screen: func() *uikit.Screen { return h.Screen },
 		})
@@ -295,16 +295,16 @@ func printServedRate(st core.Stats, served int) {
 func chaosPlan(errRate float64, latency time.Duration, panicEvery int, corruptRate float64, seed int64) *faults.Plan {
 	var rules []faults.Rule
 	if panicEvery > 0 {
-		rules = append(rules, faults.Rule{Stage: "backend", Kind: faults.Panic, Every: panicEvery})
+		rules = append(rules, faults.Rule{Kind: faults.Panic, Every: panicEvery})
 	}
 	if errRate > 0 {
-		rules = append(rules, faults.Rule{Stage: "backend", Kind: faults.Error, Rate: errRate})
+		rules = append(rules, faults.Rule{Kind: faults.Error, Rate: errRate})
 	}
 	if corruptRate > 0 {
-		rules = append(rules, faults.Rule{Stage: "backend", Kind: faults.Corrupt, Rate: corruptRate})
+		rules = append(rules, faults.Rule{Kind: faults.Corrupt, Rate: corruptRate})
 	}
 	if latency > 0 {
-		rules = append(rules, faults.Rule{Stage: "backend", Kind: faults.Latency, Rate: 0.1, Latency: latency})
+		rules = append(rules, faults.Rule{Kind: faults.Latency, Rate: 0.1, Latency: latency})
 	}
 	if len(rules) == 0 {
 		return nil

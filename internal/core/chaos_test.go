@@ -63,15 +63,15 @@ func TestChaosFleetSurvives(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 
 	plan := faults.NewPlan(5,
-		faults.Rule{Stage: "backend", Kind: faults.Panic, Every: 37},
-		faults.Rule{Stage: "backend", Kind: faults.Error, Rate: 0.3},
-		faults.Rule{Stage: "backend", Kind: faults.Corrupt, Rate: 0.05},
-		faults.Rule{Stage: "backend", Kind: faults.Latency, Rate: 0.1, Latency: 200 * time.Microsecond},
-		faults.Rule{Stage: "fallback", Kind: faults.Error, Rate: 0.2},
+		faults.Rule{Kind: faults.Panic, Every: 37},
+		faults.Rule{Kind: faults.Error, Rate: 0.3},
+		faults.Rule{Kind: faults.Corrupt, Rate: 0.05},
+		faults.Rule{Kind: faults.Latency, Rate: 0.1, Latency: 200 * time.Microsecond},
 	)
+	fallbackPlan := faults.NewPlan(6, faults.Rule{Kind: faults.Error, Rate: 0.2})
 	shared := serve.NewReplicated(
 		serve.Options{MaxBatch: devices},
-		faults.WrapStage(&chaosStub{name: "primary"}, plan, "backend"),
+		faults.Wrap(&chaosStub{name: "primary"}, plan),
 	)
 
 	stats := make([]Stats, devices)
@@ -94,7 +94,7 @@ func TestChaosFleetSurvives(t *testing.T) {
 			})
 			monkey := app.StartMonkey(clock, mgr, "monkey", 2*time.Second)
 			retrier := detect.WithRetry(shared, 3)
-			chain := detect.WithFallback(retrier, faults.WrapStage(&chaosStub{name: "fallback"}, plan, "fallback"))
+			chain := detect.WithFallback(retrier, faults.Wrap(&chaosStub{name: "fallback"}, fallbackPlan))
 			svc := Start(clock, mgr, chain, Config{})
 			clock.RunUntil(2 * time.Minute)
 			monkey.Stop()
@@ -152,8 +152,8 @@ func TestChaosFleetSurvives(t *testing.T) {
 		t.Errorf("only %.1f%% of %d eligible screens served (%d degraded); want >= 95%%",
 			100*frac, eligible, agg.Degraded)
 	}
-	t.Logf("chaos fleet: %s; %d/%d screens served, %d retries, %d fallback-served, %d degraded",
-		plan, served, eligible, retries, fellBack, agg.Degraded)
+	t.Logf("chaos fleet: primary %s; fallback %s; %d/%d screens served, %d retries, %d fallback-served, %d degraded",
+		plan, fallbackPlan, served, eligible, retries, fellBack, agg.Degraded)
 
 	// Leak check: everything is stopped, so the goroutine count must settle
 	// back to (at most) where it started, give or take runtime housekeeping.
@@ -177,12 +177,12 @@ func TestChaosFleetSurvives(t *testing.T) {
 // answer to the seam's contract — every cycle that reaches infer degrades,
 // and nothing is flagged or drawn.
 func TestCorruptBackendDegradesEveryCycle(t *testing.T) {
-	plan := faults.NewPlan(1, faults.Rule{Stage: "backend", Kind: faults.Corrupt, Rate: 1})
+	plan := faults.NewPlan(1, faults.Rule{Kind: faults.Corrupt, Rate: 1})
 	clock := sim.NewClock(42)
 	mgr := a11y.NewManager(clock, uikit.NewScreen(384, 640))
 	a := app.Launch(clock, mgr, app.Config{Package: "com.chaos.corrupt", MeanAUIInterval: 5 * time.Second, GenSeed: 3})
 	monkey := app.StartMonkey(clock, mgr, "monkey", 2*time.Second)
-	svc := Start(clock, mgr, faults.WrapStage(&chaosStub{name: "primary"}, plan, "backend"), Config{})
+	svc := Start(clock, mgr, faults.Wrap(&chaosStub{name: "primary"}, plan), Config{})
 	clock.RunUntil(time.Minute)
 	monkey.Stop()
 	svc.Stop()

@@ -196,16 +196,14 @@ func TestTimingsHoldOnlyDurations(t *testing.T) {
 
 	// A handset whose primary always fails: cycles retry it until its breaker
 	// opens, then fall back to a backend that fails half the time, or degrade.
-	plan := faults.NewPlan(3,
-		faults.Rule{Stage: "backend", Kind: faults.Error, Rate: 1},
-		faults.Rule{Stage: "fallback", Kind: faults.Error, Rate: 0.5},
-	)
+	plan := faults.NewPlan(3, faults.Rule{Kind: faults.Error, Rate: 1})
+	fallbackPlan := faults.NewPlan(4, faults.Rule{Kind: faults.Error, Rate: 0.5})
 	clock := sim.NewClock(7)
 	mgr := a11y.NewManager(clock, uikit.NewScreen(384, 640))
 	a := app.Launch(clock, mgr, app.Config{Package: "com.chaos.timings", MeanAUIInterval: 5 * time.Second, GenSeed: 9})
 	monkey := app.StartMonkey(clock, mgr, "monkey", 2*time.Second)
-	retrier := detect.WithRetry(faults.WrapStage(&chaosStub{name: "primary"}, plan, "backend"), 3)
-	chain := detect.WithFallback(retrier, faults.WrapStage(&chaosStub{name: "fallback"}, plan, "fallback"))
+	retrier := detect.WithRetry(faults.Wrap(&chaosStub{name: "primary"}, plan), 3)
+	chain := detect.WithFallback(retrier, faults.Wrap(&chaosStub{name: "fallback"}, fallbackPlan))
 	svc := Start(clock, mgr, chain, Config{})
 	clock.RunUntil(time.Minute)
 	monkey.Stop()

@@ -135,7 +135,7 @@ func TestSeamConformance(t *testing.T) {
 		"WithResultCache":     wrapped(func(d det, _ func() det) det { return detect.WithResultCache(d, 64) }),
 		"WithRetry":           wrapped(func(d det, _ func() det) det { return detect.WithRetry(d, 0) }),
 		"WithFallback":        wrapped(func(d det, next func() det) det { return detect.WithFallback(d, next()) }),
-		"faults.WrapStage":    wrapped(func(d det, _ func() det) det { return faults.WrapStage(d, faults.NewPlan(1), d.Name()) }),
+		"faults.Wrap":         wrapped(func(d det, _ func() det) det { return faults.Wrap(d, faults.NewPlan(1)) }),
 		"serve.NewReplicated": wrapped(func(d det, _ func() det) det { return serve.NewReplicated(serve.Options{}, d) }),
 	}
 	for _, name := range detect.Names() {

@@ -15,24 +15,21 @@ import (
 // detect.Detector, so it drops in anywhere a backend fits — typically
 // innermost, under the resilience middleware it exists to exercise:
 //
-//	chaos := faults.WrapStage(model, plan, "backend")
+//	chaos := faults.Wrap(model, plan)
 //	d := detect.WithFallback(detect.WithRetry(chaos, 3), heuristic)
 //
-// One Decide is consumed per inference call (a batch counts as one call of
-// the stage, mirroring how one forward serves the whole batch).
+// One Decide is consumed per inference call (a batch counts as one call,
+// mirroring how one forward serves the whole batch).
 type Detector struct {
 	inner detect.Detector
 	plan  *Plan
-	stage string
 }
 
 var _ detect.Detector = (*Detector)(nil)
 
-// WrapStage injects plan's faults around d under the plan stage name, so a
-// plan can target one copy of a backend among several (e.g. only the
-// primary of a fallback chain).
-func WrapStage(d detect.Detector, plan *Plan, stage string) *Detector {
-	return &Detector{inner: d, plan: plan, stage: stage}
+// Wrap injects plan's faults around d.
+func Wrap(d detect.Detector, plan *Plan) *Detector {
+	return &Detector{inner: d, plan: plan}
 }
 
 // Name reports the inner backend's name: an injected backend still shows up
@@ -74,8 +71,8 @@ func CorruptDetections(dets []metrics.Detection) []metrics.Detection {
 	return out
 }
 
-// PredictBatchCtx decides one injection per call — a batch is one call of the
-// stage, as one forward serves it — and applies it: Error returns the fault's
+// PredictBatchCtx decides one injection per call — a batch is one call, as
+// one forward serves it — and applies it: Error returns the fault's
 // error, Panic panics, Latency delays then delegates, Corrupt delegates then
 // damages item 0 (the partial-batch damage the serving layer's poison
 // isolation must contain). No fault means a transparent delegate.
@@ -83,13 +80,13 @@ func (f *Detector) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf f
 	if err := ctx.Err(); err != nil {
 		return nil, err // a caller that already left consumes no decision
 	}
-	fault, ok := f.plan.Decide(f.stage)
+	fault, ok := f.plan.Decide()
 	if ok {
 		switch fault.Kind {
 		case Error:
 			return nil, fault.Err
 		case Panic:
-			panic("faults: injected panic at stage " + f.stage)
+			panic("faults: injected panic")
 		case Latency:
 			if err := sleep(ctx, fault.Latency); err != nil {
 				return nil, err

@@ -1,11 +1,13 @@
 // Package faults is the deterministic fault-injection layer: a seeded Plan
-// decides, per named stage and per call, whether to inject an error, a
-// latency spike, a corrupted result, or a panic, and the Detector wrapper
-// applies those decisions at the detector seam. The layer exists so the
-// resilience machinery (detect.WithRetry, detect.WithFallback, the Batcher's
-// poison-item isolation, core's degraded mode) can be exercised end-to-end
-// under failure rates the real fleet would see, with runs that replay
-// exactly from a seed.
+// decides, per call, whether to inject an error, a latency spike, a
+// corrupted result, or a panic, and the Detector wrapper applies those
+// decisions at the detector seam. A plan counts the calls of every detector
+// wrapped around it as one sequence; to fault two backends independently
+// (say the primary and the fallback of a chain), give each its own plan.
+// The layer exists so the resilience machinery (detect.WithRetry,
+// detect.WithFallback, the Batcher's poison-item isolation, core's degraded
+// mode) can be exercised end-to-end under failure rates the real fleet would
+// see, with runs that replay exactly from a seed.
 //
 // Determinism contract: for a fixed seed and a fixed sequence of Decide
 // calls, the injected fault sequence is identical run to run. Concurrent
@@ -58,18 +60,16 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
-// Rule describes one injector: which stage it targets, which failure mode it
-// produces, and how often it fires.
+// Rule describes one injector: which failure mode it produces and how
+// often it fires.
 type Rule struct {
-	// Stage targets the rule at one named stage; empty matches every stage.
-	Stage string
 	// Kind is the failure mode to inject.
 	Kind Kind
-	// Rate is the probability per matching call, drawn from the plan's
-	// seeded RNG. Ignored when Every is set.
+	// Rate is the probability per call, drawn from the plan's seeded RNG.
+	// Ignored when Every is set.
 	Rate float64
 	// Every, when positive, fires the rule deterministically on every Nth
-	// matching call (calls N, 2N, 3N, ... of the stage) instead of sampling
+	// call (calls N, 2N, 3N, ... of the plan) instead of sampling
 	// Rate — the pattern-targeted mode for reproducing "every 37th screen
 	// kills the backend" scenarios exactly.
 	Every int
@@ -92,37 +92,29 @@ type Plan struct {
 	mu       sync.Mutex
 	rng      *rand.Rand
 	rules    []Rule
-	calls    map[string]int
+	calls    int
 	injected [numKinds]int
 }
 
 // NewPlan builds a plan over the given rules. Rules are evaluated in order;
 // the first one that fires wins the call.
 func NewPlan(seed int64, rules ...Rule) *Plan {
-	return &Plan{
-		rng:   rand.New(rand.NewSource(seed)),
-		rules: rules,
-		calls: map[string]int{},
-	}
+	return &Plan{rng: rand.New(rand.NewSource(seed)), rules: rules}
 }
 
-// Decide records one call of the named stage and returns the fault to
-// inject, if any. A nil plan never injects.
-func (p *Plan) Decide(stage string) (Fault, bool) {
+// Decide records one call and returns the fault to inject, if any. A nil
+// plan never injects.
+func (p *Plan) Decide() (Fault, bool) {
 	if p == nil {
 		return Fault{}, false
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.calls[stage]++
-	n := p.calls[stage]
+	p.calls++
 	for _, r := range p.rules {
-		if r.Stage != "" && r.Stage != stage {
-			continue
-		}
 		fire := false
 		if r.Every > 0 {
-			fire = n%r.Every == 0
+			fire = p.calls%r.Every == 0
 		} else if r.Rate > 0 {
 			fire = p.rng.Float64() < r.Rate
 		}
@@ -139,15 +131,15 @@ func (p *Plan) Decide(stage string) (Fault, bool) {
 	return Fault{}, false
 }
 
-// Calls reports how many Decide calls the stage has seen. A nil plan has
+// Calls reports how many Decide calls the plan has seen. A nil plan has
 // seen none.
-func (p *Plan) Calls(stage string) int {
+func (p *Plan) Calls() int {
 	if p == nil {
 		return 0
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.calls[stage]
+	return p.calls
 }
 
 // Injected reports how many faults of the kind the plan has decided.
@@ -181,10 +173,6 @@ func (p *Plan) String() string {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	total := 0
-	for stage := range p.calls {
-		total += p.calls[stage]
-	}
 	return fmt.Sprintf("faults: %d calls, injected %d errors, %d latency spikes, %d corruptions, %d panics",
-		total, p.injected[Error], p.injected[Latency], p.injected[Corrupt], p.injected[Panic])
+		p.calls, p.injected[Error], p.injected[Latency], p.injected[Corrupt], p.injected[Panic])
 }

@@ -52,11 +52,11 @@ func smallTensor(n int) *tensor.Tensor {
 }
 
 // decideSeq replays n Decide calls against a fresh plan built by mk.
-func decideSeq(mk func() *Plan, stage string, n int) []Kind {
+func decideSeq(mk func() *Plan, n int) []Kind {
 	p := mk()
 	out := make([]Kind, 0, n)
 	for i := 0; i < n; i++ {
-		if f, ok := p.Decide(stage); ok {
+		if f, ok := p.Decide(); ok {
 			out = append(out, f.Kind)
 		} else {
 			out = append(out, Kind(-1))
@@ -73,8 +73,8 @@ func TestPlanDeterministicReplay(t *testing.T) {
 			Rule{Kind: Corrupt, Rate: 0.1},
 		)
 	}
-	a := decideSeq(mk, "backend", 500)
-	b := decideSeq(mk, "backend", 500)
+	a := decideSeq(mk, 500)
+	b := decideSeq(mk, 500)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("replay diverged at call %d: %v vs %v", i, a[i], b[i])
@@ -88,7 +88,7 @@ func TestPlanDeterministicReplay(t *testing.T) {
 			Rule{Kind: Error, Rate: 0.3},
 			Rule{Kind: Corrupt, Rate: 0.1},
 		)
-	}, "backend", 500)
+	}, 500)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -104,7 +104,7 @@ func TestPlanDeterministicReplay(t *testing.T) {
 func TestEveryPatternFiresOnExactCalls(t *testing.T) {
 	p := NewPlan(1, Rule{Kind: Panic, Every: 3})
 	for call := 1; call <= 12; call++ {
-		_, fired := p.Decide("s")
+		_, fired := p.Decide()
 		want := call%3 == 0
 		if fired != want {
 			t.Fatalf("call %d: fired=%v, want %v", call, fired, want)
@@ -113,7 +113,7 @@ func TestEveryPatternFiresOnExactCalls(t *testing.T) {
 	if got := p.Injected(Panic); got != 4 {
 		t.Fatalf("Injected(Panic) = %d, want 4", got)
 	}
-	if got := p.Calls("s"); got != 12 {
+	if got := p.Calls(); got != 12 {
 		t.Fatalf("Calls = %d, want 12", got)
 	}
 }
@@ -121,18 +121,18 @@ func TestEveryPatternFiresOnExactCalls(t *testing.T) {
 func TestRateBounds(t *testing.T) {
 	always := NewPlan(1, Rule{Kind: Error, Rate: 1})
 	for i := 0; i < 50; i++ {
-		if _, fired := always.Decide("s"); !fired {
+		if _, fired := always.Decide(); !fired {
 			t.Fatalf("rate 1 did not fire on call %d", i+1)
 		}
 	}
 	never := NewPlan(1, Rule{Kind: Error, Rate: 0})
 	for i := 0; i < 50; i++ {
-		if _, fired := never.Decide("s"); fired {
+		if _, fired := never.Decide(); fired {
 			t.Fatalf("rate 0 fired on call %d", i+1)
 		}
 	}
 	empty := NewPlan(1)
-	if _, fired := empty.Decide("s"); fired {
+	if _, fired := empty.Decide(); fired {
 		t.Fatalf("plan with no rules fired")
 	}
 }
@@ -141,7 +141,7 @@ func TestRateApproximatesTarget(t *testing.T) {
 	p := NewPlan(42, Rule{Kind: Error, Rate: 0.3})
 	const n = 2000
 	for i := 0; i < n; i++ {
-		p.Decide("s")
+		p.Decide()
 	}
 	got := float64(p.Injected(Error)) / n
 	if got < 0.25 || got > 0.35 {
@@ -149,24 +149,20 @@ func TestRateApproximatesTarget(t *testing.T) {
 	}
 }
 
-func TestStageTargeting(t *testing.T) {
-	p := NewPlan(1,
-		Rule{Stage: "primary", Kind: Error, Rate: 1},
-		Rule{Stage: "", Kind: Corrupt, Every: 2},
-	)
-	if f, ok := p.Decide("primary"); !ok || f.Kind != Error {
-		t.Fatalf("primary call 1: got %+v ok=%v, want Error", f, ok)
+// TestPlanSharedAcrossWrappers: a plan is one call sequence, whichever
+// wrapper consumes the call, so faulting two backends independently takes
+// two plans.
+func TestPlanSharedAcrossWrappers(t *testing.T) {
+	p := NewPlan(1, Rule{Kind: Error, Every: 2})
+	a, b := Wrap(&stubBackend{dets: stubDets()}, p), Wrap(&stubBackend{dets: stubDets()}, p)
+	if _, err := a.PredictBatchCtx(context.Background(), smallTensor(1), 0.5); err != nil {
+		t.Fatalf("plan call 1 (via a) failed: %v", err)
 	}
-	// Stage "other" only matches the wildcard rule, which fires on its own
-	// call counter: the first "other" call is call 1, so Every:2 waits.
-	if _, ok := p.Decide("other"); ok {
-		t.Fatalf("other call 1 fired; wildcard Every:2 should wait for call 2")
+	if _, err := b.PredictBatchCtx(context.Background(), smallTensor(1), 0.5); !errors.Is(err, ErrInjected) {
+		t.Fatalf("plan call 2 (via b) = %v, want ErrInjected", err)
 	}
-	if f, ok := p.Decide("other"); !ok || f.Kind != Corrupt {
-		t.Fatalf("other call 2: got %+v ok=%v, want Corrupt", f, ok)
-	}
-	if p.Calls("primary") != 1 || p.Calls("other") != 2 {
-		t.Fatalf("per-stage call counts: primary=%d other=%d", p.Calls("primary"), p.Calls("other"))
+	if p.Calls() != 2 || p.Injected(Error) != 1 {
+		t.Fatalf("plan saw %d calls, %d errors; want 2 and 1", p.Calls(), p.Injected(Error))
 	}
 }
 
@@ -175,23 +171,23 @@ func TestFirstMatchingRuleWins(t *testing.T) {
 		Rule{Kind: Panic, Every: 2},
 		Rule{Kind: Error, Rate: 1},
 	)
-	if f, _ := p.Decide("s"); f.Kind != Error {
+	if f, _ := p.Decide(); f.Kind != Error {
 		t.Fatalf("call 1: got %v, want Error (panic rule idle)", f.Kind)
 	}
-	if f, _ := p.Decide("s"); f.Kind != Panic {
+	if f, _ := p.Decide(); f.Kind != Panic {
 		t.Fatalf("call 2: got %v, want Panic (listed first)", f.Kind)
 	}
 }
 
 func TestErrorRuleDefaultsToErrInjected(t *testing.T) {
 	p := NewPlan(1, Rule{Kind: Error, Rate: 1})
-	f, _ := p.Decide("s")
+	f, _ := p.Decide()
 	if !errors.Is(f.Err, ErrInjected) {
 		t.Fatalf("fault error = %v, want ErrInjected", f.Err)
 	}
 	custom := errors.New("boom")
 	p2 := NewPlan(1, Rule{Kind: Error, Rate: 1, Err: custom})
-	f2, _ := p2.Decide("s")
+	f2, _ := p2.Decide()
 	if !errors.Is(f2.Err, custom) {
 		t.Fatalf("fault error = %v, want custom", f2.Err)
 	}
@@ -199,10 +195,10 @@ func TestErrorRuleDefaultsToErrInjected(t *testing.T) {
 
 func TestNilPlanInjectsNothing(t *testing.T) {
 	var p *Plan
-	if _, ok := p.Decide("s"); ok {
+	if _, ok := p.Decide(); ok {
 		t.Fatalf("nil plan injected")
 	}
-	if p.Calls("s") != 0 || p.Injected(Error) != 0 || p.TotalInjected() != 0 {
+	if p.Calls() != 0 || p.Injected(Error) != 0 || p.TotalInjected() != 0 {
 		t.Fatalf("nil plan reported activity")
 	}
 	if got := p.String(); !strings.Contains(got, "no fault plan") {
@@ -212,7 +208,7 @@ func TestNilPlanInjectsNothing(t *testing.T) {
 
 func TestWrapperTransparentWithoutFaults(t *testing.T) {
 	inner := &stubBackend{dets: stubDets()}
-	d := WrapStage(inner, NewPlan(1), inner.Name()) // no rules: never fires
+	d := Wrap(inner, NewPlan(1)) // no rules: never fires
 	x := smallTensor(2)
 
 	got, err := detect.Predict(context.Background(), d, x, 0, 0.5)
@@ -238,7 +234,7 @@ func TestWrapperTransparentWithoutFaults(t *testing.T) {
 
 func TestWrapperErrorFault(t *testing.T) {
 	inner := &stubBackend{dets: stubDets()}
-	d := WrapStage(inner, NewPlan(1, Rule{Kind: Error, Rate: 1}), "backend")
+	d := Wrap(inner, NewPlan(1, Rule{Kind: Error, Rate: 1}))
 	x := smallTensor(1)
 
 	if _, err := detect.Predict(context.Background(), d, x, 0, 0.5); !errors.Is(err, ErrInjected) {
@@ -254,7 +250,7 @@ func TestWrapperErrorFault(t *testing.T) {
 
 func TestWrapperPanicFault(t *testing.T) {
 	inner := &stubBackend{dets: stubDets()}
-	d := WrapStage(inner, NewPlan(1, Rule{Kind: Panic, Rate: 1}), "backend")
+	d := Wrap(inner, NewPlan(1, Rule{Kind: Panic, Rate: 1}))
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -270,7 +266,7 @@ func TestWrapperPanicFault(t *testing.T) {
 func TestWrapperLatencyFault(t *testing.T) {
 	inner := &stubBackend{dets: stubDets()}
 	spike := 20 * time.Millisecond
-	d := WrapStage(inner, NewPlan(1, Rule{Kind: Latency, Rate: 1, Latency: spike}), "backend")
+	d := Wrap(inner, NewPlan(1, Rule{Kind: Latency, Rate: 1, Latency: spike}))
 
 	start := time.Now()
 	dets, err := detect.Predict(context.Background(), d, smallTensor(1), 0, 0.5)
@@ -296,7 +292,7 @@ func TestWrapperLatencyFault(t *testing.T) {
 
 func TestWrapperCorruptFault(t *testing.T) {
 	inner := &stubBackend{dets: stubDets()}
-	d := WrapStage(inner, NewPlan(1, Rule{Kind: Corrupt, Rate: 1}), "backend")
+	d := Wrap(inner, NewPlan(1, Rule{Kind: Corrupt, Rate: 1}))
 
 	dets, err := detect.Predict(context.Background(), d, smallTensor(1), 0, 0.5)
 	if err != nil {
@@ -337,8 +333,8 @@ func TestCorruptDetectionsDoesNotMutateInput(t *testing.T) {
 
 func TestPlanStringCounts(t *testing.T) {
 	p := NewPlan(1, Rule{Kind: Error, Every: 2})
-	p.Decide("s")
-	p.Decide("s")
+	p.Decide()
+	p.Decide()
 	got := p.String()
 	if !strings.Contains(got, "2 calls") || !strings.Contains(got, "1 errors") {
 		t.Fatalf("String = %q", got)

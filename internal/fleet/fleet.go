@@ -300,7 +300,7 @@ func buildStack(cfg Config, models []detect.Detector) (*serve.Batcher, []context
 	for i, model := range models {
 		backends[i] = model
 		if cfg.Plan != nil {
-			backends[i] = faults.WrapStage(model, cfg.Plan, "backend")
+			backends[i] = faults.Wrap(model, cfg.Plan)
 		}
 	}
 	table := make(map[serve.TenantID]serve.TenantConfig, cfg.Tenants)

@@ -146,7 +146,7 @@ func TestChaosReplayStability(t *testing.T) {
 		cfg.Bypass = false
 		// Fresh plan per run: a Plan carries call counters, so reuse would
 		// hand run B a different fault sequence by construction.
-		cfg.Plan = faults.NewPlan(99, faults.Rule{Stage: "backend", Kind: faults.Error, Rate: 0.3})
+		cfg.Plan = faults.NewPlan(99, faults.Rule{Kind: faults.Error, Rate: 0.3})
 		return cfg
 	}
 	a := run(t, mk())
@@ -171,7 +171,7 @@ func TestChaosReplayStability(t *testing.T) {
 // answers degrades, and only a superseded one escapes that count.
 func TestCorruptPlanDegradesEveryAnswer(t *testing.T) {
 	cfg := smallConfig(5)
-	cfg.Plan = faults.NewPlan(5, faults.Rule{Stage: "backend", Kind: faults.Corrupt, Rate: 1})
+	cfg.Plan = faults.NewPlan(5, faults.Rule{Kind: faults.Corrupt, Rate: 1})
 	res := run(t, cfg)
 	conserved(t, res)
 	if calls := submitted(res) - res.Superseded; res.Degraded == 0 || res.Degraded != calls || res.Flagged != 0 || res.Analyses != 0 {

@@ -18,10 +18,9 @@
 // detect.PredictCanvasCtx into whatever detect.Detector the server fronts
 // (typically a serve.Batcher: admission → scheduler → replica pool), and the
 // admission layer's verdicts come back as typed errors this package
-// translates into HTTP semantics. Degrade-don't-fail extends to the wire: a
-// shed request is answered 503 *with* a degraded heuristic body when the
-// server has a fallback chain, so the client still gets something to act on
-// plus the truthful status that the full model never ran.
+// translates into HTTP semantics. A shed request gets what a rate-limited one
+// gets: a bare error status with Retry-After and no detections, so
+// decorations and bypass clicks only ever come from the full model.
 package httpd
 
 import (
@@ -64,9 +63,13 @@ const (
 const (
 	DefaultHeartbeat     = 15 * time.Second
 	DefaultStatsInterval = 5 * time.Second
-	DefaultClientBuffer  = 64
 	DefaultMaxBodyBytes  = 8 << 20
 )
+
+// clientBuffer is each SSE subscriber's event buffer; when it is full,
+// further events are dropped for that client, never blocking the serving
+// path.
+const clientBuffer = 64
 
 // maxScreenPixels is the largest width x height a screen's PNG header may
 // declare (a 4096x4096 display; 64 MiB once decoded). A few hundred bytes
@@ -86,27 +89,14 @@ type Config struct {
 	// Timings, when non-nil, contributes per-stage p50/p95/p99 to the stats
 	// payloads. Share the recorder given to serve.Options.Timings.
 	Timings *perfmodel.Timings
-	// Degraded, when non-nil, answers shed requests: its result rides the
-	// 503 body so an overloaded server still returns decisions a client can
-	// act on. Nil, or a degraded call that fails (detect.Guarded turns a
-	// panic or a corrupt answer into an error), means a bare 503.
-	Degraded detect.Detector
 	// ConfThresh is the default confidence threshold when a request does
 	// not set one. Zero means yolite.DefaultConfThresh.
 	ConfThresh float64
-	// StrokeWidth/UPOColor/AGOColor parameterise the decoration decisions
-	// in responses and events, with the same zero defaults as core.Config.
-	StrokeWidth        int
-	UPOColor, AGOColor render.Color
 	// Heartbeat is the SSE keep-alive comment interval. Zero means 15s.
 	Heartbeat time.Duration
 	// StatsInterval is how often each SSE subscriber receives a stats
 	// frame. Zero means 5s; negative disables stats frames.
 	StatsInterval time.Duration
-	// ClientBuffer is each SSE subscriber's event buffer; when it is full
-	// further events are dropped for that client (never blocking the
-	// serving path). Zero means 64.
-	ClientBuffer int
 	// MaxBodyBytes bounds a detect request body. Zero means 8 MiB.
 	MaxBodyBytes int64
 	// Logf receives request-level diagnostics; nil discards them.
@@ -160,7 +150,6 @@ type Server struct {
 	served      atomic.Int64 // 200s
 	rateLimited atomic.Int64 // 429s
 	overloaded  atomic.Int64 // 503s from shedding
-	degradedOK  atomic.Int64 // 503s that carried a degraded body
 }
 
 // New builds the front end. Panics when cfg.Backend is nil — a detection
@@ -172,7 +161,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		mux:   http.NewServeMux(),
-		bcast: newBroadcaster(cfg.ClientBuffer),
+		bcast: newBroadcaster(),
 	}
 	s.mux.HandleFunc("/v1/detect", s.handleDetect)
 	s.mux.HandleFunc("/v1/events", s.handleEvents)
@@ -235,16 +224,16 @@ type Decoration struct {
 	Stroke int    `json:"stroke"`
 }
 
-// DetectResponse is the POST /v1/detect reply. On 429/503 only Error (and,
-// when Config.Degraded answered, Degraded plus the decision fields) is set.
+// DetectResponse is the POST /v1/detect reply. On any error status only
+// Tenant and Error are set.
 type DetectResponse struct {
 	Detections  []Detection  `json:"detections"`
 	Decorations []Decoration `json:"decorations"`
 	// Bypass ranks the UPO regions an auto-bypass would click, best first
 	// (the same top-3 rule the in-process service uses).
 	Bypass []Box `json:"bypass,omitempty"`
-	// Degraded marks a result produced by the fallback chain instead of
-	// the full model — present on 503-with-body answers.
+	// Degraded is never set: every answer with detections comes from the
+	// full model. The field stays so existing clients that read it decode.
 	Degraded bool   `json:"degraded,omitempty"`
 	Tenant   string `json:"tenant"`
 	Width    int    `json:"width"`
@@ -261,7 +250,6 @@ type DecorationEvent struct {
 	Height      int          `json:"height"`
 	Detections  []Detection  `json:"detections"`
 	Decorations []Decoration `json:"decorations"`
-	Degraded    bool         `json:"degraded,omitempty"`
 }
 
 // StageStats is one pipeline stage's latency summary in a stats payload.
@@ -291,7 +279,6 @@ type StatsPayload struct {
 	Served      int64 `json:"served"`
 	RateLimited int64 `json:"rate_limited"`
 	Overloaded  int64 `json:"overloaded"`
-	DegradedOK  int64 `json:"degraded_served"`
 
 	// SSE health.
 	Subscribers int `json:"subscribers"`
@@ -408,25 +395,16 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case err == nil:
 		s.served.Add(1)
-		s.writeResult(w, http.StatusOK, tenant, sc, dets, false)
+		s.writeResult(w, tenant, sc, dets)
 	case errors.Is(err, serve.ErrRateLimited):
 		// The tenant outran its token bucket: terminal for this request,
 		// and retrying immediately will fail again — hence Retry-After.
 		s.rateLimited.Add(1)
 		s.writeError(w, http.StatusTooManyRequests, tenant, err.Error(), "1")
 	case errors.Is(err, serve.ErrOverloaded):
-		// Shed for global queue depth. With a degraded detector the client
-		// still gets decisions to act on — inside a 503 so it knows the
-		// full model never saw this screen.
+		// Shed for global queue depth: the full model never saw this
+		// screen, so there is nothing to decorate or click.
 		s.overloaded.Add(1)
-		if s.cfg.Degraded != nil {
-			if ddets, derr := detect.PredictCanvasCtx(ctx, s.cfg.Degraded, sc.canvas, sc.w, sc.h, sc.conf); derr == nil {
-				s.degradedOK.Add(1)
-				w.Header().Set("Retry-After", "1")
-				s.writeResult(w, http.StatusServiceUnavailable, tenant, sc, ddets, true)
-				return
-			}
-		}
 		s.writeError(w, http.StatusServiceUnavailable, tenant, err.Error(), "1")
 	case errors.Is(err, serve.ErrClosed):
 		s.writeError(w, http.StatusServiceUnavailable, tenant, "server draining", "1")
@@ -440,14 +418,13 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeResult renders a successful (or degraded) detection body and
-// publishes the matching SSE decoration event.
-func (s *Server) writeResult(w http.ResponseWriter, status int, tenant string, sc screen, dets []metrics.Detection, degraded bool) {
+// writeResult renders a 200 detection body and publishes the matching SSE
+// decoration event.
+func (s *Server) writeResult(w http.ResponseWriter, tenant string, sc screen, dets []metrics.Detection) {
 	resp := DetectResponse{
 		Detections:  toWireDetections(dets),
-		Decorations: s.planDecorations(dets),
+		Decorations: planDecorations(dets),
 		Bypass:      toWireBoxes(core.BypassTargets(dets)),
-		Degraded:    degraded,
 		Tenant:      tenant,
 		Width:       sc.w,
 		Height:      sc.h,
@@ -459,10 +436,9 @@ func (s *Server) writeResult(w http.ResponseWriter, status int, tenant string, s
 			Height:      sc.h,
 			Detections:  resp.Detections,
 			Decorations: resp.Decorations,
-			Degraded:    degraded,
 		})
 	}
-	writeJSON(w, status, resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // writeError renders an error body, with Retry-After when the condition is
@@ -475,9 +451,10 @@ func (s *Server) writeError(w http.ResponseWriter, status int, tenant string, ms
 }
 
 // planDecorations maps detections to wire decoration decisions using the
-// same pure planner the in-process decorator executes.
-func (s *Server) planDecorations(dets []metrics.Detection) []Decoration {
-	plan := core.PlanDecorations(dets, s.cfg.UPOColor, s.cfg.AGOColor, s.cfg.StrokeWidth)
+// same pure planner the in-process decorator executes, with the paper's
+// default colours and stroke.
+func planDecorations(dets []metrics.Detection) []Decoration {
+	plan := core.PlanDecorations(dets, render.Color{}, render.Color{}, 0)
 	out := make([]Decoration, 0, len(plan))
 	for _, d := range plan {
 		out = append(out, Decoration{
@@ -512,7 +489,6 @@ func (s *Server) statsPayload() StatsPayload {
 		Served:      s.served.Load(),
 		RateLimited: s.rateLimited.Load(),
 		Overloaded:  s.overloaded.Load(),
-		DegradedOK:  s.degradedOK.Load(),
 		Draining:    s.draining.Load(),
 	}
 	p.Subscribers, p.Dropped = s.bcast.counts()

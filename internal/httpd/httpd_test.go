@@ -31,9 +31,6 @@ import (
 	"repro/internal/yolite"
 )
 
-// canvasTensor prepares a canvas the way the detect path does.
-func canvasTensor(c *render.Canvas) *tensor.Tensor { return yolite.CanvasToTensor(c) }
-
 // wireStub is a scriptable backend: it answers with fixed detections or a
 // fixed error, optionally blocking on gate so tests can hold a request
 // in flight.
@@ -256,74 +253,35 @@ func TestDetectRateLimited(t *testing.T) {
 	}
 }
 
-func TestDetectShedWithDegradedBody(t *testing.T) {
-	degraded := &wireStub{dets: testDets()[1:]} // the heuristic finds the AGO only
-	s := New(Config{Backend: &wireStub{err: serve.ErrOverloaded}, Degraded: degraded})
-
-	w, resp := doDetect(t, s, nil, detectBody(t))
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("status = %d, want 503", w.Code)
-	}
-	if !resp.Degraded {
-		t.Fatalf("body = %+v, want Degraded:true", resp)
-	}
-	if len(resp.Detections) != 1 || resp.Detections[0].Class != "AGO" {
-		t.Fatalf("degraded detections = %+v, want the heuristic's AGO", resp.Detections)
-	}
-	if w.Header().Get("Retry-After") == "" {
-		t.Fatal("shed 503 without Retry-After")
-	}
-	if got := s.statsPayload(); got.Overloaded != 1 || got.DegradedOK != 1 {
-		t.Fatalf("counters = %+v, want overloaded 1 degraded_served 1", got)
-	}
-}
-
-// panicStub is a degraded detector that panics on every call.
-type panicStub struct{}
-
-func (panicStub) Name() string { return "panic-stub" }
-
-func (panicStub) PredictBatchCtx(context.Context, *tensor.Tensor, float64) ([][]metrics.Detection, error) {
-	panic("degraded detector blew up")
-}
-
-// TestDetectShedFailedDegradedIsBare: a degraded detector that panics, or
-// answers with a NaN box, must not crash the handler or leak its answer; the
-// shed request gets a bare 503 with Retry-After, and the server goes on
-// serving the next request.
-func TestDetectShedFailedDegradedIsBare(t *testing.T) {
-	nanBox := []metrics.Detection{{Class: dataset.ClassAGO, B: geom.BoxF{X: math.NaN(), Y: 1, W: 10, H: 10}, Score: 0.9}}
-	for name, degraded := range map[string]detect.Detector{
-		"panic": panicStub{},
-		"nan":   &wireStub{dets: nanBox},
-	} {
-		t.Run(name, func(t *testing.T) {
-			backend := &wireStub{dets: testDets(), err: serve.ErrOverloaded}
-			s := New(Config{Backend: backend, Degraded: degraded})
-			w, resp := doDetect(t, s, nil, detectBody(t))
-			if w.Code != http.StatusServiceUnavailable || resp.Degraded || resp.Error == "" || len(resp.Detections) != 0 {
-				t.Fatalf("status %d body %+v, want a bare 503 with an error", w.Code, resp)
-			}
-			if w.Header().Get("Retry-After") == "" {
-				t.Fatal("shed 503 without Retry-After")
-			}
-			if got := s.statsPayload(); got.Overloaded != 1 || got.DegradedOK != 0 {
-				t.Fatalf("counters = %+v, want overloaded 1 degraded_served 0", got)
-			}
-			backend.err = nil
-			w, resp = doDetect(t, s, nil, detectBody(t))
-			if w.Code != http.StatusOK || len(resp.Detections) != len(testDets()) {
-				t.Fatalf("after a failed degraded call: status %d body %+v, want a 200 with detections", w.Code, resp)
-			}
-		})
-	}
-}
-
+// TestDetectShedBare: a shed request gets what a rate-limited one gets — a
+// 503 with Retry-After and an error, and nothing to decorate or click — and
+// publishes no decoration event; the next admitted request is served as
+// usual.
 func TestDetectShedBare(t *testing.T) {
-	s := New(Config{Backend: &wireStub{err: serve.ErrOverloaded}})
+	backend := &wireStub{dets: testDets(), err: serve.ErrOverloaded}
+	s := New(Config{Backend: backend})
+	sub := s.bcast.subscribe()
 	w, resp := doDetect(t, s, nil, detectBody(t))
-	if w.Code != http.StatusServiceUnavailable || resp.Degraded || resp.Error == "" {
-		t.Fatalf("status %d body %+v, want bare 503 with error", w.Code, resp)
+	if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") != "1" || resp.Error == "" {
+		t.Fatalf("status %d, Retry-After %q, error %q: want 503, 1 and an error", w.Code, w.Header().Get("Retry-After"), resp.Error)
+	}
+	if len(resp.Detections) != 0 || len(resp.Decorations) != 0 || len(resp.Bypass) != 0 || resp.Degraded {
+		t.Fatalf("shed body = %+v, want no detections, decorations or bypass targets", resp)
+	}
+	if n := len(sub.ch); n != 0 {
+		t.Fatalf("a shed request published %d events, want none", n)
+	}
+	if got := s.statsPayload(); got.Overloaded != 1 || got.Served != 0 {
+		t.Fatalf("counters = %+v, want overloaded 1", got)
+	}
+
+	backend.err = nil
+	w, resp = doDetect(t, s, nil, detectBody(t))
+	if w.Code != http.StatusOK || len(resp.Detections) != len(testDets()) {
+		t.Fatalf("after a shed: status %d body %+v, want a 200 with detections", w.Code, resp)
+	}
+	if ev := <-sub.ch; ev.name != "decoration" {
+		t.Fatalf("event after the 200 = %q, want decoration", ev.name)
 	}
 }
 
@@ -385,19 +343,19 @@ func TestStatsEndpoint(t *testing.T) {
 }
 
 func TestBroadcasterDropsSlowClient(t *testing.T) {
-	b := newBroadcaster(2)
+	b := newBroadcaster()
 	sub := b.subscribe()
 	if sub == nil {
 		t.Fatal("subscribe returned nil on an open broadcaster")
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < clientBuffer+3; i++ {
 		if seq := b.publish("decoration", map[string]int{"i": i}); seq == 0 {
 			t.Fatalf("publish %d returned 0", i)
 		}
 	}
 	subs, dropped := b.counts()
 	if subs != 1 || dropped != 3 {
-		t.Fatalf("counts = %d subs %d dropped, want 1/3 (buffer 2, 5 events)", subs, dropped)
+		t.Fatalf("counts = %d subs %d dropped, want 1/3 (buffer %d, %d events)", subs, dropped, clientBuffer, clientBuffer+3)
 	}
 	if sub.drops() != 3 {
 		t.Fatalf("sub.drops() = %d, want 3", sub.drops())
@@ -412,6 +370,9 @@ func TestBroadcasterDropsSlowClient(t *testing.T) {
 	}
 
 	b.close()
+	for i := 2; i < clientBuffer; i++ {
+		<-sub.ch // the rest of the buffer
+	}
 	if _, ok := <-sub.ch; ok {
 		t.Fatal("subscriber channel still open after close")
 	}
@@ -630,52 +591,6 @@ func TestGracefulDrainLetsInFlightFinish(t *testing.T) {
 	}
 }
 
-func TestPixelHeuristicFindsPlantedPattern(t *testing.T) {
-	// Paint the paper's dark-pattern geometry: a big saturated AGO button
-	// low on the screen, a small dim close glyph in the band above it.
-	c := render.NewCanvas(96, 160)
-	c.Fill(c.Bounds(), render.White)
-	ago := geom.Rect{X: 16, Y: 104, W: 64, H: 24}
-	c.Fill(ago, render.Green)
-	upo := geom.Rect{X: 40, Y: 80, W: 8, H: 8}
-	c.Fill(upo, render.DarkGray)
-
-	dets, err := detect.Only(PixelHeuristic{}.PredictBatchCtx(context.Background(), canvasTensor(c), 0.45))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var foundAGO, foundUPO bool
-	for _, d := range dets {
-		if d.Score != 1 {
-			t.Fatalf("heuristic detection with score %v, want binary 1", d.Score)
-		}
-		r := d.B.Rect()
-		switch d.Class {
-		case dataset.ClassAGO:
-			foundAGO = r.Intersect(ago).Area() > 0
-		case dataset.ClassUPO:
-			foundUPO = r.Intersect(upo).Area() > 0
-		}
-	}
-	if !foundAGO || !foundUPO {
-		t.Fatalf("heuristic found AGO=%v UPO=%v in %+v, want both planted boxes", foundAGO, foundUPO, dets)
-	}
-
-	// A blank screen yields nothing.
-	blank := render.NewCanvas(96, 160)
-	blank.Fill(blank.Bounds(), render.White)
-	if dets, err := detect.Only(PixelHeuristic{}.PredictBatchCtx(context.Background(), canvasTensor(blank), 0.45)); err != nil || len(dets) != 0 {
-		t.Fatalf("blank screen produced %+v, err %v", dets, err)
-	}
-
-	// A dead context is honoured.
-	ctx, stop := context.WithCancel(context.Background())
-	stop()
-	if _, err := (PixelHeuristic{}).PredictBatchCtx(ctx, canvasTensor(c), 0.45); err == nil {
-		t.Fatal("cancelled context not honoured")
-	}
-}
-
 // TestServedEqualsInProcess is the differential test the front end's claim
 // implies: the checked-in yolite weights behind the real serving stack answer
 // POST /v1/detect — as JSON+base64 and as a raw PNG body — with exactly what
@@ -808,9 +723,9 @@ func spinUntil(t *testing.T, what string, cond func() bool) {
 // TestRealAdmissionVerdictsOverHTTP maps the serving stack's own verdicts,
 // not stubbed errors, onto HTTP: the checked-in yolite behind a real
 // Batcher answers 200 with detections, a tenant past its bucket gets 429
-// with Retry-After, a request finding the queue at depth gets 503 with the
-// degraded heuristic's body, the decoration reaches an SSE subscriber, and
-// /healthz turns 503 once draining.
+// with Retry-After, a request finding the queue at depth gets a bare 503
+// that publishes no decoration, the 200's decoration reaches an SSE
+// subscriber, and /healthz turns 503 once draining.
 func TestRealAdmissionVerdictsOverHTTP(t *testing.T) {
 	model, err := detect.Build("yolite", detect.BuildContext{WeightsDir: "../../weights"})
 	if err != nil {
@@ -837,11 +752,12 @@ func TestRealAdmissionVerdictsOverHTTP(t *testing.T) {
 		MaxQueueDepth: 1,
 	}, gated)
 	defer b.Close()
-	api := New(Config{Backend: b, Stats: b.Stats, Degraded: PixelHeuristic{}})
+	api := New(Config{Backend: b, Stats: b.Stats})
 	ts := httptest.NewServer(api)
 	defer ts.Close()
 	lines, _, cancel := sseClient(t, ts.URL)
 	defer cancel()
+	events := api.bcast.subscribe() // counts every event published
 
 	type reply struct {
 		status int
@@ -899,7 +815,7 @@ func TestRealAdmissionVerdictsOverHTTP(t *testing.T) {
 	admitted := 3
 	spinUntil(t, "the backlog to be admitted", func() bool { return b.Stats().Admitted == admitted })
 
-	// The next request is shed into the degraded body. One admitted in the
+	// The next request is shed. One admitted in the
 	// instant between an earlier verdict and its enqueue joins the backlog
 	// instead, and the one after it is shed.
 	var shed *reply
@@ -917,9 +833,15 @@ func TestRealAdmissionVerdictsOverHTTP(t *testing.T) {
 			backlog = append(backlog, probe)
 		}
 	}
-	if shed.err != nil || shed.status != http.StatusServiceUnavailable || !shed.body.Degraded {
-		t.Fatalf("request at full depth: status %d, degraded %v, error %v; want a 503 with a degraded body",
-			shed.status, shed.body.Degraded, shed.err)
+	if shed.err != nil || shed.status != http.StatusServiceUnavailable || shed.header.Get("Retry-After") != "1" || shed.body.Error == "" {
+		t.Fatalf("request at full depth: status %d, Retry-After %q, body %+v, err %v; want a 503 with Retry-After 1 and an error",
+			shed.status, shed.header.Get("Retry-After"), shed.body, shed.err)
+	}
+	if bd := shed.body; len(bd.Detections) != 0 || len(bd.Decorations) != 0 || len(bd.Bypass) != 0 || bd.Degraded {
+		t.Fatalf("shed body = %+v, want no detections, decorations or bypass targets", bd)
+	}
+	if n := len(events.ch); n != 1 {
+		t.Fatalf("%d events published by the 200, the 429 and the shed 503, want the 200's one decoration", n)
 	}
 	gated.open()
 	for i, c := range backlog {

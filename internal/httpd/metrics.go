@@ -44,8 +44,7 @@ func (s *Server) families() []metrics.Family {
 			"Detect requests by HTTP outcome.",
 			metrics.L(float64(s.served.Load()), "outcome", "served"),
 			metrics.L(float64(s.rateLimited.Load()), "outcome", "rate_limited"),
-			metrics.L(float64(s.overloaded.Load()), "outcome", "overloaded"),
-			metrics.L(float64(s.degradedOK.Load()), "outcome", "degraded")),
+			metrics.L(float64(s.overloaded.Load()), "outcome", "overloaded")),
 		metrics.Gauge("darpa_sse_subscribers",
 			"Live SSE event-stream subscribers.", metrics.V(float64(subs))),
 		metrics.Counter("darpa_sse_dropped_total",

@@ -30,10 +30,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	rec := &perfmodel.Timings{}
 	rec.Observe("serve-batch", 10*time.Millisecond)
 	s := New(Config{
-		Backend:  &wireStub{dets: testDets()},
-		Stats:    func() serve.Stats { return fixed },
-		Timings:  rec,
-		Degraded: PixelHeuristic{},
+		Backend: &wireStub{dets: testDets()},
+		Stats:   func() serve.Stats { return fixed },
+		Timings: rec,
 	})
 	if w, _ := doDetect(t, s, nil, detectBody(t)); w.Code != http.StatusOK {
 		t.Fatalf("detect status = %d", w.Code)
@@ -60,6 +59,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("missing series %q in scrape:\n%s", want, body)
 		}
+	}
+	// A shed request is answered bare, so no outcome counts degraded bodies.
+	if strings.Contains(body, `outcome="degraded"`) {
+		t.Errorf("scrape exports an outcome=\"degraded\" sample:\n%s", body)
 	}
 }
 

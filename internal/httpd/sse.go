@@ -44,8 +44,6 @@ func (s *subscriber) noteDrop() {
 
 // broadcaster fans events out to every live subscriber.
 type broadcaster struct {
-	buffer int
-
 	mu      sync.Mutex
 	subs    map[*subscriber]struct{}
 	seq     uint64
@@ -53,11 +51,8 @@ type broadcaster struct {
 	closed  bool
 }
 
-func newBroadcaster(buffer int) *broadcaster {
-	if buffer <= 0 {
-		buffer = 64
-	}
-	return &broadcaster{buffer: buffer, subs: make(map[*subscriber]struct{})}
+func newBroadcaster() *broadcaster {
+	return &broadcaster{subs: make(map[*subscriber]struct{})}
 }
 
 // subscribe registers a new client. It returns nil once the broadcaster is
@@ -68,7 +63,7 @@ func (b *broadcaster) subscribe() *subscriber {
 	if b.closed {
 		return nil
 	}
-	s := &subscriber{ch: make(chan event, b.buffer)}
+	s := &subscriber{ch: make(chan event, clientBuffer)}
 	b.subs[s] = struct{}{}
 	return s
 }

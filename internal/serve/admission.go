@@ -13,9 +13,9 @@ import (
 // the tenant's token bucket is consulted first (rate limiting), then the
 // scheduler's queue depth (load shedding). Rejecting here is deliberate
 // back-pressure: a request the system cannot serve in time should fail in
-// microseconds at the front door — where the caller's fallback chain can
-// still produce a degraded heuristic answer — not time out after riding a
-// queue it was never going to clear.
+// microseconds at the front door, with a typed error the caller can act on
+// at once (back off and retry), not time out after riding a queue it was
+// never going to clear.
 
 // TenantID names one detection consumer — a device fleet, an audit pipeline,
 // a store-scan worker. Requests carrying no tenant, or one the admission
@@ -96,8 +96,7 @@ type TenantConfig struct {
 }
 
 // Admission errors. Both are terminal for the request at this layer; the
-// caller's fallback chain (detect.WithFallback) is where a degraded answer
-// comes from.
+// HTTP front end answers them 429 and 503, each with Retry-After.
 var (
 	// ErrRateLimited rejects a request whose tenant exhausted its token
 	// bucket. Retrying immediately will fail again; the tenant must slow down.
@@ -244,7 +243,7 @@ func (a *admission) decide(info TenantInfo, depth int) (verdict, Priority) {
 	}
 
 	// Then global depth: the queues are already longer than the system can
-	// clear in bounded time, so shed now while a degraded answer is cheap.
+	// clear in bounded time, so shed now, while saying no is cheap.
 	// The token consumed above is refunded: shedding is the *system's*
 	// failure to keep up, not the tenant's overspend, and no forward will be
 	// run for this request. Without the refund a tenant flooding into an

@@ -24,7 +24,7 @@ func TestCorruptAnswerNeverPassesAWrapper(t *testing.T) {
 	ctx := context.Background()
 	corrupt := func() detect.Detector {
 		plan := faults.NewPlan(1, faults.Rule{Kind: faults.Corrupt, Rate: 1})
-		return faults.WrapStage(&poisonBackend{}, plan, "backend")
+		return faults.Wrap(&poisonBackend{}, plan)
 	}
 	pair := tensor.New(2, 1, 2, 2)
 	pair.Data[4] = 1

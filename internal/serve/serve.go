@@ -70,11 +70,11 @@ type response struct {
 }
 
 // Stats is a point-in-time snapshot across all three layers. Batches,
-// Poisoned and Failed are sums over Replicas; the admission totals are sums
-// over Tenants.
+// Items, Poisoned and Failed are sums over Replicas; the admission totals are
+// sums over Tenants.
 type Stats struct {
 	Batches       int // forwards dispatched (after threshold grouping)
-	Items         int // requests served through the scheduler
+	Items         int // requests a replica answered; pruned ones are Cancelled
 	MaxBatchSize  int // largest coalesced forward
 	MaxQueueDepth int // most requests seen waiting after a collection
 	Cancelled     int // requests pruned at batch formation (ctx dead in queue)
@@ -178,6 +178,7 @@ func (b *Batcher) Stats() Stats {
 	for i, r := range b.reps {
 		st.Replicas[i] = r.snapshot()
 		st.Batches += st.Replicas[i].Batches
+		st.Items += st.Replicas[i].Items
 		st.Poisoned += st.Replicas[i].Poisoned
 		st.Failed += st.Replicas[i].Failed
 	}
@@ -321,7 +322,6 @@ func (b *Batcher) worker(rep *replica) {
 // noteCollected folds one collection into the counters.
 func (b *Batcher) noteCollected(size, depth int) {
 	b.statsMu.Lock()
-	b.stats.Items += size
 	if size > b.stats.MaxBatchSize {
 		b.stats.MaxBatchSize = size
 	}

@@ -94,8 +94,18 @@ func TestBatcherPrunesCancelledQueued(t *testing.T) {
 	close(s.gate)
 	wg.Wait()
 	b.Close()
-	if st := b.Stats(); st.Cancelled != 2 {
+	st := b.Stats()
+	if st.Cancelled != 2 {
 		t.Fatalf("Stats.Cancelled = %d, want 2", st.Cancelled)
+	}
+	// A pruned request is counted once, as cancelled, never also as served.
+	repItems := 0
+	for _, r := range st.Replicas {
+		repItems += r.Items
+	}
+	if st.Items != repItems || st.Items+st.Cancelled != 3 {
+		t.Fatalf("Stats.Items = %d, replicas answered %d, Cancelled = %d: want Items == replica sum and Items+Cancelled == 3 submitted",
+			st.Items, repItems, st.Cancelled)
 	}
 	// The backend only ever saw the one live request.
 	if sizes := s.sizes(); len(sizes) != 1 || sizes[0] != 1 {
