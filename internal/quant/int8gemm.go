@@ -8,16 +8,17 @@ package quant
 // accumulators straight to the next layer's int8 scale with the folded bias
 // and leaky-ReLU applied in the same pass.
 //
-// The GEMM is chosen once, at package init, from CPUID and XGETBV (simd):
-// on amd64 with AVX2 it is gemmWords (int8gemm_amd64.s), which sign-extends
-// weights and panel rows to int16 pairs and accumulates VPMADDWD's two-term
-// sums into int32 lanes with VPADDD; everywhere else it is gemmPairs, two
-// MACs per 64-bit multiply over weight rows packed in pairs, which is also
-// the tests' oracle. VPMADDUBSW is not used: it saturates. Both kernels are
-// exact, so their tiles are bit-identical whatever order they sum in:
-// every product is at most 127*128 in magnitude, so while K*127*128 < 2^31,
-// K <= 132 104 (checkDepth; the largest production K is 288), no partial
-// sum leaves int32 and integer addition is associative. The epilogue:
+// The GEMM is chosen once, at init, from CPUID and XGETBV (tensor.SIMD,
+// the probe the float GEMM reads too): on amd64 with AVX2 it is gemmWords
+// (int8gemm_amd64.s), which sign-extends weights and panel rows to int16
+// pairs and accumulates VPMADDWD's two-term sums into int32 lanes with
+// VPADDD; everywhere else it is gemmPairs, two MACs per 64-bit multiply
+// over weight rows packed in pairs, which is also the tests' oracle.
+// VPMADDUBSW is not used: it saturates. Both kernels are exact, so their
+// tiles are bit-identical whatever order they sum in: every product is at
+// most 127*128 in magnitude, so while K*127*128 < 2^31, K <= 132 104
+// (checkDepth; the largest production K is 288), no partial sum leaves
+// int32 and integer addition is associative. The epilogue:
 //
 //	q_out = clamp(round(leaky(acc*rq + bq))),  rq = wScale*inScale/outScale,
 //	                                           bq = bias/outScale
@@ -49,7 +50,24 @@ var (
 // non-finite cases are spelled out: +-Inf clamp to +-127 and NaN, which fails
 // both range comparisons, is sent to 0 rather than into a float-to-int
 // conversion whose NaN result the Go spec leaves to the implementation.
+//
+// Where tensor.SIMD holds, whole groups of eight run through quant8
+// (int8gemm_amd64.s), which makes the same steps eight wide and matches
+// quantScalar bit for bit (TestQuant8MatchesScalar); the rest run
+// quantScalar.
 func quantI8(dst []int8, src []float32, s float32) {
+	n := 0
+	if tensor.SIMD {
+		if n = len(src) &^ 7; n > 0 {
+			_ = dst[n-1]
+			quant8(&dst[0], &src[0], n, s)
+		}
+	}
+	quantScalar(dst[n:], src[n:], s)
+}
+
+// quantScalar is quantI8 one value at a time.
+func quantScalar(dst []int8, src []float32, s float32) {
 	for i, v := range src {
 		r := v / s
 		if r > 127 {
@@ -75,7 +93,7 @@ type qhead qconv
 // output channel's weights, returning the OutC x u int32 tile from i32s.
 func (q *qconv) accumulate(panel []int8, ldb, u int) *[]int32 {
 	acc := i32s.Get(q.OutC * u)
-	if simd {
+	if tensor.SIMD {
 		gemmWords(q.qww, panel, ldb, *acc, q.OutC, q.InC*q.K*q.K, u)
 	} else {
 		gemmPairs(q.qwp, panel, ldb, *acc, q.OutC, q.InC*q.K*q.K, u)

@@ -1,22 +1,7 @@
 package quant
 
-// simd reports that this CPU runs gemmWords, the AVX2 kernel: CPUID lists
-// AVX2 and the OS saves the YMM registers (XCR0 bits 1 and 2). It is read
-// once, at package init; nothing else selects the kernel.
-var simd = func() bool {
-	if top, _, _, _ := cpuid(0, 0); top < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, c, _ := cpuid(1, 0); c&(osxsave|avx) != osxsave|avx || xgetbv()&6 != 6 {
-		return false
-	}
-	_, b, _, _ := cpuid(7, 0)
-	return b&(1<<5) != 0
-}()
-
-func cpuid(leaf, sub uint32) (a, b, c, d uint32)
-func xgetbv() (xcr0 uint32)
+//go:noescape
+func quant8(dst *int8, src *float32, n int, s float32)
 
 //go:noescape
 func madd4x16(w *int32, b *int8, ldb, k int, c *int32, ldc, rows int)

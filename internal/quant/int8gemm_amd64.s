@@ -103,20 +103,52 @@ done:
 	VZEROUPPER
 	RET
 
-// func cpuid(leaf, sub uint32) (a, b, c, d uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, a+8(FP)
-	MOVL BX, b+12(FP)
-	MOVL CX, c+16(FP)
-	MOVL DX, d+20(FP)
-	RET
+// func quant8(dst *int8, src *float32, n int, s float32)
+//
+// quantScalar eight values at a time, for n a positive multiple of 8:
+// dst[i] = clamp(round(src[i]/s)) with the scalar loop's every step.
+// VDIVPS divides as DIVSS does; NaN lanes are zeroed (an ordered compare
+// against themselves masks them) before the clamp, since VMINPS and VMAXPS
+// return their second operand for NaN; the clamp to +-127; then +-0.5 by
+// the sign bit and a truncating convert. A -0 takes -0.5 where the scalar
+// loop adds +0.5, and both truncate to 0. The int32 lanes are packed to
+// int8 with saturation, which the clamp has made a no-op.
+TEXT ·quant8(SB), NOSPLIT, $0-28
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSS s+24(FP), Y15
+	MOVL         $0x42fe0000, AX // 127
+	MOVL         AX, X14
+	VBROADCASTSS X14, Y14
+	MOVL         $0xc2fe0000, AX // -127
+	MOVL         AX, X13
+	VBROADCASTSS X13, Y13
+	MOVL         $0x3f000000, AX // 0.5
+	MOVL         AX, X12
+	VBROADCASTSS X12, Y12
+	MOVL         $0x80000000, AX // the sign bit
+	MOVL         AX, X11
+	VBROADCASTSS X11, Y11
 
-// func xgetbv() (xcr0 uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-4
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, xcr0+0(FP)
+quant:
+	VMOVUPS      (SI), Y0
+	VDIVPS       Y15, Y0, Y0
+	VCMPPS       $7, Y0, Y0, Y1 // ordered: all ones unless NaN
+	VANDPS       Y1, Y0, Y0
+	VMINPS       Y14, Y0, Y0
+	VMAXPS       Y13, Y0, Y0
+	VANDPS       Y11, Y0, Y1
+	VORPS        Y12, Y1, Y1
+	VADDPS       Y1, Y0, Y0
+	VCVTTPS2DQ   Y0, Y0
+	VEXTRACTI128 $1, Y0, X1
+	VPACKSSDW    X1, X0, X0
+	VPACKSSWB    X0, X0, X0
+	MOVQ         X0, (DI)
+	ADDQ         $32, SI
+	ADDQ         $8, DI
+	SUBQ         $8, CX
+	JNZ          quant
+	VZEROUPPER
 	RET

@@ -2,10 +2,11 @@
 
 package quant
 
-// simd is false off amd64: every layer runs gemmPairs.
-const simd = false
+// quant8 and gemmWords are never called where tensor.SIMD is false.
+func quant8(dst *int8, src *float32, n int, s float32) {
+	panic("quant: no SIMD quantiser on this GOARCH")
+}
 
-// gemmWords is never called where simd is false.
 func gemmWords(aw []int32, b []int8, ldb int, acc []int32, M, K, nc int) {
 	panic("quant: no SIMD int8 kernel on this GOARCH")
 }

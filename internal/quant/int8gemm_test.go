@@ -279,6 +279,40 @@ func TestQuantI8NonFinite(t *testing.T) {
 	}
 }
 
+// TestQuant8MatchesScalar pins the eight-wide quantiser to quantScalar,
+// value for value, at several scales: NaN of both signs and other payloads,
+// +-Inf, +-0, denormals, values landing on +-127, +-127.5 and just inside
+// them, exact halves of every sign (the rounding knife edge, which the sign
+// decides), and a random spread past the clamp, in lengths that leave every
+// tail 0-7 to the scalar loop.
+func TestQuant8MatchesScalar(t *testing.T) {
+	if !tensor.SIMD {
+		t.Skip("no SIMD quantiser on this CPU")
+	}
+	rng := rand.New(rand.NewSource(41))
+	for _, s := range []float32{1, 1.0 / 127, 0.031, 3e-39} {
+		src := []float32{float32(math.NaN()), -float32(math.NaN()), math.Float32frombits(0x7f800001),
+			math.Float32frombits(0xffc00000), float32(math.Inf(1)), float32(math.Inf(-1)),
+			0, float32(math.Copysign(0, -1)), math.Float32frombits(1), -math.Float32frombits(0x007fffff)}
+		for _, r := range []float32{127, 127.5, 128, 126.5, 126.49999, 127.49999, 0.5, 1.5, 2.5, 0.49999997} {
+			src = append(src, r*s, -r*s, math.Nextafter32(r*s, 0), -math.Nextafter32(r*s, 0))
+		}
+		for i := range 1000 {
+			src = append(src, (rng.Float32()*2-1)*s*150, (float32(i%255-127)+0.5)*s)
+		}
+		for n := len(src) - 7; n <= len(src); n++ {
+			got, want := make([]int8, n), make([]int8, n)
+			quantI8(got, src[:n], s)
+			quantScalar(want, src[:n], s)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("scale %v: quantI8(%v) = %d, quantScalar %d", s, src[i], got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 // naiveGemm is the triple loop gemmPairs must equal bit for bit:
 // acc[m*nc+j] = sum_k qw[m*K+k]*b[k*ldb+j], accumulated in int64 so the
 // reference itself cannot wrap.
@@ -313,7 +347,7 @@ func checkGemm(t *testing.T, qw, b []int8, ldb, M, K, nc int) {
 	kernels := map[string]func([]int32){
 		"gemmPairs": func(acc []int32) { gemmPairs(packPairs(qw, M, K), b, ldb, acc, M, K, nc) },
 	}
-	if simd {
+	if tensor.SIMD {
 		kernels["gemmWords"] = func(acc []int32) { gemmWords(packWords(qw, M, K), b, ldb, acc, M, K, nc) }
 	}
 	for name, run := range kernels {
@@ -359,7 +393,7 @@ func TestGemmPairsMatchesNaive(t *testing.T) {
 // and every row-band tail (M%4 = 0-3); and panels whose rows are longer
 // than the block (ldb > nc, as on the 1x1 path).
 func TestGemmWordsMatchesNaive(t *testing.T) {
-	if !simd {
+	if !tensor.SIMD {
 		t.Skip("no SIMD int8 kernel on this CPU")
 	}
 	rng := rand.New(rand.NewSource(24))
@@ -456,8 +490,8 @@ func TestKernelDispatchMatchesCPU(t *testing.T) {
 	}
 	for _, line := range strings.Split(string(info), "\n") {
 		if name, flags, _ := strings.Cut(line, ":"); strings.TrimSpace(name) == "flags" {
-			if slices.Contains(strings.Fields(flags), "avx2") && !simd {
-				t.Fatal("the CPU lists avx2 but the int8 layers run gemmPairs")
+			if slices.Contains(strings.Fields(flags), "avx2") && !tensor.SIMD {
+				t.Fatal("the CPU lists avx2 but tensor.SIMD is false: both precisions run their portable kernels")
 			}
 			return
 		}
@@ -625,7 +659,7 @@ func BenchmarkGemmI8(b *testing.B) {
 			})
 		}
 		bench("pairs", func() { gemmPairs(ap, panel, nc, acc, s.M, s.K, nc) })
-		if simd {
+		if tensor.SIMD {
 			bench("words", func() { gemmWords(aw, panel, nc, acc, s.M, s.K, nc) })
 		}
 	}

@@ -37,8 +37,8 @@ type qconv struct {
 	tensor.ConvGeom
 	w, b    []float32 // folded float weights [OutC][InC*K*K] and bias
 	qw      []int8    // quantised weights: canonical (WeightBytes, the test oracle)
-	qwp     []int64   // qw as gemmPairs reads it, where simd is false
-	qww     []int32   // qw as gemmWords reads it, where simd is true
+	qwp     []int64   // qw as gemmPairs reads it, where tensor.SIMD is false
+	qww     []int32   // qw as gemmWords reads it, where tensor.SIMD is true
 	wScale  []float32 // per-output-channel weight scale
 	inScale float32   // activation scale (from calibration)
 	relu    bool      // apply leaky-ReLU(0.1) after
@@ -80,7 +80,7 @@ func (q *qconv) quantiseWeights() {
 			q.qw[oc*per+i] = int8(clamp(math.Round(float64(v)), -127, 127))
 		}
 	}
-	if simd {
+	if tensor.SIMD {
 		q.qww = packWords(q.qw, q.OutC, per)
 	} else {
 		q.qwp = packPairs(q.qw, q.OutC, per)

@@ -47,7 +47,7 @@ func FuseConvBNAct(conv *Conv2D, bn *BatchNorm2D, act *LeakyReLU) *FusedConvBNAc
 // each output row while it is cache-hot.
 func (f *FusedConvBNAct) Block(panel []float32, ldb int, y []float32, ldc, u int) {
 	kdim := f.InC * f.K * f.K
-	gemmBlock(f.W, kdim, f.B, panel, ldb, y, ldc, f.OutC, kdim, u)
+	gemm(f.W, kdim, f.B, panel, ldb, y, ldc, f.OutC, kdim, u)
 	for oc := range f.OutC {
 		row := y[oc*ldc : oc*ldc+u]
 		for i, v := range row {

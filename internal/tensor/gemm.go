@@ -5,15 +5,21 @@ import "fmt"
 // Cache-blocked SGEMM specialised for im2col convolution: C = A*B + bias,
 // where A is the weight matrix [M x K] (M = output channels, K = InC*k*k),
 // B is an im2col panel [K x nc] for one block of output pixels, and C is the
-// corresponding slice of the output feature map. This is the only float
-// convolution kernel: every shape, down to the 3x5 AGO head grid, lowers
-// through it (a 1x1/s1/p0 convolution skips im2col altogether — the panel is
-// the input). The kernel is register tiled 4x4 with a single accumulator per
-// output element and k strictly ascending, so every C element is the sum
-// bias + w0*x0 + w1*x1 + ... in exactly the order a direct nested loop
-// computes it — bit-identical to the direct-loop oracle in gemm_test.go, not
-// merely close (padding taps contribute w*0, which cannot change a float
-// sum).
+// corresponding slice of the output feature map. gemm is the one float
+// GEMM every float convolution calls, training's forward included: every
+// shape, down to the 3x5 AGO head grid, lowers through it (a 1x1/s1/p0
+// convolution skips im2col altogether — the panel is the input). It picks
+// its kernel once, from CPUID (SIMD): on amd64 with AVX2, gemmTiles
+// (gemm_amd64.s), 4x16 tiles of eight-wide VMULPS then VADDPS; everywhere
+// else gemmBlock, 4x4 scalar tiles, which is also the tests' oracle. Both
+// keep a single accumulator per output element, start it at the bias and
+// run k strictly ascending, rounding after every multiply and every add
+// (no fused multiply-add: gemmBlock converts each product to float32,
+// which the Go spec says no compiler may fuse), so every C element is the
+// sum bias + w0*x0 + w1*x1 + ... in exactly the order a direct nested loop
+// computes it — bit-identical to the direct-loop oracle in gemm_test.go on
+// every GOARCH and CPU, not merely close (padding taps contribute w*0,
+// which cannot change a float sum).
 //
 // Conv runs every convolution in the tree, both precisions: the precision's
 // ConvKernel supplies only the multiply and the epilogue (the float kernels
@@ -192,10 +198,22 @@ func panelScratch[T colScalar]() *Scratch[T] {
 	return any(&i8Panels).(*Scratch[T])
 }
 
-// gemmBlock computes c[m*ldc+j] = bias[m] + sum_k a[m*lda+k]*b[k*ldb+j] for
-// m in [0,M), j in [0,nc). The 4x4 register tile keeps sixteen independent
-// accumulator chains live per k step; row and column tails fall back to
-// narrower tiles with the same k-ascending accumulation order.
+// gemm computes c[m*ldc+j] = bias[m] + sum_k a[m*lda+k]*b[k*ldb+j] for m
+// in [0,M), j in [0,nc), with the kernel SIMD picked.
+func gemm(a []float32, lda int, bias []float32, b []float32, ldb int, c []float32, ldc, M, K, nc int) {
+	if SIMD {
+		gemmTiles(a, lda, bias, b, ldb, c, ldc, M, K, nc)
+	} else {
+		gemmBlock(a, lda, bias, b, ldb, c, ldc, M, K, nc)
+	}
+}
+
+// gemmBlock is gemm's portable kernel and the oracle of gemmTiles. The 4x4
+// register tile keeps sixteen independent accumulator chains live per k
+// step; row and column tails fall back to narrower tiles with the same
+// k-ascending accumulation order. Every product is converted to float32
+// before it is added, so no GOARCH fuses the two roundings into one (arm64
+// would emit FMADDS).
 func gemmBlock(a []float32, lda int, bias []float32, b []float32, ldb int, c []float32, ldc, M, K, nc int) {
 	m := 0
 	for ; m+4 <= M; m += 4 {
@@ -214,25 +232,25 @@ func gemmBlock(a []float32, lda int, bias []float32, b []float32, ldb int, c []f
 			for k := 0; k < K; k++ {
 				b0, b1, b2, b3 := b[off], b[off+1], b[off+2], b[off+3]
 				av := a0[k]
-				c00 += av * b0
-				c01 += av * b1
-				c02 += av * b2
-				c03 += av * b3
+				c00 += float32(av * b0)
+				c01 += float32(av * b1)
+				c02 += float32(av * b2)
+				c03 += float32(av * b3)
 				av = a1[k]
-				c10 += av * b0
-				c11 += av * b1
-				c12 += av * b2
-				c13 += av * b3
+				c10 += float32(av * b0)
+				c11 += float32(av * b1)
+				c12 += float32(av * b2)
+				c13 += float32(av * b3)
 				av = a2[k]
-				c20 += av * b0
-				c21 += av * b1
-				c22 += av * b2
-				c23 += av * b3
+				c20 += float32(av * b0)
+				c21 += float32(av * b1)
+				c22 += float32(av * b2)
+				c23 += float32(av * b3)
 				av = a3[k]
-				c30 += av * b0
-				c31 += av * b1
-				c32 += av * b2
-				c33 += av * b3
+				c30 += float32(av * b0)
+				c31 += float32(av * b1)
+				c32 += float32(av * b2)
+				c33 += float32(av * b3)
 				off += ldb
 			}
 			r := (m+0)*ldc + j
@@ -249,10 +267,10 @@ func gemmBlock(a []float32, lda int, bias []float32, b []float32, ldb int, c []f
 			off := j
 			for k := 0; k < K; k++ {
 				bv := b[off]
-				cc0 += a0[k] * bv
-				cc1 += a1[k] * bv
-				cc2 += a2[k] * bv
-				cc3 += a3[k] * bv
+				cc0 += float32(a0[k] * bv)
+				cc1 += float32(a1[k] * bv)
+				cc2 += float32(a2[k] * bv)
+				cc3 += float32(a3[k] * bv)
 				off += ldb
 			}
 			c[(m+0)*ldc+j] = cc0
@@ -270,10 +288,10 @@ func gemmBlock(a []float32, lda int, bias []float32, b []float32, ldb int, c []f
 			off := j
 			for k := 0; k < K; k++ {
 				av := arow[k]
-				cc0 += av * b[off]
-				cc1 += av * b[off+1]
-				cc2 += av * b[off+2]
-				cc3 += av * b[off+3]
+				cc0 += float32(av * b[off])
+				cc1 += float32(av * b[off+1])
+				cc2 += float32(av * b[off+2])
+				cc3 += float32(av * b[off+3])
 				off += ldb
 			}
 			r := m*ldc + j
@@ -283,7 +301,7 @@ func gemmBlock(a []float32, lda int, bias []float32, b []float32, ldb int, c []f
 			acc := bi
 			off := j
 			for k := 0; k < K; k++ {
-				acc += arow[k] * b[off]
+				acc += float32(arow[k] * b[off])
 				off += ldb
 			}
 			c[m*ldc+j] = acc

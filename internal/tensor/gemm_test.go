@@ -12,7 +12,8 @@ import (
 // the oracle the GEMM lowering is pinned against, bit for bit. It is
 // test-only because it never wins (BenchmarkConvKernels). The arithmetic
 // order within a plane is fixed: bias first, then taps in (ic, kh, kw)
-// order, out-of-bounds taps skipped.
+// order, out-of-bounds taps skipped, each product rounded to float32 before
+// it is added, so no GOARCH fuses the two.
 func directConvPlane(x, y *Tensor, spec ConvGeom, w []float32, bias float32, n, oc int) {
 	C, H, W := x.Shape[1], x.Shape[2], x.Shape[3]
 	OH, OW := y.Shape[2], y.Shape[3]
@@ -42,7 +43,7 @@ func directConvPlane(x, y *Tensor, spec ConvGeom, w []float32, bias float32, n, 
 						if iw < 0 || iw >= W {
 							continue
 						}
-						sum += w[wRow+kw] * x.Data[inRow+iw]
+						sum += float32(w[wRow+kw] * x.Data[inRow+iw])
 					}
 				}
 				wBase += wPer
@@ -499,12 +500,15 @@ func TestConvGemmPooledAllocs(t *testing.T) {
 // TestConvGemmPooledAllocsFlat is TestConvGemmPooledAllocs on a flat field,
 // where most columns repeat: the runs LabelInput follows, the search's
 // tables, rep maps, the compact panel and the spread allocate nothing
-// either.
+// either. On a constant map a block has under 16 distinct columns, so the
+// SIMD kernel's padded copy (gemmTiles) recycles its buffers too.
 func TestConvGemmPooledAllocsFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	_, spec, wt, bias := randomConv(rng, 1, 8, 20, 20, 8, 3, 1, 1)
-	x := repeatInputs(rng, 1, 8, 20, 20)[0]
-	requireConvAllocsFree(t, "pooled GEMM conv on a flat field", &FusedConvBNAct{ConvGeom: spec, W: wt, B: bias, Slope: 0.1}, x)
+	in := repeatInputs(rng, 1, 8, 20, 20)
+	f := &FusedConvBNAct{ConvGeom: spec, W: wt, B: bias, Slope: 0.1}
+	requireConvAllocsFree(t, "pooled GEMM conv on a flat field", f, in[0])
+	requireConvAllocsFree(t, "pooled GEMM conv on a constant map", f, in[2])
 }
 
 // requireConvAllocsFree fails unless the pooled forward of f over x
@@ -555,6 +559,77 @@ func TestSameWindowComparesBits(t *testing.T) {
 		if zero := math.Float32bits(v) == 0; zero != (lab[p] == -1) {
 			t.Errorf("position %d (%v) labelled %d", p, v, lab[p])
 		}
+	}
+}
+
+// gemmOperand draws n values in [-1, 1), about one in twelve replaced by
+// one of specials.
+func gemmOperand(rng *rand.Rand, n int, specials []float32) []float32 {
+	v := make([]float32, n)
+	for i := range v {
+		v[i] = rng.Float32()*2 - 1
+		if rng.Intn(12) == 0 {
+			v[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return v
+}
+
+// TestGemmTilesMatchesGemmBlock pins the SIMD float kernel to gemmBlock bit
+// for bit where gemmTiles' tiling can go wrong: M from 1 to 9 (every row-band
+// tail, M%4 = 0-3); every block width under a tile (the padded copy), one
+// tile, and whole and shifted tiles up to 48; K from 0 (bias alone) to 216,
+// the deepest production reduction; panel and output rows longer than the
+// block (ldb > nc, as on the 1x1 path, and ldc > nc, as in every conv) —
+// over operands seeded with NaN, +-Inf, -0, denormals and values whose
+// products overflow. c arrives poisoned, as pooled tiles do, and is compared
+// whole, so a store past the block's columns fails too; a, b and c are cut
+// to exactly the lengths the kernels may touch. One NaN payload is used,
+// x86's default NaN, which Inf*0 and Inf-Inf also produce: where two
+// payloads meet, an add returns its first operand's, and gemmBlock's own
+// tiles do not agree on which operand that is.
+func TestGemmTilesMatchesGemmBlock(t *testing.T) {
+	if !SIMD {
+		t.Skip("no SIMD float kernel on this CPU")
+	}
+	nan, inf := math.Float32frombits(0xffc00000), float32(math.Inf(1))
+	specials := []float32{nan, inf, -inf, float32(math.Copysign(0, -1)), 0,
+		math.Float32frombits(1), -math.Float32frombits(0x007fffff), math.SmallestNonzeroFloat32 * 3, 3e38, -2e38}
+	rng := rand.New(rand.NewSource(31))
+	ncs := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 33, 48}
+	seen := map[string]bool{} // the special classes that reached an output
+	for M := 1; M <= 9; M++ {
+		for _, nc := range ncs {
+			for _, K := range []int{0, 1, 2, 9, 144, 216} {
+				lda, ldb, ldc := K+rng.Intn(3), nc+rng.Intn(3)*7, nc+rng.Intn(3)*5
+				a := gemmOperand(rng, max((M-1)*lda+K, 0), specials)
+				bias := gemmOperand(rng, M, specials)
+				b := gemmOperand(rng, max((K-1)*ldb+nc, 0), specials)
+				want, got := make([]float32, (M-1)*ldc+nc), make([]float32, (M-1)*ldc+nc)
+				for i := range want {
+					want[i] = math.Float32frombits(0x7fa5a5a5) // a signalling NaN no kernel writes
+					got[i] = want[i]
+				}
+				gemmBlock(a, lda, bias, b, ldb, want, ldc, M, K, nc)
+				gemmTiles(a, lda, bias, b, ldb, got, ldc, M, K, nc)
+				requireSameBits(t, fmt.Sprintf("M=%d K=%d nc=%d lda=%d ldb=%d ldc=%d", M, K, nc, lda, ldb, ldc), got, want)
+				for _, v := range want {
+					switch bits := math.Float32bits(v); {
+					case bits == 0xffc00000:
+						seen["NaN"] = true
+					case math.IsInf(float64(v), 0):
+						seen["Inf"] = true
+					case bits == 1<<31:
+						seen["-0"] = true
+					case v != 0 && math.Abs(float64(v)) < 0x1p-126:
+						seen["denormal"] = true
+					}
+				}
+			}
+		}
+	}
+	if len(seen) != 4 {
+		t.Fatalf("outputs covered only %v of NaN, Inf, -0 and denormal", seen)
 	}
 }
 

@@ -40,7 +40,7 @@ func NewConv2D(rng *rand.Rand, inC, outC, k, stride, pad int) *Conv2D {
 // Block is the convolution's ConvKernel: the GEMM alone.
 func (c *Conv2D) Block(panel []float32, ldb int, y []float32, ldc, u int) {
 	kdim := c.InC * c.K * c.K
-	gemmBlock(c.W.Data, kdim, c.B.Data, panel, ldb, y, ldc, c.OutC, kdim, u)
+	gemm(c.W.Data, kdim, c.B.Data, panel, ldb, y, ldc, c.OutC, kdim, u)
 }
 
 // Forward computes the convolution. The input must be [N, InC, H, W].
