@@ -2,11 +2,11 @@ package quant
 
 // True int8 inference path: activations are quantised once at the network
 // input and stay int8 across the whole backbone. tensor.Conv runs every
-// layer as it runs the float ones, over int8 im2col panels of the distinct
-// columns; each layer is a tensor.ConvKernel whose Block is an int8 x int8
-// -> int32 blocked GEMM and an epilogue that requantises the int32
-// accumulators straight to the next layer's int8 scale with the folded bias
-// and leaky-ReLU applied in the same pass.
+// layer as it runs the float ones, over dense int8 im2col panels; each
+// layer is a tensor.ConvKernel whose Block is an int8 x int8 -> int32
+// blocked GEMM and an epilogue that requantises the int32 accumulators
+// straight to the next layer's int8 scale with the folded bias and
+// leaky-ReLU applied in the same pass.
 //
 // The GEMM is chosen once, at init, from CPUID and XGETBV (tensor.SIMD,
 // the probe the float GEMM reads too): on amd64 with AVX2 it is gemmWords
@@ -29,7 +29,9 @@ package quant
 // heads dequantise to float32 with exactly the reference epilogue
 // (float32(acc)*deq + bias), so decoded boxes match the per-plane loop
 // bit-for-bit given the same int8 activations (pinned by the property tests
-// in int8gemm_test.go).
+// in int8gemm_test.go). Both epilogues convert the product to float32
+// before adding the bias, as gemmBlock does, so no GOARCH fuses the two
+// roundings (arm64 would emit FMADDS) and every GOARCH gets amd64's bits.
 
 import "repro/internal/tensor"
 
@@ -117,7 +119,7 @@ func (q *qconv) Block(panel []int8, ldb int, y []int8, ldc, u int) {
 		rq, bq := q.rq[oc], q.bq[oc]
 		dst := y[oc*ldc : oc*ldc+u]
 		for j, a := range (*acc)[oc*u : (oc+1)*u] {
-			v := float32(a)*rq + bq
+			v := float32(float32(a)*rq) + bq
 			if v < 0 {
 				v *= slope
 			}
@@ -146,7 +148,7 @@ func (h *qhead) Block(panel []int8, ldb int, y []float32, ldc, u int) {
 		deq, bias := q.wScale[oc]*q.inScale, q.b[oc]
 		dst := y[oc*ldc : oc*ldc+u]
 		for j, a := range (*acc)[oc*u : (oc+1)*u] {
-			v := float32(a)*deq + bias
+			v := float32(float32(a)*deq) + bias
 			if v < 0 {
 				v *= slope
 			}

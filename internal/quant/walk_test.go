@@ -11,6 +11,9 @@ import (
 	"repro/internal/yolite"
 )
 
+// scalar is the element type of both precisions' activations.
+type scalar interface{ ~float32 | ~int8 }
+
 // trip closes done once conv number at of a walk, counted in the order the
 // walk runs them, starts its first column block.
 type trip struct {
@@ -47,7 +50,7 @@ func TestWalkAbortsAtEveryConv(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := tensor.New(2, 3, yolite.InputH, yolite.InputW)
 	for i := range x.Data {
-		x.Data[i] = float32(rng.Intn(4)) / 3 // flat runs, so labels matter
+		x.Data[i] = float32(rng.Intn(4)) / 3 // four levels, as a screen has few
 	}
 	var fused []*tensor.FusedConvBNAct
 	for _, s := range m.Blocks() {

@@ -7,6 +7,8 @@ import "math"
 // gamma/std. This is the paper's "replace the internal redundant
 // calculations in the model with constants" step; the int8 port
 // (internal/quant) and the float fused inference blocks both fold through it.
+// The bias product is converted to float32 before it is added, so no GOARCH
+// fuses the two roundings (arm64 would emit FMADDS).
 func FoldConvBN(conv *Conv2D, bn *BatchNorm2D) (w []float32, b []float32) {
 	per := conv.InC * conv.K * conv.K
 	w = make([]float32, conv.OutC*per)
@@ -17,7 +19,7 @@ func FoldConvBN(conv *Conv2D, bn *BatchNorm2D) (w []float32, b []float32) {
 		for i := 0; i < per; i++ {
 			w[oc*per+i] = conv.W.Data[oc*per+i] * scale
 		}
-		b[oc] = bn.Beta.Data[oc] + (conv.B.Data[oc]-bn.RunMean[oc])*scale
+		b[oc] = bn.Beta.Data[oc] + float32((conv.B.Data[oc]-bn.RunMean[oc])*scale)
 	}
 	return w, b
 }
@@ -76,6 +78,6 @@ func forward[In colScalar, K ConvKernel[In, float32]](k K, x []In, N, H, W int, 
 	g := k.Geom()
 	OH, OW := g.OutSize(H, W)
 	y := p.Get(N, g.OutC, OH, OW)
-	Conv(k, x, N, H, W, y.Data, nil, nil, done)
+	Conv(k, x, N, H, W, y.Data, done)
 	return y
 }

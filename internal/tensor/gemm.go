@@ -21,8 +21,9 @@ import "fmt"
 // every GOARCH and CPU, not merely close (padding taps contribute w*0,
 // which cannot change a float sum).
 //
-// Conv runs every convolution in the tree, both precisions: the precision's
-// ConvKernel supplies only the multiply and the epilogue (the float kernels
+// Conv runs every convolution in the tree, both precisions: it gathers each
+// column block's dense panel (im2col.go) and the precision's ConvKernel
+// multiplies every column of it and applies the epilogue (the float kernels
 // are Conv2D and FusedConvBNAct, the int8 ones live in internal/quant).
 // Work is split into (batch item, column block) tasks dispatched through
 // ParallelForCancel, preserving the between-block cancellation checkpoints
@@ -65,13 +66,11 @@ func ColBlock(kdim, cols int) int {
 }
 
 // Conv computes y = k(x) for the N items of x, each InC x H x W, into y,
-// N items of OutC x OH x OW. labIn holds x's position labels (nil: none,
-// and Conv labels x itself with LabelInput), and a non-nil labOut receives
-// y's (see labelBlock), both N items of one int32 per pixel. done adds a
-// cooperative cancellation checkpoint between column blocks: once it
-// closes, y and labOut are partially written and must be discarded. A
-// kernel with pointer receivers keeps the serial path allocation-free.
-func Conv[In, Out colScalar, K ConvKernel[In, Out]](k K, x []In, N, H, W int, y []Out, labIn, labOut []int32, done <-chan struct{}) {
+// N items of OutC x OH x OW. done adds a cooperative cancellation
+// checkpoint between column blocks: once it closes, y is partially written
+// and must be discarded. A kernel with pointer receivers keeps the serial
+// path allocation-free.
+func Conv[In, Out colScalar, K ConvKernel[In, Out]](k K, x []In, N, H, W int, y []Out, done <-chan struct{}) {
 	g := k.Geom()
 	if len(x) != N*g.InC*H*W {
 		panic(fmt.Sprintf("tensor: conv expects %d input channels, got %d values for %d items of %dx%d", g.InC, len(x), N, H, W))
@@ -79,54 +78,41 @@ func Conv[In, Out colScalar, K ConvKernel[In, Out]](k K, x []In, N, H, W int, y 
 	OH, OW := g.OutSize(H, W)
 	cols := OH * OW
 	kdim := g.InC * g.K * g.K
-	if labIn == nil && !g.direct() {
-		buf := idxScratch.Get(N * H * W)
-		defer idxScratch.Put(buf)
-		labIn = *buf
-		LabelInput(x, N, g.InC, H, W, labIn)
-	}
 	blk := ColBlock(kdim, cols)
 	nBlocks := (cols + blk - 1) / blk
 	tasks := N * nBlocks
-	tabs := newTable(cols, len(labOut)/cols) // one per item whose labels are wanted
 	if ParallelWorthwhile(N * g.OutC * cols * kdim) {
 		ParallelForCancel(done, tasks, func(t int) {
-			convTask(k, g, x, H, W, y, labIn, labOut, tabs, blk, nBlocks, t)
+			convTask(k, g, x, H, W, y, blk, nBlocks, t)
 		})
 	} else {
 		for t := 0; t < tasks && !Aborted(done); t++ {
-			convTask(k, g, x, H, W, y, labIn, labOut, tabs, blk, nBlocks, t)
+			convTask(k, g, x, H, W, y, blk, nBlocks, t)
 		}
 	}
-	fpScratch.Put(tabs.buf)
 }
 
 // Walk runs a two-headed detector over the N items of x, each H x W: the
-// blocks in order, each handing the next its output's labels through the
-// two halves of one buffer, the fine head reading blocks[tap]'s input and
-// the coarse head the last block's output. It is the inference forward of
-// both precisions. The intermediates recycle through acts and x stays the
+// blocks in order, the fine head reading blocks[tap]'s input and the coarse
+// head the last block's output. It is the inference forward of both
+// precisions. The intermediates recycle through acts and x stays the
 // caller's; the head maps come from p and are the caller's to Put. done is
 // polled between column blocks (see Conv) and after every conv: on abort ok
 // is false, the maps are nil and every buffer is back where it came from.
 func Walk[T colScalar, B ConvKernel[T, T], Hd ConvKernel[T, float32]](blocks []B, tap int, fine, coarse Hd, x []T, N, H, W int, acts *Scratch[T], p *Pool, done <-chan struct{}) (f, c *Tensor, ok bool) {
-	oh, ow := blocks[0].Geom().OutSize(H, W)
-	labs, half := idxScratch.Get(2*N*oh*ow), N*oh*ow
-	defer idxScratch.Put(labs)
-	var cur *[]T    // x's successor, from acts
-	var lab []int32 // x's labels; Conv labels the network input itself
+	var cur *[]T // x's successor, from acts
 	for i, b := range blocks {
 		if i == tap {
 			f = forward(fine, x, N, H, W, p, done)
 		}
 		g := b.Geom()
 		oh, ow := g.OutSize(H, W)
-		nxt, next := acts.Get(N*g.OutC*oh*ow), (*labs)[i%2*half:][:N*oh*ow]
-		Conv(b, x, N, H, W, *nxt, lab, next, done)
+		nxt := acts.Get(N * g.OutC * oh * ow)
+		Conv(b, x, N, H, W, *nxt, done)
 		if cur != nil {
 			acts.Put(cur)
 		}
-		cur, x, lab, H, W = nxt, *nxt, next, oh, ow
+		cur, x, H, W = nxt, *nxt, oh, ow
 		if Aborted(done) {
 			break
 		}
@@ -147,44 +133,25 @@ func Walk[T colScalar, B ConvKernel[T, T], Hd ConvKernel[T, float32]](blocks []B
 // is the input itself.
 func (g ConvGeom) direct() bool { return g.K == 1 && g.Stride == 1 && g.Pad == 0 }
 
-// convTask runs one (batch item, column block) unit: unpack the distinct
-// panel columns, multiply them and apply the epilogue (k.Block), spread the
-// results (see DistinctPanel), label them when labels are wanted. Tasks
-// write disjoint column ranges of y and labOut.
-func convTask[In, Out colScalar, K ConvKernel[In, Out]](k K, g ConvGeom, x []In, H, W int, y []Out, labIn, labOut []int32, tabs table, blk, nBlocks, t int) {
+// convTask runs one (batch item, column block) unit: gather the block's
+// panel (im2col), then multiply all of its columns and apply the epilogue
+// (k.Block). Tasks write disjoint column ranges of y.
+func convTask[In, Out colScalar, K ConvKernel[In, Out]](k K, g ConvGeom, x []In, H, W int, y []Out, blk, nBlocks, t int) {
 	n, b := t/nBlocks, t%nBlocks
 	OH, OW := g.OutSize(H, W)
 	cols, kdim := OH*OW, g.InC*g.K*g.K
 	j0 := b * blk
-	j1 := min(j0+blk, cols)
-	nc, u := j1-j0, j1-j0
-	buf := idxScratch.Get(nc)
-	rep := *buf
-	if labOut != nil { // the rep map is the block's share of labOut
-		rep = labOut[n*cols+j0 : n*cols+j1]
-	}
-	item, out := x[n*g.InC*H*W:(n+1)*g.InC*H*W], y[n*g.OutC*cols:(n+1)*g.OutC*cols]
+	nc := min(j0+blk, cols) - j0
+	item, out := x[n*g.InC*H*W:(n+1)*g.InC*H*W], y[n*g.OutC*cols+j0:]
 	if g.direct() {
-		k.Block(item[j0:], cols, out[j0:], cols, nc)
-		for i := range rep {
-			rep[i] = int32(i)
-		}
-	} else {
-		ps := panelScratch[In]()
-		panel := ps.Get(kdim * nc)
-		u = DistinctPanel(item, labIn[n*H*W:(n+1)*H*W], g.InC, H, W, g.K, g.Stride, g.Pad, OW, j0, j1, *panel, rep)
-		k.Block(*panel, u, out[j0:], cols, u)
-		ps.Put(panel)
+		k.Block(item[j0:], cols, out, cols, nc)
+		return
 	}
-	if u < nc {
-		for oc := range g.OutC {
-			SpreadCols(out[oc*cols+j0:oc*cols+j1], rep)
-		}
-	}
-	if labOut != nil {
-		labelBlock(tabs, n, out, cols, j0, rep)
-	}
-	idxScratch.Put(buf)
+	ps := panelScratch[In]()
+	panel := ps.Get(kdim * nc)
+	im2col(item, g.InC, H, W, g.K, g.Stride, g.Pad, OW, j0, j0+nc, *panel)
+	k.Block(*panel, nc, out, cols, nc)
+	ps.Put(panel)
 }
 
 var f32Panels Scratch[float32]

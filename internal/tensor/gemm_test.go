@@ -92,25 +92,22 @@ func randomConv(rng *rand.Rand, n, c, h, w, outC, kk, stride, pad int) (*Tensor,
 	return x, spec, wt, bias
 }
 
-// convInto runs Conv on x, whose labels are labIn, into y and labOut
-// through a real kernel: FusedConvBNAct's at slope when act is set,
-// Conv2D's otherwise.
-func convInto(x, y *Tensor, g ConvGeom, w, bias []float32, act bool, slope float32, labIn, labOut []int32) {
+// convInto runs Conv on x into y through a real kernel: FusedConvBNAct's
+// at slope when act is set, Conv2D's otherwise.
+func convInto(x, y *Tensor, g ConvGeom, w, bias []float32, act bool, slope float32) {
 	N, H, W := x.Shape[0], x.Shape[2], x.Shape[3]
 	if act {
-		Conv(&FusedConvBNAct{ConvGeom: g, W: w, B: bias, Slope: slope}, x.Data, N, H, W, y.Data, labIn, labOut, nil)
+		Conv(&FusedConvBNAct{ConvGeom: g, W: w, B: bias, Slope: slope}, x.Data, N, H, W, y.Data, nil)
 		return
 	}
-	Conv(&Conv2D{ConvGeom: g, W: &Tensor{Data: w}, B: &Tensor{Data: bias}}, x.Data, N, H, W, y.Data, labIn, labOut, nil)
+	Conv(&Conv2D{ConvGeom: g, W: &Tensor{Data: w}, B: &Tensor{Data: bias}}, x.Data, N, H, W, y.Data, nil)
 }
 
 // repeatInputs are [n, c, h, w] maps whose receptive fields repeat the way
 // a screen's do, each batch item with values of its own: a flat field with
-// a rectangle on it, a 3x5 tile repeated across the map, a constant map
-// (one distinct column wherever no window meets padding), an all-zero map
-// (its windows wholly in padding equal its in-bounds ones), and a map of
-// +0 and -0 halves with a different NaN payload in two far corners, which
-// a comparison by value would merge and a comparison by bits must not.
+// a rectangle on it, a 3x5 tile repeated across the map, a constant map, an
+// all-zero map, and a map of +0 and -0 halves with a different NaN payload
+// in two far corners, whose signs and payloads the outputs must keep.
 func repeatInputs(rng *rand.Rand, n, c, h, w int) []*Tensor {
 	flat, tile, cnst, zero, signed := New(n, c, h, w), New(n, c, h, w), New(n, c, h, w), New(n, c, h, w), New(n, c, h, w)
 	negZero := float32(math.Copysign(0, -1))
@@ -189,10 +186,9 @@ var productionConvShapes = []struct {
 // blocked GEMM path produces exactly the float32 bits of the direct nested
 // loop across every production shape (N=1 and N=8) and randomized geometry,
 // including 1x1 kernels, stride > 1, padding >= k/2, and spatial sizes
-// smaller than the kernel — on random data, where no column repeats, and on
-// repeatInputs, where most do and only the distinct ones are multiplied
-// (the B1 geometry's four column blocks per item see repeats straddle
-// their boundaries).
+// smaller than the kernel — on random data and on repeatInputs, screen-like
+// maps with signed zeros and NaN payloads (the B1 geometry cuts an item
+// into four column blocks, some starting mid-row).
 func TestConvGemmMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	cases := []convShape{
@@ -233,7 +229,7 @@ func TestConvGemmMatchesDirect(t *testing.T) {
 		for k, in := range append([]*Tensor{x}, repeatInputs(rng, s.n, s.c, s.h, s.w)...) {
 			want := directConvRef(in, spec, wt, bias)
 			got := New(want.Shape...)
-			convInto(in, got, spec, wt, bias, false, 0, nil, nil)
+			convInto(in, got, spec, wt, bias, false, 0)
 			requireSameBits(t, fmt.Sprintf("shape %+v input %d", s, k), got.Data, want.Data)
 		}
 	}
@@ -251,7 +247,7 @@ func TestConvGemmMatchesDirect(t *testing.T) {
 	}
 	want := directConvRef(x, spec, wt, bias)
 	got := New(want.Shape...)
-	convInto(x, got, spec, wt, bias, false, 0, nil, nil)
+	convInto(x, got, spec, wt, bias, false, 0)
 	requireSameBits(t, "signed zeros", got.Data, want.Data)
 	signs := map[uint32]bool{}
 	for _, v := range want.Data {
@@ -276,83 +272,16 @@ func TestConvGemmActEpilogue(t *testing.T) {
 			}
 		}
 		got := New(want.Shape...)
-		convInto(in, got, spec, wt, bias, true, slope, nil, nil)
+		convInto(in, got, spec, wt, bias, true, slope)
 		requireSameBits(t, fmt.Sprintf("input %d with epilogue", k), got.Data, want.Data)
 	}
 }
 
-// TestDistinctPanel pins the helper against naivePanel on repeatInputs and
-// random data, at awkward block boundaries, with the input labelled by
-// LabelInput and by the vectorLabels oracle (exact labels under arbitrary
-// ids, as a producer would hand them): every pixel's column in the compact panel is, bit for bit, the one
-// the naive gather makes; the columns kept are the first appearances, in
-// order; and there are
-// exactly as many as the block has distinct columns — so every repeat is
-// found, a constant map away from padding is one column, and random data
-// keeps all.
-func TestDistinctPanel(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, s := range []convShape{
-		{1, 3, 12, 10, 0, 3, 2, 1},
-		{1, 4, 9, 11, 0, 3, 1, 0},
-		{1, 2, 6, 6, 0, 3, 1, 3}, // windows wholly in padding
-		{1, 5, 7, 7, 0, 1, 2, 0}, // 1x1 with stride 2 still gathers
-		{1, 2, 9, 8, 0, 5, 2, 2},
-	} {
-		OH := (s.h+2*s.pad-s.kk)/s.stride + 1
-		OW := (s.w+2*s.pad-s.kk)/s.stride + 1
-		cols, kdim := OH*OW, s.c*s.kk*s.kk
-		x, _, _, _ := randomConv(rng, 1, s.c, s.h, s.w, 1, s.kk, s.stride, s.pad)
-		for k, in := range append(repeatInputs(rng, 1, s.c, s.h, s.w), x) {
-			full := naivePanel(in.Data, s.c, s.h, s.w, s.kk, s.stride, s.pad, OH, OW)
-			column := func(j int) string {
-				b := make([]byte, 0, 4*kdim)
-				for r := 0; r < kdim; r++ {
-					b = fmt.Appendf(b, "%08x", math.Float32bits(full[r*cols+j]))
-				}
-				return string(b)
-			}
-			own := make([]int32, s.h*s.w)
-			LabelInput(in.Data, 1, s.c, s.h, s.w, own)
-			for _, lab := range [][]int32{own, vectorLabels(in.Data, s.h*s.w, 7919)} {
-				for _, blk := range []int{1, 5, OW, OW + 3, cols} {
-					for j0 := 0; j0 < cols; j0 += blk {
-						j1 := min(j0+blk, cols)
-						nc := j1 - j0
-						dst, rep := make([]float32, kdim*nc), make([]int32, nc)
-						u := DistinctPanel(in.Data, lab, s.c, s.h, s.w, s.kk, s.stride, s.pad, OW, j0, j1, dst, rep)
-						distinct, first := map[string]bool{}, []int{}
-						for i := 0; i < nc; i++ {
-							distinct[column(j0+i)] = true
-							if c := int(rep[i]); c > len(first) || c >= u {
-								t.Fatalf("shape %+v input %d block [%d,%d): pixel %d maps to column %d of %d, %d kept so far", s, k, j0, j1, i, c, u, len(first))
-							} else if c == len(first) {
-								first = append(first, i)
-							}
-							for r := 0; r < kdim; r++ {
-								if math.Float32bits(dst[r*u+int(rep[i])]) != math.Float32bits(full[r*cols+j0+i]) {
-									t.Fatalf("shape %+v input %d block [%d,%d): pixel %d row %d: compact %v, im2col %v", s, k, j0, j1, i, r, dst[r*u+int(rep[i])], full[r*cols+j0+i])
-								}
-							}
-						}
-						if u != len(first) || u != len(distinct) {
-							t.Fatalf("shape %+v input %d block [%d,%d): %d columns, %d kept, %d distinct", s, k, j0, j1, u, len(first), len(distinct))
-						}
-						if k == 2 && s.pad == 0 && u != 1 {
-							t.Fatalf("shape %+v: constant map gives %d columns, want 1", s, u)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // naivePanel is the whole-map im2col panel [kdim x OH*OW] gathered tap by
-// tap, the oracle for DistinctPanel.
-func naivePanel(src []float32, C, H, W, kk, stride, pad, OH, OW int) []float32 {
+// tap, the oracle for im2col.
+func naivePanel[T colScalar](src []T, C, H, W, kk, stride, pad, OH, OW int) []T {
 	cols := OH * OW
-	panel := make([]float32, C*kk*kk*cols)
+	panel := make([]T, C*kk*kk*cols)
 	for r := range C * kk * kk {
 		ic, kh, kw := r/(kk*kk), r/kk%kk, r%kk
 		for j := 0; j < cols; j++ {
@@ -366,41 +295,55 @@ func naivePanel(src []float32, C, H, W, kk, stride, pad, OH, OW int) []float32 {
 	return panel
 }
 
-// TestIm2colPanelBlocks checks the block-wise unpack against a naive
-// whole-map gather for awkward block boundaries, on random data, where
-// every column is distinct.
+// TestIm2colPanelBlocks pins the block-wise gather against naivePanel, on
+// float32 and int8 elements: windows wholly in padding, 1x1 at stride 2,
+// 5x5 at stride 2 with pad 2, stride 1 with and without padding, stride 3,
+// and blocks that start and end mid-row (1, 5, OW and OW+3 columns wide) or
+// take the whole map. dst arrives poisoned with a value no input holds, so
+// every element must be written.
 func TestIm2colPanelBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	C, H, W, kk, stride, pad := 3, 7, 5, 3, 2, 1
-	OH := (H+2*pad-kk)/stride + 1
-	OW := (W+2*pad-kk)/stride + 1
-	cols := OH * OW
-	kdim := C * kk * kk
-	src := make([]float32, C*H*W)
-	for i := range src {
-		src[i] = rng.Float32()
+	for _, s := range []convShape{
+		{1, 3, 7, 5, 0, 3, 2, 1},
+		{1, 3, 12, 10, 0, 3, 2, 1},
+		{1, 4, 9, 11, 0, 3, 1, 0},
+		{1, 3, 4, 9, 0, 3, 1, 1},
+		{1, 2, 6, 6, 0, 3, 1, 3}, // windows wholly in padding
+		{1, 5, 7, 7, 0, 1, 2, 0}, // 1x1 at stride 2 still gathers
+		{1, 2, 9, 8, 0, 5, 2, 2},
+		{1, 3, 9, 7, 0, 3, 3, 1},
+	} {
+		x, _, _, _ := randomConv(rng, 1, s.c, s.h, s.w, 1, s.kk, s.stride, s.pad)
+		q := make([]int8, len(x.Data))
+		for i := range q {
+			q[i] = int8(rng.Intn(255) - 127)
+		}
+		checkIm2col(t, s, x.Data, -99)
+		checkIm2col(t, s, q, -128)
 	}
-	naive := naivePanel(src, C, H, W, kk, stride, pad, OH, OW)
-	lab := make([]int32, H*W)
-	LabelInput(src, 1, C, H, W, lab)
-	for _, blk := range []int{1, 3, 4, OW, OW + 1, cols} {
+}
+
+// checkIm2col runs im2col over src at shape s, block by block, with dst
+// poisoned, and compares every element's bits to naivePanel's.
+func checkIm2col[T colScalar](t *testing.T, s convShape, src []T, poison T) {
+	t.Helper()
+	OH := (s.h+2*s.pad-s.kk)/s.stride + 1
+	OW := (s.w+2*s.pad-s.kk)/s.stride + 1
+	cols, kdim := OH*OW, s.c*s.kk*s.kk
+	want := naivePanel(src, s.c, s.h, s.w, s.kk, s.stride, s.pad, OH, OW)
+	for _, blk := range []int{1, 5, OW, OW + 3, cols} {
 		for j0 := 0; j0 < cols; j0 += blk {
-			j1 := j0 + blk
-			if j1 > cols {
-				j1 = cols
-			}
+			j1 := min(j0+blk, cols)
 			nc := j1 - j0
-			dst := make([]float32, kdim*nc)
+			dst := make([]T, kdim*nc)
 			for i := range dst {
-				dst[i] = -99 // poison: every element must be written
+				dst[i] = poison
 			}
-			if u := DistinctPanel(src, lab, C, H, W, kk, stride, pad, OW, j0, j1, dst, make([]int32, nc)); u != nc {
-				t.Fatalf("blk %d: %d of %d random columns kept", blk, u, nc)
-			}
-			for r := 0; r < kdim; r++ {
+			im2col(src, s.c, s.h, s.w, s.kk, s.stride, s.pad, OW, j0, j1, dst)
+			for r := range kdim {
 				for j := j0; j < j1; j++ {
-					if dst[r*nc+j-j0] != naive[r*cols+j] {
-						t.Fatalf("blk %d: panel[%d][%d] = %v, want %v", blk, r, j, dst[r*nc+j-j0], naive[r*cols+j])
+					if got, w := dst[r*nc+j-j0], want[r*cols+j]; math.Float32bits(float32(got)) != math.Float32bits(float32(w)) {
+						t.Fatalf("%T shape %+v block %d [%d,%d): panel[%d][%d] = %v, want %v", got, s, blk, j0, j1, r, j, got, w)
 					}
 				}
 			}
@@ -487,28 +430,31 @@ func TestFusedConvBNActCancel(t *testing.T) {
 }
 
 // TestConvGemmPooledAllocs pins the steady-state allocation count of Conv
-// at zero, through a real kernel with no producer labels, so LabelInput is
-// inside the gate: labels, panels and tables recycle through their scratch,
-// the output through the pool. Serial path only — the parallel branch
-// builds a closure by design.
+// at zero, through a real kernel: panels recycle through their scratch, the
+// output through the pool. Serial path only — the parallel branch builds a
+// closure by design.
 func TestConvGemmPooledAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x, spec, wt, bias := randomConv(rng, 1, 8, 20, 20, 8, 3, 1, 1)
 	requireConvAllocsFree(t, "pooled GEMM conv", &FusedConvBNAct{ConvGeom: spec, W: wt, B: bias, Slope: 0.1}, x)
 }
 
-// TestConvGemmPooledAllocsFlat is TestConvGemmPooledAllocs on a flat field,
-// where most columns repeat: the runs LabelInput follows, the search's
-// tables, rep maps, the compact panel and the spread allocate nothing
-// either. On a constant map a block has under 16 distinct columns, so the
-// SIMD kernel's padded copy (gemmTiles) recycles its buffers too.
+// TestConvGemmPooledAllocsFlat is TestConvGemmPooledAllocs on a flat field
+// at the 3x5 AGO grid, where a block has 15 columns, under one 16-wide SIMD
+// tile: gemmTiles copies it to a padded panel, and that copy and its tile
+// recycle through their scratch too. Both shapes land on that grid: the AGO
+// head (1x1, the panel is the input) and B5 (3x3 at stride 2, through
+// im2col).
 func TestConvGemmPooledAllocsFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	_, spec, wt, bias := randomConv(rng, 1, 8, 20, 20, 8, 3, 1, 1)
-	in := repeatInputs(rng, 1, 8, 20, 20)
-	f := &FusedConvBNAct{ConvGeom: spec, W: wt, B: bias, Slope: 0.1}
-	requireConvAllocsFree(t, "pooled GEMM conv on a flat field", f, in[0])
-	requireConvAllocsFree(t, "pooled GEMM conv on a constant map", f, in[2])
+	for _, s := range []convShape{
+		{1, 32, 5, 3, 5, 1, 1, 0},
+		{1, 32, 10, 6, 32, 3, 2, 1},
+	} {
+		_, spec, wt, bias := randomConv(rng, s.n, s.c, s.h, s.w, s.outC, s.kk, s.stride, s.pad)
+		f := &FusedConvBNAct{ConvGeom: spec, W: wt, B: bias, Slope: 0.1}
+		requireConvAllocsFree(t, fmt.Sprintf("pooled GEMM conv %+v on a flat field", s), f, repeatInputs(rng, s.n, s.c, s.h, s.w)[0])
+	}
 }
 
 // requireConvAllocsFree fails unless the pooled forward of f over x
@@ -522,43 +468,6 @@ func requireConvAllocsFree(t *testing.T, what string, f *FusedConvBNAct, x *Tens
 	p.Put(f.ForwardCancel(x, p, nil)) // warm the pool buckets
 	if avg := testing.AllocsPerRun(20, func() { p.Put(f.ForwardCancel(x, p, nil)) }); avg != 0 {
 		t.Fatalf("%s allocates %v per op, want 0", what, avg)
-	}
-}
-
-// TestSameWindowComparesBits pins the exact check behind every repeat: the
-// labels LabelInput gives compare bits, not values. -0 and +0 differ, so do
-// two NaN payloads, a NaN equals itself, and +0 labels -1, as padding does.
-// The first row repeats no left neighbour, so the lookup table decides; the
-// second puts the same cases side by side, so the run pass does.
-func TestSameWindowComparesBits(t *testing.T) {
-	negZero := float32(math.Copysign(0, -1))
-	nanA, nanB := math.Float32frombits(0x7fc00001), math.Float32frombits(0x7fc00002)
-	const W = 7
-	src := []float32{
-		0, nanA, negZero, nanA, 1, nanB, 1,
-		negZero, 0, 0, nanA, nanB, nanB, 1,
-	}
-	lab := make([]int32, len(src))
-	LabelInput(src, 1, 1, 2, W, lab)
-	at := func(ih, iw int) int { return ih*W + iw }
-	for _, c := range []struct {
-		a, b int
-		want bool
-	}{
-		{at(0, 0), at(0, 2), false}, {at(0, 1), at(0, 3), true}, {at(0, 1), at(0, 5), false},
-		{at(0, 4), at(0, 6), true}, {at(0, 2), at(0, 2), true},
-		{at(1, 0), at(1, 1), false}, {at(1, 1), at(1, 2), true}, {at(1, 0), at(0, 2), true},
-		{at(1, 3), at(0, 1), true}, {at(1, 3), at(1, 4), false}, {at(1, 4), at(1, 5), true},
-		{at(1, 5), at(0, 5), true}, {at(1, 6), at(0, 4), true},
-	} {
-		if got := lab[c.a] == lab[c.b]; got != c.want {
-			t.Errorf("labels of %d and %d equal = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-	for p, v := range src {
-		if zero := math.Float32bits(v) == 0; zero != (lab[p] == -1) {
-			t.Errorf("position %d (%v) labelled %d", p, v, lab[p])
-		}
 	}
 }
 
@@ -648,12 +557,10 @@ func BenchmarkGemm(b *testing.B) {
 // BenchmarkConvKernels is the evidence that one float kernel is enough: the
 // direct-loop oracle against Conv on every production shape, at N=1
 // (serving) and N=8 (audit batches). Rerun it before giving any shape a
-// kernel of its own. The inputs are random, so no column repeats, and the
-// gemm side includes labelling its input (LabelInput), which on such data
-// finds nothing; BenchmarkConvScreens (internal/yolite) is the screen-data
-// side. The oracle runs its planes serially; Conv fans out on its own when
-// the flop count justifies it, so run with -cpu 1 to compare kernel to
-// kernel.
+// kernel of its own. The inputs are random; BenchmarkConvScreens
+// (internal/yolite) runs the layers on screens. The oracle runs its planes
+// serially; Conv fans out on its own when the flop count justifies it, so
+// run with -cpu 1 to compare kernel to kernel.
 func BenchmarkConvKernels(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, ps := range productionConvShapes {
@@ -669,29 +576,28 @@ func BenchmarkConvKernels(b *testing.B) {
 			})
 			b.Run(name+"/gemm", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					convInto(x, y, spec, wt, bias, false, 0, nil, nil)
+					convInto(x, y, spec, wt, bias, false, 0)
 				}
 			})
 		}
 	}
 }
 
+// BenchmarkConvIm2col times the dense gather alone: the B3 input (16 x 40
+// x 24, 3x3 at stride 2) into one whole-map panel.
 func BenchmarkConvIm2col(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	C, H, W, kk, stride, pad := 16, 40, 24, 3, 2, 1
 	OW := (W+2*pad-kk)/stride + 1
 	OH := (H+2*pad-kk)/stride + 1
 	cols := OH * OW
-	kdim := C * kk * kk
 	src := make([]float32, C*H*W)
 	for i := range src {
 		src[i] = rng.Float32()
 	}
-	lab := make([]int32, H*W)
-	LabelInput(src, 1, C, H, W, lab)
-	dst, rep := make([]float32, kdim*cols), make([]int32, cols)
+	dst := make([]float32, C*kk*kk*cols)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DistinctPanel(src, lab, C, H, W, kk, stride, pad, OW, 0, cols, dst, rep)
+		im2col(src, C, H, W, kk, stride, pad, OW, 0, cols, dst)
 	}
 }

@@ -153,9 +153,9 @@ func (p *Pool) Stats() (gets, news int64) {
 }
 
 // Scratch recycles []T buffers nobody keeps past a call (Walk's
-// intermediates, im2col panels, int32 tiles, labels, hash tables), one
-// sync.Pool per power-of-two capacity class: one bucket thrashed when layers
-// of different sizes alternated. Not zeroed.
+// intermediates, im2col panels, int32 tiles), one sync.Pool per
+// power-of-two capacity class: one bucket thrashed when layers of different
+// sizes alternated. Not zeroed.
 type Scratch[T any] [33]sync.Pool
 
 // Get returns a buffer of length n.

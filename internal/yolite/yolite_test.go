@@ -305,8 +305,8 @@ func TestTrainingLearns(t *testing.T) {
 
 // TestForwardPooledAllocsFlat pins the steady-state allocation count of the
 // pooled float forward at zero on a flat screen — a light background with a
-// dark rectangle — where most columns repeat: activations, the labels each
-// block hands the next, the search's tables and the merge all recycle.
+// dark rectangle: activations and im2col panels recycle through their
+// scratch, the head maps through the pool.
 // GOMAXPROCS is pinned to 1 because the parallel branch builds a closure by
 // design.
 func TestForwardPooledAllocsFlat(t *testing.T) {
@@ -336,12 +336,9 @@ func TestForwardPooledAllocsFlat(t *testing.T) {
 
 // BenchmarkConvScreens is BenchmarkConvKernels' other extreme: the six
 // backbone convolutions at N=8 on what they see in service — generator
-// screens run through the real fused layer chain, where most receptive
-// fields repeat and only the distinct columns are multiplied.
-// BenchmarkConvKernels feeds random data, where none repeat. Each block
-// runs standalone and labels its own input (tensor.LabelInput); chain is
-// the whole labelled forward (infer), each block after B1 handed its
-// producer's labels.
+// screens run through the real fused layer chain; BenchmarkConvKernels
+// feeds random data. Each block runs standalone on its producer's output;
+// chain is the whole forward (infer), heads included.
 func BenchmarkConvScreens(b *testing.B) {
 	m := NewModel(1)
 	if err := m.Load("../../weights/yolite.gob"); err != nil {
