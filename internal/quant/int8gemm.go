@@ -112,30 +112,49 @@ func (q *qconv) slope() float32 {
 }
 
 // Block is a backbone layer's tensor.ConvKernel: accumulate, then requantise
-// each accumulator to y's int8 scale, clamp(round(leaky(acc*rq + bq))).
+// each accumulator to y's int8 scale, one output row at a time.
 func (q *qconv) Block(panel []int8, ldb int, y []int8, ldc, u int) {
 	acc, slope := q.accumulate(panel, ldb, u), q.slope()
 	for oc := range q.OutC {
-		rq, bq := q.rq[oc], q.bq[oc]
-		dst := y[oc*ldc : oc*ldc+u]
-		for j, a := range (*acc)[oc*u : (oc+1)*u] {
-			v := float32(float32(a)*rq) + bq
-			if v < 0 {
-				v *= slope
-			}
-			if v > 127 {
-				v = 127
-			} else if v < -127 {
-				v = -127
-			}
-			if v >= 0 {
-				dst[j] = int8(v + 0.5)
-			} else {
-				dst[j] = int8(v - 0.5)
-			}
-		}
+		requant(y[oc*ldc:oc*ldc+u], (*acc)[oc*u:(oc+1)*u], q.rq[oc], q.bq[oc], slope)
 	}
 	i32s.Put(acc)
+}
+
+// requant writes dst[j] = clamp(round(leaky(acc[j]*rq + bq))). Where
+// tensor.SIMD holds, whole groups of eight run through requant8
+// (int8gemm_amd64.s), which makes requantScalar's steps eight wide and
+// matches it bit for bit (TestRequant8MatchesScalar); the rest run
+// requantScalar.
+func requant(dst []int8, acc []int32, rq, bq, slope float32) {
+	n := 0
+	if tensor.SIMD {
+		if n = len(acc) &^ 7; n > 0 {
+			_ = dst[n-1]
+			requant8(&dst[0], &acc[0], n, rq, bq, slope)
+		}
+	}
+	requantScalar(dst[n:], acc[n:], rq, bq, slope)
+}
+
+// requantScalar is requant one accumulator at a time.
+func requantScalar(dst []int8, acc []int32, rq, bq, slope float32) {
+	for j, a := range acc {
+		v := float32(float32(a)*rq) + bq
+		if v < 0 {
+			v *= slope
+		}
+		if v > 127 {
+			v = 127
+		} else if v < -127 {
+			v = -127
+		}
+		if v >= 0 {
+			dst[j] = int8(v + 0.5)
+		} else {
+			dst[j] = int8(v - 0.5)
+		}
+	}
 }
 
 // Block is a head's tensor.ConvKernel: accumulate, then dequantise exactly

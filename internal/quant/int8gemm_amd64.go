@@ -4,6 +4,9 @@ package quant
 func quant8(dst *int8, src *float32, n int, s float32)
 
 //go:noescape
+func requant8(dst *int8, acc *int32, n int, rq, bq, slope float32)
+
+//go:noescape
 func madd4x16(w *int32, b *int8, ldb, k int, c *int32, ldc, rows int)
 
 // gemmWords is gemmPairs' contract over packWords' layout: acc[m*nc+j] =

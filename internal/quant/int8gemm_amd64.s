@@ -103,52 +103,94 @@ done:
 	VZEROUPPER
 	RET
 
+// The constants quant8 and requant8 share, each broadcast to every lane by
+// ROUND_CONSTS: Y14 = 127, Y13 = -127, Y12 = 0.5 and Y11 = the sign bit.
+// They are loaded from memory: a legacy-SSE move into an XMM register
+// whose upper half is dirty costs a state transition on some CPUs.
+DATA  roundc<>+0(SB)/4, $0x42fe0000
+DATA  roundc<>+4(SB)/4, $0xc2fe0000
+DATA  roundc<>+8(SB)/4, $0x3f000000
+DATA  roundc<>+12(SB)/4, $0x80000000
+GLOBL roundc<>(SB), RODATA|NOPTR, $16
+
+#define ROUND_CONSTS \
+	VBROADCASTSS roundc<>+0(SB), Y14; \
+	VBROADCASTSS roundc<>+4(SB), Y13; \
+	VBROADCASTSS roundc<>+8(SB), Y12; \
+	VBROADCASTSS roundc<>+12(SB), Y11
+
+// ROUND8 stores Y0's eight float32 lanes to (DI) as int8 with the scalar
+// loops' every step. NaN lanes are zeroed (an ordered compare against
+// themselves masks them) before the clamp, since VMINPS and VMAXPS return
+// their second operand for NaN; the clamp to +-127; then +-0.5 by the sign
+// bit and a truncating convert. A -0 takes -0.5 where the scalar loops add
+// +0.5, and both truncate to 0. The int32 lanes are packed to int8 with
+// saturation, which the clamp has made a no-op. Clobbers Y1.
+#define ROUND8 \
+	VCMPPS       $7, Y0, Y0, Y1; \
+	VANDPS       Y1, Y0, Y0; \
+	VMINPS       Y14, Y0, Y0; \
+	VMAXPS       Y13, Y0, Y0; \
+	VANDPS       Y11, Y0, Y1; \
+	VORPS        Y12, Y1, Y1; \
+	VADDPS       Y1, Y0, Y0; \
+	VCVTTPS2DQ   Y0, Y0; \
+	VEXTRACTI128 $1, Y0, X1; \
+	VPACKSSDW    X1, X0, X0; \
+	VPACKSSWB    X0, X0, X0; \
+	VMOVQ        X0, (DI)
+
 // func quant8(dst *int8, src *float32, n int, s float32)
 //
 // quantScalar eight values at a time, for n a positive multiple of 8:
-// dst[i] = clamp(round(src[i]/s)) with the scalar loop's every step.
-// VDIVPS divides as DIVSS does; NaN lanes are zeroed (an ordered compare
-// against themselves masks them) before the clamp, since VMINPS and VMAXPS
-// return their second operand for NaN; the clamp to +-127; then +-0.5 by
-// the sign bit and a truncating convert. A -0 takes -0.5 where the scalar
-// loop adds +0.5, and both truncate to 0. The int32 lanes are packed to
-// int8 with saturation, which the clamp has made a no-op.
+// dst[i] = clamp(round(src[i]/s)). VDIVPS divides as DIVSS does; ROUND8
+// does the rest.
 TEXT ·quant8(SB), NOSPLIT, $0-28
 	MOVQ         dst+0(FP), DI
 	MOVQ         src+8(FP), SI
 	MOVQ         n+16(FP), CX
 	VBROADCASTSS s+24(FP), Y15
-	MOVL         $0x42fe0000, AX // 127
-	MOVL         AX, X14
-	VBROADCASTSS X14, Y14
-	MOVL         $0xc2fe0000, AX // -127
-	MOVL         AX, X13
-	VBROADCASTSS X13, Y13
-	MOVL         $0x3f000000, AX // 0.5
-	MOVL         AX, X12
-	VBROADCASTSS X12, Y12
-	MOVL         $0x80000000, AX // the sign bit
-	MOVL         AX, X11
-	VBROADCASTSS X11, Y11
+	ROUND_CONSTS
 
 quant:
-	VMOVUPS      (SI), Y0
-	VDIVPS       Y15, Y0, Y0
-	VCMPPS       $7, Y0, Y0, Y1 // ordered: all ones unless NaN
-	VANDPS       Y1, Y0, Y0
-	VMINPS       Y14, Y0, Y0
-	VMAXPS       Y13, Y0, Y0
-	VANDPS       Y11, Y0, Y1
-	VORPS        Y12, Y1, Y1
-	VADDPS       Y1, Y0, Y0
-	VCVTTPS2DQ   Y0, Y0
-	VEXTRACTI128 $1, Y0, X1
-	VPACKSSDW    X1, X0, X0
-	VPACKSSWB    X0, X0, X0
-	MOVQ         X0, (DI)
-	ADDQ         $32, SI
-	ADDQ         $8, DI
-	SUBQ         $8, CX
-	JNZ          quant
+	VMOVUPS (SI), Y0
+	VDIVPS  Y15, Y0, Y0
+	ROUND8
+	ADDQ    $32, SI
+	ADDQ    $8, DI
+	SUBQ    $8, CX
+	JNZ     quant
+	VZEROUPPER
+	RET
+
+// func requant8(dst *int8, acc *int32, n int, rq, bq, slope float32)
+//
+// requantScalar eight values at a time, for n a positive multiple of 8:
+// dst[i] = clamp(round(leaky(float32(acc[i])*rq + bq))). VCVTDQ2PS rounds
+// to nearest even as CVTSL2SS does; the product is rounded before the add
+// (VMULPS, then VADDPS); lanes below zero (an ordered compare, so -0 is not
+// one) take the product with slope through VBLENDVPS; ROUND8 does the rest.
+TEXT ·requant8(SB), NOSPLIT, $0-36
+	MOVQ         dst+0(FP), DI
+	MOVQ         acc+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSS rq+24(FP), Y15
+	VBROADCASTSS bq+28(FP), Y10
+	VBROADCASTSS slope+32(FP), Y9
+	VXORPS       Y8, Y8, Y8
+	ROUND_CONSTS
+
+requant:
+	VCVTDQ2PS (SI), Y0
+	VMULPS    Y15, Y0, Y0
+	VADDPS    Y10, Y0, Y0
+	VCMPPS    $1, Y8, Y0, Y1 // v < 0
+	VMULPS    Y9, Y0, Y2
+	VBLENDVPS Y1, Y2, Y0, Y0
+	ROUND8
+	ADDQ      $32, SI
+	ADDQ      $8, DI
+	SUBQ      $8, CX
+	JNZ       requant
 	VZEROUPPER
 	RET

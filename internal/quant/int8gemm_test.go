@@ -312,6 +312,56 @@ func TestQuant8MatchesScalar(t *testing.T) {
 	}
 }
 
+// TestRequant8MatchesScalar pins the eight-wide requantiser to
+// requantScalar, value for value, at leaky slopes 1 and 0.1 and several
+// (rq, bq): accumulators landing on +-127, +-127.5 and just inside them,
+// exact halves of both signs (the rounding knife edge, which the sign
+// decides), -0 (a negative rq times a zero accumulator, plus bq = -0),
+// int32 extremes and values past 2^24 that the int-to-float conversion
+// rounds, and a random spread past the clamp, in lengths that leave every
+// tail 0-7 to the scalar loop. Last, large accumulators whose bq cancels
+// all but an exact half of float32(acc)*rq: a multiply-add fused into one
+// rounding, which the scalar loop never does, lands off that knife edge.
+func TestRequant8MatchesScalar(t *testing.T) {
+	if !tensor.SIMD {
+		t.Skip("no SIMD requantiser on this CPU")
+	}
+	check := func(acc []int32, rq, bq, slope float32) {
+		t.Helper()
+		for n := max(len(acc)-7, 0); n <= len(acc); n++ {
+			got, want := make([]int8, n), make([]int8, n)
+			requant(got, acc[:n], rq, bq, slope)
+			requantScalar(want, acc[:n], rq, bq, slope)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("rq %v bq %v slope %v: requant(%d) = %d, requantScalar %d", rq, bq, slope, acc[i], got[i], want[i])
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(43))
+	negZero := float32(math.Copysign(0, -1))
+	for _, slope := range []float32{1, 0.1} {
+		for _, p := range []struct{ rq, bq float32 }{
+			{0.5, 0}, {0.5, negZero}, {-0.5, negZero}, {0.05, 0}, {0.0123, 0.25}, {0.5, -0.5}, {3.1e-5, -1.7},
+		} {
+			acc := []int32{0, 1, -1, 2, -2, 3, -3, 10, -10, 30, -30, 253, -253, 254, -254, 255, -255, 256, -256,
+				2540, -2540, 2550, -2550, 2560, -2560, 1 << 24, 1<<24 + 1, -(1<<24 + 1), 1<<25 + 3, -(1<<25 + 3),
+				math.MaxInt32, math.MinInt32, math.MaxInt32 - 64, math.MinInt32 + 65}
+			for i := range 1000 {
+				acc = append(acc, int32(rng.Intn(1<<16)-1<<15), int32(i%511-255), int32(rng.Uint32()))
+			}
+			check(acc, p.rq, p.bq, slope)
+		}
+		for _, a := range []int32{1000003, -999983, 123457, 7777777, -3333331, 65537} {
+			for _, h := range []float32{0.5, -0.5, 1.5, -2.5} {
+				rq := float32(0.1)
+				check([]int32{a, a, a, a, a, a, a, a}, rq, h-float32(float32(a)*rq), slope)
+			}
+		}
+	}
+}
+
 // naiveGemm is the triple loop gemmPairs must equal bit for bit:
 // acc[m*nc+j] = sum_k qw[m*K+k]*b[k*ldb+j], accumulated in int64 so the
 // reference itself cannot wrap.

@@ -134,8 +134,9 @@ func Walk[T colScalar, B ConvKernel[T, T], Hd ConvKernel[T, float32]](blocks []B
 func (g ConvGeom) direct() bool { return g.K == 1 && g.Stride == 1 && g.Pad == 0 }
 
 // convTask runs one (batch item, column block) unit: gather the block's
-// panel (im2col), then multiply all of its columns and apply the epilogue
-// (k.Block). Tasks write disjoint column ranges of y.
+// panel (im2col, through phase planes from the same scratch), then
+// multiply all of its columns and apply the epilogue (k.Block). Tasks
+// write disjoint column ranges of y.
 func convTask[In, Out colScalar, K ConvKernel[In, Out]](k K, g ConvGeom, x []In, H, W int, y []Out, blk, nBlocks, t int) {
 	n, b := t/nBlocks, t%nBlocks
 	OH, OW := g.OutSize(H, W)
@@ -148,8 +149,10 @@ func convTask[In, Out colScalar, K ConvKernel[In, Out]](k K, g ConvGeom, x []In,
 		return
 	}
 	ps := panelScratch[In]()
-	panel := ps.Get(kdim * nc)
-	im2col(item, g.InC, H, W, g.K, g.Stride, g.Pad, OW, j0, j0+nc, *panel)
+	_, _, pn := phaseShape(g.InC, g.K, g.Stride, OW, j0, j0+nc)
+	phase, panel := ps.Get(pn), ps.Get(kdim*nc)
+	im2col(item, g.InC, H, W, g.K, g.Stride, g.Pad, OW, j0, j0+nc, *phase, *panel)
+	ps.Put(phase)
 	k.Block(*panel, nc, out, cols, nc)
 	ps.Put(panel)
 }

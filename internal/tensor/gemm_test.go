@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -295,12 +296,16 @@ func naivePanel[T colScalar](src []T, C, H, W, kk, stride, pad, OH, OW int) []T 
 	return panel
 }
 
-// TestIm2colPanelBlocks pins the block-wise gather against naivePanel, on
-// float32 and int8 elements: windows wholly in padding, 1x1 at stride 2,
-// 5x5 at stride 2 with pad 2, stride 1 with and without padding, stride 3,
-// and blocks that start and end mid-row (1, 5, OW and OW+3 columns wide) or
-// take the whole map. dst arrives poisoned with a value no input holds, so
-// every element must be written.
+// TestIm2colPanelBlocks pins the block-wise gather against naivePanel, the
+// per-tap oracle, on float32 and int8 elements, at strides 1-3: windows
+// wholly in padding, padding at least the kernel size, inputs smaller than
+// the kernel, 1x1 at strides 2 and 3 and 2x2 at stride 3 (K < S, so only
+// the row phases some tap reads are built), 2x2 at stride 2, 5x5 at
+// stride 2 with pad 2, stride 1 with and without padding, and blocks that
+// start and end mid-row (1, 5, OW-1 and OW+3 columns wide), cover exactly
+// one output row (OW), or take the whole map. dst and the phase buffer
+// arrive poisoned with a value no input holds, so every panel element must
+// be written and no phase element read before it is.
 func TestIm2colPanelBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, s := range []convShape{
@@ -309,9 +314,19 @@ func TestIm2colPanelBlocks(t *testing.T) {
 		{1, 4, 9, 11, 0, 3, 1, 0},
 		{1, 3, 4, 9, 0, 3, 1, 1},
 		{1, 2, 6, 6, 0, 3, 1, 3}, // windows wholly in padding
+		{1, 2, 5, 4, 0, 2, 2, 3}, // pad > K
 		{1, 5, 7, 7, 0, 1, 2, 0}, // 1x1 at stride 2 still gathers
+		{1, 2, 8, 7, 0, 1, 3, 0},
+		{1, 3, 8, 9, 0, 2, 2, 0},
+		{1, 3, 8, 9, 0, 2, 3, 1},
 		{1, 2, 9, 8, 0, 5, 2, 2},
 		{1, 3, 9, 7, 0, 3, 3, 1},
+		{1, 2, 1, 1, 0, 3, 2, 1}, // input smaller than K
+		{1, 2, 2, 3, 0, 4, 3, 2},
+		{1, 2, 1, 1, 0, 5, 1, 2},
+		{1, 2, 3, 2, 0, 4, 1, 2},
+		{1, 24, 20, 12, 0, 3, 1, 1}, // B3b
+		{1, 32, 10, 6, 0, 3, 2, 1},  // B5
 	} {
 		x, _, _, _ := randomConv(rng, 1, s.c, s.h, s.w, 1, s.kk, s.stride, s.pad)
 		q := make([]int8, len(x.Data))
@@ -324,22 +339,27 @@ func TestIm2colPanelBlocks(t *testing.T) {
 }
 
 // checkIm2col runs im2col over src at shape s, block by block, with dst
-// poisoned, and compares every element's bits to naivePanel's.
+// and the phase buffer poisoned, and compares every element's bits to
+// naivePanel's.
 func checkIm2col[T colScalar](t *testing.T, s convShape, src []T, poison T) {
 	t.Helper()
 	OH := (s.h+2*s.pad-s.kk)/s.stride + 1
 	OW := (s.w+2*s.pad-s.kk)/s.stride + 1
 	cols, kdim := OH*OW, s.c*s.kk*s.kk
 	want := naivePanel(src, s.c, s.h, s.w, s.kk, s.stride, s.pad, OH, OW)
-	for _, blk := range []int{1, 5, OW, OW + 3, cols} {
+	for _, blk := range []int{1, 5, max(OW-1, 1), OW, OW + 3, cols} {
 		for j0 := 0; j0 < cols; j0 += blk {
 			j1 := min(j0+blk, cols)
 			nc := j1 - j0
-			dst := make([]T, kdim*nc)
+			_, _, n := phaseShape(s.c, s.kk, s.stride, OW, j0, j1)
+			dst, phase := make([]T, kdim*nc), make([]T, n+7)
 			for i := range dst {
 				dst[i] = poison
 			}
-			im2col(src, s.c, s.h, s.w, s.kk, s.stride, s.pad, OW, j0, j1, dst)
+			for i := range phase {
+				phase[i] = poison
+			}
+			im2col(src, s.c, s.h, s.w, s.kk, s.stride, s.pad, OW, j0, j1, phase, dst)
 			for r := range kdim {
 				for j := j0; j < j1; j++ {
 					if got, w := dst[r*nc+j-j0], want[r*cols+j]; math.Float32bits(float32(got)) != math.Float32bits(float32(w)) {
@@ -583,21 +603,43 @@ func BenchmarkConvKernels(b *testing.B) {
 	}
 }
 
-// BenchmarkConvIm2col times the dense gather alone: the B3 input (16 x 40
-// x 24, 3x3 at stride 2) into one whole-map panel.
+// BenchmarkConvIm2col times the gather alone, per backbone layer (B1-B5
+// and B3b) and element type: one item's input cut into ColBlock's column
+// blocks, each block's panel gathered through its phase planes, as
+// convTask does.
 func BenchmarkConvIm2col(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	C, H, W, kk, stride, pad := 16, 40, 24, 3, 2, 1
-	OW := (W+2*pad-kk)/stride + 1
-	OH := (H+2*pad-kk)/stride + 1
-	cols := OH * OW
-	src := make([]float32, C*H*W)
-	for i := range src {
-		src[i] = rng.Float32()
+	for _, ps := range productionConvShapes {
+		if !strings.HasPrefix(ps.name, "yolite_b") {
+			continue
+		}
+		x, _, _, _ := randomConv(rng, 1, ps.c, ps.h, ps.w, 1, ps.kk, ps.stride, ps.pad)
+		q := make([]int8, len(x.Data))
+		for i := range q {
+			q[i] = int8(rng.Intn(255) - 127)
+		}
+		b.Run(ps.name+"/f32", func(b *testing.B) { benchIm2col(b, ps.convShape, x.Data) })
+		b.Run(ps.name+"/i8", func(b *testing.B) { benchIm2col(b, ps.convShape, q) })
 	}
-	dst := make([]float32, C*kk*kk*cols)
+}
+
+// benchIm2col gathers every column block of src at shape s per op, into
+// one phase buffer and one panel sized for the largest block.
+func benchIm2col[T colScalar](b *testing.B, s convShape, src []T) {
+	OH := (s.h+2*s.pad-s.kk)/s.stride + 1
+	OW := (s.w+2*s.pad-s.kk)/s.stride + 1
+	cols, kdim := OH*OW, s.c*s.kk*s.kk
+	blk, n := ColBlock(kdim, cols), 0
+	for j0 := 0; j0 < cols; j0 += blk {
+		_, _, pn := phaseShape(s.c, s.kk, s.stride, OW, j0, min(j0+blk, cols))
+		n = max(n, pn)
+	}
+	phase, dst := make([]T, n), make([]T, kdim*blk)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		im2col(src, C, H, W, kk, stride, pad, OW, 0, cols, dst)
+		for j0 := 0; j0 < cols; j0 += blk {
+			j1 := min(j0+blk, cols)
+			im2col(src, s.c, s.h, s.w, s.kk, s.stride, s.pad, OW, j0, j1, phase, dst)
+		}
 	}
 }

@@ -105,8 +105,8 @@ func (c *Conv2D) Backward(dy *Tensor) *Tensor {
 								if iw < 0 || iw >= W {
 									continue
 								}
-								c.W.Grad[wRow+kw] += g * x.Data[inRow+iw]
-								dx.Data[inRow+iw] += g * c.W.Data[wRow+kw]
+								c.W.Grad[wRow+kw] += float32(g * x.Data[inRow+iw])
+								dx.Data[inRow+iw] += float32(g * c.W.Data[wRow+kw])
 							}
 						}
 					}
@@ -167,7 +167,7 @@ func (bn *BatchNorm2D) Forward(x *Tensor, train bool) *Tensor {
 				base := ((n*C + c) * plane)
 				for i := 0; i < plane; i++ {
 					norm := (x.Data[base+i] - mean) / std
-					y.Data[base+i] = g*norm + b
+					y.Data[base+i] = float32(g*norm) + b
 				}
 			}
 		}
@@ -196,12 +196,12 @@ func (bn *BatchNorm2D) Forward(x *Tensor, train bool) *Tensor {
 			base := ((n*C + c) * plane)
 			for i := 0; i < plane; i++ {
 				d := x.Data[base+i] - mean
-				sq += d * d
+				sq += float32(d * d)
 			}
 		}
 		variance := sq / count
-		bn.RunMean[c] = (1-bn.Momentum)*bn.RunMean[c] + bn.Momentum*mean
-		bn.RunVar[c] = (1-bn.Momentum)*bn.RunVar[c] + bn.Momentum*variance
+		bn.RunMean[c] = float32((1-bn.Momentum)*bn.RunMean[c]) + float32(bn.Momentum*mean)
+		bn.RunVar[c] = float32((1-bn.Momentum)*bn.RunVar[c]) + float32(bn.Momentum*variance)
 		std := float32(math.Sqrt(float64(variance + bn.Eps)))
 		bn.batchStd[c] = std
 		g, b := bn.Gamma.Data[c], bn.Beta.Data[c]
@@ -210,7 +210,7 @@ func (bn *BatchNorm2D) Forward(x *Tensor, train bool) *Tensor {
 			for i := 0; i < plane; i++ {
 				norm := (x.Data[base+i] - mean) / std
 				bn.lastNorm[base+i] = norm
-				y.Data[base+i] = g*norm + b
+				y.Data[base+i] = float32(g*norm) + b
 			}
 		}
 	}
@@ -234,7 +234,7 @@ func (bn *BatchNorm2D) Backward(dy *Tensor) *Tensor {
 			for i := 0; i < plane; i++ {
 				g := dy.Data[base+i]
 				sumDy += g
-				sumDyNorm += g * bn.lastNorm[base+i]
+				sumDyNorm += float32(g * bn.lastNorm[base+i])
 			}
 		}
 		bn.Beta.Grad[c] += sumDy
@@ -394,7 +394,7 @@ func (l *Linear) Forward(x *Tensor, train bool) *Tensor {
 			wRow := l.W.Data[o*l.In : (o+1)*l.In]
 			sum := l.B.Data[o]
 			for i, xv := range xRow {
-				sum += wRow[i] * xv
+				sum += float32(wRow[i] * xv)
 			}
 			y.Data[n*l.Out+o] = sum
 		}
@@ -422,8 +422,8 @@ func (l *Linear) Backward(dy *Tensor) *Tensor {
 			wRow := l.W.Data[o*l.In : (o+1)*l.In]
 			gRow := l.W.Grad[o*l.In : (o+1)*l.In]
 			for i := range wRow {
-				gRow[i] += g * xRow[i]
-				dxRow[i] += g * wRow[i]
+				gRow[i] += float32(g * xRow[i])
+				dxRow[i] += float32(g * wRow[i])
 			}
 		}
 	}

@@ -41,10 +41,10 @@ func (a *Adam) Step() {
 		for i := range p.Data {
 			g := p.Grad[i]
 			if a.WeightDecay > 0 {
-				g += a.WeightDecay * p.Data[i]
+				g += float32(a.WeightDecay * p.Data[i])
 			}
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
+			m[i] = float32(a.Beta1*m[i]) + float32((1-a.Beta1)*g)
+			v[i] = float32(a.Beta2*v[i]) + float32((1-a.Beta2)*g*g)
 			mh := m[i] / bc1
 			vh := v[i] / bc2
 			p.Data[i] -= a.LR * mh / (float32(math.Sqrt(float64(vh))) + a.Eps)
@@ -59,7 +59,7 @@ func ClipGrad(params []*Tensor, maxNorm float32) {
 	var sq float64
 	for _, p := range params {
 		for _, g := range p.Grad {
-			sq += float64(g) * float64(g)
+			sq += float64(float64(g) * float64(g))
 		}
 	}
 	norm := float32(math.Sqrt(sq))

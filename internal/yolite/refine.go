@@ -48,7 +48,7 @@ func LumaPlaneInto(x *tensor.Tensor, n int, dst []float32) []float32 {
 	}
 	out = out[:plane]
 	for i := 0; i < plane; i++ {
-		out[i] = 0.299*x.Data[base+i] + 0.587*x.Data[base+plane+i] + 0.114*x.Data[base+2*plane+i]
+		out[i] = float32(0.299*x.Data[base+i]) + float32(0.587*x.Data[base+plane+i]) + float32(0.114*x.Data[base+2*plane+i])
 	}
 	return out
 }
@@ -252,7 +252,7 @@ func (s *stepSums) refine(luma []float32, w, h int, b geom.BoxF) geom.BoxF {
 						continue
 					}
 					drift := float64(absi(dx) + absi(dy) + absi(dw) + absi(dh))
-					score := s.contrast(cand) - refineDriftPenalty*drift
+					score := s.contrast(cand) - float64(refineDriftPenalty*drift)
 					if score > best && score < math.Inf(1) {
 						best = score
 						bestRect = cand

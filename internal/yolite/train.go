@@ -27,10 +27,10 @@ const trainBatch = 8
 // huber returns the Huber loss and its derivative for error e (pixels).
 func huber(e float64) (loss, grad float64) {
 	if e > huberDelta {
-		return 2*huberDelta*e - huberDelta*huberDelta, 2 * huberDelta
+		return float64(2*huberDelta*e) - huberDelta*huberDelta, 2 * huberDelta
 	}
 	if e < -huberDelta {
-		return -2*huberDelta*e - huberDelta*huberDelta, -2 * huberDelta
+		return float64(-2*huberDelta*e) - huberDelta*huberDelta, -2 * huberDelta
 	}
 	return e * e, 2 * e
 }
@@ -139,7 +139,7 @@ func headLoss(out *tensor.Tensor, targets []target, spec HeadSpec, dOut *tensor.
 				w = wObj
 				y = 1
 			}
-			loss += float64(w) * bceWithLogits(objLogit, y)
+			loss += float64(float64(w) * bceWithLogits(objLogit, y))
 			dOut.Data[base+cell] = w * (p - y)
 			if !isPos {
 				continue
@@ -149,8 +149,10 @@ func headLoss(out *tensor.Tensor, targets []target, spec HeadSpec, dOut *tensor.
 			ty := float64(out.Data[base+2*plane+cell])
 			tw := float64(out.Data[base+3*plane+cell])
 			th := float64(out.Data[base+4*plane+cell])
-			lx, gx := huber((tx - float64(t.gx[cell])) * posScaleX)
-			ly, gy := huber((ty - float64(t.gy[cell])) * posScaleY)
+			// The scaled errors are rounded before huber doubles them: arm64
+			// would fuse the scaling into its 2*e (e + e) otherwise.
+			lx, gx := huber(float64((tx - float64(t.gx[cell])) * posScaleX))
+			ly, gy := huber(float64((ty - float64(t.gy[cell])) * posScaleY))
 			lw, gw2 := huber(tw - float64(t.gw[cell]))
 			lh, gh2 := huber(th - float64(t.gh[cell]))
 			loss += wBox * (lx + ly + lw + lh)
@@ -171,7 +173,7 @@ func bceWithLogits(logit, y float32) float64 {
 	if m < 0 {
 		m = 0
 	}
-	return m - x*float64(y) + math.Log1p(math.Exp(-math.Abs(x)))
+	return m - float64(x*float64(y)) + math.Log1p(math.Exp(-math.Abs(x)))
 }
 
 // TrainConfig controls Train. The zero value trains the full-fidelity model
