@@ -34,22 +34,10 @@ func main() {
 	attack := flag.Bool("attack", false, "run the adversarial sweep: search, mine, recall-under-attack, harden")
 	attackSmoke := flag.Bool("attack-smoke", false, "seeded 30-iteration attack replay check (CI smoke)")
 	attackSeed := flag.Int64("attack-seed", 7002, "master seed for the adversarial sweep")
-	attackIters := flag.Int("attack-iters", 40, "hill-climb iterations per restart")
-	attackRestarts := flag.Int("attack-restarts", 3, "seeded restarts of the attack search")
-	attackScreens := flag.Int("attack-screens", 6, "screens guiding the search objective")
-	attackEval := flag.Int("attack-eval", 80, "held-out screens per recall-under-attack condition")
-	attackCorpus := flag.Int("attack-corpus", 64, "candidate seeds mined into the corpus")
-	// The attack eval matches at IoU 0.5 rather than the paper's 0.9: the
-	// knob attack legally moves and resizes the ground-truth boxes, so 0.9
-	// would measure pixel-perfect localisation of perturbed geometry instead
-	// of the question that matters here — does the detector still fire on
-	// the dark pattern at all.
-	attackIoU := flag.Float64("attack-iou", 0.5, "IoU matching threshold for the adversarial eval")
 	attackOut := flag.String("attack-out", "BENCH_adversary.json", "adversarial benchmark output (empty = skip)")
 	corpusPath := flag.String("corpus-path", adversary.DefaultCorpusPath, "mined corpus location")
 	writeCorpus := flag.Bool("write-corpus", false, "overwrite the checked-in corpus with this run's mine")
 	attackSkipRCNN := flag.Bool("attack-skip-rcnn", false, "leave the RCNN baseline out (faster)")
-	hardenEpochs := flag.Int("harden-epochs", 20, "adversarial fine-tune epochs")
 	flag.Parse()
 
 	if *list {
@@ -59,13 +47,9 @@ func main() {
 	// The attack modes build their own backends and screens; they run before
 	// NewEnv, which would eagerly generate the full 1072-sample dataset.
 	if *attackSmoke || *attack {
-		sweep := experiments.AttackSweep{
-			Seed: *attackSeed, Iters: *attackIters, Restarts: *attackRestarts,
-			Screens: *attackScreens, EvalN: *attackEval, CorpusN: *attackCorpus,
-			IoU: *attackIoU, Weights: *weights, Out: *attackOut, CorpusPath: *corpusPath,
-			WriteCorpus: *writeCorpus, SkipRCNN: *attackSkipRCNN, HardenEpochs: *hardenEpochs,
-			Logf: log.Printf,
-		}
+		sweep := experiments.PaperAttackSweep(*attackSeed)
+		sweep.Weights, sweep.Out, sweep.CorpusPath = *weights, *attackOut, *corpusPath
+		sweep.WriteCorpus, sweep.SkipRCNN, sweep.Logf = *writeCorpus, *attackSkipRCNN, log.Printf
 		run := sweep.Run
 		if *attackSmoke {
 			run = sweep.Smoke

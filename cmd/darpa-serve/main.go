@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os/signal"
@@ -64,20 +63,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Admission table, same shape as darpa-sim's fleet mode: tenant0 is the
-	// interactive tier, every other named tenant the audit tier; tenants
-	// outside the table get the unlimited default.
-	table := make(map[serve.TenantID]serve.TenantConfig, *tenants)
-	for t := 0; t < *tenants; t++ {
-		prio := serve.PriorityLive
-		if t > 0 {
-			prio = serve.PriorityBatch
-		}
-		table[serve.TenantID(fmt.Sprintf("tenant%d", t))] = serve.TenantConfig{
-			Rate:     *tenantRate,
-			Priority: prio,
-		}
-	}
+	// Admission table, the one darpa-sim's fleet mode runs; tenants outside
+	// it get the unlimited default.
+	table, _ := serve.TieredTenants(*tenants, *tenantRate)
 	rec := &perfmodel.Timings{}
 	batcher := serve.NewReplicated(serve.Options{
 		Timings:       rec,

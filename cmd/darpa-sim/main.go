@@ -54,7 +54,7 @@ func main() {
 	shedDepth := flag.Int("shed-depth", 0, "shed requests once the scheduler queues hold this many (0 = never shed); counts what reaches the stack, as -tenant-rate does")
 	deadline := flag.Duration("deadline", 0, "single-handset: per-analysis wall-clock deadline (0 = none); expired cycles abort mid-forward and skip decoration")
 	fleetSeed := flag.Int64("fleet-seed", 42, "fleet: run seed; equal seeds replay identically")
-	eventsPerMin := flag.Float64("events-per-min", fleet.DefaultEventsPerMinute, "fleet: per-device accessibility events per minute before shaping")
+	eventsPerMin := flag.Float64("events-per-min", app.DefaultEventsPerMinute, "fleet: per-device accessibility events per minute before shaping")
 	shape := flag.String("shape", fleet.ShapeSteady, "fleet: traffic shape (steady|diurnal|spike)")
 	metricsOut := flag.String("metrics-out", "", "fleet: write the run's metric families to <path>.prom and <path>.json")
 	chaos := flag.Float64("chaos", 0, "inject detector errors at this rate (0-1); enables the resilient path (retry + frauddroid fallback)")

@@ -41,7 +41,6 @@ func main() {
 	shop := app.Launch(clock, mgr, app.Config{
 		Package:         "com.example.shop",
 		MeanAUIInterval: 6 * time.Second,
-		AUIDwellMax:     8 * time.Second,
 	})
 
 	svc := core.Start(clock, mgr, model, core.Config{AutoBypass: true})

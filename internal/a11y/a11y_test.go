@@ -2,7 +2,6 @@ package a11y
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/geom"
 	"repro/internal/render"
@@ -54,7 +53,7 @@ func TestTypeString(t *testing.T) {
 func TestRegisterMaskFiltering(t *testing.T) {
 	_, _, m := newEnv()
 	var got []EventType
-	m.Register(TypeWindowContentChanged|TypeViewClicked, 0, func(e Event) {
+	m.Register(TypeWindowContentChanged|TypeViewClicked, func(e Event) {
 		got = append(got, e.Type)
 	})
 	m.Emit(TypeWindowContentChanged, "a")
@@ -69,42 +68,11 @@ func TestRegisterMaskFiltering(t *testing.T) {
 	}
 }
 
-func TestNotificationDelayCoalesces(t *testing.T) {
-	clock, _, m := newEnv()
-	n := 0
-	m.Register(TypeWindowContentChanged, 200*time.Millisecond, func(Event) { n++ })
-	emitAt := func(at time.Duration) {
-		clock.RunUntil(at)
-		m.Emit(TypeWindowContentChanged, "a")
-	}
-	emitAt(0)                      // delivered
-	emitAt(50 * time.Millisecond)  // coalesced
-	emitAt(100 * time.Millisecond) // coalesced
-	emitAt(250 * time.Millisecond) // delivered (>=200ms after last delivery)
-	if n != 2 {
-		t.Fatalf("delivered %d events, want 2", n)
-	}
-	if m.Stats().Coalesced != 2 {
-		t.Fatalf("coalesced = %d, want 2", m.Stats().Coalesced)
-	}
-}
-
-func TestNotificationDelayPerType(t *testing.T) {
-	_, _, m := newEnv()
-	n := 0
-	m.Register(TypeAllMask, time.Second, func(Event) { n++ })
-	m.Emit(TypeWindowContentChanged, "a")
-	m.Emit(TypeViewScrolled, "a") // different type: not coalesced
-	if n != 2 {
-		t.Fatalf("delivered %d, want 2 (delay is per event type)", n)
-	}
-}
-
 func TestMultipleServices(t *testing.T) {
 	_, _, m := newEnv()
 	a, b := 0, 0
-	m.Register(TypeAllMask, 0, func(Event) { a++ })
-	m.Register(TypeViewClicked, 0, func(Event) { b++ })
+	m.Register(TypeAllMask, func(Event) { a++ })
+	m.Register(TypeViewClicked, func(Event) { b++ })
 	m.Emit(TypeViewClicked, "x")
 	m.Emit(TypeViewScrolled, "x")
 	if a != 2 || b != 1 {
@@ -208,15 +176,6 @@ func TestWindowOffsetSkipsOverlay(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	_, _, m := newEnv()
-	m.Emit(TypeViewClicked, "a")
-	m.ResetStats()
-	if m.Stats() != (Stats{}) {
-		t.Fatalf("stats after reset: %+v", m.Stats())
-	}
-}
-
 func TestRegisterNilPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -224,5 +183,5 @@ func TestRegisterNilPanics(t *testing.T) {
 		}
 	}()
 	_, _, m := newEnv()
-	m.Register(TypeAllMask, 0, nil)
+	m.Register(TypeAllMask, nil)
 }

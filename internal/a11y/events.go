@@ -1,6 +1,6 @@
 // Package a11y simulates the Android Accessibility Service (AS) surface that
-// DARPA is built on: the 23 accessibility event types, subscription with a
-// notification delay, real-time screenshots of the composited screen,
+// DARPA is built on: the 23 accessibility event types, subscription by event
+// mask, real-time screenshots of the composited screen,
 // system-alert overlay windows (WindowManager.addView), gesture injection,
 // and the anchor-view trick used for decoration calibration.
 //

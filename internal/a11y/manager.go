@@ -24,9 +24,6 @@ type Stats struct {
 	Emitted int
 	// Delivered counts callbacks actually invoked on services.
 	Delivered int
-	// Coalesced counts events suppressed by per-service notification
-	// delays.
-	Coalesced int
 	// Screenshots counts TakeScreenshot calls.
 	Screenshots int
 	// Gestures counts injected clicks.
@@ -35,11 +32,8 @@ type Stats struct {
 
 // binding is one registered service.
 type binding struct {
-	mask          EventType
-	delay         time.Duration
-	cb            func(Event)
-	lastDelivered map[EventType]time.Duration
-	hasDelivered  map[EventType]bool
+	mask EventType
+	cb   func(Event)
 }
 
 // Manager is the simulated accessibility system service. It owns the screen,
@@ -71,24 +65,13 @@ func (m *Manager) Clock() *sim.Clock { return m.clock }
 // Stats returns a snapshot of the activity counters.
 func (m *Manager) Stats() Stats { return m.stats }
 
-// ResetStats zeroes the activity counters (used between experiment phases).
-func (m *Manager) ResetStats() { m.stats = Stats{} }
-
-// Register subscribes cb to every event type in mask. Events of the same
-// type arriving within delay of the last delivered one are coalesced
-// (dropped), mirroring AccessibilityServiceInfo.notificationTimeout. A zero
-// delay delivers everything.
-func (m *Manager) Register(mask EventType, delay time.Duration, cb func(Event)) {
+// Register subscribes cb to every event type in mask. Every matching event
+// is delivered: the service debounces bursts itself (core's cut-off ct).
+func (m *Manager) Register(mask EventType, cb func(Event)) {
 	if cb == nil {
 		panic("a11y: Register requires a callback")
 	}
-	m.services = append(m.services, &binding{
-		mask:          mask,
-		delay:         delay,
-		cb:            cb,
-		lastDelivered: make(map[EventType]time.Duration),
-		hasDelivered:  make(map[EventType]bool),
-	})
+	m.services = append(m.services, &binding{mask: mask, cb: cb})
 }
 
 // Emit raises an accessibility event from pkg. Apps call it on every UI
@@ -100,12 +83,6 @@ func (m *Manager) Emit(t EventType, pkg string) {
 		if b.mask&t == 0 {
 			continue
 		}
-		if b.delay > 0 && b.hasDelivered[t] && ev.Time-b.lastDelivered[t] < b.delay {
-			m.stats.Coalesced++
-			continue
-		}
-		b.lastDelivered[t] = ev.Time
-		b.hasDelivered[t] = true
 		m.stats.Delivered++
 		b.cb(ev)
 	}

@@ -12,13 +12,13 @@ import (
 	"repro/internal/yolite"
 )
 
+// hardenLR is the fine-tune learning rate, ~1/3 of the from-scratch rate.
+const hardenLR = 1e-3
+
 // HardenConfig tunes the fine-tune pass.
 type HardenConfig struct {
 	// Epochs over the mixed pool (default 12).
 	Epochs int
-	// LR is the fine-tune learning rate (default 1e-3, ~1/3 of the
-	// from-scratch rate).
-	LR float32
 	// Seed drives shuffling (default 1).
 	Seed int64
 	// Progress, when non-nil, receives (epoch, meanLoss).
@@ -32,13 +32,6 @@ func (c HardenConfig) epochs() int {
 	return c.Epochs
 }
 
-func (c HardenConfig) lr() float32 {
-	if c.LR == 0 {
-		return 1e-3
-	}
-	return c.LR
-}
-
 // Harden returns a fine-tuned copy of m trained on attacked + clean screens.
 // The original model is not modified.
 func Harden(m *yolite.Model, attacked []*auigen.Attacked, clean []*dataset.Sample, cfg HardenConfig) (*yolite.Model, error) {
@@ -50,7 +43,7 @@ func Harden(m *yolite.Model, attacked []*auigen.Attacked, clean []*dataset.Sampl
 	pool = append(pool, Samples(attacked)...)
 	pool = append(pool, clean...)
 	yolite.TrainInto(hardened, pool, yolite.TrainConfig{
-		Epochs: cfg.epochs(), LR: cfg.lr(), Seed: cfg.Seed, Progress: cfg.Progress,
+		Epochs: cfg.epochs(), LR: hardenLR, Seed: cfg.Seed, Progress: cfg.Progress,
 	})
 	return hardened, nil
 }

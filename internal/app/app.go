@@ -16,20 +16,35 @@ import (
 	"repro/internal/uikit"
 )
 
+// The simulated app's timing. Config's zero values take the first two; the
+// fleet simulator's devices run the same numbers.
+const (
+	// DefaultEventsPerMinute is the background UI-update event rate, the
+	// Taobao rate from Section IV-B.
+	DefaultEventsPerMinute = 32
+	// DefaultMeanAUIInterval is the mean time between AUI popups.
+	DefaultMeanAUIInterval = 15 * time.Second
+	// BurstLen is the mean number of events per churn burst: the events per
+	// minute arrive as periodic bursts, the pattern ct-debouncing exploits.
+	BurstLen = 5
+	// AUIDwellMin/Max bound how long an AUI stays on screen before the app
+	// dismisses it itself: AUIs need user exposure (Section IV-B), but some
+	// are transient.
+	AUIDwellMin = 800 * time.Millisecond
+	AUIDwellMax = 6 * time.Second
+)
+
 // Config shapes a simulated app's behaviour. The zero value is a typical
 // content app.
 type Config struct {
 	// Package is the app's package name; empty means "com.example.app".
 	Package string
 	// EventsPerMinute is the background UI-update event rate. Zero means
-	// 32, the Taobao rate from Section IV-B.
+	// DefaultEventsPerMinute.
 	EventsPerMinute float64
-	// MeanAUIInterval is the mean time between AUI popups. Zero means 15s.
+	// MeanAUIInterval is the mean time between AUI popups. Zero means
+	// DefaultMeanAUIInterval.
 	MeanAUIInterval time.Duration
-	// AUIDwellMin/Max bound how long an AUI stays on screen before the app
-	// dismisses it itself. Zeros mean 800ms..6s — AUIs need user exposure
-	// (Section IV-B), but some are transient.
-	AUIDwellMin, AUIDwellMax time.Duration
 	// AUIProb disables AUI popups entirely when 0 < p < 1 fails a draw at
 	// launch; zero means always-on (1.0).
 	AUIProb float64
@@ -49,30 +64,16 @@ func (c Config) pkg() string {
 
 func (c Config) eventsPerMinute() float64 {
 	if c.EventsPerMinute == 0 {
-		return 32
+		return DefaultEventsPerMinute
 	}
 	return c.EventsPerMinute
 }
 
 func (c Config) meanAUIInterval() time.Duration {
 	if c.MeanAUIInterval == 0 {
-		return 15 * time.Second
+		return DefaultMeanAUIInterval
 	}
 	return c.MeanAUIInterval
-}
-
-func (c Config) dwellMin() time.Duration {
-	if c.AUIDwellMin == 0 {
-		return 800 * time.Millisecond
-	}
-	return c.AUIDwellMin
-}
-
-func (c Config) dwellMax() time.Duration {
-	if c.AUIDwellMax == 0 {
-		return 6 * time.Second
-	}
-	return c.AUIDwellMax
 }
 
 // AUIShowing describes one AUI popup instance on a running app.
@@ -125,7 +126,7 @@ func Launch(clock *sim.Clock, mgr *a11y.Manager, cfg Config) *App {
 	// bursts (an animation tick or list update yields several events within
 	// ~150ms, then silence): the configured events-per-minute arrive as
 	// periodic bursts, which is exactly the pattern ct-debouncing exploits.
-	period := time.Duration(float64(time.Minute) / cfg.eventsPerMinute() * burstLen)
+	period := time.Duration(float64(time.Minute) / cfg.eventsPerMinute() * BurstLen)
 	a.churn = clock.NewTicker(period, a.churnBurst)
 
 	if cfg.AUIProb == 0 || a.gen.Rand().Float64() < cfg.AUIProb {
@@ -164,9 +165,6 @@ func (a *App) Stop() {
 	a.screen.RemoveWindow(a.window)
 	a.mgr.Emit(a11y.TypeWindowsChanged, a.cfg.pkg())
 }
-
-// burstLen is the mean number of events per churn burst.
-const burstLen = 5
 
 // churnBurst emits one burst of UI-update events spaced ~120ms apart.
 func (a *App) churnBurst() {
@@ -261,8 +259,7 @@ func (a *App) ShowAUI() {
 	a.mgr.Emit(a11y.TypeWindowStateChanged, a.cfg.pkg())
 
 	// Self-dismiss after the dwell time if the user never found the UPO.
-	minD, maxD := a.cfg.dwellMin(), a.cfg.dwellMax()
-	dwell := minD + time.Duration(a.gen.Rand().Int63n(int64(maxD-minD)+1))
+	dwell := AUIDwellMin + time.Duration(a.gen.Rand().Int63n(int64(AUIDwellMax-AUIDwellMin)+1))
 	a.clock.Schedule(dwell, func() { a.dismiss(showing, false) })
 }
 

@@ -30,9 +30,9 @@ func TestLaunchCreatesWindow(t *testing.T) {
 func TestChurnEmitsEventsAtConfiguredRate(t *testing.T) {
 	clock, mgr := newEnv(2)
 	Launch(clock, mgr, Config{EventsPerMinute: 32, MeanAUIInterval: time.Hour})
-	mgr.ResetStats()
+	before := mgr.Stats().Emitted
 	clock.RunFor(time.Minute)
-	emitted := mgr.Stats().Emitted
+	emitted := mgr.Stats().Emitted - before
 	// 32 churn events per minute, plus a handful of AUI window events.
 	if emitted < 28 || emitted > 45 {
 		t.Fatalf("emitted %d events in a minute, want ~32", emitted)
@@ -165,16 +165,20 @@ func TestDeterministicRuns(t *testing.T) {
 
 func TestMonkeyClicksAndEmits(t *testing.T) {
 	clock, mgr := newEnv(8)
-	Launch(clock, mgr, Config{MeanAUIInterval: time.Hour})
+	// One clickable view under the whole screen counts every tap.
+	taps, clicked := 0, 0
+	screen := mgr.Screen()
+	screen.AddWindow(&uikit.Window{Owner: "monkey", Type: uikit.WindowApp, Frame: screen.Bounds(),
+		Root: &uikit.View{Kind: uikit.KindContainer, Bounds: screen.Bounds(), Clickable: true, OnClick: func() { taps++ }}})
+	mgr.Register(a11y.TypeViewClicked, func(a11y.Event) { clicked++ })
 	m := StartMonkey(clock, mgr, "monkey", 100*time.Millisecond)
 	clock.RunFor(10 * time.Second)
-	if m.Clicks() != 100 {
-		t.Fatalf("monkey issued %d taps, want 100", m.Clicks())
+	if taps != 100 || clicked != 100 {
+		t.Fatalf("monkey made %d taps and %d click events, want 100 of each", taps, clicked)
 	}
 	m.Stop()
-	n := m.Clicks()
 	clock.RunFor(time.Second)
-	if m.Clicks() != n {
+	if taps != 100 {
 		t.Fatal("monkey kept tapping after Stop")
 	}
 }

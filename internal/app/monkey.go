@@ -17,7 +17,6 @@ type Monkey struct {
 	mgr    *a11y.Manager
 	pkg    string
 	ticker *sim.Ticker
-	clicks int
 }
 
 // StartMonkey begins tapping random points every period (default 2s when
@@ -30,9 +29,6 @@ func StartMonkey(clock *sim.Clock, mgr *a11y.Manager, pkg string, period time.Du
 	m.ticker = clock.NewTicker(period, m.tap)
 	return m
 }
-
-// Clicks returns how many taps have been issued.
-func (m *Monkey) Clicks() int { return m.clicks }
 
 // Stop halts the monkey.
 func (m *Monkey) Stop() { m.ticker.Stop() }
@@ -51,5 +47,4 @@ func (m *Monkey) tap() {
 			})
 		}
 	}
-	m.clicks++
 }

@@ -51,12 +51,6 @@ type Config struct {
 	// Cutoff is ct: the quiet period after the last UI event before a
 	// screenshot is taken. Zero means 200ms (Section VI-E).
 	Cutoff time.Duration
-	// NotificationDelay is the AccessibilityServiceInfo notification
-	// timeout used at registration (Section V registers DARPA with 200ms).
-	// It coalesces same-type event bursts before they even reach ct
-	// debouncing. Zero means 0 (deliver everything); the deployed profile
-	// sets it explicitly.
-	NotificationDelay time.Duration
 	// ConfThresh is the detector's objectness threshold. Zero means
 	// yolite.DefaultConfThresh.
 	ConfThresh float64
@@ -69,11 +63,6 @@ type Config struct {
 	// DisableCalibration skips the anchor-view offset correction,
 	// reproducing the Figure 4(a) misplacement for the ablation bench.
 	DisableCalibration bool
-	// UPOColor/AGOColor are the decoration colours (user-customisable per
-	// Section IV-D). Zero values mean green/red.
-	UPOColor, AGOColor render.Color
-	// StrokeWidth is the decoration border width; zero means 3.
-	StrokeWidth int
 	// Deadline bounds one analysis cycle in wall-clock time (the simulation
 	// clock is virtual, but inference compute is real). When it expires the
 	// detector aborts within roughly one conv layer, the cycle is counted in
@@ -101,27 +90,6 @@ func (c Config) mode() Mode {
 		return ModeFull
 	}
 	return c.Mode
-}
-
-func (c Config) upoColor() render.Color {
-	if c.UPOColor.A == 0 {
-		return render.Green
-	}
-	return c.UPOColor
-}
-
-func (c Config) agoColor() render.Color {
-	if c.AGOColor.A == 0 {
-		return render.Red
-	}
-	return c.AGOColor
-}
-
-func (c Config) strokeWidth() int {
-	if c.StrokeWidth == 0 {
-		return 3
-	}
-	return c.StrokeWidth
 }
 
 // Stats counts service activity for the overhead model. How often each
@@ -205,7 +173,7 @@ func Start(clock *sim.Clock, mgr *a11y.Manager, detector detect.Detector, cfg Co
 	}
 	s := &Service{cfg: cfg, clock: clock, mgr: mgr, detector: detector, timings: &perfmodel.Timings{}}
 	// Event registration (Fig. 5 step 1): all 23 event types.
-	mgr.Register(a11y.TypeAllMask, cfg.NotificationDelay, s.onEvent)
+	mgr.Register(a11y.TypeAllMask, s.onEvent)
 	return s
 }
 
@@ -385,7 +353,7 @@ func (s *Service) analyze() {
 // decorate draws a high-contrast border overlay around each detected option
 // (Section IV-D), moved by the calibrated shift postprocess measured.
 func (s *Service) decorate(dets []metrics.Detection, shift geom.Pt) {
-	for _, dec := range PlanDecorations(dets, s.cfg.upoColor(), s.cfg.agoColor(), s.cfg.strokeWidth()) {
+	for _, dec := range PlanDecorations(dets, render.Color{}, render.Color{}, 0) {
 		frame := dec.Frame.Translate(shift.X, shift.Y)
 		w := s.mgr.AddOverlay("org.darpa.aui", frame, decorationView(frame, dec.Stroke, dec.Color))
 		s.mu.Lock()

@@ -140,15 +140,15 @@ func TestDecorationPlacedAtDetection(t *testing.T) {
 	screen.AddWindow(&uikit.Window{Owner: "app", Type: uikit.WindowApp, Frame: screen.Bounds(),
 		Root: &uikit.View{Kind: uikit.KindContainer, Bounds: screen.Bounds()}})
 	det := &fakeDetector{dets: []metrics.Detection{upoDet(20, 2, 4, 4)}}
-	s := Start(clock, mgr, det, Config{StrokeWidth: 2})
+	s := Start(clock, mgr, det, Config{})
 	mgr.Emit(a11y.TypeWindowsChanged, "app")
 	clock.RunFor(time.Second)
 	decos := s.Decorations()
 	if len(decos) != 1 {
 		t.Fatalf("%d decorations, want 1", len(decos))
 	}
-	// Input (20,2,4,4) at 4x scale -> screen (80,8,16,16), inset -2 -> (78,6,20,20).
-	want := geom.Rect{X: 78, Y: 6, W: 20, H: 20}
+	// Input (20,2,4,4) at 4x scale -> screen (80,8,16,16), inset -3 -> (77,5,22,22).
+	want := geom.Rect{X: 77, Y: 5, W: 22, H: 22}
 	if decos[0].Frame != want {
 		t.Fatalf("decoration frame %v, want %v", decos[0].Frame, want)
 	}
@@ -163,11 +163,11 @@ func TestCalibrationCompensatesWindowOffset(t *testing.T) {
 	screen.AddWindow(&uikit.Window{Owner: "app", Type: uikit.WindowApp, Frame: frame,
 		Root: &uikit.View{Kind: uikit.KindContainer, Bounds: geom.Rect{W: frame.W, H: frame.H}}})
 	det := &fakeDetector{dets: []metrics.Detection{upoDet(20, 40, 4, 4)}}
-	s := Start(clock, mgr, det, Config{StrokeWidth: 2})
+	s := Start(clock, mgr, det, Config{})
 	mgr.Emit(a11y.TypeWindowsChanged, "app")
 	clock.RunFor(time.Second)
-	// Screen coords of the detection: (80,160,16,16); decoration inset -2.
-	want := geom.Rect{X: 78, Y: 158, W: 20, H: 20}
+	// Screen coords of the detection: (80,160,16,16); decoration inset -3.
+	want := geom.Rect{X: 77, Y: 157, W: 22, H: 22}
 	if got := s.Decorations()[0].Frame; got != want {
 		t.Fatalf("calibrated decoration at %v, want %v", got, want)
 	}
@@ -179,13 +179,13 @@ func TestNoCalibrationReproducesFigure4Offset(t *testing.T) {
 	screen.AddWindow(&uikit.Window{Owner: "app", Type: uikit.WindowApp, Frame: frame,
 		Root: &uikit.View{Kind: uikit.KindContainer, Bounds: geom.Rect{W: frame.W, H: frame.H}}})
 	det := &fakeDetector{dets: []metrics.Detection{upoDet(20, 40, 4, 4)}}
-	s := Start(clock, mgr, det, Config{StrokeWidth: 2, DisableCalibration: true})
+	s := Start(clock, mgr, det, Config{DisableCalibration: true})
 	mgr.Emit(a11y.TypeWindowsChanged, "app")
 	clock.RunFor(time.Second)
 	got := s.Decorations()[0].Frame
 	// Without calibration the decoration lands below the true position by
 	// the status-bar height (Figure 4a).
-	correct := geom.Rect{X: 78, Y: 158, W: 20, H: 20}
+	correct := geom.Rect{X: 77, Y: 157, W: 22, H: 22}
 	if got.Y != correct.Y+screen.StatusBarH {
 		t.Fatalf("uncalibrated decoration at %v; want it %dpx below %v", got, screen.StatusBarH, correct)
 	}

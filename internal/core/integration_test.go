@@ -124,7 +124,7 @@ func TestEndToEndAutoBypassClosesPopups(t *testing.T) {
 	clock := sim.NewClock(12)
 	screen := uikit.NewScreen(384, 640)
 	mgr := a11y.NewManager(clock, screen)
-	a := app.Launch(clock, mgr, app.Config{MeanAUIInterval: 5 * time.Second, AUIDwellMax: 10 * time.Second})
+	a := app.Launch(clock, mgr, app.Config{MeanAUIInterval: 5 * time.Second})
 	svc := Start(clock, mgr, model, Config{AutoBypass: true, ConfThresh: 0.7})
 	clock.RunUntil(3 * time.Minute)
 	svc.Stop()

@@ -96,7 +96,7 @@ func TestTimingsHoldOnlyDurations(t *testing.T) {
 	reps := []*heldBackend{newHeldBackend(), newHeldBackend()}
 	b := serve.NewReplicated(serve.Options{
 		Timings:       rec,
-		Tenants:       map[serve.TenantID]serve.TenantConfig{"metered": {Rate: 1e-9, Burst: 1}},
+		Tenants:       map[serve.TenantID]serve.TenantConfig{"metered": {Rate: 1e-9}},
 		MaxQueueDepth: 3,
 	}, reps[0], reps[1])
 	defer b.Close()

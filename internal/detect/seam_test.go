@@ -41,8 +41,9 @@ type subject struct {
 	// slot0 marks frauddroid: only batch slot 0 carries the live screen.
 	slot0 bool
 	// quiesce waits for work the subject may still be doing after a caller
-	// left (the serving layer's workers), so the pool can be inspected.
-	quiesce func()
+	// left (the serving layer's workers), so the pool can be inspected. It
+	// may run x to do so.
+	quiesce func(x *tensor.Tensor)
 }
 
 // seamScreens renders three distinct dark-pattern screens: the batch every
@@ -85,7 +86,13 @@ func wrapped(wrap func(inner detect.Detector, next func() detect.Detector) detec
 		p := &probe{Detector: m}
 		s := subject{d: wrap(p, func() detect.Detector { return shipped(t) }), inner: p, pool: m.Pool}
 		if b, ok := s.d.(*serve.Batcher); ok {
-			s.quiesce = b.Close
+			// The one replica has one worker, which takes a fresh request
+			// only once every forward a released caller left behind is done.
+			s.quiesce = func(x *tensor.Tensor) {
+				if _, err := b.PredictBatchCtx(context.Background(), x, yolite.DefaultConfThresh); err != nil {
+					t.Fatal(err)
+				}
+			}
 			t.Cleanup(b.Close)
 		}
 		return s
@@ -236,7 +243,7 @@ func TestSeamConformance(t *testing.T) {
 				t.Skip("no attempt landed mid-forward on this box")
 			}
 			if s.quiesce != nil {
-				s.quiesce()
+				s.quiesce(screen(0.25))
 			}
 			// The reference is a twin that never saw an abort.
 			x0 := screen(0.75)

@@ -25,7 +25,6 @@ import (
 	"io"
 	"os"
 	"reflect"
-	"strings"
 
 	"repro/internal/adversary"
 	"repro/internal/auigen"
@@ -118,8 +117,8 @@ func AttackScreenSets(seeds []int64, best auigen.Knobs, cfg auigen.DatasetConfig
 	return clean, attacked
 }
 
-// AttackSweep parameterises the adversarial sweep; cmd/darpa-eval fills it
-// from its -attack flags.
+// AttackSweep parameterises the adversarial sweep. cmd/darpa-eval runs
+// PaperAttackSweep; the fields stay so tests can size the sweep down.
 type AttackSweep struct {
 	Seed         int64
 	Iters        int
@@ -136,6 +135,36 @@ type AttackSweep struct {
 	HardenEpochs int
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
+}
+
+// attackIoU is the adversarial eval's matching threshold. It is 0.5 rather
+// than the paper's 0.9: the knob attack legally moves and resizes the
+// ground-truth boxes, so 0.9 would measure pixel-perfect localisation of
+// perturbed geometry instead of the question that matters here — does the
+// detector still fire on the dark pattern at all.
+const attackIoU = 0.5
+
+// PaperAttackSweep is the sweep BENCH_adversary.json records, from master
+// seed seed: 3 restarts x 40 hill-climb iterations over 6 search screens, 64
+// candidate seeds mined into the corpus, 80 held-out screens per
+// recall-under-attack condition, 20 fine-tune epochs, matched at attackIoU.
+// The caller sets where it reads and writes (Weights, Out, CorpusPath,
+// WriteCorpus), SkipRCNN and Logf.
+func PaperAttackSweep(seed int64) AttackSweep {
+	return AttackSweep{
+		Seed: seed, Iters: 40, Restarts: 3, Screens: 6, EvalN: 80, CorpusN: 64,
+		IoU: attackIoU, HardenEpochs: 20,
+	}
+}
+
+// command is the darpa-eval invocation that reruns the sweep, as the report
+// records it: only the seed and SkipRCNN vary between PaperAttackSweep runs.
+func (f AttackSweep) command() string {
+	cmd := fmt.Sprintf("go run ./cmd/darpa-eval -attack -attack-seed %d", f.Seed)
+	if f.SkipRCNN {
+		cmd += " -attack-skip-rcnn"
+	}
+	return cmd
 }
 
 func (f AttackSweep) logf(format string, args ...any) {
@@ -390,10 +419,6 @@ func (f AttackSweep) sweep(w io.Writer) (*benchAdversary, error) {
 	b.AttackedRecall = yr.Attacked.All
 	b.HardenedRecall = hr.Attacked.All
 	b.GapRecovered = frac
-	parts := []string{fmt.Sprintf("go run ./cmd/darpa-eval -attack -attack-seed %d", f.Seed)}
-	if f.SkipRCNN {
-		parts = append(parts, "-attack-skip-rcnn")
-	}
-	b.Command = strings.Join(parts, " ")
+	b.Command = f.command()
 	return &b, nil
 }

@@ -103,3 +103,26 @@ func TestAttackSweepReplays(t *testing.T) {
 		t.Fatalf("table %q, command %q", table.String(), a.Command)
 	}
 }
+
+// TestPaperAttackSweepMatchesArtefact: darpa-eval -attack runs
+// PaperAttackSweep, and BENCH_adversary.json records the protocol it was
+// made with. CI regenerates the file byte for byte, so the two must name the
+// same sweep: a change to either one alone fails here.
+func TestPaperAttackSweepMatchesArtefact(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_adversary.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a benchAdversary
+	if err := json.Unmarshal(data, &a); err != nil {
+		t.Fatal(err)
+	}
+	f := PaperAttackSweep(7002)
+	got := []any{a.Seed, a.IoU, a.Search.Restarts, a.Search.Iterations, a.Search.Screens,
+		a.Corpus.Candidates, a.EvalScreens, a.HardenEpochs, a.Command}
+	want := []any{f.Seed, f.IoU, f.Restarts, f.Iters, f.Screens,
+		f.CorpusN, f.EvalN, f.HardenEpochs, f.command()}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("BENCH_adversary.json records seed, iou, restarts, iterations, screens, candidates, eval_screens, harden_epochs, command\n%v\nbut PaperAttackSweep(7002) is\n%v", got, want)
+	}
+}

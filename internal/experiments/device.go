@@ -16,8 +16,6 @@ import (
 
 // Device-level experiment parameters.
 const (
-	// deviceW/H is the simulated handset resolution (4x the model input).
-	deviceW, deviceH = 384, 640
 	// appRunTime is how long each app runs, matching the paper's
 	// one-minute Monkey sessions.
 	appRunTime = time.Minute
@@ -64,8 +62,7 @@ type runResult struct {
 func (e *Env) runApp(idx int, ct time.Duration, mode core.Mode, withFD bool) runResult {
 	obf := idx%20 < int(obfuscationRate*20) // 17 of every 20 apps
 	h := fleet.NewHandset(fleet.HandsetConfig{
-		Seed:    int64(DeviceSeed + idx),
-		ScreenW: deviceW, ScreenH: deviceH,
+		Seed: int64(DeviceSeed + idx),
 		App: app.Config{
 			Package:         fmt.Sprintf("com.app%03d", idx),
 			Obfuscate:       obf,

@@ -24,10 +24,10 @@ import (
 	"cmp"
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
+	"repro/internal/app"
 	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/faults"
@@ -38,19 +38,9 @@ import (
 	"repro/internal/yolite"
 )
 
-const (
-	DefaultEventsPerMinute = 32 // Config.EventsPerMinute left zero: the paper's Taobao storm rate
-
-	meanAUIInterval = 15 * time.Second       // mean time between a device's AUI popups
-	cutoff          = 200 * time.Millisecond // the debounce quiet period ct
-
-	// burstLen mirrors the app package: events-per-minute arrive as periodic
-	// bursts of ~burstLen events, the pattern ct-debouncing exploits.
-	burstLen = 5
-	// dwellMin/Max bound AUI popup exposure, as in app.Config.
-	dwellMin = 800 * time.Millisecond
-	dwellMax = 6 * time.Second
-)
+// cutoff is the debounce quiet period ct. A device's event rate, burst
+// length, popup interval and dwell are the simulated app's (package app).
+const cutoff = 200 * time.Millisecond
 
 // Config parameterises one fleet run.
 type Config struct {
@@ -62,7 +52,7 @@ type Config struct {
 	// (with equal knobs) replay identically.
 	Seed int64
 	// EventsPerMinute is each device's background a11y-event rate before
-	// shaping. Zero means 32.
+	// shaping. Zero means app.DefaultEventsPerMinute.
 	EventsPerMinute float64
 	// Shape names the traffic shape: steady (default), diurnal, spike.
 	Shape string
@@ -107,7 +97,7 @@ func (c *Config) setDefaults() error {
 		return errors.New("fleet: Config.Duration must be positive")
 	}
 	if c.EventsPerMinute <= 0 {
-		c.EventsPerMinute = DefaultEventsPerMinute
+		c.EventsPerMinute = app.DefaultEventsPerMinute
 	}
 	if c.Tenants <= 0 {
 		c.Tenants = 1
@@ -237,7 +227,7 @@ func Run(cfg Config, models []detect.Detector) (*Result, error) {
 		cfg:       cfg,
 		clock:     sim.NewClock(cfg.Seed),
 		shape:     shape,
-		period:    time.Duration(float64(time.Minute) / cfg.EventsPerMinute * burstLen),
+		period:    time.Duration(float64(time.Minute) / cfg.EventsPerMinute * app.BurstLen),
 		lib:       buildLibrary(cfg.Seed, cfg.library),
 		devices:   make([]device, cfg.Devices),
 		backend:   batcher,
@@ -303,15 +293,10 @@ func buildStack(cfg Config, models []detect.Detector) (*serve.Batcher, []context
 			backends[i] = faults.Wrap(model, cfg.Plan)
 		}
 	}
-	table := make(map[serve.TenantID]serve.TenantConfig, cfg.Tenants)
-	ctxs := make([]context.Context, cfg.Tenants)
-	for t := range ctxs {
-		id, prio := serve.TenantID(fmt.Sprintf("tenant%d", t)), serve.PriorityLive
-		if t > 0 {
-			prio = serve.PriorityBatch
-		}
-		table[id] = serve.TenantConfig{Rate: cfg.TenantRate, Priority: prio}
-		ctxs[t] = serve.WithTenant(context.Background(), serve.TenantInfo{ID: id, Priority: prio})
+	table, ids := serve.TieredTenants(cfg.Tenants, cfg.TenantRate)
+	ctxs := make([]context.Context, len(ids))
+	for t, info := range ids {
+		ctxs[t] = serve.WithTenant(context.Background(), info)
 	}
 	return serve.NewReplicated(serve.Options{
 		MaxBatch:      cfg.maxBatch,
@@ -493,7 +478,7 @@ func (r *runner) scheduleAUI(d *device) {
 	if r.stopped {
 		return
 	}
-	delay := time.Duration(d.rng.ExpFloat64() * float64(meanAUIInterval))
+	delay := time.Duration(d.rng.ExpFloat64() * float64(app.DefaultMeanAUIInterval))
 	if delay < 500*time.Millisecond {
 		delay = 500 * time.Millisecond
 	}
@@ -513,7 +498,7 @@ func (r *runner) showAUI(d *device) {
 	r.res.Popups++
 	r.onEvent(d)
 	r.onEvent(d)
-	dwell := dwellMin + time.Duration(d.rng.Int63n(int64(dwellMax-dwellMin)+1))
+	dwell := app.AUIDwellMin + time.Duration(d.rng.Int63n(int64(app.AUIDwellMax-app.AUIDwellMin)+1))
 	r.clock.Schedule(dwell, func() { r.dismissAUI(d, gen, false) })
 }
 

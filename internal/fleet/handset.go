@@ -11,14 +11,15 @@ import (
 	"repro/internal/uikit"
 )
 
+// screenW/screenH is every handset's display resolution, 4x the model input.
+const screenW, screenH = 384, 640
+
 // HandsetConfig assembles one fully simulated device. Zero values take the
-// darpa-sim defaults: a 384x640 screen and a 2s Monkey.
+// darpa-sim defaults: a 2s Monkey.
 type HandsetConfig struct {
 	// Seed drives the handset's clock (and through it the Monkey and the
 	// app's popup schedule).
 	Seed int64
-	// ScreenW/ScreenH set the display resolution; zero means 384x640.
-	ScreenW, ScreenH int
 	// App configures the simulated foreground app (package name, AUI
 	// cadence, obfuscation).
 	App app.Config
@@ -53,17 +54,11 @@ type Handset struct {
 // NewHandset builds the passive half of a device: clock, screen and
 // accessibility manager. Nothing is scheduled yet.
 func NewHandset(cfg HandsetConfig) *Handset {
-	if cfg.ScreenW <= 0 {
-		cfg.ScreenW = 384
-	}
-	if cfg.ScreenH <= 0 {
-		cfg.ScreenH = 640
-	}
 	if cfg.MonkeyPeriod <= 0 {
 		cfg.MonkeyPeriod = 2 * time.Second
 	}
 	clock := sim.NewClock(cfg.Seed)
-	screen := uikit.NewScreen(cfg.ScreenW, cfg.ScreenH)
+	screen := uikit.NewScreen(screenW, screenH)
 	return &Handset{
 		Clock:  clock,
 		Screen: screen,

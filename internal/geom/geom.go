@@ -92,18 +92,6 @@ func (r Rect) Intersect(s Rect) Rect {
 	return Rect{x0, y0, x1 - x0, y1 - y0}
 }
 
-// Union returns the smallest rectangle containing both r and s. Empty
-// rectangles are ignored.
-func (r Rect) Union(s Rect) Rect {
-	if r.Empty() {
-		return s
-	}
-	if s.Empty() {
-		return r
-	}
-	return RectFromEdges(min(r.X, s.X), min(r.Y, s.Y), max(r.MaxX(), s.MaxX()), max(r.MaxY(), s.MaxY()))
-}
-
 // IoU returns the intersection-over-union of r and s in [0, 1]. Two empty
 // rectangles have IoU 0.
 func (r Rect) IoU(s Rect) float64 {
@@ -134,11 +122,13 @@ func (b BoxF) Rect() Rect {
 	return Rect{roundi(b.X), roundi(b.Y), roundi(b.W), roundi(b.H)}
 }
 
-// CenterX returns the horizontal midpoint.
-func (b BoxF) CenterX() float64 { return b.X + b.W/2 }
+// CenterX returns the horizontal midpoint. The conversion keeps the half
+// its own rounding step: arm64 would otherwise fuse it into the add
+// (FMADDD), as it would the product in IoU.
+func (b BoxF) CenterX() float64 { return b.X + float64(b.W/2) }
 
 // CenterY returns the vertical midpoint.
-func (b BoxF) CenterY() float64 { return b.Y + b.H/2 }
+func (b BoxF) CenterY() float64 { return b.Y + float64(b.H/2) }
 
 // Area returns the (non-negative) area of the box.
 func (b BoxF) Area() float64 {
@@ -157,7 +147,7 @@ func (b BoxF) IoU(o BoxF) float64 {
 	if x1 <= x0 || y1 <= y0 {
 		return 0
 	}
-	inter := (x1 - x0) * (y1 - y0)
+	inter := float64((x1 - x0) * (y1 - y0))
 	union := b.Area() + o.Area() - inter
 	if union <= 0 {
 		return 0

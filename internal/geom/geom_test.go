@@ -70,14 +70,8 @@ func TestIntersectUnion(t *testing.T) {
 	if got := a.Intersect(b); got != (Rect{5, 5, 5, 5}) {
 		t.Fatalf("intersect=%v", got)
 	}
-	if got := a.Union(b); got != (Rect{0, 0, 15, 15}) {
-		t.Fatalf("union=%v", got)
-	}
 	if got := a.Intersect(Rect{20, 20, 5, 5}); !got.Empty() {
 		t.Fatalf("disjoint intersect=%v, want empty", got)
-	}
-	if got := a.Union(Rect{}); got != a {
-		t.Fatalf("union with empty=%v", got)
 	}
 }
 
@@ -134,17 +128,13 @@ func TestPropertyIoU(t *testing.T) {
 	}
 }
 
-// Property: intersection is contained in both operands; union contains both.
+// Property: intersection is contained in both operands.
 func TestPropertyIntersectUnionContainment(t *testing.T) {
 	prop := func(ax, ay, bx, by int8, aw, ah, bw, bh uint8) bool {
 		a := Rect{int(ax), int(ay), int(aw%50) + 1, int(ah%50) + 1}
 		b := Rect{int(bx), int(by), int(bw%50) + 1, int(bh%50) + 1}
 		i := a.Intersect(b)
-		u := a.Union(b)
-		if !i.Empty() && (!a.ContainsRect(i) || !b.ContainsRect(i)) {
-			return false
-		}
-		return u.ContainsRect(a) && u.ContainsRect(b)
+		return i.Empty() || (a.ContainsRect(i) && b.ContainsRect(i))
 	}
 	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(3))}
 	if err := quick.Check(prop, cfg); err != nil {

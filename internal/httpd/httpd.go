@@ -59,7 +59,8 @@ const (
 	HeaderPriority = "X-Darpa-Priority"
 )
 
-// Defaults for Config fields left zero.
+// Defaults for Config fields left zero, and the one bound on a detect
+// request body.
 const (
 	DefaultHeartbeat     = 15 * time.Second
 	DefaultStatsInterval = 5 * time.Second
@@ -97,8 +98,6 @@ type Config struct {
 	// StatsInterval is how often each SSE subscriber receives a stats
 	// frame. Zero means 5s; negative disables stats frames.
 	StatsInterval time.Duration
-	// MaxBodyBytes bounds a detect request body. Zero means 8 MiB.
-	MaxBodyBytes int64
 	// Logf receives request-level diagnostics; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -122,13 +121,6 @@ func (c Config) statsInterval() time.Duration {
 		return DefaultStatsInterval
 	}
 	return c.StatsInterval
-}
-
-func (c Config) maxBody() int64 {
-	if c.MaxBodyBytes <= 0 {
-		return DefaultMaxBodyBytes
-	}
-	return c.MaxBodyBytes
 }
 
 func (c Config) logf(format string, args ...any) {
@@ -319,7 +311,7 @@ type screen struct {
 
 // readScreen decodes the request into a screen.
 func (s *Server) readScreen(r *http.Request) (screen, error) {
-	body := io.LimitReader(r.Body, s.cfg.maxBody()+1)
+	body := io.LimitReader(r.Body, DefaultMaxBodyBytes+1)
 	var pngBytes []byte
 	var req DetectRequest // req.Screen is set on the JSON path only
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "image/png") {
@@ -354,8 +346,8 @@ func (s *Server) readScreen(r *http.Request) (screen, error) {
 	} else if c != nil {
 		sc.conf = *c
 	}
-	if int64(len(pngBytes)) > s.cfg.maxBody() {
-		return screen{}, fmt.Errorf("screen exceeds %d bytes", s.cfg.maxBody())
+	if int64(len(pngBytes)) > DefaultMaxBodyBytes {
+		return screen{}, fmt.Errorf("screen exceeds %d bytes", DefaultMaxBodyBytes)
 	}
 	// The header is read on its own first: decoding allocates by the size
 	// IHDR declares before it has seen a single pixel.

@@ -229,10 +229,12 @@ func TestDetectBadRequests(t *testing.T) {
 }
 
 func TestDetectBodyLimit(t *testing.T) {
-	s := New(Config{Backend: &wireStub{dets: testDets()}, MaxBodyBytes: 16})
-	w, resp := doDetect(t, s, nil, detectBody(t))
-	if w.Code != http.StatusBadRequest || resp.Error == "" {
-		t.Fatalf("oversized screen: status = %d error %q, want 400", w.Code, resp.Error)
+	s := New(Config{Backend: &wireStub{dets: testDets()}})
+	body := make([]byte, DefaultMaxBodyBytes+1)
+	copy(body, screenPNG(t))
+	w, resp := doDetect(t, s, map[string]string{"Content-Type": "image/png"}, bytes.NewReader(body))
+	if w.Code != http.StatusBadRequest || !strings.Contains(resp.Error, "exceeds") {
+		t.Fatalf("oversized screen: status = %d error %q, want 400 naming the limit", w.Code, resp.Error)
 	}
 }
 
@@ -285,11 +287,20 @@ func TestDetectShedBare(t *testing.T) {
 	}
 }
 
+// TestDetectClosedMapsToDraining: a request that reaches a serving stack
+// already Closed is refused with serve.ErrClosed, which the front end
+// answers 503 "draining" with Retry-After; the backend never runs.
 func TestDetectClosedMapsToDraining(t *testing.T) {
-	s := New(Config{Backend: &wireStub{err: serve.ErrClosed}})
+	stub := &wireStub{dets: testDets()}
+	b := serve.NewReplicated(serve.Options{}, stub)
+	b.Close()
+	s := New(Config{Backend: b, Stats: b.Stats})
 	w, resp := doDetect(t, s, nil, detectBody(t))
-	if w.Code != http.StatusServiceUnavailable || !strings.Contains(resp.Error, "draining") {
-		t.Fatalf("status %d error %q, want 503 draining", w.Code, resp.Error)
+	if w.Code != http.StatusServiceUnavailable || !strings.Contains(resp.Error, "draining") || w.Header().Get("Retry-After") == "" {
+		t.Fatalf("status %d error %q Retry-After %q, want 503 draining with Retry-After", w.Code, resp.Error, w.Header().Get("Retry-After"))
+	}
+	if stub.calls != 0 || len(resp.Detections) != 0 {
+		t.Fatalf("closed stack ran the backend %d times and answered %v", stub.calls, resp.Detections)
 	}
 }
 
@@ -748,7 +759,7 @@ func TestRealAdmissionVerdictsOverHTTP(t *testing.T) {
 
 	gated := &gatedDetector{Detector: model, entered: make(chan struct{}, 1)}
 	b := serve.NewReplicated(serve.Options{
-		Tenants:       map[serve.TenantID]serve.TenantConfig{"tenant0": {Rate: 1e-9, Burst: 1}},
+		Tenants:       map[serve.TenantID]serve.TenantConfig{"tenant0": {Rate: 1e-9}},
 		MaxQueueDepth: 1,
 	}, gated)
 	defer b.Close()

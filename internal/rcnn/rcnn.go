@@ -261,13 +261,14 @@ var _ yolite.Predictor = (*Model)(nil)
 // Name identifies the backend in registries and result tables.
 func (m *Model) Name() string { return m.Variant.Slug() }
 
+// trainLR is the Adam learning rate of two-stage training.
+const trainLR = 2e-3
+
 // TrainConfig controls two-stage training. The zero value is the full
 // experiment configuration.
 type TrainConfig struct {
 	// Epochs over the proposal set. Zero means 12.
 	Epochs int
-	// LR for Adam. Zero means 2e-3.
-	LR float32
 	// Seed. Zero means 1.
 	Seed int64
 	// Progress receives (epoch, loss) when non-nil.
@@ -279,13 +280,6 @@ func (c TrainConfig) epochs() int {
 		return 12
 	}
 	return c.Epochs
-}
-
-func (c TrainConfig) lr() float32 {
-	if c.LR == 0 {
-		return 2e-3
-	}
-	return c.LR
 }
 
 func (c TrainConfig) seed() int64 {
@@ -352,7 +346,7 @@ func Train(variant Variant, samples []*dataset.Sample, cfg TrainConfig) *Model {
 	if len(examples) == 0 {
 		return m
 	}
-	opt := tensor.NewAdam(m.params(), cfg.lr())
+	opt := tensor.NewAdam(m.params(), trainLR)
 	for epoch := 0; epoch < cfg.epochs(); epoch++ {
 		rng.Shuffle(len(examples), func(i, j int) { examples[i], examples[j] = examples[j], examples[i] })
 		var epochLoss float64

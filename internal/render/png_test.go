@@ -202,7 +202,10 @@ func TestDecodePNGMatchesStdlib(t *testing.T) {
 func screenCanvas(w, h int) *Canvas {
 	c := NewCanvas(w, h)
 	c.Fill(c.Bounds(), White)
-	c.VGradient(geom.Rect{X: 0, Y: 0, W: w, H: h / 4}, Blue, LightGray)
+	for y := 0; y < h/4; y++ { // a vertical gradient, one shade per row
+		v := uint8(255 * y / (h / 4))
+		c.Fill(geom.Rect{Y: y, W: w, H: 1}, RGB(v/2, v, 255-v/3))
+	}
 	for i := 0; i < 4; i++ {
 		r := geom.Rect{X: w / 8, Y: h/3 + i*h/8, W: 3 * w / 4, H: h / 12}
 		c.FillRounded(r, 6, []Color{Red, Green, Orange, DarkGray}[i])

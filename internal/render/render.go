@@ -34,16 +34,6 @@ func (c Color) Luma() float64 {
 	return 0.299*float64(c.R) + 0.587*float64(c.G) + 0.114*float64(c.B)
 }
 
-// Contrast returns the absolute luminance difference between two colours,
-// the quantity the AUI generator manipulates to make AGOs pop and UPOs fade.
-func Contrast(a, b Color) float64 {
-	d := a.Luma() - b.Luma()
-	if d < 0 {
-		d = -d
-	}
-	return d
-}
-
 // Common UI colours used across the synthetic apps and the decorator.
 var (
 	White     = RGB(255, 255, 255)
@@ -217,28 +207,6 @@ func (c *Canvas) Stroke(r geom.Rect, width int, col Color) {
 	c.Fill(bottom, col)
 	c.Fill(left, col)
 	c.Fill(right, col)
-}
-
-// VGradient fills r with a vertical gradient from top to bottom, the
-// background style of most synthetic advertisement AUIs.
-func (c *Canvas) VGradient(r geom.Rect, top, bottom Color) {
-	r = r.Clamp(c.Bounds())
-	if r.Empty() {
-		return
-	}
-	for y := r.Y; y < r.MaxY(); y++ {
-		t := 0.0
-		if r.H > 1 {
-			t = float64(y-r.Y) / float64(r.H-1)
-		}
-		col := Color{
-			R: lerp8(top.R, bottom.R, t),
-			G: lerp8(top.G, bottom.G, t),
-			B: lerp8(top.B, bottom.B, t),
-			A: lerp8(top.A, bottom.A, t),
-		}
-		c.Fill(geom.Rect{X: r.X, Y: y, W: r.W, H: 1}, col)
-	}
 }
 
 // FillCircle paints a filled disc centred at (cx, cy).
@@ -572,8 +540,4 @@ func fromPix(pix []uint8, stride, w, h int) *Canvas {
 		copy(c.Pix[4*w*y:4*w*(y+1)], pix[stride*y:])
 	}
 	return c
-}
-
-func lerp8(a, b uint8, t float64) uint8 {
-	return uint8(float64(a) + (float64(b)-float64(a))*t + 0.5)
 }

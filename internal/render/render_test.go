@@ -112,19 +112,6 @@ func TestFillRoundedZeroRadiusEqualsFill(t *testing.T) {
 	}
 }
 
-func TestVGradient(t *testing.T) {
-	c := NewCanvas(4, 10)
-	c.VGradient(c.Bounds(), White, Black)
-	top, bottom := c.At(0, 0), c.At(0, 9)
-	if top != White || bottom != Black {
-		t.Fatalf("gradient ends: top=%v bottom=%v", top, bottom)
-	}
-	mid := c.At(0, 5)
-	if mid.R < 90 || mid.R > 160 {
-		t.Fatalf("gradient midpoint = %v", mid)
-	}
-}
-
 func TestDrawComposites(t *testing.T) {
 	dst := NewCanvas(10, 10)
 	dst.Fill(dst.Bounds(), White)
@@ -274,11 +261,8 @@ func TestImageRoundTrip(t *testing.T) {
 }
 
 func TestContrastAndLuma(t *testing.T) {
-	if Contrast(White, Black) < 250 {
-		t.Fatalf("white/black contrast = %v", Contrast(White, Black))
-	}
-	if Contrast(Red, Red) != 0 {
-		t.Fatal("self contrast should be 0")
+	if d := White.Luma() - Black.Luma(); d < 250 {
+		t.Fatalf("white/black luma contrast = %v", d)
 	}
 	if White.Luma() <= Gray.Luma() || Gray.Luma() <= Black.Luma() {
 		t.Fatal("luma ordering broken")
@@ -330,8 +314,7 @@ func BenchmarkFill(b *testing.B) {
 }
 
 func BenchmarkResizeScreenshotToModelInput(b *testing.B) {
-	c := NewCanvas(360, 640)
-	c.VGradient(c.Bounds(), White, Blue)
+	c := screenCanvas(360, 640)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = c.Resize(96, 160)

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 )
@@ -84,19 +85,37 @@ func TenantFrom(ctx context.Context) TenantInfo {
 // TenantConfig sets one tenant's admission policy.
 type TenantConfig struct {
 	// Rate is the sustained admission rate in requests per second. Zero or
-	// negative means unlimited — the bucket never empties.
+	// negative means unlimited — the bucket never empties. The bucket holds
+	// max(1, Rate) tokens: that many requests may arrive back to back
+	// before the rate limit bites.
 	Rate float64
-	// Burst is the bucket capacity: how many requests may arrive back to
-	// back before the rate limit bites. Zero defaults to max(1, Rate).
-	Burst int
 	// Priority assigns every request from this tenant to a scheduler queue,
 	// overriding whatever the request's context carries — the operator's
 	// tenant table outranks a caller self-declaring as interactive.
 	Priority Priority
 }
 
-// Admission errors. Both are terminal for the request at this layer; the
-// HTTP front end answers them 429 and 503, each with Retry-After.
+// TieredTenants is the admission table darpa-serve and the fleet simulator
+// run: n tenants, tenant0 to tenant<n-1>, each limited to rate requests/sec
+// (0 = unlimited). tenant0 is the interactive tier (PriorityLive), the rest
+// the audit tier (PriorityBatch). ids lists each tenant's identity in that
+// order, for callers that tag their own requests.
+func TieredTenants(n int, rate float64) (table map[TenantID]TenantConfig, ids []TenantInfo) {
+	table = make(map[TenantID]TenantConfig, n)
+	for t := 0; t < n; t++ {
+		info := TenantInfo{ID: TenantID(fmt.Sprintf("tenant%d", t)), Priority: PriorityBatch}
+		if t == 0 {
+			info.Priority = PriorityLive
+		}
+		table[info.ID] = TenantConfig{Rate: rate, Priority: info.Priority}
+		ids = append(ids, info)
+	}
+	return table, ids
+}
+
+// Admission errors. All are terminal for the request at this layer; the
+// HTTP front end answers ErrRateLimited 429 and the others 503, each with
+// Retry-After.
 var (
 	// ErrRateLimited rejects a request whose tenant exhausted its token
 	// bucket. Retrying immediately will fail again; the tenant must slow down.
@@ -105,8 +124,8 @@ var (
 	// MaxQueueDepth. Unlike ErrRateLimited this is global back-pressure —
 	// any tenant's retry may succeed once the queues drain.
 	ErrOverloaded = errors.New("serve: scheduler overloaded, request shed")
-	// ErrClosed rejects a request that arrived after Close. The Batcher
-	// facade converts it into a direct unbatched call; it is exported so layered deployments can detect shutdown explicitly.
+	// ErrClosed rejects a request that arrived after Close; the HTTP front
+	// end answers it 503 "draining".
 	ErrClosed = errors.New("serve: batcher closed")
 )
 
@@ -175,25 +194,17 @@ func newAdmission(configs map[TenantID]TenantConfig, maxDepth int, now func() ti
 	}
 }
 
-// burst resolves a config's effective bucket capacity.
-func burst(cfg TenantConfig) float64 {
-	if cfg.Burst > 0 {
-		return float64(cfg.Burst)
-	}
-	if cfg.Rate > 1 {
-		return cfg.Rate
-	}
-	return 1
-}
+// capacity is a config's bucket size, max(1, Rate).
+func capacity(cfg TenantConfig) float64 { return max(1, cfg.Rate) }
 
 // state returns the live bucket of a tenant whose policy is cfg, creating it
 // full on first sight — a tenant's first burst is always admitted up to its
-// Burst.
+// capacity.
 func (a *admission) state(id TenantID, cfg TenantConfig) *tenantState {
 	if s, ok := a.tenants[id]; ok {
 		return s
 	}
-	s := &tenantState{cfg: cfg, tokens: burst(cfg), last: a.now()}
+	s := &tenantState{cfg: cfg, tokens: capacity(cfg), last: a.now()}
 	a.tenants[id] = s
 	return s
 }
@@ -232,9 +243,7 @@ func (a *admission) decide(info TenantInfo, depth int) (verdict, Priority) {
 		now := a.now()
 		s.tokens += now.Sub(s.last).Seconds() * s.cfg.Rate
 		s.last = now
-		if max := burst(s.cfg); s.tokens > max {
-			s.tokens = max
-		}
+		s.tokens = min(s.tokens, capacity(s.cfg))
 		if s.tokens < 1 {
 			s.stats.Rejected++
 			return rejected, prio
@@ -252,9 +261,7 @@ func (a *admission) decide(info TenantInfo, depth int) (verdict, Priority) {
 	if a.maxDepth > 0 && depth >= a.maxDepth {
 		if s.cfg.Rate > 0 {
 			s.tokens++
-			if max := burst(s.cfg); s.tokens > max {
-				s.tokens = max
-			}
+			s.tokens = min(s.tokens, capacity(s.cfg))
 		}
 		s.stats.Shed++
 		return shed, prio

@@ -24,7 +24,7 @@ import (
 func TestShedRefundsTenantToken(t *testing.T) {
 	now := time.Unix(0, 0)
 	adm := newAdmission(
-		map[TenantID]TenantConfig{"t": {Rate: 1, Burst: 2}},
+		map[TenantID]TenantConfig{"t": {Rate: 2}},
 		4,
 		func() time.Time { return now },
 	)
@@ -53,7 +53,7 @@ func TestShedRefundsTenantToken(t *testing.T) {
 	if st.Offered != 5 || st.Admitted != 2 || st.Shed != 2 || st.Rejected != 1 {
 		t.Fatalf("ledger = %+v, want 5 = 2 + 2 + 1", st)
 	}
-	// The refund must still cap at Burst: shedding a tenant whose bucket is
+	// The refund must still cap at capacity: shedding a tenant whose bucket is
 	// already full cannot mint extra tokens.
 	now = now.Add(time.Hour) // refill to capacity
 	if v, _ := adm.decide(info, 4); v != shed {
@@ -65,7 +65,7 @@ func TestShedRefundsTenantToken(t *testing.T) {
 		}
 	}
 	if v, _ := adm.decide(info, 0); v != rejected {
-		t.Fatal("refund on a full bucket minted a token beyond Burst")
+		t.Fatal("refund on a full bucket minted a token beyond capacity")
 	}
 }
 
@@ -76,7 +76,7 @@ func TestShedRefundsTenantToken(t *testing.T) {
 // one entry, stay unlimited at the priority they carry, and the ledger still
 // balances globally and per entry.
 func TestAdmissionStateBoundedByTable(t *testing.T) {
-	table := map[TenantID]TenantConfig{"known": {Rate: 1, Burst: 1, Priority: PriorityBatch}}
+	table := map[TenantID]TenantConfig{"known": {Rate: 1, Priority: PriorityBatch}}
 	adm := newAdmission(table, 0, func() time.Time { return time.Unix(0, 0) })
 	const strangers = 10000
 	for i := 0; i < strangers; i++ {

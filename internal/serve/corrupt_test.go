@@ -51,9 +51,11 @@ func TestCorruptAnswerNeverPassesAWrapper(t *testing.T) {
 			return b.PredictBatchCtx(ctx, pair, 0.5)
 		}},
 		{"Batcher/closed", func(t *testing.T) ([][]metrics.Detection, error) {
+			// After Close only a batch of several items still reaches the
+			// backend (a one-item request gets ErrClosed); it is guarded too.
 			b := NewReplicated(Options{}, corrupt())
 			b.Close()
-			return b.PredictBatchCtx(ctx, screenTensor(1), 0.5)
+			return b.PredictBatchCtx(ctx, pair, 0.5)
 		}},
 		{"Batcher/grouped", func(t *testing.T) ([][]metrics.Detection, error) {
 			h := &heldBackend{Detector: &poisonBackend{mode: "corrupt"}, gate: make(chan struct{})}

@@ -63,11 +63,11 @@ func TestGroupRequests(t *testing.T) {
 
 // TestTokenBucketRefill: the admission bucket must admit the initial burst,
 // reject when empty, refill at exactly Rate tokens per second, and cap at
-// Burst — pinned against an injected clock, no sleeps.
+// its capacity max(1, Rate) — pinned against an injected clock, no sleeps.
 func TestTokenBucketRefill(t *testing.T) {
 	now := time.Unix(0, 0)
 	adm := newAdmission(
-		map[TenantID]TenantConfig{"t": {Rate: 10, Burst: 2}},
+		map[TenantID]TenantConfig{"t": {Rate: 2}},
 		0,
 		func() time.Time { return now },
 	)
@@ -82,19 +82,19 @@ func TestTokenBucketRefill(t *testing.T) {
 	if admit() {
 		t.Fatal("empty bucket admitted a request")
 	}
-	now = now.Add(100 * time.Millisecond) // 10/s x 0.1s = exactly 1 token
+	now = now.Add(500 * time.Millisecond) // 2/s x 0.5s = exactly 1 token
 	if !admit() {
 		t.Fatal("refilled token not admitted")
 	}
 	if admit() {
 		t.Fatal("bucket admitted beyond its refill")
 	}
-	now = now.Add(time.Hour) // refill far beyond capacity: caps at Burst=2
+	now = now.Add(time.Hour) // refill far beyond capacity: caps at 2
 	if !admit() || !admit() {
 		t.Fatal("bucket did not refill to its burst capacity")
 	}
 	if admit() {
-		t.Fatal("bucket capacity exceeded Burst")
+		t.Fatal("bucket capacity exceeded max(1, Rate)")
 	}
 	st := adm.snapshot()
 	if st.Offered != 8 || st.Admitted != 5 || st.Rejected != 3 || st.Shed != 0 {
@@ -115,7 +115,7 @@ func TestAdmissionInvariant(t *testing.T) {
 		MaxBatch:      4,
 		MaxQueueDepth: 4,
 		Tenants: map[TenantID]TenantConfig{
-			"limited": {Rate: 200, Burst: 5, Priority: PriorityBatch},
+			"limited": {Rate: 5, Priority: PriorityBatch},
 		},
 	}, &stubBackend{}, &stubBackend{})
 	const (
@@ -168,7 +168,7 @@ func TestAdmissionInvariant(t *testing.T) {
 func TestRateLimitRejects(t *testing.T) {
 	b := NewReplicated(Options{
 		MaxBatch: 1,
-		Tenants:  map[TenantID]TenantConfig{"slow": {Rate: 0.001, Burst: 1}},
+		Tenants:  map[TenantID]TenantConfig{"slow": {Rate: 0.001}},
 	}, &stubBackend{})
 	defer b.Close()
 	ctx := WithTenant(context.Background(), TenantInfo{ID: "slow"})
@@ -342,10 +342,9 @@ func TestBacklogSplitAcrossReplicas(t *testing.T) {
 }
 
 // TestCloseRaceNoSilentDrop hammers PredictTensorCtx against a concurrent
-// Close under -race: every request must be answered with its correct result
-// — before Close through the scheduler, after Close through the direct
-// degrade path — and none may hang or vanish in the window where the queues
-// close.
+// Close under -race: every request must be answered — before Close with its
+// correct result through the scheduler, after Close with ErrClosed — and
+// none may hang or vanish in the window where the queues close.
 func TestCloseRaceNoSilentDrop(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		s := &stubBackend{}
@@ -361,6 +360,9 @@ func TestCloseRaceNoSilentDrop(t *testing.T) {
 				for i := 0; i < 10; i++ {
 					id := g*100 + i
 					dets, err := b.PredictTensorCtx(context.Background(), screen(id), 0, 0.45)
+					if errors.Is(err, ErrClosed) {
+						continue
+					}
 					if err != nil {
 						t.Errorf("request %d: err = %v", id, err)
 						return
@@ -375,9 +377,8 @@ func TestCloseRaceNoSilentDrop(t *testing.T) {
 		close(start)
 		b.Close() // races the in-flight submissions
 		wg.Wait()
-		// The scheduler is stopped; a fresh submission must degrade to a
-		// deterministic direct call, and the internal verdict is ErrClosed.
-		if _, err := b.submit(context.Background(), screen(1), 0.45); !errors.Is(err, ErrClosed) {
+		// The scheduler is stopped; a fresh submission is refused.
+		if _, err := b.PredictBatchCtx(context.Background(), screen(1), 0.45); !errors.Is(err, ErrClosed) {
 			t.Fatalf("post-Close submit err = %v, want ErrClosed", err)
 		}
 		b.Close() // idempotent
@@ -544,5 +545,20 @@ func TestReplicatedChaosCancelStress(t *testing.T) {
 	}
 	if repItems == 0 {
 		t.Fatal("no replica served anything")
+	}
+}
+
+// TestTieredTenants pins the table darpa-serve and the fleet share: tenant0
+// live, every other tenant batch, one rate, identities in index order.
+func TestTieredTenants(t *testing.T) {
+	table, ids := TieredTenants(3, 5)
+	want := []TenantInfo{{ID: "tenant0", Priority: PriorityLive}, {ID: "tenant1", Priority: PriorityBatch}, {ID: "tenant2", Priority: PriorityBatch}}
+	if !reflect.DeepEqual(ids, want) || len(table) != len(want) {
+		t.Fatalf("ids %v, table %v", ids, table)
+	}
+	for _, info := range want {
+		if cfg := table[info.ID]; cfg != (TenantConfig{Rate: 5, Priority: info.Priority}) {
+			t.Fatalf("%s: %+v", info.ID, cfg)
+		}
 	}
 }

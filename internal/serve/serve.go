@@ -100,10 +100,9 @@ type Stats struct {
 //
 //	shared := serve.NewReplicated(serve.Options{}, detect.WithResultCache(model, 256))
 //
-// Safe for concurrent use. After Close, calls degrade to direct unbatched
-// calls on the first replica's backend rather than failing.
+// Safe for concurrent use. After Close, a request is refused with ErrClosed.
 type Batcher struct {
-	inner detect.Detector // first replica's backend: direct path + post-Close
+	inner detect.Detector // first replica's backend: the multi-item direct path
 	rec   *perfmodel.Timings
 	adm   *admission
 	sched *scheduler
@@ -187,7 +186,7 @@ func (b *Batcher) Stats() Stats {
 
 // Close stops accepting new batched work, waits for every worker to drain
 // its queued requests, and stops the worker goroutines. PredictBatchCtx
-// remains safe to call afterwards — it falls through to direct inner calls.
+// remains safe to call afterwards: a request is refused with ErrClosed.
 // Close is idempotent. The closed flag flips under the write lock while every
 // submission holds the read lock across its admission decision and enqueue,
 // so a request observes either an open Batcher (and is drained before Close
@@ -217,8 +216,8 @@ func (b *Batcher) Close() {
 // arithmetic is per-item independent — the seam-conformance tests pin that).
 // A tensor of several items is already a batch: there is nothing to coalesce,
 // and routing it through the queue would only add latency, so it goes
-// straight to the first replica's backend. After Close both degrade to that
-// direct call. Every path reaches a backend through detect.Guarded, so a
+// straight to the first replica's backend. After Close a one-item request
+// returns ErrClosed. Every path reaches a backend through detect.Guarded, so a
 // panic, a misaligned answer or a corrupt one is an error on each of them.
 //
 // An already-dead context is rejected before touching the layers; a context
@@ -238,11 +237,7 @@ func (b *Batcher) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThr
 	if x == nil || len(x.Shape) == 0 || x.Shape[0] != 1 {
 		return detect.Guarded(ctx, b.inner, x, confThresh)
 	}
-	out, err := b.submit(ctx, x, confThresh)
-	if errors.Is(err, ErrClosed) {
-		return detect.Guarded(ctx, b.inner, x, confThresh)
-	}
-	return out, err
+	return b.submit(ctx, x, confThresh)
 }
 
 // PredictTensorCtx is a shim kept for cmd/darpa-bench, which prices the

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -208,8 +209,8 @@ func TestBatcherGroupsByThreshold(t *testing.T) {
 }
 
 // TestBatcherCloseDrainsPending: requests queued behind a gated backend must
-// all be answered by Close, and post-Close calls degrade to direct
-// unbatched inference instead of failing.
+// all be answered by Close, and a request after Close is refused with
+// ErrClosed without reaching the backend.
 func TestBatcherCloseDrainsPending(t *testing.T) {
 	s := &stubBackend{gate: make(chan struct{})}
 	b := NewReplicated(Options{MaxBatch: 2}, s)
@@ -232,13 +233,12 @@ func TestBatcherCloseDrainsPending(t *testing.T) {
 			t.Fatalf("request %d lost across Close: %v", i, dets)
 		}
 	}
-	// After Close the Batcher still serves, directly.
 	calls := s.forwards()
-	if dets := predict(b, screen(9), 0.45); dets[0].B.X != 9 {
-		t.Fatalf("post-Close predict = %v", dets)
+	if out, err := b.PredictBatchCtx(context.Background(), screen(9), 0.45); !errors.Is(err, ErrClosed) || out != nil {
+		t.Fatalf("post-Close predict = %v, err %v; want ErrClosed", out, err)
 	}
-	if got := s.forwards(); got != calls+1 {
-		t.Fatal("post-Close predict did not reach the backend directly")
+	if got := s.forwards(); got != calls {
+		t.Fatal("post-Close predict reached the backend")
 	}
 	b.Close() // idempotent
 }

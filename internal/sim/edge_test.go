@@ -82,7 +82,7 @@ func TestPropertySameTimestampFIFO(t *testing.T) {
 			i := i
 			// Few distinct deadlines, so collisions are the norm.
 			at := time.Duration(rng.Intn(8)) * time.Millisecond
-			c.ScheduleAt(at, func() { fired = append(fired, fireRec{at: c.Now(), seq: i}) })
+			c.Schedule(at, func() { fired = append(fired, fireRec{at: c.Now(), seq: i}) })
 		}
 		c.Drain(count * 2)
 		if len(fired) != count {

@@ -136,12 +136,6 @@ func (c *Clock) Schedule(delay time.Duration, fn func()) *Event {
 	return e
 }
 
-// ScheduleAt runs fn at the absolute simulated time at. Times in the past are
-// clamped to now.
-func (c *Clock) ScheduleAt(at time.Duration, fn func()) *Event {
-	return c.Schedule(at-c.now, fn)
-}
-
 // Pending returns the number of events waiting in the queue, including
 // cancelled events that have not been reaped yet.
 func (c *Clock) Pending() int { return len(c.queue) }

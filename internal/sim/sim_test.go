@@ -98,17 +98,6 @@ func TestNegativeDelayClamped(t *testing.T) {
 	}
 }
 
-func TestScheduleAtPast(t *testing.T) {
-	c := NewClock(1)
-	c.RunUntil(time.Second)
-	fired := time.Duration(-1)
-	c.ScheduleAt(time.Millisecond, func() { fired = c.Now() })
-	c.Drain(10)
-	if fired != time.Second {
-		t.Fatalf("past ScheduleAt fired at %v, want clamped to 1s", fired)
-	}
-}
-
 func TestTicker(t *testing.T) {
 	c := NewClock(1)
 	var ticks []time.Duration

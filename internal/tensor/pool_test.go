@@ -9,7 +9,7 @@ import (
 func TestPoolGetShapesAndReuse(t *testing.T) {
 	p := NewPool()
 	a := p.Get(2, 3, 4, 5)
-	if len(a.Data) != 120 || len(a.Shape) != 4 || a.Dim(3) != 5 {
+	if len(a.Data) != 120 || len(a.Shape) != 4 || a.Shape[3] != 5 {
 		t.Fatalf("Get(2,3,4,5): len=%d shape=%v", len(a.Data), a.Shape)
 	}
 	p.Put(a)

@@ -50,9 +50,6 @@ func NewWithGrad(shape ...int) *Tensor {
 // Len returns the number of elements.
 func (t *Tensor) Len() int { return len(t.Data) }
 
-// Dim returns the i-th dimension.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
-
 // Fill sets every element to v.
 func (t *Tensor) Fill(v float32) {
 	for i := range t.Data {
@@ -91,18 +88,4 @@ func (t *Tensor) KaimingInit(rng *rand.Rand, fanIn int) {
 	for i := range t.Data {
 		t.Data[i] = (rng.Float32()*2 - 1) * bound
 	}
-}
-
-// At4 returns the element at (n, c, h, w) of a 4-D tensor. It exists for
-// tests and debugging; hot paths index Data directly.
-func (t *Tensor) At4(n, c, h, w int) float32 {
-	N, C, H, W := t.Shape[0], t.Shape[1], t.Shape[2], t.Shape[3]
-	_ = N
-	return t.Data[((n*C+c)*H+h)*W+w]
-}
-
-// Set4 writes the element at (n, c, h, w) of a 4-D tensor.
-func (t *Tensor) Set4(n, c, h, w int, v float32) {
-	C, H, W := t.Shape[1], t.Shape[2], t.Shape[3]
-	t.Data[((n*C+c)*H+h)*W+w] = v
 }

@@ -31,18 +31,6 @@ func TestNewInvalidDimPanics(t *testing.T) {
 	New(2, 0)
 }
 
-func TestAtSet4(t *testing.T) {
-	x := New(2, 3, 4, 5)
-	x.Set4(1, 2, 3, 4, 42)
-	if x.At4(1, 2, 3, 4) != 42 {
-		t.Fatal("At4/Set4 mismatch")
-	}
-	// Row-major NCHW: last index is fastest.
-	if x.Data[len(x.Data)-1] != 42 {
-		t.Fatal("Set4(1,2,3,4) should hit the final element")
-	}
-}
-
 func TestSameShape(t *testing.T) {
 	if !New(2, 3).SameShape(New(2, 3)) {
 		t.Fatal("identical shapes not equal")

@@ -306,16 +306,19 @@ func DecodeHead(out *tensor.Tensor, n int, spec HeadSpec, confThresh float64) []
 			ty := clampf(float64(out.Data[base+2*plane+idx]), -0.5, 1.5)
 			tw := float64(out.Data[base+3*plane+idx])
 			th := float64(out.Data[base+4*plane+idx])
-			cx := (float64(col) + tx) * float64(spec.Stride)
-			cy := (float64(row) + ty) * float64(spec.Stride)
+			// The conversions round each product and half on its own: arm64
+			// would otherwise fuse them into the subtraction below (FMSUBD)
+			// and snap boxes differently from amd64.
+			cx := float64((float64(col) + tx) * float64(spec.Stride))
+			cy := float64((float64(row) + ty) * float64(spec.Stride))
 			w := math.Exp(clampf(tw, -4, 4)) * spec.AnchorW
 			h := math.Exp(clampf(th, -4, 4)) * spec.AnchorH
 			// GUI widgets are pixel aligned, so decoded boxes are snapped
 			// to the pixel grid; this is what makes the paper's strict
 			// IoU >= 0.9 protocol attainable (see also Chen et al. [28]).
 			b := geom.BoxF{
-				X: math.Round(cx - w/2),
-				Y: math.Round(cy - h/2),
+				X: math.Round(cx - float64(w/2)),
+				Y: math.Round(cy - float64(h/2)),
 				W: math.Round(w),
 				H: math.Round(h),
 			}
