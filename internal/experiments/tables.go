@@ -137,7 +137,7 @@ func (e *Env) Table5() *Table {
 }
 
 // measureLatency times one detector call per image in milliseconds over a
-// small subset.
+// small subset, keeping the fraction: a call can take under a millisecond.
 func measureLatency(m yolite.Predictor, samples []*dataset.Sample) float64 {
 	n := len(samples)
 	if n > 20 {
@@ -150,7 +150,7 @@ func measureLatency(m yolite.Predictor, samples []*dataset.Sample) float64 {
 	for _, s := range samples[:n] {
 		yolite.PredictInput(m, s.Input, yolite.DefaultConfThresh)
 	}
-	return float64(time.Since(start).Milliseconds()) / float64(n)
+	return float64(time.Since(start)) / float64(time.Millisecond) / float64(n)
 }
 
 // UserStudyTable reproduces the Section III-B findings.

@@ -290,6 +290,40 @@ func TestDownscaleAllocs(t *testing.T) {
 	}
 }
 
+// TestHalveRGBAMatchesByteLoop pins the lane-wise box filter to the byte
+// loop it replaced, channel by channel, over random rows, rows of all 0s and
+// all 255s (the largest sums, where a carry between lanes would show), and
+// rows mixing the two, at lengths from one output pixel up.
+func TestHalveRGBAMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	fill := []func(i int) byte{
+		func(int) byte { return byte(rng.Intn(256)) },
+		func(int) byte { return 0 },
+		func(int) byte { return 255 },
+		func(int) byte { return byte(rng.Intn(2) * 255) },
+		func(i int) byte { return byte(253 + i%3) },
+	}
+	for _, n := range []int{1, 2, 3, 7, 48, 96} {
+		for _, ft := range fill {
+			for _, fb := range fill {
+				top, bot := make([]byte, 8*n), make([]byte, 8*n)
+				for i := range top {
+					top[i], bot[i] = ft(i), fb(i)
+				}
+				got, want := make([]byte, 4*n), make([]byte, 4*n)
+				halveRGBA(got, top, bot)
+				for i := range want {
+					x, c := i/4, i%4
+					want[i] = uint8((uint32(top[8*x+c]) + uint32(top[8*x+c+4]) + uint32(bot[8*x+c]) + uint32(bot[8*x+c+4]) + 2) / 4)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%d pixels: halveRGBA = %v, byte loop %v (top %v, bottom %v)", n, got, want, top, bot)
+				}
+			}
+		}
+	}
+}
+
 var sinkCanvas *Canvas
 
 func BenchmarkFromImage(b *testing.B) {

@@ -10,6 +10,7 @@
 package render
 
 import (
+	"encoding/binary"
 	"fmt"
 	"image"
 	"image/color"
@@ -459,14 +460,33 @@ func (b *boxCascade) push(k int, row []byte) {
 	}
 }
 
-// halveRGBA writes into dst the 2x2 box average of RGBA rows twice its length.
+// halveRGBA writes into dst the 2x2 box average of RGBA rows twice its
+// length: (t0 + t1 + b0 + b1 + 2) / 4 per channel, exactly. It reads two
+// pixels of a row as one uint64 and makes two output pixels a step: words
+// t0 and b0 (the first output's top and bottom pairs) and t1 and b1 (the
+// second's; zeros past an odd last pixel). Channels 0 and 2, then 1 and 3,
+// are masked into 16-bit lanes, where no sum (at most 4*255+2) carries into
+// the next lane, and each word's two pixels are summed by pairing its low
+// half with its high half.
 func halveRGBA(dst, top, bot []byte) {
-	for x := 0; x < len(dst)/4; x++ {
-		t, b, d := top[8*x:8*x+8], bot[8*x:8*x+8], dst[4*x:4*x+4]
-		d[0] = uint8((uint32(t[0]) + uint32(t[4]) + uint32(b[0]) + uint32(b[4]) + 2) / 4)
-		d[1] = uint8((uint32(t[1]) + uint32(t[5]) + uint32(b[1]) + uint32(b[5]) + 2) / 4)
-		d[2] = uint8((uint32(t[2]) + uint32(t[6]) + uint32(b[2]) + uint32(b[6]) + 2) / 4)
-		d[3] = uint8((uint32(t[3]) + uint32(t[7]) + uint32(b[3]) + uint32(b[7]) + 2) / 4)
+	const lanes, lo, round = 0x00ff00ff00ff00ff, 0xffffffff, 0x0002000200020002
+	le := binary.LittleEndian
+	for len(dst) >= 4 && len(top) >= 8 && len(bot) >= 8 {
+		t0, b0, t1, b1 := le.Uint64(top), le.Uint64(bot), uint64(0), uint64(0)
+		if len(dst) >= 8 && len(top) >= 16 && len(bot) >= 16 {
+			t1, b1 = le.Uint64(top[8:]), le.Uint64(bot[8:])
+		}
+		rb0, rb1 := t0&lanes+b0&lanes, t1&lanes+b1&lanes
+		ga0, ga1 := t0>>8&lanes+b0>>8&lanes, t1>>8&lanes+b1>>8&lanes
+		rb := rb0&lo | rb1<<32 + (rb0>>32 | rb1&^lo)
+		ga := ga0&lo | ga1<<32 + (ga0>>32 | ga1&^lo)
+		v := (rb+round)>>2&lanes | (ga+round)>>2&lanes<<8
+		if len(dst) < 8 {
+			le.PutUint32(dst, uint32(v))
+			return
+		}
+		le.PutUint64(dst, v)
+		dst, top, bot = dst[8:], top[16:], bot[16:]
 	}
 }
 

@@ -45,19 +45,11 @@ func FuseConvBNAct(conv *Conv2D, bn *BatchNorm2D, act *LeakyReLU) *FusedConvBNAc
 	return &FusedConvBNAct{ConvGeom: conv.ConvGeom, W: w, B: b, Slope: act.Slope}
 }
 
-// Block is the fused block's ConvKernel: the GEMM, then the leaky-ReLU on
-// each output row while it is cache-hot.
+// Block is the fused block's ConvKernel: the GEMM, which applies the
+// leaky-ReLU to each output as it stores it.
 func (f *FusedConvBNAct) Block(panel []float32, ldb int, y []float32, ldc, u int) {
 	kdim := f.InC * f.K * f.K
-	gemm(f.W, kdim, f.B, panel, ldb, y, ldc, f.OutC, kdim, u)
-	for oc := range f.OutC {
-		row := y[oc*ldc : oc*ldc+u]
-		for i, v := range row {
-			if v < 0 {
-				row[i] = f.Slope * v
-			}
-		}
-	}
+	gemm(f.W, kdim, f.B, panel, ldb, y, ldc, f.OutC, kdim, u, f.Slope)
 }
 
 // ForwardPooled is ForwardCancel with no cancellation.

@@ -2,10 +2,11 @@ package tensor
 
 import "fmt"
 
-// Cache-blocked SGEMM specialised for im2col convolution: C = A*B + bias,
-// where A is the weight matrix [M x K] (M = output channels, K = InC*k*k),
-// B is an im2col panel [K x nc] for one block of output pixels, and C is the
-// corresponding slice of the output feature map. gemm is the one float
+// Cache-blocked SGEMM specialised for im2col convolution: C =
+// leaky(A*B + bias), where A is the weight matrix [M x K] (M = output
+// channels, K = InC*k*k), B is an im2col panel [K x nc] for one block of
+// output pixels, and C is the corresponding slice of the output feature
+// map. gemm is the one float
 // GEMM every float convolution calls, training's forward included: every
 // shape, down to the 3x5 AGO head grid, lowers through it (a 1x1/s1/p0
 // convolution skips im2col altogether — the panel is the input). It picks
@@ -19,7 +20,10 @@ import "fmt"
 // sum bias + w0*x0 + w1*x1 + ... in exactly the order a direct nested loop
 // computes it — bit-identical to the direct-loop oracle in gemm_test.go on
 // every GOARCH and CPU, not merely close (padding taps contribute w*0,
-// which cannot change a float sum).
+// which cannot change a float sum). Both then apply the leaky-ReLU to each
+// sum as they store it, at the slope the caller passes: the fused blocks'
+// activation, or 1 for a plain convolution, which leaves every bit as it
+// is.
 //
 // Conv runs every convolution in the tree, both precisions: it gathers each
 // column block's dense panel (im2col.go) and the precision's ConvKernel
@@ -168,14 +172,25 @@ func panelScratch[T colScalar]() *Scratch[T] {
 	return any(&i8Panels).(*Scratch[T])
 }
 
-// gemm computes c[m*ldc+j] = bias[m] + sum_k a[m*lda+k]*b[k*ldb+j] for m
-// in [0,M), j in [0,nc), with the kernel SIMD picked.
-func gemm(a []float32, lda int, bias []float32, b []float32, ldb int, c []float32, ldc, M, K, nc int) {
+// gemm computes c[m*ldc+j] = leaky(bias[m] + sum_k a[m*lda+k]*b[k*ldb+j],
+// slope) for m in [0,M), j in [0,nc), with the kernel SIMD picked. Slope 1
+// is the plain GEMM: every value keeps its bits.
+func gemm(a []float32, lda int, bias []float32, b []float32, ldb int, c []float32, ldc, M, K, nc int, slope float32) {
 	if SIMD {
-		gemmTiles(a, lda, bias, b, ldb, c, ldc, M, K, nc)
+		gemmTiles(a, lda, bias, b, ldb, c, ldc, M, K, nc, slope)
 	} else {
-		gemmBlock(a, lda, bias, b, ldb, c, ldc, M, K, nc)
+		gemmBlock(a, lda, bias, b, ldb, c, ldc, M, K, nc, slope)
 	}
+}
+
+// leaky is the leaky-ReLU both GEMM kernels apply as they store: a value
+// below zero takes slope*v, and anything else, -0 and NaN included, keeps
+// its bits.
+func leaky(v, slope float32) float32 {
+	if v < 0 {
+		return slope * v
+	}
+	return v
 }
 
 // gemmBlock is gemm's portable kernel and the oracle of gemmTiles. The 4x4
@@ -183,8 +198,8 @@ func gemm(a []float32, lda int, bias []float32, b []float32, ldb int, c []float3
 // step; row and column tails fall back to narrower tiles with the same
 // k-ascending accumulation order. Every product is converted to float32
 // before it is added, so no GOARCH fuses the two roundings into one (arm64
-// would emit FMADDS).
-func gemmBlock(a []float32, lda int, bias []float32, b []float32, ldb int, c []float32, ldc, M, K, nc int) {
+// would emit FMADDS). The activation runs on each sum as it is stored.
+func gemmBlock(a []float32, lda int, bias []float32, b []float32, ldb int, c []float32, ldc, M, K, nc int, slope float32) {
 	m := 0
 	for ; m+4 <= M; m += 4 {
 		a0 := a[(m+0)*lda : (m+0)*lda+K]
@@ -224,13 +239,13 @@ func gemmBlock(a []float32, lda int, bias []float32, b []float32, ldb int, c []f
 				off += ldb
 			}
 			r := (m+0)*ldc + j
-			c[r], c[r+1], c[r+2], c[r+3] = c00, c01, c02, c03
+			c[r], c[r+1], c[r+2], c[r+3] = leaky(c00, slope), leaky(c01, slope), leaky(c02, slope), leaky(c03, slope)
 			r = (m+1)*ldc + j
-			c[r], c[r+1], c[r+2], c[r+3] = c10, c11, c12, c13
+			c[r], c[r+1], c[r+2], c[r+3] = leaky(c10, slope), leaky(c11, slope), leaky(c12, slope), leaky(c13, slope)
 			r = (m+2)*ldc + j
-			c[r], c[r+1], c[r+2], c[r+3] = c20, c21, c22, c23
+			c[r], c[r+1], c[r+2], c[r+3] = leaky(c20, slope), leaky(c21, slope), leaky(c22, slope), leaky(c23, slope)
 			r = (m+3)*ldc + j
-			c[r], c[r+1], c[r+2], c[r+3] = c30, c31, c32, c33
+			c[r], c[r+1], c[r+2], c[r+3] = leaky(c30, slope), leaky(c31, slope), leaky(c32, slope), leaky(c33, slope)
 		}
 		for ; j < nc; j++ {
 			cc0, cc1, cc2, cc3 := bi0, bi1, bi2, bi3
@@ -243,10 +258,10 @@ func gemmBlock(a []float32, lda int, bias []float32, b []float32, ldb int, c []f
 				cc3 += float32(a3[k] * bv)
 				off += ldb
 			}
-			c[(m+0)*ldc+j] = cc0
-			c[(m+1)*ldc+j] = cc1
-			c[(m+2)*ldc+j] = cc2
-			c[(m+3)*ldc+j] = cc3
+			c[(m+0)*ldc+j] = leaky(cc0, slope)
+			c[(m+1)*ldc+j] = leaky(cc1, slope)
+			c[(m+2)*ldc+j] = leaky(cc2, slope)
+			c[(m+3)*ldc+j] = leaky(cc3, slope)
 		}
 	}
 	for ; m < M; m++ {
@@ -265,7 +280,7 @@ func gemmBlock(a []float32, lda int, bias []float32, b []float32, ldb int, c []f
 				off += ldb
 			}
 			r := m*ldc + j
-			c[r], c[r+1], c[r+2], c[r+3] = cc0, cc1, cc2, cc3
+			c[r], c[r+1], c[r+2], c[r+3] = leaky(cc0, slope), leaky(cc1, slope), leaky(cc2, slope), leaky(cc3, slope)
 		}
 		for ; j < nc; j++ {
 			acc := bi
@@ -274,7 +289,7 @@ func gemmBlock(a []float32, lda int, bias []float32, b []float32, ldb int, c []f
 				acc += float32(arow[k] * b[off])
 				off += ldb
 			}
-			c[m*ldc+j] = acc
+			c[m*ldc+j] = leaky(acc, slope)
 		}
 	}
 }

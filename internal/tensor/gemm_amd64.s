@@ -1,16 +1,25 @@
 #include "textflag.h"
 
-// func mul4x16(a *float32, lda int, bias *float32, b *float32, ldb, k int, c *float32, ldc, rows int)
+// LEAKY applies gemmBlock's leaky to one accumulator: lanes below zero (an
+// ordered compare, so -0 and NaN are not) take the product with the slope
+// in Y14 through VBLENDVPS; Y13 holds zero.
+#define LEAKY(acc) \
+	VCMPPS    $1, Y13, acc, Y15; \
+	VMULPS    Y14, acc, Y12; \
+	VBLENDVPS Y15, Y12, acc, acc
+
+// func mul4x16(a *float32, lda int, bias *float32, b *float32, ldb, k int, c *float32, ldc, rows int, slope float32)
 //
-// One 4-row x 16-column tile of gemmTiles: c[r*ldc+j] = bias[r] + sum over
-// k of a[r*lda+k]*b[k*ldb+j], for r < rows, j < 16. Each output has one
-// accumulator, starting from its broadcast bias, and k runs strictly
-// ascending: every step loads panel row k (two YMM of eight columns),
-// broadcasts each row's weight, multiplies with VMULPS and adds the
-// rounded product with VADDPS, accumulator first. No VFMADD: a fused
-// multiply-add rounds once where gemmBlock rounds twice. A row at or past
-// rows reads row 0's weights and bias and is never stored.
-TEXT ·mul4x16(SB), NOSPLIT, $0-72
+// One 4-row x 16-column tile of gemmTiles: c[r*ldc+j] = leaky(bias[r] +
+// sum over k of a[r*lda+k]*b[k*ldb+j], slope), for r < rows, j < 16. Each
+// output has one accumulator, starting from its broadcast bias, and k runs
+// strictly ascending: every step loads panel row k (two YMM of eight
+// columns), broadcasts each row's weight, multiplies with VMULPS and adds
+// the rounded product with VADDPS, accumulator first. No VFMADD: a fused
+// multiply-add rounds once where gemmBlock rounds twice. The activation
+// runs on the accumulators before they are stored. A row at or past rows
+// reads row 0's weights and bias and is never stored.
+TEXT ·mul4x16(SB), NOSPLIT, $0-76
 	MOVQ a+0(FP), SI
 	MOVQ lda+8(FP), AX
 	MOVQ bias+16(FP), R10
@@ -100,6 +109,16 @@ loop:
 	JLT  loop
 
 store:
+	VXORPS       Y13, Y13, Y13
+	VBROADCASTSS slope+72(FP), Y14
+	LEAKY(Y0)
+	LEAKY(Y1)
+	LEAKY(Y2)
+	LEAKY(Y3)
+	LEAKY(Y4)
+	LEAKY(Y5)
+	LEAKY(Y6)
+	LEAKY(Y7)
 	VMOVUPS Y0, (DX)
 	VMOVUPS Y1, 32(DX)
 	CMPQ    R9, $1

@@ -303,12 +303,17 @@ func naivePanel[T colScalar](src []T, C, H, W, kk, stride, pad, OH, OW int) []T 
 // the row phases some tap reads are built), 2x2 at stride 2, 5x5 at
 // stride 2 with pad 2, stride 1 with and without padding, and blocks that
 // start and end mid-row (1, 5, OW-1 and OW+3 columns wide), cover exactly
-// one output row (OW), or take the whole map. dst and the phase buffer
-// arrive poisoned with a value no input holds, so every panel element must
-// be written and no phase element read before it is.
+// one output row (OW), or take the whole map. Then, at strides 2 and 3,
+// kernels 2 and 3 and pads 0-2, input widths on both sides of 16, 32 and 64,
+// odd and even: at stride 2 the columns two planes share are de-interleaved
+// in steps of eight pairs on amd64 (split2), so these put that run's length
+// on, just under and just over a multiple of eight, with edge columns on
+// either side. dst and the phase buffer arrive poisoned with a value no input
+// holds, so every panel element must be written and no phase element read
+// before it is.
 func TestIm2colPanelBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, s := range []convShape{
+	shapes := []convShape{
 		{1, 3, 7, 5, 0, 3, 2, 1},
 		{1, 3, 12, 10, 0, 3, 2, 1},
 		{1, 4, 9, 11, 0, 3, 1, 0},
@@ -327,7 +332,17 @@ func TestIm2colPanelBlocks(t *testing.T) {
 		{1, 2, 3, 2, 0, 4, 1, 2},
 		{1, 24, 20, 12, 0, 3, 1, 1}, // B3b
 		{1, 32, 10, 6, 0, 3, 2, 1},  // B5
-	} {
+	}
+	for _, stride := range []int{2, 3} {
+		for _, kk := range []int{2, 3} {
+			for pad := range 3 {
+				for _, w := range []int{15, 16, 17, 18, 19, 31, 32, 33, 34, 35, 63, 64, 65, 66, 67} {
+					shapes = append(shapes, convShape{1, 2, 5, w, 0, kk, stride, pad})
+				}
+			}
+		}
+	}
+	for _, s := range shapes {
 		x, _, _, _ := randomConv(rng, 1, s.c, s.h, s.w, 1, s.kk, s.stride, s.pad)
 		q := make([]int8, len(x.Data))
 		for i := range q {
@@ -367,6 +382,52 @@ func checkIm2col[T colScalar](t *testing.T, s convShape, src []T, poison T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestSplit2MatchesScalar pins the SIMD de-interleave to the scalar loop on
+// both element widths, for every run length from one step of eight pairs to
+// past eight steps, with the source read at every alignment: even and odd
+// arrive poisoned with a guard element either side, and those guards must
+// survive.
+func TestSplit2MatchesScalar(t *testing.T) {
+	if !SIMD {
+		t.Skip("no SIMD de-interleave on this CPU")
+	}
+	rng := rand.New(rand.NewSource(5))
+	f := make([]float32, 200)
+	for i := range f {
+		f[i] = math.Float32frombits(rng.Uint32()) // NaN payloads and all
+	}
+	q := make([]int8, 200)
+	for i := range q {
+		q[i] = int8(rng.Intn(256) - 128)
+	}
+	for n := 8; n <= 70; n++ {
+		for start := range 3 {
+			checkSplit2(t, n, f[start:start+2*n], math.Float32frombits(0x7fa5a5a5))
+			checkSplit2(t, n, q[start:start+2*n], -128)
+		}
+	}
+}
+
+// checkSplit2 de-interleaves src's n pairs into poisoned buffers and checks
+// every element and both guards against the scalar loop.
+func checkSplit2[T colScalar](t *testing.T, n int, src []T, poison T) {
+	t.Helper()
+	even, odd := make([]T, n+2), make([]T, n+2)
+	for i := range even {
+		even[i], odd[i] = poison, poison
+	}
+	split2(even[1:n+1], odd[1:n+1], src)
+	for i := range n + 2 {
+		we, wo := poison, poison
+		if i >= 1 && i <= n {
+			we, wo = src[2*(i-1)], src[2*(i-1)+1]
+		}
+		if math.Float32bits(float32(even[i])) != math.Float32bits(float32(we)) || math.Float32bits(float32(odd[i])) != math.Float32bits(float32(wo)) {
+			t.Fatalf("%T n=%d: element %d is (%v, %v), want (%v, %v)", src, n, i, even[i], odd[i], we, wo)
 		}
 	}
 }
@@ -511,12 +572,15 @@ func gemmOperand(rng *rand.Rand, n int, specials []float32) []float32 {
 // the deepest production reduction; panel and output rows longer than the
 // block (ldb > nc, as on the 1x1 path, and ldc > nc, as in every conv) —
 // over operands seeded with NaN, +-Inf, -0, denormals and values whose
-// products overflow. c arrives poisoned, as pooled tiles do, and is compared
-// whole, so a store past the block's columns fails too; a, b and c are cut
-// to exactly the lengths the kernels may touch. One NaN payload is used,
-// x86's default NaN, which Inf*0 and Inf-Inf also produce: where two
-// payloads meet, an add returns its first operand's, and gemmBlock's own
-// tiles do not agree on which operand that is.
+// products overflow, at slope 1 (Conv2D) and at the backbone's leaky slope
+// 0.1, where gemmBlock must also equal the plain sums put through the
+// scalar leaky loop the fused block used to run. c arrives poisoned, as
+// pooled tiles do, and is compared whole, so a store past the block's
+// columns fails too; a, b and c are cut to exactly the lengths the kernels
+// may touch. One NaN payload is used, x86's default NaN, which Inf*0 and
+// Inf-Inf also produce: where two payloads meet, an add returns its first
+// operand's, and gemmBlock's own tiles do not agree on which operand that
+// is.
 func TestGemmTilesMatchesGemmBlock(t *testing.T) {
 	if !SIMD {
 		t.Skip("no SIMD float kernel on this CPU")
@@ -526,39 +590,57 @@ func TestGemmTilesMatchesGemmBlock(t *testing.T) {
 		math.Float32frombits(1), -math.Float32frombits(0x007fffff), math.SmallestNonzeroFloat32 * 3, 3e38, -2e38}
 	rng := rand.New(rand.NewSource(31))
 	ncs := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 33, 48}
-	seen := map[string]bool{} // the special classes that reached an output
-	for M := 1; M <= 9; M++ {
-		for _, nc := range ncs {
-			for _, K := range []int{0, 1, 2, 9, 144, 216} {
-				lda, ldb, ldc := K+rng.Intn(3), nc+rng.Intn(3)*7, nc+rng.Intn(3)*5
-				a := gemmOperand(rng, max((M-1)*lda+K, 0), specials)
-				bias := gemmOperand(rng, M, specials)
-				b := gemmOperand(rng, max((K-1)*ldb+nc, 0), specials)
-				want, got := make([]float32, (M-1)*ldc+nc), make([]float32, (M-1)*ldc+nc)
-				for i := range want {
-					want[i] = math.Float32frombits(0x7fa5a5a5) // a signalling NaN no kernel writes
-					got[i] = want[i]
-				}
-				gemmBlock(a, lda, bias, b, ldb, want, ldc, M, K, nc)
-				gemmTiles(a, lda, bias, b, ldb, got, ldc, M, K, nc)
-				requireSameBits(t, fmt.Sprintf("M=%d K=%d nc=%d lda=%d ldb=%d ldc=%d", M, K, nc, lda, ldb, ldc), got, want)
-				for _, v := range want {
-					switch bits := math.Float32bits(v); {
-					case bits == 0xffc00000:
-						seen["NaN"] = true
-					case math.IsInf(float64(v), 0):
-						seen["Inf"] = true
-					case bits == 1<<31:
-						seen["-0"] = true
-					case v != 0 && math.Abs(float64(v)) < 0x1p-126:
-						seen["denormal"] = true
+	poisoned := func(n int) []float32 {
+		c := make([]float32, n)
+		for i := range c {
+			c[i] = math.Float32frombits(0x7fa5a5a5) // a signalling NaN no kernel writes
+		}
+		return c
+	}
+	for _, slope := range []float32{1, 0.1} {
+		seen := map[string]bool{} // the special classes that reached an output
+		for M := 1; M <= 9; M++ {
+			for _, nc := range ncs {
+				for _, K := range []int{0, 1, 2, 9, 144, 216} {
+					lda, ldb, ldc := K+rng.Intn(3), nc+rng.Intn(3)*7, nc+rng.Intn(3)*5
+					a := gemmOperand(rng, max((M-1)*lda+K, 0), specials)
+					bias := gemmOperand(rng, M, specials)
+					b := gemmOperand(rng, max((K-1)*ldb+nc, 0), specials)
+					what := fmt.Sprintf("slope=%v M=%d K=%d nc=%d lda=%d ldb=%d ldc=%d", slope, M, K, nc, lda, ldb, ldc)
+					want, got, sums := poisoned((M-1)*ldc+nc), poisoned((M-1)*ldc+nc), poisoned((M-1)*ldc+nc)
+					gemmBlock(a, lda, bias, b, ldb, want, ldc, M, K, nc, slope)
+					gemmTiles(a, lda, bias, b, ldb, got, ldc, M, K, nc, slope)
+					requireSameBits(t, what, got, want)
+					gemmBlock(a, lda, bias, b, ldb, sums, ldc, M, K, nc, 1)
+					for m := range M {
+						row := sums[m*ldc : m*ldc+nc]
+						for i, v := range row {
+							if v < 0 {
+								row[i] = slope * v
+							}
+						}
+					}
+					requireSameBits(t, what+" against the scalar leaky loop", want, sums)
+					for _, v := range want {
+						switch bits := math.Float32bits(v); {
+						case bits == 0xffc00000:
+							seen["NaN"] = true
+						case math.IsInf(float64(v), 1):
+							seen["+Inf"] = true
+						case math.IsInf(float64(v), -1):
+							seen["-Inf"] = true
+						case bits == 1<<31:
+							seen["-0"] = true
+						case v != 0 && math.Abs(float64(v)) < 0x1p-126:
+							seen["denormal"] = true
+						}
 					}
 				}
 			}
 		}
-	}
-	if len(seen) != 4 {
-		t.Fatalf("outputs covered only %v of NaN, Inf, -0 and denormal", seen)
+		if len(seen) != 5 {
+			t.Fatalf("slope %v: outputs covered only %v of NaN, +Inf, -Inf, -0 and denormal", slope, seen)
+		}
 	}
 }
 

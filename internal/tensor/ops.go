@@ -37,10 +37,10 @@ func NewConv2D(rng *rand.Rand, inC, outC, k, stride, pad int) *Conv2D {
 	return c
 }
 
-// Block is the convolution's ConvKernel: the GEMM alone.
+// Block is the convolution's ConvKernel: the GEMM alone, at slope 1.
 func (c *Conv2D) Block(panel []float32, ldb int, y []float32, ldc, u int) {
 	kdim := c.InC * c.K * c.K
-	gemm(c.W.Data, kdim, c.B.Data, panel, ldb, y, ldc, c.OutC, kdim, u)
+	gemm(c.W.Data, kdim, c.B.Data, panel, ldb, y, ldc, c.OutC, kdim, u, 1)
 }
 
 // Forward computes the convolution. The input must be [N, InC, H, W].
