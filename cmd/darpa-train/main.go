@@ -5,8 +5,7 @@
 //
 // Usage:
 //
-//	darpa-train -out weights [-samples 1072] [-epochs 28] [-quick] [-skip-rcnn]
-//	darpa-train -adversarial [-corpus internal/adversary/testdata/corpus.json]
+//	darpa-train -out weights [-samples 1072] [-epochs 28] [-quick] [-skip-rcnn] [-skip-masked]
 package main
 
 import (
@@ -17,7 +16,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/adversary"
 	"repro/internal/auigen"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
@@ -34,8 +32,6 @@ func main() {
 	quick := flag.Bool("quick", false, "tiny configuration for smoke testing")
 	skipRCNN := flag.Bool("skip-rcnn", false, "skip the four RCNN baselines")
 	skipMasked := flag.Bool("skip-masked", false, "skip the text-masked variant")
-	adversarial := flag.Bool("adversarial", false, "fine-tune on the mined attack corpus and save yolite_hardened")
-	corpusPath := flag.String("corpus", adversary.DefaultCorpusPath, "mined attack corpus (used with -adversarial)")
 	flag.Parse()
 
 	if *quick {
@@ -52,7 +48,7 @@ func main() {
 	split := dataset.SplitSamples(all, experiments.SplitRand())
 	log.Printf("split: %d train / %d val / %d test", len(split.Train), len(split.Val), len(split.Test))
 
-	train := func(name string, samples []*dataset.Sample) *yolite.Model {
+	train := func(name string, samples []*dataset.Sample) {
 		start := time.Now()
 		m := yolite.Train(samples, yolite.TrainConfig{
 			Epochs: *epochs,
@@ -70,44 +66,12 @@ func main() {
 		ev := yolite.Evaluate(m, split.Test, 0.9)
 		log.Printf("%s trained in %v — test F1@0.9 = %.3f -> %s",
 			name, time.Since(start).Round(time.Second), ev.All().F1(), path)
-		return m
 	}
 
 	trainSet := append(append([]*dataset.Sample{}, split.Train...), split.Val...)
 	negs := auigen.BuildNegativeSamples(experiments.DatasetSeed+1,
 		int(float64(len(trainSet))*experiments.NegativeFraction), cfg)
-	base := train("yolite", append(append([]*dataset.Sample{}, trainSet...), negs...))
-
-	if *adversarial {
-		corpus, err := adversary.LoadCorpus(*corpusPath)
-		if err != nil {
-			log.Fatalf("loading corpus: %v", err)
-		}
-		seeds := make([]int64, 0, len(corpus.Entries))
-		for _, e := range corpus.Entries {
-			seeds = append(seeds, e.Seed)
-		}
-		log.Printf("adversarial fine-tune: %d mined screens from %s...", len(seeds), *corpusPath)
-		clean := adversary.Samples(adversary.EvalScreens(seeds, auigen.Knobs{}, cfg))
-		hardened, err := adversary.Harden(base, corpus.Screens(cfg), clean, adversary.HardenConfig{
-			Epochs: max(8, *epochs/2),
-			Seed:   experiments.ModelSeed,
-			Progress: func(e int, l float64) {
-				if e%4 == 0 {
-					log.Printf("  yolite_hardened epoch %d loss %.3f", e, l)
-				}
-			},
-		})
-		if err != nil {
-			log.Fatalf("hardening: %v", err)
-		}
-		path := filepath.Join(*out, "yolite_hardened.gob")
-		if err := hardened.Save(path); err != nil {
-			log.Fatalf("saving %s: %v", path, err)
-		}
-		ev := yolite.Evaluate(hardened, split.Test, 0.9)
-		log.Printf("yolite_hardened — clean test F1@0.9 = %.3f -> %s", ev.All().F1(), path)
-	}
+	train("yolite", append(append([]*dataset.Sample{}, trainSet...), negs...))
 
 	if !*skipMasked {
 		log.Printf("generating text-masked dataset...")

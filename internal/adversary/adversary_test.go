@@ -1,7 +1,10 @@
 package adversary
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -101,11 +104,24 @@ func TestSearchPanicsWithoutScreens(t *testing.T) {
 	Search(Config{Seed: 1, Objective: cheapObjective})
 }
 
+// loadCorpus reads a corpus written by Corpus.Save.
+func loadCorpus(path string) (*Corpus, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var c Corpus
+	if err := json.Unmarshal(data, &c); err != nil {
+		return nil, fmt.Errorf("adversary: parsing corpus %s: %w", path, err)
+	}
+	return &c, nil
+}
+
 // TestCorpusValidity is the checked-in-corpus invariant: every (seed, knobs)
 // recipe in testdata/corpus.json must regenerate into a screen that still
 // passes the asymmetry validator with non-degenerate ground truth.
 func TestCorpusValidity(t *testing.T) {
-	c, err := LoadCorpus(filepath.Join("testdata", "corpus.json"))
+	c, err := loadCorpus(filepath.Join("testdata", "corpus.json"))
 	if err != nil {
 		t.Fatalf("loading checked-in corpus: %v", err)
 	}
@@ -161,7 +177,7 @@ func TestCorpusSaveLoadRoundTrip(t *testing.T) {
 	if err := c.Save(path); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	got, err := LoadCorpus(path)
+	got, err := loadCorpus(path)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}

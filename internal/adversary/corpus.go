@@ -8,7 +8,6 @@ package adversary
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 
@@ -80,17 +79,4 @@ func (c *Corpus) Save(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// LoadCorpus reads a corpus written by Save.
-func LoadCorpus(path string) (*Corpus, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var c Corpus
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, fmt.Errorf("adversary: parsing corpus %s: %w", path, err)
-	}
-	return &c, nil
 }

@@ -20,10 +20,11 @@ const DefaultAuditBatch = 8
 // stacked into [batchSize, 3, H, W] chunks and run through the detector seam,
 // one call — for the conv backends one backbone forward — per chunk, whose
 // items are built and decoded on the worker pool. Detections come back per
-// screen, scaled to that canvas's own coordinate system like
-// detect.PredictCanvasCtx. A cancelled audit stops within roughly one conv
-// layer and returns ctx.Err() along with the screens fully audited so far —
-// partial results are exactly what a deadline-bounded audit wants to keep.
+// screen in new slices, scaled to that canvas's own coordinate system by
+// detect.ToScreen, as detect.PredictCanvasCtx scales one screen. A cancelled
+// audit stops within roughly one conv layer and returns ctx.Err() along with
+// the screens fully audited so far — partial results are exactly what a
+// deadline-bounded audit wants to keep.
 func AuditScreensCtx(ctx context.Context, p detect.Detector, shots []*render.Canvas, confThresh float64, batchSize int) ([][]metrics.Detection, error) {
 	if batchSize <= 0 {
 		batchSize = DefaultAuditBatch
@@ -37,12 +38,7 @@ func AuditScreensCtx(ctx context.Context, p detect.Detector, shots []*render.Can
 			return out, err
 		}
 		for i, dets := range res {
-			sx := float64(chunk[i].W) / float64(yolite.InputW)
-			sy := float64(chunk[i].H) / float64(yolite.InputH)
-			for j := range dets {
-				dets[j].B = dets[j].B.Scale(sx, sy)
-			}
-			out = append(out, dets)
+			out = append(out, detect.ToScreen(dets, chunk[i].W, chunk[i].H))
 		}
 	}
 	return out, nil

@@ -339,7 +339,7 @@ func (s *Service) analyze() {
 	s.mu.Lock()
 	s.stats.Analyses++
 	s.mu.Unlock()
-	shift := s.postprocess(dets)
+	dets, shift := s.postprocess(dets)
 	if err := ctx.Err(); err != nil {
 		s.abandon(err)
 		return

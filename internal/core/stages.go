@@ -69,21 +69,18 @@ func (s *Service) infer(ctx context.Context, x *tensor.Tensor) ([]metrics.Detect
 	return detect.Only(detect.Guarded(ctx, s.detector, x, s.cfg.confThresh()))
 }
 
-// postprocess scales dets in place from model-input to screen coordinates
-// and, when something was found, measures where overlays must go: the
-// returned shift maps a screen rectangle to an overlay frame. It is the top
-// window's origin less the anchor-view calibration offset (Section IV-D;
-// the offset is left out under Config.DisableCalibration).
-func (s *Service) postprocess(dets []metrics.Detection) (shift geom.Pt) {
+// postprocess maps the detector's answer from model-input to screen
+// coordinates (detect.ToScreen, a new slice: raw is read-only) and, when
+// something was found, measures where overlays must go: the returned shift
+// maps a screen rectangle to an overlay frame. It is the top window's origin
+// less the anchor-view calibration offset (Section IV-D; the offset is left
+// out under Config.DisableCalibration).
+func (s *Service) postprocess(raw []metrics.Detection) (dets []metrics.Detection, shift geom.Pt) {
 	defer s.timed(StagePostprocess)()
 	screen := s.mgr.Screen()
-	sx := float64(screen.W) / float64(yolite.InputW)
-	sy := float64(screen.H) / float64(yolite.InputH)
-	for i := range dets {
-		dets[i].B = dets[i].B.Scale(sx, sy)
-	}
+	dets = detect.ToScreen(raw, screen.W, screen.H)
 	if len(dets) == 0 {
-		return geom.Pt{}
+		return dets, geom.Pt{}
 	}
 	// WindowManager.addView positions views relative to the app window; the
 	// model reports screen coordinates. Calibration subtracts the
@@ -94,7 +91,7 @@ func (s *Service) postprocess(dets []metrics.Detection) (shift geom.Pt) {
 	if top := screen.TopWindow(); top != nil {
 		shift = shift.Add(geom.Pt{X: top.Frame.X, Y: top.Frame.Y})
 	}
-	return shift
+	return dets, shift
 }
 
 // act applies the analysis: decoration (ModeFull), the observer callback,

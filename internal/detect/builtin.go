@@ -58,7 +58,7 @@ func buildYoliteNamed(name string, ctx BuildContext) (*yolite.Model, error) {
 	if ctx.WeightsDir != "" {
 		path := weightsPath(ctx.WeightsDir, name)
 		if _, err := os.Stat(path); err == nil {
-			m := yolite.NewModel(ctx.seed())
+			m := yolite.NewModel(trainSeed)
 			if err := m.Load(path); err == nil {
 				ctx.logf("loaded %s", path)
 				return m, nil
@@ -73,7 +73,7 @@ func buildYoliteNamed(name string, ctx BuildContext) (*yolite.Model, error) {
 	ctx.logf("training %s (%d samples, %d epochs)...", name, len(pool), ctx.Epochs)
 	m := yolite.Train(pool, yolite.TrainConfig{
 		Epochs: ctx.Epochs,
-		Seed:   ctx.seed(),
+		Seed:   trainSeed,
 		Progress: func(ep int, l float64) {
 			if ep%4 == 0 {
 				ctx.logf("  %s epoch %d loss %.2f", name, ep, l)
@@ -120,7 +120,7 @@ func buildRCNN(v rcnn.Variant) Builder {
 			return nil, fmt.Errorf("detect: %s: %w", v.Slug(), err)
 		}
 		ctx.logf("training %s (%d samples)...", v.Slug(), len(pool))
-		return rcnn.Train(v, pool, rcnn.TrainConfig{Epochs: ctx.Epochs, Seed: ctx.seed()}), nil
+		return rcnn.Train(v, pool, rcnn.TrainConfig{Epochs: ctx.Epochs, Seed: trainSeed}), nil
 	}
 }
 

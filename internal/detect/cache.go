@@ -28,7 +28,9 @@ type Key uint64
 // One mutex guards everything. Every table in the tree is driven by a single
 // goroutine (the fleet's clock, one core.Service, one audit loop), and KeyOf
 // — ~95% of a Cache hit — runs outside the lock, so the critical section is
-// a map lookup and a slice copy. Safe for concurrent use.
+// a map lookup. A stored answer is handed as-is to every hit: it is
+// read-only, like every answer at the seam (see Detector). Safe for
+// concurrent use.
 type Table struct {
 	mu      sync.Mutex
 	entries map[Key][]metrics.Detection
@@ -43,6 +45,7 @@ type Table struct {
 
 // Cache is a Table in front of a detector, for a caller that holds only
 // floats: PredictBatchCtx keys each item and forwards the misses to inner.
+// It shares its answers the way the Table does.
 type Cache struct {
 	Table
 	inner Detector
@@ -161,23 +164,21 @@ func KeyOf(x *tensor.Tensor, n int, confThresh float64) (Key, bool) {
 	return Key(h.Sum64()), true
 }
 
-// Lookup checks one key, counting the hit or miss. On a hit it returns a
-// fresh copy of the memoised slice (the pipeline scales detection boxes in
-// place).
+// Lookup checks one key, counting the hit or miss. On a hit it returns the
+// memoised slice itself.
 func (c *Table) Lookup(key Key) ([]metrics.Detection, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if dets, hit := c.entries[key]; hit {
 		c.hits++
-		return append([]metrics.Detection(nil), dets...), true
+		return dets, true
 	}
 	c.misses++
 	return nil, false
 }
 
-// Store memoises dets under key (copying the slice), evicting the oldest
-// entry when the ring is full. Re-storing a key another call raced in is a
-// no-op.
+// Store memoises dets under key, evicting the oldest entry when the ring is
+// full. Re-storing a key another call raced in is a no-op.
 func (c *Table) Store(key Key, dets []metrics.Detection) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -193,7 +194,7 @@ func (c *Table) Store(key Key, dets []metrics.Detection) {
 	} else {
 		c.ring[n] = key // head stays 0 until the ring first fills
 	}
-	c.entries[key] = append([]metrics.Detection(nil), dets...)
+	c.entries[key] = dets
 }
 
 // cacheMiss is one unique screen the memo could not answer: the batch item
@@ -207,8 +208,8 @@ type cacheMiss struct {
 // compacted miss sub-batch, under ctx, to the inner detector — so an unchanged
 // screen skips inference entirely and an audit batch pays only for content
 // the cache has not seen. Duplicate screens within one batch are forwarded
-// once and fanned back out. Returned slices are fresh copies: the pipeline
-// scales detection boxes in place.
+// once and fanned back out. A hit, a miss and its duplicates all get the one
+// stored slice.
 //
 // Hits() counts items answered from the memo; Misses() counts the rest (an
 // in-batch duplicate is a miss, though only its first occurrence reaches the
@@ -219,7 +220,7 @@ type cacheMiss struct {
 // corrupt answer propagates its error and stores nothing, so no bad answer
 // ever poisons the memo (misses already counted stay counted — the lookup
 // did happen). The bookkeeping is allocated on the first miss, so a batch of
-// hits pays for the result slices and nothing else.
+// hits pays for the outer result slice and nothing else.
 func (c *Cache) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -277,8 +278,7 @@ scan:
 		out[m.item] = res[j]
 	}
 	for _, d := range dups {
-		// Hand a duplicate a copy, like a cache hit would.
-		out[d[0]] = append([]metrics.Detection(nil), res[d[1]]...)
+		out[d[0]] = res[d[1]]
 	}
 	return out, nil
 }

@@ -8,8 +8,9 @@
 // The contract mirrors the paper's Fig. 5 hand-off: the pipeline gives the
 // detector a normalised screenshot tensor and gets back detections in
 // model-input coordinates; everything upstream (debounce, capture) and
-// downstream (scaling, calibration, decoration) is the pipeline's business,
-// which is what lets Table V swap detectors without touching the service.
+// downstream (scaling with ToScreen, calibration, decoration) is the
+// pipeline's business, which is what lets Table V swap detectors without
+// touching the service.
 package detect
 
 import (
@@ -41,6 +42,12 @@ import (
 //   - on success len(result) == N, and item i's detections do not depend on
 //     the other items in the batch (frauddroid is the one exception: only
 //     slot 0 carries the live screen).
+//
+// Ownership: the outer slice belongs to the caller, who may replace its
+// items. Each item's []metrics.Detection is read-only to every caller and
+// may be shared — a result table hands the same slice to every hit, and a
+// stub may answer every call with one slice. A caller that needs other
+// boxes builds a new slice (ToScreen, faults.CorruptDetections).
 type Detector interface {
 	Name() string
 	PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error)
@@ -112,19 +119,29 @@ func PredictCanvas(p Detector, c *render.Canvas, confThresh float64) []metrics.D
 // PredictCanvasCtx runs a detector on a screenshot under a per-request
 // context: tenant identity and cancellation ride ctx into the backend (the
 // serving layers read both), and detections come back scaled to the sw x sh
-// screen, whose pixels c holds at any resolution (httpd decodes them straight
-// to the model's size). It is the one-call path a network front end needs:
-// pixels in, screen-coordinate detections out, admission errors surfaced.
-// It reaches p through Guarded, so a panic or a corrupt answer is an error.
+// screen (ToScreen), whose pixels c holds at any resolution (httpd decodes
+// them straight to the model's size). It is the one-call path a network
+// front end needs: pixels in, screen-coordinate detections out, admission
+// errors surfaced. It reaches p through Guarded, so a panic or a corrupt
+// answer is an error.
 func PredictCanvasCtx(ctx context.Context, p Detector, c *render.Canvas, sw, sh int, confThresh float64) ([]metrics.Detection, error) {
 	dets, err := Only(Guarded(ctx, p, yolite.CanvasToTensor(c), confThresh))
 	if err != nil {
 		return nil, err
 	}
-	sx := float64(sw) / float64(yolite.InputW)
-	sy := float64(sh) / float64(yolite.InputH)
-	for i := range dets {
-		dets[i].B = dets[i].B.Scale(sx, sy)
+	return ToScreen(dets, sw, sh), nil
+}
+
+// ToScreen maps an answer from model-input coordinates (yolite.InputW x
+// yolite.InputH) onto a w x h screen. It is the one place an answer is
+// scaled, and it writes a new slice: dets is read-only (see Detector).
+func ToScreen(dets []metrics.Detection, w, h int) []metrics.Detection {
+	sx := float64(w) / float64(yolite.InputW)
+	sy := float64(h) / float64(yolite.InputH)
+	out := make([]metrics.Detection, len(dets))
+	for i, d := range dets {
+		d.B = d.B.Scale(sx, sy)
+		out[i] = d
 	}
-	return dets, nil
+	return out
 }

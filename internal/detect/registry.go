@@ -25,9 +25,6 @@ type BuildContext struct {
 	// Epochs bounds training when the builder has to train; zero lets the
 	// backend pick its default.
 	Epochs int
-	// Seed makes training deterministic; zero means 7 (the shared
-	// experiment model seed).
-	Seed int64
 	// Base, when non-nil, is an already-built detector that derived
 	// backends (the int8 port) reuse instead of rebuilding it.
 	Base Detector
@@ -44,19 +41,16 @@ func (c BuildContext) logf(format string, args ...any) {
 	}
 }
 
-func (c BuildContext) seed() int64 {
-	if c.Seed == 0 {
-		return 7
-	}
-	return c.Seed
-}
-
 func (c BuildContext) samples() ([]*dataset.Sample, error) {
 	if c.Samples == nil {
 		return nil, fmt.Errorf("detect: build context supplies no training samples")
 	}
 	return c.Samples(), nil
 }
+
+// trainSeed seeds every builder that trains or initialises a model: the
+// shared experiment model seed (experiments.ModelSeed).
+const trainSeed = 7
 
 // Builder constructs one backend from a build context.
 type Builder func(ctx BuildContext) (Detector, error)

@@ -204,7 +204,6 @@ func (f AttackSweep) Smoke(w io.Writer) error {
 		WeightsDir: f.Weights,
 		Samples:    attackPool(cfg),
 		Epochs:     10,
-		Seed:       ModelSeed,
 		Logf:       f.Logf,
 	})
 	if err != nil {
@@ -288,7 +287,6 @@ func (f AttackSweep) sweep(w io.Writer) (*benchAdversary, error) {
 		WeightsDir: f.Weights,
 		Samples:    attackPool(cfg),
 		Epochs:     10,
-		Seed:       ModelSeed,
 		Screen:     func() *uikit.Screen { return cur },
 		Logf:       f.Logf,
 	}
@@ -334,7 +332,7 @@ func (f AttackSweep) sweep(w io.Writer) (*benchAdversary, error) {
 	rows := []AttackRow{RecallUnderAttack("yolite", yl, clean, attacked, f.IoU, nil)}
 	if !f.SkipRCNN {
 		rc, err := detect.Build("mask-rcnn-resnet50", detect.BuildContext{
-			Samples: bctx.Samples, Epochs: 4, Seed: ModelSeed, Logf: f.Logf,
+			Samples: bctx.Samples, Epochs: 4, Logf: f.Logf,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("building rcnn: %w", err)

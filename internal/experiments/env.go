@@ -27,7 +27,8 @@ const (
 	MaskedSeed = DatasetSeed
 	// SplitSeed shuffles the 6:2:2 split.
 	SplitSeed = 622
-	// ModelSeed initialises model weights and training shuffles.
+	// ModelSeed initialises model weights and training shuffles; detect's
+	// builders use the same seed.
 	ModelSeed = 7
 	// DeviceSeed drives the simulated-device experiments.
 	DeviceSeed = 100
@@ -181,7 +182,6 @@ func (e *Env) buildContext(name string) detect.BuildContext {
 		WeightsDir:  e.WeightsDir,
 		SaveWeights: e.WeightsDir != "" && !e.Quick,
 		Epochs:      e.epochs(),
-		Seed:        ModelSeed,
 		Screen:      e.CurrentScreen,
 		Logf:        e.verbose,
 	}

@@ -54,9 +54,11 @@ func sleep(ctx context.Context, d time.Duration) error {
 
 // CorruptDetections returns a damaged copy of dets: the first detection's
 // box and score become NaN, and a detection with a negative-size,
-// astronomically placed box is appended. The damage is deterministic, and
-// detect.ValidDetections rejects it — which is exactly what lets retry and
-// fallback treat a corrupt result as a failure.
+// astronomically placed box is appended. The copy is required: an inner
+// answer is read-only and may be shared (detect.Detector), so damage written
+// into it would reach every other holder of that slice. The damage is
+// deterministic, and detect.ValidDetections rejects it — which is exactly
+// what lets retry and fallback treat a corrupt result as a failure.
 func CorruptDetections(dets []metrics.Detection) []metrics.Detection {
 	out := append([]metrics.Detection(nil), dets...)
 	nan := math.NaN()
