@@ -144,8 +144,8 @@ func main() {
 	}
 	shotIdx := 0
 	svc := h.Start(model)
-	svc.OnAnalysis = func(an core.Analysis) {
-		if len(an.Detections) == 0 {
+	h.OnAnalysis = func(an core.Analysis, _ bool) {
+		if !core.FlagsAUI(an.Detections) {
 			return
 		}
 		fmt.Printf("[%8v] AUI detected on %s:\n", an.At.Round(time.Millisecond), an.Package)
@@ -210,7 +210,16 @@ func main() {
 			byClick++
 		}
 	}
-	fmt.Printf("AUI popups shown by the app: %d (%d dismissed by click)\n", len(shown), byClick)
+	printLedger(h.Verdicts, len(shown), h.PopupsCaught, byClick)
+}
+
+// printLedger prints the run's verdicts (core.FlagsAUI: the analysis holds a
+// UPO) joined against the truth (a popup was up on the screen analysed), as
+// fleet.Handset and the fleet runner score them, and the popups' fates.
+func printLedger(v metrics.Confusion, shown, caught, clicked int) {
+	fmt.Printf("verdicts vs truth:           %d caught, %d false alarm, %d missed, %d quiet (precision %.1f%%, recall %.1f%%)\n",
+		v.AUIDetected, v.NonAUIFlagged, v.AUIMissed, v.NonAUIPassed, 100*v.Precision(), 100*v.Recall())
+	fmt.Printf("AUI popups:                  %d shown, %d caught, %d dismissed by a click\n", shown, caught, clicked)
 }
 
 // printFleet renders one fleet run's ledger.
@@ -220,8 +229,6 @@ func printFleet(res *fleet.Result, plan *faults.Plan) {
 	fmt.Printf("events:       %d seen, %d debounced (work avoided)\n", res.Events, res.Debounced)
 	fmt.Printf("analyses:     %d completed, %d superseded, %d rate-limited, %d shed, %d degraded\n",
 		res.Analyses, res.Superseded, res.RateLimited, res.Shed, res.Degraded)
-	fmt.Printf("AUIs:         %d popups shown, %d flagged analyses, %d auto-bypassed\n",
-		res.Popups, res.Flagged, res.Bypassed)
 	st := res.Serve
 	fmt.Printf("admission:    %d offered = %d admitted + %d shed + %d rejected (%d tenants)\n",
 		st.Offered, st.Admitted, st.Shed, st.Rejected, len(st.Tenants))
@@ -247,6 +254,7 @@ func printFleet(res *fleet.Result, plan *faults.Plan) {
 	if res.Timings != nil {
 		fmt.Printf("serving:      %s\n", res.Timings.String())
 	}
+	printLedger(res.Verdicts, res.Popups, res.PopupsCaught, res.Bypassed)
 }
 
 // dumpMetrics writes the families as Prometheus text (<path>.prom) and JSON

@@ -104,11 +104,8 @@ func main() {
 			fmt.Printf("audit deadline hit on %s after %d screens; reporting what completed\n", cfg.Package, len(audited))
 		}
 		for _, dets := range audited {
-			for _, d := range dets {
-				if d.Class == dataset.ClassUPO {
-					row.auiScreens++
-					break
-				}
+			if core.FlagsAUI(dets) {
+				row.auiScreens++
 			}
 		}
 		total += row.screens

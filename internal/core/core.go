@@ -114,7 +114,7 @@ type Stats struct {
 	// of crashing the service — the screen simply goes unprotected, which is
 	// the graceful floor.
 	Degraded int
-	// AUIFlagged counts analyses that detected at least one option.
+	// AUIFlagged counts analyses that flag their screen (FlagsAUI: a UPO).
 	AUIFlagged int
 	// DecorationsDrawn counts decoration views added.
 	DecorationsDrawn int

@@ -259,6 +259,26 @@ func TestDetectModeDoesNotDecorate(t *testing.T) {
 	}
 }
 
+// TestAGOAloneIsNotAVerdict: the act stage flags and bypasses through
+// FlagsAUI, so an analysis holding only an AGO decorates it but flags nothing
+// and clicks nothing.
+func TestAGOAloneIsNotAVerdict(t *testing.T) {
+	clock, mgr, screen := newEnv(12)
+	screen.AddWindow(&uikit.Window{Owner: "app", Type: uikit.WindowApp, Frame: screen.Bounds(),
+		Root: &uikit.View{Kind: uikit.KindContainer, Bounds: screen.Bounds()}})
+	ago := upoDet(20, 2, 4, 4)
+	ago.Class = dataset.ClassAGO
+	s := Start(clock, mgr, &fakeDetector{dets: []metrics.Detection{ago}}, Config{AutoBypass: true})
+	mgr.Emit(a11y.TypeWindowsChanged, "app")
+	clock.RunFor(time.Second)
+	if st := s.Stats(); st.Analyses != 1 || st.DecorationsDrawn != 1 || st.AUIFlagged != 0 || st.Bypasses != 0 {
+		t.Fatalf("stats %+v, want one analysis drawing one border, no flag, no click", st)
+	}
+	if !FlagsAUI([]metrics.Detection{ago, upoDet(0, 0, 1, 1)}) || FlagsAUI(nil) {
+		t.Fatal("FlagsAUI is not the any-UPO rule")
+	}
+}
+
 func TestStopCancelsPendingWork(t *testing.T) {
 	clock, mgr, _ := newEnv(12)
 	s := Start(clock, mgr, &fakeDetector{}, Config{})

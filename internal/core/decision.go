@@ -57,6 +57,19 @@ func PlanDecorations(dets []metrics.Detection, upoCol, agoCol render.Color, stro
 	return out
 }
 
+// FlagsAUI is the one screen verdict: an analysis flags its screen as an AUI
+// when its detections hold a UPO, the option the dark pattern hides (Table
+// VI's rule). The act stage's flag count and bypass gate, the fleet's ledger
+// and bypass, Table VI and the store audit all decide through it.
+func FlagsAUI(dets []metrics.Detection) bool {
+	for _, d := range dets {
+		if d.Class == dataset.ClassUPO {
+			return true
+		}
+	}
+	return false
+}
+
 // BypassTargets selects the UPO regions an auto-bypass clicks, highest
 // confidence first, at most three (Section IV-D: a benign false positive
 // absorbs one click harmlessly while the real close button still gets hit).

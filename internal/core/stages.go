@@ -102,18 +102,19 @@ func (s *Service) postprocess(raw []metrics.Detection) (dets []metrics.Detection
 // observed).
 func (s *Service) act(rec Analysis, shift geom.Pt) {
 	defer s.timed(StageAct)()
-	if len(rec.Detections) > 0 {
+	flagged := FlagsAUI(rec.Detections)
+	if flagged {
 		s.mu.Lock()
 		s.stats.AUIFlagged++
 		s.mu.Unlock()
-		if s.cfg.mode() == ModeFull {
-			s.decorate(rec.Detections, shift)
-		}
+	}
+	if s.cfg.mode() == ModeFull {
+		s.decorate(rec.Detections, shift)
 	}
 	if s.OnAnalysis != nil {
 		s.OnAnalysis(rec)
 	}
-	if len(rec.Detections) > 0 && s.cfg.AutoBypass {
+	if flagged && s.cfg.AutoBypass {
 		s.bypass(rec.Detections)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/fleet"
 	"repro/internal/frauddroid"
@@ -48,20 +47,18 @@ func (e *Env) deviceApps() int {
 // runResult aggregates one app session.
 type runResult struct {
 	activity    perfmodel.Activity
-	screens     int // analyses performed
 	auisShown   int // ground-truth popups that appeared
-	auisCaught  int // popups present during >=1 analysis that flagged a UPO
+	auisCaught  int // popups up during >=1 flagged analysis (fleet.Handset)
 	darpaConf   metrics.Confusion
 	fdConf      metrics.Confusion
 	eventsTotal int
 }
 
-// runApp simulates one app for a minute under DARPA with the given cut-off,
-// scoring both DARPA and the FraudDroid-like baseline on every analysed
-// screen.
-func (e *Env) runApp(idx int, ct time.Duration, mode core.Mode, withFD bool) runResult {
+// appHandset assembles app idx's device under DARPA with the given cut-off
+// and mode; nothing runs until Start.
+func appHandset(idx int, ct time.Duration, mode core.Mode) *fleet.Handset {
 	obf := idx%20 < int(obfuscationRate*20) // 17 of every 20 apps
-	h := fleet.NewHandset(fleet.HandsetConfig{
+	return fleet.NewHandset(fleet.HandsetConfig{
 		Seed: int64(DeviceSeed + idx),
 		App: app.Config{
 			Package:         fmt.Sprintf("com.app%03d", idx),
@@ -79,6 +76,13 @@ func (e *Env) runApp(idx int, ct time.Duration, mode core.Mode, withFD bool) run
 			ConfThresh: 0.80,
 		},
 	})
+}
+
+// runApp simulates one app for a minute under DARPA with the given cut-off.
+// The handset scores DARPA on every analysed screen; with withFD the
+// FraudDroid-like baseline is scored on the same screens and truth.
+func (e *Env) runApp(idx int, ct time.Duration, mode core.Mode, withFD bool) runResult {
+	h := appHandset(idx, ct, mode)
 	var fd frauddroid.Detector
 
 	// Expose the run's screen to metadata-based backends for the duration of
@@ -87,26 +91,12 @@ func (e *Env) runApp(idx int, ct time.Duration, mode core.Mode, withFD bool) run
 	defer func() { e.curScreen = nil }()
 
 	var res runResult
-	caught := map[*app.AUIShowing]bool{}
-	svc := h.Start(e.runDetector())
-	svc.OnAnalysis = func(an core.Analysis) {
-		showing := h.App.Current()
-		labelled := showing != nil
-		flagged := false
-		for _, d := range an.Detections {
-			if d.Class == dataset.ClassUPO {
-				flagged = true
-				break
-			}
-		}
-		res.darpaConf.Add(labelled, flagged)
-		if labelled && flagged {
-			caught[showing] = true
-		}
-		if withFD {
-			res.fdConf.Add(labelled, fd.DetectScreen(h.Screen).IsAUI)
+	if withFD {
+		h.OnAnalysis = func(_ core.Analysis, aui bool) {
+			res.fdConf.Add(aui, fd.DetectScreen(h.Screen).IsAUI)
 		}
 	}
+	svc := h.Start(e.runDetector())
 	h.Run(appRunTime)
 	h.Stop()
 
@@ -117,14 +107,10 @@ func (e *Env) runApp(idx int, ct time.Duration, mode core.Mode, withFD bool) run
 		Analyses:        st.Analyses,
 		Decorations:     st.DecorationsDrawn,
 	}
-	res.screens = st.Analyses
 	res.eventsTotal = h.Mgr.Stats().Emitted
-	for _, shown := range h.App.History() {
-		res.auisShown++
-		if caught[shown] {
-			res.auisCaught++
-		}
-	}
+	res.auisShown = len(h.App.History())
+	res.auisCaught = h.PopupsCaught
+	res.darpaConf = h.Verdicts
 	return res
 }
 
@@ -138,14 +124,8 @@ func (e *Env) Table6() *Table {
 			e.verbose("Table VI: app %d/%d", i, n)
 		}
 		r := e.runApp(i, 0, core.ModeFull, true)
-		darpa.AUIDetected += r.darpaConf.AUIDetected
-		darpa.AUIMissed += r.darpaConf.AUIMissed
-		darpa.NonAUIFlagged += r.darpaConf.NonAUIFlagged
-		darpa.NonAUIPassed += r.darpaConf.NonAUIPassed
-		fd.AUIDetected += r.fdConf.AUIDetected
-		fd.AUIMissed += r.fdConf.AUIMissed
-		fd.NonAUIFlagged += r.fdConf.NonAUIFlagged
-		fd.NonAUIPassed += r.fdConf.NonAUIPassed
+		darpa.Merge(r.darpaConf)
+		fd.Merge(r.fdConf)
 	}
 	t := &Table{
 		ID:        "Table VI",
@@ -264,7 +244,7 @@ func (e *Env) Sweep() []CutoffSweep {
 		s := CutoffSweep{Cutoff: ct, Report: perfmodel.Estimate(act)}
 		for _, r := range runs {
 			s.Events += r.eventsTotal
-			s.Screens += r.screens
+			s.Screens += r.activity.Analyses
 			s.AUIsShown += r.auisShown
 			s.AUIsCaught += r.auisCaught
 		}

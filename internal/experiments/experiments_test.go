@@ -90,7 +90,7 @@ func TestEndToEndQuick(t *testing.T) {
 	// Device experiments with the quick model.
 	env.Quick = true
 	r := env.runApp(0, 0, core.ModeFull, true)
-	if r.screens == 0 {
+	if r.activity.Analyses == 0 {
 		t.Fatal("device run analysed no screens")
 	}
 	if r.eventsTotal == 0 {

@@ -28,7 +28,7 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/dataset"
+	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/faults"
 	"repro/internal/metrics"
@@ -116,8 +116,8 @@ func (c *Config) setDefaults() error {
 }
 
 // Result is one run's ledger. The simulation totals (Events through
-// Bypassed) and the table's three counters are deterministic per seed; the
-// serving-stack snapshot reflects real concurrent execution.
+// PopupsCaught) and the table's three counters are deterministic per seed;
+// the serving-stack snapshot reflects real concurrent execution.
 type Result struct {
 	Devices  int
 	Duration time.Duration
@@ -130,9 +130,12 @@ type Result struct {
 	Debounced  int // events that reset a pending ct timer
 	Analyses   int // analysis cycles that completed
 	Superseded int // in-flight analyses invalidated by a fresh event
-	Flagged    int // completed analyses that detected >= 1 option
 	Popups     int // AUI popups shown
 	Bypassed   int // popups dismissed by fleet-level auto-bypass
+	// Each completed analysis's verdict (core.FlagsAUI) against its screen's
+	// pool, and the popups flagged at least once, as a Handset scores them.
+	Verdicts     metrics.Confusion
+	PopupsCaught int
 
 	// Completion-side serving outcomes.
 	RateLimited int // analyses answered with serve.ErrRateLimited
@@ -157,6 +160,7 @@ type Result struct {
 // Only a leader's error unsettles it: complete then sends the follower itself.
 type analysis struct {
 	dev        *device
+	popup      uint32 // the truth: popupGen of the popup up at analyze, 0 if none
 	superseded bool
 	lead       *analysis
 	dets       []metrics.Detection
@@ -177,6 +181,7 @@ type device struct {
 	tenant   int32
 	popup    bool
 	popupGen uint32 // invalidates stale dwell-dismiss events
+	caught   uint32 // popupGen of the last popup counted in PopupsCaught
 	debounce *sim.Event
 	cur      *analysis
 }
@@ -373,13 +378,13 @@ func (r *runner) analyze(d *device) {
 	if r.stopped {
 		return
 	}
+	an := &analysis{dev: d}
 	pool := r.lib.neg
 	if d.popup {
-		pool = r.lib.aui
+		pool, an.popup = r.lib.aui, d.popupGen
 	}
 	s := pool[d.rng.Intn(len(pool))]
 	modeled := 15*time.Millisecond + time.Duration(d.rng.Intn(20))*time.Millisecond
-	an := &analysis{dev: d}
 	d.cur = an
 	r.cfg.Timings.Observe("fleet-modeled-analysis", modeled)
 	hit := false
@@ -454,22 +459,18 @@ func (r *runner) complete(an *analysis) {
 		return
 	}
 	r.res.Analyses++
-	if len(an.dets) == 0 {
+	flagged := core.FlagsAUI(an.dets)
+	r.res.Verdicts.Add(an.popup != 0, flagged)
+	if !flagged || an.popup == 0 {
 		return
 	}
-	r.res.Flagged++
-	if r.cfg.Bypass && d.popup && hasUPO(an.dets) {
-		r.dismissAUI(d, d.popupGen, true)
+	if d.caught != an.popup {
+		d.caught = an.popup
+		r.res.PopupsCaught++
 	}
-}
-
-func hasUPO(dets []metrics.Detection) bool {
-	for _, det := range dets {
-		if det.Class == dataset.ClassUPO {
-			return true
-		}
+	if r.cfg.Bypass {
+		r.dismissAUI(d, an.popup, true)
 	}
-	return false
 }
 
 // scheduleAUI arms d's next popup at an exponential interval, as

@@ -34,10 +34,31 @@ func (stubDetector) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, _ flo
 	return out, nil
 }
 
+// fixedStub answers every screen with the same detections. Neither nothing
+// nor an AGO alone holds a UPO, so with either no analysis may flag.
+type fixedStub struct{ dets []metrics.Detection }
+
+func (fixedStub) Name() string { return "fixed-stub" }
+
+func (f fixedStub) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, _ float64) ([][]metrics.Detection, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	out := make([][]metrics.Detection, x.Shape[0])
+	for i := range out {
+		out[i] = f.dets
+	}
+	return out, nil
+}
+
+// quietStubs are the backends that never flag: one answers nothing, one
+// answers an AGO alone.
+var quietStubs = []fixedStub{{}, {dets: []metrics.Detection{{Class: dataset.ClassAGO, Score: 0.99}}}}
+
 // contentStub answers from the pixels — a UPO iff a sparse checksum of the
 // item's float bits is odd, nothing otherwise — so an entry filed under the
-// wrong key changes Flagged and Bypassed instead of hiding behind a constant
-// answer.
+// wrong key changes the verdicts and Bypassed instead of hiding behind a
+// constant answer.
 type contentStub struct{}
 
 func (contentStub) Name() string { return "content-stub" }
@@ -106,9 +127,20 @@ func conserved(t *testing.T, r *Result) {
 // virtual clock alone decides, which includes who answered each analysis —
 // the table, a leader in flight, or the stack. Wall time, throughput and
 // serve-internal watermarks are excluded by construction.
-func deterministic(r *Result) [12]int {
-	return [12]int{r.Events, r.Debounced, r.Analyses, r.Superseded, r.Flagged,
+func deterministic(r *Result) [16]int {
+	v := r.Verdicts
+	return [16]int{r.Events, r.Debounced, r.Analyses, r.Superseded,
+		v.AUIDetected, v.NonAUIFlagged, v.AUIMissed, v.NonAUIPassed, r.PopupsCaught,
 		r.Popups, r.Bypassed, r.RateLimited, r.Shed, r.CacheHits, r.CacheMisses, r.Coalesced}
+}
+
+// scored fails the test unless every completed analysis has exactly one
+// verdict in the ledger.
+func scored(t *testing.T, r *Result) {
+	t.Helper()
+	if v := r.Verdicts; v.AUIDetected+v.NonAUIFlagged+v.AUIMissed+v.NonAUIPassed != r.Analyses {
+		t.Fatalf("verdicts %+v do not sum to %d completed analyses", v, r.Analyses)
+	}
 }
 
 // TestReplayDeterminism pins satellite 1: same seed, same knobs → identical
@@ -130,6 +162,13 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 	if a.RateLimited != 0 || a.Shed != 0 {
 		t.Fatalf("admission interfered with an unlimited run: %+v", a)
+	}
+	// The stub answers a UPO everywhere, so every analysis flags: the truth
+	// alone splits them, and nothing is missed or quiet. With bypass on, a
+	// popup's first flagged analysis dismisses it, so each is caught once.
+	scored(t, a)
+	if want := (metrics.Confusion{AUIDetected: 358, NonAUIFlagged: 886}); a.Verdicts != want || a.PopupsCaught != 358 {
+		t.Fatalf("seed 7 verdicts %+v, %d popups caught; pinned %+v, 358", a.Verdicts, a.PopupsCaught, want)
 	}
 }
 
@@ -174,9 +213,28 @@ func TestCorruptPlanDegradesEveryAnswer(t *testing.T) {
 	cfg.Plan = faults.NewPlan(5, faults.Rule{Kind: faults.Corrupt, Rate: 1})
 	res := run(t, cfg)
 	conserved(t, res)
-	if calls := submitted(res) - res.Superseded; res.Degraded == 0 || res.Degraded != calls || res.Flagged != 0 || res.Analyses != 0 {
-		t.Fatalf("%d stack answers, %d degraded, %d flagged, %d completed: want every answer degraded and none flagged (%s)",
-			calls, res.Degraded, res.Flagged, res.Analyses, cfg.Plan)
+	if calls := submitted(res) - res.Superseded; res.Degraded == 0 || res.Degraded != calls || res.Verdicts != (metrics.Confusion{}) || res.Analyses != 0 {
+		t.Fatalf("%d stack answers, %d degraded, verdicts %+v, %d completed: want every answer degraded and none scored (%s)",
+			calls, res.Degraded, res.Verdicts, res.Analyses, cfg.Plan)
+	}
+}
+
+// TestVerdictLedgerCanFail: the ledger joins the backend's answers to the
+// truth, so a backend that never flags is all missed and quiet, and one that
+// always answers a UPO is all caught and false alarm.
+func TestVerdictLedgerCanFail(t *testing.T) {
+	for _, stub := range quietStubs {
+		quiet := runOn(t, smallConfig(7), stub)
+		scored(t, quiet)
+		if v := quiet.Verdicts; v.AUIDetected != 0 || v.NonAUIFlagged != 0 || v.AUIMissed == 0 || v.NonAUIPassed == 0 ||
+			quiet.PopupsCaught != 0 || quiet.Bypassed != 0 {
+			t.Fatalf("backend answering %v: verdicts %+v, %d caught, %d bypassed", stub.dets, v, quiet.PopupsCaught, quiet.Bypassed)
+		}
+	}
+	loud := run(t, smallConfig(7))
+	scored(t, loud)
+	if v := loud.Verdicts; v.AUIMissed != 0 || v.NonAUIPassed != 0 || v.AUIDetected == 0 || v.NonAUIFlagged == 0 {
+		t.Fatalf("always-UPO backend: verdicts %+v", v)
 	}
 }
 
@@ -243,6 +301,11 @@ func TestResultFamilies(t *testing.T) {
 		`darpa_fleet_events_total{kind="seen"}`,
 		`darpa_fleet_analyses_total{outcome="completed"}`,
 		`darpa_fleet_popups_total{kind="shown"}`,
+		`darpa_fleet_popups_total{kind="caught"}`,
+		`darpa_fleet_verdicts_total{verdict="caught"}`,
+		`darpa_fleet_verdicts_total{verdict="false_alarm"}`,
+		`darpa_fleet_verdicts_total{verdict="missed"}`,
+		`darpa_fleet_verdicts_total{verdict="quiet"}`,
 		`darpa_cache_requests_total{outcome="hit"}`,
 		`darpa_cache_requests_total{outcome="coalesced"}`,
 		`darpa_admission_requests_total{verdict="admitted"}`,
@@ -287,7 +350,7 @@ func TestTableLedgerExact(t *testing.T) {
 // table without injecting anything, so the same seed runs once answered by
 // table and followers and once with every analysis riding the stack. What the
 // devices saw must be identical — with a stub whose answer depends on the
-// pixels, a mis-keyed or crossed entry would move Flagged or Bypassed.
+// pixels, a mis-keyed or crossed entry would move a verdict or Bypassed.
 func TestTableAgreesWithStack(t *testing.T) {
 	for _, seed := range []int64{7, 23} {
 		viaTable := runOn(t, smallConfig(seed), contentStub{})
@@ -295,12 +358,13 @@ func TestTableAgreesWithStack(t *testing.T) {
 		cfg.Plan = faults.NewPlan(seed)
 		viaStack := runOn(t, cfg, contentStub{})
 		sim := func(r *Result) [7]int {
-			return [7]int{r.Events, r.Debounced, r.Analyses, r.Superseded, r.Flagged, r.Popups, r.Bypassed}
+			return [7]int{r.Events, r.Debounced, r.Analyses, r.Superseded, r.PopupsCaught, r.Popups, r.Bypassed}
 		}
-		if sim(viaTable) != sim(viaStack) {
-			t.Fatalf("seed %d: table-served and stack-served runs disagree:\n  table=%v\n  stack=%v", seed, sim(viaTable), sim(viaStack))
+		if sim(viaTable) != sim(viaStack) || viaTable.Verdicts != viaStack.Verdicts {
+			t.Fatalf("seed %d: table-served and stack-served runs disagree:\n  table=%v %+v\n  stack=%v %+v",
+				seed, sim(viaTable), viaTable.Verdicts, sim(viaStack), viaStack.Verdicts)
 		}
-		if viaTable.Flagged == 0 || viaTable.Flagged == viaTable.Analyses || viaTable.Bypassed == 0 {
+		if v := viaTable.Verdicts; v.AUIDetected+v.NonAUIFlagged == 0 || v.AUIMissed+v.NonAUIPassed == 0 || viaTable.Bypassed == 0 {
 			t.Fatalf("seed %d: stub answered every screen alike: %+v", seed, viaTable)
 		}
 		if viaStack.CacheHits+viaStack.CacheMisses+viaStack.Coalesced != 0 || viaStack.Serve.Offered < viaStack.Analyses {
@@ -403,9 +467,9 @@ func TestSupersededLeader(t *testing.T) {
 	}
 	a.debounce.Cancel()
 	r.clock.Drain(8)
-	want := Result{Events: 2, Superseded: 2, Analyses: 1, Flagged: 1, Coalesced: 1}
+	want := Result{Events: 2, Superseded: 2, Analyses: 1, Verdicts: metrics.Confusion{NonAUIFlagged: 1}, Coalesced: 1}
 	if got := r.res; got.Events != want.Events || got.Superseded != want.Superseded || got.Analyses != want.Analyses ||
-		got.Flagged != want.Flagged || got.Coalesced != want.Coalesced || got.Degraded != 0 {
+		got.Verdicts != want.Verdicts || got.Coalesced != want.Coalesced || got.Degraded != 0 {
 		t.Fatalf("ledger %+v, want %+v", got, want)
 	}
 	if r.cache.Len() != 1 || len(r.inflight) != 0 || r.cache.Misses() != 2 {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/app"
 	"repro/internal/core"
 	"repro/internal/detect"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/uikit"
 )
@@ -40,6 +41,10 @@ type HandsetConfig struct {
 // Construction is two-phase: NewHandset wires the passive pieces (clock,
 // screen, manager) so callers can point detector build contexts at the
 // screen; Start then launches the active ones against a detector.
+//
+// The handset joins each verdict (core.FlagsAUI) to the truth, which the
+// service never reads: Verdicts scores every analysis against whether the
+// app had a popup up, and PopupsCaught counts the popups flagged at least once.
 type Handset struct {
 	Clock   *sim.Clock
 	Screen  *uikit.Screen
@@ -48,7 +53,14 @@ type Handset struct {
 	Monkey  *app.Monkey
 	Service *core.Service
 
-	cfg HandsetConfig
+	Verdicts     metrics.Confusion
+	PopupsCaught int
+	// OnAnalysis, when non-nil, receives each scored analysis and its truth
+	// label; Start takes the service's own hook.
+	OnAnalysis func(an core.Analysis, aui bool)
+
+	lastCaught *app.AUIShowing
+	cfg        HandsetConfig
 }
 
 // NewHandset builds the passive half of a device: clock, screen and
@@ -68,13 +80,29 @@ func NewHandset(cfg HandsetConfig) *Handset {
 }
 
 // Start launches the app, the Monkey and the DARPA service (in that order,
-// matching the pre-extraction callers) and returns the service so callers
-// can attach OnAnalysis hooks before any virtual time passes.
+// matching the pre-extraction callers) and returns the service.
 func (h *Handset) Start(det detect.Detector) *core.Service {
 	h.App = app.Launch(h.Clock, h.Mgr, h.cfg.App)
 	h.Monkey = app.StartMonkey(h.Clock, h.Mgr, "monkey", h.cfg.MonkeyPeriod)
 	h.Service = core.Start(h.Clock, h.Mgr, det, h.cfg.Service)
+	h.Service.OnAnalysis = h.score
 	return h.Service
+}
+
+// score joins one analysis's verdict against the popup up as it completes.
+// Popups come one at a time and never return, so the last one caught is all
+// it takes to count each once.
+func (h *Handset) score(an core.Analysis) {
+	showing := h.App.Current()
+	flagged := core.FlagsAUI(an.Detections)
+	h.Verdicts.Add(showing != nil, flagged)
+	if flagged && showing != nil && showing != h.lastCaught {
+		h.lastCaught = showing
+		h.PopupsCaught++
+	}
+	if h.OnAnalysis != nil {
+		h.OnAnalysis(an, showing != nil)
+	}
 }
 
 // Run advances the handset's virtual clock to the given elapsed time.

@@ -9,7 +9,7 @@ import (
 // WriteText/WriteJSON call captures the whole run — this is what darpa-sim
 // dumps per run.
 func (r *Result) Families() []metrics.Family {
-	secs := r.Duration.Seconds()
+	secs, v := r.Duration.Seconds(), r.Verdicts
 	rps := 0.0
 	if r.Wall > 0 {
 		rps = float64(r.Analyses) / r.Wall.Seconds()
@@ -32,12 +32,16 @@ func (r *Result) Families() []metrics.Family {
 			metrics.L(float64(r.RateLimited), "outcome", "rate_limited"),
 			metrics.L(float64(r.Shed), "outcome", "shed"),
 			metrics.L(float64(r.Degraded), "outcome", "degraded")),
-		metrics.Counter("darpa_fleet_aui_flagged_total",
-			"Completed analyses that detected at least one AUI option.",
-			metrics.V(float64(r.Flagged))),
+		metrics.Counter("darpa_fleet_verdicts_total",
+			"Completed analyses by verdict (flagged: the analysis holds a UPO) against the truth of the screen analysed.",
+			metrics.L(float64(v.AUIDetected), "verdict", "caught"),
+			metrics.L(float64(v.NonAUIFlagged), "verdict", "false_alarm"),
+			metrics.L(float64(v.AUIMissed), "verdict", "missed"),
+			metrics.L(float64(v.NonAUIPassed), "verdict", "quiet")),
 		metrics.Counter("darpa_fleet_popups_total",
-			"AUI popups by fate.",
+			"AUI popups by fate: shown, caught by at least one flagged analysis, dismissed by auto-bypass.",
 			metrics.L(float64(r.Popups), "kind", "shown"),
+			metrics.L(float64(r.PopupsCaught), "kind", "caught"),
 			metrics.L(float64(r.Bypassed), "kind", "bypassed")),
 		metrics.Gauge("darpa_fleet_throughput_rps",
 			"Completed analyses per wall-clock second.", metrics.V(rps)),

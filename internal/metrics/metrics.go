@@ -155,6 +155,14 @@ func (c *Confusion) Add(labelledAUI, detectedAUI bool) {
 	}
 }
 
+// Merge adds another matrix's screens to c.
+func (c *Confusion) Merge(o Confusion) {
+	c.AUIDetected += o.AUIDetected
+	c.AUIMissed += o.AUIMissed
+	c.NonAUIFlagged += o.NonAUIFlagged
+	c.NonAUIPassed += o.NonAUIPassed
+}
+
 // Precision is AUIDetected / (AUIDetected + NonAUIFlagged).
 func (c Confusion) Precision() float64 {
 	den := c.AUIDetected + c.NonAUIFlagged

@@ -125,6 +125,28 @@ func TestConfusion(t *testing.T) {
 	}
 }
 
+// TestConfusionMerge: merging adds cell to cell, so two matrices merged
+// equal one matrix fed both sets of screens.
+func TestConfusionMerge(t *testing.T) {
+	var a, b, both Confusion
+	for _, s := range [][2]bool{{true, true}, {true, true}, {false, true}} {
+		a.Add(s[0], s[1])
+		both.Add(s[0], s[1])
+	}
+	for _, s := range [][2]bool{{true, false}, {false, false}, {false, false}, {true, true}} {
+		b.Add(s[0], s[1])
+		both.Add(s[0], s[1])
+	}
+	a.Merge(b)
+	if a != both || a != (Confusion{AUIDetected: 3, AUIMissed: 1, NonAUIFlagged: 1, NonAUIPassed: 2}) {
+		t.Fatalf("merged %+v, want %+v", a, both)
+	}
+	a.Merge(Confusion{})
+	if a != both {
+		t.Fatalf("merging an empty matrix changed %+v", a)
+	}
+}
+
 func TestNMSSuppressesDuplicates(t *testing.T) {
 	dets := []Detection{
 		{Class: dataset.ClassUPO, B: box(10, 10, 10, 10), Score: 0.9},
