@@ -324,6 +324,42 @@ func TestHalveRGBAMatchesByteLoop(t *testing.T) {
 	}
 }
 
+// TestHalveRGBMatchesByteLoop does the same for halveRGB, whose rows are
+// RGB: 6-byte pixel pairs in, opaque RGBA out. The rows are cut to their
+// length, so the last pair's load may read no byte past it.
+func TestHalveRGBMatchesByteLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	fill := []func(i int) byte{
+		func(int) byte { return byte(rng.Intn(256)) },
+		func(int) byte { return 0 },
+		func(int) byte { return 255 },
+		func(int) byte { return byte(rng.Intn(2) * 255) },
+		func(i int) byte { return byte(253 + i%3) },
+	}
+	for _, n := range []int{1, 2, 3, 7, 48, 96, 192} {
+		for _, ft := range fill {
+			for _, fb := range fill {
+				top, bot := make([]byte, 6*n), make([]byte, 6*n)
+				for i := range top {
+					top[i], bot[i] = ft(i), fb(i)
+				}
+				got, want := make([]byte, 4*n), make([]byte, 4*n)
+				halveRGB(got, top, bot)
+				for i := range want {
+					x, c := i/4, i%4
+					want[i] = 255
+					if c < 3 {
+						want[i] = uint8((uint32(top[6*x+c]) + uint32(top[6*x+c+3]) + uint32(bot[6*x+c]) + uint32(bot[6*x+c+3]) + 2) / 4)
+					}
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%d pixels: halveRGB = %v, byte loop %v (top %v, bottom %v)", n, got, want, top, bot)
+				}
+			}
+		}
+	}
+}
+
 var sinkCanvas *Canvas
 
 func BenchmarkFromImage(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 	"compress/zlib"
 	"encoding/binary"
 	"fmt"
+	stdadler32 "hash/adler32"
 	"hash/crc32"
 	"image"
 	"image/png"
@@ -123,8 +124,9 @@ func checkAgainst(t *testing.T, name string, b []byte, want *Canvas, ww, wh int,
 	return streamed
 }
 
-// rowFilters tallies the filter types of b's rows.
-func rowFilters(t testing.TB, b []byte, seen *[5]int) {
+// rowFilters tallies the filter types of b's rows, by bytes per pixel
+// (index 0 for RGB, 1 for RGBA).
+func rowFilters(t testing.TB, b []byte, seen *[2][5]int) {
 	cfg, err := png.DecodeConfig(bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +141,7 @@ func rowFilters(t testing.TB, b []byte, seen *[5]int) {
 	}
 	rowLen := len(raw) / cfg.Height
 	for y := 0; y < cfg.Height; y++ {
-		seen[raw[y*rowLen]]++
+		seen[b[25]/4][raw[y*rowLen]]++ // IHDR's colour type: 2 (RGB) or 6 (RGBA)
 	}
 }
 
@@ -147,7 +149,7 @@ func TestDecodePNGMatchesStdlib(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	levels := []png.CompressionLevel{png.BestSpeed, png.DefaultCompression, png.NoCompression}
 	sizes := [][2]int{{1, 1}, {33, 31}, {96, 160}, {192, 320}, {384, 640}, {200, 322}, {1080, 1920}}
-	var filters [5]int
+	var filters [2][5]int
 	for _, sz := range sizes {
 		for name, img := range pngImageTypes(rng, sz[0], sz[1]) {
 			// image/png writes these three as 8-bit RGB(A), which DecodePNG
@@ -178,9 +180,23 @@ func TestDecodePNGMatchesStdlib(t *testing.T) {
 			}
 		}
 	}
-	for ft, n := range filters {
-		if n == 0 {
-			t.Errorf("no streamed row used filter type %d: %v", ft, filters)
+
+	// The serving corpus's screens, posted at 384x640 as serve-hires posts
+	// them: every one streams.
+	if HiresScreens == nil {
+		t.Fatal("HiresScreens is not set")
+	}
+	for i, b := range HiresScreens(t) {
+		if !checkDecodePNG(t, fmt.Sprintf("generator screen %d", i), b) {
+			t.Errorf("generator screen %d was not streamed", i)
+		}
+		rowFilters(t, b, &filters)
+	}
+	for bpp, seen := range filters {
+		for ft, n := range seen {
+			if n == 0 {
+				t.Errorf("no streamed %d-byte row used filter type %d: %v", bpp+3, ft, filters)
+			}
 		}
 	}
 
@@ -196,6 +212,11 @@ func TestDecodePNGMatchesStdlib(t *testing.T) {
 		t.Error("a translucent RGBA screen was not streamed")
 	}
 }
+
+// HiresScreens returns the generator's screens pixel-doubled to 384x640 and
+// encoded at BestSpeed, as BenchmarkReadScreen posts them. The external test
+// package sets it: the generator imports render.
+var HiresScreens func(testing.TB) [][]byte
 
 // screenCanvas draws a UI-like w x h screen: flat fills, a gradient, rounded
 // buttons and strokes, the content the serving corpus is made of.
@@ -240,6 +261,15 @@ func brokenPNGs(t testing.TB) map[string][]byte {
 	badCRC[len(badCRC)-13] ^= 1 // the last IDAT's CRC
 	badAdler := bytes.Clone(z)
 	badAdler[len(badAdler)-1] ^= 1
+	// z with a new zlib header: cmf, and flg with FCHECK made right.
+	header := func(cmf, flg byte) []byte {
+		z := bytes.Clone(z)
+		z[0], z[1] = cmf, flg&^0x1f
+		z[1] += byte(31-binary.BigEndian.Uint16(z)%31) % 31
+		return withIDAT(t, b, z)
+	}
+	badFCHECK := bytes.Clone(z)
+	badFCHECK[1] ^= 1
 	ihdr := bytes.Clone(chunks[0].data)
 	binary.BigEndian.PutUint32(ihdr, 30000)
 	binary.BigEndian.PutUint32(ihdr[4:], 30000)
@@ -258,6 +288,14 @@ func brokenPNGs(t testing.TB) map[string][]byte {
 		"tRNS before IDAT": pngFile(append([]pngChunkT{chunks[0], {"tRNS", make([]byte, 6)}}, chunks[1:]...)...),
 		"ancillary chunk":  pngFile(append([]pngChunkT{chunks[0], {"tIME", make([]byte, 7)}}, chunks[1:]...)...),
 		"30000x30000":      pngFile(pngChunkT{"IHDR", ihdr}, pngChunkT{"IDAT", deflate(make([]byte, 64))}, pngChunkT{"IEND", nil}),
+		"FDICT":            header(z[0], z[1]|0x20),
+		"bad FCHECK":       withIDAT(t, b, badFCHECK),
+		"CM 7":             header(z[0]&0xf0|7, z[1]),
+		"CINFO 8":          header(0x88, z[1]),
+		"adler32 cut to 0": withIDAT(t, b, z[:len(z)-4]),
+		"adler32 cut to 1": withIDAT(t, b, z[:len(z)-3]),
+		"adler32 cut to 2": withIDAT(t, b, z[:len(z)-2]),
+		"adler32 cut to 3": withIDAT(t, b, z[:len(z)-1]),
 	}
 }
 
@@ -287,6 +325,90 @@ func FuzzDecodePNG(f *testing.F) {
 		}
 		checkDecodePNG(t, "fuzz input", b)
 	})
+}
+
+// TestUnfilterMatchesGo pins unfilter's kernels to the Go loops, unfilterGo,
+// for every filter type at 3 and 4 bytes per pixel, rows of 1 to 70 bytes
+// and a 384-pixel RGB row's 1152, each row random, all 0 or all 255, between
+// 16 guard bytes on either side that must not change.
+func TestUnfilterMatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	const guard = 16
+	fills := []func() byte{
+		func() byte { return byte(rng.Intn(256)) },
+		func() byte { return 0 },
+		func() byte { return 255 },
+	}
+	// row returns n bytes of fill between random guards, and a copy.
+	row := func(n int, fill func() byte) (buf, orig []byte) {
+		buf = make([]byte, guard+n+guard)
+		rng.Read(buf)
+		for i := range n {
+			buf[guard+i] = fill()
+		}
+		return buf, bytes.Clone(buf)
+	}
+	lengths := []int{1152}
+	for n := 1; n <= 70; n++ {
+		lengths = append(lengths, n)
+	}
+	for bpp := 3; bpp <= 4; bpp++ {
+		for ft := byte(0); ft <= 4; ft++ {
+			for _, n := range lengths {
+				for fc, cfill := range fills {
+					for fp, pfill := range fills {
+						cur, orig := row(n, cfill)
+						prev, prevOrig := row(n, pfill)
+						want := bytes.Clone(orig[guard : guard+n])
+						if ft != 0 {
+							unfilterGo(ft, want, prev[guard:guard+n], bpp)
+						}
+						if !unfilter(ft, cur[guard:guard+n], prev[guard:guard+n], bpp) {
+							t.Fatalf("filter %d refused", ft)
+						}
+						if !bytes.Equal(cur[guard:guard+n], want) {
+							t.Fatalf("filter %d, bpp %d, %d bytes, fills %d/%d: unfilter gave\n%v\nunfilterGo\n%v", ft, bpp, n, fc, fp, cur[guard:guard+n], want)
+						}
+						if !bytes.Equal(cur[:guard], orig[:guard]) || !bytes.Equal(cur[guard+n:], orig[guard+n:]) || !bytes.Equal(prev, prevOrig) {
+							t.Fatalf("filter %d, bpp %d, %d bytes: a byte outside the row changed", ft, bpp, n)
+						}
+					}
+				}
+			}
+		}
+	}
+	if cur := make([]byte, 3, 3+rowSlack); unfilter(5, cur, cur, 3) {
+		t.Error("filter type 5 was accepted")
+	}
+}
+
+// TestAdler32MatchesStdlib pins adler32 to hash/adler32: over every length
+// from 0 to 20 000 bytes (past the 5552-byte reduction bound three times),
+// of random bytes and of all 0xff (the largest sums, where an overflow
+// would show), and over the same bytes fed in random row-sized chunks.
+func TestAdler32MatchesStdlib(t *testing.T) {
+	rng := rand.New(rand.NewSource(65521))
+	random, ones := make([]byte, 20000), bytes.Repeat([]byte{0xff}, 20000)
+	rng.Read(random)
+	for n := 0; n <= len(random); n++ {
+		for _, p := range [][]byte{random[:n], ones[:n]} {
+			if got, want := adler32(1, p), stdadler32.Checksum(p); got != want {
+				t.Fatalf("%d bytes from %d: adler32 %#x, hash/adler32 %#x", n, p[0:min(n, 1)], got, want)
+			}
+		}
+	}
+	for range 20 {
+		for _, p := range [][]byte{random, ones} {
+			sum, q := uint32(1), p
+			for len(q) > 0 {
+				n := min(len(q), 1+rng.Intn(1600))
+				sum, q = adler32(sum, q[:n]), q[n:]
+			}
+			if want := stdadler32.Checksum(p); sum != want {
+				t.Fatalf("in chunks: adler32 %#x, hash/adler32 %#x", sum, want)
+			}
+		}
+	}
 }
 
 // allocated returns the bytes f allocates, averaged over runs calls.

@@ -490,15 +490,40 @@ func halveRGBA(dst, top, bot []byte) {
 	}
 }
 
-// halveRGB is halveRGBA for RGB rows, whose alpha is 255: (4*255+2)/4.
+// halveRGB is halveRGBA for RGB rows, whose alpha is 255: (4*255+2)/4. It
+// makes four output pixels a step, each from a 6-byte pixel pair of each row
+// (halvePair), then one a step; a last pair with no 8 bytes left is read in
+// two loads.
 func halveRGB(dst, top, bot []byte) {
-	for x := 0; x < len(dst)/4; x++ {
-		t, b, d := top[6*x:6*x+6], bot[6*x:6*x+6], dst[4*x:4*x+4]
-		d[0] = uint8((uint32(t[0]) + uint32(t[3]) + uint32(b[0]) + uint32(b[3]) + 2) / 4)
-		d[1] = uint8((uint32(t[1]) + uint32(t[4]) + uint32(b[1]) + uint32(b[4]) + 2) / 4)
-		d[2] = uint8((uint32(t[2]) + uint32(t[5]) + uint32(b[2]) + uint32(b[5]) + 2) / 4)
-		d[3] = 255
+	le := binary.LittleEndian
+	for len(dst) >= 16 && len(top) >= 26 && len(bot) >= 26 {
+		p0 := halvePair(le.Uint64(top), le.Uint64(bot))
+		p1 := halvePair(le.Uint64(top[6:]), le.Uint64(bot[6:]))
+		p2 := halvePair(le.Uint64(top[12:]), le.Uint64(bot[12:]))
+		p3 := halvePair(le.Uint64(top[18:]), le.Uint64(bot[18:]))
+		le.PutUint64(dst, uint64(p1)<<32|uint64(p0))
+		le.PutUint64(dst[8:], uint64(p3)<<32|uint64(p2))
+		dst, top, bot = dst[16:], top[24:], bot[24:]
 	}
+	for len(dst) >= 4 && len(top) >= 6 && len(bot) >= 6 {
+		t := uint64(le.Uint32(top)) | uint64(le.Uint16(top[4:]))<<32
+		b := uint64(le.Uint32(bot)) | uint64(le.Uint16(bot[4:]))<<32
+		le.PutUint32(dst, halvePair(t, b))
+		dst, top, bot = dst[4:], top[6:], bot[6:]
+	}
+}
+
+// halvePair averages the RGB pixel pair in the low 6 bytes of t and of b
+// into one opaque RGBA pixel. Bytes 0, 2 and 4 (r0, b0, g1) are masked into
+// 16-bit lanes and the rows added, e; so are bytes 1, 3 and 5 (g0, r1, b1),
+// each a byte up in its lane, o. o shifted down three bytes puts r1 under r0
+// and b1 under b0, and shifted up three puts g0 over g1, leaving red, blue
+// and green in lanes 0, 1 and 2.
+func halvePair(t, b uint64) uint32 {
+	const lo, hi, round = 0x00ff00ff00ff, 0xff00ff00ff00, 0x000200020002
+	e, o := t&lo+b&lo, t&hi+b&hi
+	v := (e + o>>24 + o<<24 + round) >> 2
+	return uint32(v)&0x00ff00ff | uint32(v>>24)&0xff00 | 0xff000000
 }
 
 // Image converts the canvas to a standard library image for encoding.
