@@ -2,7 +2,7 @@
 // of the paper's evaluation (run `go test -bench=. -benchmem`). Each
 // benchmark prints the reproduced table via b.Logf; the quick configuration
 // keeps runtimes tractable, and pretrained weights in ./weights are used
-// when present (see cmd/darpa-train). cmd/darpa-experiments runs the
+// when present (see weights/README.md). cmd/darpa-experiments runs the
 // paper-scale versions.
 package main
 

@@ -24,8 +24,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/auigen"
-	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/httpd"
 	"repro/internal/perfmodel"
@@ -46,19 +44,8 @@ func main() {
 	statsEvery := flag.Duration("stats-interval", httpd.DefaultStatsInterval, "SSE stats frame interval")
 	flag.Parse()
 
-	// Build the replica pool: train-if-cold happens once; replica builds
-	// after the first are warm weight loads producing independent instances.
-	bctx := detect.BuildContext{
-		WeightsDir:  *weights,
-		SaveWeights: true,
-		Samples: func() []*dataset.Sample {
-			log.Printf("no pretrained weights in %s; training a quick model...", *weights)
-			return auigen.BuildAUISamples(1, 96, auigen.DatasetConfig{})
-		},
-		Epochs: 10,
-		Logf:   log.Printf,
-	}
-	reps, err := detect.BuildReplicas(*detector, bctx, *replicas)
+	// Build the replica pool, each replica an independent instance.
+	reps, err := detect.BuildReplicas(*detector, detect.ColdStart(*weights, log.Printf), *replicas)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/app"
-	"repro/internal/auigen"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/detect"
@@ -70,21 +69,10 @@ func main() {
 	// the detector build context (train-if-cold renders against it), and in
 	// fleet mode only the build context's closure is unused.
 	var h *fleet.Handset
-	bctx := detect.BuildContext{
-		WeightsDir: *weights,
-		Samples: func() []*dataset.Sample {
-			log.Printf("no pretrained weights in %s; training a quick model...", *weights)
-			return auigen.BuildAUISamples(1, 96, auigen.DatasetConfig{})
-		},
-		Epochs: 10,
-		Screen: func() *uikit.Screen { return h.Screen },
-		Logf:   log.Printf,
-	}
+	bctx := detect.ColdStart(*weights, log.Printf)
+	bctx.Screen = func() *uikit.Screen { return h.Screen }
 
 	if *fleetN > 1 {
-		// Train-if-cold happens once; replica builds after the first are
-		// warm weight loads producing independent model instances.
-		bctx.SaveWeights = true
 		bctx.Screen = nil
 		reps, err := detect.BuildReplicas(*detector, bctx, *replicas)
 		if err != nil {

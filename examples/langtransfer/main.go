@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"repro/internal/auigen"
 	"repro/internal/dataset"
@@ -18,14 +19,7 @@ import (
 )
 
 func main() {
-	model, err := detect.Build("yolite", detect.BuildContext{
-		WeightsDir: "weights",
-		Samples: func() []*dataset.Sample {
-			fmt.Println("no pretrained weights found; training a quick detector...")
-			return auigen.BuildAUISamples(1, 120, auigen.DatasetConfig{})
-		},
-		Epochs: 12,
-	})
+	model, err := detect.Build("yolite", detect.ColdStart("weights", log.Printf))
 	if err != nil {
 		panic(err)
 	}

@@ -7,6 +7,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"log"
 
 	"repro/internal/auigen"
 	"repro/internal/dataset"
@@ -18,14 +19,7 @@ func main() {
 	// 1. A detector, built by name from the registry. Pretrained weights are
 	//    used when available; otherwise the builder trains a small model on
 	//    the spot (about a minute on one core).
-	model, err := detect.Build("yolite", detect.BuildContext{
-		WeightsDir: "weights",
-		Samples: func() []*dataset.Sample {
-			fmt.Println("no pretrained weights found; training a quick detector...")
-			return auigen.BuildAUISamples(1, 96, auigen.DatasetConfig{})
-		},
-		Epochs: 10,
-	})
+	model, err := detect.Build("yolite", detect.ColdStart("weights", log.Printf))
 	if err != nil {
 		panic(err)
 	}

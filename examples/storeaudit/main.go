@@ -14,14 +14,13 @@ package main
 import (
 	"context"
 	"fmt"
+	"log"
 	"sort"
 	"time"
 
 	"repro/internal/a11y"
 	"repro/internal/app"
-	"repro/internal/auigen"
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/perfmodel"
 	"repro/internal/render"
@@ -38,14 +37,7 @@ type auditRow struct {
 }
 
 func main() {
-	model, err := detect.Build("yolite", detect.BuildContext{
-		WeightsDir: "weights",
-		Samples: func() []*dataset.Sample {
-			fmt.Println("no pretrained weights found; training a quick detector...")
-			return auigen.BuildAUISamples(1, 96, auigen.DatasetConfig{})
-		},
-		Epochs: 10,
-	})
+	model, err := detect.Build("yolite", detect.ColdStart("weights", log.Printf))
 	if err != nil {
 		panic(err)
 	}

@@ -59,9 +59,6 @@ func NewManager(clock *sim.Clock, screen *uikit.Screen) *Manager {
 // Screen returns the screen the manager observes.
 func (m *Manager) Screen() *uikit.Screen { return m.screen }
 
-// Clock returns the simulation clock.
-func (m *Manager) Clock() *sim.Clock { return m.clock }
-
 // Stats returns a snapshot of the activity counters.
 func (m *Manager) Stats() Stats { return m.stats }
 

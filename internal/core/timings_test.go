@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,6 +74,23 @@ func (h *heldBackend) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, _ f
 	return make([][]metrics.Detection, n), nil
 }
 
+// queuedCtx tells when the request made under it sits in the serving
+// stack's queue: the stack asks a request's context for Done once as it
+// enqueues the request and again as the caller waits for the answer, so a
+// second call comes after the enqueue. An admission verdict comes before it,
+// so Stats().Admitted cannot tell.
+type queuedCtx struct {
+	context.Context
+	dones atomic.Int32
+}
+
+func (c *queuedCtx) Done() <-chan struct{} {
+	c.dones.Add(1)
+	return c.Context.Done()
+}
+
+func (c *queuedCtx) queued() bool { return c.dones.Load() >= 2 }
+
 // spinUntil yields until cond holds, failing the test after ten seconds.
 func spinUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -125,7 +143,8 @@ func TestTimingsHoldOnlyDurations(t *testing.T) {
 	}
 
 	// Hold one request in each replica, then queue a poisoned screen, a
-	// healthy one and one whose caller will leave.
+	// healthy one and one whose caller will leave, and wait until all three
+	// sit in the queue: it is then at depth, so the next request is shed.
 	var answered []<-chan error
 	for _, r := range reps {
 		r.shut()
@@ -136,32 +155,17 @@ func TestTimingsHoldOnlyDurations(t *testing.T) {
 	for _, r := range reps {
 		<-r.entered
 	}
-	poisoned := call(bg, poisonMark)
-	answered = append(answered, call(bg, 2))
+	poisonedCtx, healthyCtx := &queuedCtx{Context: bg}, &queuedCtx{Context: bg}
 	leaving, leave := context.WithCancel(bg)
-	left := call(leaving, 3)
-	admitted := 6
-	spinUntil(t, "the backlog to be admitted", func() bool { return b.Stats().Admitted == admitted })
-
-	// The queue is at depth, so the next request is shed. One admitted in the
-	// instant between an earlier verdict and its enqueue joins the backlog
-	// instead, and the one after it is shed.
-	for shed := false; !shed; admitted++ {
-		probe := call(bg, 4)
-		for !shed && b.Stats().Admitted == admitted {
-			select {
-			case err := <-probe:
-				if !errors.Is(err, serve.ErrOverloaded) {
-					t.Fatalf("probe at full depth: %v, want ErrOverloaded", err)
-				}
-				shed = true
-			default:
-				runtime.Gosched()
-			}
-		}
-		if !shed {
-			answered = append(answered, probe)
-		}
+	leavingCtx := &queuedCtx{Context: leaving}
+	poisoned := call(poisonedCtx, poisonMark)
+	answered = append(answered, call(healthyCtx, 2))
+	left := call(leavingCtx, 3)
+	spinUntil(t, "the backlog to be queued", func() bool {
+		return poisonedCtx.queued() && healthyCtx.queued() && leavingCtx.queued()
+	})
+	if err := <-call(bg, 4); !errors.Is(err, serve.ErrOverloaded) {
+		t.Fatalf("request at full depth: %v, want ErrOverloaded", err)
 	}
 	leave()
 	if err := <-left; !errors.Is(err, context.Canceled) {

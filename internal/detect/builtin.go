@@ -39,7 +39,7 @@ var (
 )
 
 // weightsPath maps a registry name to its weight file ("yolite-masked" →
-// "yolite_masked.gob", matching the files cmd/darpa-train writes).
+// "yolite_masked.gob", the files under weights/).
 func weightsPath(dir, name string) string {
 	return filepath.Join(dir, strings.ReplaceAll(name, "-", "_")+".gob")
 }
@@ -82,9 +82,13 @@ func buildYoliteNamed(name string, ctx BuildContext) (*yolite.Model, error) {
 	})
 	if ctx.SaveWeights && ctx.WeightsDir != "" {
 		path := weightsPath(ctx.WeightsDir, name)
-		if err := m.Save(path); err == nil {
-			ctx.logf("saved %s", path)
+		if err := os.MkdirAll(ctx.WeightsDir, 0o755); err != nil {
+			return nil, fmt.Errorf("detect: saving %s: %w", name, err)
 		}
+		if err := m.Save(path); err != nil {
+			return nil, fmt.Errorf("detect: saving %s: %w", name, err)
+		}
+		ctx.logf("saved %s", path)
 	}
 	return m, nil
 }
@@ -112,7 +116,7 @@ func buildInt8(ctx BuildContext) (Detector, error) {
 }
 
 // buildRCNN trains one Table V two-stage baseline. RCNN weights are not
-// persisted (the harness retrains them, matching cmd/darpa-train).
+// persisted: every run retrains them from its context's pool.
 func buildRCNN(v rcnn.Variant) Builder {
 	return func(ctx BuildContext) (Detector, error) {
 		pool, err := ctx.samples()

@@ -3,9 +3,12 @@ package detect
 import (
 	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/auigen"
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/metrics"
@@ -136,6 +139,31 @@ func TestFraudDroidBuilderRequiresScreen(t *testing.T) {
 	}
 	if d.Name() != "frauddroid" {
 		t.Fatalf("name = %q", d.Name())
+	}
+}
+
+// TestSaveWeights: a yolite build told to save what it trains creates a
+// missing weights directory, and a save that fails fails the build.
+func TestSaveWeights(t *testing.T) {
+	ctx := BuildContext{
+		WeightsDir:  filepath.Join(t.TempDir(), "new", "weights"),
+		SaveWeights: true,
+		Samples:     func() []*dataset.Sample { return auigen.BuildAUISamples(1, 2, auigen.DatasetConfig{}) },
+		Epochs:      1,
+	}
+	if _, err := Build("yolite", ctx); err != nil {
+		t.Fatalf("build into a new directory: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(ctx.WeightsDir, "yolite.gob")); err != nil {
+		t.Fatalf("trained weights not saved: %v", err)
+	}
+	// A directory where the weight file goes: it does not load, so the build
+	// trains, and then it cannot be written.
+	if err := os.Mkdir(filepath.Join(ctx.WeightsDir, "yolite_masked.gob"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build("yolite-masked", ctx); err == nil {
+		t.Fatal("a build whose weights cannot be saved succeeded")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/auigen"
 	"repro/internal/dataset"
 	"repro/internal/tensor"
 	"repro/internal/uikit"
@@ -17,7 +18,8 @@ type BuildContext struct {
 	// WeightsDir, when non-empty, is consulted for pretrained weight files
 	// (<name>.gob with dashes mapped to underscores) before any training.
 	WeightsDir string
-	// SaveWeights writes freshly trained weights back to WeightsDir.
+	// SaveWeights writes freshly trained weights back to WeightsDir,
+	// creating it if need be; a failed write fails the build.
 	SaveWeights bool
 	// Samples lazily supplies the training pool (and quantisation
 	// calibration set) for backends that must train when no weights exist.
@@ -46,6 +48,24 @@ func (c BuildContext) samples() ([]*dataset.Sample, error) {
 		return nil, fmt.Errorf("detect: build context supplies no training samples")
 	}
 	return c.Samples(), nil
+}
+
+// ColdStart is the build context of the commands and examples that run a
+// pretrained model: the weights in dir, and where none are usable a quick
+// model trained on the spot (96 generated screens, 10 epochs), announced and
+// logged through logf when it is not nil. It writes no weights.
+func ColdStart(dir string, logf func(format string, args ...any)) BuildContext {
+	return BuildContext{
+		WeightsDir: dir,
+		Samples: func() []*dataset.Sample {
+			if logf != nil {
+				logf("no pretrained weights in %s; training a quick model...", dir)
+			}
+			return auigen.BuildAUISamples(1, 96, auigen.DatasetConfig{})
+		},
+		Epochs: 10,
+		Logf:   logf,
+	}
 }
 
 // trainSeed seeds every builder that trains or initialises a model: the

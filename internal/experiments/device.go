@@ -83,7 +83,6 @@ func appHandset(idx int, ct time.Duration, mode core.Mode) *fleet.Handset {
 // FraudDroid-like baseline is scored on the same screens and truth.
 func (e *Env) runApp(idx int, ct time.Duration, mode core.Mode, withFD bool) runResult {
 	h := appHandset(idx, ct, mode)
-	var fd frauddroid.Detector
 
 	// Expose the run's screen to metadata-based backends for the duration of
 	// this session (device runs are sequential, so a single slot suffices).
@@ -93,7 +92,7 @@ func (e *Env) runApp(idx int, ct time.Duration, mode core.Mode, withFD bool) run
 	var res runResult
 	if withFD {
 		h.OnAnalysis = func(_ core.Analysis, aui bool) {
-			res.fdConf.Add(aui, fd.DetectScreen(h.Screen).IsAUI)
+			res.fdConf.Add(aui, frauddroid.DetectScreen(h.Screen).IsAUI)
 		}
 	}
 	svc := h.Start(e.runDetector())

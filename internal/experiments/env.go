@@ -42,15 +42,21 @@ func DataConfig() auigen.DatasetConfig { return auigen.DatasetConfig{} }
 func SplitRand() *rand.Rand { return rand.New(rand.NewSource(SplitSeed)) }
 
 // Env bundles the datasets and trained models the experiment runners share.
+// It is the one place a trained backend's recipe is written down
+// (buildContext), and the one writer of the shipped weight files: a full
+// (not Quick) Env with a weights directory saves every yolite variant it has
+// to train there, so `darpa-experiments -weights DIR -only "Table IV"`
+// against a directory without them regenerates both.
 type Env struct {
 	// Quick selects the reduced configuration (small dataset, few epochs)
 	// used by unit-test-speed runs; the full configuration reproduces the
-	// paper-scale numbers.
+	// paper-scale numbers. A Quick Env never writes weights.
 	Quick bool
 	// WeightsDir, when set, is consulted for pretrained weight files
 	// before any training happens.
 	WeightsDir string
 
+	size   sizing
 	cfg    auigen.DatasetConfig
 	split  dataset.Split
 	masked dataset.Split
@@ -62,6 +68,23 @@ type Env struct {
 
 	verbose func(format string, args ...any)
 }
+
+// sizing is how much an Env generates and how long it trains the backends
+// it cannot load.
+type sizing struct {
+	screens    int // AUI screenshots generated, before the 6:2:2 split
+	epochs     int // yolite and yolite-masked
+	rcnnEpochs int // the four Table V baselines
+}
+
+var (
+	paperSizing = sizing{screens: auigen.PaperDatasetSize, epochs: 28, rcnnEpochs: 6}
+	quickSizing = sizing{screens: 120, epochs: 10, rcnnEpochs: 4}
+)
+
+// rcnnPool caps the Table V baselines' pool: they exist for the comparison's
+// shape, and half the pool keeps the four trainings tractable on one core.
+const rcnnPool = 450
 
 // EnvOption configures NewEnv.
 type EnvOption func(*Env)
@@ -82,31 +105,27 @@ func WithApps(n int) EnvOption { return func(e *Env) { e.apps = n } }
 // (default "yolite-int8", the ported on-device model).
 func WithDetector(name string) EnvOption { return func(e *Env) { e.detectorName = name } }
 
-// NewEnv builds the shared datasets (models are trained or loaded lazily).
-func NewEnv(opts ...EnvOption) *Env {
+// NewEnv builds the shared datasets (models are trained or loaded lazily)
+// at the paper's sizing, or the reduced one under WithQuick.
+func NewEnv(opts ...EnvOption) *Env { return newEnv(sizing{}, opts...) }
+
+// newEnv is NewEnv at a given sizing; the zero sizing picks by Quick.
+func newEnv(size sizing, opts ...EnvOption) *Env {
 	e := &Env{cfg: DataConfig(), verbose: func(string, ...any) {}}
 	for _, o := range opts {
 		o(e)
 	}
-	n := e.datasetSize()
-	e.verbose("building dataset (%d AUI screenshots)...", n)
-	all := auigen.BuildAUISamples(DatasetSeed, n, e.cfg)
+	if size == (sizing{}) {
+		size = paperSizing
+		if e.Quick {
+			size = quickSizing
+		}
+	}
+	e.size = size
+	e.verbose("building dataset (%d AUI screenshots)...", e.size.screens)
+	all := auigen.BuildAUISamples(DatasetSeed, e.size.screens, e.cfg)
 	e.split = dataset.SplitSamples(all, SplitRand())
 	return e
-}
-
-func (e *Env) datasetSize() int {
-	if e.Quick {
-		return 120
-	}
-	return auigen.PaperDatasetSize
-}
-
-func (e *Env) epochs() int {
-	if e.Quick {
-		return 10
-	}
-	return 28
 }
 
 // Split returns the shared 6:2:2 split.
@@ -115,16 +134,20 @@ func (e *Env) Split() dataset.Split { return e.split }
 // MaskedSplit lazily builds the text-masked dataset (Table IV).
 func (e *Env) MaskedSplit() dataset.Split {
 	if e.masked.Train == nil {
-		cfg := e.cfg
-		cfg.MaskText = true
 		e.verbose("building text-masked dataset...")
-		all := auigen.BuildAUISamples(MaskedSeed, e.datasetSize(), cfg)
+		all := auigen.BuildAUISamples(MaskedSeed, e.size.screens, e.maskedCfg())
 		e.masked = dataset.SplitSamples(all, SplitRand())
 	}
 	return e.masked
 }
 
-// trainSet is train+validation, the pool the models fit on (validation was
+func (e *Env) maskedCfg() auigen.DatasetConfig {
+	cfg := e.cfg
+	cfg.MaskText = true
+	return cfg
+}
+
+// trainPool is train+validation, the pool the models fit on (validation was
 // used for epoch selection, which the fixed-epoch reproduction bakes in).
 func trainPool(s dataset.Split) []*dataset.Sample {
 	return append(append([]*dataset.Sample{}, s.Train...), s.Val...)
@@ -173,40 +196,40 @@ func (e *Env) Detector(name string) (detect.Detector, error) {
 	return d, nil
 }
 
-// buildContext assembles the per-backend build inputs: the masked variant
-// swaps in the text-masked pool at half depth, the int8 port reuses the
-// float model, and everything else trains on the standard pool with
-// negatives mixed in.
+// buildContext assembles a backend's build inputs: each trained backend's
+// recipe, at the Env's sizing. Every pool starts from train+validation.
+//   - yolite: plus NegativeFraction negatives (seed DatasetSeed+1).
+//   - yolite-masked: the same on the text-masked split, negatives masked too
+//     (seed MaskedSeed+1), for as many epochs as the float model.
+//   - yolite-int8: the float model, calibrated on the pool's head.
+//   - the RCNN baselines (Table V): no negatives, the first rcnnPool
+//     screens, rcnnEpochs.
 func (e *Env) buildContext(name string) detect.BuildContext {
 	ctx := detect.BuildContext{
 		WeightsDir:  e.WeightsDir,
 		SaveWeights: e.WeightsDir != "" && !e.Quick,
-		Epochs:      e.epochs(),
+		Epochs:      e.size.epochs,
 		Screen:      e.CurrentScreen,
 		Logf:        e.verbose,
 	}
 	switch name {
-	case "yolite-masked":
-		// The masked variant exists to show parity with the unmasked model
-		// (Table IV), not to maximise accuracy; when no pretrained weights
-		// exist it trains at half depth to bound the harness runtime.
-		ctx.Epochs = max(8, e.epochs()/2)
+	case "yolite":
 		ctx.Samples = func() []*dataset.Sample {
-			cfg := e.cfg
-			cfg.MaskText = true
-			pool := trainPool(e.MaskedSplit())
-			if !e.Quick && len(pool) > 500 {
-				pool = pool[:500]
-			}
-			return withNegatives(pool, cfg, MaskedSeed+1)
+			return withNegatives(trainPool(e.split), e.cfg, DatasetSeed+1)
+		}
+	case "yolite-masked":
+		ctx.Samples = func() []*dataset.Sample {
+			return withNegatives(trainPool(e.MaskedSplit()), e.maskedCfg(), MaskedSeed+1)
 		}
 	case "yolite-int8":
 		ctx.Base = e.Float()
 		// Calibration only needs a handful of images; the builder truncates.
 		ctx.Samples = func() []*dataset.Sample { return trainPool(e.split) }
-	default:
+	default: // the RCNN baselines; frauddroid trains on nothing
+		ctx.Epochs = e.size.rcnnEpochs
 		ctx.Samples = func() []*dataset.Sample {
-			return withNegatives(trainPool(e.split), e.cfg, DatasetSeed+1)
+			pool := trainPool(e.split)
+			return pool[:min(len(pool), rcnnPool)]
 		}
 	}
 	return ctx

@@ -98,8 +98,10 @@ func (e *Env) Table4() *Table {
 }
 
 // Table5 reproduces Table V: the four RCNN baselines against the one-stage
-// detector. The relative detection speed is wall-clock, so it goes to the
-// progress log (ms/image per model), not into the table: the markdown of
+// detector. Each baseline is the registry backend of its name, built by
+// buildContext's recipe, so `darpa-eval -detector <rcnn>` scores the model
+// its row scores. The relative detection speed is wall-clock, so it goes to
+// the progress log (ms/image per model), not into the table: the markdown of
 // two runs is byte-identical.
 func (e *Env) Table5() *Table {
 	t := &Table{
@@ -109,24 +111,13 @@ func (e *Env) Table5() *Table {
 		PaperNote: "Faster+VGG 0.721, Faster+ResNet 0.720, Mask+VGG 0.781, Mask+ResNet 0.809, YOLOv5 0.859 F1; YOLO ~2.5x faster",
 	}
 	test := e.Split().Test
-	pool := trainPool(e.Split())
-	// The baselines exist for the comparison's shape; half the pool keeps
-	// the four trainings tractable on one core.
-	if !e.Quick && len(pool) > 450 {
-		pool = pool[:450]
-	}
-	epochs := 6
-	if e.Quick {
-		epochs = 4
-	}
 	row := func(name string, m yolite.Predictor) {
 		all := yolite.Evaluate(m, test, metrics.PaperIoUThreshold).All()
 		t.Rows = append(t.Rows, []string{name, f3(all.Precision()), f3(all.Recall()), f3(all.F1())})
 		e.verbose("Table V: %s %.2f ms/image", name, measureLatency(m, test))
 	}
 	for _, v := range rcnn.Variants {
-		e.verbose("training %s...", v.Name())
-		row(v.Name(), rcnn.Train(v, pool, rcnn.TrainConfig{Epochs: epochs, Seed: ModelSeed}))
+		row(v.Name(), e.mustDetector(v.Slug()))
 	}
 	row("yolite (YOLOv5 analogue)", e.Float())
 	return t

@@ -18,9 +18,6 @@ import (
 // tensor's shape to report detections in model-input coordinates, as the
 // Detector contract requires.
 type ViewAdapter struct {
-	// Detector is the heuristic configuration; the zero value uses the
-	// default feature lists.
-	Detector Detector
 	// Screen supplies the live screen whose view hierarchy is inspected.
 	Screen func() *uikit.Screen
 }
@@ -62,7 +59,7 @@ func (a *ViewAdapter) detectLive(x *tensor.Tensor) []metrics.Detection {
 	if s == nil {
 		return nil
 	}
-	res := a.Detector.DetectScreen(s)
+	res := DetectScreen(s)
 	if !res.IsAUI {
 		return nil
 	}

@@ -20,15 +20,24 @@ import (
 // UPO-ish resource id substrings, the enriched string feature list
 // (Section VI-C: "we enrich the UI string features by adding resource ids
 // corresponding to the AUIs").
-var defaultUPOPatterns = []string{
+var upoPatterns = []string{
 	"close", "skip", "later", "deny", "cancel", "dismiss", "no_thanks", "btn_x",
 }
 
 // AGO-ish / AUI-context resource id substrings.
-var defaultContextPatterns = []string{
+var contextPatterns = []string{
 	"ad_", "ads_", "promo", "packet", "upgrade", "rate", "allow",
 	"buy", "install", "join", "action", "reward", "lucky",
 }
+
+// The placement and size features, as fractions of the screen's area.
+const (
+	// maxUPOFrac is the most a UPO-ish view may cover.
+	maxUPOFrac = 0.01
+	// minAGOFrac is the least a clickable surface must cover to count as a
+	// large app-guided one.
+	minAGOFrac = 0.18
+)
 
 // Result is one flagged screen.
 type Result struct {
@@ -39,47 +48,6 @@ type Result struct {
 	// MatchedIDs records which resource ids triggered the detection,
 	// for debugging and the paper's manual-review step.
 	MatchedIDs []string
-}
-
-// Detector holds the heuristic configuration. The zero value uses the
-// default feature lists.
-type Detector struct {
-	UPOPatterns     []string
-	ContextPatterns []string
-	// MaxUPOFrac is the maximum fraction of the screen area a UPO-ish
-	// view may cover (placement/size feature). Zero means 0.01.
-	MaxUPOFrac float64
-	// MinAGOFrac is the minimum fraction for a large app-guided surface
-	// to be considered present. Zero means 0.18.
-	MinAGOFrac float64
-}
-
-func (d *Detector) upoPatterns() []string {
-	if len(d.UPOPatterns) == 0 {
-		return defaultUPOPatterns
-	}
-	return d.UPOPatterns
-}
-
-func (d *Detector) contextPatterns() []string {
-	if len(d.ContextPatterns) == 0 {
-		return defaultContextPatterns
-	}
-	return d.ContextPatterns
-}
-
-func (d *Detector) maxUPOFrac() float64 {
-	if d.MaxUPOFrac == 0 {
-		return 0.01
-	}
-	return d.MaxUPOFrac
-}
-
-func (d *Detector) minAGOFrac() float64 {
-	if d.MinAGOFrac == 0 {
-		return 0.18
-	}
-	return d.MinAGOFrac
 }
 
 func matchesAny(id string, patterns []string) bool {
@@ -94,7 +62,7 @@ func matchesAny(id string, patterns []string) bool {
 
 // Detect applies the id + placement heuristics to a view dump. screen is the
 // full screen rectangle (for area fractions).
-func (d *Detector) Detect(views []uikit.ViewInfo, screen geom.Rect) Result {
+func Detect(views []uikit.ViewInfo, screen geom.Rect) Result {
 	var res Result
 	screenArea := float64(screen.Area())
 	if screenArea == 0 {
@@ -103,8 +71,8 @@ func (d *Detector) Detect(views []uikit.ViewInfo, screen geom.Rect) Result {
 	// Placement feature: does a large app-guided surface exist?
 	contextPresent := false
 	for _, v := range views {
-		big := v.Clickable && float64(v.Bounds.Area())/screenArea >= d.minAGOFrac()
-		if big || matchesAny(v.ID, d.contextPatterns()) {
+		big := v.Clickable && float64(v.Bounds.Area())/screenArea >= minAGOFrac
+		if big || matchesAny(v.ID, contextPatterns) {
 			contextPresent = true
 			break
 		}
@@ -117,10 +85,10 @@ func (d *Detector) Detect(views []uikit.ViewInfo, screen geom.Rect) Result {
 		if !v.Clickable || v.ID == "" {
 			continue
 		}
-		if !matchesAny(v.ID, d.upoPatterns()) {
+		if !matchesAny(v.ID, upoPatterns) {
 			continue
 		}
-		if float64(v.Bounds.Area())/screenArea > d.maxUPOFrac() {
+		if float64(v.Bounds.Area())/screenArea > maxUPOFrac {
 			continue
 		}
 		res.IsAUI = true
@@ -131,6 +99,6 @@ func (d *Detector) Detect(views []uikit.ViewInfo, screen geom.Rect) Result {
 }
 
 // DetectScreen is a convenience wrapper dumping the screen's views first.
-func (d *Detector) DetectScreen(s *uikit.Screen) Result {
-	return d.Detect(s.DumpViews(), s.Bounds())
+func DetectScreen(s *uikit.Screen) Result {
+	return Detect(s.DumpViews(), s.Bounds())
 }

@@ -25,8 +25,7 @@ func TestDetectsPlainAUI(t *testing.T) {
 	found := 0
 	for seed := int64(0); seed < 20; seed++ {
 		s, _ := screenWithAUI(t, false, seed)
-		var d Detector
-		if d.DetectScreen(s).IsAUI {
+		if DetectScreen(s).IsAUI {
 			found++
 		}
 	}
@@ -40,8 +39,7 @@ func TestObfuscationDefeatsDetector(t *testing.T) {
 	found := 0
 	for seed := int64(0); seed < 20; seed++ {
 		s, _ := screenWithAUI(t, true, seed)
-		var d Detector
-		if d.DetectScreen(s).IsAUI {
+		if DetectScreen(s).IsAUI {
 			found++
 		}
 	}
@@ -52,8 +50,7 @@ func TestObfuscationDefeatsDetector(t *testing.T) {
 
 func TestUPORectMatchesView(t *testing.T) {
 	s, aui := screenWithAUI(t, false, 3)
-	var d Detector
-	res := d.DetectScreen(s)
+	res := DetectScreen(s)
 	if !res.IsAUI {
 		t.Skip("this seed was not detected; covered by aggregate test")
 	}
@@ -74,8 +71,7 @@ func TestNegativeScreensMostlyPass(t *testing.T) {
 		content := s.ContentFrame()
 		n := g.NonAUI(content.W, content.H)
 		s.AddWindow(&uikit.Window{Owner: "app", Type: uikit.WindowApp, Frame: content, Root: n.Root})
-		var d Detector
-		if d.DetectScreen(s).IsAUI {
+		if DetectScreen(s).IsAUI {
 			flagged++
 		}
 	}
@@ -93,8 +89,7 @@ func TestContextRequired(t *testing.T) {
 		{ID: "btn_close", Bounds: geom.Rect{X: 370, Y: 10, W: 10, H: 10}, Clickable: true},
 		{ID: "title", Bounds: geom.Rect{X: 0, Y: 0, W: 384, H: 40}},
 	}
-	var d Detector
-	if d.Detect(views, geom.Rect{W: 384, H: 640}).IsAUI {
+	if Detect(views, geom.Rect{W: 384, H: 640}).IsAUI {
 		t.Fatal("flagged a screen without AUI context")
 	}
 }
@@ -104,19 +99,17 @@ func TestLargeCloseButtonNotUPO(t *testing.T) {
 		{ID: "ad_container", Bounds: geom.Rect{W: 384, H: 640}, Clickable: true},
 		{ID: "btn_close", Bounds: geom.Rect{X: 50, Y: 50, W: 300, H: 300}, Clickable: true},
 	}
-	var d Detector
-	res := d.Detect(views, geom.Rect{W: 384, H: 640})
+	res := Detect(views, geom.Rect{W: 384, H: 640})
 	if res.IsAUI {
 		t.Fatal("a large close button is not a hidden UPO")
 	}
 }
 
 func TestEmptyDump(t *testing.T) {
-	var d Detector
-	if d.Detect(nil, geom.Rect{W: 384, H: 640}).IsAUI {
+	if Detect(nil, geom.Rect{W: 384, H: 640}).IsAUI {
 		t.Fatal("empty dump flagged")
 	}
-	if d.Detect(nil, geom.Rect{}).IsAUI {
+	if Detect(nil, geom.Rect{}).IsAUI {
 		t.Fatal("zero screen flagged")
 	}
 }
@@ -126,8 +119,7 @@ func TestMatchedIDsReported(t *testing.T) {
 		{ID: "ad_container", Bounds: geom.Rect{W: 384, H: 640}, Clickable: true},
 		{ID: "ad_close_btn", Bounds: geom.Rect{X: 370, Y: 8, W: 10, H: 10}, Clickable: true},
 	}
-	var d Detector
-	res := d.Detect(views, geom.Rect{W: 384, H: 640})
+	res := Detect(views, geom.Rect{W: 384, H: 640})
 	if !res.IsAUI || len(res.MatchedIDs) != 1 || res.MatchedIDs[0] != "ad_close_btn" {
 		t.Fatalf("result %+v", res)
 	}

@@ -106,13 +106,19 @@ func refDecode(b []byte, w, h int) (*Canvas, int, int, error) {
 // the same canvas and size, and reports whether the stream decoded b.
 func checkDecodePNG(t *testing.T, name string, b []byte) (streamed bool) {
 	t.Helper()
-	want, ww, wh, werr := refDecode(b, 96, 160)
-	return checkAgainst(t, name, b, want, ww, wh, werr)
+	return checkDecodePNGAt(t, name, b, 96, 160)
 }
 
-func checkAgainst(t *testing.T, name string, b []byte, want *Canvas, ww, wh int, werr error) (streamed bool) {
+// checkDecodePNGAt is checkDecodePNG at a w x h output.
+func checkDecodePNGAt(t *testing.T, name string, b []byte, w, h int) (streamed bool) {
 	t.Helper()
-	got, gw, gh, gerr := DecodePNG(b, 96, 160)
+	want, ww, wh, werr := refDecode(b, w, h)
+	return checkAgainst(t, name, b, w, h, want, ww, wh, werr)
+}
+
+func checkAgainst(t *testing.T, name string, b []byte, w, h int, want *Canvas, ww, wh int, werr error) (streamed bool) {
+	t.Helper()
+	got, gw, gh, gerr := DecodePNG(b, w, h)
 	if (gerr == nil) != (werr == nil) {
 		t.Fatalf("%s: DecodePNG error %v, png.Decode error %v", name, gerr, werr)
 	}
@@ -120,7 +126,7 @@ func checkAgainst(t *testing.T, name string, b []byte, want *Canvas, ww, wh int,
 		t.Fatalf("%s: DecodePNG gave %dx%d from %dx%d, the stdlib path %dx%d from %dx%d",
 			name, got.W, got.H, gw, gh, want.W, want.H, ww, wh)
 	}
-	_, _, _, streamed = streamPNG(b, 96, 160)
+	_, _, _, streamed = streamPNG(b, w, h)
 	return streamed
 }
 
@@ -170,7 +176,7 @@ func TestDecodePNGMatchesStdlib(t *testing.T) {
 				if want == nil {
 					want, ww, wh, werr = refDecode(b, 96, 160)
 				}
-				streamed := checkAgainst(t, fmt.Sprintf("%s %dx%d level %d", name, sz[0], sz[1], level), b, want, ww, wh, werr)
+				streamed := checkAgainst(t, fmt.Sprintf("%s %dx%d level %d", name, sz[0], sz[1], level), b, 96, 160, want, ww, wh, werr)
 				if streamed != streams {
 					t.Errorf("%s %dx%d level %d: streamed %v, want %v", name, sz[0], sz[1], level, streamed, streams)
 				}
@@ -311,19 +317,75 @@ func TestDecodePNGErrorsMatchStdlib(t *testing.T) {
 	}
 }
 
+// smallPNGs hand-builds 6x4 files, named: RGB and RGBA, each with every row
+// under one filter type, 0 to 4, over random bytes, and each both deflated in
+// one IDAT chunk and stored, not deflated, across several. At half their
+// size they stream, so each reaches the kernels in a few hundred bytes.
+func smallPNGs(t testing.TB) map[string][]byte {
+	rng := rand.New(rand.NewSource(50))
+	zlibAt := func(raw []byte, level int) []byte {
+		var z bytes.Buffer
+		zw, _ := zlib.NewWriterLevel(&z, level)
+		zw.Write(raw)
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return z.Bytes()
+	}
+	const w, h = 6, 4
+	out := map[string][]byte{}
+	for _, ct := range []byte{2, 6} {
+		bpp := int(ct)/4 + 3
+		ihdr := make([]byte, 13)
+		binary.BigEndian.PutUint32(ihdr, w)
+		binary.BigEndian.PutUint32(ihdr[4:], h)
+		ihdr[8], ihdr[9] = 8, ct
+		for ft := byte(0); ft <= 4; ft++ {
+			raw := make([]byte, h*(1+bpp*w))
+			rng.Read(raw)
+			for y := 0; y < h; y++ {
+				raw[y*(1+bpp*w)] = ft
+			}
+			b := pngFile(pngChunkT{"IHDR", ihdr}, pngChunkT{"IDAT", zlibAt(raw, zlib.BestSpeed)}, pngChunkT{"IEND", nil})
+			name := fmt.Sprintf("%d bytes a pixel, filter %d", bpp, ft)
+			out[name] = b
+			out[name+", stored"] = withIDAT(t, b, zlibAt(raw, zlib.NoCompression), 3, 40)
+		}
+	}
+	return out
+}
+
+// TestSmallPNGsStream: the fuzz target's small seeds match the stdlib path,
+// and stream, at half their size.
+func TestSmallPNGsStream(t *testing.T) {
+	for name, b := range smallPNGs(t) {
+		if !checkDecodePNGAt(t, name, b, 3, 2) {
+			t.Errorf("%s: not streamed at 3x2", name)
+		}
+	}
+}
+
 // FuzzDecodePNG: for any bytes whose header passes the server's pixel
 // check, DecodePNG and the stdlib path both fail, or both succeed with the
-// same pixels and size.
+// same pixels and size, at the server's 96x160 and at half the file's own
+// size, where a file of a few rows streams too.
 func FuzzDecodePNG(f *testing.F) {
 	for _, b := range brokenPNGs(f) {
 		f.Add(b)
 	}
+	for _, b := range smallPNGs(f) {
+		f.Add(b)
+	}
 	f.Add(encodePNG(f, screenCanvas(384, 640).Image(), png.BestSpeed))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if cfg, err := png.DecodeConfig(bytes.NewReader(b)); err == nil && cfg.Width*cfg.Height > 1<<18 {
+		cfg, err := png.DecodeConfig(bytes.NewReader(b))
+		if err == nil && cfg.Width*cfg.Height > 1<<18 {
 			return
 		}
 		checkDecodePNG(t, "fuzz input", b)
+		if err == nil && cfg.Width >= 2 && cfg.Height >= 2 {
+			checkDecodePNGAt(t, "fuzz input at half size", b, cfg.Width/2, cfg.Height/2)
+		}
 	})
 }
 

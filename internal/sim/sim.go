@@ -24,9 +24,6 @@ type Event struct {
 	cancel bool
 }
 
-// At reports the simulated time the event fires at.
-func (e *Event) At() time.Duration { return e.at }
-
 // Cancel prevents a pending event from firing. Cancelling an event that has
 // already fired (or was already cancelled) is a no-op.
 func (e *Event) Cancel() {

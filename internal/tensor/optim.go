@@ -5,11 +5,10 @@ import "math"
 // Adam is the Adam optimiser, the one the paper uses to train YOLOv5
 // (Section VI-B, "we use a batch size of 256, and apply the Adam optimizer").
 type Adam struct {
-	LR          float32
-	Beta1       float32
-	Beta2       float32
-	Eps         float32
-	WeightDecay float32
+	LR    float32
+	Beta1 float32
+	Beta2 float32
+	Eps   float32
 
 	params []*Tensor
 	m      [][]float32
@@ -40,9 +39,6 @@ func (a *Adam) Step() {
 		m, v := a.m[pi], a.v[pi]
 		for i := range p.Data {
 			g := p.Grad[i]
-			if a.WeightDecay > 0 {
-				g += float32(a.WeightDecay * p.Data[i])
-			}
 			m[i] = float32(a.Beta1*m[i]) + float32((1-a.Beta1)*g)
 			v[i] = float32(a.Beta2*v[i]) + float32((1-a.Beta2)*g*g)
 			mh := m[i] / bc1
