@@ -43,11 +43,12 @@ import (
 //     the other items in the batch (frauddroid is the one exception: only
 //     slot 0 carries the live screen).
 //
-// Ownership: the outer slice belongs to the caller, who may replace its
-// items. Each item's []metrics.Detection is read-only to every caller and
-// may be shared — a result table hands the same slice to every hit, and a
-// stub may answer every call with one slice. A caller that needs other
-// boxes builds a new slice (ToScreen, faults.CorruptDetections).
+// Ownership: once PredictBatchCtx has returned a nil error, nothing reads
+// x, and the caller may reuse it. The outer slice belongs to the caller, who
+// may replace its items. Each item's []metrics.Detection is read-only to
+// every caller and may be shared — a result table hands the same slice to
+// every hit, and a stub may answer every call with one slice. A caller that
+// needs other boxes builds a new slice (ToScreen, faults.CorruptDetections).
 type Detector interface {
 	Name() string
 	PredictBatchCtx(ctx context.Context, x *tensor.Tensor, confThresh float64) ([][]metrics.Detection, error)
@@ -123,14 +124,21 @@ func PredictCanvas(p Detector, c *render.Canvas, confThresh float64) []metrics.D
 // them straight to the model's size). It is the one-call path a network
 // front end needs: pixels in, screen-coordinate detections out, admission
 // errors surfaced. It reaches p through Guarded, so a panic or a corrupt
-// answer is an error.
+// answer is an error. c is the caller's again once it returns.
 func PredictCanvasCtx(ctx context.Context, p Detector, c *render.Canvas, sw, sh int, confThresh float64) ([]metrics.Detection, error) {
-	dets, err := Only(Guarded(ctx, p, yolite.CanvasToTensor(c), confThresh))
+	x := inputs.Get(1, 3, yolite.InputH, yolite.InputW)
+	yolite.CanvasInto(x.Data, c)
+	dets, err := Only(Guarded(ctx, p, x, confThresh))
 	if err != nil {
 		return nil, err
 	}
+	inputs.Put(x)
 	return ToScreen(dets, sw, sh), nil
 }
+
+// inputs recycles PredictCanvasCtx's tensors, each only after a nil error: after
+// an error a forward may still read it (a Batcher caller left; a panic's workers).
+var inputs tensor.Pool
 
 // ToScreen maps an answer from model-input coordinates (yolite.InputW x
 // yolite.InputH) onto a w x h screen. It is the one place an answer is

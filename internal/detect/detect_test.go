@@ -292,3 +292,73 @@ func TestPredictScalesToCanvas(t *testing.T) {
 		t.Fatalf("scaling broken: %v vs %v", r, b)
 	}
 }
+
+// keepStub keeps every tensor it is handed, as a forward still reading x
+// would, and answers each call as fail says: nil for an answer, or a
+// failure mode ("cancel": the caller's context dies mid-call; "panic").
+type keepStub struct {
+	kept   []*tensor.Tensor
+	fail   string
+	cancel context.CancelFunc
+}
+
+func (s *keepStub) Name() string { return "keep" }
+
+func (s *keepStub) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, _ float64) ([][]metrics.Detection, error) {
+	s.kept = append(s.kept, x)
+	switch s.fail {
+	case "cancel":
+		s.cancel()
+		return nil, ctx.Err()
+	case "panic":
+		panic("keepStub")
+	}
+	return make([][]metrics.Detection, 1), nil
+}
+
+// TestPredictCanvasRecyclesOnlyAfterNilError: sequential answered requests
+// reuse one request tensor, the pool allocating none; a request that failed
+// (its caller left on a dead context, or the backend panicked) leaves its
+// tensor to the backend that may still read it, so the next request is
+// never handed that buffer.
+func TestPredictCanvasRecyclesOnlyAfterNilError(t *testing.T) {
+	s := &keepStub{}
+	c := render.NewCanvas(yolite.InputW, yolite.InputH)
+	serve := func(ctx context.Context) error {
+		_, err := PredictCanvasCtx(ctx, s, c, c.W, c.H, 0.5)
+		return err
+	}
+	if err := serve(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	_, news := inputs.Stats()
+	for range 20 {
+		if err := serve(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if x := s.kept[len(s.kept)-1]; x != s.kept[0] {
+			t.Fatal("an answered request's tensor was not reused")
+		}
+	}
+	if _, after := inputs.Stats(); after != news {
+		t.Errorf("20 answered requests allocated %d tensors, want 0", after-news)
+	}
+	for _, fail := range []string{"cancel", "panic"} {
+		ctx, cancel := context.WithCancel(context.Background())
+		s.fail, s.cancel = fail, cancel
+		if err := serve(ctx); err == nil {
+			t.Fatalf("%s: no error", fail)
+		}
+		left := s.kept[len(s.kept)-1]
+		s.fail = ""
+		for range 3 {
+			if err := serve(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if x := s.kept[len(s.kept)-1]; x == left || &x.Data[0] == &left.Data[0] {
+				t.Fatalf("after %s, the next request was handed the failed request's tensor", fail)
+			}
+		}
+		cancel()
+	}
+}

@@ -34,6 +34,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -309,7 +310,10 @@ type screen struct {
 	conf   float64
 }
 
-// readScreen decodes the request into a screen.
+// canvases recycles request canvases: one goes back once detect.PredictCanvasCtx returns.
+var canvases = sync.Pool{New: func() any { return render.NewCanvas(yolite.InputW, yolite.InputH) }}
+
+// readScreen decodes the request into a screen, on a canvas from canvases.
 func (s *Server) readScreen(r *http.Request) (screen, error) {
 	body := io.LimitReader(r.Body, DefaultMaxBodyBytes+1)
 	var pngBytes []byte
@@ -358,7 +362,8 @@ func (s *Server) readScreen(r *http.Request) (screen, error) {
 	if int64(hdr.Width)*int64(hdr.Height) > maxScreenPixels {
 		return screen{}, fmt.Errorf("screen %dx%d exceeds %d pixels", hdr.Width, hdr.Height, maxScreenPixels)
 	}
-	if sc.canvas, sc.w, sc.h, err = render.DecodePNG(pngBytes, yolite.InputW, yolite.InputH); err != nil {
+	sc.canvas = canvases.Get().(*render.Canvas)
+	if sc.w, sc.h, err = render.DecodePNG(pngBytes, sc.canvas); err != nil {
 		return screen{}, fmt.Errorf("decoding PNG: %w", err)
 	}
 	return sc, nil
@@ -384,6 +389,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx := serve.WithTenant(r.Context(), info)
 	dets, err := detect.PredictCanvasCtx(ctx, s.cfg.Backend, sc.canvas, sc.w, sc.h, sc.conf)
+	canvases.Put(sc.canvas)
 	switch {
 	case err == nil:
 		s.served.Add(1)

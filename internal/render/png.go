@@ -7,43 +7,55 @@ import (
 	"hash/crc32"
 	"image/png"
 	"io"
+	"slices"
+	"sync"
 )
 
-// DecodePNG decodes a PNG screenshot into FromImage(png.Decode(data)).
-// Downscale(w, h), bit for bit, and returns it with the screenshot's size.
-// 8-bit RGB or RGBA, not interlaced, without tRNS, that Downscale halves
-// (what screenshots are) is streamed by streamPNG, never holding the
-// full-size image. Anything else, or input the stream does not verify to the
-// end, goes to png.Decode, whose errors are then DecodePNG's.
-func DecodePNG(data []byte, w, h int) (c *Canvas, sw, sh int, err error) {
-	if c, sw, sh, ok := streamPNG(data, w, h); ok {
-		return c, sw, sh, nil
+// DecodePNG decodes a PNG screenshot into dst, bit for bit
+// FromImage(png.Decode(data)).Downscale(dst.W, dst.H), and returns its size.
+// 8-bit RGB or RGBA, not interlaced, without tRNS, at dst's size or one that
+// Downscale halves (what screenshots are) is streamed by streamPNG, never
+// holding the full-size image. Anything else, or input the stream does not
+// verify to the end, goes to png.Decode, whose errors are then DecodePNG's.
+func DecodePNG(data []byte, dst *Canvas) (sw, sh int, err error) {
+	if sw, sh, ok := streamPNG(data, dst); ok {
+		return sw, sh, nil
 	}
 	img, err := png.Decode(bytes.NewReader(data))
 	if err != nil {
-		return nil, 0, 0, err
+		return 0, 0, err
 	}
-	c = FromImage(img)
-	return c.Downscale(w, h), c.W, c.H, nil
+	c := FromImage(img)
+	copy(dst.Pix, c.Downscale(dst.W, dst.H).Pix)
+	return c.W, c.H, nil
 }
+
+// inflater is what a streamed decode borrows: a flate.Resetter over src, and two rows.
+type inflater struct {
+	src  bytes.Reader
+	zr   io.ReadCloser
+	rows []byte
+}
+
+var inflaters = sync.Pool{New: func() any { f := new(inflater); f.zr = flate.NewReader(&f.src); return f }}
 
 // streamPNG is DecodePNG's streamed path, which owns the zlib framing as
 // well as the PNG chunks. It checks the zlib header as compress/zlib does,
 // inflates the rows with compress/flate one at a time, adds each to the
 // stream's checksum (adler32), unfilters it (unfilter) and pushes it into
-// Downscale's 2:1 passes (boxCascade). It reports ok only for input decoded to the end,
-// with every CRC, the zlib header and the adler32 trailer verified and no
-// byte left over: input png.Decode accepts too.
-func streamPNG(data []byte, w, h int) (c *Canvas, sw, sh int, ok bool) {
+// Downscale's 2:1 passes, none at dst's size (boxCascade). It reports ok only
+// for input decoded to the end, every CRC, the zlib header and the adler32
+// verified and no byte left over: input png.Decode accepts too.
+func streamPNG(data []byte, dst *Canvas) (sw, sh int, ok bool) {
 	typ, ihdr, off := pngChunk(data, 8)
 	if !bytes.HasPrefix(data, []byte("\x89PNG\r\n\x1a\n")) || typ != "IHDR" || len(ihdr) != 13 {
 		return
 	}
 	sw, sh = int(int32(binary.BigEndian.Uint32(ihdr))), int(int32(binary.BigEndian.Uint32(ihdr[4:])))
 	bpp := int(ihdr[9])/4 + 3 // bytes per pixel of colour type 2 (RGB) or 6 (RGBA)
-	// 8-bit, deflate, adaptive filters, no interlace, within image/png's pixel
-	// limit; with no 2:1 pass the full-size image is held anyway.
-	if sw <= 0 || sh <= 0 || int64(sw)*int64(sh) > 1<<60 || ihdr[8] != 8 || (ihdr[9] != 2 && ihdr[9] != 6) || ihdr[10]|ihdr[11]|ihdr[12] != 0 || !halves(sw, sh, w, h) {
+	// 8-bit, deflate, adaptive filters, no interlace, within image/png's
+	// pixel limit, at dst's size or one with a 2:1 pass towards it.
+	if sw <= 0 || sh <= 0 || int64(sw)*int64(sh) > 1<<60 || ihdr[8] != 8 || (ihdr[9] != 2 && ihdr[9] != 6) || ihdr[10]|ihdr[11]|ihdr[12] != 0 || !(sw == dst.W && sh == dst.H || halves(sw, sh, dst.W, dst.H)) {
 		return
 	}
 	// Ancillary chunks may come first, as image/png allows, but not tRNS or PLTE.
@@ -64,14 +76,19 @@ func streamPNG(data []byte, w, h int) (c *Canvas, sw, sh int, ok bool) {
 		return
 	}
 	// flate reads a bytes.Reader bytewise, without read-ahead: what is left, it did not use.
-	src := bytes.NewReader(z[2:])
-	zr := flate.NewReader(src)
-	// This row and the one above, filter byte first, with the slack unfilter needs.
-	cr, pr := make([]byte, 1+bpp*sw, 1+bpp*sw+rowSlack), make([]byte, 1+bpp*sw, 1+bpp*sw+rowSlack)
-	b := newBoxCascade(sw, sh, w, h, bpp)
+	f := inflaters.Get().(*inflater)
+	defer func() { f.src.Reset(nil); inflaters.Put(f) }()
+	f.src.Reset(z[2:])
+	f.zr.(flate.Resetter).Reset(&f.src, nil)
+	// This row and the one above (zeros at first), each with unfilter's slack.
+	n := 1 + bpp*sw
+	f.rows = slices.Grow(f.rows[:0], 2*(n+rowSlack))[:2*(n+rowSlack)]
+	cr, pr := f.rows[:n], f.rows[n+rowSlack:][:n]
+	clear(pr)
+	b := newBoxCascade(sw, sh, dst.W, dst.H, bpp, dst)
 	sum := uint32(1) // the adler32 of the rows so far, filter bytes included
 	for y := 0; y < sh; y++ {
-		if _, err := io.ReadFull(zr, cr); err != nil {
+		if _, err := io.ReadFull(f.zr, cr); err != nil {
 			return
 		}
 		if sum = adler32(sum, cr); !unfilter(cr[0], cr[1:], pr[1:], bpp) {
@@ -82,13 +99,29 @@ func streamPNG(data []byte, w, h int) (c *Canvas, sw, sh int, ok bool) {
 	}
 	// The deflate stream ends here, and what is left of the IDAT bytes is
 	// exactly its adler32.
-	if n, err := zr.Read(cr[:1]); n != 0 || err != io.EOF || src.Len() != 4 || binary.BigEndian.Uint32(z[len(z)-4:]) != sum {
+	if n, err := f.zr.Read(cr[:1]); n != 0 || err != io.EOF || f.src.Len() != 4 || binary.BigEndian.Uint32(z[len(z)-4:]) != sum {
 		return
 	}
-	if c = b.dst; c.W != w || c.H != h {
-		c = c.Resize(w, h)
+	if b.dst != dst {
+		copy(dst.Pix, b.dst.Resize(dst.W, dst.H).Pix)
 	}
-	return c, sw, sh, true
+	return sw, sh, true
+}
+
+// widen writes the RGBA or (bpp 3) opaque RGB row src into the RGBA row dst:
+// RGB two pixels a word, as halveRGB reads them, each into a lane with alpha 255.
+func widen(dst, src []byte, bpp int) {
+	if bpp == 4 {
+		copy(dst, src)
+		return
+	}
+	for ; len(dst) >= 8 && len(src) >= 8; dst, src = dst[8:], src[6:] {
+		v := binary.LittleEndian.Uint64(src)
+		binary.LittleEndian.PutUint64(dst, v&0xffffff|v<<8&0xffffff00000000|0xff000000ff000000)
+	}
+	for ; len(src) >= 3; dst, src = dst[4:], src[3:] {
+		dst[0], dst[1], dst[2], dst[3] = src[0], src[1], src[2], 255
+	}
 }
 
 // pngChunk returns the type and payload of the chunk at data[off:] and the

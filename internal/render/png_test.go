@@ -116,9 +116,12 @@ func checkDecodePNGAt(t *testing.T, name string, b []byte, w, h int) (streamed b
 	return checkAgainst(t, name, b, w, h, want, ww, wh, werr)
 }
 
+// checkAgainst decodes b into a w x h canvas whose every byte is first set
+// to 0xa5, so a pixel DecodePNG leaves unwritten shows.
 func checkAgainst(t *testing.T, name string, b []byte, w, h int, want *Canvas, ww, wh int, werr error) (streamed bool) {
 	t.Helper()
-	got, gw, gh, gerr := DecodePNG(b, w, h)
+	got := dirtyCanvas(w, h)
+	gw, gh, gerr := DecodePNG(b, got)
 	if (gerr == nil) != (werr == nil) {
 		t.Fatalf("%s: DecodePNG error %v, png.Decode error %v", name, gerr, werr)
 	}
@@ -126,8 +129,17 @@ func checkAgainst(t *testing.T, name string, b []byte, w, h int, want *Canvas, w
 		t.Fatalf("%s: DecodePNG gave %dx%d from %dx%d, the stdlib path %dx%d from %dx%d",
 			name, got.W, got.H, gw, gh, want.W, want.H, ww, wh)
 	}
-	_, _, _, streamed = streamPNG(b, w, h)
+	_, _, streamed = streamPNG(b, dirtyCanvas(w, h))
 	return streamed
+}
+
+// dirtyCanvas returns a w x h canvas with every byte 0xa5.
+func dirtyCanvas(w, h int) *Canvas {
+	c := NewCanvas(w, h)
+	for i := range c.Pix {
+		c.Pix[i] = 0xa5
+	}
+	return c
 }
 
 // rowFilters tallies the filter types of b's rows, by bytes per pixel
@@ -159,8 +171,9 @@ func TestDecodePNGMatchesStdlib(t *testing.T) {
 	for _, sz := range sizes {
 		for name, img := range pngImageTypes(rng, sz[0], sz[1]) {
 			// image/png writes these three as 8-bit RGB(A), which DecodePNG
-			// streams when Downscale has a 2:1 pass to take.
-			streams := (name == "RGBA" || name == "RGBA-opaque" || name == "NRGBA") && halves(sz[0], sz[1], 96, 160)
+			// streams at the output's own size or when Downscale has a 2:1
+			// pass to take.
+			streams := (name == "RGBA" || name == "RGBA-opaque" || name == "NRGBA") && (sz == [2]int{96, 160} || halves(sz[0], sz[1], 96, 160))
 			if testing.Short() && sz[0] >= 384 && !streams {
 				continue // the stdlib path at screen sizes takes a minute under -race
 			}
@@ -356,19 +369,22 @@ func smallPNGs(t testing.TB) map[string][]byte {
 }
 
 // TestSmallPNGsStream: the fuzz target's small seeds match the stdlib path,
-// and stream, at half their size.
+// and stream, at half their size and at their own.
 func TestSmallPNGsStream(t *testing.T) {
 	for name, b := range smallPNGs(t) {
 		if !checkDecodePNGAt(t, name, b, 3, 2) {
 			t.Errorf("%s: not streamed at 3x2", name)
+		}
+		if !checkDecodePNGAt(t, name, b, 6, 4) {
+			t.Errorf("%s: not streamed at 6x4", name)
 		}
 	}
 }
 
 // FuzzDecodePNG: for any bytes whose header passes the server's pixel
 // check, DecodePNG and the stdlib path both fail, or both succeed with the
-// same pixels and size, at the server's 96x160 and at half the file's own
-// size, where a file of a few rows streams too.
+// same pixels and size, at the server's 96x160 and at the file's own size
+// and half of it, where a file of a few rows streams too.
 func FuzzDecodePNG(f *testing.F) {
 	for _, b := range brokenPNGs(f) {
 		f.Add(b)
@@ -377,12 +393,19 @@ func FuzzDecodePNG(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add(encodePNG(f, screenCanvas(384, 640).Image(), png.BestSpeed))
+	lowres := screenCanvas(96, 160)
+	f.Add(encodePNG(f, lowres.Image(), png.BestSpeed)) // RGB
+	lowres.Fill(geom.Rect{X: 10, Y: 30, W: 70, H: 50}, Color{20, 30, 200, 77})
+	f.Add(encodePNG(f, lowres.Image(), png.BestSpeed)) // RGBA
 	f.Fuzz(func(t *testing.T, b []byte) {
 		cfg, err := png.DecodeConfig(bytes.NewReader(b))
 		if err == nil && cfg.Width*cfg.Height > 1<<18 {
 			return
 		}
 		checkDecodePNG(t, "fuzz input", b)
+		if err == nil && cfg.Width >= 1 && cfg.Height >= 1 {
+			checkDecodePNGAt(t, "fuzz input at its own size", b, cfg.Width, cfg.Height)
+		}
 		if err == nil && cfg.Width >= 2 && cfg.Height >= 2 {
 			checkDecodePNGAt(t, "fuzz input at half size", b, cfg.Width/2, cfg.Height/2)
 		}
@@ -510,23 +533,71 @@ func flatPNG(t testing.TB, w, h int) []byte {
 
 // TestDecodePNGAllocs: what a request allocates no longer grows with the
 // screen. A 384x640 screen (a 983 040-byte image to png.Decode) takes under
-// a quarter of that; a flat 4096x4096 one, the server's pixel cap, under
-// 1 MiB beyond its 96x160 output (png.Decode allocates 64 MiB for it).
+// a quarter of that, and a 96x160 one, streamed into its canvas, under the
+// 61 440 bytes of its image (a few hundred without the race detector, whose
+// sync.Pool drops a quarter of its Puts: the mean of 50 calls stays far
+// below); a flat 4096x4096 one, the server's pixel cap, under 1 MiB beyond
+// its 96x160 output (png.Decode allocates 64 MiB for it).
 func TestDecodePNGAllocs(t *testing.T) {
-	hires := encodePNG(t, screenCanvas(384, 640).Image(), png.BestSpeed)
-	if n := allocated(10, func() { DecodePNG(hires, 96, 160) }); n >= 4*384*640/4 {
-		t.Errorf("DecodePNG(384x640) allocates %d bytes per call, want < %d", n, 4*384*640/4)
+	dst := NewCanvas(96, 160)
+	for _, c := range []struct{ w, h, max int }{{384, 640, 384 * 640}, {96, 160, 4 * 96 * 160}} {
+		b := encodePNG(t, screenCanvas(c.w, c.h).Image(), png.BestSpeed)
+		if n := allocated(50, func() { DecodePNG(b, dst) }); n >= uint64(c.max) {
+			t.Errorf("DecodePNG(%dx%d) allocates %d bytes per call, want < %d", c.w, c.h, n, c.max)
+		}
 	}
 	if testing.Short() {
 		return // inflating 48 MiB of rows takes seconds under -race; the alloc gate runs it without -short
 	}
 	flat := flatPNG(t, 4096, 4096)
-	var c *Canvas
+	c := NewCanvas(96, 160)
 	var err error
-	if n := allocated(1, func() { c, _, _, err = DecodePNG(flat, 96, 160) }); n > 4*96*160+1<<20 {
+	if n := allocated(1, func() { _, _, err = DecodePNG(flat, c) }); n > 4*96*160+1<<20 {
 		t.Errorf("DecodePNG(4096x4096) allocates %d bytes per call, want <= %d", n, 4*96*160+1<<20)
 	}
 	if err != nil || c.At(50, 50) != (Color{40, 90, 200, 255}) {
 		t.Fatalf("flat 4096x4096: %v, pixel %v", err, c.At(50, 50))
+	}
+}
+
+// TestDecodePNGReuse: nothing of one decode reaches the next, through the
+// canvas or the pooled inflater and rows. At the model's 96x160 (streamed
+// 1:1) and from 192x320 (one 2:1 pass), screen B decoded into a canvas that
+// last held screen A, and right after a stream of A that failed at a cut
+// adler32 trailer or a bad one, equals B decoded into a fresh canvas. A and
+// B differ in every row and in colour type: one is RGB, the other RGBA.
+func TestDecodePNGReuse(t *testing.T) {
+	for _, sz := range [][2]int{{96, 160}, {192, 320}} {
+		a := screenCanvas(sz[0], sz[1])
+		b := screenCanvas(sz[0], sz[1])
+		b.Fill(b.Bounds(), Color{200, 20, 90, 130})
+		screens := [2][]byte{encodePNG(t, a.Image(), png.BestSpeed), encodePNG(t, b.Image(), png.BestSpeed)}
+		for i, prev := range screens {
+			next := screens[1-i]
+			want := NewCanvas(96, 160)
+			if _, _, err := DecodePNG(next, want); err != nil {
+				t.Fatal(err)
+			}
+			z := idatStream(t, prev)
+			badAdler := bytes.Clone(z)
+			badAdler[len(badAdler)-1] ^= 1
+			between := map[string][]byte{
+				"nothing":       nil,
+				"a cut trailer": withIDAT(t, prev, z[:len(z)-2]),
+				"a bad adler32": withIDAT(t, prev, badAdler),
+			}
+			for name, broken := range between {
+				c := NewCanvas(96, 160)
+				if _, _, err := DecodePNG(prev, c); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := DecodePNG(broken, c); broken != nil && err == nil {
+					t.Fatalf("%dx%d: %s decoded", sz[0], sz[1], name)
+				}
+				if _, _, err := DecodePNG(next, c); err != nil || !sameCanvas(c, want) {
+					t.Errorf("%dx%d, screen %d after %d, %s between: %v, or pixels differ from a fresh decode", sz[0], sz[1], 1-i, i, name, err)
+				}
+			}
+		}
 	}
 }

@@ -392,7 +392,7 @@ func (c *Canvas) Downsample2x() *Canvas {
 // must use this instead. The passes stream the rows: no canvas between them.
 func (c *Canvas) Downscale(w, h int) *Canvas {
 	if halves(c.W, c.H, w, h) {
-		b := newBoxCascade(c.W, c.H, w, h, 4)
+		b := newBoxCascade(c.W, c.H, w, h, 4, nil)
 		for y := 0; y < c.H; y++ {
 			b.push(0, c.Pix[4*c.W*y:][:4*c.W])
 		}
@@ -407,10 +407,11 @@ func (c *Canvas) Downscale(w, h int) *Canvas {
 // halves reports whether Downscale takes a 2:1 pass from sw x sh towards w x h.
 func halves(sw, sh, w, h int) bool { return sw >= 2*w && sh >= 2*h && sw%2 == 0 && sh%2 == 0 }
 
-// boxCascade runs Downscale's 2:1 passes, at least one, over a stream of rows,
-// RGBA or (bpp 3) opaque RGB. Pass k holds each even row, not a copy, until
-// the odd one comes, and averages the two, (sum+2)/4 per channel, into a row
-// of half the width for pass k+1; the last pass writes dst.
+// boxCascade runs Downscale's 2:1 passes over a stream of rows, RGBA or (bpp
+// 3) opaque RGB, into dst (newBoxCascade's, if the passes end at its size).
+// With none (n 0) each row is widened into dst. Pass k holds each even row,
+// not a copy, until the odd one comes, and averages the two, (sum+2)/4 per
+// channel, into a row of half the width for pass k+1; the last writes dst.
 type boxCascade struct {
 	dst    *Canvas
 	rows   int           // rows written to dst
@@ -419,12 +420,15 @@ type boxCascade struct {
 	out    [31][2][]byte // each pass's output rows, alternated so that the next pass may hold one
 }
 
-func newBoxCascade(sw, sh, w, h, bpp int) boxCascade {
-	n := 1
+func newBoxCascade(sw, sh, w, h, bpp int, dst *Canvas) boxCascade {
+	n := 0
 	for halves(sw>>n, sh>>n, w, h) {
 		n++
 	}
-	b := boxCascade{dst: NewCanvas(sw>>n, sh>>n), bpp: bpp, n: n}
+	if dst == nil || dst.W != sw>>n || dst.H != sh>>n {
+		dst = NewCanvas(sw>>n, sh>>n)
+	}
+	b := boxCascade{dst: dst, bpp: bpp, n: n}
 	var buf []byte // two rows for each pass but the last: 2*4*sw*(1/2 + 1/4 + ...) < 8*sw bytes
 	if n > 1 {
 		buf = make([]byte, 8*sw)
@@ -439,6 +443,11 @@ func newBoxCascade(sw, sh, w, h, bpp int) boxCascade {
 
 // push hands row to pass k.
 func (b *boxCascade) push(k int, row []byte) {
+	if b.n == 0 {
+		widen(b.dst.Pix[4*b.dst.W*b.rows:][:4*b.dst.W], row, b.bpp)
+		b.rows++
+		return
+	}
 	if b.top[k] == nil {
 		b.top[k] = row
 		return

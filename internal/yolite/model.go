@@ -224,7 +224,7 @@ func (m *Model) Backward(dUPO, dAGO *tensor.Tensor) {
 	}
 }
 
-// unit holds float32(v)/255 for every channel byte v: canvasInto looks the
+// unit holds float32(v)/255 for every channel byte v: CanvasInto looks the
 // normalised value up instead of dividing, bit for bit the same.
 var unit = func() (t [256]float32) {
 	for v := range t {
@@ -233,10 +233,10 @@ var unit = func() (t [256]float32) {
 	return t
 }()
 
-// canvasInto writes c, downscaled to InputW x InputH when it is any other
+// CanvasInto writes c, downscaled to InputW x InputH when it is any other
 // size, into dst as one normalised [3, InputH, InputW] item — the single
 // pixel-to-input writer behind every canvas-to-tensor entry point.
-func canvasInto(dst []float32, c *render.Canvas) {
+func CanvasInto(dst []float32, c *render.Canvas) {
 	if c.W != InputW || c.H != InputH {
 		c = c.Downscale(InputW, InputH)
 	}
@@ -252,7 +252,7 @@ func canvasInto(dst []float32, c *render.Canvas) {
 // [1, 3, InputH, InputW] tensor.
 func CanvasToTensor(c *render.Canvas) *tensor.Tensor {
 	x := tensor.New(1, 3, InputH, InputW)
-	canvasInto(x.Data, c)
+	CanvasInto(x.Data, c)
 	return x
 }
 
@@ -276,7 +276,7 @@ func CanvasesToTensor(shots []*render.Canvas) *tensor.Tensor {
 	x := tensor.New(len(shots), 3, InputH, InputW)
 	per := 3 * InputH * InputW
 	tensor.ParallelFor(len(shots), func(i int) {
-		canvasInto(x.Data[i*per:(i+1)*per], shots[i])
+		CanvasInto(x.Data[i*per:(i+1)*per], shots[i])
 	})
 	return x
 }
