@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/metrics"
 	"repro/internal/render"
@@ -126,7 +127,7 @@ func PredictCanvas(p Detector, c *render.Canvas, confThresh float64) []metrics.D
 // errors surfaced. It reaches p through Guarded, so a panic or a corrupt
 // answer is an error. c is the caller's again once it returns.
 func PredictCanvasCtx(ctx context.Context, p Detector, c *render.Canvas, sw, sh int, confThresh float64) ([]metrics.Detection, error) {
-	x := inputs.Get(1, 3, yolite.InputH, yolite.InputW)
+	x := inputs.Get().(*tensor.Tensor)
 	yolite.CanvasInto(x.Data, c)
 	dets, err := Only(Guarded(ctx, p, x, confThresh))
 	if err != nil {
@@ -136,9 +137,10 @@ func PredictCanvasCtx(ctx context.Context, p Detector, c *render.Canvas, sw, sh 
 	return ToScreen(dets, sw, sh), nil
 }
 
-// inputs recycles PredictCanvasCtx's tensors, each only after a nil error: after
-// an error a forward may still read it (a Batcher caller left; a panic's workers).
-var inputs tensor.Pool
+// inputs recycles PredictCanvasCtx's tensors, each exactly one model input,
+// and each only after a nil error: after an error a forward may still read it
+// (a Batcher caller left; a panic's workers).
+var inputs = sync.Pool{New: func() any { return tensor.New(1, 3, yolite.InputH, yolite.InputW) }}
 
 // ToScreen maps an answer from model-input coordinates (yolite.InputW x
 // yolite.InputH) onto a w x h screen. It is the one place an answer is

@@ -317,11 +317,15 @@ func (s *keepStub) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, _ floa
 }
 
 // TestPredictCanvasRecyclesOnlyAfterNilError: sequential answered requests
-// reuse one request tensor, the pool allocating none; a request that failed
-// (its caller left on a dead context, or the backend panicked) leaves its
-// tensor to the backend that may still read it, so the next request is
-// never handed that buffer.
+// reuse one request tensor, the pool's New running for none of them; a
+// request that failed (its caller left on a dead context, or the backend
+// panicked) leaves its tensor to the backend that may still read it, so the
+// next request is never handed that buffer. Under the race detector, whose
+// sync.Pool drops a quarter of its Puts, only the second half is checked.
 func TestPredictCanvasRecyclesOnlyAfterNilError(t *testing.T) {
+	news := 0
+	defer func(orig func() any) { inputs.New = orig }(inputs.New)
+	inputs.New = func() any { news++; return tensor.New(1, 3, yolite.InputH, yolite.InputW) }
 	s := &keepStub{}
 	c := render.NewCanvas(yolite.InputW, yolite.InputH)
 	serve := func(ctx context.Context) error {
@@ -331,17 +335,17 @@ func TestPredictCanvasRecyclesOnlyAfterNilError(t *testing.T) {
 	if err := serve(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	_, news := inputs.Stats()
+	first := news
 	for range 20 {
 		if err := serve(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if x := s.kept[len(s.kept)-1]; x != s.kept[0] {
+		if x := s.kept[len(s.kept)-1]; x != s.kept[0] && !raceEnabled {
 			t.Fatal("an answered request's tensor was not reused")
 		}
 	}
-	if _, after := inputs.Stats(); after != news {
-		t.Errorf("20 answered requests allocated %d tensors, want 0", after-news)
+	if news != first && !raceEnabled {
+		t.Errorf("20 answered requests allocated %d tensors, want 0", news-first)
 	}
 	for _, fail := range []string{"cancel", "panic"} {
 		ctx, cancel := context.WithCancel(context.Background())

@@ -173,63 +173,3 @@ func TestPoisonPanicSingleRequest(t *testing.T) {
 		t.Fatalf("dispatcher dead after single-request panic: dets=%v err=%v", dets, err)
 	}
 }
-
-// keptBackend records every coalesced batch tensor its backend is handed,
-// as a backend that holds on to x would.
-type keptBackend struct {
-	detect.Detector
-	mu   sync.Mutex
-	kept []*tensor.Tensor
-}
-
-func (k *keptBackend) PredictBatchCtx(ctx context.Context, x *tensor.Tensor, conf float64) ([][]metrics.Detection, error) {
-	if x.Shape[0] > 1 {
-		k.mu.Lock()
-		k.kept = append(k.kept, x)
-		k.mu.Unlock()
-	}
-	return k.Detector.PredictBatchCtx(ctx, x, conf)
-}
-
-// TestCoalescedTensorRecycledOnlyAfterNilError: a grouped forward that
-// answered puts its batch tensor back for the next one, and one that failed
-// (a recovered panic, whose pool workers may still read it) leaves it to the
-// GC, so no later forward is handed that buffer.
-func TestCoalescedTensorRecycledOnlyAfterNilError(t *testing.T) {
-	k := &keptBackend{Detector: &poisonBackend{mode: "panic"}}
-	group := func(poisoned bool) {
-		h := &heldBackend{Detector: k, gate: make(chan struct{})}
-		b := NewReplicated(Options{MaxBatch: 4}, h)
-		defer b.Close()
-		var wg sync.WaitGroup
-		queueBehind(t, b, screenTensor(100), func() bool { return h.entered.Load() == 1 }, 4, func() {
-			for i := range 4 {
-				v := float32(i)
-				if poisoned && i == 3 {
-					v = poisonPixel
-				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					b.PredictTensorCtx(context.Background(), screenTensor(v), 0, 0.5)
-				}()
-			}
-		})
-		close(h.gate)
-		wg.Wait()
-	}
-	group(false)
-	group(false)
-	group(true)
-	group(false)
-	if len(k.kept) != 4 {
-		t.Fatalf("%d grouped forwards, want 4", len(k.kept))
-	}
-	same := func(i, j int) bool { return &k.kept[i].Data[0] == &k.kept[j].Data[0] }
-	if !same(0, 1) || !same(1, 2) {
-		t.Error("a grouped forward did not reuse the batch tensor the one before it answered with")
-	}
-	if same(2, 3) {
-		t.Error("the batch tensor of a failed forward was handed to the next one")
-	}
-}

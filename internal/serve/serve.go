@@ -391,13 +391,13 @@ func (b *Batcher) forward(rep *replica, group []request) (answers []response, po
 		answers[0] = runOne(rep, group[0])
 		return answers, false
 	}
-	sub := batches.Get(append([]int{len(group)}, group[0].x.Shape[1:]...)...)
+	sub := tensor.New(append([]int{len(group)}, group[0].x.Shape[1:]...)...)
 	per := len(sub.Data) / len(group)
 	for j, r := range group {
 		copy(sub.Data[j*per:(j+1)*per], r.x.Data)
 	}
 	res, err := detect.Guarded(context.Background(), rep.backend, sub, group[0].conf)
-	if err != nil { // sub is left to the GC: a forward may still read it
+	if err != nil {
 		// Poison isolation: one member spoiled the shared forward (or the
 		// backend misaligned the result mapping). Re-run each request on its
 		// own so the failure lands only on the item that caused it.
@@ -406,15 +406,11 @@ func (b *Batcher) forward(rep *replica, group []request) (answers []response, po
 		}
 		return answers, true
 	}
-	batches.Put(sub)
 	for j := range group {
 		answers[j] = response{out: res[j : j+1 : j+1]}
 	}
 	return answers, false
 }
-
-// batches recycles forward's batch tensors, each only after a nil error.
-var batches tensor.Pool
 
 // runOne runs one request's own tensor on rep under the request's own
 // context.
